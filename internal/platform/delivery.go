@@ -109,79 +109,112 @@ func (p *Platform) RunDayWorkers(adIDs []string, seed int64, workers int) error 
 	if workers > maxDeliveryWorkers {
 		workers = maxDeliveryWorkers
 	}
-	active, elig, err := p.prepareDay(adIDs)
+	plan, err := p.prepareDay(adIDs)
 	if err != nil {
 		return err
 	}
-	for _, ad := range active {
-		p.stats[ad.ID] = p.newAdStats(ad.ID)
-	}
-
 	start := p.deliveryClockNow()
+	shards, merge := p.runDay(plan, seed, workers)
+	spendCents := make([]float64, len(plan.bids))
+	for i := range spendCents {
+		spendCents[i] = math.Round(plan.bids[i].spent * 100)
+	}
 	var auctions int64
-	var merge time.Duration
-	if workers == 1 {
-		auctions = p.runDaySequential(active, elig, seed)
-	} else {
-		auctions, merge = p.runDaySharded(active, elig, seed, workers)
+	for _, sh := range shards {
+		auctions += sh.auctions
 	}
-
-	var impressions int64
-	for _, ad := range active {
-		ad.Status = StatusCompleted
-		st := p.stats[ad.ID]
-		st.SpendCents = math.Round(ad.spent * 100)
-		impressions += int64(st.Impressions)
-	}
-	// One mutation commits the whole day: the completed ads and their frozen
-	// insights, so a recovered platform reports the day identically.
-	del := &DeliveryState{Seed: seed, Workers: workers}
-	for _, ad := range active {
-		del.Completed = append(del.Completed, ad.ID)
-		del.Stats = append(del.Stats, *adStatsState(p.stats[ad.ID]))
-	}
-	sortDeliveryState(del)
-	p.emit(Mutation{Kind: MutDayDelivered, Delivery: del})
+	impressions := p.installDay(plan.active, shards, spendCents, &DeliveryState{Seed: seed, Workers: workers})
 	p.observeDelivery(start, int64(p.cfg.Ticks), auctions, impressions, workers, merge)
 	return nil
 }
 
-// prepareDay resolves a delivery request into the run's active ad set and
-// CSR eligibility index, and initializes per-run ad state (zeroed spend, run
-// index, starting pacing). It is shared by RunDayWorkers and the coordinated
-// day session (delivery_session.go) and consumes no randomness, so every
-// shard of a coordinated day derives the identical plan from the same CRUD
-// state. The caller holds p.mu for writing.
-func (p *Platform) prepareDay(adIDs []string) (active []*Ad, elig *eligIndex, err error) {
+// installDay turns a run day into the ads' frozen insights: fresh reports
+// filled from the shards' accumulators and stamped with the authoritative
+// per-ad spend, the ads completed, and one mutation that commits the whole
+// day, so a recovered platform reports it identically. It returns the
+// impressions installed; the caller holds p.mu for writing.
+func (p *Platform) installDay(active []*Ad, shards []*dayShard, spendCents []float64, del *DeliveryState) (impressions int64) {
+	for _, ad := range active {
+		p.stats[ad.ID] = p.newAdStats(ad.ID)
+	}
+	for _, sh := range shards {
+		sh.foldInto(p.stats, active)
+	}
+	for i, ad := range active {
+		ad.Status = StatusCompleted
+		st := p.stats[ad.ID]
+		st.SpendCents = spendCents[i]
+		impressions += int64(st.Impressions)
+		del.Completed = append(del.Completed, ad.ID)
+		del.Stats = append(del.Stats, *adStatsState(st))
+	}
+	sortDeliveryState(del)
+	p.emit(Mutation{Kind: MutDayDelivered, Delivery: del})
+	return impressions
+}
+
+// prepareDay resolves a delivery request into the day plan: the run's active
+// ad set, its CSR eligibility index with the slot-aligned score and frequency
+// arrays, and every ad's starting bid state (zeroed spend, starting pacing).
+// It is shared by RunDayWorkers and the coordinated day session
+// (delivery_session.go) and consumes no randomness, so every shard of a
+// coordinated day derives the identical plan from the same CRUD state. The
+// caller holds p.mu for writing.
+func (p *Platform) prepareDay(adIDs []string) (*dayPlan, error) {
+	var active []*Ad
 	for _, id := range adIDs {
 		ad, err := p.adLocked(id)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		switch ad.Status {
 		case StatusActive:
+			ad.runIdx = len(active)
 			active = append(active, ad)
 		case StatusRejected:
 			// Skipped, not an error.
 		default:
-			return nil, nil, fmt.Errorf("platform: ad %s is %v, cannot deliver", id, ad.Status)
+			return nil, fmt.Errorf("platform: ad %s is %v, cannot deliver", id, ad.Status)
 		}
 	}
 	if len(active) == 0 {
-		return nil, nil, fmt.Errorf("platform: no active ads to deliver")
+		return nil, fmt.Errorf("platform: no active ads to deliver")
 	}
-
+	bids := make([]adBid, len(active))
 	for i, ad := range active {
-		ad.spent = 0
-		ad.runIdx = i
+		// Per-ad day state is addressed by run index, so an ad cannot hold
+		// two of them: listed twice, it kept only the later index.
+		if ad.runIdx != i {
+			return nil, fmt.Errorf("platform: ad %s listed twice in one delivery request", ad.ID)
+		}
 		// Start the effective bid so that bid × (typical optimization term)
 		// lands near the competing demand level; the pacing controller
 		// refines from there. Without this, reach-optimized ads (term = 1)
 		// would burn their budget at eAR-scaled bids ~25× too high.
 		meanTerm := p.meanOptimizationTerm(ad)
-		ad.pacing = math.Min(math.Max(2*p.cfg.CompetitionBase/meanTerm, 0.005), 50)
+		bids[i] = adBid{
+			pacing: math.Min(math.Max(2*p.cfg.CompetitionBase/meanTerm, 0.005), 50),
+			budget: float64(ad.DailyBudgetCents) / 100,
+		}
 	}
-	return active, buildEligIndex(active), nil
+	return newDayPlan(active, bids), nil
+}
+
+// paceTick is phase 1 of a tick, budget pacing: adjust each ad's effective
+// bid toward on-schedule spend from the committed spend (§2.1: "this process
+// is called bid pacing"), and cap the tick's spend so the budget spreads over
+// the whole day rather than dumping into the first slots; with several shards
+// each may spend its slice of that cap.
+func (p *Platform) paceTick(plan *dayPlan, tick, shards int) {
+	ticks := p.cfg.Ticks
+	elapsed := float64(tick) / float64(ticks)
+	for i := range plan.bids {
+		b := &plan.bids[i]
+		b.pacing, b.cap = pacingStep(b.pacing, b.spent, b.budget, elapsed, ticks, p.cfg.GreedyPacing)
+		if shards > 1 {
+			b.cap = shardCapShare(b.cap, b.budget, b.spent, shards)
+		}
+	}
 }
 
 // newAdStats allocates an empty delivery report sized for the configured
@@ -195,158 +228,48 @@ func (p *Platform) newAdStats(adID string) *AdStats {
 	}
 }
 
-// seqDay is the sequential engine's per-day state, factored out so the
-// coordinated 1-shard day session (delivery_session.go) can run the exact
-// oracle tick path one externally paced tick at a time. Auctions write into
-// the injected stats map and served-row sink rather than straight into
-// platform state, which is what lets a session defer installing its results
-// until the coordinator commits the day.
-type seqDay struct {
-	rng       *rand.Rand
-	active    []*Ad // by run index, the CSR index's ad addressing
-	stats     map[string]*AdStats
-	reached   map[string]map[int]struct{}
-	frequency map[string]map[int]int
-	serve     func(userIdx int, ad *Ad, clicked bool)
-}
-
-// newSeqDay builds sequential-engine day state over the given stats map and
-// served-row sink.
-func newSeqDay(active []*Ad, seed int64, stats map[string]*AdStats, serve func(int, *Ad, bool)) *seqDay {
-	sd := &seqDay{
-		rng:       rand.New(rand.NewSource(seed)),
-		active:    active,
-		stats:     stats,
-		reached:   make(map[string]map[int]struct{}, len(active)),
-		frequency: make(map[string]map[int]int, len(active)),
-		serve:     serve,
-	}
-	for _, ad := range active {
-		sd.reached[ad.ID] = map[int]struct{}{}
-		sd.frequency[ad.ID] = map[int]int{}
-	}
-	return sd
-}
-
-// runDaySequential is the single-threaded oracle engine: one RNG stream,
-// auctions applied to shared state in user-visit order. Its output defines
-// the determinism contract every parallel configuration is differentially
-// tested against, so its draw order must never change.
-func (p *Platform) runDaySequential(active []*Ad, elig *eligIndex, seed int64) int64 {
-	sd := newSeqDay(active, seed, p.stats, p.recordServed)
-	order := elig.rowOrder()
-	var auctions int64
+// runDay runs every tick of a delivery day over `workers` shards of the
+// plan's rows and returns them. One shard is the sequential oracle: one RNG
+// stream, spend charged auction by auction in user-visit order; its output
+// defines the determinism contract every other configuration is
+// differentially tested against, so its draw order must never change. More
+// shards run the two-phase tick described in delivery_shard.go. The caller
+// holds p.mu for writing for the whole day; parallelism lives entirely inside
+// this call. Also returns the time spent in the barrier commits of a
+// multi-shard day (zero unless an observer is installed).
+func (p *Platform) runDay(plan *dayPlan, seed int64, workers int) ([]*dayShard, time.Duration) {
 	ticks := p.cfg.Ticks
+	shards := make([]*dayShard, workers)
+	for s := range shards {
+		shards[s] = p.newDayShard(plan, seed, s, workers)
+	}
+
+	var mergeTime time.Duration
+	timed := p.obsReg != nil && workers > 1
 	for tick := 0; tick < ticks; tick++ {
-		// Budget pacing: adjust each ad's effective bid toward on-schedule
-		// spend (§2.1: "this process is called bid pacing"), and cap each
-		// tick's spend so the budget spreads over the whole day rather than
-		// dumping into the first slots.
-		elapsed := float64(tick) / float64(ticks)
-		for _, ad := range active {
-			ad.pacing, ad.tickCap = pacingStep(ad.pacing, ad.spent, float64(ad.DailyBudgetCents)/100, elapsed, ticks, p.cfg.GreedyPacing)
-			ad.tickSpent = 0
-		}
-		auctions += p.seqTick(sd, elig, order, tick)
-	}
-	for _, ad := range active {
-		p.stats[ad.ID].Reach = len(sd.reached[ad.ID])
-	}
-	return auctions
-}
+		p.paceTick(plan, tick, workers)    // phase 1
+		p.runShardTick(shards, plan, tick) // phase 2
 
-// seqTick runs one sequential-engine tick: visit users in a fresh random
-// order (so no ad's spend window correlates with a fixed slice of the
-// audience), running each user's sessions. The shuffle permutes the caller's
-// row-position slice in place — order persists across ticks, exactly like
-// the original inline loop over the sorted user list (position i starts as
-// the i-th targeted user in ascending population order, so the draw sequence
-// is unchanged from the map-index era).
-func (p *Platform) seqTick(sd *seqDay, elig *eligIndex, order []int32, tick int) int64 {
-	rng := sd.rng
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	var auctions int64
-	ticks := float64(p.cfg.Ticks)
-	for _, pos := range order {
-		u := p.pop.View(int(elig.users[pos]))
-		sessions := poisson(rng, u.Activity()/ticks)
-		auctions += int64(sessions)
-		for s := 0; s < sessions; s++ {
-			p.auction(sd, u, elig.adsFor(pos), tick)
+		// Phase 3: barrier commit in fixed shard order — fixed floating-point
+		// addition order.
+		var commitStart time.Time
+		if timed {
+			commitStart = p.clock.Now()
+		}
+		for _, sh := range shards {
+			sh.commitTick(plan.bids)
+			// Serve-log rows flush in shard order, so the retraining buffer
+			// (and its maxServedLog truncation point) is deterministic.
+			for _, row := range sh.served {
+				p.recordServed(row.userIdx, row.ad, row.clicked)
+			}
+			sh.served = sh.served[:0]
+		}
+		if timed {
+			mergeTime += p.clock.Now().Sub(commitStart)
 		}
 	}
-	return auctions
-}
-
-// auction runs one ad slot: the eligible audit ads (run indexes into
-// sd.active, straight out of the CSR index) compete with each other and with
-// background advertiser demand; the winner pays the second price.
-func (p *Platform) auction(sd *seqDay, u population.UserView, eligible []int32, tick int) {
-	rng := sd.rng
-	uid := u.ID()
-	bg := p.backgroundBid(rng, u)
-	var winner *Ad
-	best, second := bg, 0.0
-	// Random starting offset so exact-tie auctions don't systematically
-	// favor earlier-created ads.
-	off := 0
-	if len(eligible) > 1 {
-		off = rng.Intn(len(eligible))
-	}
-	for k := range eligible {
-		ad := sd.active[eligible[(k+off)%len(eligible)]]
-		if ad.pacing <= 0 || ad.spent >= float64(ad.DailyBudgetCents)/100 || ad.tickSpent >= ad.tickCap {
-			continue
-		}
-		if p.cfg.FrequencyCap > 0 && sd.frequency[ad.ID][uid] >= p.cfg.FrequencyCap {
-			continue
-		}
-		value := ad.pacing*p.optimizationTerm(ad, u) + p.cfg.Quality
-		if p.cfg.ValueNoise > 0 {
-			sigma := p.cfg.ValueNoise
-			value *= math.Exp(sigma*rng.NormFloat64() - sigma*sigma/2)
-		}
-		if value > best {
-			second = best
-			best = value
-			winner = ad
-		} else if value > second {
-			second = value
-		}
-	}
-	if winner == nil {
-		return
-	}
-	price := math.Max(second, bg)
-	// Overspend clamp: never charge past the daily budget, making
-	// SpendCents ≤ DailyBudgetCents an engine invariant. The clamp cannot
-	// change any auction outcome or RNG draw: it only truncates the single
-	// budget-crossing price, and after that charge the ad is ineligible
-	// (spent >= budget) whether or not the charge was clamped.
-	if budget := float64(winner.DailyBudgetCents) / 100; winner.spent+price > budget {
-		price = budget - winner.spent
-	}
-	winner.spent += price
-	winner.tickSpent += price
-	st := sd.stats[winner.ID]
-	st.Impressions++
-	st.HourlySeries[tick]++
-	st.Breakdown[BreakdownKey{
-		Age:    u.AgeBucket(),
-		Gender: u.Gender(),
-		Region: p.deliveryRegion(rng, u),
-	}]++
-	st.RaceOracle[u.Race()]++
-	sd.reached[winner.ID][uid] = struct{}{}
-	sd.frequency[winner.ID][uid]++
-	// Traffic objective: record clicks from ground-truth behaviour and log
-	// the served impression into the retraining buffer — the feedback loop
-	// Retrain closes.
-	clicked := rng.Float64() < p.behave.ClickProb(u, winner.Creative.Image)
-	if clicked {
-		st.Clicks++
-	}
-	sd.serve(uid, winner, clicked)
+	return shards, mergeTime
 }
 
 // optimizationTerm computes the per-user multiplier the delivery objective
@@ -388,46 +311,27 @@ func (p *Platform) meanOptimizationTerm(ad *Ad) float64 {
 	return sum / float64(count)
 }
 
-// backgroundBid draws the highest competing total value for a slot.
-// Competition is stiffer for younger users, making them more expensive for
-// a budget-paced ad to win.
-func (p *Platform) backgroundBid(rng *rand.Rand, u population.UserView) float64 {
-	ageFactor := 1.0
-	if age := u.Age(); age < 65 {
-		ageFactor += p.cfg.CompetitionAgeSlope * float64(65-age) / 47
-	}
-	raceFactor := 1.0
-	if u.Race() == demo.RaceWhite {
-		raceFactor += p.cfg.CompetitionWhitePremium
-	}
-	noise := math.Exp(0.45*rng.NormFloat64() - 0.10125)
-	return p.cfg.CompetitionBase * ageFactor * raceFactor * noise
-}
-
-// deliveryRegion returns the state an impression is recorded in: the user's
-// home state, or — while traveling — usually some other state, occasionally
-// the other study state (the miscount risk §3.3 argues is negligible and
-// symmetric).
-func (p *Platform) deliveryRegion(rng *rand.Rand, u population.UserView) demo.State {
-	if rng.Float64() >= u.TravelProb() {
-		return u.State()
-	}
-	if rng.Float64() < 0.1 {
-		if u.State() == demo.StateFL {
-			return demo.StateNC
-		}
-		return demo.StateFL
-	}
-	return demo.StateOther
-}
-
-// poisson draws a Poisson variate by Knuth's method; efficient for the
-// small per-tick session rates used here.
-func poisson(rng *rand.Rand, lambda float64) int {
+// sessionThreshold converts a user's per-tick session rate into the stop
+// threshold exp(-lambda) of Knuth's Poisson method, computed once per user
+// per day rather than once per tick; a rate that is not positive yields
+// noSessions.
+func sessionThreshold(lambda float64) float64 {
 	if lambda <= 0 {
+		return noSessions
+	}
+	return math.Exp(-lambda)
+}
+
+// noSessions is the threshold of a user who never has a session: poisson
+// draws nothing for it. exp(-lambda) of a positive lambda never exceeds 1.
+const noSessions = 2
+
+// poisson draws a Poisson variate by Knuth's method, given its threshold;
+// efficient for the small per-tick session rates used here.
+func poisson(rng *rand.Rand, l float64) int {
+	if l == noSessions {
 		return 0
 	}
-	l := math.Exp(-lambda)
 	k := 0
 	p := 1.0
 	for {

@@ -1,0 +1,149 @@
+package platform
+
+// Benchmarks of the delivery day's layers, beside the code: the CSR
+// eligibility build, the whole day preparation, and one tick of the auction
+// kernel. All run on the shared fixture world with every user in one
+// audience (~30k rows, 4 ads, so ~120k slots), large enough that a tick is
+// auctions rather than loop set-up.
+//
+//	go test -run '^$' -bench 'BuildEligIndex|PrepareDay|DayTick' -benchtime 200x ./internal/platform
+
+import (
+	"sync"
+	"testing"
+
+	"github.com/adaudit/impliedidentity/internal/demo"
+	"github.com/adaudit/impliedidentity/internal/image"
+)
+
+var (
+	benchDayOnce sync.Once
+	benchDayPlat *Platform
+	benchDayIDs  []string
+)
+
+// benchDay returns a platform over the shared fixture with four active ads
+// that all target the whole population. The ads are never delivered through
+// RunDay, so they stay active and every benchmark prepares the same day.
+func benchDay(tb testing.TB) (*Platform, []string) {
+	tb.Helper()
+	f := sharedFixture(tb)
+	benchDayOnce.Do(func() {
+		p, err := New(testConfig(701), f.pop, f.behave)
+		if err != nil {
+			panic(err)
+		}
+		hashes := make([]string, f.pop.Len())
+		for i := range hashes {
+			hashes[i] = f.pop.View(i).PIIKey()
+		}
+		ca, err := p.CreateCustomAudience("everyone", hashes)
+		if err != nil {
+			panic(err)
+		}
+		cmp, err := p.CreateCampaign("bench", ObjectiveTraffic, SpecialNone, 2019)
+		if err != nil {
+			panic(err)
+		}
+		for _, prof := range []demo.Profile{
+			{Gender: demo.GenderMale, Race: demo.RaceWhite, Age: demo.ImpliedAdult},
+			{Gender: demo.GenderMale, Race: demo.RaceBlack, Age: demo.ImpliedAdult},
+			{Gender: demo.GenderFemale, Race: demo.RaceWhite, Age: demo.ImpliedAdult},
+			{Gender: demo.GenderFemale, Race: demo.RaceBlack, Age: demo.ImpliedAdult},
+		} {
+			ad, err := p.CreateAd(cmp.ID, Creative{Image: image.FromProfile(prof), Headline: "h", LinkURL: "https://example.com"}, Targeting{CustomAudienceIDs: []string{ca.ID}}, 2_000_000)
+			if err != nil {
+				panic(err)
+			}
+			benchDayIDs = append(benchDayIDs, ad.ID)
+		}
+		benchDayPlat = p
+	})
+	return benchDayPlat, benchDayIDs
+}
+
+// perUnit reports the benchmark's elapsed time per `units` as a custom
+// metric.
+func perUnit(b *testing.B, units int64, name string) {
+	if units > 0 {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(units), name)
+	}
+}
+
+// BenchmarkBuildEligIndex builds the day's CSR eligibility index.
+func BenchmarkBuildEligIndex(b *testing.B) {
+	p, ids := benchDay(b)
+	plan, err := p.prepareDay(ids)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var slots int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slots += int64(len(buildEligIndex(plan.active).ads))
+	}
+	perUnit(b, slots, "ns/slot")
+}
+
+// BenchmarkPrepareDay is what a day costs before its first tick: resolve the
+// ads, estimate their starting bids, build the index and the slot arrays,
+// and gather the rows of the day's only shard.
+func BenchmarkPrepareDay(b *testing.B) {
+	p, ids := benchDay(b)
+	var users int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, err := p.prepareDay(ids)
+		if err != nil {
+			b.Fatal(err)
+		}
+		users += int64(len(p.newDayShard(plan, 1, 0, 1).order))
+	}
+	perUnit(b, users, "ns/user")
+}
+
+// BenchmarkDayTick times one tick of one shard — pacing, the shuffled walk,
+// the auctions — cycling through whole days so that every tick of the day
+// (cold score memo, warm memo, users at their frequency cap) weighs in as it
+// does in a real day. Building each new day sits outside the timer.
+func BenchmarkDayTick(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		shards int
+	}{{"sequential", 1}, {"shard_of_2", 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			p, ids := benchDay(b)
+			ticks := p.cfg.Ticks
+			var plan *dayPlan
+			var sh *dayShard
+			var userTicks, auctions int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tick := i % ticks
+				if tick == 0 {
+					b.StopTimer()
+					if sh != nil {
+						auctions += sh.auctions
+					}
+					var err error
+					if plan, err = p.prepareDay(ids); err != nil {
+						b.Fatal(err)
+					}
+					sh = p.newDayShard(plan, int64(i), 0, bc.shards)
+					b.StartTimer()
+				}
+				p.paceTick(plan, tick, bc.shards)
+				p.tickShard(sh, plan, tick)
+				sh.commitTick(plan.bids)
+				sh.served = sh.served[:0]
+				userTicks += int64(len(sh.order))
+			}
+			auctions += sh.auctions
+			perUnit(b, userTicks, "ns/user-tick")
+			perUnit(b, auctions, "ns/auction")
+		})
+	}
+}

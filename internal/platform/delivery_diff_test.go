@@ -16,10 +16,13 @@ package platform
 //     so the assertion also catches any dependence on map layout or
 //     allocation history.
 //
-// The golden scenarios deliberately use budgets far above the market's
-// natural spend ceiling so the overspend clamp (which post-dates the golden
-// capture) can never fire in them; clamp behavior is covered by the
-// property suite instead.
+// The first three scenarios deliberately use budgets far above the market's
+// natural spend ceiling so the overspend clamp (which post-dates their
+// capture) can never fire in them. The remaining ones were captured from the
+// two-kernel engine immediately before it was collapsed into one kernel over
+// a per-day plan, and cover what the first three leave out: no frequency cap,
+// budgets that exhaust mid-day under the per-auction clamp, rows of degree
+// 1, 2 and 3 in one day, a constant eAR term, and greedy pacing.
 
 import (
 	"crypto/sha256"
@@ -59,6 +62,10 @@ func deliveryDigest(t *testing.T, p *Platform, adIDs []string) string {
 type diffAdSpec struct {
 	img    image.Features
 	budget int
+	// limit holds attribute limits layered over the shared custom audience
+	// (CustomAudienceIDs is filled in by createAdSet), so one scenario can
+	// give its ads partially overlapping audiences.
+	limit Targeting
 }
 
 // createAdSet creates one campaign with one ad per spec and returns the ad
@@ -71,7 +78,9 @@ func createAdSet(t *testing.T, p *Platform, objective Objective, caID string, sp
 	}
 	ids := make([]string, 0, len(specs))
 	for _, s := range specs {
-		ad, err := p.CreateAd(cmp.ID, Creative{Image: s.img, Headline: "h", LinkURL: "https://example.com"}, Targeting{CustomAudienceIDs: []string{caID}}, s.budget)
+		targeting := s.limit
+		targeting.CustomAudienceIDs = []string{caID}
+		ad, err := p.CreateAd(cmp.ID, Creative{Image: s.img, Headline: "h", LinkURL: "https://example.com"}, targeting, s.budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +121,7 @@ func diffCases() []diffCase {
 				return uploadBalancedAudience(t, p, f, 60, 51)
 			},
 			obj:     ObjectiveTraffic,
-			specs:   []diffAdSpec{{imgWM, 2_000_000}, {imgBM, 2_000_000}},
+			specs:   []diffAdSpec{{img: imgWM, budget: 2_000_000}, {img: imgBM, budget: 2_000_000}},
 			runSeed: 9001,
 			golden:  "bfab4b68f56278ae3d81c3b18c0fc06f6dc41658a212e7d85d1bc21317af4557",
 			sharded: map[int]string{
@@ -133,7 +142,7 @@ func diffCases() []diffCase {
 				return splitAudience(t, p, f, 800, false, 52)
 			},
 			obj:     ObjectiveConversions,
-			specs:   []diffAdSpec{{imgWM, 1_500_000}, {imgBM, 1_500_000}, {imgBF, 2_000_000}},
+			specs:   []diffAdSpec{{img: imgWM, budget: 1_500_000}, {img: imgBM, budget: 1_500_000}, {img: imgBF, budget: 2_000_000}},
 			runSeed: 9002,
 			golden:  "b35bc4589ba175aa3beaa852e19138add87d1f677f58f649d6cea66ba1fcc9b1",
 			sharded: map[int]string{
@@ -153,13 +162,98 @@ func diffCases() []diffCase {
 				return uploadBalancedAudience(t, p, f, 40, 53)
 			},
 			obj:     ObjectiveAwareness,
-			specs:   []diffAdSpec{{imgWF, 30_000_000}, {imgBF, 30_000_000}, {imgWM, 20_000_000}, {imgBM, 20_000_000}},
+			specs:   []diffAdSpec{{img: imgWF, budget: 30_000_000}, {img: imgBF, budget: 30_000_000}, {img: imgWM, budget: 20_000_000}, {img: imgBM, budget: 20_000_000}},
 			runSeed: 9003,
 			golden:  "5d41bd178b88923945493808e66212c304839779775a029dfe7db5fb08097107",
 			sharded: map[int]string{
 				2: "4fb23637227ec9562e6b1541a96d3f4314c8b9544343ccb0174b96de063626dc",
 				4: "0768544c3f58d3a191dcb04c36e39a7ac1fda211fcf362698d045292802c9a3e",
 				8: "28b1c0226c7300ffd60ea2f72c02a06142f288aa16933aaca11aae65b3438f02",
+			},
+		},
+		{
+			name: "nocap_tight_budgets",
+			cfg: func() Config {
+				cfg := testConfig(504)
+				cfg.FrequencyCap = 0
+				return cfg
+			},
+			setup: func(t *testing.T, p *Platform, f *fixture) string {
+				return uploadBalancedAudience(t, p, f, 50, 54)
+			},
+			obj: ObjectiveTraffic,
+			// All three exhaust: the tight pair mid-day, the third in the
+			// closing ticks, each on a clamped budget-crossing charge; the
+			// third averages >4 impressions per reached user, which the
+			// default cap would have forbidden.
+			specs:   []diffAdSpec{{img: imgWM, budget: 60}, {img: imgBF, budget: 90}, {img: imgBM, budget: 10_000}},
+			runSeed: 9004,
+			golden:  "886638190b5b78eea9b6a2e8bacfb35cbc864eb82e1d7cef893746af89973ab8",
+			sharded: map[int]string{
+				2: "f4d8a1a5ecb4315962c3627d26732a1d5cb8fabd45a8d9bd7257c4438c3074e0",
+				4: "cbcb7b4059abb6490629a4451f0a729622748ae0d74fb03bc6eddd130c5ebece",
+				8: "6b045e4db20a570cff0db417f4105917710338ed79f59969f1bf204b664608e2",
+			},
+		},
+		{
+			name: "overlapping_audiences",
+			cfg:  func() Config { return testConfig(505) },
+			setup: func(t *testing.T, p *Platform, f *fixture) string {
+				return uploadBalancedAudience(t, p, f, 60, 55)
+			},
+			obj: ObjectiveTraffic,
+			// Degree 3 for FL women, 2 for FL men and NC women, 1 for NC men.
+			specs: []diffAdSpec{
+				{img: imgWM, budget: 2_000_000},
+				{img: imgBF, budget: 2_000_000, limit: Targeting{States: []demo.State{demo.StateFL}}},
+				{img: imgWF, budget: 1_500_000, limit: Targeting{Genders: []demo.Gender{demo.GenderFemale}}},
+			},
+			runSeed: 9005,
+			golden:  "a3b6d96c5c8254b0554724405b2e0ed0dc453fefd3d11724b4eadb3d9b2eb89d",
+			sharded: map[int]string{
+				2: "8223c46808734818d06f04f5ec2069a22704d46a3ea557938954e18f6d68b360",
+				4: "00e55c239f6d6987eb346bc48fae12fc2654990941e700153dcdd024759b172c",
+				8: "aa5203c4ccff742d15cc27f16307de1a9a6a533580e411fbda43457a7e106aab",
+			},
+		},
+		{
+			name: "no_ear",
+			cfg: func() Config {
+				cfg := testConfig(506)
+				cfg.UseEAR = false
+				return cfg
+			},
+			setup: func(t *testing.T, p *Platform, f *fixture) string {
+				return uploadBalancedAudience(t, p, f, 40, 56)
+			},
+			obj:     ObjectiveTraffic,
+			specs:   []diffAdSpec{{img: imgWM, budget: 2_000_000}, {img: imgBF, budget: 2_000_000}},
+			runSeed: 9006,
+			golden:  "cb4748b7647ea395b1071015f8b55824c5840cec8a2742763bc76e282a15a40c",
+			sharded: map[int]string{
+				2: "62cd9651b0f22d70112c222d63fbb1c1d4da0fff4de59c41ad041a879b45a6d5",
+				4: "25d9ad22e18ad8950a60555576e0397fab27a1deff286d85c615b3a8a8328c2b",
+				8: "e7134db4bcad9ebd67dda1fd4a76c20668678eaf9cc0eac085f511e686b7630a",
+			},
+		},
+		{
+			name: "greedy_pacing_exhausts",
+			cfg: func() Config {
+				cfg := testConfig(507)
+				cfg.GreedyPacing = true
+				return cfg
+			},
+			setup: func(t *testing.T, p *Platform, f *fixture) string {
+				return uploadBalancedAudience(t, p, f, 40, 57)
+			},
+			obj:     ObjectiveTraffic,
+			specs:   []diffAdSpec{{img: imgWF, budget: 120}, {img: imgBM, budget: 2_000_000}},
+			runSeed: 9007,
+			golden:  "4954bba88efff91bb5211efd66ae1de21213f2cba2fdfef507dcd25bae4e62de",
+			sharded: map[int]string{
+				2: "5ed3b9ab87303c864fbf3b6f124f33b847c72ad6e3909a5a48f06dac4e376fab",
+				4: "9667255f3018c1dbebbc1580a97174e64cffdd388e03e31191cc1f07a26ecc90",
+				8: "4947ce2985c184038832e0c33d0eb3d77837d1ba6b4754a854fd360ccce859e3",
 			},
 		},
 	}

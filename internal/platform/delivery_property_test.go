@@ -106,7 +106,7 @@ func TestDeliveryInvariantsAcrossWorkerCounts(t *testing.T) {
 			}
 			caID := uploadBalancedAudience(t, p, f, 50, 61)
 			for _, workers := range []int{1, 2, 4, 8} {
-				ids := createAdSet(t, p, ObjectiveTraffic, caID, []diffAdSpec{{imgWM, budgets[0]}, {imgBF, budgets[1]}})
+				ids := createAdSet(t, p, ObjectiveTraffic, caID, []diffAdSpec{{img: imgWM, budget: budgets[0]}, {img: imgBF, budget: budgets[1]}})
 				if err := p.RunDayWorkers(ids, 7007, workers); err != nil {
 					t.Fatal(err)
 				}

@@ -2,9 +2,9 @@ package platform
 
 // The coordinated day session: one shard backend's side of the cross-process
 // delivery protocol (internal/coordinator drives the other side). A session
-// runs the same engines RunDayWorkers runs — the sequential oracle for a
-// 1-shard day, one deliveryShard of the sharded engine otherwise — but one
-// externally paced tick at a time:
+// runs one dayShard of the day RunDayWorkers would run — the live shard of a
+// 1-shard day, a frozen one otherwise — but one externally paced tick at a
+// time:
 //
 //	Begin   resolve the ad set, initialize pacing, report the day plan;
 //	Tick    apply the coordinator's frozen (pacing, spent, cap) snapshot,
@@ -13,8 +13,9 @@ package platform
 //	        spend, complete the ads, emit the durable mutation;
 //	Abort   discard everything.
 //
-// Nothing a session does before Finish touches durable state: stats live in
-// a session-local map, served-log rows are buffered, no mutation is emitted.
+// Nothing a session does before Finish touches durable state: counts live in
+// the shard's accumulators, served-log rows stay in its buffer, no mutation
+// is emitted.
 // A shard process that dies mid-day therefore loses the session entirely and
 // cleanly — the coordinator detects the conflict, aborts the day everywhere,
 // and re-runs it; determinism makes the re-run byte-identical.
@@ -44,17 +45,9 @@ type daySession struct {
 	shard  int
 	shards int
 
-	active []*Ad
-	elig   *eligIndex
-	order  []int32 // this shard's row positions into elig
-	stats  map[string]*AdStats
+	plan *dayPlan
+	sh   *dayShard // its served buffer is flushed to the platform at Finish
 
-	seq  *seqDay        // shards == 1: the sequential oracle engine
-	sh   *deliveryShard // shards > 1: one shard of the parallel engine
-	caps []float64      // shards > 1: this tick's per-ad cap slice
-
-	served   []servedRow // buffered; flushed to the platform at Finish
-	auctions int64
 	nextTick int
 	last     *TickReport // previous tick's report, for idempotent replay
 	start    time.Time
@@ -85,48 +78,28 @@ func (p *Platform) BeginDaySession(session string, adIDs []string, seed int64, s
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	active, elig, err := p.prepareDay(adIDs)
+	plan, err := p.prepareDay(adIDs)
 	if err != nil {
 		return nil, err
 	}
-	sess := &daySession{
+	p.session = &daySession{
 		name:   session,
 		seed:   seed,
 		shard:  shard,
 		shards: shards,
-		active: active,
-		elig:   elig,
-		stats:  make(map[string]*AdStats, len(active)),
+		plan:   plan,
+		sh:     p.newDayShard(plan, seed, shard, shards),
 		start:  p.deliveryClockNow(),
 	}
-	for _, ad := range active {
-		sess.stats[ad.ID] = p.newAdStats(ad.ID)
-	}
-	if shards == 1 {
-		sess.order = elig.rowOrder()
-		sess.seq = newSeqDay(active, seed, sess.stats, func(userIdx int, ad *Ad, clicked bool) {
-			sess.served = append(sess.served, servedRow{userIdx: userIdx, ad: ad, clicked: clicked})
-		})
-	} else {
-		for i := 0; i < elig.rows(); i++ {
-			if i%shards == shard {
-				sess.order = append(sess.order, int32(i))
-			}
-		}
-		sess.sh = newDeliveryShard(seed, shard, len(active), p.cfg.Ticks)
-		sess.sh.order = sess.order
-		sess.caps = make([]float64, len(active))
-	}
-	p.session = sess
 
 	init := &DayInit{
 		Session: session,
 		Ticks:   p.cfg.Ticks,
 		Greedy:  p.cfg.GreedyPacing,
-		Ads:     make([]DayAdPlan, len(active)),
+		Ads:     make([]DayAdPlan, len(plan.active)),
 	}
-	for i, ad := range active {
-		init.Ads[i] = DayAdPlan{AdID: ad.ID, DailyBudgetCents: ad.DailyBudgetCents, Pacing: ad.pacing}
+	for i, ad := range plan.active {
+		init.Ads[i] = DayAdPlan{AdID: ad.ID, DailyBudgetCents: ad.DailyBudgetCents, Pacing: plan.bids[i].pacing}
 	}
 	return init, nil
 }
@@ -139,10 +112,10 @@ func (p *Platform) BeginDaySession(session string, adIDs []string, seed int64, s
 //
 // The report's Spent vector is this shard's tick spend for a multi-shard
 // day (the coordinator folds it with the budget clamp, in shard order);
-// for a 1-shard day it is the backend's committed absolute spend — the
-// sequential oracle accumulates spend per auction with a per-auction clamp,
-// and only its own addition order reproduces the historical digests, so
-// there the backend is authoritative and the coordinator adopts its totals.
+// for a 1-shard day it is the backend's committed absolute spend — a live
+// shard accumulates spend per auction with a per-auction clamp, and only its
+// own addition order reproduces the historical digests, so there the backend
+// is authoritative and the coordinator adopts its totals.
 func (p *Platform) DaySessionTick(session string, tick int, dirs []TickDirective) (*TickReport, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -162,39 +135,26 @@ func (p *Platform) DaySessionTick(session string, tick int, dirs []TickDirective
 	if tick >= ticks {
 		return nil, fmt.Errorf("platform: tick %d beyond day length %d: %w", tick, ticks, ErrSessionConflict)
 	}
-	if len(dirs) != len(sess.active) {
-		return nil, fmt.Errorf("platform: session %q got %d directives, want %d: %w", session, len(dirs), len(sess.active), ErrSessionConflict)
+	bids, sh := sess.plan.bids, sess.sh
+	if len(dirs) != len(bids) {
+		return nil, fmt.Errorf("platform: session %q got %d directives, want %d: %w", session, len(dirs), len(bids), ErrSessionConflict)
 	}
 
-	for i, ad := range sess.active {
-		ad.pacing = dirs[i].Pacing
-		ad.spent = dirs[i].Spent
-		ad.tickSpent = 0
-		if sess.shards == 1 {
-			ad.tickCap = dirs[i].Cap
-		} else {
-			sess.caps[i] = dirs[i].Cap
-		}
+	for i := range bids {
+		bids[i].pacing = dirs[i].Pacing
+		bids[i].spent = dirs[i].Spent
+		bids[i].cap = dirs[i].Cap
 	}
-
-	rep := &TickReport{Tick: tick, Spent: make([]float64, len(sess.active))}
-	if sess.shards == 1 {
-		rep.Auctions = p.seqTick(sess.seq, sess.elig, sess.order, tick)
-		for i, ad := range sess.active {
-			rep.Spent[i] = ad.spent
+	before := sh.auctions
+	p.tickShard(sh, sess.plan, tick)
+	rep := &TickReport{Tick: tick, Spent: make([]float64, len(bids)), Auctions: sh.auctions - before}
+	for i := range bids {
+		rep.Spent[i] = sh.accs[i].tickSpent
+		if sh.live {
+			rep.Spent[i] = bids[i].spent
 		}
-	} else {
-		before := sess.sh.auctions
-		p.shardTick(sess.sh, sess.active, sess.elig, tick, sess.caps)
-		rep.Auctions = sess.sh.auctions - before
-		for i, acc := range sess.sh.accs {
-			rep.Spent[i] = acc.tickSpent
-			acc.tickSpent = 0
-		}
-		sess.served = append(sess.served, sess.sh.served...)
-		sess.sh.served = sess.sh.served[:0]
+		sh.accs[i].tickSpent = 0
 	}
-	sess.auctions += rep.Auctions
 	sess.nextTick++
 	sess.last = rep
 
@@ -219,36 +179,17 @@ func (p *Platform) FinishDaySession(session string, spendCents []float64) error 
 	if sess.nextTick != p.cfg.Ticks {
 		return fmt.Errorf("platform: session %q finished at tick %d of %d: %w", session, sess.nextTick, p.cfg.Ticks, ErrSessionConflict)
 	}
-	if len(spendCents) != len(sess.active) {
-		return fmt.Errorf("platform: session %q got %d spend totals, want %d: %w", session, len(spendCents), len(sess.active), ErrSessionConflict)
+	active := sess.plan.active
+	if len(spendCents) != len(active) {
+		return fmt.Errorf("platform: session %q got %d spend totals, want %d: %w", session, len(spendCents), len(active), ErrSessionConflict)
 	}
 
-	if sess.shards == 1 {
-		for _, ad := range sess.active {
-			sess.stats[ad.ID].Reach = len(sess.seq.reached[ad.ID])
-		}
-	} else {
-		mergeShardStats(sess.stats, sess.active, sess.sh)
-	}
-	var impressions int64
-	for i, ad := range sess.active {
-		ad.Status = StatusCompleted
-		st := sess.stats[ad.ID]
-		st.SpendCents = spendCents[i]
-		p.stats[ad.ID] = st
-		impressions += int64(st.Impressions)
-	}
 	del := &DeliveryState{Seed: sess.seed, Workers: sess.shards, Shard: sess.shard, Shards: sess.shards}
-	for _, ad := range sess.active {
-		del.Completed = append(del.Completed, ad.ID)
-		del.Stats = append(del.Stats, *adStatsState(p.stats[ad.ID]))
-	}
-	sortDeliveryState(del)
-	p.emit(Mutation{Kind: MutDayDelivered, Delivery: del})
-	for _, row := range sess.served {
+	impressions := p.installDay(active, []*dayShard{sess.sh}, spendCents, del)
+	for _, row := range sess.sh.served {
 		p.recordServed(row.userIdx, row.ad, row.clicked)
 	}
-	p.observeDelivery(sess.start, int64(p.cfg.Ticks), sess.auctions, impressions, sess.shards, 0)
+	p.observeDelivery(sess.start, int64(p.cfg.Ticks), sess.sh.auctions, impressions, sess.shards, 0)
 	p.session = nil
 	return nil
 }

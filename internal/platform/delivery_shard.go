@@ -1,77 +1,128 @@
 package platform
 
-// The sharded parallel delivery engine. The audience is partitioned into
-// `workers` deterministic shards; each shard runs its tick's auctions on its
-// own goroutine with its own RNG stream and thread-local accumulators, and
-// everything shared is committed single-threaded at the tick barrier in
-// fixed shard order. That makes the day's output a pure function of
-// (ads, seed, worker count): repeated runs are bit-identical.
+// The auction kernel and the shard it runs over. A delivery day's rows (the
+// targeted users, as positions in the day's CSR eligibility index) are
+// partitioned into deterministic shards; each shard runs its tick's auctions
+// with its own RNG stream and thread-local accumulators over the shared
+// dayPlan. There is one kernel for every way a day is run — in process or as
+// one backend of a coordinated fleet day (delivery_session.go), one shard or
+// many — and the runs differ only in how an impression is charged:
 //
-// Budget pacing is two-phase per tick:
+//	live    (a 1-shard day, the sequential oracle) the winner's committed
+//	        spend moves at once, truncated at the daily budget, so the next
+//	        auction already sees it;
+//	frozen  (every multi-shard day) spend accrues in the shard's accumulator
+//	        and nothing shared moves until the tick barrier.
+//
+// A frozen tick is two-phase budget pacing:
 //
 //	phase 1 (single-threaded): the pacing controller updates every ad's
-//	  effective bid from the *committed* spend — exactly the sequential
-//	  controller's rule — and slices the tick's spend cap per shard;
+//	  effective bid from the *committed* spend — the same rule a live day
+//	  applies — and slices the tick's spend cap per shard;
 //	phase 2 (parallel): shards bid against that frozen tick-start snapshot
-//	  (ad.pacing / ad.spent / the per-shard cap never move mid-tick),
-//	  accruing spend and stats locally;
-//	phase 3 (single-threaded): shard spend commits into ad.spent in shard
+//	  (dayPlan.bids never moves mid-tick), accruing spend and stats locally;
+//	phase 3 (single-threaded): shard spend commits into the bids in shard
 //	  order — fixed floating-point addition order — clamped so the daily
 //	  budget is never exceeded, and buffered served-log rows flush in the
 //	  same order.
 //
-// Per-user state (frequency caps, reach) needs no synchronization at all:
-// a user lives in exactly one shard, so the shard's local maps are the
-// authoritative ones.
+// That makes the day's output a pure function of (ads, seed, shard count):
+// repeated runs are bit-identical. Per-user state (frequency counts, reach,
+// the score memo) needs no synchronization at all: a user lives in exactly
+// one shard, so only that shard touches the user's slots.
 
 import (
 	"math"
 	"math/rand"
 	"sync"
-	"time"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
-	"github.com/adaudit/impliedidentity/internal/population"
 )
 
-// newDeliveryShard builds one shard's day state: a private RNG stream
-// derived from (seed, shard) and empty per-ad accumulators.
-func newDeliveryShard(seed int64, shard, numAds, ticks int) *deliveryShard {
-	sh := &deliveryShard{
-		rng:  rand.New(rand.NewSource(shardSeed(seed, shard))),
-		accs: make([]*shardAcc, numAds),
+// adAcc is one ad's accumulator inside one shard. Spend is drained at every
+// tick barrier; the counts fold into the ad's report once at day end.
+type adAcc struct {
+	tickSpent   float64 // spend accrued this tick
+	impressions int
+	clicks      int
+	reach       int
+	hourly      []int
+	cells       [numCells]int
+	race        [numRaces]int
+}
+
+// dayShard owns a disjoint slice of the day's rows, a private RNG stream that
+// persists across ticks, and per-ad accumulators.
+type dayShard struct {
+	rng      *rand.Rand
+	live     bool        // charge committed spend per auction instead of at the barrier
+	order    []int32     // row positions into the plan's eligIndex
+	accs     []adAcc     // indexed by run index
+	served   []servedRow // buffered rows, flushed by whoever drives the ticks
+	auctions int64
+}
+
+// newDayShard builds shard `shard` of a `shards`-wide day over the plan and
+// gathers its rows. The only shard of a 1-shard day is live and draws from
+// the day seed itself — the historical sequential stream; every other shard
+// draws from a private stream derived from (seed, shard).
+func (p *Platform) newDayShard(plan *dayPlan, seed int64, shard, shards int) *dayShard {
+	live := shards == 1
+	if !live {
+		seed = shardSeed(seed, shard)
 	}
+	sh := &dayShard{
+		rng:   rand.New(rand.NewSource(seed)),
+		live:  live,
+		order: plan.elig.shardRows(shard, shards),
+		accs:  make([]adAcc, len(plan.active)),
+	}
+	ticks := p.cfg.Ticks
+	hourly := make([]int, len(sh.accs)*ticks)
 	for i := range sh.accs {
-		sh.accs[i] = &shardAcc{
-			hourly:    make([]int, ticks),
-			breakdown: map[BreakdownKey]int{},
-			race:      map[demo.Race]int{},
-			reached:   map[int]struct{}{},
-			frequency: map[int]int{},
-		}
+		sh.accs[i].hourly = hourly[i*ticks : (i+1)*ticks]
 	}
+	p.gatherRows(plan, sh.order)
 	return sh
 }
 
-// mergeShardStats folds one shard's day-end accumulators into the stats map
-// in run-index order. Map-to-map addition is insensitive to Go's randomized
-// map iteration order, so the merged counts are deterministic even though
-// the per-shard map walks are not. Reach adds because shards own disjoint
-// users.
-func mergeShardStats(stats map[string]*AdStats, active []*Ad, sh *deliveryShard) {
-	for i, acc := range sh.accs {
+// commitTick is the shard's part of the tick barrier: fold the spend it
+// accrued this tick into the committed totals, clamped at the daily budget,
+// and drain it. A live shard has already charged its spend.
+func (sh *dayShard) commitTick(bids []adBid) {
+	for i := range sh.accs {
+		acc := &sh.accs[i]
+		if !sh.live {
+			b := &bids[i]
+			b.spent = commitSpend(b.spent, acc.tickSpent, b.budget)
+		}
+		acc.tickSpent = 0
+	}
+}
+
+// foldInto adds the shard's day-end counts to the ads' reports. Every field
+// is an integer sum, so the result does not depend on the order shards fold
+// in; reach adds because shards own disjoint users. Cells nobody was served
+// in stay absent from the maps.
+func (sh *dayShard) foldInto(stats map[string]*AdStats, active []*Ad) {
+	for i := range sh.accs {
+		acc := &sh.accs[i]
 		st := stats[active[i].ID]
 		st.Impressions += acc.impressions
 		st.Clicks += acc.clicks
-		st.Reach += len(acc.reached)
+		st.Reach += acc.reach
 		for t, v := range acc.hourly {
 			st.HourlySeries[t] += v
 		}
-		for k, v := range acc.breakdown {
-			st.Breakdown[k] += v
+		for c, v := range acc.cells {
+			if v != 0 {
+				st.Breakdown[cellKey(c)] += v
+			}
 		}
 		for r, v := range acc.race {
-			st.RaceOracle[r] += v
+			if v != 0 {
+				st.RaceOracle[demo.Race(r)] += v
+			}
 		}
 	}
 }
@@ -87,163 +138,81 @@ func shardSeed(seed int64, shard int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// shardAcc is one ad's thread-local accumulator inside one shard. Spend is
-// drained at every tick barrier; the counting stats merge once at day end.
-type shardAcc struct {
-	tickSpent   float64 // spend accrued this tick, committed at the barrier
-	impressions int
-	clicks      int
-	hourly      []int
-	breakdown   map[BreakdownKey]int
-	race        map[demo.Race]int
-	reached     map[int]struct{}
-	frequency   map[int]int
-}
-
-// deliveryShard owns a disjoint slice of the audience (as row positions into
-// the day's CSR eligibility index), a private RNG stream that persists across
-// ticks, and per-ad accumulators.
-type deliveryShard struct {
-	rng      *rand.Rand
-	order    []int32     // row positions into the day's eligIndex
-	accs     []*shardAcc // indexed by Ad.runIdx
-	served   []servedRow // buffered rows, flushed at the tick barrier
-	auctions int64
-}
-
-// runDaySharded runs the parallel engine. The caller holds p.mu for writing
-// for the whole day, same as the sequential engine; parallelism lives
-// entirely inside this call. Returns the auction count and the total time
-// spent in barrier commits (zero unless an observer is installed).
-func (p *Platform) runDaySharded(active []*Ad, elig *eligIndex, seed int64, workers int) (int64, time.Duration) {
-	ticks := p.cfg.Ticks
-	shards := make([]*deliveryShard, workers)
-	for s := range shards {
-		shards[s] = newDeliveryShard(seed, s, len(active), ticks)
+// runShardTick runs one tick on every shard and returns when all are done:
+// inline for a single shard, otherwise a goroutine per shard. The WaitGroup
+// wait is the tick barrier of the two-phase pacing design: no shared
+// mutation happens until every shard has parked, so the commit phase that
+// follows needs no locking at all.
+func (p *Platform) runShardTick(shards []*dayShard, plan *dayPlan, tick int) {
+	if len(shards) == 1 {
+		p.tickShard(shards[0], plan, tick)
+		return
 	}
-	// Round-robin partition of the row positions (ascending population
-	// order, the old sorted user list): deterministic, and it spreads every
-	// demographic stratum across shards instead of giving one shard a
-	// contiguous (correlated) block.
-	for i := 0; i < elig.rows(); i++ {
-		sh := shards[i%workers]
-		sh.order = append(sh.order, int32(i))
-	}
-
-	var mergeTime time.Duration
-	timed := p.obsReg != nil
-	shardCaps := make([]float64, len(active))
-	for tick := 0; tick < ticks; tick++ {
-		// Phase 1: pacing controller over committed spend. Identical update
-		// rule to the sequential engine's; only the tick cap is additionally
-		// sliced per shard.
-		elapsed := float64(tick) / float64(ticks)
-		for i, ad := range active {
-			budget := float64(ad.DailyBudgetCents) / 100
-			ad.pacing, ad.tickCap = pacingStep(ad.pacing, ad.spent, budget, elapsed, ticks, p.cfg.GreedyPacing)
-			ad.tickSpent = 0
-			shardCaps[i] = shardCapShare(ad.tickCap, budget, ad.spent, workers)
-		}
-
-		// Phase 2: the parallel fan-out. Shards only read the shared state
-		// (ad bid fields frozen until the barrier, the population columns,
-		// the read-only CSR index) and write their own accumulators.
-		p.runShardTick(shards, active, elig, tick, shardCaps)
-
-		// Phase 3: barrier commit in fixed shard order.
-		var commitStart time.Time
-		if timed {
-			commitStart = p.clock.Now()
-		}
-		for _, sh := range shards {
-			for i, acc := range sh.accs {
-				if acc.tickSpent == 0 {
-					continue
-				}
-				ad := active[i]
-				ad.spent = commitSpend(ad.spent, acc.tickSpent, float64(ad.DailyBudgetCents)/100)
-				acc.tickSpent = 0
-			}
-			// Serve-log rows flush in shard order, so the retraining buffer
-			// (and its maxServedLog truncation point) is deterministic.
-			for _, row := range sh.served {
-				p.recordServed(row.userIdx, row.ad, row.clicked)
-			}
-			sh.served = sh.served[:0]
-		}
-		if timed {
-			mergeTime += p.clock.Now().Sub(commitStart)
-		}
-	}
-
-	// Day-end merge, fixed shard order.
-	var auctions int64
-	for _, sh := range shards {
-		auctions += sh.auctions
-		mergeShardStats(p.stats, active, sh)
-	}
-	return auctions, mergeTime
-}
-
-// runShardTick fans one tick out to a goroutine per shard and waits for all
-// of them. The WaitGroup wait is the tick barrier of the two-phase pacing
-// design: no shared mutation happens until every shard has parked, so the
-// commit phase that follows needs no locking at all.
-func (p *Platform) runShardTick(shards []*deliveryShard, active []*Ad, elig *eligIndex, tick int, shardCaps []float64) {
 	var wg sync.WaitGroup
 	for _, sh := range shards {
 		wg.Add(1)
-		go func(sh *deliveryShard) {
+		go func(sh *dayShard) {
 			defer wg.Done()
-			p.shardTick(sh, active, elig, tick, shardCaps)
+			p.tickShard(sh, plan, tick)
 		}(sh)
 	}
 	wg.Wait()
 }
 
-// shardTick runs one shard's slice of a tick: shuffle the shard's row
-// positions with the shard RNG, then run each user's sessions.
-func (p *Platform) shardTick(sh *deliveryShard, active []*Ad, elig *eligIndex, tick int, shardCaps []float64) {
-	rng := sh.rng
-	order := sh.order
+// tickShard runs one shard's slice of a tick: visit its users in a fresh
+// random order (so no ad's spend window correlates with a fixed slice of the
+// audience), running each user's sessions. The shuffle permutes the shard's
+// row positions in place — the order persists across ticks, starting from
+// ascending population order, which is what the committed digests were
+// recorded with. It only reads what is shared (the frozen bids, the
+// population columns, the CSR index) and writes its own accumulators and the
+// slots of its own rows.
+func (p *Platform) tickShard(sh *dayShard, plan *dayPlan, tick int) {
+	rng, order := sh.rng, sh.order
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	ticks := float64(p.cfg.Ticks)
+	offsets := plan.elig.offsets
 	for _, pos := range order {
-		u := p.pop.View(int(elig.users[pos]))
-		sessions := poisson(rng, u.Activity()/ticks)
+		row := &plan.rows[pos]
+		sessions := poisson(rng, row.quiet)
 		sh.auctions += int64(sessions)
 		for s := 0; s < sessions; s++ {
-			p.shardAuction(sh, active, u, elig.adsFor(pos), tick, shardCaps)
+			p.auction(sh, plan, row, offsets[pos], offsets[pos+1], tick)
 		}
 	}
 }
 
-// shardAuction is the sharded counterpart of auction: same bidding,
-// second-price, frequency-cap, and click semantics, but spend and stats
-// accrue into the shard's accumulators and the tick cap is the shard's
-// slice of it.
-func (p *Platform) shardAuction(sh *deliveryShard, active []*Ad, u population.UserView, eligible []int32, tick int, shardCaps []float64) {
+// auction runs one ad slot of the user in `row`: the ads eligible for the
+// user (slots lo..hi of the plan) compete with each other and with background
+// advertiser demand; the winner pays the second price.
+func (p *Platform) auction(sh *dayShard, plan *dayPlan, row *planRow, lo, hi int32, tick int) {
 	rng := sh.rng
-	uid := u.ID()
-	bg := p.backgroundBid(rng, u)
-	var winner *Ad
+	// Background demand: the highest competing total value for the slot.
+	bg := row.demand * math.Exp(0.45*rng.NormFloat64()-0.10125)
+	winner := int32(-1)
 	best, second := bg, 0.0
 	// Random starting offset so exact-tie auctions don't systematically
 	// favor earlier-created ads.
-	off := 0
-	if len(eligible) > 1 {
-		off = rng.Intn(len(eligible))
+	n := hi - lo
+	off := int32(0)
+	if n > 1 {
+		off = int32(rng.Intn(int(n)))
 	}
-	for k := range eligible {
-		ad := active[eligible[(k+off)%len(eligible)]]
-		acc := sh.accs[ad.runIdx]
-		if ad.pacing <= 0 || ad.spent >= float64(ad.DailyBudgetCents)/100 || acc.tickSpent >= shardCaps[ad.runIdx] {
+	for k := int32(0); k < n; k++ {
+		slot := lo + (k+off)%n
+		run := plan.elig.ads[slot]
+		bid := &plan.bids[run]
+		if bid.pacing <= 0 || bid.spent >= bid.budget || sh.accs[run].tickSpent >= bid.cap {
 			continue
 		}
-		if p.cfg.FrequencyCap > 0 && acc.frequency[uid] >= p.cfg.FrequencyCap {
+		if p.cfg.FrequencyCap > 0 && int(plan.shown[slot]) >= p.cfg.FrequencyCap {
 			continue
 		}
-		value := ad.pacing*p.optimizationTerm(ad, u) + p.cfg.Quality
+		term := plan.score[slot]
+		if term == 0 {
+			term = p.optimizationTerm(plan.active[run], p.pop.View(int(row.user)))
+			plan.score[slot] = term
+		}
+		value := bid.pacing*term + p.cfg.Quality
 		if p.cfg.ValueNoise > 0 {
 			sigma := p.cfg.ValueNoise
 			value *= math.Exp(sigma*rng.NormFloat64() - sigma*sigma/2)
@@ -251,30 +220,64 @@ func (p *Platform) shardAuction(sh *deliveryShard, active []*Ad, u population.Us
 		if value > best {
 			second = best
 			best = value
-			winner = ad
+			winner = slot
 		} else if value > second {
 			second = value
 		}
 	}
-	if winner == nil {
+	if winner < 0 {
 		return
 	}
+	run := plan.elig.ads[winner]
 	price := math.Max(second, bg)
-	acc := sh.accs[winner.runIdx]
+	if sh.live {
+		// Overspend clamp: never charge past the daily budget, making
+		// SpendCents ≤ DailyBudgetCents an engine invariant. The clamp cannot
+		// change any auction outcome or RNG draw: it only truncates the
+		// single budget-crossing price, and after that charge the ad is
+		// ineligible (spent >= budget) whether or not the charge was clamped.
+		bid := &plan.bids[run]
+		if bid.spent+price > bid.budget {
+			price = bid.budget - bid.spent
+		}
+		bid.spent += price
+	}
+	acc := &sh.accs[run]
 	acc.tickSpent += price
 	acc.impressions++
 	acc.hourly[tick]++
-	acc.breakdown[BreakdownKey{
-		Age:    u.AgeBucket(),
-		Gender: u.Gender(),
-		Region: p.deliveryRegion(rng, u),
-	}]++
-	acc.race[u.Race()]++
-	acc.reached[uid] = struct{}{}
-	acc.frequency[uid]++
-	clicked := rng.Float64() < p.behave.ClickProb(u, winner.Creative.Image)
+	acc.cells[int(row.cell)+int(deliveryRegion(rng, row))]++
+	acc.race[row.race]++
+	if plan.shown[winner] == 0 {
+		acc.reach++
+	}
+	if plan.shown[winner] < maxFrequencyCap {
+		plan.shown[winner]++
+	}
+	// Traffic objective: record clicks from ground-truth behaviour and log
+	// the served impression into the retraining buffer — the feedback loop
+	// Retrain closes.
+	ad := plan.active[run]
+	clicked := rng.Float64() < p.behave.ClickProb(p.pop.View(int(row.user)), ad.Creative.Image)
 	if clicked {
 		acc.clicks++
 	}
-	sh.served = append(sh.served, servedRow{userIdx: uid, ad: winner, clicked: clicked})
+	sh.served = append(sh.served, servedRow{userIdx: int(row.user), ad: ad, clicked: clicked})
+}
+
+// deliveryRegion returns the state an impression is recorded in: the user's
+// home state, or — while traveling — usually some other state, occasionally
+// the other study state (the miscount risk §3.3 argues is negligible and
+// symmetric).
+func deliveryRegion(rng *rand.Rand, row *planRow) demo.State {
+	if rng.Float64() >= row.travel {
+		return row.home
+	}
+	if rng.Float64() < 0.1 {
+		if row.home == demo.StateFL {
+			return demo.StateNC
+		}
+		return demo.StateFL
+	}
+	return demo.StateOther
 }

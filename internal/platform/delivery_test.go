@@ -108,7 +108,7 @@ func TestRunDayBasicInvariants(t *testing.T) {
 }
 
 func TestRunDayErrors(t *testing.T) {
-	p, _ := newTestPlatform(t, 301)
+	p, f := newTestPlatform(t, 301)
 	if err := p.RunDay([]string{"ad-404"}, 1); err == nil {
 		t.Error("unknown ad: want error")
 	}
@@ -117,6 +117,16 @@ func TestRunDayErrors(t *testing.T) {
 	}
 	if _, err := p.Insights("ad-404"); err == nil {
 		t.Error("insights before delivery: want error")
+	}
+	// Day state is per run index, so one ad cannot enter a day twice; the
+	// refused request leaves it deliverable.
+	caID := uploadBalancedAudience(t, p, f, 10, 5)
+	ids := createAdSet(t, p, ObjectiveTraffic, caID, []diffAdSpec{{img: imageOfAdult(), budget: 500}})
+	if err := p.RunDay([]string{ids[0], ids[0]}, 1); err == nil {
+		t.Error("ad listed twice: want error")
+	}
+	if err := p.RunDay(ids, 1); err != nil {
+		t.Errorf("day after a refused request: %v", err)
 	}
 }
 
@@ -280,13 +290,18 @@ func TestPoissonProperties(t *testing.T) {
 	var sum int
 	const n = 20000
 	for i := 0; i < n; i++ {
-		sum += poisson(rng, lambda)
+		sum += poisson(rng, sessionThreshold(lambda))
 	}
 	if mean := float64(sum) / n; math.Abs(mean-lambda) > 0.02 {
 		t.Errorf("poisson mean %v, want ≈ %v", mean, lambda)
 	}
-	if poisson(rng, 0) != 0 || poisson(rng, -1) != 0 {
+	// A rate that is not positive gives 0 without consuming a draw.
+	probe := newRand(7)
+	if poisson(probe, sessionThreshold(0)) != 0 || poisson(probe, sessionThreshold(-1)) != 0 {
 		t.Error("non-positive lambda should give 0")
+	}
+	if probe.Int63() != newRand(7).Int63() {
+		t.Error("non-positive lambda consumed a draw")
 	}
 }
 

@@ -51,8 +51,10 @@ func buildEligIndex(active []*Ad) *eligIndex {
 	// the outer loop visits ads in run order.
 	deg := make([]int32, len(users))
 	for _, ad := range active {
+		r := int32(0)
 		for _, idx := range ad.audience {
-			deg[e.rowOf(int32(idx))]++
+			r = e.rowFrom(r, int32(idx))
+			deg[r]++
 		}
 	}
 	var off int32
@@ -64,8 +66,9 @@ func buildEligIndex(active []*Ad) *eligIndex {
 	next := deg[:0] // reuse: deg is dead after the prefix sum
 	next = append(next, e.offsets[:len(users)]...)
 	for i, ad := range active {
+		r := int32(0)
 		for _, idx := range ad.audience {
-			r := e.rowOf(int32(idx))
+			r = e.rowFrom(r, int32(idx))
 			e.ads[next[r]] = int32(i)
 			next[r]++
 		}
@@ -76,25 +79,32 @@ func buildEligIndex(active []*Ad) *eligIndex {
 // rows returns the number of targeted users.
 func (e *eligIndex) rows() int { return len(e.users) }
 
-// rowOf returns the row position of a population index; the index must be
-// present.
-func (e *eligIndex) rowOf(user int32) int32 {
-	pos, _ := slices.BinarySearch(e.users, user)
-	return int32(pos)
+// rowFrom returns the row position of a population index that is present,
+// given the row of the previous lookup. Audiences arrive ascending
+// (resolveAudience sorts them), so walking one ad's audience is a merge
+// against the sorted users: the cursor only steps forward, a few rows per
+// lookup. A lookup that would have to step back searches instead.
+func (e *eligIndex) rowFrom(r, user int32) int32 {
+	if e.users[r] > user {
+		pos, _ := slices.BinarySearch(e.users, user)
+		return int32(pos)
+	}
+	for e.users[r] != user {
+		r++
+	}
+	return r
 }
 
-// adsFor returns row pos's eligible ads as run indexes, in run order.
-func (e *eligIndex) adsFor(pos int32) []int32 {
-	return e.ads[e.offsets[pos]:e.offsets[pos+1]]
-}
-
-// rowOrder returns the identity position permutation 0..rows-1, the
-// deterministic base order the per-tick seeded shuffles start from
-// (ascending population index, exactly the old sorted user list).
-func (e *eligIndex) rowOrder() []int32 {
-	order := make([]int32, len(e.users))
-	for i := range order {
-		order[i] = int32(i)
+// shardRows returns the row positions shard `shard` of `shards` owns, in
+// ascending order: the deterministic base order the per-tick seeded shuffles
+// start from (ascending population index, exactly the old sorted user list).
+// The split is round-robin by position, which spreads every demographic
+// stratum across shards instead of giving one shard a contiguous
+// (correlated) block.
+func (e *eligIndex) shardRows(shard, shards int) []int32 {
+	order := make([]int32, 0, (len(e.users)-shard+shards-1)/shards)
+	for i := shard; i < len(e.users); i += shards {
+		order = append(order, int32(i))
 	}
 	return order
 }

@@ -6,6 +6,12 @@ import (
 	"testing"
 )
 
+// adsFor returns row pos's eligible ads as run indexes, in run order: the
+// slots the auction kernel walks by offset.
+func (e *eligIndex) adsFor(pos int32) []int32 {
+	return e.ads[e.offsets[pos]:e.offsets[pos+1]]
+}
+
 // eligAds builds a throwaway active-ad slice with the given audiences; only
 // the fields buildEligIndex reads (audience, and implicitly run order) are
 // populated.
@@ -111,13 +117,37 @@ func TestEligIndexRandomizedAgainstOracle(t *testing.T) {
 
 func TestEligIndexRowOrderIsIdentity(t *testing.T) {
 	e := buildEligIndex(eligAds([]int{10, 20}, []int{20, 30}))
-	order := e.rowOrder()
+	order := e.shardRows(0, 1)
 	if len(order) != e.rows() {
 		t.Fatalf("order length %d, rows %d", len(order), e.rows())
 	}
 	for i, pos := range order {
 		if int(pos) != i {
 			t.Fatalf("order[%d] = %d, want identity", i, pos)
+		}
+	}
+}
+
+// TestEligIndexShardRowsPartition: for every shard count the shards' rows
+// are position mod count, ascending, and together cover every row once —
+// including counts above the row count, which leave some shards empty.
+func TestEligIndexShardRowsPartition(t *testing.T) {
+	e := buildEligIndex(eligAds([]int{1, 2, 3, 5, 8, 13, 21}))
+	for shards := 1; shards <= e.rows()+2; shards++ {
+		seen := make([]int, e.rows())
+		for shard := 0; shard < shards; shard++ {
+			rows := e.shardRows(shard, shards)
+			for k, pos := range rows {
+				if int(pos)%shards != shard || (k > 0 && pos <= rows[k-1]) {
+					t.Fatalf("shard %d of %d owns %v", shard, shards, rows)
+				}
+				seen[pos]++
+			}
+		}
+		for pos, n := range seen {
+			if n != 1 {
+				t.Fatalf("%d shards: row %d owned %d times", shards, pos, n)
+			}
 		}
 	}
 }

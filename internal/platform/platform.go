@@ -55,7 +55,7 @@ type Config struct {
 	// ads bid a fixed high amount until the budget is exhausted.
 	GreedyPacing bool
 	// FrequencyCap limits how many times one ad is shown to one user per
-	// day. Default 4; 0 disables the cap.
+	// day. Default 4; 0 disables the cap; at most 255.
 	FrequencyCap int
 	// VisionSeed seeds the platform's own content classifier training,
 	// independent of any classifier the auditor uses.
@@ -143,6 +143,9 @@ func New(cfg Config, pop *population.Population, behave *population.Behavior) (*
 	}
 	if cfg.Ticks < 2 {
 		return nil, fmt.Errorf("platform: need at least 2 pacing ticks, got %d", cfg.Ticks)
+	}
+	if cfg.FrequencyCap > maxFrequencyCap {
+		return nil, fmt.Errorf("platform: frequency cap %d above the supported maximum %d", cfg.FrequencyCap, maxFrequencyCap)
 	}
 	vision, err := face.Train(face.TrainOptions{CorpusSize: 4000, Seed: cfg.VisionSeed, LabelNoise: 0.02})
 	if err != nil {

@@ -25,7 +25,7 @@ var (
 	fx          fixture
 )
 
-func sharedFixture(t *testing.T) *fixture {
+func sharedFixture(t testing.TB) *fixture {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		flCfg := voter.DefaultGeneratorConfig(demo.StateFL, 101)
@@ -155,6 +155,11 @@ func TestNewValidation(t *testing.T) {
 	cfg.Ticks = 1
 	if _, err := New(cfg, f.pop, f.behave); err == nil {
 		t.Error("1 tick: want error")
+	}
+	cfg = testConfig(1)
+	cfg.FrequencyCap = maxFrequencyCap + 1
+	if _, err := New(cfg, f.pop, f.behave); err == nil {
+		t.Error("frequency cap beyond the per-slot counter: want error")
 	}
 	cfg = testConfig(1)
 	cfg.Training.LogRows = 10

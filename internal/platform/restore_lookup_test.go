@@ -59,7 +59,7 @@ func TestRestoreThenPIIMatchAndDelivery(t *testing.T) {
 	// Identical ad sets over the restored audience deliver byte-identically
 	// on both platforms, sequential and sharded.
 	img := image.FromProfile(demo.Profile{Gender: demo.GenderFemale, Race: demo.RaceBlack, Age: demo.ImpliedAdult})
-	specs := []diffAdSpec{{img, 500_000}, {img, 700_000}}
+	specs := []diffAdSpec{{img: img, budget: 500_000}, {img: img, budget: 700_000}}
 	for _, workers := range []int{1, 4} {
 		ids1 := createAdSet(t, p1, ObjectiveTraffic, caID, specs)
 		ids2 := createAdSet(t, p2, ObjectiveTraffic, caID, specs)
