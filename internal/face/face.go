@@ -110,7 +110,8 @@ func Train(opt TrainOptions) (*Classifier, error) {
 
 // GenderScore returns P(the pictured person presents female).
 func (c *Classifier) GenderScore(f image.Features) float64 {
-	return c.gender.Predict(f.Vector())
+	x := f.Array() // stays on the stack: the tuning scans score ~10⁴ images per face
+	return c.gender.Predict(x[:])
 }
 
 // Gender returns the hard gender label and its score.
@@ -125,7 +126,8 @@ func (c *Classifier) Gender(f image.Features) (demo.Gender, float64) {
 // RaceScore returns P(the pictured person presents Black), with white as
 // the distractor class per the paper's per-race regression setup.
 func (c *Classifier) RaceScore(f image.Features) float64 {
-	return c.race.Predict(f.Vector())
+	x := f.Array()
+	return c.race.Predict(x[:])
 }
 
 // Race returns the hard race label and its score.
@@ -139,7 +141,11 @@ func (c *Classifier) Race(f image.Features) (demo.Race, float64) {
 
 // AgeYears returns the estimated apparent age in years.
 func (c *Classifier) AgeYears(f image.Features) float64 {
-	v, err := c.age.Predict(append([]float64{1}, f.Vector()...))
+	x := f.Array()
+	var row [1 + image.VectorDim]float64 // intercept column first, as stats.OLS lays it out
+	row[0] = 1
+	copy(row[1:], x[:])
+	v, err := c.age.Predict(row[:])
 	if err != nil {
 		// The model and image vector are both fixed-dimension; a mismatch is
 		// a programming error, not a data condition.

@@ -134,3 +134,38 @@ func TestDeterministicTraining(t *testing.T) {
 		t.Error("same-seed training should be deterministic")
 	}
 }
+
+// TestScoresEqualPredictOnVectorWithoutAllocating pins the stack-array
+// scoring to the models' own Predict over the heap Vector (the expression
+// the three scores used to be), bit for bit, and to zero allocations.
+func TestScoresEqualPredictOnVectorWithoutAllocating(t *testing.T) {
+	c := trainTest(t, 5)
+	rng := rand.New(rand.NewSource(6))
+	var f image.Features
+	for trial := 0; trial < 200; trial++ {
+		f = image.Features{HasPerson: true, GenderAxis: rng.NormFloat64(), RaceAxis: rng.NormFloat64(), AgeYears: 80 * rng.Float64()}
+		for i := range f.Nuisance {
+			f.Nuisance[i] = rng.NormFloat64()
+		}
+		if got, want := c.GenderScore(f), c.gender.Predict(f.Vector()); got != want {
+			t.Fatalf("GenderScore %v, Predict(Vector) %v", got, want)
+		}
+		if got, want := c.RaceScore(f), c.race.Predict(f.Vector()); got != want {
+			t.Fatalf("RaceScore %v, Predict(Vector) %v", got, want)
+		}
+		want, err := c.age.Predict(append([]float64{1}, f.Vector()...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.AgeYears(f); got != want {
+			t.Fatalf("AgeYears %v, Predict(1, Vector...) %v", got, want)
+		}
+	}
+	var sink float64
+	if allocs := testing.AllocsPerRun(100, func() {
+		sink += c.GenderScore(f) + c.RaceScore(f) + c.AgeYears(f)
+	}); allocs != 0 {
+		t.Errorf("scoring one image allocated %v objects, want 0", allocs)
+	}
+	_ = sink
+}

@@ -120,41 +120,69 @@ func TestSynthesizeRejectsWrongLength(t *testing.T) {
 	}
 }
 
-func TestFitLogisticDirectionRecoversPlantedDirection(t *testing.T) {
-	// Labels generated from a known hyperplane over synthetic activations:
-	// the fitted direction must align with it.
+// plantedFit generates synthetic activations with two planted hyperplanes
+// (binary labels) and one planted linear response, fits all three heads in
+// one fitDirections call, and returns each fitted direction's cosine with
+// its truth.
+func plantedFit(t *testing.T) (cosA, cosB, cosC float64, dirs [3]Direction) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	dim := 40
-	truth := make([]float64, dim)
-	for i := range truth {
-		truth[i] = rng.NormFloat64()
+	var truth [3][]float64
+	for h := range truth {
+		truth[h] = make([]float64, dim)
+		for i := range truth[h] {
+			truth[h][i] = rng.NormFloat64()
+		}
 	}
 	n := 1500
 	acts := make([][]float64, n)
-	labels := make([]float64, n)
+	var targets [3][]float64
+	for h := range targets {
+		targets[h] = make([]float64, n)
+	}
 	for i := 0; i < n; i++ {
 		a := make([]float64, dim)
-		var z float64
+		var z [3]float64
 		for j := range a {
 			a[j] = rng.NormFloat64()
-			z += truth[j] * a[j]
+			for h := range z {
+				z[h] += truth[h][j] * a[j]
+			}
 		}
 		acts[i] = a
-		if z > 0 {
-			labels[i] = 1
+		if z[0] > 0 {
+			targets[0][i] = 1
 		}
+		if z[1] > 0 {
+			targets[1][i] = 1
+		}
+		targets[2][i] = 40 + 5*z[2] + rng.NormFloat64()
 	}
-	dir, err := FitLogisticDirection("planted", acts, labels, SGDOptions{Seed: 1})
+	wa, wb, wc, err := fitDirections(acts, targets[0], targets[1], targets[2], SGDOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cos := Cosine(dir, Direction{Vec: truth})
-	if cos < 0.9 {
-		t.Errorf("cosine with planted direction %v, want > 0.9", cos)
+	var cos [3]float64
+	for h, w := range [][]float64{wa, wb, wc} {
+		if dirs[h], err = normalizedDirection("planted", w); err != nil {
+			t.Fatal(err)
+		}
+		cos[h] = Cosine(dirs[h], Direction{Vec: truth[h]})
+	}
+	return cos[0], cos[1], cos[2], dirs
+}
+
+func TestFitLogisticDirectionRecoversPlantedDirection(t *testing.T) {
+	// Labels generated from known hyperplanes over synthetic activations:
+	// each logistic head's fitted direction must align with its own.
+	cosA, cosB, _, dirs := plantedFit(t)
+	if cosA < 0.9 || cosB < 0.9 {
+		t.Errorf("cosines with planted directions %v, %v, want > 0.9", cosA, cosB)
 	}
 	// Unit norm.
 	var norm float64
-	for _, v := range dir.Vec {
+	for _, v := range dirs[0].Vec {
 		norm += v * v
 	}
 	if math.Abs(norm-1) > 1e-9 {
@@ -163,46 +191,34 @@ func TestFitLogisticDirectionRecoversPlantedDirection(t *testing.T) {
 }
 
 func TestFitLinearDirectionRecoversPlantedDirection(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	dim := 40
-	truth := make([]float64, dim)
-	for i := range truth {
-		truth[i] = rng.NormFloat64()
-	}
-	n := 1500
-	acts := make([][]float64, n)
-	targets := make([]float64, n)
-	for i := 0; i < n; i++ {
-		a := make([]float64, dim)
-		var z float64
-		for j := range a {
-			a[j] = rng.NormFloat64()
-			z += truth[j] * a[j]
-		}
-		acts[i] = a
-		targets[i] = 40 + 5*z + rng.NormFloat64()
-	}
-	dir, err := FitLinearDirection("age", acts, targets, SGDOptions{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cos := Cosine(dir, Direction{Vec: truth}); cos < 0.9 {
+	if _, _, cos, _ := plantedFit(t); cos < 0.9 {
 		t.Errorf("cosine with planted direction %v", cos)
 	}
 }
 
 func TestFitDirectionInputValidation(t *testing.T) {
-	if _, err := FitLogisticDirection("x", nil, nil, SGDOptions{}); err == nil {
+	fit := func(acts [][]float64, a, b, c []float64) error {
+		_, _, _, err := fitDirections(acts, a, b, c, SGDOptions{})
+		return err
+	}
+	if fit(nil, nil, nil, nil) == nil {
 		t.Error("empty inputs: want error")
 	}
-	if _, err := FitLogisticDirection("x", [][]float64{{1}}, []float64{1, 0}, SGDOptions{}); err == nil {
-		t.Error("length mismatch: want error")
+	two := [][]float64{{1}, {2}}
+	if fit(two, []float64{1, 0, 1}, []float64{1, 0}, []float64{5, 6}) == nil {
+		t.Error("length mismatch in a logistic head: want error")
 	}
-	if _, err := FitLogisticDirection("x", [][]float64{{1, 2}, {1}}, []float64{1, 0}, SGDOptions{}); err == nil {
+	if fit(two, []float64{1, 0}, []float64{1, 0}, []float64{5}) == nil {
+		t.Error("length mismatch in the linear head: want error")
+	}
+	if fit([][]float64{{1, 2}, {1}}, []float64{1, 0}, []float64{1, 0}, []float64{5, 6}) == nil {
 		t.Error("ragged activations: want error")
 	}
-	if _, err := FitLinearDirection("x", [][]float64{{1}, {2}}, []float64{5, 5}, SGDOptions{}); err == nil {
+	if fit(two, []float64{1, 0}, []float64{1, 0}, []float64{5, 5}) == nil {
 		t.Error("constant target: want error")
+	}
+	if err := fit(two, []float64{1, 0}, []float64{0, 1}, []float64{5, 6}); err != nil {
+		t.Errorf("valid inputs: %v", err)
 	}
 }
 

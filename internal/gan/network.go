@@ -50,12 +50,10 @@ type Network struct {
 	weights [][]float64 // per layer, row-major (width × fanIn)
 	biases  [][]float64
 
-	// Synthesizer: one read-out direction per image attribute over the
-	// flattened activation vector.
-	genderDir   []float64
-	raceDir     []float64
-	ageDir      []float64
-	nuisanceDir [image.NumNuisance][]float64
+	// Synthesizer: one unit read-out direction per image attribute over the
+	// flattened activation vector, row-major in image.Features.Vector order
+	// (gender, race, age, nuisance...).
+	readout []float64 // image.VectorDim × ActivationDim
 }
 
 // ActivationDim returns the length of the flattened activation vector
@@ -88,8 +86,9 @@ func New(cfg Config) (*Network, error) {
 		fanIn = cfg.LayerWidth
 	}
 	dim := n.ActivationDim()
-	unit := func() []float64 {
-		v := make([]float64, dim)
+	n.readout = make([]float64, image.VectorDim*dim)
+	for r := 0; r < image.VectorDim; r++ {
+		v := n.readout[r*dim : (r+1)*dim]
 		var norm float64
 		for i := range v {
 			v[i] = rng.NormFloat64()
@@ -99,15 +98,52 @@ func New(cfg Config) (*Network, error) {
 		for i := range v {
 			v[i] /= norm
 		}
-		return v
-	}
-	n.genderDir = unit()
-	n.raceDir = unit()
-	n.ageDir = unit()
-	for i := range n.nuisanceDir {
-		n.nuisanceDir[i] = unit()
 	}
 	return n, nil
+}
+
+// matVec computes out[i] = bias[i] + Σ_j w[i*len(x)+j]·x[j] for a row-major
+// matrix w; a nil bias starts every sum at zero. Four output rows share one
+// pass over x, so the loop carries four independent dependency chains and
+// reads x once per block instead of once per row; each sum still receives
+// its addends in ascending j (DESIGN.md, "Order-preserving kernels").
+func matVec(out, bias, w, x []float64) {
+	rows, fanIn := len(out), len(x)
+	start := func(i int) float64 {
+		if bias == nil {
+			return 0
+		}
+		return bias[i]
+	}
+	if rows < 4 {
+		for i := range out {
+			row := w[i*fanIn:][:fanIn]
+			s := start(i)
+			for j, v := range x {
+				s += row[j] * v
+			}
+			out[i] = s
+		}
+		return
+	}
+	for i := 0; i < rows; i += 4 {
+		// A final partial block slides back over rows already done:
+		// recomputing a row reproduces its sum, and no row is left to a
+		// lone latency-bound chain.
+		i = min(i, rows-4)
+		r0 := w[i*fanIn:][:fanIn]
+		r1 := w[(i+1)*fanIn:][:fanIn]
+		r2 := w[(i+2)*fanIn:][:fanIn]
+		r3 := w[(i+3)*fanIn:][:fanIn]
+		s0, s1, s2, s3 := start(i), start(i+1), start(i+2), start(i+3)
+		for j, v := range x {
+			s0 += r0[j] * v
+			s1 += r1[j] * v
+			s2 += r2[j] * v
+			s3 += r3[j] * v
+		}
+		out[i], out[i+1], out[i+2], out[i+3] = s0, s1, s2, s3
+	}
 }
 
 // Mapping runs the mapping network, returning the flattened per-layer
@@ -119,22 +155,14 @@ func (n *Network) Mapping(z []float64) ([]float64, error) {
 		return nil, fmt.Errorf("gan: latent length %d, want %d", len(z), n.cfg.LatentDim)
 	}
 	width := n.cfg.LayerWidth
-	acts := make([]float64, 0, n.ActivationDim())
+	acts := make([]float64, n.ActivationDim())
 	in := z
 	for l := 0; l < n.cfg.NumLayers; l++ {
-		out := make([]float64, width)
-		w := n.weights[l]
-		b := n.biases[l]
-		fanIn := len(in)
-		for i := 0; i < width; i++ {
-			s := b[i]
-			row := w[i*fanIn : (i+1)*fanIn]
-			for j, v := range in {
-				s += row[j] * v
-			}
+		out := acts[l*width : (l+1)*width]
+		matVec(out, n.biases[l], n.weights[l], in)
+		for i, s := range out {
 			out[i] = math.Tanh(s)
 		}
-		acts = append(acts, out...)
 		in = out
 	}
 	return acts, nil
@@ -159,12 +187,14 @@ func (n *Network) Synthesize(acts []float64) (image.Features, error) {
 	if len(acts) != n.ActivationDim() {
 		return image.Features{}, fmt.Errorf("gan: activation length %d, want %d", len(acts), n.ActivationDim())
 	}
+	var proj [image.VectorDim]float64
+	matVec(proj[:], nil, n.readout, acts)
 	f := image.Features{HasPerson: true}
-	f.GenderAxis = math.Tanh(axisGain * dot(n.genderDir, acts))
-	f.RaceAxis = math.Tanh(axisGain * dot(n.raceDir, acts))
-	f.AgeYears = ageCenter + ageSpan*math.Tanh(axisGain*dot(n.ageDir, acts))
+	f.GenderAxis = math.Tanh(axisGain * proj[0])
+	f.RaceAxis = math.Tanh(axisGain * proj[1])
+	f.AgeYears = ageCenter + ageSpan*math.Tanh(axisGain*proj[2])
 	for i := range f.Nuisance {
-		f.Nuisance[i] = math.Tanh(nuisanceGain*dot(n.nuisanceDir[i], acts)) * 1.2
+		f.Nuisance[i] = math.Tanh(nuisanceGain*proj[3+i]) * 1.2
 	}
 	f.ApplyPresentationBias()
 	return f, nil
@@ -209,14 +239,6 @@ func (n *Network) SampleBatch(count int, rng *rand.Rand) ([]*Face, error) {
 		out[i] = f
 	}
 	return out, nil
-}
-
-func dot(a, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
 }
 
 // Truncate applies the StyleGAN "truncation trick": pull an activation

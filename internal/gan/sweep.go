@@ -44,37 +44,41 @@ func DiscoverDirections(net *Network, clf *face.Classifier, nSamples int, rng *r
 		}
 		ages[i] = clf.AgeYears(f.Image)
 	}
+	wg, wr, wa, err := fitDirections(acts, gLabels, rLabels, ages, opt)
+	if err != nil {
+		return DirectionSet{}, nil, err
+	}
 	var ds DirectionSet
-	if ds.Gender, err = FitLogisticDirection("female", acts, gLabels, opt); err != nil {
+	if ds.Gender, err = normalizedDirection("female", wg); err != nil {
 		return DirectionSet{}, nil, fmt.Errorf("gan: gender direction: %w", err)
 	}
-	if ds.Race, err = FitLogisticDirection("black", acts, rLabels, opt); err != nil {
+	if ds.Race, err = normalizedDirection("black", wr); err != nil {
 		return DirectionSet{}, nil, fmt.Errorf("gan: race direction: %w", err)
 	}
-	if ds.Age, err = FitLinearDirection("age", acts, ages, opt); err != nil {
+	if ds.Age, err = normalizedDirection("age", wa); err != nil {
 		return DirectionSet{}, nil, fmt.Errorf("gan: age direction: %w", err)
 	}
 	return ds, faces, nil
 }
 
-// tuneBinary walks the activations along dir to the alpha whose synthesized
-// image the classifier scores closest to target (0..1), scanning a fixed
-// grid then refining once. score must be the classifier probability of the
-// attribute the direction adds.
-func tuneBinary(net *Network, acts []float64, dir Direction, score func(image.Features) float64, target float64) ([]float64, error) {
-	best := acts
+// tune walks the activations along dir to the alpha whose synthesized image
+// has the smallest errOf (the distance between a classifier read-out and its
+// target), scanning a fixed grid then refining once. Candidates are walked
+// into buf, which must hold len(acts) values; only the winner is
+// materialised.
+func tune(net *Network, acts []float64, dir Direction, errOf func(image.Features) float64, buf []float64) ([]float64, error) {
 	bestErr := 1e18
 	var bestAlpha float64
 	scan := func(center, halfWidth float64, steps int) error {
 		for k := 0; k <= steps; k++ {
 			alpha := center - halfWidth + 2*halfWidth*float64(k)/float64(steps)
-			cand := Walk(acts, dir, alpha)
-			img, err := net.Synthesize(cand)
+			walkInto(buf, acts, dir, alpha)
+			img, err := net.Synthesize(buf)
 			if err != nil {
 				return err
 			}
-			if e := abs(score(img) - target); e < bestErr {
-				bestErr, best, bestAlpha = e, cand, alpha
+			if e := errOf(img); e < bestErr {
+				bestErr, bestAlpha = e, alpha
 			}
 		}
 		return nil
@@ -85,35 +89,7 @@ func tuneBinary(net *Network, acts []float64, dir Direction, score func(image.Fe
 	if err := scan(bestAlpha, 0.25, 20); err != nil {
 		return nil, err
 	}
-	return best, nil
-}
-
-// tuneAge walks along the age direction to match a target classified age.
-func tuneAge(net *Network, acts []float64, dir Direction, clf *face.Classifier, targetYears float64) ([]float64, error) {
-	best := acts
-	bestErr := 1e18
-	var bestAlpha float64
-	scan := func(center, halfWidth float64, steps int) error {
-		for k := 0; k <= steps; k++ {
-			alpha := center - halfWidth + 2*halfWidth*float64(k)/float64(steps)
-			cand := Walk(acts, dir, alpha)
-			img, err := net.Synthesize(cand)
-			if err != nil {
-				return err
-			}
-			if e := abs(clf.AgeYears(img) - targetYears); e < bestErr {
-				bestErr, best, bestAlpha = e, cand, alpha
-			}
-		}
-		return nil
-	}
-	if err := scan(0, 8, 64); err != nil {
-		return nil, err
-	}
-	if err := scan(bestAlpha, 0.25, 20); err != nil {
-		return nil, err
-	}
-	return best, nil
+	return Walk(acts, dir, bestAlpha), nil
 }
 
 // TuneToProfile edits a face's activations until the classifier assigns the
@@ -134,17 +110,23 @@ func TuneToProfile(net *Network, clf *face.Classifier, ds DirectionSet, acts []f
 	if target.Race == demo.RaceBlack {
 		raceTarget = 0.97
 	}
+	ageTarget := target.Age.RepresentativeYears()
+	steps := [...]struct {
+		dir   Direction
+		errOf func(image.Features) float64
+	}{
+		{ds.Race, func(f image.Features) float64 { return abs(clf.RaceScore(f) - raceTarget) }},
+		{ds.Gender, func(f image.Features) float64 { return abs(clf.GenderScore(f) - genderTarget) }},
+		{ds.Age, func(f image.Features) float64 { return abs(clf.AgeYears(f) - ageTarget) }},
+	}
 	cur := acts
+	buf := make([]float64, len(acts))
 	var err error
 	for pass := 0; pass < 2; pass++ {
-		if cur, err = tuneBinary(net, cur, ds.Race, clf.RaceScore, raceTarget); err != nil {
-			return nil, image.Features{}, err
-		}
-		if cur, err = tuneBinary(net, cur, ds.Gender, clf.GenderScore, genderTarget); err != nil {
-			return nil, image.Features{}, err
-		}
-		if cur, err = tuneAge(net, cur, ds.Age, clf, target.Age.RepresentativeYears()); err != nil {
-			return nil, image.Features{}, err
+		for _, s := range steps {
+			if cur, err = tune(net, cur, s.dir, s.errOf, buf); err != nil {
+				return nil, image.Features{}, err
+			}
 		}
 	}
 	img, err := net.Synthesize(cur)

@@ -109,7 +109,14 @@ func ImpliedAgeForYears(years float64) demo.ImpliedAge {
 // classifiers: [gender, race, age/50, nuisance...]. Age is scaled so all
 // entries have comparable magnitude.
 func (f Features) Vector() []float64 {
-	out := make([]float64, 3+NumNuisance)
+	v := f.Array()
+	return v[:]
+}
+
+// Array is Vector as a fixed-size value, for callers that score an image
+// without a heap allocation.
+func (f Features) Array() [VectorDim]float64 {
+	var out [VectorDim]float64
 	out[0] = f.GenderAxis
 	out[1] = f.RaceAxis
 	out[2] = f.AgeYears / 50

@@ -2,7 +2,7 @@ package platform
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/adaudit/impliedidentity/internal/population"
 )
@@ -17,6 +17,21 @@ type CustomAudience struct {
 	Name    string
 	Size    int   // matched accounts
 	members []int // population indexes; internal, never exposed via the API
+	// sorted caches ascending(). members itself keeps upload order: that is
+	// what the WAL and State() serialise.
+	sorted []int
+}
+
+// ascending returns the members in ascending order without duplicates,
+// sorted by the first ad that targets the audience and kept for the rest.
+// The caller holds p.mu for writing.
+func (ca *CustomAudience) ascending() []int {
+	if ca.sorted == nil {
+		ca.sorted = slices.Clone(ca.members)
+		slices.Sort(ca.sorted)
+		ca.sorted = slices.Compact(ca.sorted)
+	}
+	return ca.sorted
 }
 
 // UploadRecord is one row of an audience upload: the advertiser-side PII,
@@ -44,10 +59,7 @@ func (p *Platform) CreateCustomAudience(name string, piiHashes []string) (*Custo
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ca := &CustomAudience{
-		ID:   fmt.Sprintf("ca-%d", len(p.audiences)+1),
-		Name: name,
-	}
+	var members []int
 	seen := map[int]bool{}
 	for _, h := range piiHashes {
 		u, ok := p.pop.LookupPII(h)
@@ -55,12 +67,24 @@ func (p *Platform) CreateCustomAudience(name string, piiHashes []string) (*Custo
 			continue
 		}
 		seen[u.ID()] = true
-		ca.members = append(ca.members, u.ID())
+		members = append(members, u.ID())
 	}
-	ca.Size = len(ca.members)
+	return p.registerAudienceLocked(name, members), nil
+}
+
+// registerAudienceLocked gives a new audience the next ID, installs it and
+// emits its creation, so that no way of building an audience can leave it
+// out of the mutation log. The caller holds p.mu for writing.
+func (p *Platform) registerAudienceLocked(name string, members []int) *CustomAudience {
+	ca := &CustomAudience{
+		ID:      fmt.Sprintf("ca-%d", len(p.audiences)+1),
+		Name:    name,
+		Size:    len(members),
+		members: members,
+	}
 	p.audiences[ca.ID] = ca
 	p.emit(Mutation{Kind: MutAudienceCreated, Audience: audienceState(ca)})
-	return ca, nil
+	return ca
 }
 
 // Audience returns a registered audience by ID. Audiences are immutable
@@ -81,21 +105,26 @@ func (p *Platform) audienceLocked(id string) (*CustomAudience, error) {
 }
 
 // resolveAudience computes the final targeted user set for an ad: the union
-// of its Custom Audiences filtered by the attribute limits. The caller
-// holds p.mu.
+// of its Custom Audiences filtered by the attribute limits, ascending — the
+// audience order feeds seeded RNG consumption downstream. The union is a
+// merge of the audiences' ascending member lists, so one audience (the
+// audit's case) costs a single filtered pass. The caller holds p.mu for
+// writing.
 func (p *Platform) resolveAudience(t *Targeting) ([]int, error) {
-	inUnion := map[int]bool{}
-	for _, id := range t.CustomAudienceIDs {
+	var union []int
+	for k, id := range t.CustomAudienceIDs {
 		ca, err := p.audienceLocked(id)
 		if err != nil {
 			return nil, err
 		}
-		for _, idx := range ca.members {
-			inUnion[idx] = true
+		if k == 0 {
+			union = ca.ascending()
+		} else {
+			union = mergeAscending(union, ca.ascending())
 		}
 	}
-	var out []int
-	for idx := range inUnion {
+	out := make([]int, 0, len(union))
+	for _, idx := range union {
 		if t.matchesUser(p.pop.View(idx)) {
 			out = append(out, idx)
 		}
@@ -103,9 +132,23 @@ func (p *Platform) resolveAudience(t *Targeting) ([]int, error) {
 	if len(out) == 0 {
 		return nil, fmt.Errorf("platform: targeting matches no users")
 	}
-	// Map iteration order is randomized per process; the audience order
-	// feeds seeded RNG consumption downstream, so sort for run-to-run
-	// determinism.
-	sort.Ints(out)
 	return out, nil
+}
+
+// mergeAscending returns the union of two ascending duplicate-free lists as
+// a new ascending duplicate-free list.
+func mergeAscending(a, b []int) []int {
+	out := make([]int, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case a[0] > b[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
 }

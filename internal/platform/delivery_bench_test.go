@@ -1,14 +1,16 @@
 package platform
 
-// Benchmarks of the delivery day's layers, beside the code: the CSR
-// eligibility build, the whole day preparation, and one tick of the auction
-// kernel. All run on the shared fixture world with every user in one
+// Benchmarks of the delivery day's layers, beside the code: audience
+// resolution at ad creation, the CSR eligibility build, the whole day
+// preparation, and one tick of the auction kernel. All run on the shared fixture world with every user in one
 // audience (~30k rows, 4 ads, so ~120k slots), large enough that a tick is
 // auctions rather than loop set-up.
 //
-//	go test -run '^$' -bench 'BuildEligIndex|PrepareDay|DayTick' -benchtime 200x ./internal/platform
+//	go test -run '^$' -bench 'ResolveAudience|BuildEligIndex|PrepareDay|DayTick' -benchtime 200x ./internal/platform
 
 import (
+	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -84,6 +86,43 @@ func BenchmarkBuildEligIndex(b *testing.B) {
 		slots += int64(len(buildEligIndex(plan.active).ads))
 	}
 	perUnit(b, slots, "ns/slot")
+}
+
+// BenchmarkResolveAudience resolves an ad's targeting to its user list, as
+// every CreateAd does: against the whole-population audience alone (~30k
+// members, the audit's one-audience case: a filtered pass over the cached
+// ascending list) and against it plus an overlapping half-size audience in
+// shuffled order (a merge first).
+func BenchmarkResolveAudience(b *testing.B) {
+	p, _ := benchDay(b)
+	everyone := p.audiences["ca-1"]
+	half := make([]int, 0, len(everyone.members)/2)
+	for _, k := range rand.New(rand.NewSource(1)).Perm(len(everyone.members)) {
+		if k%2 == 0 {
+			half = append(half, everyone.members[k])
+		}
+	}
+	halfID := installAudience(p, half)
+	defer delete(p.audiences, halfID)
+	for _, ids := range [][]string{{"ca-1"}, {"ca-1", halfID}} {
+		b.Run(fmt.Sprintf("ids=%d", len(ids)), func(b *testing.B) {
+			t := Targeting{CustomAudienceIDs: ids}
+			if _, err := p.resolveAudience(&t); err != nil { // sorts each audience once, outside the timer
+				b.Fatal(err)
+			}
+			var users int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := p.resolveAudience(&t)
+				if err != nil {
+					b.Fatal(err)
+				}
+				users += int64(len(out))
+			}
+			perUnit(b, users, "ns/user")
+		})
+	}
 }
 
 // BenchmarkPrepareDay is what a day costs before its first tick: resolve the

@@ -1,6 +1,6 @@
 package platform
 
-import "slices"
+import "math/bits"
 
 // eligIndex is a delivery day's eligibility index in CSR form: for every
 // user targeted by at least one active ad, the run-order list of ads that
@@ -25,75 +25,74 @@ type eligIndex struct {
 }
 
 // buildEligIndex constructs the index for the run's active ads (run order =
-// slice order). It consumes no randomness and allocates only the three CSR
-// slices plus one transient per-row cursor.
+// slice order). It consumes no randomness and allocates the three CSR slices
+// plus two transients: a bitset over population indexes up to the largest
+// one targeted, and its per-word rank prefix.
+//
+// The targeted set is the bitset: users is its set bits in order (select),
+// and a population index's row is the number of set bits below it (rank) —
+// a prefix read and a popcount, whatever order audiences arrive in.
 func buildEligIndex(active []*Ad) *eligIndex {
-	total := 0
+	total, top := 0, -1
 	for _, ad := range active {
 		total += len(ad.audience)
-	}
-	all := make([]int32, 0, total)
-	for _, ad := range active {
 		for _, idx := range ad.audience {
-			all = append(all, int32(idx))
+			top = max(top, idx)
 		}
 	}
-	slices.Sort(all)
-	users := slices.Compact(all)
+	words := make([]uint64, (top+64)/64)
+	for _, ad := range active {
+		for _, idx := range ad.audience {
+			words[idx>>6] |= 1 << (idx & 63)
+		}
+	}
+	below := make([]int32, len(words)) // set bits in the words before this one
+	n := int32(0)
+	for w, set := range words {
+		below[w] = n
+		n += int32(bits.OnesCount64(set))
+	}
+	row := func(idx int) int32 {
+		return below[idx>>6] + int32(bits.OnesCount64(words[idx>>6]&(1<<(idx&63)-1)))
+	}
 
 	e := &eligIndex{
-		users:   users,
-		offsets: make([]int32, len(users)+1),
+		users:   make([]int32, 0, n),
+		offsets: make([]int32, n+1),
 		ads:     make([]int32, total),
 	}
-	// Degree count, prefix sums, then a run-order fill with per-row
-	// cursors: each row's ad list comes out in active-slice order because
-	// the outer loop visits ads in run order.
-	deg := make([]int32, len(users))
+	for w, set := range words {
+		for ; set != 0; set &= set - 1 {
+			e.users = append(e.users, int32(w<<6+bits.TrailingZeros64(set)))
+		}
+	}
+	// Degree count into offsets[r+1], prefix sums, then a run-order fill
+	// that advances offsets[r] as row r's cursor: each row's ad list comes
+	// out in active-slice order because the outer loop visits ads in run
+	// order. The fill leaves offsets[r] at row r's end, which is row r+1's
+	// start, so shifting one place restores the offsets.
 	for _, ad := range active {
-		r := int32(0)
 		for _, idx := range ad.audience {
-			r = e.rowFrom(r, int32(idx))
-			deg[r]++
+			e.offsets[row(idx)+1]++
 		}
 	}
-	var off int32
-	for r, d := range deg {
-		e.offsets[r] = off
-		off += d
+	for r := range e.users {
+		e.offsets[r+1] += e.offsets[r]
 	}
-	e.offsets[len(users)] = off
-	next := deg[:0] // reuse: deg is dead after the prefix sum
-	next = append(next, e.offsets[:len(users)]...)
 	for i, ad := range active {
-		r := int32(0)
 		for _, idx := range ad.audience {
-			r = e.rowFrom(r, int32(idx))
-			e.ads[next[r]] = int32(i)
-			next[r]++
+			r := row(idx)
+			e.ads[e.offsets[r]] = int32(i)
+			e.offsets[r]++
 		}
 	}
+	copy(e.offsets[1:], e.offsets[:n])
+	e.offsets[0] = 0
 	return e
 }
 
 // rows returns the number of targeted users.
 func (e *eligIndex) rows() int { return len(e.users) }
-
-// rowFrom returns the row position of a population index that is present,
-// given the row of the previous lookup. Audiences arrive ascending
-// (resolveAudience sorts them), so walking one ad's audience is a merge
-// against the sorted users: the cursor only steps forward, a few rows per
-// lookup. A lookup that would have to step back searches instead.
-func (e *eligIndex) rowFrom(r, user int32) int32 {
-	if e.users[r] > user {
-		pos, _ := slices.BinarySearch(e.users, user)
-		return int32(pos)
-	}
-	for e.users[r] != user {
-		r++
-	}
-	return r
-}
 
 // shardRows returns the row positions shard `shard` of `shards` owns, in
 // ascending order: the deterministic base order the per-tick seeded shuffles

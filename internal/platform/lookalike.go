@@ -81,16 +81,11 @@ func (p *Platform) CreateLookalikeAudience(name, seedID string, size int) (*Cust
 	if size > len(cands) {
 		size = len(cands)
 	}
-	ca := &CustomAudience{
-		ID:   fmt.Sprintf("ca-%d", len(p.audiences)+1),
-		Name: name,
+	members := make([]int, size)
+	for i, c := range cands[:size] {
+		members[i] = c.idx
 	}
-	for _, c := range cands[:size] {
-		ca.members = append(ca.members, c.idx)
-	}
-	ca.Size = len(ca.members)
-	p.audiences[ca.ID] = ca
-	return ca, nil
+	return p.registerAudienceLocked(name, members), nil
 }
 
 // AudienceComposition reports the demographic makeup of an audience. This

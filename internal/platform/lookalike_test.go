@@ -2,6 +2,7 @@ package platform
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
@@ -121,5 +122,53 @@ func TestObjectiveOptimizationTerm(t *testing.T) {
 	}
 	if found && p.optimizationTerm(conversions, hi) <= cv {
 		t.Error("conversions transform not monotone in eAR")
+	}
+}
+
+// TestLookalikeAudienceIsDurable: a lookalike audience is emitted to the
+// mutation hook like an uploaded one, so replaying the log into a fresh
+// platform brings back the audience, the ad that targets it (whose replay
+// fails without it) and the audience-ID cursor.
+func TestLookalikeAudienceIsDurable(t *testing.T) {
+	p1, f := newTestPlatform(t, 912)
+	var muts []Mutation
+	p1.SetMutationHook(func(m Mutation) { muts = append(muts, m) })
+	seedID := uploadBalancedAudience(t, p1, f, 10, 41)
+	look, err := p1.CreateLookalikeAudience("expansion", seedID, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp, err := p1.CreateCampaign("special-ad-audience", ObjectiveTraffic, SpecialNone, 2019)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ad, err := p1.CreateAd(cmp.ID, Creative{Headline: "h"}, Targeting{CustomAudienceIDs: []string{look.ID}}, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(muts) != 4 {
+		t.Fatalf("captured %d mutations, want 4 (seed, lookalike, campaign, ad)", len(muts))
+	}
+
+	p2, _ := newTestPlatform(t, 912)
+	for i := range muts {
+		if err := p2.ApplyMutation(&muts[i]); err != nil {
+			t.Fatalf("mutation %d (%s): %v", i, muts[i].Kind, err)
+		}
+	}
+	if got, want := stateJSON(t, p2), stateJSON(t, p1); got != want {
+		t.Fatalf("replayed state diverged:\n got %.200s…\nwant %.200s…", got, want)
+	}
+	a1, a2 := p1.ads[ad.ID].audience, p2.ads[ad.ID].audience
+	if len(a1) != look.Size || !slices.Equal(a1, a2) {
+		t.Fatalf("resolved ad audience: %d users live, %d replayed, lookalike size %d", len(a1), len(a2), look.Size)
+	}
+	// The next audience must not reuse the lookalike's ID.
+	next, err := p2.CreateLookalikeAudience("again", seedID, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID == look.ID || next.ID == seedID {
+		t.Fatalf("audience ID %s reused after replay", next.ID)
 	}
 }
