@@ -44,10 +44,9 @@ import (
 	"github.com/adaudit/impliedidentity/internal/faults"
 	"github.com/adaudit/impliedidentity/internal/image"
 	"github.com/adaudit/impliedidentity/internal/marketing"
+	"github.com/adaudit/impliedidentity/internal/node"
 	"github.com/adaudit/impliedidentity/internal/obs"
-	"github.com/adaudit/impliedidentity/internal/population"
 	"github.com/adaudit/impliedidentity/internal/supervisor"
-	"github.com/adaudit/impliedidentity/internal/voter"
 )
 
 func main() {
@@ -60,9 +59,7 @@ func main() {
 type options struct {
 	shardBin    string
 	shards      int
-	seed        int64
-	voters      int
-	logRows     int
+	world       node.WorldConfig
 	chaosSeed   int64
 	rate        float64
 	actions     []chaos.Action
@@ -82,9 +79,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("adchaos", flag.ContinueOnError)
 	shardBin := fs.String("shard-bin", "", "path to the adplatform binary to spawn as shard children (required)")
 	shards := fs.Int("shards", 2, "fleet width")
-	seed := fs.Int64("seed", 7, "world seed (every child builds the same world from it)")
-	voters := fs.Int("voters", 4000, "voters per state in the child worlds")
-	logRows := fs.Int("logrows", 1500, "engagement-log rows for child eAR training")
+	worldOf := node.WorldFlags(fs, node.WorldConfig{Seed: 7, Voters: 4000, LogRows: 1500}) // every child builds this world
 	chaosSeed := fs.Int64("chaos-seed", 1, "chaos schedule seed (same seed, same disturbances)")
 	rate := fs.Float64("rate", 0.6, "disturbance probability per eligible tick")
 	actionsFlag := fs.String("actions", "all", "eligible disturbances (kill,pause,slow,partition) or all")
@@ -109,7 +104,7 @@ func run(args []string) error {
 		return err
 	}
 	opts := options{
-		shardBin: *shardBin, shards: *shards, seed: *seed, voters: *voters, logRows: *logRows,
+		shardBin: *shardBin, shards: *shards, world: worldOf(),
 		chaosSeed: *chaosSeed, rate: *rate, actions: actions, ticks: *ticks, tickLen: *tickLen,
 		minGap: *minGap, dayEvery: *dayEvery, daySeedBase: *daySeedBase,
 		workDir: *workDir, out: *out, basePort: *basePort,
@@ -188,26 +183,17 @@ type benchReport struct {
 }
 
 func soak(opts options) error {
-	// The audience hash pool: regenerate the FL registry exactly as every
-	// child does (same seed arithmetic as cmd/adplatform), hash client-side.
-	flCfg := voter.DefaultGeneratorConfig(demo.StateFL, opts.seed+1)
-	flCfg.NumVoters = opts.voters
-	fl, err := voter.Generate(flCfg)
+	// The audience hash pool: the FL registry every child generates, hashed
+	// client-side.
+	fl, err := opts.world.Registry(demo.StateFL)
 	if err != nil {
 		return err
 	}
-	hashes := make([]string, 0, 600)
-	for i := range fl.Records {
-		if i >= 600 {
-			break
-		}
-		r := &fl.Records[i]
-		hashes = append(hashes, population.HashPII(r.FirstName, r.LastName, r.Address, r.ZIP))
-	}
+	hashes := node.PIIHashes(fl.Records[:min(600, len(fl.Records))])
 
 	report := &benchReport{Bench: "chaos_v1", Date: time.Now().UTC().Format(time.RFC3339)}
 	report.Config.Shards = opts.shards
-	report.Config.WorldSeed = opts.seed
+	report.Config.WorldSeed = opts.world.Seed
 	report.Config.ChaosSeed = opts.chaosSeed
 	report.Config.Rate = opts.rate
 	report.Config.Ticks = opts.ticks
@@ -272,9 +258,9 @@ func startFleet(opts options, tag string, firstPort int, durable bool) (*fleet, 
 		// original (the cursor advanced differently on the recovered shard).
 		argv[i] = []string{
 			opts.shardBin, "-addr", hosts[i],
-			"-seed", strconv.FormatInt(opts.seed, 10),
-			"-voters", strconv.Itoa(opts.voters),
-			"-logrows", strconv.Itoa(opts.logRows),
+			"-seed", strconv.FormatInt(opts.world.Seed, 10),
+			"-voters", strconv.Itoa(opts.world.Voters),
+			"-logrows", strconv.Itoa(opts.world.LogRows),
 			"-review-reject", "0",
 			"-delivery-workers", "1",
 		}

@@ -3,12 +3,12 @@
 // targets a running adplatform server over TCP or self-hosts an in-process
 // one, runs virtual-advertiser scenarios (upload audience → create campaign
 // → create ads → deliver → poll insights) in closed-loop or open-loop mode,
-// prints a human summary table, and optionally writes the machine-readable
-// JSON report future perf PRs compare against.
+// prints a human summary table, and optionally writes the run's
+// machine-readable JSON report.
 //
 // Self-hosted smoke run (deterministic workload under a fixed seed):
 //
-//	adload -scenarios 6 -concurrency 3 -seed 1 -out BENCH_serving_v1.json
+//	adload -scenarios 6 -concurrency 3 -seed 1 -out /tmp/report.json
 //
 // Against a running server (hashes come from the voter extract the server
 // wrote with -voterdir):
@@ -30,16 +30,12 @@ import (
 	"os"
 	"time"
 
-	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/faults"
 	"github.com/adaudit/impliedidentity/internal/loadgen"
 	"github.com/adaudit/impliedidentity/internal/marketing"
+	"github.com/adaudit/impliedidentity/internal/node"
 	"github.com/adaudit/impliedidentity/internal/obs"
-	"github.com/adaudit/impliedidentity/internal/platform"
-	"github.com/adaudit/impliedidentity/internal/population"
-	"github.com/adaudit/impliedidentity/internal/privacy"
 	"github.com/adaudit/impliedidentity/internal/report"
-	"github.com/adaudit/impliedidentity/internal/store"
 	"github.com/adaudit/impliedidentity/internal/voter"
 )
 
@@ -61,86 +57,66 @@ func run(args []string, stdout io.Writer) error {
 	ads := fs.Int("ads", 2, "ads per campaign")
 	audience := fs.Int("audience", 200, "PII hashes per audience upload")
 	polls := fs.Int("polls", 2, "insights polls per delivered ad")
-	seed := fs.Int64("seed", 1, "workload seed (and world seed when self-hosting)")
 	duration := fs.Duration("duration", 0, "wall-clock cap on the run; 0 = run all scenarios")
 	throttle := fs.Duration("throttle", 0, "client-side minimum interval between requests; 0 disables")
 	retries := fs.Int("retries", 0, "client max attempts per API call (0 = library default)")
-	out := fs.String("out", "", "path to write the JSON report (BENCH_serving schema)")
-	voters := fs.Int("voters", 8000, "self-hosted world: voters in the registry")
-	logRows := fs.Int("logrows", 3000, "self-hosted world: engagement-log rows for eAR training")
-	faultRate := fs.Float64("fault-rate", 0, "self-hosted chaos: probability a request draws an injected fault (0 disables)")
-	faultSeed := fs.Int64("fault-seed", 1, "self-hosted chaos: fault-schedule seed (same seed, same schedule)")
-	faultKinds := fs.String("fault-kinds", "all", "self-hosted chaos: comma-separated fault kinds (latency,429,5xx,drop,slow) or all")
-	shedCap := fs.Int("shed-cap", marketing.DefaultServerLimits().MaxInFlight, "self-hosted server: max in-flight requests before shedding with 429 (0 disables)")
-	storeDir := fs.String("store-dir", "", "self-hosted server: durable state directory (empty serves from memory only)")
-	fsyncMode := fs.String("fsync", "always", "self-hosted server: WAL fsync discipline (always, interval, none); requires -store-dir")
+	out := fs.String("out", "", "path to write the JSON report (schema adaudit/bench-serving/v1)")
+	worldOf := node.WorldFlags(fs, node.WorldConfig{Seed: 1, Voters: 8000, LogRows: 3000, FLOnly: true})
+	stackOf := node.StackFlags(fs)
 	deliveryWorkers := fs.Int("delivery-workers", 0, "delivery shard count sent with every deliver call (0 = server default, 1 = sequential oracle)")
-	privacyK := fs.Int("privacy-k", 0, "insights privacy: k-anonymity threshold on the self-hosted server (0 disables); with -target, records the remote policy in the report")
-	privacyEpsilon := fs.Float64("privacy-epsilon", 0, "insights privacy: DP noise epsilon on the self-hosted server (0 disables); with -target, records the remote policy in the report")
-	privacySeed := fs.Int64("privacy-seed", 1, "insights privacy: noise-stream seed for the self-hosted server")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	if *target != "" {
-		// Faults are injected into the self-hosted server's handler chain;
-		// against a remote server these flags would silently do nothing.
-		// (-privacy-k/-privacy-epsilon stay legal with -target: they record
-		// the remote policy in the report; the seed is server-side only.)
-		for _, f := range []string{"fault-rate", "fault-seed", "fault-kinds", "shed-cap", "store-dir", "fsync", "privacy-seed"} {
-			if flagWasSet(fs, f) {
-				return fmt.Errorf("-%s applies to the self-hosted server and cannot be combined with -target", f)
-			}
+		// These configure the self-hosted world and server; against a remote
+		// one they would silently do nothing. (-privacy-k/-privacy-epsilon stay
+		// legal with -target: they record the remote policy in the report; the
+		// seed is server-side only.)
+		if err := node.RejectSet(fs, "the self-hosted server", "-target",
+			"voters", "logrows", "fault-rate", "fault-seed", "fault-kinds", "shed-cap", "store-dir", "fsync", "privacy-seed"); err != nil {
+			return err
 		}
 	}
-	kinds, err := faults.ParseKinds(*faultKinds)
+	stackCfg, err := stackOf()
 	if err != nil {
 		return err
 	}
-	fsync, err := store.ParseFsyncMode(*fsyncMode)
-	if err != nil {
-		return err
-	}
-	privCfg, err := privacy.FromFlags(*privacyK, *privacyEpsilon, *privacySeed)
-	if err != nil {
-		return err
-	}
+	worldCfg := worldOf()
 
 	baseURL := *target
 	var hashes []string
 	if *target == "" {
-		fmt.Fprintf(stdout, "self-hosting a platform (%d voters, seed %d)...\n", *voters, *seed)
-		if *faultRate > 0 {
-			fmt.Fprintf(stdout, "injecting faults: rate %.2f, seed %d, kinds %v\n", *faultRate, *faultSeed, kinds)
-		}
-		if *storeDir != "" {
-			fmt.Fprintf(stdout, "durable store at %s (fsync=%s)\n", *storeDir, fsync)
-		}
-		if privCfg.Enabled() {
-			fmt.Fprintf(stdout, "insights privacy armed: level %s, k=%d, epsilon=%v\n",
-				privCfg.Level, privCfg.K, privCfg.Epsilon)
-		}
-		ts, pool, closeStore, err := selfHost(*seed, *voters, *logRows, *shedCap, faults.Config{
-			Seed:  *faultSeed,
-			Rate:  *faultRate,
-			Kinds: kinds,
-		}, *storeDir, fsync, privCfg)
+		fmt.Fprintf(stdout, "self-hosting a platform (%d voters, seed %d)...\n", worldCfg.Voters, worldCfg.Seed)
+		// No ad-review rejection (default 1%), so the request counts of a
+		// fixed-seed run are exactly reproducible. Review strictness has its
+		// own coverage in internal/platform.
+		platCfg := worldCfg.PlatformConfig()
+		platCfg.ReviewRejectProb = 0
+		world, err := worldCfg.Build(platCfg)
 		if err != nil {
 			return err
 		}
-		defer closeStore()
-		defer ts.Close()
+		stack, err := node.NewStack(world.Platform, stackCfg, stdout)
+		if err != nil {
+			return err
+		}
+		ts := httptest.NewServer(stack.Handler)
+		defer func() {
+			ts.Close()
+			if err := stack.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "adload:", err)
+			}
+		}()
 		baseURL = ts.URL
-		hashes = pool
+		hashes = node.PIIHashes(world.FL.Records)
 	} else {
 		if *voterFile == "" {
 			return fmt.Errorf("targeting %s requires -voterfile to build audiences (run adplatform with -voterdir)", *target)
 		}
-		pool, err := hashesFromExtract(*voterFile)
-		if err != nil {
+		if hashes, err = hashesFromExtract(*voterFile); err != nil {
 			return err
 		}
-		hashes = pool
 	}
 
 	client, err := marketing.NewClient(baseURL)
@@ -163,7 +139,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "target is a router over %d shard(s)\n", shardCount)
 	}
 	runner, err := loadgen.New(loadgen.Config{
-		Seed:            *seed,
+		Seed:            worldCfg.Seed,
 		Mode:            loadgen.Mode(*mode),
 		Workers:         *concurrency,
 		ArrivalRPS:      *rps,
@@ -174,7 +150,7 @@ func run(args []string, stdout io.Writer) error {
 		Hashes:          hashes,
 		DeliveryWorkers: *deliveryWorkers,
 		ShardCount:      shardCount,
-		Privacy:         privCfg,
+		Privacy:         stackCfg.Privacy,
 	}, client)
 	if err != nil {
 		return err
@@ -217,90 +193,6 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// flagWasSet reports whether the user passed the named flag explicitly.
-func flagWasSet(fs *flag.FlagSet, name string) bool {
-	set := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// selfHost builds the synthetic world and serves the marketing API from an
-// in-process listener (wrapped in the fault injector when faultCfg.Rate > 0),
-// returning the server, the audience hash pool, and a store closer (a no-op
-// when storeDir is empty).
-func selfHost(seed int64, numVoters, logRows, shedCap int, faultCfg faults.Config, storeDir string, fsync store.FsyncMode, privCfg privacy.Config) (*httptest.Server, []string, func(), error) {
-	flCfg := voter.DefaultGeneratorConfig(demo.StateFL, seed+1)
-	flCfg.NumVoters = numVoters
-	fl, err := voter.Generate(flCfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	pop, err := population.Build(population.Config{Seed: seed + 3}, fl)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	behave, err := population.NewBehavior(population.DefaultBehaviorConfig())
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cfg := platform.DefaultConfig(seed + 4)
-	cfg.Training.LogRows = logRows
-	// Disable the (default 1%) ad-review rejection so the request counts of
-	// a fixed-seed run are exactly reproducible, which the benchmark report
-	// relies on. Review strictness has its own coverage in internal/platform.
-	cfg.ReviewRejectProb = 0
-	plat, err := platform.New(cfg, pop, behave)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	limits := marketing.DefaultServerLimits()
-	limits.MaxInFlight = shedCap
-	reg := obs.NewRegistry()
-	// Delivery-phase metrics share the registry the /metrics scrape reads.
-	plat.SetObserver(reg, nil)
-	serverOpts := []marketing.ServerOption{marketing.WithLimits(limits), marketing.WithRegistry(reg)}
-	if privCfg.Enabled() {
-		serverOpts = append(serverOpts, marketing.WithPrivacy(privCfg))
-	}
-	closeStore := func() {}
-	if storeDir != "" {
-		st, err := store.Open(store.Options{Dir: storeDir, Fsync: fsync, Metrics: reg})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if _, err := st.Recover(plat); err != nil {
-			return nil, nil, nil, err
-		}
-		serverOpts = append(serverOpts, marketing.WithPersister(st))
-		closeStore = func() {
-			if _, err := st.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "adload: closing store: %v\n", err)
-			}
-		}
-	}
-	srv, err := marketing.NewServer(plat, serverOpts...)
-	if err != nil {
-		closeStore()
-		return nil, nil, nil, err
-	}
-	handler := srv.Handler()
-	if faultCfg.Rate > 0 {
-		// Register fault counters in the server's own registry so the
-		// end-of-run /metrics scrape reports them next to the serving stats.
-		inj, err := faults.New(faultCfg, srv.Metrics())
-		if err != nil {
-			closeStore()
-			return nil, nil, nil, err
-		}
-		handler = inj.Middleware(handler)
-	}
-	return httptest.NewServer(handler), hashesFromRecords(fl.Records), closeStore, nil
-}
-
 // hashesFromExtract derives the audience hash pool from an FL-layout voter
 // extract, the same client-side hashing path the audit tooling uses.
 func hashesFromExtract(path string) ([]string, error) {
@@ -313,16 +205,7 @@ func hashesFromExtract(path string) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parsing %s: %w", path, err)
 	}
-	return hashesFromRecords(records), nil
-}
-
-func hashesFromRecords(records []voter.Record) []string {
-	hashes := make([]string, 0, len(records))
-	for i := range records {
-		r := &records[i]
-		hashes = append(hashes, population.HashPII(r.FirstName, r.LastName, r.Address, r.ZIP))
-	}
-	return hashes
+	return node.PIIHashes(records), nil
 }
 
 // probeTopology asks the target whether it is a router (GET /v1/topology)

@@ -10,10 +10,10 @@ import (
 	"github.com/adaudit/impliedidentity/internal/obs"
 )
 
-// TestSelfHostedSmokeRun is the end-to-end check the CI smoke job repeats: a
-// fixed-seed self-hosted run must complete without errors, print the latency
-// table, and write a report whose client-side counts match the server-side
-// /metrics counters embedded in it.
+// TestSelfHostedSmokeRun is the end-to-end smoke: a fixed-seed self-hosted
+// run must complete without errors, print the latency table, and write a
+// report whose client-side counts match the server-side /metrics counters
+// embedded in it.
 func TestSelfHostedSmokeRun(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "report.json")
@@ -76,8 +76,8 @@ func TestSelfHostedSmokeRun(t *testing.T) {
 	}
 }
 
-// TestChaosSmokeRun mirrors the CI chaos job: a fault-injected self-hosted
-// run with a fixed schedule seed must complete with zero surfaced errors —
+// TestChaosSmokeRun is the chaos smoke: a fault-injected self-hosted run
+// with a fixed schedule seed must complete with zero surfaced errors —
 // the retry layer absorbs every injected fault — and report the injection
 // and retry counts.
 func TestChaosSmokeRun(t *testing.T) {
@@ -139,12 +139,31 @@ func TestExternalTargetRequiresVoterFile(t *testing.T) {
 	}
 }
 
+// TestBadFlagsFailFast: a bad value, and a flag the chosen mode would
+// silently ignore, are both refused before any world is built.
 func TestBadFlagsFailFast(t *testing.T) {
-	var buf strings.Builder
-	if err := run([]string{"-scenarios", "many"}, &buf); err == nil {
-		t.Error("bad flag value: want error")
-	}
-	if err := run([]string{"-mode", "bursty", "-voters", "4000", "-logrows", "1500"}, &buf); err == nil {
-		t.Error("unknown mode: want error")
+	remote := []string{"-target", "http://127.0.0.1:1", "-voterfile", "x"}
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the error; empty accepts any error
+		late bool   // refused only after the world is built
+	}{
+		{args: []string{"-scenarios", "many"}},
+		// loadgen.New checks -mode, and it needs the hash pool.
+		{args: []string{"-mode", "bursty", "-voters", "4000", "-logrows", "1500"}, want: "unknown mode", late: true},
+		{args: []string{"-fsync", "none"}, want: "cannot be combined with an empty -store-dir"},
+		{args: []string{"-fsync", "sometimes", "-store-dir", "x"}, want: "fsync"},
+		{args: append(remote, "-voters", "4000"), want: "-voters applies to the self-hosted server and cannot be combined with -target"},
+		{args: append(remote, "-logrows", "1500"), want: "-logrows applies to the self-hosted server and cannot be combined with -target"},
+		{args: append(remote, "-store-dir", "x"), want: "-store-dir applies to the self-hosted server and cannot be combined with -target"},
+	} {
+		var buf strings.Builder
+		err := run(tc.args, &buf)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: want error containing %q, got %v", tc.args, tc.want, err)
+		}
+		if !tc.late && strings.Contains(buf.String(), "self-hosting") {
+			t.Errorf("args %v: a world was built before the flags were refused", tc.args)
+		}
 	}
 }

@@ -14,26 +14,14 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
-	"time"
 
-	"github.com/adaudit/impliedidentity/internal/demo"
-	"github.com/adaudit/impliedidentity/internal/faults"
-	"github.com/adaudit/impliedidentity/internal/marketing"
-	"github.com/adaudit/impliedidentity/internal/obs"
-	"github.com/adaudit/impliedidentity/internal/platform"
-	"github.com/adaudit/impliedidentity/internal/population"
-	"github.com/adaudit/impliedidentity/internal/privacy"
-	"github.com/adaudit/impliedidentity/internal/store"
+	"github.com/adaudit/impliedidentity/internal/node"
 	"github.com/adaudit/impliedidentity/internal/voter"
 )
 
@@ -47,185 +35,60 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("adplatform", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8399", "listen address")
-	seed := fs.Int64("seed", 1, "world seed")
-	voters := fs.Int("voters", 40000, "voters per state")
-	logRows := fs.Int("logrows", 30000, "engagement-log rows for eAR training")
+	worldOf := node.WorldFlags(fs, node.WorldConfig{Seed: 1, Voters: 40000, LogRows: 30000})
 	voterDir := fs.String("voterdir", "", "directory to write FL/NC voter extracts into (optional)")
-	faultRate := fs.Float64("fault-rate", 0, "chaos: probability a request draws an injected fault (0 disables)")
-	faultSeed := fs.Int64("fault-seed", 1, "chaos: fault-schedule seed (same seed, same schedule)")
-	faultKinds := fs.String("fault-kinds", "all", "chaos: comma-separated fault kinds (latency,429,5xx,drop,slow) or all")
-	shedCap := fs.Int("shed-cap", marketing.DefaultServerLimits().MaxInFlight, "max in-flight requests before shedding with 429 (0 disables)")
+	stackOf := node.StackFlags(fs, "snapshot-every")
 	reviewReject := fs.Float64("review-reject", -1, "override the ad-review rejection probability (0..1; negative keeps the default) — every shard in one fleet must agree, and chaos soaks set 0 so a replayed create cannot diverge on a review re-roll")
-	storeDir := fs.String("store-dir", "", "durable state directory: WAL + snapshots, recovered on boot (empty disables durability)")
-	fsyncMode := fs.String("fsync", "always", "WAL fsync discipline: always, interval, or none")
-	snapshotEvery := fs.Int("snapshot-every", 5000, "write a snapshot and compact the WAL every N records (0 disables automatic snapshots)")
+	snapshotEvery := fs.Int("snapshot-every", 5000, "write a snapshot and compact the WAL every N records (0 disables automatic snapshots; requires -store-dir)")
 	deliveryWorkers := fs.Int("delivery-workers", 1, "default delivery shard count for /v1/deliver (1 = sequential oracle engine; requests may override)")
-	drainTimeout := fs.Duration("drain-timeout", 2*time.Minute, "graceful-shutdown budget for draining in-flight requests (must exceed the longest /v1/deliver day)")
-	privacyK := fs.Int("privacy-k", 0, "insights privacy: k-anonymity threshold for breakdown cells and minimum audience (0 disables suppression)")
-	privacyEpsilon := fs.Float64("privacy-epsilon", 0, "insights privacy: DP noise parameter epsilon (0 disables noise; smaller = noisier)")
-	privacySeed := fs.Int64("privacy-seed", 1, "insights privacy: noise-stream seed (same seed, same noise — keep it per-deployment, not per-query)")
+	drainTimeout := node.DrainTimeoutFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	kinds, err := faults.ParseKinds(*faultKinds)
+	stackCfg, err := stackOf()
 	if err != nil {
 		return err
 	}
-	fsync, err := store.ParseFsyncMode(*fsyncMode)
-	if err != nil {
-		return err
+	stackCfg.Store.SnapshotEvery = *snapshotEvery
+	if *reviewReject > 1 {
+		return fmt.Errorf("-review-reject %v out of range [0,1]", *reviewReject)
 	}
-	privCfg, err := privacy.FromFlags(*privacyK, *privacyEpsilon, *privacySeed)
-	if err != nil {
-		return err
+	worldCfg := worldOf()
+	platCfg := worldCfg.PlatformConfig()
+	platCfg.DeliveryWorkers = *deliveryWorkers
+	if *reviewReject >= 0 {
+		platCfg.ReviewRejectProb = *reviewReject
 	}
 
-	fmt.Printf("generating registries (%d voters per state)...\n", *voters)
-	flCfg := voter.DefaultGeneratorConfig(demo.StateFL, *seed+1)
-	flCfg.NumVoters = *voters
-	ncCfg := voter.DefaultGeneratorConfig(demo.StateNC, *seed+2)
-	ncCfg.NumVoters = *voters
-	fl, err := voter.Generate(flCfg)
-	if err != nil {
-		return err
-	}
-	nc, err := voter.Generate(ncCfg)
+	fmt.Printf("generating registries (%d voters per state), building population and training the platform...\n", worldCfg.Voters)
+	world, err := worldCfg.Build(platCfg)
 	if err != nil {
 		return err
 	}
 	if *voterDir != "" {
-		if err := writeExtracts(*voterDir, fl, nc); err != nil {
+		if err := writeExtracts(*voterDir, world.FL, world.NC); err != nil {
 			return err
 		}
 	}
-
-	fmt.Println("building population and training the platform...")
-	pop, err := population.Build(population.Config{Seed: *seed + 3}, fl, nc)
+	stack, err := node.NewStack(world.Platform, stackCfg, os.Stdout)
 	if err != nil {
 		return err
 	}
-	behave, err := population.NewBehavior(population.DefaultBehaviorConfig())
-	if err != nil {
-		return err
-	}
-	cfg := platform.DefaultConfig(*seed + 4)
-	cfg.Training.LogRows = *logRows
-	cfg.DeliveryWorkers = *deliveryWorkers
-	if *reviewReject >= 0 {
-		if *reviewReject > 1 {
-			return fmt.Errorf("-review-reject %v out of range [0,1]", *reviewReject)
-		}
-		cfg.ReviewRejectProb = *reviewReject
-	}
-	plat, err := platform.New(cfg, pop, behave)
-	if err != nil {
-		return err
-	}
-	limits := marketing.DefaultServerLimits()
-	limits.MaxInFlight = *shedCap
-	reg := obs.NewRegistry()
-	// Delivery-phase metrics (ticks/sec, auctions/sec, merge time) land in
-	// the same registry the HTTP middleware reports through GET /metrics.
-	plat.SetObserver(reg, nil)
-	serverOpts := []marketing.ServerOption{marketing.WithLimits(limits), marketing.WithRegistry(reg)}
-	if privCfg.Enabled() {
-		// Single-process privatization. In a fleet, set these flags on the
-		// router instead (merge-then-privatize): a privatizing shard makes the
-		// coordinator refuse its insights.
-		serverOpts = append(serverOpts, marketing.WithPrivacy(privCfg))
-		fmt.Printf("insights privacy armed: level %s, k=%d, epsilon=%v, seed %d\n",
-			privCfg.Level, privCfg.K, privCfg.Epsilon, privCfg.Seed)
-	}
-
-	// Durable state: recover the account from disk (the world itself is
-	// rebuilt from the seed above), then persist every mutation before its
-	// response is acked.
-	var st *store.Store
-	if *storeDir != "" {
-		st, err = store.Open(store.Options{
-			Dir:           *storeDir,
-			Fsync:         fsync,
-			SnapshotEvery: *snapshotEvery,
-			Metrics:       reg,
-		})
-		if err != nil {
-			return err
-		}
-		info, err := st.Recover(plat)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("durable store at %s (fsync=%s): %s\n", *storeDir, fsync, info)
-		serverOpts = append(serverOpts, marketing.WithPersister(st))
-	}
-
-	srv, err := marketing.NewServer(plat, serverOpts...)
-	if err != nil {
-		return err
-	}
-	handler := srv.Handler()
-	if *faultRate > 0 {
-		inj, err := faults.New(faults.Config{Seed: *faultSeed, Rate: *faultRate, Kinds: kinds}, srv.Metrics())
-		if err != nil {
-			return err
-		}
-		handler = inj.Middleware(handler)
-		fmt.Printf("fault injection armed: rate %.2f, seed %d, kinds %v\n", *faultRate, *faultSeed, kinds)
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		return err
+		return errors.Join(err, stack.Close())
 	}
 	fmt.Printf("marketing API listening at http://%s (%d users); metrics at /metrics, liveness at /healthz\n",
-		ln.Addr(), pop.Len())
-	httpSrv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second}
+		ln.Addr(), world.Pop.Len())
 
-	// Serve until the listener fails or a shutdown signal arrives, then
-	// drain in-flight requests and log the final serving counters so a
-	// load-test session ends with a server-side record.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-serveErr:
+	// The store closes only after the drain: by then the WAL tail is final. A
+	// load-test session ends with a server-side record of what was served.
+	drainErr := node.Serve(ln, stack.Handler, *drainTimeout, nil)
+	if err := errors.Join(drainErr, stack.Close()); err != nil {
 		return err
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Printf("signal received, draining in-flight requests (budget %s)...\n", *drainTimeout)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	var drainErr error
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		// The drain budget ran out — most likely a delivery day still in
-		// flight. Cut the remaining connections, but keep going: the store
-		// must still flush and snapshot whatever was acked, or the next boot
-		// pays a full WAL replay (and a mid-deliver session is in-memory
-		// only, so nothing durable is lost by cutting it).
-		drainErr = fmt.Errorf("drain timed out after %s (in-flight requests cut): %w", *drainTimeout, err)
-		_ = httpSrv.Close()
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		drainErr = errors.Join(drainErr, err)
-	}
-	if st != nil {
-		// In-flight requests are drained (or cut), so the WAL tail is final:
-		// flush it, write the shutdown snapshot, and log where a restart will
-		// resume.
-		rp, err := st.Close()
-		if err != nil {
-			return errors.Join(drainErr, fmt.Errorf("closing store: %w", err))
-		}
-		fmt.Printf("store closed: restart recovers from snapshot seq %d + %d WAL records\n",
-			rp.SnapshotSeq, rp.TailRecords)
-	}
-	if drainErr != nil {
-		return drainErr
 	}
 	fmt.Println("final serving metrics:")
-	fmt.Print(srv.Metrics().Snapshot().String())
+	fmt.Print(stack.Server.Metrics().Snapshot().String())
 	return nil
 }
 

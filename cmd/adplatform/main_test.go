@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
@@ -54,11 +55,24 @@ func TestWriteExtractsRoundTrip(t *testing.T) {
 }
 
 func TestRunFlagValidation(t *testing.T) {
-	if err := run([]string{"-voters", "nope"}); err == nil {
-		t.Error("bad flag value: want error")
-	}
-	// An unusable address should fail fast (before the long training).
-	if err := run([]string{"-voters", "2000", "-logrows", "1500", "-addr", "256.0.0.1:99999"}); err == nil {
-		t.Error("bad address: want error")
+	// The rows without -voters would cost a full-size world (about a minute)
+	// if the check ran after the build.
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the error; empty accepts any error
+	}{
+		{[]string{"-voters", "nope"}, ""},
+		{[]string{"-fsync", "interval"}, "-fsync applies to the durable store and cannot be combined with an empty -store-dir"},
+		{[]string{"-snapshot-every", "10"}, "-snapshot-every applies to the durable store and cannot be combined with an empty -store-dir"},
+		{[]string{"-review-reject", "2"}, "-review-reject 2 out of range"},
+		{[]string{"-fault-kinds", "gremlins"}, "gremlins"},
+		{[]string{"-privacy-k", "-1"}, "privacy"},
+		// An unusable address fails once the (small) world is built.
+		{[]string{"-voters", "2000", "-logrows", "1500", "-addr", "256.0.0.1:99999"}, ""},
+	} {
+		err := run(tc.args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: want error containing %q, got %v", tc.args, tc.want, err)
+		}
 	}
 }

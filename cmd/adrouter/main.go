@@ -29,7 +29,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -37,17 +36,15 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"github.com/adaudit/impliedidentity/internal/coordinator"
 	"github.com/adaudit/impliedidentity/internal/faults"
+	"github.com/adaudit/impliedidentity/internal/node"
 	"github.com/adaudit/impliedidentity/internal/obs"
-	"github.com/adaudit/impliedidentity/internal/privacy"
 	"github.com/adaudit/impliedidentity/internal/supervisor"
 )
 
@@ -66,18 +63,14 @@ func run(args []string) error {
 	dayRetries := fs.Int("day-retries", 5, "delivery-day attempts before giving up (a shard crash mid-day costs one attempt)")
 	dayBackoff := fs.Duration("day-backoff", 2*time.Second, "initial wait between delivery-day attempts (doubles, capped at 8x)")
 	waitReady := fs.Duration("wait-ready", 30*time.Second, "how long to wait for every backend's /healthz at startup (0 skips the check)")
-	drainTimeout := fs.Duration("drain-timeout", 2*time.Minute, "graceful-shutdown budget for draining in-flight requests")
+	drainTimeout := node.DrainTimeoutFlag(fs)
 	supervise := fs.Bool("supervise", false, "run the fleet supervisor: probe shards, quarantine the unreachable, journal their CRUD gap, and rejoin them through the digest gate")
 	probeInterval := fs.Duration("probe-interval", 500*time.Millisecond, "supervisor probe cadence")
 	journalCap := fs.Int("journal-cap", 256, "max journaled mutations while a shard is down; a full journal sheds new writes with 503 + Retry-After")
 	shardCmd := fs.String("shard-cmd", "", "shard child command template ({shard} and {addr} expand per shard); the router spawns the children at boot and the supervisor resurrects dead ones under the same index")
 	shardLogDir := fs.String("shard-log-dir", "", "directory for per-shard child logs (with -shard-cmd; appended across relaunches)")
-	faultRate := fs.Float64("fault-rate", 0, "chaos: probability an outbound shard RPC draws an injected fault (0 disables)")
-	faultSeed := fs.Int64("fault-seed", 1, "chaos: fault-schedule seed (same seed, same schedule)")
-	faultKinds := fs.String("fault-kinds", "all", "chaos: comma-separated fault kinds (latency,429,5xx,drop,slow) or all")
-	privacyK := fs.Int("privacy-k", 0, "insights privacy: k-anonymity threshold applied to the MERGED report (0 disables suppression); shards must stay raw")
-	privacyEpsilon := fs.Float64("privacy-epsilon", 0, "insights privacy: DP noise parameter epsilon applied after merge (0 disables noise)")
-	privacySeed := fs.Int64("privacy-seed", 1, "insights privacy: noise-stream seed")
+	faultsOf := node.FaultFlags(fs)
+	privacyOf := node.PrivacyFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -85,11 +78,11 @@ func run(args []string) error {
 	if len(backends) == 0 {
 		return fmt.Errorf("-shards is required (comma-separated backend URLs)")
 	}
-	kinds, err := faults.ParseKinds(*faultKinds)
+	faultCfg, err := faultsOf()
 	if err != nil {
 		return err
 	}
-	privCfg, err := privacy.FromFlags(*privacyK, *privacyEpsilon, *privacySeed)
+	privCfg, err := privacyOf()
 	if err != nil {
 		return err
 	}
@@ -100,13 +93,13 @@ func run(args []string) error {
 	// network between router and fleet. Injected error ANSWERS must not flap
 	// the health model; only transport silence scores toward down.
 	var transport http.RoundTripper
-	if *faultRate > 0 {
-		inj, err := faults.New(faults.Config{Seed: *faultSeed, Rate: *faultRate, Kinds: kinds}, reg)
+	if faultCfg.Rate > 0 {
+		inj, err := faults.New(faultCfg, reg)
 		if err != nil {
 			return err
 		}
 		transport = faults.NewTransport(nil, inj, nil)
-		fmt.Printf("RPC fault injection armed: rate %.2f, seed %d, kinds %v\n", *faultRate, *faultSeed, kinds)
+		fmt.Printf("RPC fault injection armed: rate %.2f, seed %d, kinds %v\n", faultCfg.Rate, faultCfg.Seed, faultCfg.Kinds)
 	}
 	coord, err := coordinator.New(coordinator.Config{
 		Backends:    backends,
@@ -166,11 +159,10 @@ func run(args []string) error {
 	for i, u := range backends {
 		fmt.Printf("  shard%d -> %s\n", i, u)
 	}
-	httpSrv := &http.Server{Handler: router.Handler(), ReadHeaderTimeout: 10 * time.Second}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+	// The supervisor runs under the signal's context: once draining begins it
+	// must not resurrect shards the same signal is taking down.
+	var start func(context.Context)
 	if *supervise {
 		// A nil *ProcessRelauncher must stay a nil interface: re-attach-only
 		// mode (an external process manager restarts the children).
@@ -179,29 +171,11 @@ func run(args []string) error {
 			relIface = rel
 		}
 		sup := supervisor.New(coord, relIface, supervisor.Config{ProbeInterval: *probeInterval, Logf: log.Printf}, reg)
-		sup.Start(ctx)
+		start = sup.Start
 		defer sup.Stop()
 		fmt.Printf("fleet supervisor running (probe every %s, relaunch %v)\n", *probeInterval, rel != nil)
 	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Printf("signal received, draining in-flight requests (budget %s)...\n", *drainTimeout)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	var drainErr error
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		drainErr = fmt.Errorf("drain timed out after %s: %w", *drainTimeout, err)
-		_ = httpSrv.Close()
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		drainErr = errors.Join(drainErr, err)
-	}
+	drainErr := node.Serve(ln, router.Handler(), *drainTimeout, start)
 	fmt.Println("final router metrics:")
 	fmt.Print(reg.Snapshot().String())
 	return drainErr

@@ -18,8 +18,8 @@ import (
 	"net/http"
 	"time"
 
-	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/marketing"
+	"github.com/adaudit/impliedidentity/internal/node"
 	"github.com/adaudit/impliedidentity/internal/platform"
 	"github.com/adaudit/impliedidentity/internal/population"
 	"github.com/adaudit/impliedidentity/internal/privacy"
@@ -135,49 +135,23 @@ type Lab struct {
 // platform (training its vision and eAR models), and an HTTP server bound
 // to a loopback port with a client pointed at it.
 func NewLab(cfg LabConfig) (*Lab, error) {
-	flCfg := voter.DefaultGeneratorConfig(demo.StateFL, cfg.Seed+1)
-	flCfg.NumVoters = cfg.Scale.votersPerState()
-	ncCfg := voter.DefaultGeneratorConfig(demo.StateNC, cfg.Seed+2)
-	ncCfg.NumVoters = cfg.Scale.votersPerState()
-	fl, err := voter.Generate(flCfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: generating FL registry: %w", err)
+	worldCfg := node.WorldConfig{
+		Seed:       cfg.Seed,
+		Voters:     cfg.Scale.votersPerState(),
+		LogRows:    cfg.Scale.trainingRows(),
+		Population: population.Config{TravelProb: cfg.TravelProb, FLActivityBoost: cfg.FLActivityBoost},
+		Behavior:   cfg.Behavior,
 	}
-	nc, err := voter.Generate(ncCfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: generating NC registry: %w", err)
-	}
-
-	popCfg := population.Config{
-		Seed:            cfg.Seed + 3,
-		TravelProb:      cfg.TravelProb,
-		FLActivityBoost: cfg.FLActivityBoost,
-	}
-	pop, err := population.Build(popCfg, fl, nc)
-	if err != nil {
-		return nil, fmt.Errorf("core: building population: %w", err)
-	}
-
-	behaveCfg := cfg.Behavior
-	if behaveCfg == (population.BehaviorConfig{}) {
-		behaveCfg = population.DefaultBehaviorConfig()
-	}
-	behave, err := population.NewBehavior(behaveCfg)
-	if err != nil {
-		return nil, fmt.Errorf("core: behaviour model: %w", err)
-	}
-
-	platCfg := platform.DefaultConfig(cfg.Seed + 4)
-	platCfg.Training.LogRows = cfg.Scale.trainingRows()
+	platCfg := worldCfg.PlatformConfig()
 	platCfg.UseEAR = !cfg.DisableEAR
 	platCfg.GreedyPacing = cfg.GreedyPacing
 	platCfg.ReviewRejectProb = 0.0 // experiments set review strictness explicitly
-	plat, err := platform.New(platCfg, pop, behave)
+	world, err := worldCfg.Build(platCfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: building platform: %w", err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	srv, err := marketing.NewServer(plat, marketing.WithPrivacy(cfg.Privacy))
+	srv, err := marketing.NewServer(world.Platform, marketing.WithPrivacy(cfg.Privacy))
 	if err != nil {
 		return nil, err
 	}
@@ -198,11 +172,11 @@ func NewLab(cfg LabConfig) (*Lab, error) {
 	}
 	return &Lab{
 		Config:     cfg,
-		FL:         fl,
-		NC:         nc,
-		Pop:        pop,
+		FL:         world.FL,
+		NC:         world.NC,
+		Pop:        world.Pop,
 		Client:     client,
-		Platform:   plat,
+		Platform:   world.Platform,
 		server:     srv,
 		httpServer: httpSrv,
 		listener:   ln,

@@ -10,8 +10,7 @@ import (
 	"github.com/adaudit/impliedidentity/internal/obs"
 )
 
-// ReportSchema tags the JSON layout so future perf PRs can extend it while
-// still parsing old trajectory points (BENCH_serving_v*.json).
+// ReportSchema tags the JSON layout; ReadReport refuses any other.
 const ReportSchema = "adaudit/bench-serving/v1"
 
 // PrivacyReport is the insights-privacy block of a load report: the policy
@@ -36,9 +35,9 @@ type OpReport struct {
 	Latency  obs.HistogramSnapshot `json:"latency"`
 }
 
-// Report is the machine-readable result of a load run. Checked into the
-// repo as BENCH_serving_v1.json it forms the serving-performance trajectory
-// later PRs compare against.
+// Report is the machine-readable result of one load run. Numbers meant to be
+// compared across commits come from bench/ instead, which adds repetitions, a
+// host block and a digest gate.
 type Report struct {
 	Schema             string  `json:"schema"`
 	Name               string  `json:"name"`
