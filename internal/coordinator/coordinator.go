@@ -30,6 +30,7 @@ package coordinator
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -89,12 +90,17 @@ type Config struct {
 	Privacy privacy.Config
 }
 
-// shardConn is one backend: its resilient API client and its metric label.
+// shardConn is one backend: its resilient API client, its metric label and
+// the per-shard metric handles, resolved once so a backend call costs no
+// name building and no registry lookup.
 type shardConn struct {
 	index  int
 	url    string
 	client *marketing.Client
 	label  string
+
+	latency          *obs.Histogram
+	requests, errors *obs.Counter
 }
 
 // Coordinator fans CRUD out to every shard and runs coordinated delivery
@@ -166,7 +172,13 @@ func New(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 			cl.SetTransport(cfg.Transport)
 		}
 		cl.SetMetrics(reg)
-		c.shards = append(c.shards, &shardConn{index: i, url: u, client: cl, label: fmt.Sprintf("shard%d", i)})
+		label := fmt.Sprintf("shard%d", i)
+		c.shards = append(c.shards, &shardConn{
+			index: i, url: u, client: cl, label: label,
+			latency:  reg.Histogram(MetricShardLatency + "|" + label),
+			requests: reg.Counter(MetricShardRequests + "|" + label),
+			errors:   reg.Counter(MetricShardErrors + "|" + label),
+		})
 	}
 	c.health = supervisor.NewFleetHealth(len(c.shards), cfg.Health, reg, obs.Clock(clock))
 	c.admitted = make([]bool, len(c.shards))
@@ -364,122 +376,50 @@ func (c *Coordinator) scatter(ctx context.Context, op string, targets []*shardCo
 
 // --- replicated CRUD -------------------------------------------------------
 
-// CreateAudience fans an audience upload out to every admitted shard and
-// asserts the shards matched identically; quarantined shards catch up
-// through the journal.
-func (c *Coordinator) CreateAudience(ctx context.Context, inboundKey, name string, piiHashes []string) (*marketing.CreateAudienceResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	resp, err := runMutation(ctx, c, mutationSpec[marketing.CreateAudienceResponse]{
-		op:         "create audience",
-		inboundKey: inboundKey,
-		call: func(ctx context.Context, sc *shardConn) (marketing.CreateAudienceResponse, error) {
-			r, err := sc.client.CreateAudience(ctx, name, piiHashes)
-			if err != nil {
-				return marketing.CreateAudienceResponse{}, err
-			}
-			return *r, nil
-		},
-		same: func(a, b marketing.CreateAudienceResponse) bool {
-			return a.ID == b.ID && a.MatchedSize == b.MatchedSize
-		},
-		render: func(r marketing.CreateAudienceResponse) string { return fmt.Sprintf("%+v", r) },
-		record: func(r marketing.CreateAudienceResponse) *journalEntry {
-			return &journalEntry{
-				kind:           entryAudience,
-				audienceName:   name,
-				audienceHashes: append([]string(nil), piiHashes...),
-				wantID:         r.ID,
-				wantMatched:    r.MatchedSize,
-			}
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
+// Replicated CRUD mutations. The kind labels errors and tells the journal
+// which census counter the mutation moves.
+const (
+	kindAudience = "create audience"
+	kindCampaign = "create campaign"
+	kindAd       = "create ad"
+	kindAppeal   = "appeal ad"
+)
+
+// mutation is one replicated CRUD request exactly as the router received it.
+// The coordinator never decodes body: the shards parse and validate it, and
+// answer a malformed one with their own 400.
+type mutation struct {
+	kind string
+	// key is the caller's idempotency key ("" mints a fleet key).
+	key string
+	// path is the escaped request path, body the request bytes.
+	path string
+	body []byte
+	// adID names the appealed ad (appeals only), for the replay probe.
+	adID string
 }
 
-// CreateCampaign fans a campaign create out to every admitted shard.
-func (c *Coordinator) CreateCampaign(ctx context.Context, inboundKey string, req marketing.CreateCampaignRequest) (*marketing.CreateCampaignResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	resp, err := runMutation(ctx, c, mutationSpec[marketing.CreateCampaignResponse]{
-		op:         "create campaign",
-		inboundKey: inboundKey,
-		call: func(ctx context.Context, sc *shardConn) (marketing.CreateCampaignResponse, error) {
-			r, err := sc.client.CreateCampaign(ctx, req)
-			if err != nil {
-				return marketing.CreateCampaignResponse{}, err
-			}
-			return *r, nil
-		},
-		same:   func(a, b marketing.CreateCampaignResponse) bool { return a.ID == b.ID },
-		render: func(r marketing.CreateCampaignResponse) string { return r.ID },
-		record: func(r marketing.CreateCampaignResponse) *journalEntry {
-			return &journalEntry{kind: entryCampaign, campaignReq: req, wantID: r.ID}
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &resp, nil
+// outcome is what every shard must answer alike for one mutation and what a
+// journal replay must reproduce: the fields of the small typed responses
+// (CreateAudienceResponse, CreateCampaignResponse, AdResponse) taken
+// together. The review RNG is seeded identically on every backend, so an
+// ad's review status must agree along with its ID.
+type outcome struct {
+	ID          string `json:"id"`
+	Status      string `json:"status"`
+	MatchedSize int    `json:"matched_size"`
 }
 
-// CreateAd fans an ad create out to every admitted shard. The review RNG is
-// seeded identically on every backend, so the review outcome must also
-// agree.
-func (c *Coordinator) CreateAd(ctx context.Context, inboundKey string, req marketing.CreateAdRequest) (*marketing.AdResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	resp, err := runMutation(ctx, c, mutationSpec[marketing.AdResponse]{
-		op:         "create ad",
-		inboundKey: inboundKey,
-		call: func(ctx context.Context, sc *shardConn) (marketing.AdResponse, error) {
-			r, err := sc.client.CreateAd(ctx, req)
-			if err != nil {
-				return marketing.AdResponse{}, err
-			}
-			return *r, nil
-		},
-		same: func(a, b marketing.AdResponse) bool {
-			return a.ID == b.ID && a.Status == b.Status
-		},
-		render: func(r marketing.AdResponse) string { return fmt.Sprintf("%+v", r) },
-		record: func(r marketing.AdResponse) *journalEntry {
-			return &journalEntry{kind: entryAd, adReq: req, wantID: r.ID, wantStatus: r.Status}
-		},
-	})
+// post relays the mutation's bytes to one shard under the fleet key.
+func (m *mutation) post(ctx context.Context, sc *shardConn) (payload []byte, got outcome, err error) {
+	payload, err = sc.client.Post(marketing.WithIdempotencyKey(ctx, m.key), m.path, m.body)
 	if err != nil {
-		return nil, err
+		return nil, outcome{}, err
 	}
-	return &resp, nil
-}
-
-// AppealAd fans an appeal out to every admitted shard.
-func (c *Coordinator) AppealAd(ctx context.Context, inboundKey, adID string) (*marketing.AdResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	resp, err := runMutation(ctx, c, mutationSpec[marketing.AdResponse]{
-		op:         "appeal ad",
-		inboundKey: inboundKey,
-		call: func(ctx context.Context, sc *shardConn) (marketing.AdResponse, error) {
-			r, err := sc.client.AppealAd(ctx, adID)
-			if err != nil {
-				return marketing.AdResponse{}, err
-			}
-			return *r, nil
-		},
-		same:   func(a, b marketing.AdResponse) bool { return a.Status == b.Status },
-		render: func(r marketing.AdResponse) string { return r.Status },
-		record: func(r marketing.AdResponse) *journalEntry {
-			return &journalEntry{kind: entryAppeal, appealAdID: adID, wantStatus: r.Status}
-		},
-	})
-	if err != nil {
-		return nil, err
+	if err := json.Unmarshal(payload, &got); err != nil {
+		return nil, outcome{}, fmt.Errorf("decoding response: %w", err)
 	}
-	return &resp, nil
+	return payload, got, nil
 }
 
 // GetAd reads an ad's status from the first admitted shard that answers, in

@@ -66,11 +66,17 @@ func world(t *testing.T) {
 }
 
 func newPlatform(t *testing.T) *platform.Platform {
+	return newReviewingPlatform(t, 0)
+}
+
+// newReviewingPlatform is newPlatform with ad review rejecting at the given
+// rate (from the same seeded review RNG on every backend).
+func newReviewingPlatform(t *testing.T, rejectProb float64) *platform.Platform {
 	t.Helper()
 	world(t)
 	cfg := platform.DefaultConfig(703)
 	cfg.Training.LogRows = 2500
-	cfg.ReviewRejectProb = 0
+	cfg.ReviewRejectProb = rejectProb
 	p, err := platform.New(cfg, worldPop, worldBeh)
 	if err != nil {
 		t.Fatal(err)
@@ -81,8 +87,12 @@ func newPlatform(t *testing.T) *platform.Platform {
 // newBackend serves one full platform over HTTP, optionally wrapped in a
 // fault middleware (nil for none).
 func newBackend(t *testing.T, wrap func(http.Handler) http.Handler) string {
+	return serveBackend(t, newPlatform(t), wrap)
+}
+
+func serveBackend(t *testing.T, p *platform.Platform, wrap func(http.Handler) http.Handler) string {
 	t.Helper()
-	srv, err := marketing.NewServer(newPlatform(t))
+	srv, err := marketing.NewServer(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,11 @@ package coordinator
 // the shard is readmitted.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 
-	"github.com/adaudit/impliedidentity/internal/marketing"
 	"github.com/adaudit/impliedidentity/internal/platform"
 	"github.com/adaudit/impliedidentity/internal/supervisor"
 )
@@ -43,36 +43,18 @@ var (
 	ErrDayExhausted = errors.New("coordinator: delivery day attempts exhausted")
 )
 
-// Journal entry kinds — one per replicated CRUD mutation.
-const (
-	entryAudience = "audience"
-	entryCampaign = "campaign"
-	entryAd       = "ad"
-	entryAppeal   = "appeal"
-)
-
-// journalEntry is one missed mutation: the request, the idempotency key the
-// admitted shards executed under (replay forwards the same key), the
-// fleet-agreed outcome (replay asserts the resurrected shard reproduces it),
-// and the post-apply replicated census (the applied-probe: a shard whose
-// snapshot census already reached these counts executed this entry before it
-// died).
+// journalEntry is one missed mutation: the request as the router received
+// it (under the idempotency key the admitted shards executed it with — replay
+// posts the same bytes under the same key), the fleet-agreed outcome (replay
+// asserts the resurrected shard reproduces it), and the post-apply replicated
+// census (the applied-probe: a shard whose snapshot census already reached
+// these counts executed this entry before it died).
 type journalEntry struct {
-	seq  uint64
-	key  string
-	kind string
-
-	// Request payload; only the kind's fields are set.
-	audienceName   string
-	audienceHashes []string
-	campaignReq    marketing.CreateCampaignRequest
-	adReq          marketing.CreateAdRequest
-	appealAdID     string
-
-	// Fleet-agreed outcome.
-	wantID      string
-	wantStatus  string
-	wantMatched int
+	seq uint64
+	// mutation.body is the journal's own copy: the entry outlives the request
+	// whose buffer it came in.
+	mutation
+	want outcome
 
 	// Replicated census after this entry applied.
 	postAudiences, postCampaigns, postAds int
@@ -107,15 +89,15 @@ func (j *mutationJournal) full() bool { return len(j.entries) >= j.cap }
 
 func (j *mutationJournal) depth() int { return len(j.entries) }
 
-// bump advances the census model for one mutation kind.
-func (inv *mutationJournal) bumpCounts(kind string) {
+// bumpCounts advances the census model for one mutation kind.
+func (j *mutationJournal) bumpCounts(kind string) {
 	switch kind {
-	case entryAudience:
-		inv.counts.Audiences++
-	case entryCampaign:
-		inv.counts.Campaigns++
-	case entryAd:
-		inv.counts.Ads++
+	case kindAudience:
+		j.counts.Audiences++
+	case kindCampaign:
+		j.counts.Campaigns++
+	case kindAd:
+		j.counts.Ads++
 	}
 }
 
@@ -138,54 +120,34 @@ func (j *mutationJournal) dropShard(shard int) {
 	}
 }
 
-// mutationSpec parameterizes one replicated CRUD fan-out for runMutation.
-type mutationSpec[T any] struct {
-	// op labels metrics and errors ("create ad").
-	op string
-	// inboundKey is the caller's idempotency key ("" mints a fleet key).
-	inboundKey string
-	// call executes the mutation on one shard (the idempotency key is
-	// already on the context).
-	call func(ctx context.Context, sc *shardConn) (T, error)
-	// same reports cross-shard response agreement; render formats a
-	// response for the divergence error.
-	same   func(a, b T) bool
-	render func(T) string
-	// record builds the journal entry (kind, payload, fleet outcome) from
-	// the agreed response; runMutation fills seq/key/census/pending.
-	record func(resp T) *journalEntry
-}
-
-// runMutation is the replicated-CRUD engine: execute on every admitted
-// shard, assert agreement, and journal the entry for quarantined shards.
-// The caller holds c.mu. A shard whose fan-out call fails AND whose health
-// score crossed to down is quarantined inline and journaled instead of
+// mutate is the replicated-CRUD engine: relay the request bytes to every
+// admitted shard, assert the shards answered alike, and journal the mutation
+// for quarantined shards. It returns the reference shard's response payload
+// for the router to pass on. A shard whose fan-out call fails AND whose
+// health score crossed to down is quarantined inline and journaled instead of
 // failing the fleet; failures on shards that are still considered healthy
-// fail the mutation as before (the caller's idempotent retry converges).
-func runMutation[T any](ctx context.Context, c *Coordinator, spec mutationSpec[T]) (T, error) {
-	var zero T
-	key := spec.inboundKey
-	if key == "" {
-		key = c.mintFleetKey()
+// fail the mutation (the caller's idempotent retry converges).
+func (c *Coordinator) mutate(ctx context.Context, m mutation) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m.key == "" {
+		m.key = c.mintFleetKey()
 	}
 	admitted, quarantined := c.admissionSnapshot()
 	if len(admitted) == 0 {
-		return zero, fmt.Errorf("coordinator: %s: no admitted shards: %w", spec.op, ErrShardDown)
+		return nil, fmt.Errorf("coordinator: %s: no admitted shards: %w", m.kind, ErrShardDown)
 	}
-	if len(quarantined) > 0 && c.journal.full() && c.journal.byKey[key] == nil {
+	if len(quarantined) > 0 && c.journal.full() && c.journal.byKey[m.key] == nil {
 		c.reg.Counter(MetricJournalRejects).Inc()
-		return zero, fmt.Errorf("coordinator: %s: %w (%d entries queued for shards %v)",
-			spec.op, ErrJournalFull, c.journal.depth(), quarantined)
+		return nil, fmt.Errorf("coordinator: %s: %w (%d entries queued for shards %v)",
+			m.kind, ErrJournalFull, c.journal.depth(), quarantined)
 	}
 
-	out := make([]*T, len(c.shards))
-	errs := c.scatterEach(ctx, spec.op, admitted, func(ctx context.Context, sc *shardConn) error {
-		resp, err := spec.call(marketing.WithIdempotencyKey(ctx, key), sc)
-		if err != nil {
-			return err
-		}
-		out[sc.index] = &resp
-		return nil
+	payloads := make([][]byte, len(c.shards))
+	got := make([]outcome, len(c.shards))
+	errs := c.scatterEach(ctx, m.kind, admitted, func(ctx context.Context, sc *shardConn) (err error) {
+		payloads[sc.index], got[sc.index], err = m.post(ctx, sc)
+		return err
 	})
 
 	// A shard that failed this fan-out and has now crossed the down
@@ -207,46 +169,44 @@ func runMutation[T any](ctx context.Context, c *Coordinator, spec mutationSpec[T
 		}
 	}
 	if firstErr != nil {
-		return zero, firstErr
+		return nil, firstErr
 	}
 
-	var ref *T
-	var refConn *shardConn
+	var ref *shardConn
 	for _, sc := range admitted {
-		resp := out[sc.index]
-		if resp == nil {
+		if payloads[sc.index] == nil {
 			continue // quarantined mid-flight
 		}
 		if ref == nil {
-			ref, refConn = resp, sc
+			ref = sc
 			continue
 		}
-		if !spec.same(*resp, *ref) {
-			return zero, divergence(spec.op, sc, spec.render(*resp), spec.render(*ref))
+		if got[sc.index] != got[ref.index] {
+			return nil, divergence(m.kind, sc, fmt.Sprintf("%+v", got[sc.index]), fmt.Sprintf("%+v", got[ref.index]))
 		}
 	}
 	if ref == nil {
-		return zero, fmt.Errorf("coordinator: %s: every shard went down mid-mutation: %w", spec.op, ErrShardDown)
+		return nil, fmt.Errorf("coordinator: %s: every shard went down mid-mutation: %w", m.kind, ErrShardDown)
 	}
 
 	if len(quarantined) > 0 {
-		if err := c.journalAppend(ctx, refConn, key, spec.record(*ref), quarantined); err != nil {
+		if err := c.journalAppend(ctx, ref, m, got[ref.index], quarantined); err != nil {
 			// The mutation applied on the admitted shards but could not be
 			// recorded; fail the call so the caller's idempotent retry
 			// re-runs it (admitted shards dedupe) and records it.
-			return zero, fmt.Errorf("coordinator: %s applied but not journaled, retry: %w", spec.op, err)
+			return nil, fmt.Errorf("coordinator: %s applied but not journaled, retry: %w", m.kind, err)
 		}
 	}
-	return *ref, nil
+	return payloads[ref.index], nil
 }
 
 // journalAppend records one executed mutation for the given quarantined
 // shards. The census model is bootstrapped from the reference shard's
 // inventory (which already includes this mutation) on the first append of a
 // quarantine window and advanced arithmetically afterwards.
-func (c *Coordinator) journalAppend(ctx context.Context, ref *shardConn, key string, e *journalEntry, pending []int) error {
+func (c *Coordinator) journalAppend(ctx context.Context, ref *shardConn, m mutation, agreed outcome, pending []int) error {
 	j := c.journal
-	if existing := j.byKey[key]; existing != nil {
+	if existing := j.byKey[m.key]; existing != nil {
 		// A retried mutation that was already recorded: just widen the
 		// pending set (a second shard may have gone down since).
 		for _, idx := range pending {
@@ -255,7 +215,7 @@ func (c *Coordinator) journalAppend(ctx context.Context, ref *shardConn, key str
 		return nil
 	}
 	if j.countsValid {
-		j.bumpCounts(e.kind)
+		j.bumpCounts(m.kind)
 	} else {
 		inv, err := ref.client.Inventory(ctx)
 		if err != nil {
@@ -264,14 +224,17 @@ func (c *Coordinator) journalAppend(ctx context.Context, ref *shardConn, key str
 		j.counts, j.countsValid = *inv, true
 	}
 	j.seq++
-	e.seq, e.key = j.seq, key
-	e.postAudiences, e.postCampaigns, e.postAds = j.counts.Audiences, j.counts.Campaigns, j.counts.Ads
-	e.pending = make(map[int]bool, len(pending))
+	m.body = bytes.Clone(m.body)
+	e := &journalEntry{
+		seq: j.seq, mutation: m, want: agreed,
+		postAudiences: j.counts.Audiences, postCampaigns: j.counts.Campaigns, postAds: j.counts.Ads,
+		pending: make(map[int]bool, len(pending)),
+	}
 	for _, idx := range pending {
 		e.pending[idx] = true
 	}
 	j.entries = append(j.entries, e)
-	j.byKey[key] = e
+	j.byKey[m.key] = e
 	c.reg.Counter(MetricJournalAppends).Inc()
 	c.reg.Gauge(MetricJournalDepth).Set(int64(j.depth()))
 	return nil
@@ -307,68 +270,36 @@ func (c *Coordinator) replayJournalLocked(ctx context.Context, sc *shardConn, sn
 // entryApplied probes whether the shard executed e before it died.
 func (c *Coordinator) entryApplied(ctx context.Context, sc *shardConn, e *journalEntry, snapshot platform.Inventory) (bool, error) {
 	switch e.kind {
-	case entryAudience:
+	case kindAudience:
 		return snapshot.Audiences >= e.postAudiences, nil
-	case entryCampaign:
+	case kindCampaign:
 		return snapshot.Campaigns >= e.postCampaigns, nil
-	case entryAd:
+	case kindAd:
 		return snapshot.Ads >= e.postAds, nil
-	case entryAppeal:
+	case kindAppeal:
 		// Appeals move no census counter; probe the ad's status directly
 		// (the ad exists by now — its create precedes the appeal in the
 		// journal order).
-		ad, err := sc.client.GetAd(ctx, e.appealAdID)
+		ad, err := sc.client.GetAd(ctx, e.adID)
 		if err != nil {
-			return false, fmt.Errorf("replay probe GetAd(%s) on %s: %w", e.appealAdID, sc.label, err)
+			return false, fmt.Errorf("replay probe GetAd(%s) on %s: %w", e.adID, sc.label, err)
 		}
-		return ad.Status == e.wantStatus, nil
+		return ad.Status == e.want.Status, nil
 	}
 	return false, fmt.Errorf("journal entry %d has unknown kind %q", e.seq, e.kind)
 }
 
-// replayEntry executes one journal entry on the shard and asserts the
-// outcome matches the fleet's recorded one. A mismatch is divergence: the
-// shard rebuilt different state than the fleet agreed on (wrong world seed,
-// drifted RNG cursor) and must not rejoin.
+// replayEntry posts one journal entry's bytes to the shard under the
+// recorded key and asserts the outcome matches the fleet's recorded one. A
+// mismatch is divergence: the shard rebuilt different state than the fleet
+// agreed on (wrong world seed, drifted RNG cursor) and must not rejoin.
 func (c *Coordinator) replayEntry(ctx context.Context, sc *shardConn, e *journalEntry) error {
-	ctx = marketing.WithIdempotencyKey(ctx, e.key)
-	switch e.kind {
-	case entryAudience:
-		resp, err := sc.client.CreateAudience(ctx, e.audienceName, e.audienceHashes)
-		if err != nil {
-			return fmt.Errorf("replay %s #%d on %s: %w", e.kind, e.seq, sc.label, err)
-		}
-		if resp.ID != e.wantID || resp.MatchedSize != e.wantMatched {
-			return divergence("journal replay audience", sc,
-				fmt.Sprintf("%+v", *resp), fmt.Sprintf("id=%s matched=%d", e.wantID, e.wantMatched))
-		}
-	case entryCampaign:
-		resp, err := sc.client.CreateCampaign(ctx, e.campaignReq)
-		if err != nil {
-			return fmt.Errorf("replay %s #%d on %s: %w", e.kind, e.seq, sc.label, err)
-		}
-		if resp.ID != e.wantID {
-			return divergence("journal replay campaign", sc, resp.ID, e.wantID)
-		}
-	case entryAd:
-		resp, err := sc.client.CreateAd(ctx, e.adReq)
-		if err != nil {
-			return fmt.Errorf("replay %s #%d on %s: %w", e.kind, e.seq, sc.label, err)
-		}
-		if resp.ID != e.wantID || resp.Status != e.wantStatus {
-			return divergence("journal replay ad", sc,
-				fmt.Sprintf("%+v", *resp), fmt.Sprintf("id=%s status=%s", e.wantID, e.wantStatus))
-		}
-	case entryAppeal:
-		resp, err := sc.client.AppealAd(ctx, e.appealAdID)
-		if err != nil {
-			return fmt.Errorf("replay %s #%d on %s: %w", e.kind, e.seq, sc.label, err)
-		}
-		if resp.Status != e.wantStatus {
-			return divergence("journal replay appeal", sc, resp.Status, e.wantStatus)
-		}
-	default:
-		return fmt.Errorf("journal entry %d has unknown kind %q", e.seq, e.kind)
+	_, got, err := e.post(ctx, sc)
+	if err != nil {
+		return fmt.Errorf("replay %s #%d on %s: %w", e.kind, e.seq, sc.label, err)
+	}
+	if got != e.want {
+		return divergence("journal replay of "+e.kind, sc, fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", e.want))
 	}
 	return nil
 }

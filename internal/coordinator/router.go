@@ -9,7 +9,6 @@ package coordinator
 // package's exported idempotency cache.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -73,10 +72,10 @@ func (rt *Router) Handler() http.Handler {
 		h = obs.LoadShed(rt.reg, rt.limits.MaxInFlight, h)
 		mux.Handle(pattern, obs.Instrument(rt.reg, pattern, h))
 	}
-	handle("POST /v1/customaudiences", rt.limits.RequestTimeout, rt.handleCreateAudience)
-	handle("POST /v1/campaigns", rt.limits.RequestTimeout, rt.handleCreateCampaign)
-	handle("POST /v1/ads", rt.limits.RequestTimeout, rt.handleCreateAd)
-	handle("POST /v1/ads/{id}/appeal", rt.limits.RequestTimeout, rt.handleAppeal)
+	handle("POST /v1/customaudiences", rt.limits.RequestTimeout, rt.relay(kindAudience, http.StatusCreated))
+	handle("POST /v1/campaigns", rt.limits.RequestTimeout, rt.relay(kindCampaign, http.StatusCreated))
+	handle("POST /v1/ads", rt.limits.RequestTimeout, rt.relay(kindAd, http.StatusCreated))
+	handle("POST /v1/ads/{id}/appeal", rt.limits.RequestTimeout, rt.relay(kindAppeal, http.StatusOK))
 	handle("GET /v1/ads/{id}", rt.limits.RequestTimeout, rt.handleGetAd)
 	handle("POST /v1/deliver", deliverTimeout, rt.handleDeliver)
 	handle("GET /v1/insights", rt.limits.RequestTimeout, rt.handleInsights)
@@ -85,12 +84,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/topology", rt.handleTopology)
 	mux.HandleFunc("GET /debug/inventory", rt.handleInventory)
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
 }
 
 // degradedRetryAfter is the Retry-After hint for fleet-degradation 503s:
@@ -108,7 +101,7 @@ const degradedRetryAfter = "2"
 func writeRouterError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrShardDown) || errors.Is(err, ErrJournalFull) || errors.Is(err, ErrDayExhausted) {
 		w.Header().Set("Retry-After", degradedRetryAfter)
-		writeJSON(w, http.StatusServiceUnavailable, marketing.ErrorResponse{Error: err.Error()})
+		marketing.WriteJSON(w, http.StatusServiceUnavailable, marketing.ErrorResponse{Error: err.Error()})
 		return
 	}
 	code := http.StatusBadGateway
@@ -116,78 +109,37 @@ func writeRouterError(w http.ResponseWriter, err error) {
 	if errors.As(err, &apiErr) {
 		code = apiErr.StatusCode
 	}
-	writeJSON(w, code, marketing.ErrorResponse{Error: err.Error()})
+	marketing.WriteJSON(w, code, marketing.ErrorResponse{Error: err.Error()})
 }
 
-func decode[T any](w http.ResponseWriter, r *http.Request) (T, bool) {
-	var v T
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				marketing.ErrorResponse{Error: fmt.Sprintf("coordinator: request body exceeds %d bytes", tooBig.Limit)})
-			return v, false
+// relay serves one replicated CRUD route. The router reads the body once —
+// bounded, so an oversized one gets its 413 here — and never decodes it: the
+// same bytes go to every admitted shard under the caller's idempotency key,
+// the shards validate them (their 400 passes through writeRouterError), and
+// the agreed shard answer is passed back under the route's success status.
+func (rt *Router) relay(kind string, success int) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, ok := marketing.ReadBody(w, r)
+		if !ok {
+			return
 		}
-		writeJSON(w, http.StatusBadRequest,
-			marketing.ErrorResponse{Error: fmt.Sprintf("coordinator: malformed request: %v", err)})
-		return v, false
+		payload, err := rt.c.mutate(r.Context(), mutation{
+			kind: kind,
+			key:  r.Header.Get(marketing.IdempotencyKeyHeader),
+			path: r.URL.EscapedPath(),
+			body: body,
+			adID: r.PathValue("id"),
+		})
+		if err != nil {
+			writeRouterError(w, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(success)
+		// A failed write means the caller is gone; its retry replays the
+		// answer from the idempotency cache.
+		_, _ = w.Write(payload)
 	}
-	return v, true
-}
-
-// inboundKey extracts the caller's idempotency key for fan-out forwarding.
-func inboundKey(r *http.Request) string {
-	return r.Header.Get(marketing.IdempotencyKeyHeader)
-}
-
-func (rt *Router) handleCreateAudience(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[marketing.CreateAudienceRequest](w, r)
-	if !ok {
-		return
-	}
-	resp, err := rt.c.CreateAudience(r.Context(), inboundKey(r), req.Name, req.PIIHashes)
-	if err != nil {
-		writeRouterError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-func (rt *Router) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[marketing.CreateCampaignRequest](w, r)
-	if !ok {
-		return
-	}
-	resp, err := rt.c.CreateCampaign(r.Context(), inboundKey(r), req)
-	if err != nil {
-		writeRouterError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-func (rt *Router) handleCreateAd(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[marketing.CreateAdRequest](w, r)
-	if !ok {
-		return
-	}
-	resp, err := rt.c.CreateAd(r.Context(), inboundKey(r), req)
-	if err != nil {
-		writeRouterError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-func (rt *Router) handleAppeal(w http.ResponseWriter, r *http.Request) {
-	resp, err := rt.c.AppealAd(r.Context(), inboundKey(r), r.PathValue("id"))
-	if err != nil {
-		writeRouterError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleGetAd(w http.ResponseWriter, r *http.Request) {
@@ -196,11 +148,11 @@ func (rt *Router) handleGetAd(w http.ResponseWriter, r *http.Request) {
 		writeRouterError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	marketing.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleDeliver(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[marketing.DeliverRequest](w, r)
+	req, ok := marketing.Decode[marketing.DeliverRequest](w, r.Body)
 	if !ok {
 		return
 	}
@@ -208,7 +160,7 @@ func (rt *Router) handleDeliver(w http.ResponseWriter, r *http.Request) {
 	// worker count would silently deliver a different (equally valid but
 	// different-stream) day than the caller expects.
 	if req.Workers != 0 && req.Workers != rt.c.Shards() {
-		writeJSON(w, http.StatusBadRequest, marketing.ErrorResponse{
+		marketing.WriteJSON(w, http.StatusBadRequest, marketing.ErrorResponse{
 			Error: fmt.Sprintf("coordinator: workers=%d conflicts with the %d-shard topology (omit workers or match it)", req.Workers, rt.c.Shards()),
 		})
 		return
@@ -217,13 +169,13 @@ func (rt *Router) handleDeliver(w http.ResponseWriter, r *http.Request) {
 		writeRouterError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, marketing.DeliverResponse{Delivered: len(req.AdIDs)})
+	marketing.WriteJSON(w, http.StatusOK, marketing.DeliverResponse{Delivered: len(req.AdIDs)})
 }
 
 func (rt *Router) handleInsights(w http.ResponseWriter, r *http.Request) {
 	adID := r.URL.Query().Get("ad_id")
 	if adID == "" {
-		writeJSON(w, http.StatusBadRequest, marketing.ErrorResponse{Error: "coordinator: ad_id query parameter required"})
+		marketing.WriteJSON(w, http.StatusBadRequest, marketing.ErrorResponse{Error: "coordinator: ad_id query parameter required"})
 		return
 	}
 	var dims []string
@@ -235,7 +187,7 @@ func (rt *Router) handleInsights(w http.ResponseWriter, r *http.Request) {
 		writeRouterError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	marketing.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (rt *Router) handleTopology(w http.ResponseWriter, _ *http.Request) {
@@ -246,7 +198,7 @@ func (rt *Router) handleTopology(w http.ResponseWriter, _ *http.Request) {
 		health[i] = st.String()
 		admitted[i] = rt.c.isAdmitted(i)
 	}
-	writeJSON(w, http.StatusOK, TopologyResponse{
+	marketing.WriteJSON(w, http.StatusOK, TopologyResponse{
 		Shards:   rt.c.Shards(),
 		Backends: rt.c.Backends(),
 		Health:   health,
@@ -260,5 +212,5 @@ func (rt *Router) handleInventory(w http.ResponseWriter, r *http.Request) {
 		writeRouterError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, inv)
+	marketing.WriteJSON(w, http.StatusOK, inv)
 }

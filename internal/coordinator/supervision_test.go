@@ -58,6 +58,12 @@ func newFleetCfg(t *testing.T, n int, wrap map[int]func(http.Handler) http.Handl
 	for i := range backends {
 		backends[i] = newBackend(t, wrap[i])
 	}
+	return fleetOver(t, backends, mod)
+}
+
+// fleetOver is newFleetCfg over backends that are already serving.
+func fleetOver(t *testing.T, backends []string, mod func(*Config)) (*Coordinator, *marketing.Client, string) {
+	t.Helper()
 	reg := obs.NewRegistry()
 	cfg := Config{Backends: backends, DayBackoff: time.Millisecond, DayBackoffMax: 4 * time.Millisecond}
 	if mod != nil {

@@ -255,7 +255,8 @@ func (c *Client) SetTransport(rt http.RoundTripper) {
 // no retries, no backoff, and no breaker involvement, so a supervisor's
 // probe loop observes the raw transport outcome on its own cadence.
 func (c *Client) Healthz(ctx context.Context) error {
-	return c.once(ctx, http.MethodGet, "/healthz", nil, "", nil)
+	_, err := c.once(ctx, http.MethodGet, "/healthz", nil, "")
+	return err
 }
 
 // SetMetrics points the client's resilience counters (retries, breaker
@@ -373,10 +374,8 @@ func WithIdempotencyKey(ctx context.Context, key string) context.Context {
 	return context.WithValue(ctx, idemKeyContextKey{}, key)
 }
 
-// do runs one API call through the full resilience stack: breaker gate,
-// throttle, attempt, classify, back off, retry. Mutating methods carry an
-// idempotency key that stays constant across retries, so the server can
-// deduplicate a retried create whose first response was lost.
+// do encodes in, runs the call through roundTrip and decodes the answer
+// into out (either may be nil).
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body []byte
 	if in != nil {
@@ -385,6 +384,36 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 			return fmt.Errorf("marketing: encoding request: %w", err)
 		}
 	}
+	return c.send(ctx, method, path, body, out)
+}
+
+// send is do for a body that is already encoded.
+func (c *Client) send(ctx context.Context, method, path string, body []byte, out any) error {
+	payload, err := c.roundTrip(ctx, method, path, body)
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(payload, out); err != nil {
+		return fmt.Errorf("marketing: decoding response: %w", err)
+	}
+	return nil
+}
+
+// Post sends an already-encoded JSON body to a mutating route and returns
+// the response payload undecoded. It is the entry a frontend relays an
+// inbound request through: the bytes it received go to the backend as they
+// are, under the idempotency key on ctx (WithIdempotencyKey), through the
+// same resilience stack as every typed call.
+func (c *Client) Post(ctx context.Context, path string, body []byte) ([]byte, error) {
+	return c.roundTrip(ctx, http.MethodPost, path, body)
+}
+
+// roundTrip runs one API call through the full resilience stack: breaker
+// gate, throttle, attempt, classify, back off, retry. Mutating methods carry
+// an idempotency key that stays constant across retries, so the server can
+// deduplicate a retried create whose first response was lost. It returns the
+// 2xx response payload.
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	idemKey := ""
 	if method != http.MethodGet {
 		if k, _ := ctx.Value(idemKeyContextKey{}).(string); k != "" {
@@ -428,20 +457,20 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	var lastErr error
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		if err := c.breakerAllow(); err != nil {
-			return err
+			return nil, err
 		}
 		if attempt > 1 {
 			retries.Inc()
 		}
 		c.throttle()
-		err := c.once(ctx, method, path, body, idemKey, out)
+		payload, err := c.once(ctx, method, path, body, idemKey)
 		if err == nil {
 			c.breakerRecord(true)
 			journal(attempt, RetryRecovered, lastErr)
-			return nil
+			return payload, nil
 		}
 		lastErr = err
 		if !Retryable(err) {
@@ -453,7 +482,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 				c.breakerRecord(true)
 			}
 			journal(attempt, RetryTerminal, err)
-			return err
+			return nil, err
 		}
 		c.breakerRecord(false)
 		if attempt == maxAttempts {
@@ -467,20 +496,20 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		clock.Sleep(c.backoffDelay(attempt, retryAfter))
 	}
 	journal(maxAttempts, RetryExhausted, lastErr)
-	return fmt.Errorf("marketing: %s %s failed after %d attempts: %w", method, path, maxAttempts, lastErr)
+	return nil, fmt.Errorf("marketing: %s %s failed after %d attempts: %w", method, path, maxAttempts, lastErr)
 }
 
-// once performs a single HTTP attempt.
-func (c *Client) once(ctx context.Context, method, path string, body []byte, idemKey string, out any) error {
+// once performs a single HTTP attempt and returns the 2xx response payload.
+func (c *Client) once(ctx context.Context, method, path string, body []byte, idemKey string) ([]byte, error) {
 	var rd io.Reader
-	if body != nil {
+	if len(body) > 0 {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if body != nil {
+	if len(body) > 0 {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if idemKey != "" {
@@ -488,7 +517,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, ide
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return fmt.Errorf("marketing: %s %s: %w", method, path, err)
+		return nil, fmt.Errorf("marketing: %s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
 	// Read the whole body before judging the response: a connection cut
@@ -496,7 +525,7 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, ide
 	// must be treated as transport failure, not as a short success.
 	payload, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return fmt.Errorf("marketing: %s %s: reading response: %w", method, path, err)
+		return nil, fmt.Errorf("marketing: %s %s: reading response: %w", method, path, err)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var apiErr ErrorResponse
@@ -504,19 +533,13 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, ide
 		if jsonErr := json.Unmarshal(payload, &apiErr); jsonErr == nil && apiErr.Error != "" {
 			msg = apiErr.Error
 		}
-		return &APIError{
+		return nil, &APIError{
 			StatusCode: resp.StatusCode,
 			Message:    msg,
 			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After"), c.clockNow()),
 		}
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.Unmarshal(payload, out); err != nil {
-		return fmt.Errorf("marketing: decoding response: %w", err)
-	}
-	return nil
+	return payload, nil
 }
 
 // clockNow reads the injectable clock.
@@ -549,7 +572,7 @@ func parseRetryAfter(v string, now time.Time) time.Duration {
 // CreateAudience uploads PII hashes and returns the matched audience.
 func (c *Client) CreateAudience(ctx context.Context, name string, piiHashes []string) (*CreateAudienceResponse, error) {
 	var out CreateAudienceResponse
-	err := c.do(ctx, http.MethodPost, "/v1/customaudiences", CreateAudienceRequest{Name: name, PIIHashes: piiHashes}, &out)
+	err := c.send(ctx, http.MethodPost, "/v1/customaudiences", encodeAudienceRequest(name, piiHashes), &out)
 	if err != nil {
 		return nil, err
 	}

@@ -19,6 +19,8 @@ type env struct {
 	client *Client
 	srv    *httptest.Server
 	fl     *voter.Registry
+	pop    *population.Population
+	behave *population.Behavior
 }
 
 var (
@@ -59,7 +61,7 @@ func testEnv(t *testing.T) *env {
 		if err != nil {
 			panic(err)
 		}
-		shared = env{client: client, srv: ts, fl: fl}
+		shared = env{client: client, srv: ts, fl: fl, pop: pop, behave: behave}
 	})
 	return &shared
 }

@@ -1,10 +1,12 @@
 package marketing
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -202,7 +204,8 @@ func (s *Server) persisted(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON writes v as the JSON response with the given status.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	// Encoding failures after the header is written can only be logged by
@@ -211,32 +214,71 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, ErrorResponse{Error: err.Error()})
+	WriteJSON(w, code, ErrorResponse{Error: err.Error()})
 }
 
-func decode[T any](w http.ResponseWriter, r *http.Request) (T, bool) {
+// Decode reads a request body as one JSON value of type T, refusing unknown
+// fields. On failure it has written the answer — 413 for a body past the
+// route's limit, 400 for anything malformed — and reports false.
+func Decode[T any](w http.ResponseWriter, body io.Reader) (T, bool) {
 	var v T
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("marketing: request body exceeds %d bytes", tooBig.Limit))
-			return v, false
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("marketing: malformed request: %w", err))
+		writeBodyError(w, err)
 		return v, false
 	}
 	return v, true
 }
 
+// writeBodyError answers a request whose body could not be read or decoded.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("marketing: request body exceeds %d bytes", tooBig.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, fmt.Errorf("marketing: malformed request: %w", err))
+}
+
+// bodyPrealloc caps how much ReadBody reserves on the word of a
+// Content-Length header; a longer body grows the buffer as it arrives.
+const bodyPrealloc = 4 << 20
+
+// ReadBody reads the whole request body, which the route's obs.BodyLimit
+// bounds. On failure it has written the answer (413 past the limit) and
+// reports false. The frontend that relays a mutation and the backend that
+// scans an upload both take their one pass over the bytes it returns.
+func ReadBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		// MinRead spare bytes let ReadFrom see EOF without growing.
+		buf.Grow(int(min(n, bodyPrealloc)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r.Body); err != nil {
+		writeBodyError(w, err)
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
 func (s *Server) handleCreateAudience(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[CreateAudienceRequest](w, r)
+	body, ok := ReadBody(w, r)
 	if !ok {
 		return
 	}
-	ca, err := s.p.CreateCustomAudience(req.Name, req.PIIHashes)
+	var ca *platform.CustomAudience
+	var err error
+	if name, keys, canonical := scanAudienceUpload(body); canonical {
+		ca, err = s.p.CreateCustomAudienceFromKeys(name, keys)
+	} else {
+		req, ok := Decode[CreateAudienceRequest](w, bytes.NewReader(body))
+		if !ok {
+			return
+		}
+		ca, err = s.p.CreateCustomAudience(req.Name, req.PIIHashes)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -244,11 +286,11 @@ func (s *Server) handleCreateAudience(w http.ResponseWriter, r *http.Request) {
 	if !s.persisted(w, r) {
 		return
 	}
-	writeJSON(w, http.StatusCreated, CreateAudienceResponse{ID: ca.ID, MatchedSize: ca.Size})
+	WriteJSON(w, http.StatusCreated, CreateAudienceResponse{ID: ca.ID, MatchedSize: ca.Size})
 }
 
 func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[CreateCampaignRequest](w, r)
+	req, ok := Decode[CreateCampaignRequest](w, r.Body)
 	if !ok {
 		return
 	}
@@ -270,11 +312,11 @@ func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 	if !s.persisted(w, r) {
 		return
 	}
-	writeJSON(w, http.StatusCreated, CreateCampaignResponse{ID: c.ID})
+	WriteJSON(w, http.StatusCreated, CreateCampaignResponse{ID: c.ID})
 }
 
 func (s *Server) handleCreateAd(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[CreateAdRequest](w, r)
+	req, ok := Decode[CreateAdRequest](w, r.Body)
 	if !ok {
 		return
 	}
@@ -302,7 +344,7 @@ func (s *Server) handleCreateAd(w http.ResponseWriter, r *http.Request) {
 	if !s.persisted(w, r) {
 		return
 	}
-	writeJSON(w, http.StatusCreated, AdResponse{ID: ad.ID, Status: ad.Status.String()})
+	WriteJSON(w, http.StatusCreated, AdResponse{ID: ad.ID, Status: ad.Status.String()})
 }
 
 func (s *Server) handleAppeal(w http.ResponseWriter, r *http.Request) {
@@ -319,7 +361,7 @@ func (s *Server) handleAppeal(w http.ResponseWriter, r *http.Request) {
 	if !s.persisted(w, r) {
 		return
 	}
-	writeJSON(w, http.StatusOK, AdResponse{ID: ad.ID, Status: ad.Status.String()})
+	WriteJSON(w, http.StatusOK, AdResponse{ID: ad.ID, Status: ad.Status.String()})
 }
 
 func (s *Server) handleGetAd(w http.ResponseWriter, r *http.Request) {
@@ -329,11 +371,11 @@ func (s *Server) handleGetAd(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, AdResponse{ID: ad.ID, Status: ad.Status.String()})
+	WriteJSON(w, http.StatusOK, AdResponse{ID: ad.ID, Status: ad.Status.String()})
 }
 
 func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[DeliverRequest](w, r)
+	req, ok := Decode[DeliverRequest](w, r.Body)
 	if !ok {
 		return
 	}
@@ -349,15 +391,15 @@ func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) {
 	if !s.persisted(w, r) {
 		return
 	}
-	writeJSON(w, http.StatusOK, DeliverResponse{Delivered: len(req.AdIDs)})
+	WriteJSON(w, http.StatusOK, DeliverResponse{Delivered: len(req.AdIDs)})
 }
 
 func (s *Server) handleInventory(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.p.Inventory())
+	WriteJSON(w, http.StatusOK, s.p.Inventory())
 }
 
 func (s *Server) handleState(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.p.State())
+	WriteJSON(w, http.StatusOK, s.p.State())
 }
 
 func (s *Server) handleInsights(w http.ResponseWriter, r *http.Request) {
@@ -422,5 +464,5 @@ func (s *Server) handleInsights(w http.ResponseWriter, r *http.Request) {
 		}
 		return a.Region < b.Region
 	})
-	writeJSON(w, http.StatusOK, *PrivatizeInsights(s.privacyConfig(), &resp))
+	WriteJSON(w, http.StatusOK, *PrivatizeInsights(s.privacyConfig(), &resp))
 }

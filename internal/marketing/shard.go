@@ -64,7 +64,7 @@ func dayError(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleBeginDay(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[BeginDayRequest](w, r)
+	req, ok := Decode[BeginDayRequest](w, r.Body)
 	if !ok {
 		return
 	}
@@ -73,11 +73,11 @@ func (s *Server) handleBeginDay(w http.ResponseWriter, r *http.Request) {
 		dayError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, init)
+	WriteJSON(w, http.StatusOK, init)
 }
 
 func (s *Server) handleDayTick(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[DayTickRequest](w, r)
+	req, ok := Decode[DayTickRequest](w, r.Body)
 	if !ok {
 		return
 	}
@@ -86,11 +86,11 @@ func (s *Server) handleDayTick(w http.ResponseWriter, r *http.Request) {
 		dayError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	WriteJSON(w, http.StatusOK, rep)
 }
 
 func (s *Server) handleFinishDay(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[FinishDayRequest](w, r)
+	req, ok := Decode[FinishDayRequest](w, r.Body)
 	if !ok {
 		return
 	}
@@ -103,11 +103,11 @@ func (s *Server) handleFinishDay(w http.ResponseWriter, r *http.Request) {
 	if !s.persisted(w, r) {
 		return
 	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	WriteJSON(w, http.StatusOK, struct{}{})
 }
 
 func (s *Server) handleAbortDay(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode[AbortDayRequest](w, r)
+	req, ok := Decode[AbortDayRequest](w, r.Body)
 	if !ok {
 		return
 	}
@@ -115,7 +115,7 @@ func (s *Server) handleAbortDay(w http.ResponseWriter, r *http.Request) {
 		dayError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	WriteJSON(w, http.StatusOK, struct{}{})
 }
 
 // IsSessionConflict reports whether err is (or wraps) an HTTP 409 from the
@@ -188,7 +188,7 @@ func (s *Server) handleShardStatus(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	sum := sha256.Sum256(raw)
-	writeJSON(w, http.StatusOK, ShardStatusResponse{
+	WriteJSON(w, http.StatusOK, ShardStatusResponse{
 		NumUsers:      s.p.NumUsers(),
 		StateDigest:   hex.EncodeToString(sum[:]),
 		Inventory:     s.p.Inventory(),

@@ -8,17 +8,141 @@
 package marketing
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"unicode/utf8"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/image"
 	"github.com/adaudit/impliedidentity/internal/platform"
+	"github.com/adaudit/impliedidentity/internal/population"
 )
 
 // CreateAudienceRequest uploads a PII-hash list for matching.
 type CreateAudienceRequest struct {
 	Name      string   `json:"name"`
 	PIIHashes []string `json:"pii_hashes"`
+}
+
+// The canonical audience upload, as json.Marshal and encodeAudienceRequest
+// write a CreateAudienceRequest with a plain name and hex hashes:
+//
+//	{"name":"<plain>","pii_hashes":["<64 hex>","<64 hex>",…]}
+const (
+	audienceHead = `{"name":"`
+	audienceMid  = `","pii_hashes":[`
+	// hashElem is one quoted 64-hex element plus the byte that follows it.
+	hashElem = 1 + 2*len(population.PIIKey{}) + 1 + 1
+)
+
+// encodeAudienceRequest writes the bytes json.Marshal gives for the request,
+// with one table-checked append per hash instead of the reflective walk.
+func encodeAudienceRequest(name string, piiHashes []string) []byte {
+	// Marshal of a string cannot fail: invalid UTF-8 is replaced, not refused.
+	quoted, _ := json.Marshal(name)
+	buf := make([]byte, 0, len(audienceHead)+len(quoted)+len(audienceMid)+hashElem*len(piiHashes))
+	buf = append(buf, `{"name":`...)
+	buf = append(buf, quoted...)
+	buf = append(buf, `,"pii_hashes":`...)
+	if piiHashes == nil {
+		return append(buf, `null}`...)
+	}
+	buf = append(buf, '[')
+	for i, h := range piiHashes {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		if plainJSON(h) {
+			buf = append(buf, '"')
+			buf = append(buf, h...)
+			buf = append(buf, '"')
+		} else {
+			quoted, _ = json.Marshal(h)
+			buf = append(buf, quoted...)
+		}
+	}
+	return append(buf, `]}`...)
+}
+
+// jsonPlain marks the bytes json.Marshal copies into a string unchanged:
+// printable ASCII but for the characters it escapes.
+var jsonPlain = func() (t [256]bool) {
+	for c := 0x20; c < 0x7f; c++ {
+		t[c] = true
+	}
+	for _, c := range `"\<>&` {
+		t[c] = false
+	}
+	return t
+}()
+
+// plainJSON reports whether json.Marshal writes s between quotes as it is.
+func plainJSON(s string) bool {
+	plain := true
+	for i := 0; i < len(s); i++ {
+		plain = plain && jsonPlain[s[i]]
+	}
+	return plain
+}
+
+// scanAudienceUpload reads a canonical audience upload in one pass, each
+// hash straight to its raw key: no []string, no string per hash, no
+// reflection. It recognises that one shape and nothing else. ok is false —
+// the scan declines — for escapes or invalid UTF-8 in the name, any other
+// key order, spelling or spacing, an element that is not 64 hex characters,
+// an empty list, or anything but white space after the closing brace; the
+// caller then decodes the body with encoding/json, which alone defines what
+// is accepted and how the rest is refused. FuzzAudienceDecode holds the two
+// to the same answer wherever the scan accepts.
+func scanAudienceUpload(body []byte) (name string, keys []population.PIIKey, ok bool) {
+	rest, found := bytes.CutPrefix(body, []byte(audienceHead))
+	if !found {
+		return "", nil, false
+	}
+	end := bytes.IndexByte(rest, '"')
+	if end < 0 {
+		return "", nil, false
+	}
+	rawName := rest[:end]
+	for _, c := range rawName {
+		if c < 0x20 || c == '\\' {
+			return "", nil, false
+		}
+	}
+	if !utf8.Valid(rawName) {
+		return "", nil, false
+	}
+	if rest, found = bytes.CutPrefix(rest[end:], []byte(audienceMid)); !found {
+		return "", nil, false
+	}
+	keys = make([]population.PIIKey, 0, len(rest)/hashElem)
+	for more := true; more; rest = rest[hashElem:] {
+		if len(rest) < hashElem || rest[0] != '"' || rest[hashElem-2] != '"' {
+			return "", nil, false
+		}
+		key, isKey := population.DecodePIIKey(rest[1 : hashElem-2])
+		if !isKey {
+			return "", nil, false
+		}
+		keys = append(keys, key)
+		switch rest[hashElem-1] {
+		case ',':
+		case ']':
+			more = false
+		default:
+			return "", nil, false
+		}
+	}
+	if len(rest) == 0 || rest[0] != '}' {
+		return "", nil, false
+	}
+	for _, c := range rest[1:] {
+		if c != ' ' && c != '\t' && c != '\r' && c != '\n' {
+			return "", nil, false
+		}
+	}
+	return string(rawName), keys, true
 }
 
 // CreateAudienceResponse reports the matched audience.

@@ -48,28 +48,50 @@ func (r UploadRecord) Hash() string {
 	return population.HashPII(r.FirstName, r.LastName, r.Address, r.ZIP)
 }
 
-// CreateCustomAudience matches a list of PII hashes against the user base
-// and registers the audience. Duplicate hashes are tolerated (matched once).
+// CreateCustomAudience matches a list of hex PII hashes against the user
+// base and registers the audience. Duplicate hashes are tolerated (matched
+// once); hashes that are not 64 hex characters match nobody.
 func (p *Platform) CreateCustomAudience(name string, piiHashes []string) (*CustomAudience, error) {
+	if err := checkUpload(name, len(piiHashes)); err != nil {
+		return nil, err
+	}
+	keys := make([]population.PIIKey, 0, len(piiHashes))
+	for _, h := range piiHashes {
+		if key, ok := population.DecodePIIKey(h); ok {
+			keys = append(keys, key)
+		}
+	}
+	return p.registerMatched(name, keys), nil
+}
+
+// CreateCustomAudienceFromKeys is CreateCustomAudience for an upload already
+// decoded to raw keys, the form the API server scans a request body into.
+func (p *Platform) CreateCustomAudienceFromKeys(name string, keys []population.PIIKey) (*CustomAudience, error) {
+	if err := checkUpload(name, len(keys)); err != nil {
+		return nil, err
+	}
+	return p.registerMatched(name, keys), nil
+}
+
+func checkUpload(name string, rows int) error {
 	if name == "" {
-		return nil, fmt.Errorf("platform: custom audience needs a name")
+		return fmt.Errorf("platform: custom audience needs a name")
 	}
-	if len(piiHashes) == 0 {
-		return nil, fmt.Errorf("platform: custom audience %q: empty upload", name)
+	if rows == 0 {
+		return fmt.Errorf("platform: custom audience %q: empty upload", name)
 	}
+	return nil
+}
+
+// registerMatched matches the keys and registers the audience. The match
+// runs before p.mu is taken: the population is immutable, so only the
+// registration needs the account lock and readers are not held up for the
+// length of an upload.
+func (p *Platform) registerMatched(name string, keys []population.PIIKey) *CustomAudience {
+	members := p.pop.MatchPII(keys)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var members []int
-	seen := map[int]bool{}
-	for _, h := range piiHashes {
-		u, ok := p.pop.LookupPII(h)
-		if !ok || seen[u.ID()] {
-			continue
-		}
-		seen[u.ID()] = true
-		members = append(members, u.ID())
-	}
-	return p.registerAudienceLocked(name, members), nil
+	return p.registerAudienceLocked(name, members)
 }
 
 // registerAudienceLocked gives a new audience the next ID, installs it and

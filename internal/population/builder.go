@@ -121,7 +121,7 @@ func (b *builder) flush() {
 }
 
 // finish seals the columns. The dup-detection index is dropped here: it is
-// pure acceleration over the pii column, LookupPII rebuilds it on demand,
+// pure acceleration over the pii column, the first lookup rebuilds it,
 // and the steady-state population then pays only for its columns.
 func (b *builder) finish() (*Population, error) {
 	b.flush()

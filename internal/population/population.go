@@ -119,8 +119,8 @@ type Population struct {
 	// mu guards index. The PII index is pure acceleration over the pii
 	// column: the builder drops its dup-detection table when construction
 	// finishes (steady state then pays only for the columns), and the first
-	// LookupPII — including the first after a platform Restore onto a
-	// freshly rebuilt world — rebuilds it here.
+	// lookup — including the first after a platform Restore onto a freshly
+	// rebuilt world — rebuilds it (builtIndex).
 	mu    sync.Mutex
 	index *piiIndex
 }
@@ -145,16 +145,44 @@ func (p *Population) MemoryBytes() int64 {
 	return b
 }
 
-// LookupPII returns the user with the given hex PII hash. The first call
-// (re)builds the PII index from the pii column.
-func (p *Population) LookupPII(key string) (UserView, bool) {
-	var k [32]byte
-	if len(key) != 64 {
-		return UserView{}, false
+// PIIKey is a raw PII digest: what a 64-character hex hash on the wire
+// decodes to, and what the pii column stores.
+type PIIKey = [32]byte
+
+// hexNibble maps an ASCII byte to its hex value, 0xff for a non-hex byte.
+var hexNibble = func() (t [256]byte) {
+	for i := range t {
+		t[i] = 0xff
 	}
-	if _, err := hex.Decode(k[:], []byte(key)); err != nil {
-		return UserView{}, false
+	for i := byte(0); i < 10; i++ {
+		t['0'+i] = i
 	}
+	for i := byte(0); i < 6; i++ {
+		t['a'+i], t['A'+i] = 10+i, 10+i
+	}
+	return t
+}()
+
+// DecodePIIKey decodes a 64-character hex PII hash, in either case as
+// encoding/hex accepts it, without allocating. ok is false for any other
+// input: such a hash matches no account.
+func DecodePIIKey[S string | []byte](hash S) (key PIIKey, ok bool) {
+	if len(hash) != 2*len(key) {
+		return key, false
+	}
+	var bad byte
+	for i := range key {
+		hi, lo := hexNibble[hash[2*i]], hexNibble[hash[2*i+1]]
+		bad |= hi | lo
+		key[i] = hi<<4 | lo
+	}
+	return key, bad&0xf0 == 0
+}
+
+// builtIndex returns the PII index, (re)building it from the pii column on
+// first use. Once built it is never written again, so callers probe it
+// without holding mu.
+func (p *Population) builtIndex() *piiIndex {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.index == nil {
@@ -163,14 +191,42 @@ func (p *Population) LookupPII(key string) (UserView, bool) {
 			p.index.insert(&p.cols.pii[i], int32(i), p.keyAt)
 		}
 	}
-	id := p.index.lookup(&k, p.keyAt)
+	return p.index
+}
+
+// LookupPII returns the user with the given hex PII hash.
+func (p *Population) LookupPII(hash string) (UserView, bool) {
+	key, ok := DecodePIIKey(hash)
+	if !ok {
+		return UserView{}, false
+	}
+	id := p.builtIndex().lookup(&key, p.keyAt)
 	if id < 0 {
 		return UserView{}, false
 	}
 	return UserView{c: &p.cols, i: id}, true
 }
 
-// keyAt resolves a user ID to its stored PII digest; the caller holds p.mu.
+// MatchPII is the audience-upload match: the IDs of the users the keys
+// identify, in key order, each user once however often its key repeats;
+// keys that identify nobody are skipped. The whole batch is answered under
+// one acquisition of mu.
+func (p *Population) MatchPII(keys []PIIKey) []int {
+	ix := p.builtIndex()
+	seen := make([]uint64, (p.cols.n+63)/64)
+	members := make([]int, 0, len(keys))
+	for i := range keys {
+		id := ix.lookup(&keys[i], p.keyAt)
+		if id < 0 || seen[id>>6]&(1<<(id&63)) != 0 {
+			continue
+		}
+		seen[id>>6] |= 1 << (id & 63)
+		members = append(members, int(id))
+	}
+	return members
+}
+
+// keyAt resolves a user ID to its stored PII digest.
 func (p *Population) keyAt(id int32) *[32]byte { return &p.cols.pii[id] }
 
 // Build derives users from one or more voter registries. Match rates and

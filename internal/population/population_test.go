@@ -1,7 +1,10 @@
 package population
 
 import (
+	"encoding/hex"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -226,5 +229,67 @@ func TestLookupPIIConcurrentFirstUse(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestDecodePIIKeyMatchesHex: the upload path's hex decoder accepts exactly
+// what encoding/hex accepts at the key length, for strings and byte slices.
+func TestDecodePIIKeyMatchesHex(t *testing.T) {
+	full := strings.Repeat("0123456789abcdefABCDEF", 3)[:64]
+	cases := []string{
+		full, strings.ToUpper(full), strings.Repeat("f", 64), strings.Repeat("0", 64),
+		"", "nope", full[:63], full + "0", full[:63] + "g", "G" + full[1:], full[:32] + " " + full[33:],
+		full[:10] + "\x00" + full[11:], full[:10] + "\xff" + full[11:], full[:62] + "0x",
+	}
+	for _, c := range cases {
+		var want PIIKey
+		_, err := hex.Decode(want[:], []byte(c))
+		wantOK := err == nil && len(c) == 64
+		got, ok := DecodePIIKey(c)
+		gotB, okB := DecodePIIKey([]byte(c))
+		if ok != wantOK || okB != wantOK {
+			t.Errorf("%q: ok=%v/%v, encoding/hex says %v", c, ok, okB, wantOK)
+			continue
+		}
+		if ok && (got != want || gotB != want) {
+			t.Errorf("%q: decoded %x / %x, want %x", c, got, gotB, want)
+		}
+	}
+}
+
+// TestMatchPII: the batch match is LookupPII per key with the upload's
+// conventions — key order kept, a user once, strangers skipped.
+func TestMatchPII(t *testing.T) {
+	fl := testRegistry(t, demo.StateFL, 2000)
+	pop, err := Build(Config{Seed: 2}, fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []PIIKey
+	var want []int
+	seen := map[int]bool{}
+	for round := 0; round < 2; round++ { // second round: every key again
+		for i := len(fl.Records) - 1; i >= 0; i-- { // not ID order
+			r := &fl.Records[i]
+			hash := HashPII(r.FirstName, r.LastName, r.Address, r.ZIP)
+			key, ok := DecodePIIKey(hash)
+			if !ok {
+				t.Fatalf("HashPII produced an undecodable hash %q", hash)
+			}
+			keys = append(keys, key)
+			if u, ok := pop.LookupPII(hash); ok && !seen[u.ID()] {
+				seen[u.ID()] = true
+				want = append(want, u.ID())
+			}
+		}
+		keys = append(keys, PIIKey{byte(round)}) // a stranger
+	}
+	got := pop.MatchPII(keys)
+	if len(want) != pop.Len() || !slices.Equal(got, want) {
+		t.Fatalf("MatchPII returned %d users, want %d (population %d); first %v vs %v",
+			len(got), len(want), pop.Len(), got[:min(3, len(got))], want[:min(3, len(want))])
+	}
+	if got := pop.MatchPII(nil); len(got) != 0 {
+		t.Errorf("no keys matched %v", got)
 	}
 }
