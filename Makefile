@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-json vet adlint
+.PHONY: build test race lint lint-json vet adlint loc
 
 build:
 	$(GO) build ./...
@@ -26,3 +26,8 @@ adlint:
 # annotations. Exit status matches `make adlint`.
 lint-json:
 	$(GO) run ./cmd/adlint -json ./...
+
+# loc prints the per-package non-test .go line table (bench/ and testdata/
+# excluded) that subtraction PRs cite in CHANGES.md for parent and change.
+loc:
+	bash scripts/loc.sh

@@ -281,7 +281,7 @@ func startFleet(opts options, tag string, firstPort int, durable bool) (*fleet, 
 			return nil, err
 		}
 	}
-	if err := waitHealthy(backends, opts.bootTimeout); err != nil {
+	if err := node.WaitHealthy(backends, opts.bootTimeout); err != nil {
 		rel.StopAll()
 		return nil, err
 	}
@@ -327,27 +327,6 @@ func startFleet(opts options, tag string, firstPort int, durable bool) (*fleet, 
 func (f *fleet) stop() {
 	_ = f.httpSrv.Close()
 	f.rel.StopAll()
-}
-
-func waitHealthy(backends []string, budget time.Duration) error {
-	deadline := time.Now().Add(budget)
-	probe := &http.Client{Timeout: 2 * time.Second}
-	for _, b := range backends {
-		for {
-			resp, err := probe.Get(b + "/healthz")
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					break
-				}
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("backend %s not healthy within %s", b, budget)
-			}
-			time.Sleep(250 * time.Millisecond)
-		}
-	}
-	return nil
 }
 
 // procTarget adapts real process signals + the client-side gate to the chaos

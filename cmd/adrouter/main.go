@@ -141,7 +141,7 @@ func run(args []string) error {
 	}
 
 	if *waitReady > 0 {
-		if err := waitForBackends(backends, *waitReady); err != nil {
+		if err := node.WaitHealthy(backends, *waitReady); err != nil {
 			return err
 		}
 	}
@@ -217,28 +217,4 @@ func splitBackends(raw string) []string {
 		}
 	}
 	return out
-}
-
-// waitForBackends polls every backend's liveness endpoint until all answer or
-// the budget runs out, so the router can start before (or while) its fleet
-// does — convenient for process supervisors that start everything at once.
-func waitForBackends(backends []string, budget time.Duration) error {
-	deadline := time.Now().Add(budget)
-	client := &http.Client{Timeout: 2 * time.Second}
-	for _, u := range backends {
-		for {
-			resp, err := client.Get(u + "/healthz")
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					break
-				}
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("backend %s not ready within %s", u, budget)
-			}
-			time.Sleep(200 * time.Millisecond)
-		}
-	}
-	return nil
 }

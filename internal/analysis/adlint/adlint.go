@@ -18,7 +18,11 @@
 //     walerr);
 //   - bounded metric cardinality: metric names passed to internal/obs must
 //     be constants, with dynamic parts only in the "name|label" position
-//     (analyzer obsreg).
+//     (analyzer obsreg);
+//   - goroutine lifecycles: every go statement in the long-lived subsystems
+//     has a stop path the spawner can exercise (analyzer goroleak);
+//   - transport hygiene: every *http.Response body is closed or handed on
+//     whole on every path (analyzer bodyclose).
 //
 // The suite is deliberately dependency-free: it drives `go list -export` for
 // package discovery and export data, and type-checks with the standard
@@ -91,8 +95,6 @@ type Pass struct {
 	// //adlint:deterministic directive (path-based marking is detrand's own
 	// concern).
 	deterministic bool
-	// graph is the lazily built intra-package call graph (callGraph()).
-	graph *CallGraph
 
 	diags *[]Diagnostic
 }
@@ -246,11 +248,12 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	return diags
 }
 
-// All returns the full suite in stable order: the five syntactic analyzers
-// from the original suite, then the four flow-aware ones built on the call
-// graph.
+// All returns the full suite in stable order. Each analyzer is kept because
+// it catches its target violation seeded into real (non-fixture) code where
+// go vet does not, and tier-1 tests do not already cover what it guards
+// (DESIGN §5b).
 func All() []*Analyzer {
-	return []*Analyzer{Detrand, Lockhold, Ctxflow, Walerr, Obsreg, Privflow, Sessionlife, Goroleak, Bodyclose}
+	return []*Analyzer{Detrand, Lockhold, Ctxflow, Walerr, Obsreg, Goroleak, Bodyclose}
 }
 
 // ByName resolves a comma-separated -only list against the suite. An

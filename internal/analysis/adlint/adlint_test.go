@@ -23,8 +23,6 @@ func TestAnalyzers(t *testing.T) {
 		{"ctxflow", adlint.Ctxflow, []string{"ctxflow/internal/marketing"}},
 		{"walerr", adlint.Walerr, []string{"walerr/internal/store", "walerr/caller"}},
 		{"obsreg", adlint.Obsreg, []string{"obsreg/a"}},
-		{"privflow", adlint.Privflow, []string{"privflow/internal/coordinator"}},
-		{"sessionlife", adlint.Sessionlife, []string{"sessionlife/internal/delivery"}},
 		{"goroleak", adlint.Goroleak, []string{"goroleak/internal/supervisor"}},
 		{"bodyclose", adlint.Bodyclose, []string{"bodyclose/a"}},
 	}
@@ -40,8 +38,8 @@ func TestAnalyzers(t *testing.T) {
 // TestByName covers the -only flag's resolver.
 func TestByName(t *testing.T) {
 	all, err := adlint.ByName("")
-	if err != nil || len(all) != 9 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 9, nil", len(all), err)
+	if err != nil || len(all) != 7 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 7, nil", len(all), err)
 	}
 	two, err := adlint.ByName("detrand, bodyclose")
 	if err != nil || len(two) != 2 || two[0].Name != "detrand" || two[1].Name != "bodyclose" {
@@ -52,7 +50,7 @@ func TestByName(t *testing.T) {
 		t.Fatal("ByName(nosuch) succeeded; want error")
 	}
 	// A typo must fail loudly AND tell the user what would have worked.
-	for _, name := range []string{"detrand", "privflow", "sessionlife", "goroleak", "bodyclose"} {
+	for _, name := range []string{"detrand", "lockhold", "goroleak", "bodyclose"} {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("ByName(nosuch) error %q does not list valid analyzer %q", err, name)
 		}

@@ -18,9 +18,8 @@ package adlint
 //
 // The `x, err := do()` error guard narrows paths: a branch under
 // `err != nil` never held a body, and under `err == nil` only that branch
-// does. Unlike sessionlife there is no caller-excuse for error returns — a
-// body acquired successfully must be closed before propagating any later
-// error.
+// does. There is no caller-excuse for error returns — a body acquired
+// successfully must be closed before propagating any later error.
 
 import (
 	"go/ast"
@@ -37,8 +36,8 @@ var Bodyclose = &Analyzer{
 
 func runBodyclose(pass *Pass) {
 	for _, fd := range funcDecls(pass.Files) {
-		for _, unit := range funcUnits(fd) {
-			for _, acq := range responseAcquires(pass, unit) {
+		for _, body := range funcBodiesIn(fd) {
+			for _, acq := range responseAcquires(pass, body) {
 				ob := &flowOb{
 					acquire: acq.stmt,
 					errObj:  acq.errObj,
@@ -46,8 +45,8 @@ func runBodyclose(pass *Pass) {
 						return releasesResponse(pass.TypesInfo, n, acq.respObj)
 					},
 				}
-				for _, leak := range scanObligation(pass, unit.body, unit.results, ob) {
-					pass.ReportfScoped(leak.pos, scopePos(fd),
+				for _, leak := range scanObligation(pass, body, ob) {
+					pass.ReportfScoped(leak, scopePos(fd),
 						"response body of %s (acquired at line %d) is not closed on this path",
 						acq.respObj.Name(), pass.Fset.Position(acq.pos).Line)
 					break // one report per acquisition is enough signal
@@ -57,26 +56,19 @@ func runBodyclose(pass *Pass) {
 	}
 }
 
-// funcUnit is one independently scanned function-like body: a declaration's
-// or a literal's. A body obligation is local to the function that acquires
-// it — a goroutine closure closes its own responses — so each unit is
-// scanned against its own statement tree.
-type funcUnit struct {
-	body    *ast.BlockStmt
-	results *ast.FieldList
-}
-
-// funcUnits yields fd's own body plus the body of every function literal
-// inside it.
-func funcUnits(fd *ast.FuncDecl) []funcUnit {
-	units := []funcUnit{{body: fd.Body, results: fd.Type.Results}}
+// funcBodiesIn yields fd's own body plus the body of every function literal
+// inside it. A body obligation is local to the function that acquires it — a
+// goroutine closure closes its own responses — so each body is scanned
+// against its own statement tree.
+func funcBodiesIn(fd *ast.FuncDecl) []*ast.BlockStmt {
+	bodies := []*ast.BlockStmt{fd.Body}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if lit, ok := n.(*ast.FuncLit); ok && lit.Body != nil {
-			units = append(units, funcUnit{body: lit.Body, results: lit.Type.Results})
+			bodies = append(bodies, lit.Body)
 		}
 		return true
 	})
-	return units
+	return bodies
 }
 
 // respAcquire is one statement binding a fresh *http.Response.
@@ -87,14 +79,14 @@ type respAcquire struct {
 	errObj  types.Object
 }
 
-// responseAcquires finds assignments directly in this unit (nested literals
-// belong to their own unit) whose right-hand call returns a *http.Response
+// responseAcquires finds assignments directly in this body (nested literals
+// are scanned on their own) whose right-hand call returns a *http.Response
 // bound to a named variable.
-func responseAcquires(pass *Pass, unit funcUnit) []respAcquire {
+func responseAcquires(pass *Pass, body *ast.BlockStmt) []respAcquire {
 	var out []respAcquire
-	ast.Inspect(unit.body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok && lit.Body != unit.body {
-			return false // scanned as its own unit
+	ast.Inspect(body, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.FuncLit); ok && lit.Body != body {
+			return false // scanned on its own
 		}
 		assign, ok := n.(*ast.AssignStmt)
 		if !ok || len(assign.Rhs) != 1 {
@@ -116,7 +108,7 @@ func responseAcquires(pass *Pass, unit funcUnit) []respAcquire {
 		if respObj == nil {
 			return true
 		}
-		stmt := enclosingStmt(unit.body, assign)
+		stmt := enclosingStmt(body, assign)
 		if stmt == nil {
 			return true
 		}

@@ -42,7 +42,7 @@ var globalRandExempt = map[string]bool{
 // wall-clock reads (time.Now, time.Since), draws from the process-global
 // math/rand generator, and map iterations whose order leaks into an ordered
 // output without a subsequent sort. The injectable-Clock pattern
-// (marketing.Clock and friends) is inherently exempt: a clock.Now() call
+// (obs.Clock) is inherently exempt: a clock.Now() call
 // resolves to the interface method, never to time.Now.
 var Detrand = &Analyzer{
 	Name: "detrand",

@@ -1,32 +1,23 @@
 package adlint
 
-// The flow layer, part 2: a structured, path-insensitive obligation scan.
-// Several of the suite's invariants have the same shape — a statement
-// ACQUIRES an obligation (open a day session, receive an *http.Response)
-// and every path from there to function exit must DISCHARGE it (finish or
-// abort the session, close the body). The engine here walks one function
-// body in source order over Go's structured statements (if/for/switch/
-// select), threading a three-value state:
+// A structured, path-insensitive obligation scan. A statement ACQUIRES an
+// obligation (bodyclose: receive an *http.Response) and every path from
+// there to function exit must DISCHARGE it (close the body). The engine here
+// walks one function body in source order over Go's structured statements
+// (if/for/switch/select), threading a three-value state:
 //
 //	flowIdle    before the acquisition statement
 //	flowActive  acquired, not yet discharged
 //	flowDone    discharged (released, escaped, or deferred)
 //
-// and records a leak at every return reached while flowActive. Two
-// refinements keep the scan useful without full path sensitivity:
-//
-//   - error guards: acquisitions of the form `x, err := f()` bind an error
-//     variable; a branch guarded by `err != nil` is the failure path on
-//     which the resource never materialized, so it is scanned exempt, and a
-//     branch guarded by `err == nil` is the only success path, so only it
-//     inherits the obligation. This is the idiom-aware narrowing that lets
-//     `if err == nil { resp.Body.Close(); ... }` pass without annotations.
-//
-//   - error-propagating returns are classified separately (flowLeak.
-//     errReturn): an analyzer may excuse them when the call graph proves
-//     every caller pairs the call with the discharge — the coordinator's
-//     split-protocol pattern, where runDayOnce propagates tick errors and
-//     Deliver owns the abort.
+// and records a leak at every return reached while flowActive. One
+// refinement keeps the scan useful without full path sensitivity, error
+// guards: acquisitions of the form `x, err := f()` bind an error variable; a
+// branch guarded by `err != nil` is the failure path on which the resource
+// never materialized, so it is scanned exempt, and a branch guarded by
+// `err == nil` is the only success path, so only it inherits the obligation.
+// This is the idiom-aware narrowing that lets
+// `if err == nil { resp.Body.Close(); ... }` pass without annotations.
 //
 // Merging at join points is a max over {idle < done < active}: if any
 // falling-through branch still holds the obligation, the joined state does.
@@ -34,7 +25,8 @@ package adlint
 // join (their leaks, if any, were recorded where they happened). Loops join
 // the zero-iteration state with the body's exit state. The scan never
 // claims a leak is reachable — it claims no discharge exists on some
-// structural path, which for these protocols is a bug by construction.
+// structural path, which for this protocol is a bug by construction. The
+// terminates/fallsThrough helpers at the end are shared with lockhold.
 
 import (
 	"go/ast"
@@ -75,39 +67,30 @@ type flowOb struct {
 	// contains it in the enclosing function's own statement tree.
 	acquire ast.Stmt
 	// releases reports whether node n discharges the obligation (a release
-	// call, transitively via the call graph, or an ownership escape).
+	// call or an ownership escape).
 	releases func(n ast.Node) bool
 	// errObj is the error variable bound by the acquisition, nil when the
 	// acquisition cannot fail; guards on it classify failure/success paths.
 	errObj types.Object
 }
 
-// flowLeak is one return (or fall-off-the-end) reached with the obligation
-// still active.
-type flowLeak struct {
-	pos token.Pos
-	// errReturn marks a return whose error result is a non-nil expression —
-	// a propagated failure the caller may be contractually discharging.
-	errReturn bool
-}
-
 // scanObligation runs the obligation scan over one function-like body
-// (a declaration's or a literal's) and returns the leaks; results is the
-// unit's result list, for error-return classification.
-func scanObligation(pass *Pass, body *ast.BlockStmt, results *ast.FieldList, ob *flowOb) []flowLeak {
-	s := &flowScan{pass: pass, ob: ob, results: results}
+// (a declaration's or a literal's) and returns the leaks: the position of
+// every return (or fall-off-the-end) reached with the obligation still
+// active.
+func scanObligation(pass *Pass, body *ast.BlockStmt, ob *flowOb) []token.Pos {
+	s := &flowScan{pass: pass, ob: ob}
 	end := s.seq(body.List, flowIdle)
 	if end == flowActive {
-		s.leaks = append(s.leaks, flowLeak{pos: body.Rbrace})
+		s.leaks = append(s.leaks, body.Rbrace)
 	}
 	return s.leaks
 }
 
 type flowScan struct {
-	pass    *Pass
-	ob      *flowOb
-	results *ast.FieldList
-	leaks   []flowLeak
+	pass  *Pass
+	ob    *flowOb
+	leaks []token.Pos
 }
 
 // seq walks one statement list, stopping at an unconditional terminator
@@ -153,7 +136,7 @@ func (s *flowScan) stmt(stmt ast.Stmt, st flowState) flowState {
 			if s.ob.releases(n) {
 				return flowDone
 			}
-			s.leaks = append(s.leaks, flowLeak{pos: n.Pos(), errReturn: s.errReturn(n)})
+			s.leaks = append(s.leaks, n.Pos())
 		}
 		return flowDone
 	default:
@@ -313,31 +296,6 @@ func (s *flowScan) guard(cond ast.Expr) guardKind {
 		return guardFail
 	}
 	return guardSuccess
-}
-
-// errReturn reports whether ret propagates a non-nil error: the enclosing
-// function returns an error and the expression in that result position is
-// not the nil literal.
-func (s *flowScan) errReturn(ret *ast.ReturnStmt) bool {
-	if s.results == nil || len(ret.Results) == 0 {
-		return false
-	}
-	idx := 0
-	for _, field := range s.results.List {
-		n := len(field.Names)
-		if n == 0 {
-			n = 1
-		}
-		if tv, ok := s.pass.TypesInfo.Types[field.Type]; ok && isErrorType(tv.Type) {
-			if idx < len(ret.Results) && !isNilIdent(s.pass.TypesInfo, ret.Results[idx]) {
-				return true
-			}
-		}
-		idx += n
-	}
-	// A single call expression fanned out over multiple results: trust the
-	// callee's error result to be live (it is what the caller propagates).
-	return len(ret.Results) == 1 && len(s.results.List) > 1
 }
 
 // isNilIdent reports whether e is the predeclared nil.

@@ -16,10 +16,11 @@ package adlint
 // A goroutine with none of these can outlive its subsystem: a supervisor
 // probe loop that survives Stop() keeps hammering restarted shards, and a
 // leaked fan-out worker holds its per-shard connection forever. The walk is
-// transitive through the package call graph (a goroutine whose body is
-// `s.probeLoop(ctx)` is fine if probeLoop selects on ctx.Done()), and a
-// `go` whose target cannot be resolved to a body in this package is
-// reported — annotate deliberate fire-and-forget sites with a reason.
+// transitive through the functions declared in the package (a goroutine
+// whose body is `s.probeLoop(ctx)` is fine if probeLoop selects on
+// ctx.Done()), and a `go` whose target cannot be resolved to a body in this
+// package is reported — annotate deliberate fire-and-forget sites with a
+// reason.
 //
 // Scope is path-based like detrand's: only the subsystems whose goroutines
 // are long-lived by design are checked; ad-hoc parallelism elsewhere (test
@@ -56,8 +57,14 @@ func runGoroleak(pass *Pass) {
 	if !inScope {
 		return
 	}
-	g := pass.callGraph()
-	for _, fd := range funcDecls(pass.Files) {
+	decls := funcDecls(pass.Files)
+	g := funcBodies{}
+	for _, fd := range decls {
+		if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+			g[fn] = fd.Body
+		}
+	}
+	for _, fd := range decls {
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			gs, ok := n.(*ast.GoStmt)
 			if !ok {
@@ -78,9 +85,14 @@ func runGoroleak(pass *Pass) {
 	}
 }
 
+// funcBodies maps every function and method the package declares with a body
+// to that body: what a call must resolve to for the walk to follow it. Calls
+// into other packages are leaves.
+type funcBodies map[*types.Func]*ast.BlockStmt
+
 // goBody resolves the body a go statement runs: a literal's own body, or
 // the in-package declaration of a named target.
-func goBody(pass *Pass, g *CallGraph, gs *ast.GoStmt) *ast.BlockStmt {
+func goBody(pass *Pass, g funcBodies, gs *ast.GoStmt) *ast.BlockStmt {
 	if lit, ok := ast.Unparen(gs.Call.Fun).(*ast.FuncLit); ok {
 		return lit.Body
 	}
@@ -88,15 +100,12 @@ func goBody(pass *Pass, g *CallGraph, gs *ast.GoStmt) *ast.BlockStmt {
 	if callee == nil {
 		return nil
 	}
-	if fd := g.DeclOf(callee); fd != nil {
-		return fd.Body
-	}
-	return nil
+	return g[callee]
 }
 
 // hasStopPath reports whether body contains a stop construct, searching
 // transitively through in-package callees.
-func hasStopPath(pass *Pass, g *CallGraph, body *ast.BlockStmt, visited map[*ast.BlockStmt]bool) bool {
+func hasStopPath(pass *Pass, g funcBodies, body *ast.BlockStmt, visited map[*ast.BlockStmt]bool) bool {
 	if visited[body] {
 		return false
 	}
@@ -114,7 +123,7 @@ func hasStopPath(pass *Pass, g *CallGraph, body *ast.BlockStmt, visited map[*ast
 					found = true
 					return false
 				}
-				if fd := g.DeclOf(callee); fd != nil && hasStopPath(pass, g, fd.Body, visited) {
+				if next := g[callee]; next != nil && hasStopPath(pass, g, next, visited) {
 					found = true
 					return false
 				}

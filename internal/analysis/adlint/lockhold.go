@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 )
 
 // Lockhold flags blocking calls made while a sync.Mutex or sync.RWMutex is
@@ -15,9 +16,12 @@ import (
 // The scan is syntactic and statement-ordered within one function body:
 // x.Lock() marks x held until a matching x.Unlock() statement; a deferred
 // unlock keeps the lock held to the end of the function (which is exactly
-// its runtime behavior). Nested function literals are scanned as separate
-// scopes, since a closure does not inherit the creating goroutine's critical
-// section at its eventual call site.
+// its runtime behavior). A branch that ends in a return (or another
+// terminator) keeps its lock state to itself: the unlock before an early
+// return says nothing about the path that did not take it, which is the
+// shape the client throttle has. Nested function literals are scanned as
+// separate scopes, since a closure does not inherit the creating goroutine's
+// critical section at its eventual call site.
 var Lockhold = &Analyzer{
 	Name: "lockhold",
 	Doc:  "forbid blocking calls (sleep, I/O, channel waits) while a mutex is held",
@@ -35,18 +39,39 @@ func runLockhold(pass *Pass) {
 func scanLockScope(pass *Pass, body *ast.BlockStmt, scope token.Pos) {
 	held := map[string]token.Pos{} // mutex expr text -> Lock() position
 	var walk func(n ast.Node) bool
+	// branch walks one branch's statements. Control never flows off the end
+	// of a branch that terminates, so what it locked or unlocked is restored
+	// for the code after it.
+	branch := func(list []ast.Stmt) {
+		entry := held
+		if !fallsThrough(list) {
+			held = maps.Clone(entry)
+		}
+		for _, stmt := range list {
+			ast.Inspect(stmt, walk)
+		}
+		held = entry
+	}
 	walk = func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.FuncLit:
 			scanLockScope(pass, node.Body, scope)
+			return false
+		case *ast.BlockStmt:
+			branch(node.List)
+			return false
+		case *ast.CaseClause:
+			for _, e := range node.List {
+				ast.Inspect(e, walk)
+			}
+			branch(node.Body)
 			return false
 		case *ast.DeferStmt:
 			// defer mu.Unlock() keeps the lock held for the rest of the
 			// function, so it does NOT clear the held set. Any other
 			// deferred call runs after the body; skip its arguments' scan
 			// except nested literals (handled above via Inspect recursion).
-			if name, expr, ok := lockCall(pass.TypesInfo, node.Call); ok && (name == "Unlock" || name == "RUnlock") {
-				_ = expr
+			if name, _, ok := lockCall(pass.TypesInfo, node.Call); ok && (name == "Unlock" || name == "RUnlock") {
 				return false
 			}
 			return true
@@ -66,9 +91,7 @@ func scanLockScope(pass *Pass, body *ast.BlockStmt, scope token.Pos) {
 			// wait; scan only the clause bodies to avoid double counting.
 			for _, clause := range node.Body.List {
 				if comm, ok := clause.(*ast.CommClause); ok {
-					for _, stmt := range comm.Body {
-						ast.Inspect(stmt, walk)
-					}
+					branch(comm.Body)
 				}
 			}
 			return false
@@ -90,7 +113,7 @@ func scanLockScope(pass *Pass, body *ast.BlockStmt, scope token.Pos) {
 		}
 		return true
 	}
-	ast.Inspect(body, walk)
+	branch(body.List)
 }
 
 // reportBlocked emits one diagnostic per held mutex at a blocking site.

@@ -71,6 +71,53 @@ func (w *widget) Throttle(c Clock) {
 	c.Sleep(wait)
 }
 
+// ThrottleEarlyReturn is the marketing client's throttle as it stands: an
+// early return that unlocks on its own branch, then reserve, release, wait.
+func (w *widget) ThrottleEarlyReturn(c Clock) {
+	w.mu.Lock()
+	if w.n <= 0 {
+		w.n = 1
+		w.mu.Unlock()
+		return
+	}
+	wait := time.Duration(w.n)
+	w.mu.Unlock()
+	if wait > 0 {
+		c.Sleep(wait)
+	}
+}
+
+// ThrottleSleepsLocked is the same function with the PR 2 bug put back. The
+// unlock on the early-return branch belongs to that branch: the path that
+// reaches the sleep still holds mu.
+func (w *widget) ThrottleSleepsLocked(c Clock) {
+	w.mu.Lock()
+	if w.n <= 0 {
+		w.n = 1
+		w.mu.Unlock()
+		return
+	}
+	wait := time.Duration(w.n)
+	if wait > 0 {
+		c.Sleep(wait) // want "Sleep call"
+	}
+	w.mu.Unlock()
+}
+
+// UnlockPerCase releases in every clause of a switch; a clause that returns
+// does not release for the others.
+func (w *widget) UnlockPerCase(c Clock) {
+	w.mu.Lock()
+	switch {
+	case w.n == 0:
+		w.mu.Unlock()
+		return
+	case w.n == 1:
+		c.Sleep(time.Millisecond) // want "Sleep call"
+	}
+	w.mu.Unlock()
+}
+
 // ClockUnderLock is the shape Throttle exists to avoid: an injected clock's
 // Sleep is just as blocking as time.Sleep.
 func (w *widget) ClockUnderLock(c Clock) {

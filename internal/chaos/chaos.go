@@ -19,7 +19,6 @@ package chaos
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/adaudit/impliedidentity/internal/faults"
@@ -54,23 +53,7 @@ func AllActions() []Action {
 // ParseActions parses a comma-separated action list ("kill,pause"). The
 // empty string and "all" select every action.
 func ParseActions(s string) ([]Action, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || s == "all" {
-		return AllActions(), nil
-	}
-	known := map[Action]bool{}
-	for _, a := range AllActions() {
-		known[a] = true
-	}
-	var out []Action
-	for _, part := range strings.Split(s, ",") {
-		a := Action(strings.TrimSpace(part))
-		if !known[a] {
-			return nil, fmt.Errorf("chaos: unknown action %q (known: kill, pause, slow, partition)", part)
-		}
-		out = append(out, a)
-	}
-	return out, nil
+	return faults.ParseList(s, "chaos: unknown action", AllActions())
 }
 
 // Config parameterizes a chaos schedule.
@@ -87,12 +70,11 @@ type Config struct {
 	// so the fleet gets healing room between injuries and "every shard down
 	// at once" stays rare rather than routine. 0 defaults to 4.
 	MinGap int
-	// PauseTicks, SlowTicks, PartitionTicks are the windowed actions'
-	// durations in ticks (defaults 2, 3, 3).
-	PauseTicks     int
-	SlowTicks      int
-	PartitionTicks int
 }
+
+// windowTicks is how long each windowed action lasts, in ticks; a kill has
+// no window.
+var windowTicks = map[Action]int{ActPause: 2, ActSlow: 3, ActPartition: 3}
 
 func (c Config) withDefaults() Config {
 	if len(c.Actions) == 0 {
@@ -100,15 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MinGap <= 0 {
 		c.MinGap = 4
-	}
-	if c.PauseTicks <= 0 {
-		c.PauseTicks = 2
-	}
-	if c.SlowTicks <= 0 {
-		c.SlowTicks = 3
-	}
-	if c.PartitionTicks <= 0 {
-		c.PartitionTicks = 3
 	}
 	return c
 }
@@ -144,28 +117,19 @@ func (s *Schedule) At(tick int) *Event {
 	if tick < 0 || tick%s.cfg.MinGap != 0 {
 		return nil
 	}
-	bits := faults.Mix64(s.cfg.Seed, uint64(tick))
-	// Top 53 bits → uniform float in [0,1) for the disturbance coin.
-	coin := float64(bits>>11) / (1 << 53)
+	bits, coin := faults.Draw(s.cfg.Seed, uint64(tick))
 	if coin >= s.cfg.Rate {
 		return nil
 	}
 	// Independent bits for the action and the victim.
 	sub := faults.Mix64(int64(bits), uint64(tick)+1)
-	e := &Event{
+	action := s.cfg.Actions[int(sub%uint64(len(s.cfg.Actions)))]
+	return &Event{
 		Tick:   tick,
 		Shard:  int((sub >> 16) % uint64(s.cfg.Shards)),
-		Action: s.cfg.Actions[int(sub%uint64(len(s.cfg.Actions)))],
+		Action: action,
+		Ticks:  windowTicks[action],
 	}
-	switch e.Action {
-	case ActPause:
-		e.Ticks = s.cfg.PauseTicks
-	case ActSlow:
-		e.Ticks = s.cfg.SlowTicks
-	case ActPartition:
-		e.Ticks = s.cfg.PartitionTicks
-	}
-	return e
 }
 
 // Target is the seam the orchestrator disturbs through. Implementations:

@@ -148,7 +148,7 @@ func (f *fakeClock) Sleep(d time.Duration) { f.now = f.now.Add(d) }
 // and Quiesce closes everything still open.
 func TestOrchestratorWindows(t *testing.T) {
 	// MinGap 1 and rate 1 disturb every tick: plenty of windows to check.
-	s := sched(t, Config{Seed: 11, Shards: 2, Rate: 1, MinGap: 1, PauseTicks: 2, SlowTicks: 3, PartitionTicks: 3})
+	s := sched(t, Config{Seed: 11, Shards: 2, Rate: 1, MinGap: 1})
 	target := newFakeTarget()
 	o := NewOrchestrator(s, target, &fakeClock{})
 

@@ -72,15 +72,12 @@ type Config struct {
 	// mutations are refused with ErrJournalFull (503 + Retry-After at the
 	// router) while a shard is down. 0 defaults to 256.
 	JournalCap int
-	// Health sets the failure-streak thresholds for the per-shard health
-	// model; zero values take supervisor defaults.
-	Health supervisor.Thresholds
 	// Transport, when set, replaces every backend client's HTTP transport —
 	// the chaos/fault injection seam (faults.NewTransport).
 	Transport http.RoundTripper
 	// Clock injects time for the day-retry backoff and MTTR accounting;
 	// nil is the system clock.
-	Clock marketing.Clock
+	Clock obs.Clock
 	// Privacy is the insights privatization policy, applied to the MERGED
 	// report after cross-shard summation (merge-then-privatize: per-shard
 	// tallies are partition slices, so per-shard suppression would
@@ -112,7 +109,7 @@ type Coordinator struct {
 	cfg    Config
 	shards []*shardConn
 	reg    *obs.Registry
-	clock  marketing.Clock
+	clock  obs.Clock
 	health *supervisor.FleetHealth
 
 	// mu serializes mutating fan-outs and delivery days. Determinism needs
@@ -155,7 +152,7 @@ func New(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 	}
 	clock := cfg.Clock
 	if clock == nil {
-		clock = marketing.SystemClock
+		clock = obs.SystemClock
 	}
 	c := &Coordinator{
 		cfg:     cfg,
@@ -180,7 +177,7 @@ func New(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 			errors:   reg.Counter(MetricShardErrors + "|" + label),
 		})
 	}
-	c.health = supervisor.NewFleetHealth(len(c.shards), cfg.Health, reg, obs.Clock(clock))
+	c.health = supervisor.NewFleetHealth(len(c.shards), supervisor.Thresholds{}, reg, clock)
 	c.admitted = make([]bool, len(c.shards))
 	for i := range c.admitted {
 		c.admitted[i] = true

@@ -5,9 +5,9 @@ package coordinator
 // committed-spend snapshot and slices the tick cap per shard (phase 1),
 // every backend runs its slice of the auctions against that frozen snapshot
 // (phase 2), and the reported spend commits in fixed shard order with the
-// budget clamp (phase 3). The controller calls the same float functions the
-// in-process engines call, and JSON round-trips float64 bits exactly, so
-// the result is byte-identical to RunDayWorkers(workers=shards).
+// budget clamp (phase 3). The controller is the one RunDayWorkers drives in
+// process, and JSON round-trips float64 bits exactly, so the result is
+// byte-identical to RunDayWorkers(workers=shards).
 //
 // Failure model: sessions are in-memory on the backends, so a shard that
 // dies mid-day loses its session and answers 409 afterwards. The
@@ -193,7 +193,8 @@ func (c *Coordinator) runDayOnce(ctx context.Context, rec *dayRecord) error {
 
 	rec.dirs = make([][]platform.TickDirective, 0, ctrl.Ticks())
 	for tick := 0; tick < ctrl.Ticks(); tick++ {
-		dirs := ctrl.TickDirectives(tick)
+		// The controller reuses its directive buffer; the record keeps its own.
+		dirs := append([]platform.TickDirective(nil), ctrl.TickDirectives(tick)...)
 		rec.dirs = append(rec.dirs, dirs)
 		perShard := make([][]float64, shards)
 		err := c.scatter(ctx, "day tick", c.shards, func(ctx context.Context, sc *shardConn) error {

@@ -11,12 +11,14 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/adaudit/impliedidentity/internal/faults"
 	"github.com/adaudit/impliedidentity/internal/marketing"
 	"github.com/adaudit/impliedidentity/internal/obs"
+	"github.com/adaudit/impliedidentity/internal/platform"
 	"github.com/adaudit/impliedidentity/internal/supervisor"
 )
 
@@ -328,6 +330,54 @@ func TestDeliverExhaustionTyped(t *testing.T) {
 		var apiErr *marketing.APIError
 		if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusServiceUnavailable {
 			t.Fatalf("router deliver error %v, want 503", err)
+		}
+	}
+}
+
+// An abandoned day attempt leaves no session behind. Shard 1 answers every
+// tick 409, so each attempt fails mid-day with a session open on both
+// backends; a leaked one would block RunDayWorkers there and the rejoin gate.
+// BeginDay replaces a stale session silently, so the leak is looked for where
+// it would still show: on each backend as a retry's begin arrives, and over
+// the wire once Deliver has given up.
+func TestAbandonedDayAttemptLeavesNoSession(t *testing.T) {
+	ctx := context.Background()
+	gate := &faultGate{tickFails: 1 << 20}
+	var begins atomic.Int32
+	plats := []*platform.Platform{newPlatform(t), newPlatform(t)}
+	backends := make([]string, len(plats))
+	for i, p := range plats {
+		backends[i] = serveBackend(t, p, func(next http.Handler) http.Handler {
+			if i == 1 {
+				next = gate.wrap(next)
+			}
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/shard/delivery/begin" {
+					begins.Add(1)
+					if p.SessionActive() {
+						t.Errorf("shard %d still holds the failed attempt's session when the retry begins", i)
+					}
+				}
+				next.ServeHTTP(w, r)
+			})
+		})
+	}
+	coord, client, _ := fleetOver(t, backends, func(cfg *Config) { cfg.DayAttempts = 3 })
+	ids := setupAccount(t, client, 1)
+
+	if err := coord.Deliver(ctx, ids, 9750); !errors.Is(err, ErrDayExhausted) {
+		t.Fatalf("day over a shard that loses every tick = %v, want ErrDayExhausted", err)
+	}
+	if got := begins.Load(); got != 6 {
+		t.Errorf("%d begins reached the backends, want 6 (3 attempts on 2 shards)", got)
+	}
+	for _, sc := range coord.shards {
+		st, err := sc.client.ShardStatus(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.SessionActive {
+			t.Errorf("%s still holds a session after Deliver returned", sc.label)
 		}
 	}
 }

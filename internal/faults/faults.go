@@ -23,6 +23,7 @@ package faults
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -61,23 +62,31 @@ func AllKinds() []Kind {
 // ParseKinds parses a comma-separated kind list ("latency,drop"). The empty
 // string and "all" select every kind.
 func ParseKinds(s string) ([]Kind, error) {
+	return ParseList(s, "faults: unknown fault kind", AllKinds())
+}
+
+// ParseList parses a comma-separated list of names drawn from all, the
+// grammar the fault-kind and chaos-action flags share. The empty string and
+// "all" select every name; an unknown one is an error that starts with what
+// and lists the known names.
+func ParseList[T ~string](s, what string, all []T) ([]T, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "all" {
-		return AllKinds(), nil
+		return all, nil
 	}
-	known := map[Kind]bool{}
-	for _, k := range AllKinds() {
-		known[k] = true
-	}
-	var kinds []Kind
+	var out []T
 	for _, part := range strings.Split(s, ",") {
-		k := Kind(strings.TrimSpace(part))
-		if !known[k] {
-			return nil, fmt.Errorf("faults: unknown fault kind %q (known: latency, 429, 5xx, drop, slow)", part)
+		name := T(strings.TrimSpace(part))
+		if !slices.Contains(all, name) {
+			known := make([]string, len(all))
+			for i, k := range all {
+				known[i] = string(k)
+			}
+			return nil, fmt.Errorf("%s %q (known: %s)", what, part, strings.Join(known, ", "))
 		}
-		kinds = append(kinds, k)
+		out = append(out, name)
 	}
-	return kinds, nil
+	return out, nil
 }
 
 // Config parameterizes an injector.
@@ -89,39 +98,34 @@ type Config struct {
 	Rate float64
 	// Kinds are the eligible failure modes; empty means all of them.
 	Kinds []Kind
-	// MaxLatency bounds injected latency (default 3ms — enough to reorder
-	// concurrent requests without slowing a soak to a crawl).
-	MaxLatency time.Duration
 	// RetryAfter is the value of the Retry-After header on injected 429s,
 	// in whole seconds (the header's unit). Zero sends "Retry-After: 0",
 	// which well-behaved clients treat as "retry at your own backoff".
 	RetryAfter time.Duration
-	// DripChunks and DripDelay shape slow responses: the body goes out in
-	// DripChunks pieces with DripDelay between them (defaults 4 × 1ms).
-	DripChunks int
-	DripDelay  time.Duration
-	// ExemptPaths lists path prefixes never faulted. Defaults to the
-	// operational endpoints ("/metrics", "/healthz") so chaos does not
-	// blind the observer.
-	ExemptPaths []string
+	// DripDelay paces slow responses: the body goes out in dripChunks pieces
+	// with DripDelay between them (default 1ms).
+	DripDelay time.Duration
 }
+
+const (
+	// maxLatency bounds injected latency: enough to reorder concurrent
+	// requests without slowing a soak to a crawl.
+	maxLatency = 3 * time.Millisecond
+	// dripChunks is the number of pieces a slow response goes out in.
+	dripChunks = 4
+)
+
+// exemptPaths lists the path prefixes never faulted: the operational
+// endpoints, so chaos does not blind the observer.
+var exemptPaths = []string{"/metrics", "/healthz"}
 
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	if len(c.Kinds) == 0 {
 		c.Kinds = AllKinds()
 	}
-	if c.MaxLatency <= 0 {
-		c.MaxLatency = 3 * time.Millisecond
-	}
-	if c.DripChunks <= 0 {
-		c.DripChunks = 4
-	}
 	if c.DripDelay <= 0 {
 		c.DripDelay = time.Millisecond
-	}
-	if c.ExemptPaths == nil {
-		c.ExemptPaths = []string{"/metrics", "/healthz"}
 	}
 	return c
 }
@@ -185,14 +189,19 @@ func Mix64(seed int64, slot uint64) uint64 {
 	return splitmix64(uint64(seed) ^ splitmix64(slot))
 }
 
+// Draw is slot `slot` of a seeded schedule: its bits, and the coin a schedule
+// compares with its rate — the top 53 bits as a uniform float in [0,1).
+func Draw(seed int64, slot uint64) (bits uint64, coin float64) {
+	bits = Mix64(seed, slot)
+	return bits, float64(bits>>11) / (1 << 53)
+}
+
 // ScheduleAt returns slot i of the fault schedule: a pure function of the
 // injector's seed and configuration, independent of any requests already
 // served. Reproducibility tests and replay tooling read the schedule
 // directly through this method.
 func (inj *Injector) ScheduleAt(i uint64) Decision {
-	bits := splitmix64(uint64(inj.cfg.Seed) ^ splitmix64(i))
-	// Top 53 bits → uniform float in [0,1) for the fault coin.
-	coin := float64(bits>>11) / (1 << 53)
+	bits, coin := Draw(inj.cfg.Seed, i)
 	if coin >= inj.cfg.Rate {
 		return Decision{}
 	}
@@ -208,7 +217,7 @@ func (inj *Injector) ScheduleAt(i uint64) Decision {
 		d.Status = statuses[int((sub>>8)%uint64(len(statuses)))]
 	case KindLatency:
 		frac := float64((sub>>8)&0xffff) / 0xffff
-		d.Latency = time.Duration(frac * float64(inj.cfg.MaxLatency))
+		d.Latency = time.Duration(frac * float64(maxLatency))
 	}
 	return d
 }
@@ -220,7 +229,7 @@ func (inj *Injector) next() Decision {
 
 // exempt reports whether a path is never faulted.
 func (inj *Injector) exempt(path string) bool {
-	for _, p := range inj.cfg.ExemptPaths {
+	for _, p := range exemptPaths {
 		if strings.HasPrefix(path, p) {
 			return true
 		}
@@ -281,13 +290,13 @@ func writeInjectedError(w http.ResponseWriter, status int) {
 // Content-Length covers the full body, so the client observes a truncated
 // read, not a short-but-valid response.
 func (inj *Injector) drop(w http.ResponseWriter, r *http.Request, next http.Handler) {
-	rec := newBufferedResponse()
+	rec := &obs.ResponseBuffer{}
 	next.ServeHTTP(rec, r)
-	copyHeader(w.Header(), rec.header)
-	w.Header().Set("Content-Length", strconv.Itoa(len(rec.body)))
-	w.WriteHeader(rec.status)
-	if n := len(rec.body) / 2; n > 0 {
-		_, _ = w.Write(rec.body[:n])
+	copyHeader(w.Header(), rec.Header())
+	w.Header().Set("Content-Length", strconv.Itoa(len(rec.Body)))
+	w.WriteHeader(rec.Status())
+	if n := len(rec.Body) / 2; n > 0 {
+		_, _ = w.Write(rec.Body[:n])
 	}
 	if f, ok := w.(http.Flusher); ok {
 		f.Flush()
@@ -298,12 +307,12 @@ func (inj *Injector) drop(w http.ResponseWriter, r *http.Request, next http.Hand
 // drip executes the handler, then releases the buffered body in delayed
 // chunks. The response completes; it is just slow.
 func (inj *Injector) drip(w http.ResponseWriter, r *http.Request, next http.Handler) {
-	rec := newBufferedResponse()
+	rec := &obs.ResponseBuffer{}
 	next.ServeHTTP(rec, r)
-	copyHeader(w.Header(), rec.header)
-	w.WriteHeader(rec.status)
-	body := rec.body
-	chunk := (len(body) + inj.cfg.DripChunks - 1) / inj.cfg.DripChunks
+	copyHeader(w.Header(), rec.Header())
+	w.WriteHeader(rec.Status())
+	body := rec.Body
+	chunk := (len(body) + dripChunks - 1) / dripChunks
 	if chunk == 0 {
 		chunk = 1
 	}
@@ -323,27 +332,6 @@ func (inj *Injector) drip(w http.ResponseWriter, r *http.Request, next http.Hand
 			time.Sleep(inj.cfg.DripDelay)
 		}
 	}
-}
-
-// bufferedResponse captures a downstream handler's full response so the
-// injector can damage or pace its delivery.
-type bufferedResponse struct {
-	header http.Header
-	status int
-	body   []byte
-}
-
-func newBufferedResponse() *bufferedResponse {
-	return &bufferedResponse{header: http.Header{}, status: http.StatusOK}
-}
-
-func (b *bufferedResponse) Header() http.Header { return b.header }
-
-func (b *bufferedResponse) WriteHeader(code int) { b.status = code }
-
-func (b *bufferedResponse) Write(p []byte) (int, error) {
-	b.body = append(b.body, p...)
-	return len(p), nil
 }
 
 func copyHeader(dst, src http.Header) {

@@ -124,7 +124,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	case KindSlow:
 		// Client-side "slow" is indistinguishable from a dripped body:
 		// the answer arrives late but whole.
-		time.Sleep(time.Duration(t.inj.cfg.DripChunks) * t.inj.cfg.DripDelay)
+		time.Sleep(dripChunks * t.inj.cfg.DripDelay)
 		return t.base.RoundTrip(req)
 	case KindReject429:
 		return synthesizeReject(req, d.Status, int(t.inj.cfg.RetryAfter/time.Second)), nil

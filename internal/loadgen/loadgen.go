@@ -133,7 +133,7 @@ type Runner struct {
 	cfg    Config
 	client *marketing.Client
 	reg    *obs.Registry
-	clock  marketing.Clock
+	clock  obs.Clock
 
 	completed atomic.Int64
 	failed    atomic.Int64
@@ -156,14 +156,14 @@ func New(cfg Config, client *marketing.Client) (*Runner, error) {
 	if len(cfg.Hashes) == 0 {
 		return nil, fmt.Errorf("loadgen: empty PII hash pool")
 	}
-	r := &Runner{cfg: cfg, client: client, reg: obs.NewRegistry(), clock: marketing.SystemClock}
+	r := &Runner{cfg: cfg, client: client, reg: obs.NewRegistry(), clock: obs.SystemClock}
 	client.SetMetrics(r.reg)
 	return r, nil
 }
 
 // SetClock replaces the wall clock used for latency measurement, letting
 // tests and deterministic replays drive the runner against a fake clock.
-func (r *Runner) SetClock(c marketing.Clock) {
+func (r *Runner) SetClock(c obs.Clock) {
 	if c != nil {
 		r.clock = c
 	}

@@ -19,26 +19,6 @@ import (
 	"github.com/adaudit/impliedidentity/internal/obs"
 )
 
-// Clock abstracts wall-clock reads and sleeps for the client's throttle,
-// retry backoff, and circuit breaker, so load generators and tests can run
-// rate-limited, retrying clients against a fake clock without real waits.
-type Clock interface {
-	Now() time.Time
-	Sleep(d time.Duration)
-}
-
-// realClock is the default Clock: the system clock.
-type realClock struct{}
-
-func (realClock) Now() time.Time        { return time.Now() }
-func (realClock) Sleep(d time.Duration) { time.Sleep(d) }
-
-// SystemClock is the real wall clock, the default when nothing is injected.
-// Other packages that measure or pace time (the load generator) default to
-// it and accept a replacement, keeping every timing decision routable
-// through one injectable seam.
-var SystemClock Clock = realClock{}
-
 // Client-side metric names (recorded into the registry passed to
 // SetMetrics).
 const (
@@ -103,7 +83,7 @@ type Client struct {
 	http    *http.Client
 
 	mu          sync.Mutex
-	clock       Clock
+	clock       obs.Clock
 	minInterval time.Duration
 	lastRequest time.Time
 	retry       RetryPolicy
@@ -130,7 +110,7 @@ func NewClient(baseURL string) (*Client, error) {
 	return &Client{
 		baseURL:  strings.TrimRight(baseURL, "/"),
 		http:     &http.Client{Timeout: 10 * time.Minute},
-		clock:    realClock{},
+		clock:    obs.SystemClock,
 		retry:    DefaultRetryPolicy(),
 		breaker:  DefaultBreakerPolicy(),
 		rng:      rand.New(rand.NewSource(rand.Int63())),
@@ -203,9 +183,9 @@ func (c *Client) SetMinInterval(d time.Duration) {
 
 // SetClock replaces the clock behind the throttle, backoff, and breaker. A
 // nil clock restores the system clock.
-func (c *Client) SetClock(clock Clock) {
+func (c *Client) SetClock(clock obs.Clock) {
 	if clock == nil {
-		clock = realClock{}
+		clock = obs.SystemClock
 	}
 	c.mu.Lock()
 	c.clock = clock
@@ -622,8 +602,9 @@ func (c *Client) Deliver(ctx context.Context, adIDs []string, seed int64) error 
 }
 
 // DeliverWorkers runs the listed ads for one simulated day with an explicit
-// delivery worker count (0 defers to the server's default, 1 is the
-// sequential oracle engine).
+// delivery shard count (0 defers to the server's default, 1 is the single
+// live shard of the historical sequential day; the server refuses a count
+// above 64).
 func (c *Client) DeliverWorkers(ctx context.Context, adIDs []string, seed int64, workers int) error {
 	return c.do(ctx, http.MethodPost, "/v1/deliver", DeliverRequest{AdIDs: adIDs, Seed: seed, Workers: workers}, nil)
 }

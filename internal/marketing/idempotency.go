@@ -95,7 +95,7 @@ func (ic *idemCache) middleware(reg *obs.Registry, next http.Handler) http.Handl
 		ic.entries[key] = e
 		ic.mu.Unlock()
 
-		rec := &responseBuffer{status: http.StatusOK}
+		rec := &obs.ResponseBuffer{}
 		func() {
 			// A panic escaping the inner stack (it shouldn't — the recovery
 			// middleware sits below) must not strand waiters on a
@@ -112,10 +112,10 @@ func (ic *idemCache) middleware(reg *obs.Registry, next http.Handler) http.Handl
 			}()
 			next.ServeHTTP(rec, r)
 		}()
-		e.status = rec.status
-		e.contentType = rec.header.Get("Content-Type")
-		e.retryAfter = rec.header.Get("Retry-After")
-		e.body = rec.body
+		e.status = rec.Status()
+		e.contentType = rec.Header().Get("Content-Type")
+		e.retryAfter = rec.Header().Get("Retry-After")
+		e.body = rec.Body
 		if e.status >= 500 {
 			// Don't memoize failures: the client's retry (same key) should
 			// re-execute, not replay the failure.
@@ -155,26 +155,4 @@ func replayResponse(w http.ResponseWriter, e *idemEntry) {
 	}
 	w.WriteHeader(e.status)
 	_, _ = w.Write(e.body)
-}
-
-// responseBuffer captures a handler's response for memoization before any
-// byte reaches the wire.
-type responseBuffer struct {
-	header http.Header
-	status int
-	body   []byte
-}
-
-func (b *responseBuffer) Header() http.Header {
-	if b.header == nil {
-		b.header = http.Header{}
-	}
-	return b.header
-}
-
-func (b *responseBuffer) WriteHeader(code int) { b.status = code }
-
-func (b *responseBuffer) Write(p []byte) (int, error) {
-	b.body = append(b.body, p...)
-	return len(p), nil
 }

@@ -2,6 +2,7 @@ package marketing
 
 import (
 	"context"
+	"errors"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -123,6 +124,14 @@ func TestEndToEndCampaignFlow(t *testing.T) {
 	got, err := e.client.GetAd(context.Background(), ad.ID)
 	if err != nil || got.ID != ad.ID {
 		t.Fatalf("GetAd: %+v, %v", got, err)
+	}
+	// A shard count the engine cannot run is refused, never replaced by one
+	// the caller did not ask for: the ad stays deliverable.
+	for _, workers := range []int{-1, 65, 100} {
+		var apiErr *APIError
+		if err := e.client.DeliverWorkers(context.Background(), []string{ad.ID}, 42, workers); !errors.As(err, &apiErr) || apiErr.StatusCode != 400 {
+			t.Errorf("deliver with workers=%d: got %v, want APIError 400", workers, err)
+		}
 	}
 	if err := e.client.Deliver(context.Background(), []string{ad.ID}, 42); err != nil {
 		t.Fatal(err)

@@ -102,6 +102,30 @@ func (s *Stack) Close() error {
 	return nil
 }
 
+// WaitHealthy polls every backend's liveness endpoint until all answer 200 or
+// the budget runs out, so a router can start before (or while) its fleet
+// does — convenient for process supervisors that start everything at once.
+func WaitHealthy(backends []string, budget time.Duration) error {
+	deadline := time.Now().Add(budget)
+	probe := &http.Client{Timeout: 2 * time.Second}
+	for _, b := range backends {
+		for {
+			resp, err := probe.Get(b + "/healthz")
+			if err == nil {
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					break
+				}
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("backend %s not healthy within %s", b, budget)
+			}
+			time.Sleep(200 * time.Millisecond)
+		}
+	}
+	return nil
+}
+
 // Serve answers on ln until the listener fails or SIGINT/SIGTERM arrives,
 // then drains in-flight requests for at most drainTimeout and cuts the rest.
 // start, if not nil, is called before serving with a context the signal

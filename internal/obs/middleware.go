@@ -41,6 +41,39 @@ func (w *statusRecorder) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// ResponseBuffer is an http.ResponseWriter that holds a handler's whole
+// response in memory, for middleware that must see it before any byte
+// reaches the wire: the idempotency cache memoizes it, the fault injector
+// damages or paces its delivery. The zero value is ready to use; Status is
+// 200 unless the handler wrote another.
+type ResponseBuffer struct {
+	header http.Header
+	status int
+	Body   []byte
+}
+
+func (b *ResponseBuffer) Header() http.Header {
+	if b.header == nil {
+		b.header = http.Header{}
+	}
+	return b.header
+}
+
+func (b *ResponseBuffer) WriteHeader(code int) { b.status = code }
+
+func (b *ResponseBuffer) Write(p []byte) (int, error) {
+	b.Body = append(b.Body, p...)
+	return len(p), nil
+}
+
+// Status is the response status the handler set.
+func (b *ResponseBuffer) Status() int {
+	if b.status == 0 {
+		return http.StatusOK
+	}
+	return b.status
+}
+
 // statusClass buckets a status code as "2xx", "4xx", etc.
 func statusClass(code int) string {
 	switch {

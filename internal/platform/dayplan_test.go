@@ -244,19 +244,26 @@ func TestDayPlanMatchesMapOracleOnRandomDays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ran, _ := p.runDay(plan, seed, shards)
+		ctrl, err := NewPacingController(p.dayInit("", plan), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := p.newDayRun(plan, seed, 0, shards, shards)
+		if err := p.driveTicks(run, ctrl); err != nil {
+			t.Fatal(err)
+		}
 		for _, ad := range plan.active {
 			p.stats[ad.ID] = p.newAdStats(ad.ID)
 		}
-		for _, sh := range ran {
+		for _, sh := range run.shards {
 			sh.foldInto(p.stats, plan.active)
 		}
 		want := oracleDay(p, plan.active, seed, shards)
 
 		for i, oa := range want {
 			st := p.stats[oa.ad.ID]
-			if plan.bids[i].spent != oa.spent {
-				t.Errorf("trial %d ad %d: spent %v, oracle %v", trial, i, plan.bids[i].spent, oa.spent)
+			if ctrl.spent[i] != oa.spent {
+				t.Errorf("trial %d ad %d: spent %v, oracle %v", trial, i, ctrl.spent[i], oa.spent)
 			}
 			if st.Impressions != oa.impressions || st.Clicks != oa.clicks {
 				t.Errorf("trial %d ad %d: %d impressions %d clicks, oracle %d and %d", trial, i, st.Impressions, st.Clicks, oa.impressions, oa.clicks)
@@ -323,24 +330,17 @@ func TestCellKeyCoversTheBreakdownSpace(t *testing.T) {
 }
 
 // TestDayTickDoesNotAllocate: once the score memo and the served buffer are
-// warm, a tick — pacing, shuffle, sessions, auctions, barrier commit — makes
-// no heap allocation, live or frozen.
+// warm, a tick — the barrier's directives, the shard step (shuffle, sessions,
+// auctions, report), the barrier's commit — makes no heap allocation, live or
+// frozen. The frozen day is a 2-shard day of which this process owns shard 0,
+// as a fleet backend does: the goroutines of a run that owns several shards
+// are not part of the claim.
 func TestDayTickDoesNotAllocate(t *testing.T) {
 	p, ids := benchDay(t)
 	for _, shards := range []int{1, 2} {
-		plan, err := p.prepareDay(ids)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sh := p.newDayShard(plan, 77, 0, shards)
+		st := newTickStepper(t, p, ids, 77, shards)
 		tick := 0
-		oneTick := func() {
-			p.paceTick(plan, tick%p.cfg.Ticks, shards)
-			p.tickShard(sh, plan, tick%p.cfg.Ticks)
-			sh.commitTick(plan.bids)
-			sh.served = sh.served[:0] // the no-op serve sink
-			tick++
-		}
+		oneTick := func() { st.step(tick % p.cfg.Ticks); tick++ }
 		for tick < 8 {
 			oneTick()
 		}

@@ -71,12 +71,8 @@ func (p *Platform) Insights(adID string) (*AdStats, error) {
 	return s.clone(), nil
 }
 
-// maxDeliveryWorkers bounds the shard count so a wire-supplied worker count
-// cannot make the engine allocate absurd numbers of shards.
-const maxDeliveryWorkers = 64
-
 // RunDay delivers all the given ads over one simulated 24-hour window using
-// the configured default worker count (Config.DeliveryWorkers). Per the
+// the configured default shard count (Config.DeliveryWorkers). Per the
 // audit protocol (§3.2), ads launched together experience the same running
 // environment: one shared auction per ad slot. Ads must be Active; rejected
 // ads are skipped with their status preserved (the Appendix A analysis
@@ -86,14 +82,16 @@ func (p *Platform) RunDay(adIDs []string, seed int64) error {
 	return p.RunDayWorkers(adIDs, seed, 0)
 }
 
-// RunDayWorkers is RunDay with an explicit worker count. workers <= 0 falls
-// back to Config.DeliveryWorkers; an effective count of 1 runs the
-// sequential oracle engine, anything higher runs the sharded parallel
-// engine (see delivery_shard.go). Output is a pure function of (ads, seed,
-// effective worker count): repeated runs with the same inputs are
-// bit-identical, and workers=1 reproduces the historical sequential output
-// exactly. Different worker counts produce statistically equivalent but not
-// identical days, because each shard consumes its own RNG stream.
+// RunDayWorkers is RunDay with an explicit shard count; workers <= 0 falls
+// back to Config.DeliveryWorkers, and a count outside [1, 64] is refused. It
+// is the in-process driver of a day: a fleet that owns every shard, running
+// the same tick barrier (PacingController) and shard step (stepShards) a
+// coordinated day runs, one goroutine per shard. Output is a pure function
+// of (ads, seed, shard count): repeated runs with the same inputs are
+// bit-identical, and workers=1 — one live shard drawing from the day seed —
+// reproduces the historical sequential output exactly. Different shard
+// counts produce statistically equivalent but not identical days, because
+// each shard consumes its own RNG stream.
 func (p *Platform) RunDayWorkers(adIDs []string, seed int64, workers int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -103,43 +101,65 @@ func (p *Platform) RunDayWorkers(adIDs []string, seed int64, workers int) error 
 	if workers <= 0 {
 		workers = p.cfg.DeliveryWorkers
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > maxDeliveryWorkers {
-		workers = maxDeliveryWorkers
+	if err := checkShardCount(workers); err != nil {
+		return err
 	}
 	plan, err := p.prepareDay(adIDs)
 	if err != nil {
 		return err
 	}
-	start := p.deliveryClockNow()
-	shards, merge := p.runDay(plan, seed, workers)
-	spendCents := make([]float64, len(plan.bids))
-	for i := range spendCents {
-		spendCents[i] = math.Round(plan.bids[i].spent * 100)
+	ctrl, err := NewPacingController(p.dayInit("", plan), workers)
+	if err != nil {
+		return err
 	}
-	var auctions int64
-	for _, sh := range shards {
-		auctions += sh.auctions
+	run := p.newDayRun(plan, seed, 0, workers, workers)
+	if err := p.driveTicks(run, ctrl); err != nil {
+		return err
 	}
-	impressions := p.installDay(plan.active, shards, spendCents, &DeliveryState{Seed: seed, Workers: workers})
-	p.observeDelivery(start, int64(p.cfg.Ticks), auctions, impressions, workers, merge)
+	p.finishDay(run, ctrl.SpendCents(), &DeliveryState{Seed: seed, Workers: workers})
 	return nil
 }
 
-// installDay turns a run day into the ads' frozen insights: fresh reports
-// filled from the shards' accumulators and stamped with the authoritative
-// per-ad spend, the ads completed, and one mutation that commits the whole
-// day, so a recovered platform reports it identically. It returns the
-// impressions installed; the caller holds p.mu for writing.
-func (p *Platform) installDay(active []*Ad, shards []*dayShard, spendCents []float64, del *DeliveryState) (impressions int64) {
+// driveTicks runs every tick of an in-process day: the barrier's directives,
+// the shard step on all of the run's shards, the barrier's commit. The caller
+// holds p.mu for writing for the whole day; parallelism lives entirely inside
+// stepShards.
+func (p *Platform) driveTicks(run *dayRun, ctrl *PacingController) error {
+	timed := p.obsReg != nil && len(run.shards) > 1
+	for tick := 0; tick < ctrl.Ticks(); tick++ {
+		p.stepShards(run, tick, ctrl.TickDirectives(tick))
+		var commitStart time.Time
+		if timed {
+			commitStart = p.clock.Now()
+		}
+		if err := ctrl.CommitTick(run.reports); err != nil {
+			return err
+		}
+		// An in-process day flushes its serve log at every barrier, a session
+		// once at Finish; the committed digests were recorded that way.
+		p.flushServed(run)
+		if timed {
+			run.merge += p.clock.Now().Sub(commitStart)
+		}
+	}
+	return nil
+}
+
+// finishDay is the end of a day for the shards this process owns. It turns
+// them into the ads' frozen insights — fresh reports filled from the shards'
+// accumulators and stamped with the barrier's authoritative per-ad spend —
+// completes the ads, emits the one mutation that commits the whole day (so a
+// recovered platform reports it identically), flushes what is left of the
+// serve log and records the day's metrics. The caller holds p.mu for writing.
+func (p *Platform) finishDay(run *dayRun, spendCents []float64, del *DeliveryState) {
+	active := run.plan.active
 	for _, ad := range active {
 		p.stats[ad.ID] = p.newAdStats(ad.ID)
 	}
-	for _, sh := range shards {
+	for _, sh := range run.shards {
 		sh.foldInto(p.stats, active)
 	}
+	var impressions int64
 	for i, ad := range active {
 		ad.Status = StatusCompleted
 		st := p.stats[ad.ID]
@@ -150,7 +170,8 @@ func (p *Platform) installDay(active []*Ad, shards []*dayShard, spendCents []flo
 	}
 	sortDeliveryState(del)
 	p.emit(Mutation{Kind: MutDayDelivered, Delivery: del})
-	return impressions
+	p.flushServed(run)
+	p.observeDelivery(run.start, int64(p.cfg.Ticks), run.auctions(), impressions, del.Workers, run.merge)
 }
 
 // prepareDay resolves a delivery request into the day plan: the run's active
@@ -200,21 +221,20 @@ func (p *Platform) prepareDay(adIDs []string) (*dayPlan, error) {
 	return newDayPlan(active, bids), nil
 }
 
-// paceTick is phase 1 of a tick, budget pacing: adjust each ad's effective
-// bid toward on-schedule spend from the committed spend (§2.1: "this process
-// is called bid pacing"), and cap the tick's spend so the budget spreads over
-// the whole day rather than dumping into the first slots; with several shards
-// each may spend its slice of that cap.
-func (p *Platform) paceTick(plan *dayPlan, tick, shards int) {
-	ticks := p.cfg.Ticks
-	elapsed := float64(tick) / float64(ticks)
-	for i := range plan.bids {
-		b := &plan.bids[i]
-		b.pacing, b.cap = pacingStep(b.pacing, b.spent, b.budget, elapsed, ticks, p.cfg.GreedyPacing)
-		if shards > 1 {
-			b.cap = shardCapShare(b.cap, b.budget, b.spent, shards)
-		}
+// dayInit reports a prepared plan the way a shard backend reports it to its
+// coordinator: the pacing-relevant configuration and, in run order, every
+// active ad's budget and starting bid — what a PacingController is built from.
+func (p *Platform) dayInit(session string, plan *dayPlan) *DayInit {
+	init := &DayInit{
+		Session: session,
+		Ticks:   p.cfg.Ticks,
+		Greedy:  p.cfg.GreedyPacing,
+		Ads:     make([]DayAdPlan, len(plan.active)),
 	}
+	for i, ad := range plan.active {
+		init.Ads[i] = DayAdPlan{AdID: ad.ID, DailyBudgetCents: ad.DailyBudgetCents, Pacing: plan.bids[i].pacing}
+	}
+	return init
 }
 
 // newAdStats allocates an empty delivery report sized for the configured
@@ -226,50 +246,6 @@ func (p *Platform) newAdStats(adID string) *AdStats {
 		RaceOracle:   map[demo.Race]int{},
 		HourlySeries: make([]int, p.cfg.Ticks),
 	}
-}
-
-// runDay runs every tick of a delivery day over `workers` shards of the
-// plan's rows and returns them. One shard is the sequential oracle: one RNG
-// stream, spend charged auction by auction in user-visit order; its output
-// defines the determinism contract every other configuration is
-// differentially tested against, so its draw order must never change. More
-// shards run the two-phase tick described in delivery_shard.go. The caller
-// holds p.mu for writing for the whole day; parallelism lives entirely inside
-// this call. Also returns the time spent in the barrier commits of a
-// multi-shard day (zero unless an observer is installed).
-func (p *Platform) runDay(plan *dayPlan, seed int64, workers int) ([]*dayShard, time.Duration) {
-	ticks := p.cfg.Ticks
-	shards := make([]*dayShard, workers)
-	for s := range shards {
-		shards[s] = p.newDayShard(plan, seed, s, workers)
-	}
-
-	var mergeTime time.Duration
-	timed := p.obsReg != nil && workers > 1
-	for tick := 0; tick < ticks; tick++ {
-		p.paceTick(plan, tick, workers)    // phase 1
-		p.runShardTick(shards, plan, tick) // phase 2
-
-		// Phase 3: barrier commit in fixed shard order — fixed floating-point
-		// addition order.
-		var commitStart time.Time
-		if timed {
-			commitStart = p.clock.Now()
-		}
-		for _, sh := range shards {
-			sh.commitTick(plan.bids)
-			// Serve-log rows flush in shard order, so the retraining buffer
-			// (and its maxServedLog truncation point) is deterministic.
-			for _, row := range sh.served {
-				p.recordServed(row.userIdx, row.ad, row.clicked)
-			}
-			sh.served = sh.served[:0]
-		}
-		if timed {
-			mergeTime += p.clock.Now().Sub(commitStart)
-		}
-	}
-	return shards, mergeTime
 }
 
 // optimizationTerm computes the per-user multiplier the delivery objective

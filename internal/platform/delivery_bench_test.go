@@ -138,15 +138,54 @@ func BenchmarkPrepareDay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		users += int64(len(p.newDayShard(plan, 1, 0, 1).order))
+		users += int64(len(p.newDayRun(plan, 1, 0, 1, 1).shards[0].order))
 	}
 	perUnit(b, users, "ns/user")
 }
 
-// BenchmarkDayTick times one tick of one shard — pacing, the shuffled walk,
-// the auctions — cycling through whole days so that every tick of the day
-// (cold score memo, warm memo, users at their frequency cap) weighs in as it
-// does in a real day. Building each new day sits outside the timer.
+// tickStepper drives shard 0 of a `shards`-wide day one tick at a time the
+// way RunDayWorkers' loop drives the shards it owns: the barrier's
+// directives, the shard step, the barrier's commit. The shards this process
+// does not own report no spend, and served rows go nowhere.
+type tickStepper struct {
+	p       *Platform
+	ctrl    *PacingController
+	run     *dayRun
+	reports [][]float64
+}
+
+func newTickStepper(tb testing.TB, p *Platform, ids []string, seed int64, shards int) *tickStepper {
+	tb.Helper()
+	plan, err := p.prepareDay(ids)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctrl, err := NewPacingController(p.dayInit("", plan), shards)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st := &tickStepper{p: p, ctrl: ctrl, run: p.newDayRun(plan, seed, 0, 1, shards), reports: make([][]float64, shards)}
+	st.reports[0] = st.run.reports[0]
+	for s := 1; s < shards; s++ {
+		st.reports[s] = make([]float64, len(ids))
+	}
+	return st
+}
+
+func (st *tickStepper) step(tick int) {
+	st.p.stepShards(st.run, tick, st.ctrl.TickDirectives(tick))
+	if err := st.ctrl.CommitTick(st.reports); err != nil {
+		panic(err)
+	}
+	st.shard().served = st.shard().served[:0]
+}
+
+func (st *tickStepper) shard() *dayShard { return st.run.shards[0] }
+
+// BenchmarkDayTick times one tick of one shard — the barrier, the shuffled
+// walk, the auctions — cycling through whole days so that every tick of the
+// day (cold score memo, warm memo, users at their frequency cap) weighs in as
+// it does in a real day. Building each new day sits outside the timer.
 func BenchmarkDayTick(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
@@ -155,8 +194,7 @@ func BenchmarkDayTick(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			p, ids := benchDay(b)
 			ticks := p.cfg.Ticks
-			var plan *dayPlan
-			var sh *dayShard
+			var st *tickStepper
 			var userTicks, auctions int64
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -164,23 +202,16 @@ func BenchmarkDayTick(b *testing.B) {
 				tick := i % ticks
 				if tick == 0 {
 					b.StopTimer()
-					if sh != nil {
-						auctions += sh.auctions
+					if st != nil {
+						auctions += st.shard().auctions
 					}
-					var err error
-					if plan, err = p.prepareDay(ids); err != nil {
-						b.Fatal(err)
-					}
-					sh = p.newDayShard(plan, int64(i), 0, bc.shards)
+					st = newTickStepper(b, p, ids, int64(i), bc.shards)
 					b.StartTimer()
 				}
-				p.paceTick(plan, tick, bc.shards)
-				p.tickShard(sh, plan, tick)
-				sh.commitTick(plan.bids)
-				sh.served = sh.served[:0]
-				userTicks += int64(len(sh.order))
+				st.step(tick)
+				userTicks += int64(len(st.shard().order))
 			}
-			auctions += sh.auctions
+			auctions += st.shard().auctions
 			perUnit(b, userTicks, "ns/user-tick")
 			perUnit(b, auctions, "ns/auction")
 		})

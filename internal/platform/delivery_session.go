@@ -2,9 +2,9 @@ package platform
 
 // The coordinated day session: one shard backend's side of the cross-process
 // delivery protocol (internal/coordinator drives the other side). A session
-// runs one dayShard of the day RunDayWorkers would run — the live shard of a
-// 1-shard day, a frozen one otherwise — but one externally paced tick at a
-// time:
+// is the second driver of the shard step RunDayWorkers drives: it owns one
+// shard of the day — the live shard of a 1-shard day, a frozen one otherwise
+// — and steps it one tick at a time under a barrier that runs elsewhere:
 //
 //	Begin   resolve the ad set, initialize pacing, report the day plan;
 //	Tick    apply the coordinator's frozen (pacing, spent, cap) snapshot,
@@ -27,7 +27,6 @@ package platform
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // ErrSessionConflict reports a session-scoped call whose session name does
@@ -40,17 +39,12 @@ var ErrSessionConflict = errors.New("platform: delivery session conflict")
 // daySession is the in-memory state of one coordinated delivery day on one
 // shard backend.
 type daySession struct {
-	name   string
-	seed   int64
-	shard  int
-	shards int
+	name string
+	del  *DeliveryState // which slice of which day Finish commits
+	run  *dayRun        // the one shard this backend owns; its served buffer is flushed at Finish
 
-	plan *dayPlan
-	sh   *dayShard // its served buffer is flushed to the platform at Finish
-
-	nextTick int
-	last     *TickReport // previous tick's report, for idempotent replay
-	start    time.Time
+	nextTick     int
+	lastAuctions int64 // of the previous tick, for its idempotent replay
 }
 
 // BeginDaySession opens a coordinated delivery session named `session` for
@@ -58,10 +52,9 @@ type daySession struct {
 // RunDayWorkers (rejected ads skipped, other non-active statuses fatal) and
 // returns the day plan: tick count, pacing mode, and per-ad budgets and
 // starting bids in run order. The user partition is by position in the
-// globally sorted eligible-user list (position mod shards), the same
-// round-robin split the in-process sharded engine uses — so an N-shard
-// coordinated day reproduces RunDayWorkers(workers=N) bit for bit, and a
-// 1-shard day reproduces the sequential oracle.
+// globally sorted eligible-user list (position mod shards), the split every
+// day uses — so an N-shard coordinated day reproduces
+// RunDayWorkers(workers=N) bit for bit.
 //
 // Any existing session is replaced: sessions are volatile scratch, and
 // replacement is how a coordinator recovers a backend that holds a stale
@@ -70,8 +63,8 @@ func (p *Platform) BeginDaySession(session string, adIDs []string, seed int64, s
 	if session == "" {
 		return nil, fmt.Errorf("platform: day session needs a name")
 	}
-	if shards < 1 || shards > maxDeliveryWorkers {
-		return nil, fmt.Errorf("platform: shard count %d outside [1, %d]", shards, maxDeliveryWorkers)
+	if err := checkShardCount(shards); err != nil {
+		return nil, err
 	}
 	if shard < 0 || shard >= shards {
 		return nil, fmt.Errorf("platform: shard %d outside [0, %d)", shard, shards)
@@ -83,25 +76,11 @@ func (p *Platform) BeginDaySession(session string, adIDs []string, seed int64, s
 		return nil, err
 	}
 	p.session = &daySession{
-		name:   session,
-		seed:   seed,
-		shard:  shard,
-		shards: shards,
-		plan:   plan,
-		sh:     p.newDayShard(plan, seed, shard, shards),
-		start:  p.deliveryClockNow(),
+		name: session,
+		del:  &DeliveryState{Seed: seed, Workers: shards, Shard: shard, Shards: shards},
+		run:  p.newDayRun(plan, seed, shard, shard+1, shards),
 	}
-
-	init := &DayInit{
-		Session: session,
-		Ticks:   p.cfg.Ticks,
-		Greedy:  p.cfg.GreedyPacing,
-		Ads:     make([]DayAdPlan, len(plan.active)),
-	}
-	for i, ad := range plan.active {
-		init.Ads[i] = DayAdPlan{AdID: ad.ID, DailyBudgetCents: ad.DailyBudgetCents, Pacing: plan.bids[i].pacing}
-	}
-	return init, nil
+	return p.dayInit(session, plan), nil
 }
 
 // DaySessionTick runs phase 2 of one tick under the coordinator's frozen
@@ -123,44 +102,25 @@ func (p *Platform) DaySessionTick(session string, tick int, dirs []TickDirective
 	if err != nil {
 		return nil, err
 	}
-	if sess.last != nil && tick == sess.nextTick-1 {
-		rep := *sess.last
-		rep.Spent = append([]float64(nil), sess.last.Spent...)
-		return &rep, nil
-	}
-	if tick != sess.nextTick {
-		return nil, fmt.Errorf("platform: session %q expects tick %d, got %d: %w", session, sess.nextTick, tick, ErrSessionConflict)
-	}
-	ticks := p.cfg.Ticks
-	if tick >= ticks {
-		return nil, fmt.Errorf("platform: tick %d beyond day length %d: %w", tick, ticks, ErrSessionConflict)
-	}
-	bids, sh := sess.plan.bids, sess.sh
-	if len(dirs) != len(bids) {
-		return nil, fmt.Errorf("platform: session %q got %d directives, want %d: %w", session, len(dirs), len(bids), ErrSessionConflict)
-	}
-
-	for i := range bids {
-		bids[i].pacing = dirs[i].Pacing
-		bids[i].spent = dirs[i].Spent
-		bids[i].cap = dirs[i].Cap
-	}
-	before := sh.auctions
-	p.tickShard(sh, sess.plan, tick)
-	rep := &TickReport{Tick: tick, Spent: make([]float64, len(bids)), Auctions: sh.auctions - before}
-	for i := range bids {
-		rep.Spent[i] = sh.accs[i].tickSpent
-		if sh.live {
-			rep.Spent[i] = bids[i].spent
+	run := sess.run
+	if replay := sess.nextTick > 0 && tick == sess.nextTick-1; !replay {
+		if tick != sess.nextTick {
+			return nil, fmt.Errorf("platform: session %q expects tick %d, got %d: %w", session, sess.nextTick, tick, ErrSessionConflict)
 		}
-		sh.accs[i].tickSpent = 0
+		if ticks := p.cfg.Ticks; tick >= ticks {
+			return nil, fmt.Errorf("platform: tick %d beyond day length %d: %w", tick, ticks, ErrSessionConflict)
+		}
+		if len(dirs) != len(run.plan.bids) {
+			return nil, fmt.Errorf("platform: session %q got %d directives, want %d: %w", session, len(dirs), len(run.plan.bids), ErrSessionConflict)
+		}
+		before := run.auctions()
+		p.stepShards(run, tick, dirs)
+		sess.lastAuctions = run.auctions() - before
+		sess.nextTick++
 	}
-	sess.nextTick++
-	sess.last = rep
-
-	out := *rep
-	out.Spent = append([]float64(nil), rep.Spent...)
-	return &out, nil
+	// The run holds a tick's report until its next step, so a replay re-reads
+	// what the tick itself reported.
+	return &TickReport{Tick: tick, Spent: append([]float64(nil), run.reports[0]...), Auctions: sess.lastAuctions}, nil
 }
 
 // FinishDaySession commits a completed session: the session's stats become
@@ -179,17 +139,10 @@ func (p *Platform) FinishDaySession(session string, spendCents []float64) error 
 	if sess.nextTick != p.cfg.Ticks {
 		return fmt.Errorf("platform: session %q finished at tick %d of %d: %w", session, sess.nextTick, p.cfg.Ticks, ErrSessionConflict)
 	}
-	active := sess.plan.active
-	if len(spendCents) != len(active) {
+	if active := sess.run.plan.active; len(spendCents) != len(active) {
 		return fmt.Errorf("platform: session %q got %d spend totals, want %d: %w", session, len(spendCents), len(active), ErrSessionConflict)
 	}
-
-	del := &DeliveryState{Seed: sess.seed, Workers: sess.shards, Shard: sess.shard, Shards: sess.shards}
-	impressions := p.installDay(active, []*dayShard{sess.sh}, spendCents, del)
-	for _, row := range sess.sh.served {
-		p.recordServed(row.userIdx, row.ad, row.clicked)
-	}
-	p.observeDelivery(sess.start, int64(p.cfg.Ticks), sess.sh.auctions, impressions, sess.shards, 0)
+	p.finishDay(sess.run, spendCents, sess.del)
 	p.session = nil
 	return nil
 }

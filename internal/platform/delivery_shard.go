@@ -1,30 +1,31 @@
 package platform
 
-// The auction kernel and the shard it runs over. A delivery day's rows (the
-// targeted users, as positions in the day's CSR eligibility index) are
-// partitioned into deterministic shards; each shard runs its tick's auctions
-// with its own RNG stream and thread-local accumulators over the shared
-// dayPlan. There is one kernel for every way a day is run — in process or as
-// one backend of a coordinated fleet day (delivery_session.go), one shard or
-// many — and the runs differ only in how an impression is charged:
+// The auction kernel, the shard it runs over, and the tick step every driver
+// of a day calls. A delivery day's rows (the targeted users, as positions in
+// the day's CSR eligibility index) are partitioned into deterministic shards;
+// each shard runs its tick's auctions with its own RNG stream and
+// thread-local accumulators over the shared dayPlan. A process holds the
+// shards it owns in a dayRun — all of them in process (RunDayWorkers), one as
+// a backend of a coordinated fleet day (delivery_session.go) — and the runs
+// differ only in how an impression is charged:
 //
-//	live    (a 1-shard day, the sequential oracle) the winner's committed
-//	        spend moves at once, truncated at the daily budget, so the next
-//	        auction already sees it;
+//	live    (the shard of a 1-shard day) the winner's committed spend moves
+//	        at once, truncated at the daily budget, so the next auction
+//	        already sees it;
 //	frozen  (every multi-shard day) spend accrues in the shard's accumulator
 //	        and nothing shared moves until the tick barrier.
 //
-// A frozen tick is two-phase budget pacing:
+// A tick is two-phase budget pacing around a barrier (pacing.go):
 //
-//	phase 1 (single-threaded): the pacing controller updates every ad's
-//	  effective bid from the *committed* spend — the same rule a live day
-//	  applies — and slices the tick's spend cap per shard;
-//	phase 2 (parallel): shards bid against that frozen tick-start snapshot
-//	  (dayPlan.bids never moves mid-tick), accruing spend and stats locally;
-//	phase 3 (single-threaded): shard spend commits into the bids in shard
+//	phase 1 (PacingController.TickDirectives): the controller updates every
+//	  ad's effective bid from the *committed* spend and slices the tick's
+//	  spend cap per shard;
+//	phase 2 (stepShards, parallel): shards bid against that frozen
+//	  tick-start snapshot (dayPlan.bids never moves mid-tick unless the
+//	  shard is live), accruing spend and stats locally, and report it;
+//	phase 3 (PacingController.CommitTick): reported spend commits in shard
 //	  order — fixed floating-point addition order — clamped so the daily
-//	  budget is never exceeded, and buffered served-log rows flush in the
-//	  same order.
+//	  budget is never exceeded.
 //
 // That makes the day's output a pure function of (ads, seed, shard count):
 // repeated runs are bit-identical. Per-user state (frequency counts, reach,
@@ -35,6 +36,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"time"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
 )
@@ -58,7 +60,7 @@ type dayShard struct {
 	live     bool        // charge committed spend per auction instead of at the barrier
 	order    []int32     // row positions into the plan's eligIndex
 	accs     []adAcc     // indexed by run index
-	served   []servedRow // buffered rows, flushed by whoever drives the ticks
+	served   []servedRow // buffered rows, until flushServed
 	auctions int64
 }
 
@@ -86,17 +88,84 @@ func (p *Platform) newDayShard(plan *dayPlan, seed int64, shard, shards int) *da
 	return sh
 }
 
-// commitTick is the shard's part of the tick barrier: fold the spend it
-// accrued this tick into the committed totals, clamped at the daily budget,
-// and drain it. A live shard has already charged its spend.
-func (sh *dayShard) commitTick(bids []adBid) {
-	for i := range sh.accs {
-		acc := &sh.accs[i]
-		if !sh.live {
-			b := &bids[i]
-			b.spent = commitSpend(b.spent, acc.tickSpent, b.budget)
+// dayRun is one process's part of a delivery day: the plan, the shards of the
+// day it owns, and per owned shard the spend vector its last tick reported.
+type dayRun struct {
+	plan    *dayPlan
+	shards  []*dayShard
+	reports [][]float64 // by owned shard, then by run index; reused every tick
+	// Observer readings, zero without an observer: the clock at construction,
+	// and the time an in-process multi-shard day spent in barrier commits.
+	start time.Time
+	merge time.Duration
+}
+
+// newDayRun builds shards lo..hi-1 of a `shards`-wide day over the plan.
+func (p *Platform) newDayRun(plan *dayPlan, seed int64, lo, hi, shards int) *dayRun {
+	run := &dayRun{plan: plan, shards: make([]*dayShard, hi-lo), reports: make([][]float64, hi-lo)}
+	if p.obsReg != nil {
+		run.start = p.clock.Now()
+	}
+	for s := range run.shards {
+		run.shards[s] = p.newDayShard(plan, seed, lo+s, shards)
+		run.reports[s] = make([]float64, len(plan.bids))
+	}
+	return run
+}
+
+// auctions is the number of ad slots the run's shards have auctioned so far.
+func (run *dayRun) auctions() (n int64) {
+	for _, sh := range run.shards {
+		n += sh.auctions
+	}
+	return n
+}
+
+// stepShards is phase 2 of a tick on every shard the run owns: freeze the
+// barrier's directives (one per ad, in run order) into the bids, run the
+// shards — inline for one, otherwise a goroutine per shard — and drain each
+// shard's spend into its report vector. A frozen shard reports what it
+// accrued this tick; the live shard has charged the bids auction by auction,
+// so it reports their committed totals. Nothing shared moves until every
+// shard has parked, so the commit that follows needs no locking.
+func (p *Platform) stepShards(run *dayRun, tick int, dirs []TickDirective) {
+	plan, bids := run.plan, run.plan.bids
+	for i := range bids {
+		bids[i].pacing, bids[i].spent, bids[i].cap = dirs[i].Pacing, dirs[i].Spent, dirs[i].Cap
+	}
+	if len(run.shards) == 1 {
+		p.tickShard(run.shards[0], plan, tick)
+	} else {
+		var wg sync.WaitGroup
+		for _, sh := range run.shards {
+			wg.Add(1)
+			go func(sh *dayShard) {
+				defer wg.Done()
+				p.tickShard(sh, plan, tick)
+			}(sh)
 		}
-		acc.tickSpent = 0
+		wg.Wait()
+	}
+	for s, sh := range run.shards {
+		for i := range bids {
+			run.reports[s][i] = sh.accs[i].tickSpent
+			if sh.live {
+				run.reports[s][i] = bids[i].spent
+			}
+			sh.accs[i].tickSpent = 0
+		}
+	}
+}
+
+// flushServed moves the shards' buffered serve-log rows into the retraining
+// buffer, in shard order, so the buffer (and its maxServedLog truncation
+// point) is deterministic.
+func (p *Platform) flushServed(run *dayRun) {
+	for _, sh := range run.shards {
+		for _, row := range sh.served {
+			p.recordServed(row.userIdx, row.ad, row.clicked)
+		}
+		sh.served = sh.served[:0]
 	}
 }
 
@@ -136,27 +205,6 @@ func shardSeed(seed int64, shard int) int64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
-}
-
-// runShardTick runs one tick on every shard and returns when all are done:
-// inline for a single shard, otherwise a goroutine per shard. The WaitGroup
-// wait is the tick barrier of the two-phase pacing design: no shared
-// mutation happens until every shard has parked, so the commit phase that
-// follows needs no locking at all.
-func (p *Platform) runShardTick(shards []*dayShard, plan *dayPlan, tick int) {
-	if len(shards) == 1 {
-		p.tickShard(shards[0], plan, tick)
-		return
-	}
-	var wg sync.WaitGroup
-	for _, sh := range shards {
-		wg.Add(1)
-		go func(sh *dayShard) {
-			defer wg.Done()
-			p.tickShard(sh, plan, tick)
-		}(sh)
-	}
-	wg.Wait()
 }
 
 // tickShard runs one shard's slice of a tick: visit its users in a fresh

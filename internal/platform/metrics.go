@@ -20,7 +20,7 @@ const (
 	// MetricDeliveryDayLatency is the wall-time histogram of whole days.
 	MetricDeliveryDayLatency = "platform.delivery.day"
 	// MetricDeliveryMergeLatency is the per-day total time spent in tick
-	// barrier commits (sharded engine only).
+	// barrier commits (multi-shard in-process days only).
 	MetricDeliveryMergeLatency = "platform.delivery.merge"
 	// MetricDeliveryTicksPerSec is the last run's tick throughput.
 	MetricDeliveryTicksPerSec = "platform.delivery.ticks_per_sec"
@@ -43,15 +43,6 @@ func (p *Platform) SetObserver(reg *obs.Registry, clock obs.Clock) {
 		clock = obs.SystemClock
 	}
 	p.clock = clock
-}
-
-// deliveryClockNow reads the observer clock, or reports zero time when no
-// observer is installed.
-func (p *Platform) deliveryClockNow() time.Time {
-	if p.obsReg == nil {
-		return time.Time{}
-	}
-	return p.clock.Now()
 }
 
 // observeDelivery records one completed day's delivery metrics; no-op

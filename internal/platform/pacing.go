@@ -1,11 +1,10 @@
 package platform
 
-// The budget-pacing arithmetic, factored into free functions so every
-// delivery configuration — the in-process sequential oracle, the in-process
-// sharded engine, and an external cross-process coordinator driving shard
-// backends over HTTP — runs the exact same float operations in the exact
-// same order. Byte-identical delivery output across all of them depends on
-// this file being the only place the controller math lives.
+// The tick barrier: phase 1 (budget pacing) and phase 3 (spend commit) of
+// every delivery day. RunDayWorkers drives a PacingController over the shards
+// of an in-process day, internal/coordinator drives one over shard backends
+// reached by HTTP; byte-identical output across them depends on this file
+// being the only place the controller loop and its arithmetic live.
 
 import (
 	"fmt"
@@ -52,13 +51,29 @@ func shardCapShare(tickCap, budget, spent float64, shards int) float64 {
 
 // commitSpend folds one shard's tick spend into an ad's committed total,
 // clamped so the committed day never exceeds the daily budget — the same
-// overspend clamp the sequential engine applies per auction, applied to the
-// shard batch.
+// overspend clamp a live shard applies per auction, applied to the shard
+// batch.
 func commitSpend(spent, tickSpent, budget float64) float64 {
 	if spent+tickSpent > budget {
 		tickSpent = budget - spent
 	}
 	return spent + tickSpent
+}
+
+// maxDeliveryWorkers bounds the shard count so a wire-supplied worker count
+// cannot make the engine allocate absurd numbers of shards.
+const maxDeliveryWorkers = 64
+
+// errShardCount is a day's shard count outside [1, maxDeliveryWorkers]. A
+// day's output depends on the count, so every entry point refuses one it
+// cannot run rather than substituting one the caller did not ask for.
+var errShardCount = fmt.Errorf("platform: shard count outside [1, %d]", maxDeliveryWorkers)
+
+func checkShardCount(shards int) error {
+	if shards < 1 || shards > maxDeliveryWorkers {
+		return fmt.Errorf("%w: got %d", errShardCount, shards)
+	}
+	return nil
 }
 
 // DayAdPlan is one active ad's coordinator-visible delivery plan: identity,
@@ -102,12 +117,11 @@ type TickReport struct {
 	Auctions int64     `json:"auctions"`
 }
 
-// PacingController replicates the delivery engines' phase-1 pacing update
-// and phase-3 spend commit for an external coordinator driving shard
-// backends over the wire. It calls the same pacingStep / shardCapShare /
-// commitSpend functions the in-process engines call, in the same order, so
-// a coordinated day's committed spend trajectory is bit-identical to the
-// in-process run with the same (ads, seed, shards).
+// PacingController is the tick barrier of a delivery day: the phase-1 pacing
+// update, the phase-3 spend commit and the end-of-day rounding. It is the only
+// caller of pacingStep, shardCapShare and commitSpend, so a coordinated day's
+// committed spend trajectory is bit-identical to the in-process run with the
+// same (ads, seed, shards) by construction.
 //
 // JSON carries the floats without loss: encoding/json emits the shortest
 // round-trip representation of a float64, which decodes to the identical
@@ -119,12 +133,13 @@ type PacingController struct {
 	shards int
 	ads    []DayAdPlan
 	spent  []float64
+	dirs   []TickDirective // handed out by TickDirectives, reused every tick
 }
 
-// NewPacingController builds the coordinator-side controller from one
-// shard's DayInit. shards is the number of backends the day fans out to;
-// with shards == 1 the directives reproduce the sequential oracle's
-// undivided tick caps, matching the historical golden digests.
+// NewPacingController builds the controller from one shard's DayInit. shards
+// is the number of shards the day fans out to; with shards == 1 the
+// directives carry the live shard's undivided tick caps, matching the
+// historical golden digests.
 func NewPacingController(init *DayInit, shards int) (*PacingController, error) {
 	if init == nil {
 		return nil, fmt.Errorf("platform: pacing controller needs a day init")
@@ -132,8 +147,8 @@ func NewPacingController(init *DayInit, shards int) (*PacingController, error) {
 	if init.Ticks < 1 {
 		return nil, fmt.Errorf("platform: pacing controller needs ticks >= 1, got %d", init.Ticks)
 	}
-	if shards < 1 || shards > maxDeliveryWorkers {
-		return nil, fmt.Errorf("platform: shard count %d outside [1, %d]", shards, maxDeliveryWorkers)
+	if err := checkShardCount(shards); err != nil {
+		return nil, err
 	}
 	if len(init.Ads) == 0 {
 		return nil, fmt.Errorf("platform: pacing controller needs at least one ad plan")
@@ -144,6 +159,7 @@ func NewPacingController(init *DayInit, shards int) (*PacingController, error) {
 		shards: shards,
 		ads:    append([]DayAdPlan(nil), init.Ads...),
 		spent:  make([]float64, len(init.Ads)),
+		dirs:   make([]TickDirective, len(init.Ads)),
 	}, nil
 }
 
@@ -153,10 +169,11 @@ func (c *PacingController) Ticks() int { return c.ticks }
 // TickDirectives runs the phase-1 pacing update for one tick and returns
 // the frozen per-ad snapshot to scatter to every shard. tick must advance
 // 0..Ticks()-1; the controller is stateful (pacing evolves multiplicatively
-// from the committed spend).
+// from the committed spend). The returned slice is overwritten by the next
+// call: a caller that keeps a tick's directives copies them.
 func (c *PacingController) TickDirectives(tick int) []TickDirective {
 	elapsed := float64(tick) / float64(c.ticks)
-	dirs := make([]TickDirective, len(c.ads))
+	dirs := c.dirs
 	for i := range c.ads {
 		ad := &c.ads[i]
 		budget := float64(ad.DailyBudgetCents) / 100
@@ -176,9 +193,9 @@ func (c *PacingController) TickDirectives(tick int) []TickDirective {
 // floating-point addition order), clamped at the daily budget. perShard
 // must hold one spend vector per shard, each indexed in run order.
 //
-// A 1-shard day is the sequential oracle, which accumulates spend one
-// clamped auction price at a time — an addition order only the backend
-// itself can reproduce. Its TickReport therefore carries committed absolute
+// The shard of a 1-shard day is live: it accumulates spend one clamped
+// auction price at a time — an addition order only the shard itself can
+// reproduce. Its TickReport therefore carries committed absolute
 // spend, and the controller adopts it verbatim instead of folding.
 func (c *PacingController) CommitTick(perShard [][]float64) error {
 	if len(perShard) != c.shards {
@@ -202,10 +219,10 @@ func (c *PacingController) CommitTick(perShard [][]float64) error {
 }
 
 // SpendCents reports the authoritative end-of-day spend per ad in cents,
-// rounded exactly once from the committed float totals — the same rounding
-// the in-process engine applies. The coordinator distributes these values
-// to every shard at day finish, so cross-shard reports agree to the bit
-// (summing independently rounded per-shard values would not).
+// rounded exactly once from the committed float totals. The coordinator
+// distributes these values to every shard at day finish, so cross-shard
+// reports agree to the bit (summing independently rounded per-shard values
+// would not).
 func (c *PacingController) SpendCents() []float64 {
 	out := make([]float64, len(c.ads))
 	for i := range c.ads {

@@ -60,12 +60,13 @@ type Config struct {
 	// VisionSeed seeds the platform's own content classifier training,
 	// independent of any classifier the auditor uses.
 	VisionSeed int64
-	// DeliveryWorkers is the default worker count for RunDay: the number of
-	// deterministic user shards delivery is partitioned across. 0 or 1 runs
-	// the sequential oracle engine; higher counts run the sharded parallel
-	// engine. Output is bit-identical across runs for a fixed worker count;
-	// different counts give statistically equivalent but distinct days
-	// (each shard has its own seeded RNG stream). See DESIGN.md.
+	// DeliveryWorkers is the default shard count for RunDay: the number of
+	// deterministic user shards delivery is partitioned across, one
+	// goroutine each. 0 means 1, the single live shard whose output is the
+	// historical sequential day; New refuses a count outside [1, 64]. Output
+	// is bit-identical across runs for a fixed count; different counts give
+	// statistically equivalent but distinct days (each shard has its own
+	// seeded RNG stream). See DESIGN.md.
 	DeliveryWorkers int
 }
 
@@ -143,6 +144,12 @@ func New(cfg Config, pop *population.Population, behave *population.Behavior) (*
 	}
 	if cfg.Ticks < 2 {
 		return nil, fmt.Errorf("platform: need at least 2 pacing ticks, got %d", cfg.Ticks)
+	}
+	if cfg.DeliveryWorkers == 0 {
+		cfg.DeliveryWorkers = 1
+	}
+	if err := checkShardCount(cfg.DeliveryWorkers); err != nil {
+		return nil, fmt.Errorf("Config.DeliveryWorkers: %w", err)
 	}
 	if cfg.FrequencyCap > maxFrequencyCap {
 		return nil, fmt.Errorf("platform: frequency cap %d above the supported maximum %d", cfg.FrequencyCap, maxFrequencyCap)

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -165,6 +166,37 @@ func TestNewValidation(t *testing.T) {
 	cfg.Training.LogRows = 10
 	if _, err := New(cfg, f.pop, f.behave); err == nil {
 		t.Error("tiny training log: want error")
+	}
+	for _, workers := range []int{-1, maxDeliveryWorkers + 1} {
+		cfg = testConfig(1)
+		cfg.DeliveryWorkers = workers
+		if _, err := New(cfg, f.pop, f.behave); !errors.Is(err, errShardCount) {
+			t.Errorf("default delivery workers %d: got %v, want errShardCount", workers, err)
+		}
+	}
+}
+
+// TestShardCountRefusedNotSubstituted: the three ways into a day share one
+// range check, so none of them runs a shard count the caller did not ask for.
+func TestShardCountRefusedNotSubstituted(t *testing.T) {
+	p, f := newTestPlatform(t, 202)
+	caID := uploadBalancedAudience(t, p, f, 20, 1)
+	ids := createAdSet(t, p, ObjectiveTraffic, caID, []diffAdSpec{{img: image.FromProfile(demo.AllProfiles()[0]), budget: 300}})
+	const over = maxDeliveryWorkers + 1
+	if err := p.RunDayWorkers(ids, 1, over); !errors.Is(err, errShardCount) {
+		t.Errorf("RunDayWorkers(%d): got %v, want errShardCount", over, err)
+	}
+	if ad, err := p.Ad(ids[0]); err != nil || ad.Status != StatusActive {
+		t.Errorf("a refused day delivered: ad %+v, %v", ad, err)
+	}
+	if _, err := p.BeginDaySession("s", ids, 1, 0, over); !errors.Is(err, errShardCount) {
+		t.Errorf("BeginDaySession(shards=%d): got %v, want errShardCount", over, err)
+	}
+	if _, err := NewPacingController(&DayInit{Ticks: 2, Ads: make([]DayAdPlan, 1)}, over); !errors.Is(err, errShardCount) {
+		t.Errorf("NewPacingController(shards=%d): got %v, want errShardCount", over, err)
+	}
+	if err := p.RunDayWorkers(ids, 1, maxDeliveryWorkers); err != nil {
+		t.Errorf("RunDayWorkers(%d), the largest count: %v", maxDeliveryWorkers, err)
 	}
 }
 
