@@ -69,10 +69,22 @@ func (c WorldConfig) PlatformConfig() platform.Config {
 }
 
 // Build generates the registries, matches them into a population and trains
-// the platform on it.
+// the platform on it. Whatever can be refused without a world — the platform
+// configuration, the behaviour model's — is refused before any of that work:
+// at a million voters the registries and the population take tens of seconds.
 func (c WorldConfig) Build(platCfg platform.Config) (*World, error) {
+	if err := platCfg.Validate(); err != nil {
+		return nil, fmt.Errorf("platform configuration: %w", err)
+	}
+	behaveCfg := c.Behavior
+	if behaveCfg == (population.BehaviorConfig{}) {
+		behaveCfg = population.DefaultBehaviorConfig()
+	}
+	behave, err := population.NewBehavior(behaveCfg)
+	if err != nil {
+		return nil, fmt.Errorf("behaviour model: %w", err)
+	}
 	w := &World{}
-	var err error
 	if w.FL, err = c.Registry(demo.StateFL); err != nil {
 		return nil, err
 	}
@@ -87,14 +99,6 @@ func (c WorldConfig) Build(platCfg platform.Config) (*World, error) {
 	popCfg.Seed = c.Seed + seedPopulation
 	if w.Pop, err = population.Build(popCfg, regs...); err != nil {
 		return nil, fmt.Errorf("building population: %w", err)
-	}
-	behaveCfg := c.Behavior
-	if behaveCfg == (population.BehaviorConfig{}) {
-		behaveCfg = population.DefaultBehaviorConfig()
-	}
-	behave, err := population.NewBehavior(behaveCfg)
-	if err != nil {
-		return nil, fmt.Errorf("behaviour model: %w", err)
 	}
 	if w.Platform, err = platform.New(platCfg, w.Pop, behave); err != nil {
 		return nil, fmt.Errorf("building platform: %w", err)

@@ -3,9 +3,13 @@ package node
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"strings"
 	"testing"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
+	"github.com/adaudit/impliedidentity/internal/platform"
+	"github.com/adaudit/impliedidentity/internal/population"
 )
 
 // TestWorldDerivationPinned pins what a (seed, voters) pair yields. Processes
@@ -56,5 +60,39 @@ func TestWorldDerivationPinned(t *testing.T) {
 	}
 	if w.NC != nil || w.Pop.Len() == 0 || w.Pop.Len() >= wantUsers {
 		t.Errorf("FL-only world: NC %v, %d users", w.NC != nil, w.Pop.Len())
+	}
+}
+
+// TestBuildRefusesConfigBeforeGenerating: a platform or behaviour setting New
+// would refuse is refused before the registries and the population are
+// generated. No timer is needed to see the order: a world of zero voters
+// cannot be generated either, so the error names whichever check ran first.
+func TestBuildRefusesConfigBeforeGenerating(t *testing.T) {
+	wc := WorldConfig{Seed: 7, Voters: 0, LogRows: 1500}
+	if _, err := wc.Build(wc.PlatformConfig()); err == nil || !strings.Contains(err.Error(), "registry") {
+		t.Fatalf("zero voters with a valid platform: got %v, want the registry's refusal", err)
+	}
+	for name, edit := range map[string]func(*platform.Config){
+		"shard count": func(c *platform.Config) { c.DeliveryWorkers = 100 },
+		"log rows":    func(c *platform.Config) { c.Training.LogRows = 10 },
+	} {
+		cfg := wc.PlatformConfig()
+		edit(&cfg)
+		// The platform's sentinels are unexported; the innermost error of what
+		// Validate returns is the sentinel.
+		cause := cfg.Validate()
+		for next := cause; next != nil; next = errors.Unwrap(next) {
+			cause = next
+		}
+		if cause == nil {
+			t.Fatalf("%s: Validate accepts the configuration", name)
+		}
+		if _, err := wc.Build(cfg); !errors.Is(err, cause) {
+			t.Errorf("%s: Build returned %v, want %v", name, err, cause)
+		}
+	}
+	wc.Behavior = population.BehaviorConfig{BaseCTR: 0.9}
+	if _, err := wc.Build(wc.PlatformConfig()); err == nil || !strings.Contains(err.Error(), "behaviour model") {
+		t.Errorf("BaseCTR 0.9 and zero voters: got %v, want the behaviour model's refusal", err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
@@ -281,7 +282,12 @@ func TestDayPlanMatchesMapOracleOnRandomDays(t *testing.T) {
 				t.Errorf("trial %d ad %d: hourly series %v, oracle %v", trial, i, st.HourlySeries, oa.hourly)
 			}
 		}
-		scored := 0
+		// The slot counters are the oracle's per-user counts, and every memo
+		// entry a shard filled is what a fresh evaluation on a user of its key
+		// returns — the oracle above evaluated both models per auction, from
+		// the population.
+		nAds := len(plan.active)
+		keySeen := make([]bool, numKeys)
 		for row := 0; row < plan.elig.rows(); row++ {
 			uid := int(plan.elig.users[row])
 			for slot := plan.elig.offsets[row]; slot < plan.elig.offsets[row+1]; slot++ {
@@ -289,17 +295,36 @@ func TestDayPlanMatchesMapOracleOnRandomDays(t *testing.T) {
 				if got, shown := int(plan.shown[slot]), want[run].shown[uid]; got != shown {
 					t.Fatalf("trial %d user %d ad %d: slot counter %d, oracle showed it %d times", trial, uid, run, got, shown)
 				}
-				if plan.score[slot] == 0 {
-					continue
+			}
+			u := p.pop.View(uid)
+			key := plan.rows[row].key()
+			if at := (u.Age()*cellGenders+int(u.Gender()))*numRaces + int(u.Race()); key != at {
+				t.Fatalf("trial %d user %d (%d, %v, %v): row key %d, want %d", trial, uid, u.Age(), u.Gender(), u.Race(), key, at)
+			}
+			keySeen[key] = true
+			for run, ad := range plan.active {
+				if bits := plan.terms[key*nAds+run].Load(); bits != 0 && math.Float64frombits(bits) != p.optimizationTerm(ad, u) {
+					t.Fatalf("trial %d user %d ad %d: memoised term %v, fresh %v", trial, uid, run, math.Float64frombits(bits), p.optimizationTerm(ad, u))
 				}
-				scored++
-				if fresh := p.optimizationTerm(plan.active[run], p.pop.View(uid)); plan.score[slot] != fresh {
-					t.Fatalf("trial %d user %d ad %d: memoised term %v, fresh %v", trial, uid, run, plan.score[slot], fresh)
+				if bits := plan.clicks[key*nAds+run].Load(); bits != 0 && math.Float64frombits(bits) != p.behave.ClickProb(u, ad.Creative.Image) {
+					t.Fatalf("trial %d user %d ad %d: memoised click probability %v, fresh %v", trial, uid, run, math.Float64frombits(bits), p.behave.ClickProb(u, ad.Creative.Image))
 				}
 			}
 		}
-		if scored == 0 {
-			t.Errorf("trial %d: no slot was ever scored", trial)
+		for name, table := range map[string][]atomic.Uint64{"term": plan.terms, "click": plan.clicks} {
+			filled := 0
+			for at := range table {
+				if table[at].Load() == 0 {
+					continue
+				}
+				filled++
+				if !keySeen[at/nAds] {
+					t.Errorf("trial %d: %s entry %d is filled for a key no user of the day has", trial, name, at)
+				}
+			}
+			if filled == 0 {
+				t.Errorf("trial %d: no %s entry was ever filled", trial, name)
+			}
 		}
 	}
 }
@@ -329,7 +354,7 @@ func TestCellKeyCoversTheBreakdownSpace(t *testing.T) {
 	}
 }
 
-// TestDayTickDoesNotAllocate: once the score memo and the served buffer are
+// TestDayTickDoesNotAllocate: once the memo tables and the served buffer are
 // warm, a tick — the barrier's directives, the shard step (shuffle, sessions,
 // auctions, report), the barrier's commit — makes no heap allocation, live or
 // frozen. The frozen day is a 2-shard day of which this process owns shard 0,
@@ -347,5 +372,115 @@ func TestDayTickDoesNotAllocate(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, oneTick); allocs != 0 {
 			t.Errorf("shard of %d: %v allocations per warmed tick, want 0", shards, allocs)
 		}
+	}
+}
+
+// TestShuffleRowsIsRandShuffle pins shuffleRows draw for draw against
+// rand.Shuffle: from equal seeds, three consecutive shuffles on one stream
+// leave the same permutation and the same next draw. The exported Int31n maps
+// a draw to an index differently (mask or modulo, not multiply-shift), so a
+// shuffle written with it fails here.
+func TestShuffleRowsIsRandShuffle(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 7, 1000, 40000} {
+		visits := make([]visit, n)
+		want := make([]int32, n)
+		for seed := int64(1); seed <= 50; seed++ {
+			for i := range visits {
+				visits[i] = visit{quiet: float64(i), pos: int32(i)}
+				want[i] = int32(i)
+			}
+			got, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			for round := 0; round < 3; round++ {
+				shuffleRows(got, visits)
+				ref.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+				for i, v := range visits {
+					if v.pos != want[i] || v.quiet != float64(want[i]) {
+						t.Fatalf("n=%d seed=%d round %d: entry %d is %+v, rand.Shuffle put %d there", n, seed, round, i, v, want[i])
+					}
+				}
+			}
+			if a, b := got.Int63(), ref.Int63(); a != b {
+				t.Fatalf("n=%d seed=%d: next draw %d, after rand.Shuffle %d", n, seed, a, b)
+			}
+		}
+	}
+}
+
+// TestMemoKeyIsAllTheModelsRead is the property the day plan's memo tables
+// rest on: optimizationTerm and Behavior.ClickProb return the same bits for
+// any two users who share (age, gender, race), whatever the creative and the
+// objective. Teach either model about anything else in a user — ZIP, state,
+// activity — and this fails; the tables' key (planRow.key, numKeys) has to
+// grow with the model before any golden is regenerated.
+func TestMemoKeyIsAllTheModelsRead(t *testing.T) {
+	p, f := newTestPlatform(t, 917)
+	images := []image.Features{{}, {Job: "lumber"}} // no person, with and without a job
+	for i, prof := range demo.AllProfiles() {       // every implied age, children included
+		img := image.FromProfile(prof)
+		images = append(images, img)
+		img.Job = image.JobTypes()[i%len(image.JobTypes())]
+		images = append(images, img)
+	}
+	var ads []*Ad
+	for _, img := range images {
+		pc := p.perceive(img)
+		for _, obj := range []Objective{ObjectiveTraffic, ObjectiveConversions, ObjectiveAwareness} {
+			ads = append(ads, &Ad{Objective: obj, Creative: Creative{Image: img}, perceived: pc, folded: p.ear.fold(&pc)})
+		}
+	}
+	type key struct {
+		age    int
+		gender demo.Gender
+		race   demo.Race
+	}
+	byKey := map[key][]int{}
+	for i := 0; i < f.pop.Len(); i++ {
+		u := f.pop.View(i)
+		k := key{u.Age(), u.Gender(), u.Race()}
+		byKey[k] = append(byKey[k], i)
+	}
+	rng := rand.New(rand.NewSource(5))
+	pairs := 0
+	for pairs < 300 {
+		a := f.pop.View(rng.Intn(f.pop.Len()))
+		peers := byKey[key{a.Age(), a.Gender(), a.Race()}]
+		b := f.pop.View(peers[rng.Intn(len(peers))])
+		if a.ID() == b.ID() {
+			continue
+		}
+		pairs++
+		for _, ad := range ads {
+			if x, y := p.optimizationTerm(ad, a), p.optimizationTerm(ad, b); math.Float64bits(x) != math.Float64bits(y) {
+				t.Fatalf("users %d and %d share (%d, %v, %v) but %v terms are %v and %v", a.ID(), b.ID(), a.Age(), a.Gender(), a.Race(), ad.Objective, x, y)
+			}
+			img := ad.Creative.Image
+			if x, y := p.behave.ClickProb(a, img), p.behave.ClickProb(b, img); math.Float64bits(x) != math.Float64bits(y) {
+				t.Fatalf("users %d and %d share (%d, %v, %v) but click probabilities on %+v are %v and %v", a.ID(), b.ID(), a.Age(), a.Gender(), a.Race(), img, x, y)
+			}
+		}
+	}
+}
+
+// TestFourShardDayRepeats runs the same 4-shard day twice in one process: the
+// shards are gathered side by side and fill one pair of memo tables between
+// them. It is the day to put under the race detector
+// (go test -race -count=10 -run TestFourShardDayRepeats ./internal/platform).
+func TestFourShardDayRepeats(t *testing.T) {
+	p, f := newTestPlatform(t, 919)
+	caID := uploadBalancedAudience(t, p, f, 40, 3)
+	var digests [2]string
+	for rep := range digests {
+		var specs []diffAdSpec
+		for _, prof := range demo.AllProfiles()[:4] {
+			specs = append(specs, diffAdSpec{img: image.FromProfile(prof), budget: 300})
+		}
+		ids := createAdSet(t, p, ObjectiveTraffic, caID, specs)
+		if err := p.RunDayWorkers(ids, 11, 4); err != nil {
+			t.Fatal(err)
+		}
+		digests[rep] = deliveryDigest(t, p, ids)
+	}
+	if digests[0] != digests[1] {
+		t.Errorf("the same 4-shard day gave %s, then %s", digests[0], digests[1])
 	}
 }

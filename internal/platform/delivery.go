@@ -124,9 +124,18 @@ func (p *Platform) RunDayWorkers(adIDs []string, seed int64, workers int) error 
 // the shard step on all of the run's shards, the barrier's commit. The caller
 // holds p.mu for writing for the whole day; parallelism lives entirely inside
 // stepShards.
+//
+// Because the lock is held throughout, nothing but this loop's own flush moves
+// the retraining buffer, so the room it has at the start of a tick is exact,
+// and flushes being in shard order no shard can land more rows than that:
+// shards stop buffering there. A long-lived platform's buffer is full, and
+// its days then buffer nothing.
 func (p *Platform) driveTicks(run *dayRun, ctrl *PacingController) error {
 	timed := p.obsReg != nil && len(run.shards) > 1
 	for tick := 0; tick < ctrl.Ticks(); tick++ {
+		for _, sh := range run.shards {
+			sh.servedRoom = maxServedLog - len(p.served)
+		}
 		p.stepShards(run, tick, ctrl.TickDirectives(tick))
 		var commitStart time.Time
 		if timed {
@@ -175,8 +184,9 @@ func (p *Platform) finishDay(run *dayRun, spendCents []float64, del *DeliverySta
 }
 
 // prepareDay resolves a delivery request into the day plan: the run's active
-// ad set, its CSR eligibility index with the slot-aligned score and frequency
-// arrays, and every ad's starting bid state (zeroed spend, starting pacing).
+// ad set, its CSR eligibility index with the slot-aligned frequency counters,
+// the empty memo tables, and every ad's starting bid state (zeroed spend,
+// starting pacing).
 // It is shared by RunDayWorkers and the coordinated day session
 // (delivery_session.go) and consumes no randomness, so every shard of a
 // coordinated day derives the identical plan from the same CRUD state. The
@@ -218,7 +228,7 @@ func (p *Platform) prepareDay(adIDs []string) (*dayPlan, error) {
 			budget: float64(ad.DailyBudgetCents) / 100,
 		}
 	}
-	return newDayPlan(active, bids), nil
+	return p.newDayPlan(active, bids), nil
 }
 
 // dayInit reports a prepared plan the way a shard backend reports it to its

@@ -2,9 +2,10 @@ package platform
 
 // Benchmarks of the delivery day's layers, beside the code: audience
 // resolution at ad creation, the CSR eligibility build, the whole day
-// preparation, and one tick of the auction kernel. All run on the shared fixture world with every user in one
-// audience (~30k rows, 4 ads, so ~120k slots), large enough that a tick is
-// auctions rather than loop set-up.
+// preparation, and one tick of the auction kernel. All run on the shared
+// fixture world with every user in one audience (~30k rows, 4 ads, so ~120k
+// slots), large enough that a tick is auctions rather than loop set-up; the
+// tick also runs on a sparse audience over a 1M-user world (sparseDay).
 //
 //	go test -run '^$' -bench 'ResolveAudience|BuildEligIndex|PrepareDay|DayTick' -benchtime 200x ./internal/platform
 
@@ -16,52 +17,84 @@ import (
 
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/image"
+	"github.com/adaudit/impliedidentity/internal/population"
+	"github.com/adaudit/impliedidentity/internal/voter"
 )
 
-var (
-	benchDayOnce sync.Once
-	benchDayPlat *Platform
-	benchDayIDs  []string
-)
+// dayFixture is a platform with four active ads over one audience, built once
+// per process. The ads are never delivered through RunDay, so they stay
+// active and every benchmark prepares the same day.
+type dayFixture struct {
+	once sync.Once
+	p    *Platform
+	ids  []string
+}
 
-// benchDay returns a platform over the shared fixture with four active ads
-// that all target the whole population. The ads are never delivered through
-// RunDay, so they stay active and every benchmark prepares the same day.
+var benchDayFx, sparseDayFx dayFixture
+
+// build trains a platform over the population and creates the four paired ads
+// on an audience of every stride-th user.
+func (fx *dayFixture) build(seed int64, pop *population.Population, behave *population.Behavior, stride int) {
+	p, err := New(testConfig(seed), pop, behave)
+	if err != nil {
+		panic(err)
+	}
+	hashes := make([]string, 0, pop.Len()/stride+1)
+	for i := 0; i < pop.Len(); i += stride {
+		hashes = append(hashes, pop.View(i).PIIKey())
+	}
+	ca, err := p.CreateCustomAudience("bench", hashes)
+	if err != nil {
+		panic(err)
+	}
+	cmp, err := p.CreateCampaign("bench", ObjectiveTraffic, SpecialNone, 2019)
+	if err != nil {
+		panic(err)
+	}
+	for _, prof := range []demo.Profile{
+		{Gender: demo.GenderMale, Race: demo.RaceWhite, Age: demo.ImpliedAdult},
+		{Gender: demo.GenderMale, Race: demo.RaceBlack, Age: demo.ImpliedAdult},
+		{Gender: demo.GenderFemale, Race: demo.RaceWhite, Age: demo.ImpliedAdult},
+		{Gender: demo.GenderFemale, Race: demo.RaceBlack, Age: demo.ImpliedAdult},
+	} {
+		ad, err := p.CreateAd(cmp.ID, Creative{Image: image.FromProfile(prof), Headline: "h", LinkURL: "https://example.com"}, Targeting{CustomAudienceIDs: []string{ca.ID}}, 2_000_000)
+		if err != nil {
+			panic(err)
+		}
+		fx.ids = append(fx.ids, ad.ID)
+	}
+	fx.p = p
+}
+
+// benchDay returns a platform over the shared fixture whose four ads all
+// target the whole population.
 func benchDay(tb testing.TB) (*Platform, []string) {
 	tb.Helper()
 	f := sharedFixture(tb)
-	benchDayOnce.Do(func() {
-		p, err := New(testConfig(701), f.pop, f.behave)
+	benchDayFx.once.Do(func() { benchDayFx.build(701, f.pop, f.behave, 1) })
+	return benchDayFx.p, benchDayFx.ids
+}
+
+// sparseDay is the day the repo's day_40k workload delivers: a 1-in-25 stride
+// audience (~40k users) over a streamed 1M-user world, so the day's users are
+// scattered across population columns far larger than any cache. On the
+// shared fixture the columns sit in cache and whatever a tick reads from
+// them looks free.
+func sparseDay(tb testing.TB) (*Platform, []string) {
+	tb.Helper()
+	f := sharedFixture(tb)
+	sparseDayFx.once.Do(func() {
+		fl := voter.DefaultGeneratorConfig(demo.StateFL, 111)
+		fl.NumVoters = 785_000
+		nc := voter.DefaultGeneratorConfig(demo.StateNC, 112)
+		nc.NumVoters = 785_000
+		pop, err := population.Stream(population.Config{Seed: 113}, 65536, fl, nc)
 		if err != nil {
 			panic(err)
 		}
-		hashes := make([]string, f.pop.Len())
-		for i := range hashes {
-			hashes[i] = f.pop.View(i).PIIKey()
-		}
-		ca, err := p.CreateCustomAudience("everyone", hashes)
-		if err != nil {
-			panic(err)
-		}
-		cmp, err := p.CreateCampaign("bench", ObjectiveTraffic, SpecialNone, 2019)
-		if err != nil {
-			panic(err)
-		}
-		for _, prof := range []demo.Profile{
-			{Gender: demo.GenderMale, Race: demo.RaceWhite, Age: demo.ImpliedAdult},
-			{Gender: demo.GenderMale, Race: demo.RaceBlack, Age: demo.ImpliedAdult},
-			{Gender: demo.GenderFemale, Race: demo.RaceWhite, Age: demo.ImpliedAdult},
-			{Gender: demo.GenderFemale, Race: demo.RaceBlack, Age: demo.ImpliedAdult},
-		} {
-			ad, err := p.CreateAd(cmp.ID, Creative{Image: image.FromProfile(prof), Headline: "h", LinkURL: "https://example.com"}, Targeting{CustomAudienceIDs: []string{ca.ID}}, 2_000_000)
-			if err != nil {
-				panic(err)
-			}
-			benchDayIDs = append(benchDayIDs, ad.ID)
-		}
-		benchDayPlat = p
+		sparseDayFx.build(702, pop, f.behave, 25)
 	})
-	return benchDayPlat, benchDayIDs
+	return sparseDayFx.p, sparseDayFx.ids
 }
 
 // perUnit reports the benchmark's elapsed time per `units` as a custom
@@ -138,7 +171,7 @@ func BenchmarkPrepareDay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		users += int64(len(p.newDayRun(plan, 1, 0, 1, 1).shards[0].order))
+		users += int64(len(p.newDayRun(plan, 1, 0, 1, 1).shards[0].visits))
 	}
 	perUnit(b, users, "ns/user")
 }
@@ -184,15 +217,17 @@ func (st *tickStepper) shard() *dayShard { return st.run.shards[0] }
 
 // BenchmarkDayTick times one tick of one shard — the barrier, the shuffled
 // walk, the auctions — cycling through whole days so that every tick of the
-// day (cold score memo, warm memo, users at their frequency cap) weighs in as
-// it does in a real day. Building each new day sits outside the timer.
+// day (cold memo tables, warm tables, users at their frequency cap) weighs in
+// as it does in a real day. Building each new day sits outside the timer, and
+// so does the sparse case's world (a few seconds, once).
 func BenchmarkDayTick(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
 		shards int
-	}{{"sequential", 1}, {"shard_of_2", 2}} {
+		day    func(testing.TB) (*Platform, []string)
+	}{{"sequential", 1, benchDay}, {"shard_of_2", 2, benchDay}, {"sparse", 1, sparseDay}} {
 		b.Run(bc.name, func(b *testing.B) {
-			p, ids := benchDay(b)
+			p, ids := bc.day(b)
 			ticks := p.cfg.Ticks
 			var st *tickStepper
 			var userTicks, auctions int64
@@ -209,7 +244,7 @@ func BenchmarkDayTick(b *testing.B) {
 					b.StartTimer()
 				}
 				st.step(tick)
-				userTicks += int64(len(st.shard().order))
+				userTicks += int64(len(st.shard().visits))
 			}
 			auctions += st.shard().auctions
 			perUnit(b, userTicks, "ns/user-tick")

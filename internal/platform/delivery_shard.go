@@ -28,9 +28,10 @@ package platform
 //	  budget is never exceeded.
 //
 // That makes the day's output a pure function of (ads, seed, shard count):
-// repeated runs are bit-identical. Per-user state (frequency counts, reach,
-// the score memo) needs no synchronization at all: a user lives in exactly
-// one shard, so only that shard touches the user's slots.
+// repeated runs are bit-identical. Per-user state (frequency counts, reach)
+// needs no synchronization at all: a user lives in exactly one shard, so only
+// that shard touches the user's slots. The memo tables are shared, and every
+// writer of an entry stores the same bits (dayplan.go).
 
 import (
 	"math"
@@ -56,12 +57,17 @@ type adAcc struct {
 // dayShard owns a disjoint slice of the day's rows, a private RNG stream that
 // persists across ticks, and per-ad accumulators.
 type dayShard struct {
-	rng      *rand.Rand
-	live     bool        // charge committed spend per auction instead of at the barrier
-	order    []int32     // row positions into the plan's eligIndex
-	accs     []adAcc     // indexed by run index
-	served   []servedRow // buffered rows, until flushServed
-	auctions int64
+	rng    *rand.Rand
+	live   bool        // charge committed spend per auction instead of at the barrier
+	visits []visit     // the shard's rows, in the order the last tick walked them
+	accs   []adAcc     // indexed by run index
+	served []servedRow // buffered rows, until flushServed
+	// servedRoom bounds len(served) by the rows the retraining buffer can
+	// still take: the whole buffer for a session shard, which flushes once at
+	// Finish, and what is left of it at each tick of an in-process day
+	// (driveTicks).
+	servedRoom int
+	auctions   int64
 }
 
 // newDayShard builds shard `shard` of a `shards`-wide day over the plan and
@@ -73,18 +79,20 @@ func (p *Platform) newDayShard(plan *dayPlan, seed int64, shard, shards int) *da
 	if !live {
 		seed = shardSeed(seed, shard)
 	}
+	order := plan.elig.shardRows(shard, shards)
 	sh := &dayShard{
-		rng:   rand.New(rand.NewSource(seed)),
-		live:  live,
-		order: plan.elig.shardRows(shard, shards),
-		accs:  make([]adAcc, len(plan.active)),
+		rng:        rand.New(rand.NewSource(seed)),
+		live:       live,
+		visits:     make([]visit, len(order)),
+		accs:       make([]adAcc, len(plan.active)),
+		servedRoom: maxServedLog,
 	}
 	ticks := p.cfg.Ticks
 	hourly := make([]int, len(sh.accs)*ticks)
 	for i := range sh.accs {
 		sh.accs[i].hourly = hourly[i*ticks : (i+1)*ticks]
 	}
-	p.gatherRows(plan, sh.order)
+	p.gatherRows(plan, order, sh.visits)
 	return sh
 }
 
@@ -100,16 +108,30 @@ type dayRun struct {
 	merge time.Duration
 }
 
-// newDayRun builds shards lo..hi-1 of a `shards`-wide day over the plan.
+// newDayRun builds shards lo..hi-1 of a `shards`-wide day over the plan. A run
+// of several shards builds them side by side, a goroutine each, all done
+// before it returns: a shard gathers only the rows it owns and draws nothing.
 func (p *Platform) newDayRun(plan *dayPlan, seed int64, lo, hi, shards int) *dayRun {
 	run := &dayRun{plan: plan, shards: make([]*dayShard, hi-lo), reports: make([][]float64, hi-lo)}
 	if p.obsReg != nil {
 		run.start = p.clock.Now()
 	}
-	for s := range run.shards {
-		run.shards[s] = p.newDayShard(plan, seed, lo+s, shards)
+	for s := range run.reports {
 		run.reports[s] = make([]float64, len(plan.bids))
 	}
+	if len(run.shards) == 1 {
+		run.shards[0] = p.newDayShard(plan, seed, lo, shards)
+		return run
+	}
+	var wg sync.WaitGroup
+	for s := range run.shards {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			run.shards[s] = p.newDayShard(plan, seed, lo+s, shards)
+		}(s)
+	}
+	wg.Wait()
 	return run
 }
 
@@ -210,22 +232,50 @@ func shardSeed(seed int64, shard int) int64 {
 // tickShard runs one shard's slice of a tick: visit its users in a fresh
 // random order (so no ad's spend window correlates with a fixed slice of the
 // audience), running each user's sessions. The shuffle permutes the shard's
-// row positions in place — the order persists across ticks, starting from
+// visit array in place — the order persists across ticks, starting from
 // ascending population order, which is what the committed digests were
-// recorded with. It only reads what is shared (the frozen bids, the
-// population columns, the CSR index) and writes its own accumulators and the
-// slots of its own rows.
+// recorded with — and the session draw then scans it front to back; only a
+// user who has a session is looked up in the plan. It only reads what is
+// shared (the frozen bids, the CSR index, filled memo entries) and writes its
+// own accumulators, the rows' slots and memo entries nobody has filled.
 func (p *Platform) tickShard(sh *dayShard, plan *dayPlan, tick int) {
-	rng, order := sh.rng, sh.order
-	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	rng := sh.rng
+	shuffleRows(rng, sh.visits)
 	offsets := plan.elig.offsets
-	for _, pos := range order {
-		row := &plan.rows[pos]
-		sessions := poisson(rng, row.quiet)
-		sh.auctions += int64(sessions)
-		for s := 0; s < sessions; s++ {
-			p.auction(sh, plan, row, offsets[pos], offsets[pos+1], tick)
+	for i := range sh.visits {
+		v := &sh.visits[i]
+		sessions := poisson(rng, v.quiet)
+		if sessions == 0 {
+			continue
 		}
+		sh.auctions += int64(sessions)
+		row, lo, hi := &plan.rows[v.pos], offsets[v.pos], offsets[v.pos+1]
+		for ; sessions > 0; sessions-- {
+			p.auction(sh, plan, row, lo, hi, tick)
+		}
+	}
+}
+
+// shuffleRows is rand.Shuffle over the visit array with the swap inline
+// instead of behind a closure. It makes rand.Shuffle's draws exactly — for
+// each i from the top, math/rand's unexported int31n(i+1): a Uint32, the
+// multiply-shift, and the rejection loop under the threshold — so the stream
+// and the permutation are the ones the goldens were recorded with
+// (TestShuffleRowsIsRandShuffle). A shard's rows are int32 positions, below
+// the 2³¹ where rand.Shuffle switches to Int63n.
+func shuffleRows(rng *rand.Rand, visits []visit) {
+	for i := len(visits) - 1; i > 0; i-- {
+		n := uint32(i + 1)
+		prod := uint64(rng.Uint32()) * uint64(n)
+		if low := uint32(prod); low < n {
+			thresh := -n % n
+			for low < thresh {
+				prod = uint64(rng.Uint32()) * uint64(n)
+				low = uint32(prod)
+			}
+		}
+		j := prod >> 32
+		visits[i], visits[j] = visits[j], visits[i]
 	}
 }
 
@@ -240,35 +290,38 @@ func (p *Platform) auction(sh *dayShard, plan *dayPlan, row *planRow, lo, hi int
 	best, second := bg, 0.0
 	// Random starting offset so exact-tie auctions don't systematically
 	// favor earlier-created ads.
-	n := hi - lo
-	off := int32(0)
-	if n > 1 {
-		off = int32(rng.Intn(int(n)))
+	slot := lo
+	if n := hi - lo; n > 1 {
+		slot += int32(rng.Intn(int(n)))
 	}
-	for k := int32(0); k < n; k++ {
-		slot := lo + (k+off)%n
-		run := plan.elig.ads[slot]
+	memo := row.key() * len(plan.active)
+	for k := lo; k < hi; k++ {
+		at := slot
+		if slot++; slot == hi {
+			slot = lo
+		}
+		run := plan.elig.ads[at]
 		bid := &plan.bids[run]
 		if bid.pacing <= 0 || bid.spent >= bid.budget || sh.accs[run].tickSpent >= bid.cap {
 			continue
 		}
-		if p.cfg.FrequencyCap > 0 && int(plan.shown[slot]) >= p.cfg.FrequencyCap {
+		if plan.frequencyCap > 0 && int(plan.shown[at]) >= plan.frequencyCap {
 			continue
 		}
-		term := plan.score[slot]
+		entry := &plan.terms[memo+int(run)]
+		term := math.Float64frombits(entry.Load())
 		if term == 0 {
 			term = p.optimizationTerm(plan.active[run], p.pop.View(int(row.user)))
-			plan.score[slot] = term
+			entry.Store(math.Float64bits(term))
 		}
-		value := bid.pacing*term + p.cfg.Quality
-		if p.cfg.ValueNoise > 0 {
-			sigma := p.cfg.ValueNoise
-			value *= math.Exp(sigma*rng.NormFloat64() - sigma*sigma/2)
+		value := bid.pacing*term + plan.quality
+		if plan.noise > 0 {
+			value *= math.Exp(plan.noise*rng.NormFloat64() - plan.noiseShift)
 		}
 		if value > best {
 			second = best
 			best = value
-			winner = slot
+			winner = at
 		} else if value > second {
 			second = value
 		}
@@ -306,11 +359,19 @@ func (p *Platform) auction(sh *dayShard, plan *dayPlan, row *planRow, lo, hi int
 	// the served impression into the retraining buffer — the feedback loop
 	// Retrain closes.
 	ad := plan.active[run]
-	clicked := rng.Float64() < p.behave.ClickProb(p.pop.View(int(row.user)), ad.Creative.Image)
+	entry := &plan.clicks[memo+int(run)]
+	click := math.Float64frombits(entry.Load())
+	if click == 0 {
+		click = p.behave.ClickProb(p.pop.View(int(row.user)), ad.Creative.Image)
+		entry.Store(math.Float64bits(click))
+	}
+	clicked := rng.Float64() < click
 	if clicked {
 		acc.clicks++
 	}
-	sh.served = append(sh.served, servedRow{userIdx: int(row.user), ad: ad, clicked: clicked})
+	if len(sh.served) < sh.servedRoom {
+		sh.served = append(sh.served, servedRow{userIdx: int(row.user), ad: ad, clicked: clicked})
+	}
 }
 
 // deliveryRegion returns the state an impression is recorded in: the user's

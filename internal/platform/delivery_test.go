@@ -382,3 +382,36 @@ func TestRetrainKeepsWorkingModel(t *testing.T) {
 		t.Error("tiny retrain log: want error")
 	}
 }
+
+// TestNearlyFullServedLogRecordsTheSameRows: an in-process day stops buffering
+// served rows where the retraining buffer ends. What it records must be what
+// a day that buffered every row records: on a platform whose buffer has room
+// for 200 more rows, the first 200 rows the same day leaves on a platform
+// whose buffer was empty — at one shard and at three, where the room is
+// shared in shard order.
+func TestNearlyFullServedLogRecordsTheSameRows(t *testing.T) {
+	const room = 200
+	for _, workers := range []int{1, 3} {
+		var logs [2][]servedRow
+		for i, used := range []int{0, maxServedLog - room} {
+			p, f := newTestPlatform(t, 314)
+			caID := uploadBalancedAudience(t, p, f, 50, 35)
+			img := image.FromProfile(demo.AllProfiles()[0])
+			ids := createAdSet(t, p, ObjectiveTraffic, caID, []diffAdSpec{{img: img, budget: 300}, {img: img, budget: 300}})
+			p.served = make([]servedRow, used)
+			if err := p.RunDayWorkers(ids, 5, workers); err != nil {
+				t.Fatal(err)
+			}
+			logs[i] = p.served[used:]
+		}
+		all, tail := logs[0], logs[1]
+		if len(all) <= room || len(tail) != room {
+			t.Fatalf("workers=%d: the day served %d rows, the nearly full buffer took %d; want more than %d and exactly %d", workers, len(all), len(tail), room, room)
+		}
+		for i, row := range tail {
+			if want := all[i]; row.userIdx != want.userIdx || row.clicked != want.clicked || row.ad.ID != want.ad.ID {
+				t.Fatalf("workers=%d row %d: recorded %+v, an unbounded day records %+v", workers, i, row, want)
+			}
+		}
+	}
+}

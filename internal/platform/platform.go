@@ -130,30 +130,51 @@ type Platform struct {
 	clock  obs.Clock
 }
 
+// withDefaults fills in the settings whose zero value stands for a default.
+func (c Config) withDefaults() Config {
+	if c.Ticks == 0 {
+		c.Ticks = 48
+	}
+	if c.DeliveryWorkers == 0 {
+		c.DeliveryWorkers = 1
+	}
+	return c
+}
+
+// Validate reports the first setting New would refuse. It reads nothing but
+// the configuration, so a caller about to build a world for the platform can
+// check the configuration before paying for the world.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	if c.Ticks < 2 {
+		return fmt.Errorf("platform: need at least 2 pacing ticks, got %d", c.Ticks)
+	}
+	if err := checkShardCount(c.DeliveryWorkers); err != nil {
+		return fmt.Errorf("Config.DeliveryWorkers: %w", err)
+	}
+	if c.FrequencyCap > maxFrequencyCap {
+		return fmt.Errorf("platform: frequency cap %d above the supported maximum %d", c.FrequencyCap, maxFrequencyCap)
+	}
+	if c.Training.LogRows != 0 { // 0: trainEAR's default size
+		return checkLogRows(c.Training.LogRows)
+	}
+	return nil
+}
+
 // New builds a platform over a user population: it trains the platform's
-// content classifier, generates engagement logs, and fits the eAR model.
+// content classifier, generates engagement logs, and fits the eAR model. The
+// configuration is checked first (Config.Validate).
 func New(cfg Config, pop *population.Population, behave *population.Behavior) (*Platform, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if pop == nil || pop.Len() == 0 {
 		return nil, fmt.Errorf("platform: empty population")
 	}
 	if behave == nil {
 		return nil, fmt.Errorf("platform: nil behaviour model")
 	}
-	if cfg.Ticks == 0 {
-		cfg.Ticks = 48
-	}
-	if cfg.Ticks < 2 {
-		return nil, fmt.Errorf("platform: need at least 2 pacing ticks, got %d", cfg.Ticks)
-	}
-	if cfg.DeliveryWorkers == 0 {
-		cfg.DeliveryWorkers = 1
-	}
-	if err := checkShardCount(cfg.DeliveryWorkers); err != nil {
-		return nil, fmt.Errorf("Config.DeliveryWorkers: %w", err)
-	}
-	if cfg.FrequencyCap > maxFrequencyCap {
-		return nil, fmt.Errorf("platform: frequency cap %d above the supported maximum %d", cfg.FrequencyCap, maxFrequencyCap)
-	}
+	cfg = cfg.withDefaults()
 	vision, err := face.Train(face.TrainOptions{CorpusSize: 4000, Seed: cfg.VisionSeed, LabelNoise: 0.02})
 	if err != nil {
 		return nil, fmt.Errorf("platform: training vision model: %w", err)

@@ -164,8 +164,12 @@ func TestNewValidation(t *testing.T) {
 	}
 	cfg = testConfig(1)
 	cfg.Training.LogRows = 10
-	if _, err := New(cfg, f.pop, f.behave); err == nil {
-		t.Error("tiny training log: want error")
+	if _, err := New(cfg, f.pop, f.behave); !errors.Is(err, errLogRows) {
+		t.Errorf("tiny training log: got %v, want errLogRows", err)
+	}
+	// The configuration is checked before the world is looked at.
+	if _, err := New(cfg, nil, nil); !errors.Is(err, errLogRows) {
+		t.Errorf("tiny training log and no population: got %v, want errLogRows", err)
 	}
 	for _, workers := range []int{-1, maxDeliveryWorkers + 1} {
 		cfg = testConfig(1)

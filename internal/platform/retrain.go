@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -75,6 +76,16 @@ func (p *Platform) Retrain(cfg TrainingConfig) error {
 	return nil
 }
 
+// errLogRows is an engagement log too short to fit the eAR model on.
+var errLogRows = errors.New("platform: too few log rows to train eAR, need 1000")
+
+func checkLogRows(rows int) error {
+	if rows < 1000 {
+		return fmt.Errorf("%w: got %d", errLogRows, rows)
+	}
+	return nil
+}
+
 // logRows is a generated background engagement log.
 type logRows struct {
 	x *stats.Matrix
@@ -84,8 +95,8 @@ type logRows struct {
 // trainLogRows generates a background engagement log (the shared inner step
 // of initial training and retraining).
 func trainLogRows(cfg TrainingConfig, pop *population.Population, behave *population.Behavior, vision visionModel) (*logRows, error) {
-	if cfg.LogRows < 1000 {
-		return nil, fmt.Errorf("platform: %d log rows too few to train eAR", cfg.LogRows)
+	if err := checkLogRows(cfg.LogRows); err != nil {
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	layout := newFeatureLayout()
