@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-json vet adlint loc
+.PHONY: build test race lint lint-json vet adlint loc bench-layers
 
 build:
 	$(GO) build ./...
@@ -31,3 +31,9 @@ lint-json:
 # excluded) that subtraction PRs cite in CHANGES.md for parent and change.
 loc:
 	bash scripts/loc.sh
+
+# bench-layers compiles and runs every per-package testing.B beside the code
+# once — the command CI's "Layer benchmarks" step runs. For numbers, name the
+# benchmark and raise -benchtime (see .claude/skills/verify/SKILL.md).
+bench-layers:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...

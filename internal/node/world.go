@@ -71,7 +71,7 @@ func (c WorldConfig) PlatformConfig() platform.Config {
 // Build generates the registries, matches them into a population and trains
 // the platform on it. Whatever can be refused without a world — the platform
 // configuration, the behaviour model's — is refused before any of that work:
-// at a million voters the registries and the population take tens of seconds.
+// at a million voters the registries and the population take about a second.
 func (c WorldConfig) Build(platCfg platform.Config) (*World, error) {
 	if err := platCfg.Validate(); err != nil {
 		return nil, fmt.Errorf("platform configuration: %w", err)

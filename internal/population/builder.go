@@ -10,59 +10,65 @@ import (
 )
 
 // builder is the shared core of Build and Stream: it applies the account-
-// match model to voter records one at a time and appends accepted users to
-// the columns. Build feeds it materialized registries and appends straight
-// into the final columns; Stream feeds it a generator and buffers rows in a
-// fixed-size chunk that flushes by bulk append, so the only per-record
-// allocations are the columns themselves.
+// match model to voter records one at a time, parks each matched candidate in
+// a fixed-size pending buffer, and on flush probes the buffered candidates
+// for duplicates before appending the kept ones to the columns. A probe is a
+// cache miss into a table of millions of slots and another into the pii
+// column; taken one per record each waits out its own misses behind a
+// microsecond of formatting and hashing, while a buffer's worth run back to
+// back.
 //
 // The RNG draw order per record is a frozen contract (match draw, then the
-// activity noise draw, then — with no further draws — the PII hash and dup
-// check), identical to the struct-era builder's.
+// activity noise draw, then — with no further draws — the PII hash), identical
+// to the struct-era builder's. flush walks the pending rows in record order
+// and only a kept row has its age range-checked, its ZIP interned, its row
+// appended and its key indexed, so dense IDs, ZIP-dictionary order and the
+// first error are the one-at-a-time builder's at every buffer size.
 type builder struct {
 	cfg     Config
 	rng     *rand.Rand
-	cols    Columns // flushed rows; owns the ZIP dictionary
-	chunk   Columns // pending rows when chunked; zip indexes point into cols.zipDict
-	chunked bool
-	total   int32 // rows across cols + chunk = the next user ID
-	index   *piiIndex
-	at      keyAt
+	cols    Columns
+	pending []candidate // matched, hashed, not yet probed; cap is the batch size
+	index   *piiIndex   // over cols.pii
 	zipIdx  map[string]uint16
 	scratch []byte
 }
 
-// newBuilder sizes the builder for an expected voter count. chunkSize 0
-// appends directly to the final columns (Build); positive values buffer
-// that many rows per flush (Stream).
-func newBuilder(cfg Config, expectedVoters, chunkSize int) *builder {
+// candidate is a voter that passed the match draw: everything a user row
+// needs, plus the voter ID an out-of-range age is reported under.
+type candidate struct {
+	key      [32]byte
+	voterID  string
+	zip      string
+	age      int
+	gender   demo.Gender
+	race     demo.Race
+	state    demo.State
+	activity float64
+}
+
+// probeBlock is the most candidates Build and Stream park between flushes:
+// a run of back-to-back probes in a buffer (~22 KB) that stays in cache.
+const probeBlock = 256
+
+// newBuilder sizes the builder for an expected voter count and a pending
+// buffer of batch candidates.
+func newBuilder(cfg Config, expectedVoters, batch int) *builder {
 	b := &builder{
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		pending: make([]candidate, 0, batch),
 		zipIdx:  make(map[string]uint16, 256),
 		scratch: make([]byte, 0, 128),
 	}
-	b.at = b.keyAt
 	est := int(float64(expectedVoters) * cfg.BaseMatchRate)
 	b.index = newPIIIndex(est)
 	b.cols.reserve(est + est/32)
-	if chunkSize > 0 {
-		b.chunked = true
-		b.chunk.reserve(chunkSize)
-	}
 	return b
 }
 
-// keyAt resolves a user ID to its PII digest across the flushed columns and
-// the pending chunk.
-func (b *builder) keyAt(id int32) *[32]byte {
-	if int(id) < b.cols.n {
-		return &b.cols.pii[id]
-	}
-	return &b.chunk.pii[int(id)-b.cols.n]
-}
-
-// consume applies the match model to one voter record.
+// consume applies the match model to one voter record, flushing when the
+// pending buffer fills.
 func (b *builder) consume(rec *voter.Record) error {
 	if b.rng.Float64() > b.cfg.BaseMatchRate*matchRateFactor(rec) {
 		return nil
@@ -73,27 +79,13 @@ func (b *builder) consume(rec *voter.Record) error {
 	}
 	var key [32]byte
 	key, b.scratch = hashPIIRaw(rec.FirstName, rec.LastName, rec.Address, rec.ZIP, b.scratch)
-	if b.index.lookup(&key, b.at) >= 0 {
-		// PII collision (same name+address): the platform would merge or
-		// reject; we keep the first account. The RNG draws above already
-		// happened, exactly as in the struct-era builder.
-		return nil
+	b.pending = append(b.pending, candidate{
+		key: key, voterID: rec.ID, zip: rec.ZIP, age: rec.Age(),
+		gender: rec.Gender, race: rec.Race, state: rec.State, activity: activity,
+	})
+	if len(b.pending) == cap(b.pending) {
+		return b.flush()
 	}
-	age := rec.Age()
-	if age < 0 || age > math.MaxUint8 {
-		return fmt.Errorf("population: voter %s age %d outside column range", rec.ID, age)
-	}
-	zi, err := b.zipIndex(rec.ZIP)
-	if err != nil {
-		return err
-	}
-	dst := &b.cols
-	if b.chunked {
-		dst = &b.chunk
-	}
-	dst.appendRow(uint8(age), rec.Gender, rec.Race, rec.State, zi, activity, b.cfg.TravelProb, key)
-	b.index.insert(&key, b.total, b.at)
-	b.total++
 	return nil
 }
 
@@ -111,20 +103,48 @@ func (b *builder) zipIndex(zip string) (uint16, error) {
 	return i, nil
 }
 
-// flush bulk-appends the pending chunk into the final columns.
-func (b *builder) flush() {
-	if b.chunk.n == 0 {
-		return
+// flush probes the pending candidates in record order and appends the kept
+// ones to the columns.
+func (b *builder) flush() error {
+	pending := b.pending
+	b.pending = b.pending[:0]
+	for i := range pending {
+		if err := b.keep(&pending[i]); err != nil {
+			return err
+		}
 	}
-	b.cols.appendColumns(&b.chunk)
-	b.chunk.resetRows()
+	return nil
+}
+
+// keep appends c to the columns as the next user unless its key is already
+// there.
+func (b *builder) keep(c *candidate) error {
+	if b.index.lookup(&c.key, b.cols.pii) >= 0 {
+		// PII collision (same name+address): the platform would merge or
+		// reject; we keep the first account. The dropped record consumed its
+		// RNG draws and nothing else, exactly as in the struct-era builder.
+		return nil
+	}
+	if c.age < 0 || c.age > math.MaxUint8 {
+		return fmt.Errorf("population: voter %s age %d outside column range", c.voterID, c.age)
+	}
+	zi, err := b.zipIndex(c.zip)
+	if err != nil {
+		return err
+	}
+	id := int32(b.cols.n)
+	b.cols.appendRow(uint8(c.age), c.gender, c.race, c.state, zi, c.activity, b.cfg.TravelProb, c.key)
+	b.index.insert(id, b.cols.pii)
+	return nil
 }
 
 // finish seals the columns. The dup-detection index is dropped here: it is
 // pure acceleration over the pii column, the first lookup rebuilds it,
 // and the steady-state population then pays only for its columns.
 func (b *builder) finish() (*Population, error) {
-	b.flush()
+	if err := b.flush(); err != nil {
+		return nil, err
+	}
 	if b.cols.n == 0 {
 		return nil, fmt.Errorf("population: no users matched")
 	}
@@ -133,11 +153,12 @@ func (b *builder) finish() (*Population, error) {
 }
 
 // Stream builds the population straight from generator configurations,
-// chunkSize accepted users at a time, without materializing voter registries
-// or intermediate user objects — the construction path for multi-million-
-// user worlds. For identical Config and generator inputs its output is
-// byte-identical to Build over voter.Generate's registries, at every chunk
-// size (the stream property suite pins chunk sizes 1, 7, and 1024).
+// at most chunkSize matched voters parked at a time (and never more than
+// probeBlock), without materializing voter registries or intermediate user
+// objects — the construction path for multi-million-user worlds. For
+// identical Config and generator inputs its output is byte-identical to Build
+// over voter.Generate's registries, at every chunk size (the stream property
+// suite pins chunk sizes 1, 7, and 1024).
 //
 // Stream does not retain registries, so worlds built this way cannot serve
 // audits that read the registry itself (stratified sampling); it exists for
@@ -157,7 +178,7 @@ func Stream(cfg Config, chunkSize int, gens ...voter.GeneratorConfig) (*Populati
 	for _, gc := range gens {
 		voters += gc.NumVoters
 	}
-	b := newBuilder(cfg, voters, chunkSize)
+	b := newBuilder(cfg, voters, min(chunkSize, probeBlock))
 	var rec voter.Record
 	for _, gc := range gens {
 		g, err := voter.NewGenerator(gc)
@@ -167,9 +188,6 @@ func Stream(cfg Config, chunkSize int, gens ...voter.GeneratorConfig) (*Populati
 		for g.Next(&rec) {
 			if err := b.consume(&rec); err != nil {
 				return nil, err
-			}
-			if b.chunk.n >= chunkSize {
-				b.flush()
 			}
 		}
 	}

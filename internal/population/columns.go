@@ -59,33 +59,6 @@ func (c *Columns) appendRow(age uint8, g demo.Gender, r demo.Race, st demo.State
 	c.n++
 }
 
-// appendColumns bulk-appends another column set (a streaming chunk). The
-// chunk must share this set's ZIP dictionary.
-func (c *Columns) appendColumns(src *Columns) {
-	c.age = append(c.age, src.age...)
-	c.gender = append(c.gender, src.gender...)
-	c.race = append(c.race, src.race...)
-	c.state = append(c.state, src.state...)
-	c.zip = append(c.zip, src.zip...)
-	c.activity = append(c.activity, src.activity...)
-	c.travel = append(c.travel, src.travel...)
-	c.pii = append(c.pii, src.pii...)
-	c.n += src.n
-}
-
-// resetRows empties the columns, keeping capacity (chunk reuse).
-func (c *Columns) resetRows() {
-	c.age = c.age[:0]
-	c.gender = c.gender[:0]
-	c.race = c.race[:0]
-	c.state = c.state[:0]
-	c.zip = c.zip[:0]
-	c.activity = c.activity[:0]
-	c.travel = c.travel[:0]
-	c.pii = c.pii[:0]
-	c.n = 0
-}
-
 // compact re-allocates any column whose capacity overshoots its length by
 // more than 1/8, so the retained bytes-per-user stays within the documented
 // budget regardless of append growth policy.

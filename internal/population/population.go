@@ -41,21 +41,33 @@ import (
 // hex-encoded. This is the advertiser-side upload path, exactly as real
 // PII-matching pipelines hash client-side before transmission.
 //
-// The platform-side account records store the same digest in raw form,
-// computed by hashPIIRaw on an allocation-free path; FuzzHashPII pins the
-// two implementations to agree on arbitrary input.
+// It is hashPIIRaw — the digest the platform-side account records store —
+// in hex, so the two sides cannot drift apart; FuzzHashPII pins the shared
+// normalizer to a strings.ToLower/TrimSpace oracle on arbitrary input.
 func HashPII(first, last, address, zip string) string {
-	norm := func(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
-	h := sha256.Sum256([]byte(norm(first) + "|" + norm(last) + "|" + norm(address) + "|" + norm(zip)))
-	return hex.EncodeToString(h[:])
+	var scratch [128]byte
+	key, _ := hashPIIRaw(first, last, address, zip, scratch[:0])
+	var dst [2 * len(key)]byte
+	hex.Encode(dst[:], key[:])
+	return string(dst[:])
 }
 
-// appendNormalized appends lowercase(trimmed(s)) to buf rune by rune,
-// without allocating. Per-rune unicode.ToLower over a range loop matches
-// strings.ToLower byte for byte, including the U+FFFD replacement of
-// invalid UTF-8.
+// appendNormalized appends lowercase(trimmed(s)) to buf without allocating.
+// ASCII bytes are lower-cased arithmetically; from the first byte that is
+// not ASCII, per-rune unicode.ToLower over a range loop finishes the string.
+// Both match strings.ToLower byte for byte (it has the same ASCII fast
+// path), including the U+FFFD replacement of invalid UTF-8.
 func appendNormalized(buf []byte, s string) []byte {
-	for _, r := range strings.TrimSpace(s) {
+	s = strings.TrimSpace(s)
+	i := 0
+	for ; i < len(s) && s[i] < utf8.RuneSelf; i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf = append(buf, c)
+	}
+	for _, r := range s[i:] {
 		buf = utf8.AppendRune(buf, unicode.ToLower(r))
 	}
 	return buf
@@ -188,7 +200,7 @@ func (p *Population) builtIndex() *piiIndex {
 	if p.index == nil {
 		p.index = newPIIIndex(p.cols.n)
 		for i := 0; i < p.cols.n; i++ {
-			p.index.insert(&p.cols.pii[i], int32(i), p.keyAt)
+			p.index.insert(int32(i), p.cols.pii)
 		}
 	}
 	return p.index
@@ -200,7 +212,7 @@ func (p *Population) LookupPII(hash string) (UserView, bool) {
 	if !ok {
 		return UserView{}, false
 	}
-	id := p.builtIndex().lookup(&key, p.keyAt)
+	id := p.builtIndex().lookup(&key, p.cols.pii)
 	if id < 0 {
 		return UserView{}, false
 	}
@@ -216,7 +228,7 @@ func (p *Population) MatchPII(keys []PIIKey) []int {
 	seen := make([]uint64, (p.cols.n+63)/64)
 	members := make([]int, 0, len(keys))
 	for i := range keys {
-		id := ix.lookup(&keys[i], p.keyAt)
+		id := ix.lookup(&keys[i], p.cols.pii)
 		if id < 0 || seen[id>>6]&(1<<(id&63)) != 0 {
 			continue
 		}
@@ -225,9 +237,6 @@ func (p *Population) MatchPII(keys []PIIKey) []int {
 	}
 	return members
 }
-
-// keyAt resolves a user ID to its stored PII digest.
-func (p *Population) keyAt(id int32) *[32]byte { return &p.cols.pii[id] }
 
 // Build derives users from one or more voter registries. Match rates and
 // activity vary by demographic: younger voters are more likely to have an
@@ -250,7 +259,7 @@ func Build(cfg Config, registries ...*voter.Registry) (*Population, error) {
 	for _, reg := range registries {
 		voters += len(reg.Records)
 	}
-	b := newBuilder(cfg, voters, 0)
+	b := newBuilder(cfg, voters, probeBlock)
 	for _, reg := range registries {
 		for i := range reg.Records {
 			if err := b.consume(&reg.Records[i]); err != nil {

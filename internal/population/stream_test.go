@@ -119,3 +119,25 @@ func TestViewAccessorsDoNotAllocate(t *testing.T) {
 	_ = sink
 	_ = sinkState
 }
+
+// BenchmarkStream measures the streamed world build end to end — generate,
+// match draw, PII hash, duplicate probe, column append — at 2 × 100 000
+// voters, the same shape (two states, 64k chunks) as the 1M-user worlds the
+// delivery benchmarks stand on.
+func BenchmarkStream(b *testing.B) {
+	fl := voter.DefaultGeneratorConfig(demo.StateFL, 51)
+	fl.NumVoters = 100_000
+	nc := voter.DefaultGeneratorConfig(demo.StateNC, 52)
+	nc.NumVoters = 100_000
+	b.ReportAllocs()
+	users := 0
+	for i := 0; i < b.N; i++ {
+		pop, err := Stream(Config{Seed: 501}, 65536, fl, nc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		users += pop.Len()
+	}
+	b.ReportMetric(float64(users)/b.Elapsed().Seconds(), "users/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(fl.NumVoters+nc.NumVoters)), "ns/voter")
+}

@@ -61,6 +61,93 @@ type LogitOptions struct {
 // ErrNoVariation is returned when the response is all-0 or all-1.
 var ErrNoVariation = errors.New("stats: logistic response has no variation")
 
+// ErrNonFinite is returned when the design holds a NaN or an infinity.
+var ErrNonFinite = errors.New("stats: non-finite regressor")
+
+// designIndex is the sparsity pattern of a design: for every row, the indexes
+// of its non-zero entries.
+type designIndex struct {
+	idx   []int32 // the rows' index lists, end to end
+	start []int   // row i's list is idx[start[i]:start[i+1]]
+}
+
+// indexDesign scans x once: it refuses a NaN or ±Inf entry, naming the first
+// (left in, one would surface from the Newton step as a matrix that is "not
+// positive definite"; and a finite design is what lets accumulate skip
+// zeros), and records where the non-zero entries are. The index is sized for
+// a design without zeros — half the design's bytes, for the length of the fit
+// — so that filling it never grows or branches.
+func indexDesign(names []string, x *Matrix) (*designIndex, error) {
+	d := &designIndex{idx: make([]int32, len(x.Data)), start: make([]int, x.Rows+1)}
+	k := 0
+	for i := 0; i < x.Rows; i++ {
+		for a, v := range x.Row(i) {
+			if v-v != 0 { // NaN or ±Inf
+				return nil, fmt.Errorf("%w: row %d, column %q is %v", ErrNonFinite, i, names[a], v)
+			}
+			d.idx[k] = int32(a)
+			if v != 0 {
+				k++
+			}
+		}
+		d.start[i+1] = k
+	}
+	return d, nil
+}
+
+func (d *designIndex) row(i int) []int32 { return d.idx[d.start[i]:d.start[i+1]] }
+
+// accumulate adds one observation to the Newton sums: r·x̃ to grad, unless it
+// is nil, and w·x̃x̃ᵀ to the upper triangle of h, where x̃ = (1, row) and nz
+// indexes row's non-zero entries. Entries that are exactly ±0 are skipped,
+// which leaves every sum bit for bit what the full loop gives: each
+// accumulator starts at +0 and can never become −0 by addition; under
+// round-to-nearest s + (±0) = s for every other s; and r·va and w·va·vb are
+// exactly ±0 whenever va or vb is and the rest are finite (indexDesign).
+// Products that merely underflow to zero are not skipped, and the addends
+// that remain arrive in the same order. A row without zeros takes the
+// straight loop: an index list only slows it down.
+func accumulate(grad []float64, h *Matrix, row []float64, nz []int32, r, w float64) {
+	h0 := h.Row(0)
+	h0[0] += w
+	if grad != nil {
+		grad[0] += r
+	}
+	if len(nz) == len(row) {
+		for a, va := range row {
+			if grad != nil {
+				grad[a+1] += r * va
+			}
+			h0[a+1] += w * va
+			ha := h.Row(a + 1)
+			for b := a; b < len(row); b++ {
+				ha[b+1] += w * va * row[b]
+			}
+		}
+		return
+	}
+	for k, a := range nz {
+		va := row[a]
+		if grad != nil {
+			grad[a+1] += r * va
+		}
+		h0[a+1] += w * va
+		ha := h.Row(int(a) + 1)
+		for _, b := range nz[k:] {
+			ha[b+1] += w * va * row[b]
+		}
+	}
+}
+
+// mirrorUpper copies the upper triangle of the square h onto its lower one.
+func mirrorUpper(h *Matrix) {
+	for a := 0; a < h.Rows; a++ {
+		for b := a + 1; b < h.Cols; b++ {
+			h.Set(b, a, h.At(a, b))
+		}
+	}
+}
+
 // Logit fits P(y=1|x) = σ(β₀ + β·x) by iteratively reweighted least squares
 // (Newton-Raphson on the log-likelihood). y entries must be 0 or 1. names
 // labels the columns of x; an intercept is always included.
@@ -85,6 +172,10 @@ func Logit(names []string, x *Matrix, y []float64, opt LogitOptions) (*LogitResu
 	}
 	if ones == 0 || zeros == 0 {
 		return nil, ErrNoVariation
+	}
+	nz, err := indexDesign(names, x)
+	if err != nil {
+		return nil, err
 	}
 	if opt.MaxIter == 0 {
 		opt.MaxIter = 50
@@ -124,25 +215,10 @@ func Logit(names []string, x *Matrix, y []float64, opt LogitOptions) (*LogitResu
 			if w < 1e-10 {
 				w = 1e-10
 			}
-			r := y[i] - m
-			grad[0] += r
-			hr0 := hess.Row(0)
-			hr0[0] += w
-			for a, va := range row {
-				grad[a+1] += r * va
-				hr0[a+1] += w * va
-				ha := hess.Row(a + 1)
-				for b := a; b < len(row); b++ {
-					ha[b+1] += w * va * row[b]
-				}
-			}
+			accumulate(grad, hess, row, nz.row(i), y[i]-m, w)
 		}
 		// Mirror and apply ridge (intercept unpenalized).
-		for a := 0; a < p; a++ {
-			for b := a + 1; b < p; b++ {
-				hess.Set(b, a, hess.At(a, b))
-			}
-		}
+		mirrorUpper(hess)
 		if opt.Ridge > 0 {
 			for j := 1; j < p; j++ {
 				grad[j] -= opt.Ridge * beta[j]
@@ -213,6 +289,10 @@ func (r *LogitResult) Inference(x *Matrix) (*LogitInference, error) {
 	if x.Rows != r.N || x.Cols+1 != p {
 		return nil, fmt.Errorf("stats: design %dx%d does not match fitted model (n=%d, p=%d)", x.Rows, x.Cols, r.N, p)
 	}
+	nz, err := indexDesign(r.Names[1:], x)
+	if err != nil {
+		return nil, err
+	}
 	info := NewMatrix(p, p)
 	for i := 0; i < x.Rows; i++ {
 		row := x.Row(i)
@@ -221,22 +301,9 @@ func (r *LogitResult) Inference(x *Matrix) (*LogitInference, error) {
 			z += r.Coef[j+1] * v
 		}
 		m := Sigmoid(z)
-		w := m * (1 - m)
-		info.Set(0, 0, info.At(0, 0)+w)
-		ir0 := info.Row(0)
-		for a, va := range row {
-			ir0[a+1] += w * va
-			ia := info.Row(a + 1)
-			for b := a; b < len(row); b++ {
-				ia[b+1] += w * va * row[b]
-			}
-		}
+		accumulate(nil, info, row, nz.row(i), 0, m*(1-m))
 	}
-	for a := 0; a < p; a++ {
-		for b := a + 1; b < p; b++ {
-			info.Set(b, a, info.At(a, b))
-		}
-	}
+	mirrorUpper(info)
 	cov, err := info.SymInverse()
 	if err != nil {
 		return nil, fmt.Errorf("stats: inverting information matrix: %w", err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
 )
@@ -163,10 +164,10 @@ func (g *Generator) Next(rec *Record) bool {
 	street := randomStreet(rng)
 	age := sampleVoterAge(rng)
 	*rec = Record{
-		ID:        fmt.Sprintf("%s%08d", g.idPrefix, i+1),
+		ID:        voterID(g.idPrefix, i+1),
 		FirstName: firstName,
 		LastName:  lastName,
-		Address:   fmt.Sprintf("%d %s", streetNum, street),
+		Address:   streetAddress(streetNum, street),
 		City:      z.city,
 		State:     g.cfg.State,
 		ZIP:       z.code,
@@ -175,6 +176,32 @@ func (g *Generator) Next(rec *Record) bool {
 		BirthYear: StudyYear - age,
 	}
 	return true
+}
+
+// voterID formats a state voter ID as fmt.Sprintf("%s%08d", prefix, serial)
+// does, for the two-letter state prefixes NewGenerator assigns: one
+// allocation, where Sprintf boxes both arguments first.
+func voterID(prefix string, serial int) string {
+	if serial >= 1e8 {
+		return prefix + strconv.Itoa(serial) // %08d stops padding here
+	}
+	var b [10]byte
+	copy(b[:2], prefix)
+	for i := len(b) - 1; i >= 2; i-- {
+		b[i] = byte('0' + serial%10)
+		serial /= 10
+	}
+	return string(b[:])
+}
+
+// streetAddress formats fmt.Sprintf("%d %s", num, street) with one
+// allocation.
+func streetAddress(num int, street string) string {
+	var buf [48]byte
+	b := strconv.AppendInt(buf[:0], int64(num), 10)
+	b = append(b, ' ')
+	b = append(b, street...)
+	return string(b)
 }
 
 // ZIPPoverty returns the generated ZIP→poverty table (shared, do not
