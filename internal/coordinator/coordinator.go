@@ -569,7 +569,7 @@ func (c *Coordinator) Inventory(ctx context.Context) (*platform.Inventory, error
 			continue
 		}
 		if inv.Audiences != ref.Audiences || inv.Campaigns != ref.Campaigns ||
-			inv.Ads != ref.Ads || strings.Join(inv.CampaignNames, ",") != strings.Join(ref.CampaignNames, ",") {
+			inv.Ads != ref.Ads || inv.TargetedUsers != ref.TargetedUsers || strings.Join(inv.CampaignNames, ",") != strings.Join(ref.CampaignNames, ",") {
 			return nil, divergence("inventory", sc, fmt.Sprintf("%+v", *inv), fmt.Sprintf("%+v", *ref))
 		}
 	}

@@ -163,7 +163,9 @@ func (c *Client) AbortDay(ctx context.Context, session string) error {
 // state — audiences, campaigns, ads, and the ID-allocator cursor. Two
 // healthy shards hold byte-identical copies of those (the State
 // serialization is a deep copy with deterministic ordering), so the digest
-// is the coordinator's gate for readmitting a resurrected shard.
+// is the coordinator's gate for readmitting a resurrected shard. An ad's
+// targeted users are not in it: they derive from its targeting and its
+// audiences' members, which are.
 //
 // Per-shard delivery tallies (State.Stats) are deliberately EXCLUDED: in a
 // coordinated day each shard delivers only its user partition, so two

@@ -105,7 +105,7 @@ func (p *Platform) registerAudienceLocked(name string, members []int) *CustomAud
 		members: members,
 	}
 	p.audiences[ca.ID] = ca
-	p.emit(Mutation{Kind: MutAudienceCreated, Audience: audienceState(ca)})
+	p.emit(func() Mutation { return Mutation{Kind: MutAudienceCreated, Audience: audienceState(ca)} })
 	return ca
 }
 
@@ -130,9 +130,18 @@ func (p *Platform) audienceLocked(id string) (*CustomAudience, error) {
 // of its Custom Audiences filtered by the attribute limits, ascending — the
 // audience order feeds seeded RNG consumption downstream. The union is a
 // merge of the audiences' ascending member lists, so one audience (the
-// audit's case) costs a single filtered pass. The caller holds p.mu for
-// writing.
+// audit's case) costs a single filtered pass.
+//
+// Each distinct targeting is resolved once: p.resolved keeps the list under
+// the targeting as given, and every ad with that targeting — created or
+// replayed — holds the same slice. Audiences are immutable and never removed,
+// so an entry cannot go stale; Restore, which replaces them, drops the table.
+// The caller holds p.mu for writing.
 func (p *Platform) resolveAudience(t *Targeting) ([]int, error) {
+	key := fmt.Sprintf("%q %d %d %d %d", t.CustomAudienceIDs, t.AgeMin, t.AgeMax, t.Genders, t.States)
+	if out, ok := p.resolved[key]; ok {
+		return out, nil
+	}
 	var union []int
 	for k, id := range t.CustomAudienceIDs {
 		ca, err := p.audienceLocked(id)
@@ -154,6 +163,7 @@ func (p *Platform) resolveAudience(t *Targeting) ([]int, error) {
 	if len(out) == 0 {
 		return nil, fmt.Errorf("platform: targeting matches no users")
 	}
+	p.resolved[key] = out
 	return out, nil
 }
 

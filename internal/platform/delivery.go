@@ -174,11 +174,15 @@ func (p *Platform) finishDay(run *dayRun, spendCents []float64, del *DeliverySta
 		st := p.stats[ad.ID]
 		st.SpendCents = spendCents[i]
 		impressions += int64(st.Impressions)
-		del.Completed = append(del.Completed, ad.ID)
-		del.Stats = append(del.Stats, *adStatsState(st))
 	}
-	sortDeliveryState(del)
-	p.emit(Mutation{Kind: MutDayDelivered, Delivery: del})
+	p.emit(func() Mutation {
+		for _, ad := range active {
+			del.Completed = append(del.Completed, ad.ID)
+			del.Stats = append(del.Stats, *adStatsState(p.stats[ad.ID]))
+		}
+		sortDeliveryState(del)
+		return Mutation{Kind: MutDayDelivered, Delivery: del}
+	})
 	p.flushServed(run)
 	p.observeDelivery(run.start, int64(p.cfg.Ticks), run.auctions(), impressions, del.Workers, run.merge)
 }

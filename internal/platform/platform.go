@@ -110,6 +110,9 @@ type Platform struct {
 	campaigns map[string]*Campaign
 	ads       map[string]*Ad
 	stats     map[string]*AdStats
+	// resolved is the one targeted-user list per distinct targeting that the
+	// ads with that targeting share (see resolveAudience).
+	resolved map[string][]int
 
 	served    []servedRow // retraining buffer of served impressions
 	reviewRNG *rand.Rand
@@ -193,6 +196,7 @@ func New(cfg Config, pop *population.Population, behave *population.Behavior) (*
 		campaigns: map[string]*Campaign{},
 		ads:       map[string]*Ad{},
 		stats:     map[string]*AdStats{},
+		resolved:  map[string][]int{},
 		reviewRNG: rand.New(rand.NewSource(cfg.Seed + 77)),
 	}, nil
 }
@@ -205,6 +209,10 @@ type Inventory struct {
 	Audiences int
 	Campaigns int
 	Ads       int
+	// TargetedUsers sums the ads' resolved user lists. The lists are derived,
+	// never stored, so a census taken after a recovery that re-derived them
+	// wrongly differs from the one taken before it.
+	TargetedUsers int
 	// CampaignNames is sorted; duplicate names expose a double-created
 	// campaign even when counts happen to balance out.
 	CampaignNames []string
@@ -218,6 +226,9 @@ func (p *Platform) Inventory() Inventory {
 		Audiences: len(p.audiences),
 		Campaigns: len(p.campaigns),
 		Ads:       len(p.ads),
+	}
+	for _, ad := range p.ads {
+		inv.TargetedUsers += len(ad.audience)
 	}
 	for _, c := range p.campaigns {
 		inv.CampaignNames = append(inv.CampaignNames, c.Name)
@@ -254,8 +265,10 @@ func (p *Platform) CreateCampaign(name string, obj Objective, special SpecialAdC
 		AccountAge:      accountAge,
 	}
 	p.campaigns[c.ID] = c
-	cp := *c
-	p.emit(Mutation{Kind: MutCampaignCreated, Campaign: &cp})
+	p.emit(func() Mutation {
+		cp := *c
+		return Mutation{Kind: MutCampaignCreated, Campaign: &cp}
+	})
 	return c, nil
 }
 
@@ -317,7 +330,7 @@ func (p *Platform) CreateAd(campaignID string, creative Creative, targeting Targ
 	p.ads[ad.ID] = ad
 	// The emitted state carries the review outcome: replay must not re-roll
 	// the review RNG.
-	p.emit(Mutation{Kind: MutAdCreated, Ad: adState(ad)})
+	p.emit(func() Mutation { return Mutation{Kind: MutAdCreated, Ad: adState(ad)} })
 	return ad.snapshot(), nil
 }
 
@@ -367,6 +380,8 @@ func (p *Platform) AppealAd(id string) (*Ad, error) {
 	if p.reviewRNG.Float64() >= p.cfg.ReviewRejectProb {
 		ad.Status = StatusActive
 	}
-	p.emit(Mutation{Kind: MutAdAppealed, Appeal: &AppealState{AdID: ad.ID, Status: ad.Status}})
+	p.emit(func() Mutation {
+		return Mutation{Kind: MutAdAppealed, Appeal: &AppealState{AdID: ad.ID, Status: ad.Status}}
+	})
 	return ad.snapshot(), nil
 }

@@ -12,27 +12,38 @@ import (
 // State/Restore/ApplyMutation surface and the mutation hook, never by
 // reaching into private fields. Two properties shape the design:
 //
-//   - Events carry RESULTS, not commands. Ad review consumes the review RNG
-//     and RunDay consumes a delivery RNG, so replaying the *call* would
-//     diverge from what the platform acked. Every mutation therefore embeds
-//     the full post-mutation object state (the created ad with its review
-//     outcome, the delivered day with its complete AdStats), making replay
-//     deterministic and idempotent: applying a mutation twice, or applying
-//     one already reflected in a snapshot, converges to the same state.
+//   - Events carry RESULTS, not commands — and not derivations. Ad review
+//     consumes the review RNG and RunDay consumes a delivery RNG, so
+//     replaying the *call* would diverge from what the platform acked. Every
+//     mutation therefore embeds the post-mutation object state a die decided
+//     (the created ad with its review outcome, the delivered day with its
+//     complete AdStats), making replay deterministic and idempotent: applying
+//     a mutation twice, or applying one already reflected in a snapshot,
+//     converges to the same state. What no die decided is derived again: an
+//     ad's targeted-user list is a pure function of its Targeting, its
+//     audiences' members and the population, so the ad record carries the
+//     Targeting and replay resolves it through the path CreateAd uses.
 //
 //   - The world is rebuilt, the account is restored. Population, behaviour
 //     model, vision model, and eAR model are deterministic functions of the
 //     configuration seed and are NOT serialized; custom-audience membership
-//     and ad audiences are stored as population indexes, which are only
-//     valid against the same world. Recovery must run against a platform
-//     built from the same seed; internal/store verifies the population size
-//     as a cheap fingerprint. The retraining buffer and the RNG cursors are
-//     deliberately non-durable: losing them costs nothing the audit
-//     methodology observes.
+//     is stored as population indexes (the only durable form of an upload:
+//     the hashes are not kept), which are only valid against the same world.
+//     Recovery must run against a platform built from the same seed;
+//     internal/store verifies the population size as a cheap fingerprint. The
+//     retraining buffer and the RNG cursors are deliberately non-durable:
+//     losing them costs nothing the audit methodology observes.
 
 // StateVersion tags the serialized account layout. Readers must reject
-// versions they do not understand rather than guess.
-const StateVersion = 1
+// versions they do not understand rather than guess. Version 1 embedded every
+// ad's targeted-user list; version 2 does not, and a version-1 reader handed a
+// version-2 ad would install it targeting nobody, hence the bump. This build
+// reads both through one decoder: version 1's "audience" array is an unknown
+// field, skipped, and the list is resolved from the targeting either way.
+const (
+	StateVersion    = 2
+	minStateVersion = 1
+)
 
 // Mutation kinds, one per durable platform state change.
 const (
@@ -53,9 +64,10 @@ type AudienceState struct {
 	Members []int  `json:"members"`
 }
 
-// AdState is the serializable form of an Ad. Perceived-creative scores and
-// the folded eAR coefficients are re-derived on restore from the creative
-// and the (deterministically retrained) models, so only inputs are stored.
+// AdState is the serializable form of an Ad. Perceived-creative scores, the
+// folded eAR coefficients and the targeted-user list are re-derived on restore
+// — from the creative and the (deterministically retrained) models, and from
+// the targeting and the audiences it names — so only inputs are stored.
 type AdState struct {
 	ID               string    `json:"id"`
 	CampaignID       string    `json:"campaign_id"`
@@ -64,7 +76,6 @@ type AdState struct {
 	Targeting        Targeting `json:"targeting"`
 	DailyBudgetCents int       `json:"daily_budget_cents"`
 	Status           AdStatus  `json:"status"`
-	Audience         []int     `json:"audience"`
 }
 
 // BreakdownCell is one insights breakdown cell in serializable form (struct
@@ -152,11 +163,14 @@ func (p *Platform) SetMutationHook(hook MutationHook) {
 	p.mu.Unlock()
 }
 
-// emit delivers a mutation to the hook; the caller holds p.mu (write).
-func (p *Platform) emit(m Mutation) {
+// emit delivers the mutation build returns to the hook. With no hook
+// installed build is not called, so a platform nobody persists pays for no
+// payload. The caller holds p.mu (write).
+func (p *Platform) emit(build func() Mutation) {
 	if p.hook == nil {
 		return
 	}
+	m := build()
 	m.NextID = p.nextID
 	p.hook(m)
 }
@@ -210,12 +224,13 @@ func (p *Platform) Restore(st *State) error {
 	if st == nil {
 		return fmt.Errorf("platform: nil state")
 	}
-	if st.Version != StateVersion {
-		return fmt.Errorf("platform: state version %d, this build reads %d", st.Version, StateVersion)
+	if st.Version < minStateVersion || st.Version > StateVersion {
+		return fmt.Errorf("platform: state version %d, this build reads %d to %d", st.Version, minStateVersion, StateVersion)
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.audiences = make(map[string]*CustomAudience, len(st.Audiences))
+	p.resolved = map[string][]int{} // resolved against the audiences being replaced
 	p.campaigns = make(map[string]*Campaign, len(st.Campaigns))
 	p.ads = make(map[string]*Ad, len(st.Ads))
 	p.stats = make(map[string]*AdStats, len(st.Stats))
@@ -318,14 +333,13 @@ func (p *Platform) applyAudienceLocked(as *AudienceState) error {
 }
 
 // applyAdLocked installs an ad from its serialized form, re-deriving the
-// machine-perceived creative and the folded eAR coefficients from the
-// current models; the caller holds p.mu.
+// targeted-user list from the audiences already applied, and the
+// machine-perceived creative and the folded eAR coefficients from the current
+// models; the caller holds p.mu for writing.
 func (p *Platform) applyAdLocked(as *AdState) error {
-	for _, idx := range as.Audience {
-		if idx < 0 || idx >= p.pop.Len() {
-			return fmt.Errorf("platform: ad %s audience index %d outside population of %d (world seed mismatch?)",
-				as.ID, idx, p.pop.Len())
-		}
+	audience, err := p.resolveAudience(&as.Targeting)
+	if err != nil {
+		return fmt.Errorf("platform: replaying ad %s: %w", as.ID, err)
 	}
 	ad := &Ad{
 		ID:               as.ID,
@@ -335,7 +349,7 @@ func (p *Platform) applyAdLocked(as *AdState) error {
 		Targeting:        as.Targeting,
 		DailyBudgetCents: as.DailyBudgetCents,
 		Status:           as.Status,
-		audience:         append([]int(nil), as.Audience...),
+		audience:         audience,
 	}
 	ad.perceived = p.perceive(ad.Creative.Image)
 	ad.folded = p.ear.fold(&ad.perceived)
@@ -385,7 +399,6 @@ func adState(ad *Ad) *AdState {
 		Targeting:        ad.Targeting,
 		DailyBudgetCents: ad.DailyBudgetCents,
 		Status:           ad.Status,
-		Audience:         append([]int(nil), ad.audience...),
 	}
 }
 

@@ -83,7 +83,13 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 
 // walRecordVersion tags the WAL payload schema. Bump it when Mutation's
 // layout changes incompatibly; replay rejects versions it does not know.
-const walRecordVersion = 1
+// Version 2 dropped the targeted-user list from ad_created (see
+// platform.StateVersion); a version-1 record still decodes, its embedded list
+// an unknown field the platform derives again, so minWALRecordVersion stays 1.
+const (
+	walRecordVersion    = 2
+	minWALRecordVersion = 1
+)
 
 // walRecord is one WAL entry: a monotonically increasing sequence number
 // wrapping one platform mutation.
@@ -194,9 +200,9 @@ func readSegment(path string) (events []segmentEvent, goodEnd int64, stop error,
 		if jerr := json.Unmarshal(payload, &rec); jerr != nil {
 			return events, offset, fmt.Errorf("%w: undecodable payload: %v", errCorruptRecord, jerr), nil
 		}
-		if rec.Version != walRecordVersion {
-			return events, offset, fmt.Errorf("%w: record version %d, this build reads %d",
-				errCorruptRecord, rec.Version, walRecordVersion), nil
+		if rec.Version < minWALRecordVersion || rec.Version > walRecordVersion {
+			return events, offset, fmt.Errorf("%w: record version %d, this build reads %d to %d",
+				errCorruptRecord, rec.Version, minWALRecordVersion, walRecordVersion), nil
 		}
 		events = append(events, segmentEvent{rec: rec, offset: offset})
 		offset += frameHeaderSize + int64(len(payload))
