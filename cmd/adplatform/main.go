@@ -38,7 +38,7 @@ func run(args []string) error {
 	worldOf := node.WorldFlags(fs, node.WorldConfig{Seed: 1, Voters: 40000, LogRows: 30000})
 	voterDir := fs.String("voterdir", "", "directory to write FL/NC voter extracts into (optional)")
 	stackOf := node.StackFlags(fs, "snapshot-every")
-	reviewReject := fs.Float64("review-reject", -1, "override the ad-review rejection probability (0..1; negative keeps the default) — every shard in one fleet must agree, and chaos soaks set 0 so a replayed create cannot diverge on a review re-roll")
+	reviewReject := fs.Float64("review-reject", -1, "override the ad-review rejection probability (0..1; negative keeps the default) — every shard in one fleet must agree")
 	snapshotEvery := fs.Int("snapshot-every", 5000, "write a snapshot and compact the WAL every N records (0 disables automatic snapshots; requires -store-dir)")
 	deliveryWorkers := fs.Int("delivery-workers", 1, "default delivery shard count for /v1/deliver (1 = sequential oracle engine; requests may override)")
 	drainTimeout := node.DrainTimeoutFlag(fs)

@@ -98,7 +98,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		transport = faults.NewTransport(nil, inj, nil)
+		transport = faults.NewTransport(nil, inj, nil, nil)
 		fmt.Printf("RPC fault injection armed: rate %.2f, seed %d, kinds %v\n", faultCfg.Rate, faultCfg.Seed, faultCfg.Kinds)
 	}
 	coord, err := coordinator.New(coordinator.Config{

@@ -1,28 +1,27 @@
-// Package chaos is a deterministic chaos orchestrator for the multi-process
-// serving tier: it disturbs real shard child processes — kill, SIGSTOP
-// pauses, slowed and partitioned links — on a schedule that is a pure
-// function of (seed, tick), the same stateless seeded-schedule idiom
-// internal/faults uses for request-level disturbance (faults.Mix64).
+// Package chaos disturbs a serving fleet on a deterministic schedule and
+// checks that it heals to the bytes an undisturbed fleet produces. A
+// disturbance — kill, pause, slowed or partitioned link — is a pure function
+// of (seed, tick), drawn through faults.Schedule, the one seeded
+// slot → disturbance map in the repository; a schedule can equally be an
+// explicit event list, which is what a failing seed is shrunk to and pinned
+// as. Two runs with the same seed disturb alike, so "the healed fleet's
+// digests are byte-identical to an undisturbed fleet's" is an assertable
+// property, not a dice roll.
 //
-// Determinism is what turns a chaos soak into a regression test: two runs
-// with the same seed kill the same shards at the same ticks, so "the healed
-// fleet's day digests are byte-identical to an undisturbed fleet's" is an
-// assertable property, not a dice roll. The schedule deliberately has no
-// clock and no RNG state — At(tick) can be replayed, inspected, or diffed
-// without running anything.
-//
-// The orchestrator drives a Target — the seam between the schedule and the
-// world. cmd/adchaos implements it with real process signals
-// (supervisor.ProcessRelauncher) and a client-side faults.Gate; tests
-// implement it with a fake.
+// The Orchestrator applies a schedule to a Target, the seam between the
+// schedule and the world. Soak (soak.go) is the workload and the invariants;
+// it runs over a Deployment, of which there are two: Fleet (fleet.go), a
+// whole fleet in one process on a virtual clock, with which `go test`
+// explores schedules by the hundred, and cmd/adchaos's real adplatform
+// children, kept as the check that the simulated kill matches a real kill -9.
 package chaos
 
 import (
 	"fmt"
-	"time"
+	"math"
+	"slices"
 
 	"github.com/adaudit/impliedidentity/internal/faults"
-	"github.com/adaudit/impliedidentity/internal/obs"
 )
 
 // Action names one chaos disturbance.
@@ -95,48 +94,85 @@ type Event struct {
 	Ticks int `json:"ticks,omitempty"`
 }
 
-// Schedule maps ticks to disturbances, purely.
+// Schedule maps ticks to disturbances, purely: seeded (NewSchedule) or an
+// explicit event list (ScheduleOf).
 type Schedule struct {
-	cfg Config
+	shards  int
+	seeded  faults.Schedule
+	actions []Action
+	listed  map[int]Event // explicit schedules only
 }
 
-// NewSchedule builds a schedule.
+// NewSchedule builds a seeded schedule.
 func NewSchedule(cfg Config) (*Schedule, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("chaos: shards %d < 1", cfg.Shards)
 	}
-	if cfg.Rate < 0 || cfg.Rate > 1 {
-		return nil, fmt.Errorf("chaos: rate %v outside [0,1]", cfg.Rate)
+	cfg = cfg.withDefaults()
+	seeded := faults.Schedule{Seed: cfg.Seed, Rate: cfg.Rate, Gap: cfg.MinGap, Kinds: len(cfg.Actions), Salted: true}
+	if err := seeded.Validate(); err != nil {
+		return nil, err
 	}
-	return &Schedule{cfg: cfg.withDefaults()}, nil
+	return &Schedule{shards: cfg.Shards, seeded: seeded, actions: cfg.Actions}, nil
 }
 
+// ScheduleOf builds the schedule that disturbs a fleet of the given width
+// with exactly these events, at most one a tick.
+func ScheduleOf(shards int, events []Event) (*Schedule, error) {
+	s := &Schedule{shards: shards, listed: make(map[int]Event, len(events))}
+	for _, e := range events {
+		if _, dup := s.listed[e.Tick]; dup || e.Tick < 0 || e.Shard < 0 || e.Shard >= shards || !slices.Contains(AllActions(), e.Action) {
+			return nil, fmt.Errorf("chaos: event %+v: a schedule holds one known action a tick, on a shard below %d", e, shards)
+		}
+		s.listed[e.Tick] = e
+	}
+	return s, nil
+}
+
+// Shards is the fleet width the schedule was drawn over.
+func (s *Schedule) Shards() int { return s.shards }
+
 // At returns the disturbance at a tick, or nil for a calm tick — a pure
-// function of (seed, tick): no state, no clock, no RNG cursor.
+// function of the schedule: no state, no clock, no RNG cursor.
 func (s *Schedule) At(tick int) *Event {
-	if tick < 0 || tick%s.cfg.MinGap != 0 {
+	if s.listed != nil {
+		if e, ok := s.listed[tick]; ok {
+			return &e
+		}
 		return nil
 	}
-	bits, coin := faults.Draw(s.cfg.Seed, uint64(tick))
-	if coin >= s.cfg.Rate {
+	if tick < 0 {
 		return nil
 	}
-	// Independent bits for the action and the victim.
-	sub := faults.Mix64(int64(bits), uint64(tick)+1)
-	action := s.cfg.Actions[int(sub%uint64(len(s.cfg.Actions)))]
+	k, bits, ok := s.seeded.At(uint64(tick))
+	if !ok {
+		return nil
+	}
+	action := s.actions[k]
 	return &Event{
 		Tick:   tick,
-		Shard:  int((sub >> 16) % uint64(s.cfg.Shards)),
+		Shard:  int((bits >> 16) % uint64(s.shards)),
 		Action: action,
 		Ticks:  windowTicks[action],
 	}
 }
 
+// Events lists the disturbances of ticks [0, ticks).
+func (s *Schedule) Events(ticks int) []Event {
+	var out []Event
+	for tick := 0; tick < ticks; tick++ {
+		if e := s.At(tick); e != nil {
+			out = append(out, *e)
+		}
+	}
+	return out
+}
+
 // Target is the seam the orchestrator disturbs through. Implementations:
-// real process signals plus a client-side gate (cmd/adchaos), or a fake
-// (tests). Implementations should treat disturbing an already-dead shard as
-// a no-op — the schedule is blind to the supervisor's relaunch timing by
-// design.
+// the in-process Fleet, real process signals plus a client-side gate
+// (cmd/adchaos), or a fake (tests). Implementations should treat disturbing
+// an already-dead shard as a no-op — the schedule is blind to the
+// supervisor's relaunch timing by design.
 type Target interface {
 	// Kill terminates the shard process (SIGKILL: no goodbye, no flush).
 	Kill(shard int) error
@@ -150,130 +186,92 @@ type Target interface {
 }
 
 // Orchestrator walks the schedule tick by tick against a target, opening
-// and closing disturbance windows. Time is injected: the tick cadence comes
-// from the caller's clock, and all internal bookkeeping is in ticks.
+// and closing disturbance windows. All of its bookkeeping is in ticks; the
+// caller owns the cadence.
 type Orchestrator struct {
 	sched  *Schedule
 	target Target
-	clock  obs.Clock
-
-	// Window expiry ticks, 0 = no open window. Pause windows track the
-	// process; slow/partition windows track the link (they survive a kill —
-	// the gate is client-side and doesn't care which process answers).
-	pauseUntil []int
-	slowUntil  []int
-	partUntil  []int
-
+	// until holds, per windowed action and shard, the tick its open window
+	// expires at; 0 is no window. A pause tracks the process; slow and
+	// partition track the link and survive a kill — the gate is client-side
+	// and does not care which process answers.
+	until  map[Action][]int
 	events []Event
 }
 
-// NewOrchestrator builds an orchestrator over a schedule and target. Clock
-// may be nil for the system clock (tests inject one).
-func NewOrchestrator(sched *Schedule, target Target, clock obs.Clock) *Orchestrator {
-	if clock == nil {
-		clock = obs.SystemClock
+// NewOrchestrator builds an orchestrator over a schedule and target.
+func NewOrchestrator(sched *Schedule, target Target) *Orchestrator {
+	o := &Orchestrator{sched: sched, target: target, until: map[Action][]int{}}
+	for action := range windowTicks {
+		o.until[action] = make([]int, sched.shards)
 	}
-	n := sched.cfg.Shards
-	return &Orchestrator{
-		sched:      sched,
-		target:     target,
-		clock:      clock,
-		pauseUntil: make([]int, n),
-		slowUntil:  make([]int, n),
-		partUntil:  make([]int, n),
+	return o
+}
+
+// set opens or closes one shard's window of a windowed action.
+func (o *Orchestrator) set(action Action, shard int, on bool) error {
+	switch {
+	case action == ActSlow:
+		o.target.SetSlow(shard, on)
+	case action == ActPartition:
+		o.target.SetPartition(shard, on)
+	case on:
+		return o.target.Pause(shard)
+	default:
+		return o.target.Resume(shard)
 	}
+	return nil
+}
+
+// expire closes the windows that end at or before a tick.
+func (o *Orchestrator) expire(tick int) error {
+	for _, action := range AllActions() {
+		for shard, until := range o.until[action] {
+			if until != 0 && tick >= until {
+				o.until[action][shard] = 0
+				if err := o.set(action, shard, false); err != nil {
+					return fmt.Errorf("chaos: ending %s of shard %d at tick %d: %w", action, shard, tick, err)
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Step advances the orchestrator to a tick: expires windows that end at or
 // before it, then applies the scheduled disturbance (if any), returning the
 // applied event.
 func (o *Orchestrator) Step(tick int) (*Event, error) {
-	for shard := range o.pauseUntil {
-		if o.pauseUntil[shard] != 0 && tick >= o.pauseUntil[shard] {
-			o.pauseUntil[shard] = 0
-			if err := o.target.Resume(shard); err != nil {
-				return nil, fmt.Errorf("chaos: resume shard %d at tick %d: %w", shard, tick, err)
-			}
-		}
-		if o.slowUntil[shard] != 0 && tick >= o.slowUntil[shard] {
-			o.slowUntil[shard] = 0
-			o.target.SetSlow(shard, false)
-		}
-		if o.partUntil[shard] != 0 && tick >= o.partUntil[shard] {
-			o.partUntil[shard] = 0
-			o.target.SetPartition(shard, false)
-		}
+	if err := o.expire(tick); err != nil {
+		return nil, err
 	}
 	e := o.sched.At(tick)
 	if e == nil {
 		return nil, nil
 	}
-	switch e.Action {
-	case ActKill:
+	var err error
+	if e.Action == ActKill {
 		// A kill fells a paused process too (SIGKILL is unmaskable), and the
 		// relaunched process starts running: the pause window dies with its
 		// process.
-		o.pauseUntil[e.Shard] = 0
-		if err := o.target.Kill(e.Shard); err != nil {
-			return nil, fmt.Errorf("chaos: kill shard %d at tick %d: %w", e.Shard, tick, err)
+		o.until[ActPause][e.Shard] = 0
+		err = o.target.Kill(e.Shard)
+	} else {
+		if o.until[e.Action][e.Shard] == 0 {
+			err = o.set(e.Action, e.Shard, true)
 		}
-	case ActPause:
-		if o.pauseUntil[e.Shard] == 0 {
-			if err := o.target.Pause(e.Shard); err != nil {
-				return nil, fmt.Errorf("chaos: pause shard %d at tick %d: %w", e.Shard, tick, err)
-			}
-		}
-		o.pauseUntil[e.Shard] = tick + e.Ticks
-	case ActSlow:
-		if o.slowUntil[e.Shard] == 0 {
-			o.target.SetSlow(e.Shard, true)
-		}
-		o.slowUntil[e.Shard] = tick + e.Ticks
-	case ActPartition:
-		if o.partUntil[e.Shard] == 0 {
-			o.target.SetPartition(e.Shard, true)
-		}
-		o.partUntil[e.Shard] = tick + e.Ticks
+		o.until[e.Action][e.Shard] = tick + e.Ticks
+	}
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %s shard %d at tick %d: %w", e.Action, e.Shard, tick, err)
 	}
 	o.events = append(o.events, *e)
 	return e, nil
 }
 
-// Run walks ticks [0, ticks) with the given cadence, then quiesces. The
-// returned events are the disturbances actually applied.
-func (o *Orchestrator) Run(ticks int, tickLen time.Duration) ([]Event, error) {
-	for tick := 0; tick < ticks; tick++ {
-		if _, err := o.Step(tick); err != nil {
-			return o.events, err
-		}
-		o.clock.Sleep(tickLen)
-	}
-	return o.events, o.Quiesce()
-}
-
 // Quiesce closes every open window — resumes paused shards, lifts slowness
 // and partitions — so the fleet's healing can complete undisturbed.
-func (o *Orchestrator) Quiesce() error {
-	for shard := range o.pauseUntil {
-		if o.pauseUntil[shard] != 0 {
-			o.pauseUntil[shard] = 0
-			if err := o.target.Resume(shard); err != nil {
-				return fmt.Errorf("chaos: quiesce resume shard %d: %w", shard, err)
-			}
-		}
-		if o.slowUntil[shard] != 0 {
-			o.slowUntil[shard] = 0
-			o.target.SetSlow(shard, false)
-		}
-		if o.partUntil[shard] != 0 {
-			o.partUntil[shard] = 0
-			o.target.SetPartition(shard, false)
-		}
-	}
-	return nil
-}
+func (o *Orchestrator) Quiesce() error { return o.expire(math.MaxInt) }
 
 // Events returns the disturbances applied so far.
-func (o *Orchestrator) Events() []Event {
-	return append([]Event(nil), o.events...)
-}
+func (o *Orchestrator) Events() []Event { return slices.Clone(o.events) }

@@ -1,9 +1,9 @@
 package chaos
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
-	"time"
 )
 
 func sched(t *testing.T, cfg Config) *Schedule {
@@ -15,22 +15,12 @@ func sched(t *testing.T, cfg Config) *Schedule {
 	return s
 }
 
-func collect(s *Schedule, ticks int) []Event {
-	var out []Event
-	for tick := 0; tick < ticks; tick++ {
-		if e := s.At(tick); e != nil {
-			out = append(out, *e)
-		}
-	}
-	return out
-}
-
 // The schedule is a pure function of (seed, tick): same seed, same events,
 // in any query order; different seeds, different schedules.
 func TestSchedulePure(t *testing.T) {
 	cfg := Config{Seed: 42, Shards: 3, Rate: 0.7, MinGap: 2}
-	a := collect(sched(t, cfg), 400)
-	b := collect(sched(t, cfg), 400)
+	a := sched(t, cfg).Events(400)
+	b := sched(t, cfg).Events(400)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed produced different schedules")
 	}
@@ -43,18 +33,18 @@ func TestSchedulePure(t *testing.T) {
 		e := s.At(tick)
 		_ = e
 	}
-	if !reflect.DeepEqual(collect(s, 400), a) {
+	if !reflect.DeepEqual(s.Events(400), a) {
 		t.Fatalf("schedule has hidden state")
 	}
 	cfg.Seed = 43
-	if reflect.DeepEqual(collect(sched(t, cfg), 400), a) {
+	if reflect.DeepEqual(sched(t, cfg).Events(400), a) {
 		t.Fatalf("different seeds produced identical schedules")
 	}
 }
 
 func TestScheduleBounds(t *testing.T) {
 	s := sched(t, Config{Seed: 7, Shards: 2, Rate: 1, MinGap: 3})
-	events := collect(s, 300)
+	events := s.Events(300)
 	if len(events) != 100 {
 		t.Fatalf("rate 1 with MinGap 3 over 300 ticks: got %d events, want 100", len(events))
 	}
@@ -85,7 +75,7 @@ func TestScheduleBounds(t *testing.T) {
 }
 
 func TestScheduleRateZeroIsCalm(t *testing.T) {
-	if events := collect(sched(t, Config{Seed: 7, Shards: 2, Rate: 0}), 1000); len(events) != 0 {
+	if events := sched(t, Config{Seed: 7, Shards: 2, Rate: 0}).Events(1000); len(events) != 0 {
 		t.Fatalf("rate 0 produced events: %+v", events)
 	}
 }
@@ -138,19 +128,13 @@ func (f *fakeTarget) Resume(shard int) error {
 func (f *fakeTarget) SetSlow(shard int, on bool)      { f.slow[shard] = on }
 func (f *fakeTarget) SetPartition(shard int, on bool) { f.blocked[shard] = on }
 
-// fakeClock makes Run's cadence free.
-type fakeClock struct{ now time.Time }
-
-func (f *fakeClock) Now() time.Time        { return f.now }
-func (f *fakeClock) Sleep(d time.Duration) { f.now = f.now.Add(d) }
-
 // Windows open at the scheduled tick and close exactly when they expire,
 // and Quiesce closes everything still open.
 func TestOrchestratorWindows(t *testing.T) {
 	// MinGap 1 and rate 1 disturb every tick: plenty of windows to check.
 	s := sched(t, Config{Seed: 11, Shards: 2, Rate: 1, MinGap: 1})
 	target := newFakeTarget()
-	o := NewOrchestrator(s, target, &fakeClock{})
+	o := NewOrchestrator(s, target)
 
 	open := map[string]int{} // "action/shard" -> expiry
 	for tick := 0; tick < 50; tick++ {
@@ -205,24 +189,71 @@ func TestOrchestratorWindows(t *testing.T) {
 
 func itoa(n int) string { return string(rune('0' + n)) }
 
-// Run applies the same events Step-by-Step application would, and sleeps
-// once per tick on the injected clock.
-func TestOrchestratorRunDeterminism(t *testing.T) {
-	cfg := Config{Seed: 99, Shards: 3, Rate: 0.5, MinGap: 2}
-	clock := &fakeClock{}
-	a, err := NewOrchestrator(sched(t, cfg), newFakeTarget(), clock).Run(120, time.Second)
+// TestScheduleSeed1Pinned holds the chaos schedule's (seed → disturbance)
+// mapping to literals taken before Schedule.At was moved onto
+// faults.Schedule: the first 24 ticks of seed 1 over two shards at rate 0.6,
+// which is the schedule scripts/chaos_soak.sh runs against real processes.
+func TestScheduleSeed1Pinned(t *testing.T) {
+	want := []Event{
+		{Tick: 0, Shard: 0, Action: ActSlow, Ticks: 3},
+		{Tick: 8, Shard: 0, Action: ActKill},
+		{Tick: 12, Shard: 0, Action: ActPause, Ticks: 2},
+	}
+	if got := sched(t, Config{Seed: 1, Shards: 2, Rate: 0.6}).Events(24); !reflect.DeepEqual(got, want) {
+		t.Fatalf("seed 1 draws %+v, pinned %+v", got, want)
+	}
+}
+
+// A schedule built from an explicit list disturbs with exactly that list.
+func TestScheduleOfExplicitEvents(t *testing.T) {
+	events := []Event{
+		{Tick: 3, Shard: 1, Action: ActKill},
+		{Tick: 4, Shard: 0, Action: ActPartition, Ticks: 2},
+	}
+	s, err := ScheduleOf(2, events)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatal(err)
 	}
-	b, err := NewOrchestrator(sched(t, cfg), newFakeTarget(), &fakeClock{}).Run(120, time.Second)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	if got := s.Events(50); !reflect.DeepEqual(got, events) {
+		t.Fatalf("explicit schedule yields %+v, want %+v", got, events)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("two runs with the same seed diverged")
+	// %#v prints the list as the source of itself, which is how a shrunk
+	// failing schedule is handed over for pinning.
+	const src = `[]chaos.Event{chaos.Event{Tick:3, Shard:1, Action:"kill", Ticks:0}, chaos.Event{Tick:4, Shard:0, Action:"partition", Ticks:2}}`
+	if got := fmt.Sprintf("%#v", events); got != src {
+		t.Errorf("%%#v of the list:\n%s\nwant:\n%s", got, src)
 	}
-	want := (time.Time{}).Add(120 * time.Second)
-	if !clock.now.Equal(want) {
-		t.Fatalf("Run slept to %v, want %v", clock.now, want)
+	for name, bad := range map[string][]Event{
+		"two events in one tick": {{Tick: 1, Action: ActKill}, {Tick: 1, Shard: 1, Action: ActPause, Ticks: 2}},
+		"a shard out of range":   {{Tick: 1, Shard: 2, Action: ActKill}},
+		"an unknown action":      {{Tick: 1, Action: "explode"}},
+	} {
+		if _, err := ScheduleOf(2, bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// shrink drops every event the failure does not need and keeps the ones it
+// does, in order.
+func TestShrinkKeepsWhatTheFailureNeeds(t *testing.T) {
+	events := sched(t, Config{Seed: 5, Shards: 3, Rate: 1, MinGap: 1}).Events(12)
+	needed := []Event{events[2], events[7]}
+	runs := 0
+	fails := func(trial []Event) bool {
+		runs++
+		have := 0
+		for _, e := range trial {
+			if have < len(needed) && e == needed[have] {
+				have++
+			}
+		}
+		return have == len(needed)
+	}
+	if got := shrink(events, fails); !reflect.DeepEqual(got, needed) {
+		t.Fatalf("shrunk to %+v, want %+v", got, needed)
+	}
+	if runs != len(events) {
+		t.Errorf("%d trial runs for %d events: greedy shrinking tries each event once", runs, len(events))
 	}
 }

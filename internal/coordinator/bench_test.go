@@ -1,87 +1,51 @@
-package coordinator
+package coordinator_test
 
 // The replication tax at equal audience size: one audience upload through
-// the API client into a single marketing.Server, and through a router over
-// two shard servers, at the serve and fleet workloads' upload sizes. The
-// ratio router2/server is what replication costs; ROADMAP item 2 asks for it
-// like for like before anyone profiles it further.
+// the API client into a single shard, and through a router over two, at the
+// serve and fleet workloads' upload sizes. The ratio router2/server is what
+// replication costs; ROADMAP item 2 asks for it like for like before anyone
+// profiles it further. Both topologies are simulated fleets (chaos.Fleet), so
+// what is timed is encode, relay, scan and match, without a socket on either
+// side; bench/'s fleet_2shard workload is the measurement over TCP.
 //
 //	go test -run '^$' -bench ReplicatedAudience -benchtime 50x -benchmem ./internal/coordinator
 
 import (
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"testing"
 
-	"github.com/adaudit/impliedidentity/internal/demo"
+	"github.com/adaudit/impliedidentity/internal/chaos"
 	"github.com/adaudit/impliedidentity/internal/marketing"
-	"github.com/adaudit/impliedidentity/internal/platform"
-	"github.com/adaudit/impliedidentity/internal/population"
-	"github.com/adaudit/impliedidentity/internal/voter"
+	"github.com/adaudit/impliedidentity/internal/node"
 )
 
 func BenchmarkReplicatedAudience(b *testing.B) {
-	flCfg := voter.DefaultGeneratorConfig(demo.StateFL, 711)
-	flCfg.NumVoters = 30000
-	fl, err := voter.Generate(flCfg)
+	cfg := node.WorldConfig{Seed: 710, Voters: 30000, LogRows: 2500, FLOnly: true}
+	w, err := cfg.Build(cfg.PlatformConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	pop, err := population.Build(population.Config{Seed: 712}, fl)
-	if err != nil {
-		b.Fatal(err)
-	}
-	behave, err := population.NewBehavior(population.DefaultBehaviorConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	hashes := make([]string, 20000)
-	for i := range hashes {
-		r := &fl.Records[i]
-		hashes[i] = population.HashPII(r.FirstName, r.LastName, r.Address, r.ZIP)
-	}
-	shard := func(b *testing.B) string {
-		cfg := platform.DefaultConfig(713)
-		cfg.Training.LogRows = 2500
-		p, err := platform.New(cfg, pop, behave)
+	hashes := node.PIIHashes(w.FL.Records[:20000])
+	fleet := func(b *testing.B, shards int) *chaos.Fleet {
+		f, err := chaos.NewFleet(chaos.FleetConfig{World: w, Platform: cfg.PlatformConfig(), Shards: shards})
 		if err != nil {
 			b.Fatal(err)
 		}
-		srv, err := marketing.NewServer(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		b.Cleanup(ts.Close)
-		return ts.URL
+		b.Cleanup(func() { _ = f.Close() })
+		return f
 	}
 	topologies := []struct {
-		name string
-		url  func(b *testing.B) string
+		name   string
+		client func(b *testing.B) *marketing.Client
 	}{
-		{"server", shard},
-		{"router2", func(b *testing.B) string {
-			coord, err := New(Config{Backends: []string{shard(b), shard(b)}}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			router, err := NewRouter(coord, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ts := httptest.NewServer(router.Handler())
-			b.Cleanup(ts.Close)
-			return ts.URL
-		}},
+		{"server", func(b *testing.B) *marketing.Client { return shardClient(b, fleet(b, 1), 0) }},
+		{"router2", func(b *testing.B) *marketing.Client { return fleet(b, 2).Client() }},
 	}
 	for _, n := range []int{2000, 20000} {
 		for _, top := range topologies {
 			b.Run(fmt.Sprintf("hashes=%d/%s", n, top.name), func(b *testing.B) {
-				client, err := marketing.NewClient(top.url(b))
-				if err != nil {
-					b.Fatal(err)
-				}
+				client := top.client(b)
 				ctx := context.Background()
 				b.ReportAllocs()
 				b.ResetTimer()

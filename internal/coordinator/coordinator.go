@@ -56,7 +56,8 @@ type Config struct {
 	// the same fleet the same order.
 	Backends []string
 	// MaxFanout bounds concurrent backend calls per scatter. 0 means
-	// "all shards at once".
+	// "all shards at once"; 1 calls the shards one after another in shard
+	// order, which makes a scatter's effects on a shared clock reproducible.
 	MaxFanout int
 	// DayAttempts is how many times a delivery day is re-run from scratch
 	// after a shard failure before giving up. 0 defaults to 5.
@@ -75,8 +76,8 @@ type Config struct {
 	// Transport, when set, replaces every backend client's HTTP transport —
 	// the chaos/fault injection seam (faults.NewTransport).
 	Transport http.RoundTripper
-	// Clock injects time for the day-retry backoff and MTTR accounting;
-	// nil is the system clock.
+	// Clock injects time for the day-retry backoff, MTTR accounting and the
+	// backend clients' retry backoff and breakers; nil is the system clock.
 	Clock obs.Clock
 	// Privacy is the insights privatization policy, applied to the MERGED
 	// report after cross-shard summation (merge-then-privatize: per-shard
@@ -169,6 +170,7 @@ func New(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 			cl.SetTransport(cfg.Transport)
 		}
 		cl.SetMetrics(reg)
+		cl.SetClock(clock)
 		label := fmt.Sprintf("shard%d", i)
 		c.shards = append(c.shards, &shardConn{
 			index: i, url: u, client: cl, label: label,
@@ -316,8 +318,25 @@ func (c *Coordinator) scatterEach(ctx context.Context, op string, targets []*sha
 	if limit <= 0 || limit > len(targets) {
 		limit = len(targets)
 	}
-	sem := make(chan struct{}, limit)
 	errs := make([]error, len(c.shards))
+	call := func(sc *shardConn) {
+		start := c.clock.Now()
+		err := fn(ctx, sc)
+		c.reg.Histogram(MetricShardLatency + "|" + sc.label).Observe(c.clock.Now().Sub(start))
+		c.reg.Counter(MetricShardRequests + "|" + sc.label).Inc()
+		c.observeOutcome(sc.index, err)
+		if err != nil {
+			c.reg.Counter(MetricShardErrors + "|" + sc.label).Inc()
+			errs[sc.index] = fmt.Errorf("coordinator: %s on %s: %w", op, sc.label, err)
+		}
+	}
+	if limit == 1 {
+		for _, sc := range targets {
+			call(sc)
+		}
+		return errs
+	}
+	sem := make(chan struct{}, limit)
 	var wg sync.WaitGroup
 	for _, sc := range targets {
 		wg.Add(1)
@@ -325,15 +344,7 @@ func (c *Coordinator) scatterEach(ctx context.Context, op string, targets []*sha
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			start := c.clock.Now()
-			err := fn(ctx, sc)
-			c.reg.Histogram(MetricShardLatency + "|" + sc.label).Observe(c.clock.Now().Sub(start))
-			c.reg.Counter(MetricShardRequests + "|" + sc.label).Inc()
-			c.observeOutcome(sc.index, err)
-			if err != nil {
-				c.reg.Counter(MetricShardErrors + "|" + sc.label).Inc()
-				errs[sc.index] = fmt.Errorf("coordinator: %s on %s: %w", op, sc.label, err)
-			}
+			call(sc)
 		}(sc)
 	}
 	wg.Wait()
@@ -392,8 +403,6 @@ type mutation struct {
 	// path is the escaped request path, body the request bytes.
 	path string
 	body []byte
-	// adID names the appealed ad (appeals only), for the replay probe.
-	adID string
 }
 
 // outcome is what every shard must answer alike for one mutation and what a
@@ -568,8 +577,9 @@ func (c *Coordinator) Inventory(ctx context.Context) (*platform.Inventory, error
 			ref = inv
 			continue
 		}
-		if inv.Audiences != ref.Audiences || inv.Campaigns != ref.Campaigns ||
-			inv.Ads != ref.Ads || inv.TargetedUsers != ref.TargetedUsers || strings.Join(inv.CampaignNames, ",") != strings.Join(ref.CampaignNames, ",") {
+		if inv.Audiences != ref.Audiences || inv.Campaigns != ref.Campaigns || inv.Ads != ref.Ads ||
+			inv.TargetedUsers != ref.TargetedUsers || inv.ReviewDraws != ref.ReviewDraws ||
+			strings.Join(inv.CampaignNames, ",") != strings.Join(ref.CampaignNames, ",") {
 			return nil, divergence("inventory", sc, fmt.Sprintf("%+v", *inv), fmt.Sprintf("%+v", *ref))
 		}
 	}

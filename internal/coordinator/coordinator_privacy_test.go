@@ -1,4 +1,4 @@
-package coordinator
+package coordinator_test
 
 // Differential proof for the merge-then-privatize rule: a router that
 // privatizes the MERGED cross-shard insights report is byte-identical, at
@@ -11,60 +11,25 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
+	"github.com/adaudit/impliedidentity/internal/chaos"
 	"github.com/adaudit/impliedidentity/internal/marketing"
-	"github.com/adaudit/impliedidentity/internal/obs"
 	"github.com/adaudit/impliedidentity/internal/privacy"
 )
 
-// newPrivacyBackend serves one platform whose OWN insights surface
-// privatizes — the single-process reference, and (misconfigured behind a
-// router) the shard the coordinator must refuse.
-func newPrivacyBackend(t *testing.T, cfg privacy.Config) string {
-	t.Helper()
-	srv, err := marketing.NewServer(newPlatform(t), marketing.WithPrivacy(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	return ts.URL
+// privateShards makes every shard's OWN insights surface privatize: the
+// single-process reference, and (misconfigured behind a router) the shards
+// the coordinator must refuse.
+func privateShards(cfg privacy.Config) func(*chaos.FleetConfig) {
+	return func(fc *chaos.FleetConfig) { fc.Stack.Privacy = cfg }
 }
 
-// newPrivacyFleet stands up n RAW shard backends behind a coordinator that
-// privatizes the merged report (the correct fleet deployment).
-func newPrivacyFleet(t *testing.T, n int, cfg privacy.Config, privateShards bool) *marketing.Client {
-	t.Helper()
-	backends := make([]string, n)
-	for i := range backends {
-		if privateShards {
-			backends[i] = newPrivacyBackend(t, cfg)
-		} else {
-			backends[i] = newBackend(t, nil)
-		}
-	}
-	reg := obs.NewRegistry()
-	coord, err := New(Config{Backends: backends, DayBackoff: time.Millisecond, Privacy: cfg}, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord.SetRetryPolicy(marketing.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond})
-	router, err := NewRouter(coord, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(router.Handler())
-	t.Cleanup(ts.Close)
-	client, err := marketing.NewClient(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.SetRetryPolicy(marketing.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond})
-	return client
+// privateRouter is the correct fleet deployment: raw shards behind a
+// coordinator that privatizes the merged report.
+func privateRouter(cfg privacy.Config) func(*chaos.FleetConfig) {
+	return func(fc *chaos.FleetConfig) { fc.Coordinator.Privacy = cfg }
 }
 
 // TestRouterPrivatizedMatchesSingleProcess is the tentpole differential
@@ -83,18 +48,8 @@ func TestRouterPrivatizedMatchesSingleProcess(t *testing.T) {
 	for _, cfg := range policies {
 		for _, shards := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/shards=%d", cfg.Level, shards), func(t *testing.T) {
-				refURL := newPrivacyBackend(t, cfg)
-				refClient, err := marketing.NewClient(refURL)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refIDs := setupAccount(t, refClient, nAds)
-				if err := refClient.DeliverWorkers(context.Background(), refIDs, seed, shards); err != nil {
-					t.Fatal(err)
-				}
-				want := insightsDigest(t, refClient, refIDs)
-
-				client := newPrivacyFleet(t, shards, cfg, false)
+				want := referenceDigest(t, nAds, seed, shards, privateShards(cfg))
+				client := launch(t, shards, privateRouter(cfg)).Client()
 				ids := setupAccount(t, client, nAds)
 				if err := client.Deliver(context.Background(), ids, seed); err != nil {
 					t.Fatal(err)
@@ -111,7 +66,7 @@ func TestRouterPrivatizedMatchesSingleProcess(t *testing.T) {
 // TestRouterPrivacyOffIsRaw: with privacy off the router's responses carry
 // no privacy block at all — the wire surface is the pre-privacy API.
 func TestRouterPrivacyOffIsRaw(t *testing.T) {
-	client := newPrivacyFleet(t, 2, privacy.Config{}, false)
+	client := launch(t, 2, nil).Client()
 	ids := setupAccount(t, client, 1)
 	if err := client.Deliver(context.Background(), ids, 9700); err != nil {
 		t.Fatal(err)
@@ -130,7 +85,7 @@ func TestRouterPrivacyOffIsRaw(t *testing.T) {
 // slices); the coordinator must surface a divergence, not merge garbage.
 func TestRouterRefusesPrivatizedShards(t *testing.T) {
 	cfg := privacy.Config{Level: privacy.LevelKAnon, K: 5}
-	client := newPrivacyFleet(t, 2, cfg, true)
+	client := launch(t, 2, both(privateRouter(cfg), privateShards(cfg))).Client()
 	ids := setupAccount(t, client, 1)
 	if err := client.Deliver(context.Background(), ids, 9800); err != nil {
 		t.Fatal(err)

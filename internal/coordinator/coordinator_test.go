@@ -1,11 +1,13 @@
-package coordinator
+package coordinator_test
 
-// End-to-end tests over real HTTP: a fleet of marketing servers (each a full
-// platform instance, exactly what cmd/adplatform serves) behind the router.
-// The determinism claims proved in-process by internal/platform's
-// delivery_session tests are re-proved here across the wire, plus the
-// failure paths only the coordinator owns: whole-day restart after a shard
-// crash and partial-commit replay after a failed finish fan-out.
+// End-to-end tests over the simulated fleet (internal/chaos.Fleet): shards
+// that are each a full node.Stack — exactly what cmd/adplatform serves —
+// behind the router, in one process. The determinism claims proved
+// in-process by internal/platform's delivery_session tests are re-proved
+// here across the wire format, plus the failure paths only the coordinator
+// owns: whole-day restart after a shard crash and partial-commit replay after
+// a failed finish fan-out. The tests sit outside the package because the
+// fleet imports it; export_test.go holds the few seams they need.
 
 import (
 	"context"
@@ -14,125 +16,94 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
+	"github.com/adaudit/impliedidentity/internal/chaos"
+	"github.com/adaudit/impliedidentity/internal/coordinator"
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/image"
 	"github.com/adaudit/impliedidentity/internal/marketing"
-	"github.com/adaudit/impliedidentity/internal/obs"
+	"github.com/adaudit/impliedidentity/internal/node"
 	"github.com/adaudit/impliedidentity/internal/platform"
-	"github.com/adaudit/impliedidentity/internal/population"
-	"github.com/adaudit/impliedidentity/internal/voter"
 )
 
-// The shared world: every backend (and the in-process reference) holds the
-// same population and behavior model, like shard processes launched with the
-// same -seed. Built once — world generation and model training dominate test
-// time.
+// The shared world: every shard of every fleet (and the single-process
+// reference, a 1-shard fleet addressed past its router) trains over the same
+// population, like shard processes launched with the same -seed. Built once —
+// world generation dominates test time.
 var (
-	worldOnce sync.Once
-	worldPop  *population.Population
-	worldBeh  *population.Behavior
-	worldHash []string
+	worldCfg = node.WorldConfig{Seed: 700, Voters: 6000, LogRows: 2500, FLOnly: true}
+	world    = sync.OnceValues(func() (*node.World, error) { return worldCfg.Build(worldCfg.PlatformConfig()) })
 )
 
-func world(t *testing.T) {
-	t.Helper()
-	worldOnce.Do(func() {
-		flCfg := voter.DefaultGeneratorConfig(demo.StateFL, 701)
-		flCfg.NumVoters = 6000
-		fl, err := voter.Generate(flCfg)
-		if err != nil {
-			panic(err)
-		}
-		pop, err := population.Build(population.Config{Seed: 702}, fl)
-		if err != nil {
-			panic(err)
-		}
-		behave, err := population.NewBehavior(population.DefaultBehaviorConfig())
-		if err != nil {
-			panic(err)
-		}
-		hashes := make([]string, 0, 2000)
-		for i := range fl.Records[:2000] {
-			r := &fl.Records[i]
-			hashes = append(hashes, population.HashPII(r.FirstName, r.LastName, r.Address, r.ZIP))
-		}
-		worldPop, worldBeh, worldHash = pop, behave, hashes
-	})
-}
-
-func newPlatform(t *testing.T) *platform.Platform {
-	return newReviewingPlatform(t, 0)
-}
-
-// newReviewingPlatform is newPlatform with ad review rejecting at the given
-// rate (from the same seeded review RNG on every backend).
-func newReviewingPlatform(t *testing.T, rejectProb float64) *platform.Platform {
-	t.Helper()
-	world(t)
-	cfg := platform.DefaultConfig(703)
-	cfg.Training.LogRows = 2500
+// platformCfg is the shards' platform configuration with ad review rejecting
+// at the given rate (from the same seeded review RNG on every shard).
+func platformCfg(rejectProb float64) platform.Config {
+	cfg := worldCfg.PlatformConfig()
 	cfg.ReviewRejectProb = rejectProb
-	p, err := platform.New(cfg, worldPop, worldBeh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return cfg
 }
 
-// newBackend serves one full platform over HTTP, optionally wrapped in a
-// fault middleware (nil for none).
-func newBackend(t *testing.T, wrap func(http.Handler) http.Handler) string {
-	return serveBackend(t, newPlatform(t), wrap)
-}
-
-func serveBackend(t *testing.T, p *platform.Platform, wrap func(http.Handler) http.Handler) string {
+// launch stands a fleet of n shards up over the shared world; mod adjusts
+// its configuration first. Review rejects nothing unless mod says otherwise.
+func launch(t testing.TB, n int, mod func(*chaos.FleetConfig)) *chaos.Fleet {
 	t.Helper()
-	srv, err := marketing.NewServer(p)
+	w, err := world()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := http.Handler(srv.Handler())
-	if wrap != nil {
-		h = wrap(h)
+	cfg := chaos.FleetConfig{World: w, Platform: platformCfg(0), Shards: n}
+	if mod != nil {
+		mod(&cfg)
 	}
-	ts := httptest.NewServer(h)
-	t.Cleanup(ts.Close)
-	return ts.URL
+	f, err := chaos.NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := f.Close(); err != nil {
+			t.Errorf("closing the fleet: %v", err)
+		}
+	})
+	return f
 }
 
-// newFleet stands up n shard backends, the coordinator, and the router's
-// HTTP server, returning an API client pointed at the router.
-func newFleet(t *testing.T, n int, wrap map[int]func(http.Handler) http.Handler) (*Coordinator, *marketing.Client) {
+// singleProcess is the reference: one adplatform, addressed directly.
+func singleProcess(t testing.TB, mod func(*chaos.FleetConfig)) *marketing.Client {
 	t.Helper()
-	backends := make([]string, n)
-	for i := range backends {
-		backends[i] = newBackend(t, wrap[i])
-	}
-	reg := obs.NewRegistry()
-	coord, err := New(Config{Backends: backends, DayBackoff: time.Millisecond}, reg)
+	return shardClient(t, launch(t, 1, mod), 0)
+}
+
+func shardClient(t testing.TB, f *chaos.Fleet, shard int) *marketing.Client {
+	t.Helper()
+	c, err := f.ShardClient(shard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fast client retries: the failure tests exhaust attempt budgets on
-	// purpose and must not sleep through real backoffs.
-	coord.SetRetryPolicy(marketing.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond})
-	router, err := NewRouter(coord, reg)
+	return c
+}
+
+// wrapShard is a FleetConfig.Wrap that stands wrap in front of one shard.
+func wrapShard(shard int, wrap func(http.Handler) http.Handler) func(*chaos.FleetConfig) {
+	return func(cfg *chaos.FleetConfig) {
+		cfg.Wrap = func(i int, h http.Handler) http.Handler {
+			if i == shard {
+				return wrap(h)
+			}
+			return h
+		}
+	}
+}
+
+// worldHash is the audience upload: the head of the FL registry, hashed.
+func worldHash(t testing.TB) []string {
+	t.Helper()
+	w, err := world()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(router.Handler())
-	t.Cleanup(ts.Close)
-	client, err := marketing.NewClient(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.SetRetryPolicy(marketing.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond})
-	return coord, client
+	return node.PIIHashes(w.FL.Records[:2000])
 }
 
 // setupAccount uploads the audience, creates a campaign, and creates nAds
@@ -141,7 +112,7 @@ func newFleet(t *testing.T, n int, wrap map[int]func(http.Handler) http.Handler)
 func setupAccount(t *testing.T, client *marketing.Client, nAds int) []string {
 	t.Helper()
 	ctx := context.Background()
-	ca, err := client.CreateAudience(ctx, "e2e-aud", worldHash)
+	ca, err := client.CreateAudience(ctx, "e2e-aud", worldHash(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +194,20 @@ func insightsDigest(t *testing.T, client *marketing.Client, ids []string) string
 	return hex.EncodeToString(sum[:])
 }
 
+// referenceDigest is what one adplatform process reports for nAds ads
+// delivered with the in-process engine at the given worker count.
+func referenceDigest(t *testing.T, nAds int, seed int64, workers int, mod func(*chaos.FleetConfig)) string {
+	t.Helper()
+	ref := singleProcess(t, mod)
+	ids := setupAccount(t, ref, nAds)
+	if err := ref.DeliverWorkers(context.Background(), ids, seed, workers); err != nil {
+		t.Fatal(err)
+	}
+	return insightsDigest(t, ref, ids)
+}
+
 // TestRouterMatchesSingleProcess is the cross-process determinism claim over
-// real HTTP: for 1, 2, and 4 shards, a router-coordinated delivery day
+// the wire format: for 1, 2, and 4 shards, a router-coordinated delivery day
 // produces, through the same wire-level insights surface, exactly what one
 // adplatform process produces with the in-process engine at the same worker
 // count. The 1-shard case pins the router to the sequential oracle (and
@@ -235,18 +218,8 @@ func TestRouterMatchesSingleProcess(t *testing.T) {
 	const seed = 9100
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			refURL := newBackend(t, nil)
-			refClient, err := marketing.NewClient(refURL)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refIDs := setupAccount(t, refClient, nAds)
-			if err := refClient.DeliverWorkers(context.Background(), refIDs, seed, shards); err != nil {
-				t.Fatal(err)
-			}
-			want := insightsDigest(t, refClient, refIDs)
-
-			_, client := newFleet(t, shards, nil)
+			want := referenceDigest(t, nAds, seed, shards, nil)
+			client := launch(t, shards, nil).Client()
 			ids := setupAccount(t, client, nAds)
 			if err := client.Deliver(context.Background(), ids, seed); err != nil {
 				t.Fatal(err)
@@ -264,9 +237,9 @@ func TestRouterMatchesSingleProcess(t *testing.T) {
 // fleet from scratch is the CI smoke's job).
 func TestRouterRepeatDeterminism(t *testing.T) {
 	const seed = 9200
-	_, client := newFleet(t, 2, nil)
+	client := launch(t, 2, nil).Client()
 	ctx := context.Background()
-	ca, err := client.CreateAudience(ctx, "rep-aud", worldHash)
+	ca, err := client.CreateAudience(ctx, "rep-aud", worldHash(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,8 +260,9 @@ func TestRouterRepeatDeterminism(t *testing.T) {
 	}
 }
 
-// faultGate injects one-shot failures into a backend's shard-delivery routes,
-// emulating crashes from the coordinator's point of view.
+// faultGate injects one-shot failures into a shard's delivery routes,
+// emulating crashes from the coordinator's point of view that no chaos
+// disturbance lands precisely enough to produce.
 type faultGate struct {
 	mu          sync.Mutex
 	tickFails   int // remaining ticks answered 409 (as a restarted shard would)
@@ -326,19 +300,11 @@ func (g *faultGate) wrap(next http.Handler) http.Handler {
 func TestRouterDayRestartAfterShardCrash(t *testing.T) {
 	const nAds = 2
 	const seed = 9300
-	refURL := newBackend(t, nil)
-	refClient, err := marketing.NewClient(refURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refIDs := setupAccount(t, refClient, nAds)
-	if err := refClient.DeliverWorkers(context.Background(), refIDs, seed, 2); err != nil {
-		t.Fatal(err)
-	}
-	want := insightsDigest(t, refClient, refIDs)
+	want := referenceDigest(t, nAds, seed, 2, nil)
 
 	gate := &faultGate{tickFails: 1}
-	coord, client := newFleet(t, 2, map[int]func(http.Handler) http.Handler{1: gate.wrap})
+	f := launch(t, 2, wrapShard(1, gate.wrap))
+	client := f.Client()
 	ids := setupAccount(t, client, nAds)
 	if err := client.Deliver(context.Background(), ids, seed); err != nil {
 		t.Fatal(err)
@@ -346,7 +312,7 @@ func TestRouterDayRestartAfterShardCrash(t *testing.T) {
 	if got := insightsDigest(t, client, ids); got != want {
 		t.Errorf("post-restart day diverged from reference:\n got %s\nwant %s", got, want)
 	}
-	if restarts := coord.reg.Snapshot().Counters[MetricDayRestarts]; restarts < 1 {
+	if restarts := f.Reg.Snapshot().Counters[coordinator.MetricDayRestarts]; restarts < 1 {
 		t.Errorf("restart counter = %d, want >= 1", restarts)
 	}
 }
@@ -359,22 +325,15 @@ func TestRouterDayRestartAfterShardCrash(t *testing.T) {
 func TestRouterPartialCommitReplay(t *testing.T) {
 	const nAds = 2
 	const seed = 9400
-	refURL := newBackend(t, nil)
-	refClient, err := marketing.NewClient(refURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refIDs := setupAccount(t, refClient, nAds)
-	if err := refClient.DeliverWorkers(context.Background(), refIDs, seed, 2); err != nil {
-		t.Fatal(err)
-	}
-	want := insightsDigest(t, refClient, refIDs)
+	want := referenceDigest(t, nAds, seed, 2, nil)
 
-	// The fleet client retries each call twice (newFleet), so two injected
-	// 500s exhaust the finish call entirely and fail the first day attempt
-	// after shard 0 has already committed.
+	// With two tries a call, two injected 500s exhaust the finish call
+	// entirely and fail the first day attempt after shard 0 has already
+	// committed.
 	gate := &faultGate{finishFails: 2}
-	coord, client := newFleet(t, 2, map[int]func(http.Handler) http.Handler{1: gate.wrap})
+	f := launch(t, 2, wrapShard(1, gate.wrap))
+	f.Coord.SetRetryPolicy(marketing.RetryPolicy{MaxAttempts: 2, BaseDelay: chaos.ShardRetry.BaseDelay, MaxDelay: chaos.ShardRetry.MaxDelay})
+	client := f.Client()
 	ids := setupAccount(t, client, nAds)
 	if err := client.Deliver(context.Background(), ids, seed); err != nil {
 		t.Fatal(err)
@@ -382,7 +341,7 @@ func TestRouterPartialCommitReplay(t *testing.T) {
 	if got := insightsDigest(t, client, ids); got != want {
 		t.Errorf("post-replay day diverged from reference:\n got %s\nwant %s", got, want)
 	}
-	if restarts := coord.reg.Snapshot().Counters[MetricDayRestarts]; restarts < 1 {
+	if restarts := f.Reg.Snapshot().Counters[coordinator.MetricDayRestarts]; restarts < 1 {
 		t.Errorf("restart counter = %d, want >= 1", restarts)
 	}
 }
@@ -391,7 +350,8 @@ func TestRouterPartialCommitReplay(t *testing.T) {
 // topology, merged inventory, divergence-free CRUD across shards, appeal
 // pass-through, and the deliver-workers guard.
 func TestRouterCRUDFanOutAndGuards(t *testing.T) {
-	coord, client := newFleet(t, 2, nil)
+	f := launch(t, 2, nil)
+	coord, client := f.Coord, f.Client()
 	ctx := context.Background()
 	ids := setupAccount(t, client, 2)
 

@@ -48,7 +48,7 @@ var (
 // posts the same bytes under the same key), the fleet-agreed outcome (replay
 // asserts the resurrected shard reproduces it), and the post-apply replicated
 // census (the applied-probe: a shard whose snapshot census already reached
-// these counts executed this entry before it died).
+// the count this entry moved executed it before it died).
 type journalEntry struct {
 	seq uint64
 	// mutation.body is the journal's own copy: the entry outlives the request
@@ -57,7 +57,7 @@ type journalEntry struct {
 	want outcome
 
 	// Replicated census after this entry applied.
-	postAudiences, postCampaigns, postAds int
+	postAudiences, postCampaigns, postAds, postReviewDraws int
 
 	// pending holds the quarantined shard indexes that still need this
 	// entry; the entry is pruned once empty.
@@ -98,6 +98,9 @@ func (j *mutationJournal) bumpCounts(kind string) {
 		j.counts.Campaigns++
 	case kindAd:
 		j.counts.Ads++
+		j.counts.ReviewDraws++
+	case kindAppeal:
+		j.counts.ReviewDraws++
 	}
 }
 
@@ -228,7 +231,8 @@ func (c *Coordinator) journalAppend(ctx context.Context, ref *shardConn, m mutat
 	e := &journalEntry{
 		seq: j.seq, mutation: m, want: agreed,
 		postAudiences: j.counts.Audiences, postCampaigns: j.counts.Campaigns, postAds: j.counts.Ads,
-		pending: make(map[int]bool, len(pending)),
+		postReviewDraws: j.counts.ReviewDraws,
+		pending:         make(map[int]bool, len(pending)),
 	}
 	for _, idx := range pending {
 		e.pending[idx] = true
@@ -243,15 +247,14 @@ func (c *Coordinator) journalAppend(ctx context.Context, ref *shardConn, m mutat
 // replayJournalLocked replays the journal gap onto a recovered shard, in
 // order. snapshot is the shard's census at rejoin start: an entry whose
 // post-apply census the snapshot already reached was executed before the
-// shard died and is skipped (status-probed for appeals); everything newer is
-// executed with the original idempotency key and must reproduce the recorded
-// fleet outcome bit for bit.
+// shard died and is skipped; everything newer is executed with the original
+// idempotency key and must reproduce the recorded fleet outcome bit for bit.
 func (c *Coordinator) replayJournalLocked(ctx context.Context, sc *shardConn, snapshot platform.Inventory) error {
 	for _, e := range c.journal.entries {
 		if !e.pending[sc.index] {
 			continue
 		}
-		applied, err := c.entryApplied(ctx, sc, e, snapshot)
+		applied, err := entryApplied(e, snapshot)
 		if err != nil {
 			return err
 		}
@@ -267,8 +270,11 @@ func (c *Coordinator) replayJournalLocked(ctx context.Context, sc *shardConn, sn
 	return nil
 }
 
-// entryApplied probes whether the shard executed e before it died.
-func (c *Coordinator) entryApplied(ctx context.Context, sc *shardConn, e *journalEntry, snapshot platform.Inventory) (bool, error) {
+// entryApplied reports whether the shard executed e before it died, from the
+// census counter e moved. An appeal moves only the review cursor — its ad's
+// status proves nothing, since an appeal may leave the ad rejected, and
+// skipping that one left the shard's review stream a draw behind its peers.
+func entryApplied(e *journalEntry, snapshot platform.Inventory) (bool, error) {
 	switch e.kind {
 	case kindAudience:
 		return snapshot.Audiences >= e.postAudiences, nil
@@ -277,14 +283,7 @@ func (c *Coordinator) entryApplied(ctx context.Context, sc *shardConn, e *journa
 	case kindAd:
 		return snapshot.Ads >= e.postAds, nil
 	case kindAppeal:
-		// Appeals move no census counter; probe the ad's status directly
-		// (the ad exists by now — its create precedes the appeal in the
-		// journal order).
-		ad, err := sc.client.GetAd(ctx, e.adID)
-		if err != nil {
-			return false, fmt.Errorf("replay probe GetAd(%s) on %s: %w", e.adID, sc.label, err)
-		}
-		return ad.Status == e.want.Status, nil
+		return snapshot.ReviewDraws >= e.postReviewDraws, nil
 	}
 	return false, fmt.Errorf("journal entry %d has unknown kind %q", e.seq, e.kind)
 }

@@ -1,4 +1,4 @@
-package coordinator
+package coordinator_test
 
 // The relay contract of the replicated CRUD routes: the router reads a body
 // once and never decodes it, every admitted shard is handed the same bytes
@@ -16,12 +16,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
+	"github.com/adaudit/impliedidentity/internal/chaos"
+	"github.com/adaudit/impliedidentity/internal/coordinator"
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/image"
 	"github.com/adaudit/impliedidentity/internal/marketing"
-	"github.com/adaudit/impliedidentity/internal/supervisor"
 )
 
 // received is one mutating request as a shard's handler saw it.
@@ -62,27 +62,24 @@ func (c *capture) take() []received {
 	return out
 }
 
-// rawPost sends one request body to url under an idempotency key ("" for
-// none) and returns the status and the response body.
-func rawPost(t *testing.T, url, key string, body []byte) (int, string) {
+// rawPost hands a router one request body on a path under an idempotency key
+// ("" for none) and returns the status and the response body.
+func rawPost(t *testing.T, router http.Handler, path, key string, body []byte) (int, string) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 	if key != "" {
 		req.Header.Set(marketing.IdempotencyKeyHeader, key)
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+	rec := httptest.NewRecorder()
+	router.ServeHTTP(rec, req)
+	return rec.Code, rec.Body.String()
+}
+
+// capturing stands caps[i] in front of shard i.
+func capturing(caps []*capture) func(*chaos.FleetConfig) {
+	return func(cfg *chaos.FleetConfig) {
+		cfg.Wrap = func(i int, h http.Handler) http.Handler { return caps[i].wrap(h) }
 	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, string(payload)
 }
 
 func mustJSON(t *testing.T, v any) []byte {
@@ -114,20 +111,21 @@ func relayedAd(campaignID, audienceID string, i int) marketing.CreateAdRequest {
 // refused by the shards (400 passed through), and only the size limit is the
 // router's own answer.
 func TestRouterRelaysRequestBytes(t *testing.T) {
-	world(t)
+	worldHash := worldHash(t)
 	caps := []*capture{{}, {}}
-	backends := []string{newBackend(t, caps[0].wrap), newBackend(t, caps[1].wrap)}
-	coord, _, _ := fleetOver(t, backends, nil)
+	f := launch(t, 2, capturing(caps))
+	coord := f.Coord
 	const limit = 256 << 10
-	serve := func() string {
-		router, err := NewRouter(coord, coord.reg)
+	// serve is a router process over the fleet's coordinator: called twice, a
+	// router and its restarted successor, which shares no idempotency cache
+	// with it.
+	serve := func() http.Handler {
+		router, err := coordinator.NewRouter(coord, f.Reg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		router.limits.MaxBodyBytes = limit
-		ts := httptest.NewServer(router.Handler())
-		t.Cleanup(ts.Close)
-		return ts.URL
+		router.SetMaxBodyBytes(limit)
+		return router.Handler()
 	}
 	url := serve()
 
@@ -161,7 +159,7 @@ func TestRouterRelaysRequestBytes(t *testing.T) {
 		{"oversized", "/v1/customaudiences", oversized, 413, fmt.Sprintf("marketing: request body exceeds %d bytes", limit), false},
 	} {
 		key := "relay-" + c.name
-		status, answer := rawPost(t, url+c.path, key, c.body)
+		status, answer := rawPost(t, url, c.path, key, c.body)
 		if status != c.status || !strings.Contains(answer, c.answer) {
 			t.Errorf("%s: %d %s, want %d with %q", c.name, status, answer, c.status, c.answer)
 		}
@@ -190,9 +188,9 @@ func TestRouterRelaysRequestBytes(t *testing.T) {
 	// the first attempt (a restarted one) the forwarded key dedups at every
 	// shard. Either way the audience exists once, under one ID.
 	body := mustJSON(t, marketing.CreateAudienceRequest{Name: "once", PIIHashes: worldHash[:100]})
-	_, first := rawPost(t, url+"/v1/customaudiences", "lost-response", body)
-	for name, via := range map[string]string{"same router": url, "fresh router": serve()} {
-		status, again := rawPost(t, via+"/v1/customaudiences", "lost-response", body)
+	_, first := rawPost(t, url, "/v1/customaudiences", "lost-response", body)
+	for name, via := range map[string]http.Handler{"same router": url, "fresh router": serve()} {
+		status, again := rawPost(t, via, "/v1/customaudiences", "lost-response", body)
 		if status != 201 || again != first || !strings.Contains(first, `"id":"ca-3"`) {
 			t.Errorf("retry through the %s: %d %s, first answer %s", name, status, again, first)
 		}
@@ -209,19 +207,18 @@ func TestRouterRelaysRequestBytes(t *testing.T) {
 // body is its own copy, not the caller's buffer.
 func TestJournalReplaysRelayedBytes(t *testing.T) {
 	ctx := context.Background()
-	gate := &downGate{}
+	worldHash := worldHash(t)
 	caps := []*capture{{}, {}}
 	// Review rejects some ads, so that an appeal has a subject; the review RNG
 	// is seeded alike on both shards.
 	const rejectRate = 0.3
-	backends := []string{
-		serveBackend(t, newReviewingPlatform(t, rejectRate), caps[0].wrap),
-		serveBackend(t, newReviewingPlatform(t, rejectRate), func(h http.Handler) http.Handler { return gate.wrap(caps[1].wrap(h)) }),
+	f := launch(t, 2, both(both(durable(t), capturing(caps)), func(cfg *chaos.FleetConfig) { cfg.Platform = platformCfg(rejectRate) }))
+	coord, client := f.Coord, f.Client()
+	if err := f.Kill(1); err != nil {
+		t.Fatal(err)
 	}
-	coord, client, _ := fleetOver(t, backends, nil)
-	sup := supervisor.New(coord, nil, supervisor.Config{ProbeTimeout: time.Second}, coord.reg)
-	gate.set(true)
-	stepUntilDown(t, sup, coord, 1)
+	stepUntilDown(t, f, 1)
+	caps[0].take() // the probes and fan-outs that found shard 1 dead carry no mutation, but start clean
 
 	aud, err := client.CreateAudience(ctx, "journal-aud", worldHash[:400])
 	if err != nil {
@@ -231,7 +228,7 @@ func TestJournalReplaysRelayedBytes(t *testing.T) {
 	// and scribbles over once mutate has returned.
 	buf := []byte(`{"name":"journal-cmp","objective":"TRAFFIC"}`)
 	campaignBody := bytes.Clone(buf)
-	payload, err := coord.mutate(ctx, mutation{kind: kindCampaign, key: "own-buffer", path: "/v1/campaigns", body: buf})
+	payload, err := coord.Mutate(ctx, coordinator.KindCampaign, "own-buffer", "/v1/campaigns", buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,58 +239,60 @@ func TestJournalReplaysRelayedBytes(t *testing.T) {
 	if err := json.Unmarshal(payload, &cmp); err != nil || cmp.ID == "" {
 		t.Fatalf("campaign answer %s: %v", payload, err)
 	}
-	var rejected *marketing.AdResponse
-	ads := 0
-	for ; rejected == nil && ads < 20; ads++ {
+	// Appeals go on until one leaves its ad rejected and one grants it: the
+	// first is the entry whose replay a status probe used to skip, leaving
+	// the recovered shard's review stream a draw behind.
+	var kept, granted *marketing.AdResponse
+	ads, appeals := 0, 0
+	for ; (kept == nil || granted == nil) && ads < 40; ads++ {
 		ad, err := client.CreateAd(ctx, relayedAd(cmp.ID, aud.ID, ads))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ad.Status == "REJECTED" {
-			rejected = ad
+		if ad.Status != "REJECTED" {
+			continue
+		}
+		appealed, err := client.AppealAd(ctx, ad.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appeals++
+		if appealed.Status == "REJECTED" {
+			kept = appealed
+		} else {
+			granted = appealed
 		}
 	}
-	if rejected == nil {
-		t.Fatal("review rejected none of 20 ads; nothing to appeal")
-	}
-	appealed, err := client.AppealAd(ctx, rejected.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if appealed.Status != "ACTIVE" {
-		// An appeal that changes nothing is probe-skipped at replay, which
-		// would leave the appeal route out of this test.
-		t.Fatalf("the appeal left ad %s %s; pick a reject rate at which the seeded review grants it", appealed.ID, appealed.Status)
+	if kept == nil || granted == nil {
+		t.Fatalf("40 ads at reject rate %v saw no appeal refused or none granted (%v, %v); pick another rate", rejectRate, kept, granted)
 	}
 
 	// The journal holds what shard 0 executed: same path, key and bytes, in
 	// order, each with the outcome the caller was given.
 	executed := caps[0].take()
-	entries := coord.journal.entries
-	if len(entries) != 3+ads || len(executed) != len(entries) {
-		t.Fatalf("%d journal entries, %d requests executed, want %d of each", len(entries), len(executed), 3+ads)
+	entries := coord.Journaled()
+	if len(entries) != 2+ads+appeals || len(executed) != len(entries) {
+		t.Fatalf("%d journal entries, %d requests executed, want %d of each", len(entries), len(executed), 2+ads+appeals)
 	}
 	for i, e := range entries {
-		if e.path != executed[i].path || e.key != executed[i].key || !bytes.Equal(e.body, executed[i].body) {
-			t.Errorf("entry %d (%s %s): not the request shard 0 executed (%s)", i, e.kind, e.path, executed[i].path)
+		if e.Path != executed[i].path || e.Key != executed[i].key || !bytes.Equal(e.Body, executed[i].body) {
+			t.Errorf("entry %d (%s %s): not the request shard 0 executed (%s)", i, e.Kind, e.Path, executed[i].path)
 		}
 	}
-	if got := entries[1]; got.kind != kindCampaign || !bytes.Equal(got.body, campaignBody) {
-		t.Errorf("journaled campaign body %q follows the caller's buffer, want %q", got.body, campaignBody)
+	if got := entries[1]; got.Kind != coordinator.KindCampaign || !bytes.Equal(got.Body, campaignBody) {
+		t.Errorf("journaled campaign body %q follows the caller's buffer, want %q", got.Body, campaignBody)
 	}
 	first, last := entries[0], entries[len(entries)-1]
-	if want := (outcome{ID: aud.ID, MatchedSize: aud.MatchedSize}); first.kind != kindAudience || first.want != want {
-		t.Errorf("audience entry %s wants %+v, the caller got %+v", first.kind, first.want, want)
+	if want := (coordinator.Outcome{ID: aud.ID, MatchedSize: aud.MatchedSize}); first.Kind != coordinator.KindAudience || first.Want != want {
+		t.Errorf("audience entry %s wants %+v, the caller got %+v", first.Kind, first.Want, want)
 	}
-	if want := (outcome{ID: appealed.ID, Status: appealed.Status}); last.kind != kindAppeal || last.adID != rejected.ID || last.want != want {
-		t.Errorf("appeal entry %s of %q wants %+v, the caller got %+v", last.kind, last.adID, last.want, want)
+	if last.Kind != coordinator.KindAppeal || !strings.HasSuffix(last.Path, "/appeal") {
+		t.Errorf("last entry is %s %s, want the last appeal", last.Kind, last.Path)
 	}
 
-	gate.set(false)
-	sup.Step(ctx)
-	if !coord.isAdmitted(1) {
-		t.Fatalf("revived shard not readmitted (state %v)", coord.Health().State(1))
-	}
+	// The shard comes back from its WAL with nothing of the outage, and every
+	// entry — the appeal that changed nothing included — is replayed to it.
+	revive(t, f, 1)
 	replayed := caps[1].take()
 	if len(replayed) != len(executed) {
 		t.Fatalf("shard 1 was replayed %d requests, want %d", len(replayed), len(executed))
@@ -303,23 +302,28 @@ func TestJournalReplaysRelayedBytes(t *testing.T) {
 			t.Errorf("replay %d (%s): shard 1 received other bytes or another key than shard 0 executed", i, executed[i].path)
 		}
 	}
-	snap := coord.reg.Snapshot()
-	if got := snap.Counters[MetricJournalReplayed]; got != int64(len(executed)) || snap.Gauges[MetricJournalDepth] != 0 {
-		t.Errorf("replayed %d entries with %d left, want %d and 0", got, snap.Gauges[MetricJournalDepth], len(executed))
+	snap := f.Reg.Snapshot()
+	if got := snap.Counters[coordinator.MetricJournalReplayed]; got != int64(len(executed)) || snap.Gauges[coordinator.MetricJournalDepth] != 0 {
+		t.Errorf("replayed %d entries with %d left, want %d and 0", got, snap.Gauges[coordinator.MetricJournalDepth], len(executed))
 	}
-	var digests [2]string
-	for i, sc := range coord.shards {
-		st, err := sc.client.ShardStatus(ctx)
-		if err != nil {
+	var status [2]*marketing.ShardStatusResponse
+	for i := range status {
+		sc := shardClient(t, f, i)
+		if status[i], err = sc.ShardStatus(ctx); err != nil {
 			t.Fatal(err)
 		}
-		digests[i] = st.StateDigest
-		ad, err := sc.client.GetAd(ctx, rejected.ID)
-		if err != nil || ad.Status != appealed.Status {
-			t.Errorf("%s: appealed ad %+v, %v; the fleet answered %s", sc.label, ad, err, appealed.Status)
+		for _, appealed := range []*marketing.AdResponse{kept, granted} {
+			ad, err := sc.GetAd(ctx, appealed.ID)
+			if err != nil || ad.Status != appealed.Status {
+				t.Errorf("shard %d: appealed ad %+v, %v; the fleet answered %s", i, ad, err, appealed.Status)
+			}
 		}
 	}
-	if digests[0] != digests[1] {
-		t.Errorf("state digests differ after catch-up: %s vs %s", digests[0], digests[1])
+	if status[0].StateDigest != status[1].StateDigest {
+		t.Errorf("state digests differ after catch-up: %s vs %s", status[0].StateDigest, status[1].StateDigest)
+	}
+	// The digest covers the review cursor: one draw an ad, one an appeal.
+	if got := status[1].Inventory.ReviewDraws; got != ads+appeals || got != status[0].Inventory.ReviewDraws {
+		t.Errorf("review cursors %d and %d after catch-up, want %d on both", status[0].Inventory.ReviewDraws, got, ads+appeals)
 	}
 }

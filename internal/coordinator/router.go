@@ -128,7 +128,6 @@ func (rt *Router) relay(kind string, success int) http.HandlerFunc {
 			key:  r.Header.Get(marketing.IdempotencyKeyHeader),
 			path: r.URL.EscapedPath(),
 			body: body,
-			adID: r.PathValue("id"),
 		})
 		if err != nil {
 			writeRouterError(w, err)

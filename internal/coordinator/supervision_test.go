@@ -1,106 +1,67 @@
-package coordinator
+package coordinator_test
 
-// Supervision-layer tests over real HTTP: quarantine, journal catch-up,
-// digest-gated rejoin, journal overflow, the typed degradation errors, and
-// the no-flap property under injected 5xx — the failure paths PR 7 owns.
+// Supervision-layer tests over the simulated fleet: quarantine, journal
+// catch-up, digest-gated rejoin, journal overflow, the typed degradation
+// errors, and the no-flap property under injected 5xx. A shard dies here the
+// way it does under the chaos soak — Fleet.Kill drops its serving stack and
+// the unflushed tail of its WAL, Fleet.Relaunch trains a fresh platform and
+// recovers the account from disk — so what a restart loses (the delivery
+// session, the idempotency cache) is lost in these tests too.
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
+	"github.com/adaudit/impliedidentity/internal/chaos"
+	"github.com/adaudit/impliedidentity/internal/coordinator"
 	"github.com/adaudit/impliedidentity/internal/faults"
 	"github.com/adaudit/impliedidentity/internal/marketing"
-	"github.com/adaudit/impliedidentity/internal/obs"
-	"github.com/adaudit/impliedidentity/internal/platform"
 	"github.com/adaudit/impliedidentity/internal/supervisor"
 )
 
-// downGate simulates a shard process death at the HTTP layer: while down,
-// every request aborts the connection mid-handshake — the client observes
-// transport silence (EOF), never an HTTP status, exactly like a SIGKILLed
-// process. Reviving it models a relaunched shard that recovered its durable
-// state from the WAL (the httptest backend's platform state was never lost;
-// what a real restart loses — the in-memory delivery session and the
-// idempotency cache — is covered by the journal's applied-probe design and
-// cmd/adchaos's real-process soak).
-type downGate struct {
-	mu   sync.Mutex
-	down bool
+// durable gives every shard a WAL directory, so a killed one comes back
+// with its account.
+func durable(t testing.TB) func(*chaos.FleetConfig) {
+	return func(cfg *chaos.FleetConfig) { cfg.Dir = t.TempDir() }
 }
 
-func (g *downGate) set(down bool) {
-	g.mu.Lock()
-	g.down = down
-	g.mu.Unlock()
+// both applies two configuration changes.
+func both(a, b func(*chaos.FleetConfig)) func(*chaos.FleetConfig) {
+	return func(cfg *chaos.FleetConfig) { a(cfg); b(cfg) }
 }
 
-func (g *downGate) wrap(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		g.mu.Lock()
-		down := g.down
-		g.mu.Unlock()
-		if down {
-			panic(http.ErrAbortHandler)
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// newFleetCfg is newFleet with a Config hook for supervision knobs.
-func newFleetCfg(t *testing.T, n int, wrap map[int]func(http.Handler) http.Handler, mod func(*Config)) (*Coordinator, *marketing.Client, string) {
+// stepUntilDown drives supervisor passes until the shard is quarantined. The
+// passes sleep on nothing, so the fleet's clock stands still and the
+// supervisor's relaunch grace never runs out: the test decides when the shard
+// comes back.
+func stepUntilDown(t *testing.T, f *chaos.Fleet, shard int) {
 	t.Helper()
-	backends := make([]string, n)
-	for i := range backends {
-		backends[i] = newBackend(t, wrap[i])
-	}
-	return fleetOver(t, backends, mod)
-}
-
-// fleetOver is newFleetCfg over backends that are already serving.
-func fleetOver(t *testing.T, backends []string, mod func(*Config)) (*Coordinator, *marketing.Client, string) {
-	t.Helper()
-	reg := obs.NewRegistry()
-	cfg := Config{Backends: backends, DayBackoff: time.Millisecond, DayBackoffMax: 4 * time.Millisecond}
-	if mod != nil {
-		mod(&cfg)
-	}
-	coord, err := New(cfg, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord.SetRetryPolicy(marketing.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond})
-	router, err := NewRouter(coord, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(router.Handler())
-	t.Cleanup(ts.Close)
-	client, err := marketing.NewClient(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	client.SetRetryPolicy(marketing.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond})
-	return coord, client, ts.URL
-}
-
-// stepUntilDown drives supervisor passes until the shard is quarantined.
-func stepUntilDown(t *testing.T, sup *supervisor.Supervisor, coord *Coordinator, shard int) {
-	t.Helper()
-	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		sup.Step(ctx)
-		if !coord.isAdmitted(shard) {
+		f.Sup.Step(context.Background())
+		if f.Coord.Health().State(shard) == supervisor.Down {
 			return
 		}
 	}
-	t.Fatalf("shard %d never quarantined (state %v)", shard, coord.Health().State(shard))
+	t.Fatalf("shard %d never quarantined (state %v)", shard, f.Coord.Health().State(shard))
+}
+
+// revive relaunches a dead shard and gives the supervisor the one pass that
+// must walk it through replay and the digest gate back to healthy.
+func revive(t *testing.T, f *chaos.Fleet, shard int) {
+	t.Helper()
+	if err := f.Relaunch(shard); err != nil {
+		t.Fatal(err)
+	}
+	f.Sup.Step(context.Background())
+	if got := f.Coord.Health().State(shard); got != supervisor.Healthy {
+		t.Fatalf("revived shard state %v, want healthy", got)
+	}
 }
 
 // The tentpole end to end: a shard dies, the supervisor quarantines it, CRUD
@@ -112,14 +73,15 @@ func TestShardResurrectionWithJournalCatchup(t *testing.T) {
 	const nAds = 2
 	const seed = 9600
 	ctx := context.Background()
+	hashes := worldHash(t)[:500]
 
 	// Undisturbed reference fleet: same call sequence, no outage.
-	_, refClient, _ := newFleetCfg(t, 2, nil, nil)
+	refClient := launch(t, 2, nil).Client()
 	refIDs := setupAccount(t, refClient, nAds)
 	if err := refClient.Deliver(ctx, refIDs, seed-1); err != nil {
 		t.Fatal(err)
 	}
-	refAud, err := refClient.CreateAudience(ctx, "out-aud", worldHash[:500])
+	refAud, err := refClient.CreateAudience(ctx, "out-aud", hashes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,10 +99,8 @@ func TestShardResurrectionWithJournalCatchup(t *testing.T) {
 	want := insightsDigest(t, refClient, refIDs)
 
 	// Disturbed fleet: shard 1 dies after account setup.
-	gate := &downGate{}
-	coord, client, _ := newFleetCfg(t, 2, map[int]func(http.Handler) http.Handler{1: gate.wrap}, nil)
-	reg := coord.reg
-	sup := supervisor.New(coord, nil, supervisor.Config{ProbeTimeout: time.Second}, reg)
+	f := launch(t, 2, durable(t))
+	coord, client, reg := f.Coord, f.Client(), f.Reg
 	ids := setupAccount(t, client, nAds)
 	// Commit a day BEFORE the outage: a coordinated day leaves each shard
 	// with the tallies of its own user partition — divergent by design —
@@ -151,15 +111,14 @@ func TestShardResurrectionWithJournalCatchup(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gate.set(true)
-	stepUntilDown(t, sup, coord, 1)
-	if got := coord.Health().State(1); got != supervisor.Down {
-		t.Fatalf("dead shard state %v, want down", got)
+	if err := f.Kill(1); err != nil {
+		t.Fatal(err)
 	}
+	stepUntilDown(t, f, 1)
 
 	// CRUD keeps flowing against the journal: a full audience + campaign +
 	// 2 ads land while shard 1 is a corpse.
-	aud, err := client.CreateAudience(ctx, "out-aud", worldHash[:500])
+	aud, err := client.CreateAudience(ctx, "out-aud", hashes)
 	if err != nil {
 		t.Fatalf("audience create during outage: %v", err)
 	}
@@ -170,10 +129,10 @@ func TestShardResurrectionWithJournalCatchup(t *testing.T) {
 	outageIDs := createAdSet(t, client, cmp.ID, aud.ID, 2)
 	ids = append(ids, outageIDs...)
 	snap := reg.Snapshot()
-	if got := snap.Counters[MetricJournalAppends]; got != 4 {
+	if got := snap.Counters[coordinator.MetricJournalAppends]; got != 4 {
 		t.Errorf("journal appends during outage = %d, want 4", got)
 	}
-	if got := snap.Gauges[MetricJournalDepth]; got != 4 {
+	if got := snap.Gauges[coordinator.MetricJournalDepth]; got != 4 {
 		t.Errorf("journal depth during outage = %d, want 4", got)
 	}
 
@@ -191,30 +150,24 @@ func TestShardResurrectionWithJournalCatchup(t *testing.T) {
 		}
 	}
 
-	// Resurrection: the shard answers again; one supervisor pass marks it
-	// recovering and walks it through replay + digest gate back to admitted.
-	gate.set(false)
-	sup.Step(ctx)
-	if !coord.isAdmitted(1) {
-		t.Fatalf("revived shard not readmitted (state %v)", coord.Health().State(1))
-	}
-	if got := coord.Health().State(1); got != supervisor.Healthy {
-		t.Fatalf("revived shard state %v, want healthy", got)
-	}
+	// Resurrection: the shard recovers its WAL — account and committed day,
+	// no idempotency cache — and one supervisor pass marks it recovering and
+	// walks it through replay + digest gate back to admitted.
+	revive(t, f, 1)
 	snap = reg.Snapshot()
-	if got := snap.Counters[MetricJournalReplayed]; got != 4 {
+	if got := snap.Counters[coordinator.MetricJournalReplayed]; got != 4 {
 		t.Errorf("journal entries replayed = %d, want 4 (zero acked writes lost)", got)
 	}
-	if got := snap.Gauges[MetricJournalDepth]; got != 0 {
+	if got := snap.Gauges[coordinator.MetricJournalDepth]; got != 0 {
 		t.Errorf("journal depth after rejoin = %d, want 0", got)
 	}
-	if snap.Counters[MetricRejoins] < 1 {
-		t.Errorf("rejoin counter = %d, want >= 1", snap.Counters[MetricRejoins])
+	if snap.Counters[coordinator.MetricRejoins] < 1 {
+		t.Errorf("rejoin counter = %d, want >= 1", snap.Counters[coordinator.MetricRejoins])
 	}
-	if snap.Histograms[MetricJournalReplayLatency].Count == 0 {
+	if snap.Histograms[coordinator.MetricJournalReplayLatency].Count == 0 {
 		t.Errorf("journal replay latency never observed")
 	}
-	if snap.Histograms["supervisor.mttr"].Count == 0 {
+	if snap.Histograms[supervisor.MetricMTTR].Count == 0 {
 		t.Errorf("MTTR never observed")
 	}
 
@@ -227,6 +180,8 @@ func TestShardResurrectionWithJournalCatchup(t *testing.T) {
 	if inv.Ads != 4 || inv.Audiences != 2 || inv.Campaigns != 2 {
 		t.Fatalf("healed inventory %+v", inv)
 	}
+	// Ten 503s in a row opened the client's breaker; its cooldown is virtual.
+	f.Clock.Sleep(marketing.DefaultBreakerPolicy().Cooldown)
 	if err := client.Deliver(ctx, outageIDs, seed); err != nil {
 		t.Fatal(err)
 	}
@@ -241,15 +196,14 @@ func TestShardResurrectionWithJournalCatchup(t *testing.T) {
 // any shard executes, so there is no half-applied state to reconcile).
 func TestJournalOverflow503ComposesWithRetry(t *testing.T) {
 	ctx := context.Background()
-	gate := &downGate{}
-	coord, client, routerURL := newFleetCfg(t, 2,
-		map[int]func(http.Handler) http.Handler{1: gate.wrap},
-		func(cfg *Config) { cfg.JournalCap = 1 })
-	sup := supervisor.New(coord, nil, supervisor.Config{ProbeTimeout: time.Second}, coord.reg)
+	f := launch(t, 2, both(durable(t), func(cfg *chaos.FleetConfig) { cfg.Coordinator.JournalCap = 1 }))
+	coord, client := f.Coord, f.Client()
 	setupAccount(t, client, 1)
 
-	gate.set(true)
-	stepUntilDown(t, sup, coord, 1)
+	if err := f.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	stepUntilDown(t, f, 1)
 
 	// First mutation journals; the journal is now full.
 	if _, err := client.CreateCampaign(ctx, marketing.CreateCampaignRequest{Name: "fits", Objective: "TRAFFIC"}); err != nil {
@@ -258,18 +212,17 @@ func TestJournalOverflow503ComposesWithRetry(t *testing.T) {
 
 	// Second mutation overflows: raw POST to inspect status and headers.
 	post := func() *http.Response {
-		req, err := http.NewRequest(http.MethodPost, routerURL+"/v1/campaigns",
+		req, err := http.NewRequest(http.MethodPost, f.URL()+"/v1/campaigns",
 			strings.NewReader(`{"name":"overflows","objective":"TRAFFIC"}`))
 		if err != nil {
 			t.Fatal(err)
 		}
 		req.Header.Set("Content-Type", "application/json")
 		req.Header.Set(marketing.IdempotencyKeyHeader, "overflow-key-1")
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := f.RoundTrip(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { resp.Body.Close() })
 		return resp
 	}
 	resp := post()
@@ -279,16 +232,12 @@ func TestJournalOverflow503ComposesWithRetry(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("overflow response missing Retry-After")
 	}
-	if got := coord.reg.Snapshot().Counters[MetricJournalRejects]; got < 1 {
+	if got := f.Reg.Snapshot().Counters[coordinator.MetricJournalRejects]; got < 1 {
 		t.Errorf("journal reject counter = %d, want >= 1", got)
 	}
 
 	// Heal, then the client's idempotent retry (same key) goes through.
-	gate.set(false)
-	sup.Step(ctx)
-	if !coord.isAdmitted(1) {
-		t.Fatalf("shard not readmitted after heal")
-	}
+	revive(t, f, 1)
 	resp = post()
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("post-heal retry status %d, want 201", resp.StatusCode)
@@ -310,17 +259,16 @@ func TestDeliverExhaustionTyped(t *testing.T) {
 	// Every tick on shard 1 answers 409 forever: each attempt aborts and
 	// re-runs until the budget runs out.
 	gate := &faultGate{tickFails: 1 << 20}
-	coord, client, _ := newFleetCfg(t, 2,
-		map[int]func(http.Handler) http.Handler{1: gate.wrap},
-		func(cfg *Config) { cfg.DayAttempts = 3 })
+	f := launch(t, 2, both(wrapShard(1, gate.wrap), func(cfg *chaos.FleetConfig) { cfg.Coordinator.DayAttempts = 3 }))
+	coord, client := f.Coord, f.Client()
 	ids := setupAccount(t, client, 1)
 
 	err := coord.Deliver(ctx, ids, 9700)
-	if !errors.Is(err, ErrDayExhausted) {
+	if !errors.Is(err, coordinator.ErrDayExhausted) {
 		t.Fatalf("exhausted day error = %v, want ErrDayExhausted", err)
 	}
-	snap := coord.reg.Snapshot()
-	if got := snap.Counters[MetricDayRetries]; got != 2 {
+	snap := f.Reg.Snapshot()
+	if got := snap.Counters[coordinator.MetricDayRetries]; got != 2 {
 		t.Errorf("day retries = %d, want 2 (3 attempts)", got)
 	}
 	// The router maps it to a degradation 503.
@@ -334,6 +282,18 @@ func TestDeliverExhaustionTyped(t *testing.T) {
 	}
 }
 
+// sessionActive asks a shard's own handler whether a day session is open.
+func sessionActive(t *testing.T, shard http.Handler) bool {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	shard.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/shard/status", nil))
+	var st marketing.ShardStatusResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Errorf("shard status %d %s: %v", rec.Code, rec.Body, err)
+	}
+	return st.SessionActive
+}
+
 // An abandoned day attempt leaves no session behind. Shard 1 answers every
 // tick 409, so each attempt fails mid-day with a session open on both
 // backends; a leaked one would block RunDayWorkers there and the rejoin gate.
@@ -344,40 +304,39 @@ func TestAbandonedDayAttemptLeavesNoSession(t *testing.T) {
 	ctx := context.Background()
 	gate := &faultGate{tickFails: 1 << 20}
 	var begins atomic.Int32
-	plats := []*platform.Platform{newPlatform(t), newPlatform(t)}
-	backends := make([]string, len(plats))
-	for i, p := range plats {
-		backends[i] = serveBackend(t, p, func(next http.Handler) http.Handler {
+	f := launch(t, 2, func(cfg *chaos.FleetConfig) {
+		cfg.Coordinator.DayAttempts = 3
+		cfg.Wrap = func(i int, shard http.Handler) http.Handler {
+			next := shard
 			if i == 1 {
 				next = gate.wrap(next)
 			}
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == "/v1/shard/delivery/begin" {
 					begins.Add(1)
-					if p.SessionActive() {
+					if sessionActive(t, shard) {
 						t.Errorf("shard %d still holds the failed attempt's session when the retry begins", i)
 					}
 				}
 				next.ServeHTTP(w, r)
 			})
-		})
-	}
-	coord, client, _ := fleetOver(t, backends, func(cfg *Config) { cfg.DayAttempts = 3 })
-	ids := setupAccount(t, client, 1)
+		}
+	})
+	ids := setupAccount(t, f.Client(), 1)
 
-	if err := coord.Deliver(ctx, ids, 9750); !errors.Is(err, ErrDayExhausted) {
+	if err := f.Coord.Deliver(ctx, ids, 9750); !errors.Is(err, coordinator.ErrDayExhausted) {
 		t.Fatalf("day over a shard that loses every tick = %v, want ErrDayExhausted", err)
 	}
 	if got := begins.Load(); got != 6 {
 		t.Errorf("%d begins reached the backends, want 6 (3 attempts on 2 shards)", got)
 	}
-	for _, sc := range coord.shards {
-		st, err := sc.client.ShardStatus(ctx)
+	for i := 0; i < 2; i++ {
+		st, err := shardClient(t, f, i).ShardStatus(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.SessionActive {
-			t.Errorf("%s still holds a session after Deliver returned", sc.label)
+			t.Errorf("shard %d still holds a session after Deliver returned", i)
 		}
 	}
 }
@@ -391,18 +350,15 @@ func TestNoFlapUnderInjected5xx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, client, _ := newFleetCfg(t, 2, nil, func(cfg *Config) {
-		cfg.Transport = faults.NewTransport(nil, inj, nil)
-	})
-	// Generous retries: a third of calls are injected 5xx.
-	coord.SetRetryPolicy(marketing.RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond})
-	client.SetRetryPolicy(marketing.RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond})
-	sup := supervisor.New(coord, nil, supervisor.Config{ProbeTimeout: time.Second}, coord.reg)
+	// The fleet's retry policies are generous enough for a third of the calls
+	// being injected 5xx.
+	f := launch(t, 2, func(cfg *chaos.FleetConfig) { cfg.Injector = inj })
+	coord, client := f.Coord, f.Client()
 
 	ctx := context.Background()
 	ids := setupAccount(t, client, 2)
 	for i := 0; i < 5; i++ {
-		sup.Step(ctx)
+		f.Sup.Step(ctx)
 		if _, err := client.GetAd(ctx, ids[0]); err != nil {
 			t.Fatalf("GetAd under injection: %v", err)
 		}
@@ -415,8 +371,8 @@ func TestNoFlapUnderInjected5xx(t *testing.T) {
 			t.Errorf("shard %d state %v under injected 5xx, want healthy (no flap)", shard, st)
 		}
 	}
-	snap := coord.reg.Snapshot()
-	if got := snap.Counters["supervisor.transitions|suspect"]; got != 0 {
+	snap := f.Reg.Snapshot()
+	if got := snap.Counters[supervisor.MetricTransitions+"|suspect"]; got != 0 {
 		t.Errorf("suspect transitions under injected 5xx = %d, want 0", got)
 	}
 	if got := inj.Metrics().Snapshot().Counters[faults.MetricInjected]; got == 0 {
@@ -429,14 +385,14 @@ func TestNoFlapUnderInjected5xx(t *testing.T) {
 // (mid-recovery) shard as pending rather than erroring the day.
 func TestDayErrorPaths(t *testing.T) {
 	ctx := context.Background()
-	gate := &downGate{}
-	coord, client, _ := newFleetCfg(t, 2, map[int]func(http.Handler) http.Handler{1: gate.wrap}, nil)
+	f := launch(t, 2, nil)
+	coord, client := f.Coord, f.Client()
 	ids := setupAccount(t, client, 1)
 
 	// AbortDay against shards that never saw BeginDaySession: 200 no-op.
-	for _, sc := range coord.shards {
-		if err := sc.client.AbortDay(ctx, "never-begun"); err != nil {
-			t.Fatalf("abort of never-begun session on %s: %v", sc.label, err)
+	for i := 0; i < 2; i++ {
+		if err := shardClient(t, f, i).AbortDay(ctx, "never-begun"); err != nil {
+			t.Fatalf("abort of never-begun session on shard %d: %v", i, err)
 		}
 	}
 
@@ -444,14 +400,16 @@ func TestDayErrorPaths(t *testing.T) {
 	if err := client.Deliver(ctx, ids, 9800); err != nil {
 		t.Fatal(err)
 	}
-	committed, pending, err := coord.dayStatus(ctx, ids, 2)
+	committed, pending, err := coord.DayStatus(ctx, ids, 2)
 	if err != nil || !committed || len(pending) != 0 {
 		t.Fatalf("dayStatus on committed day = (%v, %v, %v)", committed, pending, err)
 	}
 	// ...and with shard 1 unreachable mid-recovery, the probe reports it
 	// pending instead of failing.
-	gate.set(true)
-	committed, pending, err = coord.dayStatus(ctx, ids, 2)
+	if err := f.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	committed, pending, err = coord.DayStatus(ctx, ids, 2)
 	if err != nil {
 		t.Fatalf("dayStatus with unreachable shard: %v", err)
 	}

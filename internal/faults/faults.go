@@ -105,6 +105,9 @@ type Config struct {
 	// DripDelay paces slow responses: the body goes out in dripChunks pieces
 	// with DripDelay between them (default 1ms).
 	DripDelay time.Duration
+	// Clock is what injected latency and drip delays sleep on; nil is the
+	// system clock.
+	Clock obs.Clock
 }
 
 const (
@@ -126,6 +129,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DripDelay <= 0 {
 		c.DripDelay = time.Millisecond
+	}
+	if c.Clock == nil {
+		c.Clock = obs.SystemClock
 	}
 	return c
 }
@@ -160,8 +166,8 @@ type Injector struct {
 // New builds an injector. Registry may be nil; counters then go to a private
 // registry (Metrics exposes whichever is in use).
 func New(cfg Config, reg *obs.Registry) (*Injector, error) {
-	if cfg.Rate < 0 || cfg.Rate > 1 {
-		return nil, fmt.Errorf("faults: rate %v outside [0,1]", cfg.Rate)
+	if err := (Schedule{Rate: cfg.Rate}).Validate(); err != nil {
+		return nil, err
 	}
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -196,27 +202,70 @@ func Draw(seed int64, slot uint64) (bits uint64, coin float64) {
 	return bits, float64(bits>>11) / (1 << 53)
 }
 
+// Schedule is the seeded map from a slot to a disturbance — the one place in
+// the repository where that is decided. The request-fault schedule
+// (Injector.ScheduleAt, a slot per request) and the chaos schedule
+// (chaos.Schedule.At, a slot per tick) are both read through it. It has no
+// state: At can be queried in any order, replayed and diffed.
+type Schedule struct {
+	Seed int64
+	// Rate is the probability that an eligible slot disturbs, in [0,1].
+	Rate float64
+	// Gap makes only every Gap-th slot eligible; 0 and 1 mean every slot.
+	Gap int
+	// Kinds is how many kinds of disturbance At chooses among.
+	Kinds int
+	// Salted mixes the slot into the disturbance bits a second time. The
+	// chaos schedule always has and the request-fault schedule never has; both
+	// mappings are pinned as literals in their packages' tests, and this field
+	// is what let one type replace the two without moving either.
+	Salted bool
+}
+
+// Validate refuses a rate that is not a probability.
+func (s Schedule) Validate() error {
+	if s.Rate < 0 || s.Rate > 1 {
+		return fmt.Errorf("faults: rate %v outside [0,1]", s.Rate)
+	}
+	return nil
+}
+
+// At reports whether a slot disturbs and, if so, which of the Kinds and the
+// bits its parameters are cut from. The kind is bits modulo Kinds, so callers
+// take parameters from above the low byte.
+func (s Schedule) At(slot uint64) (kind int, bits uint64, ok bool) {
+	if s.Gap > 1 && slot%uint64(s.Gap) != 0 {
+		return 0, 0, false
+	}
+	draw, coin := Draw(s.Seed, slot)
+	if coin >= s.Rate {
+		return 0, 0, false
+	}
+	if s.Salted {
+		draw ^= splitmix64(slot + 1)
+	}
+	bits = splitmix64(draw)
+	return int(bits % uint64(s.Kinds)), bits, true
+}
+
 // ScheduleAt returns slot i of the fault schedule: a pure function of the
 // injector's seed and configuration, independent of any requests already
 // served. Reproducibility tests and replay tooling read the schedule
 // directly through this method.
 func (inj *Injector) ScheduleAt(i uint64) Decision {
-	bits, coin := Draw(inj.cfg.Seed, i)
-	if coin >= inj.cfg.Rate {
+	k, bits, ok := Schedule{Seed: inj.cfg.Seed, Rate: inj.cfg.Rate, Kinds: len(inj.cfg.Kinds)}.At(i)
+	if !ok {
 		return Decision{}
 	}
-	// Independent bits for the kind and the kind-specific parameters.
-	sub := splitmix64(bits)
-	kind := inj.cfg.Kinds[int(sub%uint64(len(inj.cfg.Kinds)))]
-	d := Decision{Kind: kind}
-	switch kind {
+	d := Decision{Kind: inj.cfg.Kinds[k]}
+	switch d.Kind {
 	case KindReject429:
 		d.Status = http.StatusTooManyRequests
 	case KindReject5xx:
 		statuses := []int{http.StatusInternalServerError, http.StatusBadGateway, http.StatusServiceUnavailable}
-		d.Status = statuses[int((sub>>8)%uint64(len(statuses)))]
+		d.Status = statuses[int((bits>>8)%uint64(len(statuses)))]
 	case KindLatency:
-		frac := float64((sub>>8)&0xffff) / 0xffff
+		frac := float64((bits>>8)&0xffff) / 0xffff
 		d.Latency = time.Duration(frac * float64(maxLatency))
 	}
 	return d
@@ -263,7 +312,7 @@ func (inj *Injector) Middleware(next http.Handler) http.Handler {
 		perKind[d.Kind].Inc()
 		switch d.Kind {
 		case KindLatency:
-			time.Sleep(d.Latency)
+			inj.cfg.Clock.Sleep(d.Latency)
 			next.ServeHTTP(w, r)
 		case KindReject429:
 			w.Header().Set("Retry-After", strconv.Itoa(int(inj.cfg.RetryAfter/time.Second)))
@@ -329,7 +378,7 @@ func (inj *Injector) drip(w http.ResponseWriter, r *http.Request, next http.Hand
 		}
 		body = body[n:]
 		if len(body) > 0 {
-			time.Sleep(inj.cfg.DripDelay)
+			inj.cfg.Clock.Sleep(inj.cfg.DripDelay)
 		}
 	}
 }

@@ -54,6 +54,41 @@ func TestScheduleReproducible(t *testing.T) {
 	}
 }
 
+// TestScheduleSeed42Pinned holds the request-fault schedule's (seed → fault)
+// mapping to literals taken before Injector.ScheduleAt and the chaos schedule
+// were moved onto the one Schedule type: a change to Schedule.At that moves
+// any of the first 64 slots of seed 42 at rate 0.2 fails here.
+func TestScheduleSeed42Pinned(t *testing.T) {
+	want := map[uint64]Decision{
+		2:  {Kind: KindSlow},
+		6:  {Kind: KindDrop},
+		9:  {Kind: KindReject5xx, Status: 502},
+		10: {Kind: KindLatency, Latency: 2930235},
+		11: {Kind: KindLatency, Latency: 2869443},
+		12: {Kind: KindReject5xx, Status: 500},
+		14: {Kind: KindReject429, Status: 429},
+		18: {Kind: KindSlow},
+		21: {Kind: KindLatency, Latency: 1975097},
+		26: {Kind: KindSlow},
+		29: {Kind: KindLatency, Latency: 1840787},
+		32: {Kind: KindLatency, Latency: 316182},
+		33: {Kind: KindLatency, Latency: 1601556},
+		38: {Kind: KindDrop},
+		39: {Kind: KindReject429, Status: 429},
+		41: {Kind: KindReject5xx, Status: 503},
+		55: {Kind: KindReject429, Status: 429},
+	}
+	inj, err := New(Config{Seed: 42, Rate: 0.2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 64; i++ {
+		if got := inj.ScheduleAt(i); got != want[i] {
+			t.Errorf("slot %d: %+v, pinned %+v", i, got, want[i])
+		}
+	}
+}
+
 func TestScheduleCoversAllKinds(t *testing.T) {
 	inj, err := New(Config{Seed: 7, Rate: 1}, nil)
 	if err != nil {

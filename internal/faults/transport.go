@@ -26,6 +26,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"github.com/adaudit/impliedidentity/internal/obs"
 )
 
 // Gate is a runtime-switchable per-host network disturbance shared by a
@@ -82,19 +84,25 @@ func (e *partitionError) Error() string {
 }
 
 // Transport injects faults on the client side of every round trip. Base may
-// be nil (http.DefaultTransport); inj and gate are each optional.
+// be nil (http.DefaultTransport); inj and gate are each optional; every delay
+// is slept on clock (nil is the system clock), so a slowed link under a
+// manual clock costs virtual time.
 type Transport struct {
-	base http.RoundTripper
-	inj  *Injector
-	gate *Gate
+	base  http.RoundTripper
+	inj   *Injector
+	gate  *Gate
+	clock obs.Clock
 }
 
 // NewTransport builds the fault-injecting round tripper.
-func NewTransport(base http.RoundTripper, inj *Injector, gate *Gate) *Transport {
+func NewTransport(base http.RoundTripper, inj *Injector, gate *Gate, clock obs.Clock) *Transport {
 	if base == nil {
 		base = http.DefaultTransport
 	}
-	return &Transport{base: base, inj: inj, gate: gate}
+	if clock == nil {
+		clock = obs.SystemClock
+	}
+	return &Transport{base: base, inj: inj, gate: gate, clock: clock}
 }
 
 // RoundTrip implements http.RoundTripper.
@@ -105,7 +113,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			return nil, &partitionError{host: req.URL.Host}
 		}
 		if delay > 0 {
-			time.Sleep(delay)
+			t.clock.Sleep(delay)
 		}
 	}
 	if t.inj == nil || t.inj.cfg.Rate == 0 || t.inj.exempt(req.URL.Path) {
@@ -119,12 +127,12 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	t.inj.reg.Counter(MetricInjected + "|" + string(d.Kind)).Inc()
 	switch d.Kind {
 	case KindLatency:
-		time.Sleep(d.Latency)
+		t.clock.Sleep(d.Latency)
 		return t.base.RoundTrip(req)
 	case KindSlow:
 		// Client-side "slow" is indistinguishable from a dripped body:
 		// the answer arrives late but whole.
-		time.Sleep(dripChunks * t.inj.cfg.DripDelay)
+		t.clock.Sleep(dripChunks * t.inj.cfg.DripDelay)
 		return t.base.RoundTrip(req)
 	case KindReject429:
 		return synthesizeReject(req, d.Status, int(t.inj.cfg.RetryAfter/time.Second)), nil

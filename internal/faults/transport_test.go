@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/adaudit/impliedidentity/internal/obs"
 )
 
 func newBackend(t *testing.T) (*httptest.Server, string, *int) {
@@ -32,7 +34,7 @@ func newBackend(t *testing.T) (*httptest.Server, string, *int) {
 func TestGatePartitionBlocksAllPaths(t *testing.T) {
 	srv, host, hits := newBackend(t)
 	gate := NewGate()
-	client := &http.Client{Transport: NewTransport(nil, nil, gate)}
+	client := &http.Client{Transport: NewTransport(nil, nil, gate, nil)}
 
 	gate.SetPartition(host, true)
 	for _, path := range []string{"/v1/ads", "/healthz", "/metrics"} {
@@ -64,16 +66,19 @@ func TestGatePartitionBlocksAllPaths(t *testing.T) {
 func TestGateSlowDelays(t *testing.T) {
 	srv, host, _ := newBackend(t)
 	gate := NewGate()
-	client := &http.Client{Transport: NewTransport(nil, nil, gate)}
+	// The delay is slept on the transport's clock: a manual one is left 30ms
+	// later and the test waits for nothing.
+	clock := obs.NewManualClock()
+	start := clock.Now()
+	client := &http.Client{Transport: NewTransport(nil, nil, gate, clock)}
 	gate.SetSlow(host, 30*time.Millisecond)
-	start := time.Now()
 	resp, err := client.Get(srv.URL + "/v1/ads")
 	if err != nil {
 		t.Fatalf("slow GET: %v", err)
 	}
 	resp.Body.Close()
-	if d := time.Since(start); d < 30*time.Millisecond {
-		t.Fatalf("slowed request took %v, want >= 30ms", d)
+	if d := clock.Now().Sub(start); d != 30*time.Millisecond {
+		t.Fatalf("slowed request cost %v of the transport's clock, want 30ms", d)
 	}
 	gate.SetSlow(host, 0)
 }
@@ -87,7 +92,7 @@ func TestTransportInjectsRejections(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	client := &http.Client{Transport: NewTransport(nil, inj, nil)}
+	client := &http.Client{Transport: NewTransport(nil, inj, nil, nil)}
 
 	resp, err := client.Get(srv.URL + "/v1/ads")
 	if err != nil {
@@ -123,7 +128,7 @@ func TestTransportDropExecutesThenFails(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	client := &http.Client{Transport: NewTransport(nil, inj, nil)}
+	client := &http.Client{Transport: NewTransport(nil, inj, nil, nil)}
 	_, err = client.Get(srv.URL + "/v1/ads")
 	if err == nil {
 		t.Fatalf("dropped request returned a response")

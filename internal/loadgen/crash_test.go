@@ -2,14 +2,21 @@ package loadgen
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
-	"net/http/httptest"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/adaudit/impliedidentity/internal/chaos"
 	"github.com/adaudit/impliedidentity/internal/faults"
 	"github.com/adaudit/impliedidentity/internal/marketing"
+	"github.com/adaudit/impliedidentity/internal/node"
 	"github.com/adaudit/impliedidentity/internal/obs"
 	"github.com/adaudit/impliedidentity/internal/platform"
 	"github.com/adaudit/impliedidentity/internal/store"
@@ -36,66 +43,46 @@ func newAckLedger() *ackLedger {
 	}
 }
 
-// crashServer is one incarnation of the durable platform between restarts.
-type crashServer struct {
-	p  *platform.Platform
-	st *store.Store
-	ts *httptest.Server
-}
-
-// startCrashServer recovers the platform from dir and serves it with fault
-// injection armed and persist-before-respond wired in.
-func startCrashServer(t *testing.T, dir string, faultSeed int64) *crashServer {
+// crashFleet is the durable platform under test: a simulated fleet of one
+// shard (internal/chaos.Fleet), its serving stack what cmd/adplatform
+// assembles — fault injection outermost and armed at 20 %, persist before
+// respond, a WAL directory that outlives every incarnation. Fleet.Kill is the
+// crash: the store drops its unflushed tail exactly like a SIGKILLed process
+// and the host refuses connections until Fleet.Relaunch recovers it.
+func crashFleet(t *testing.T) *chaos.Fleet {
 	t.Helper()
-	pop, behave, _ := world(t)
+	pop, behave, fl := world(t)
 	cfg := platform.DefaultConfig(903)
 	cfg.Training.LogRows = 2000
 	cfg.ReviewRejectProb = 0
-	p, err := platform.New(cfg, pop, behave)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	st, err := store.Open(store.Options{
-		Dir: dir,
-		// Fsync none: the soak simulates process crashes (Kill drops the
-		// store's unflushed buffer), not machine power loss, and fsyncs
-		// would only slow the loop without changing what Kill can lose.
-		Fsync:         store.FsyncNone,
-		FlushInterval: 500 * time.Microsecond,
-		SnapshotEvery: 25, // force snapshot+compaction churn during the soak
-		Metrics:       reg,
+	f, err := chaos.NewFleet(chaos.FleetConfig{
+		World: &node.World{FL: fl, Pop: pop, Behavior: behave}, Platform: cfg, Shards: 1,
+		Dir: t.TempDir(),
+		Stack: node.StackConfig{
+			Faults: faults.Config{Seed: 42, Rate: 0.2, Kinds: faults.AllKinds()},
+			// Fsync none: the soak simulates process crashes (Kill drops the
+			// store's unflushed buffer), not machine power loss, and fsyncs
+			// would only slow the loop without changing what Kill can lose.
+			Store: store.Options{
+				Fsync:         store.FsyncNone,
+				FlushInterval: 500 * time.Microsecond,
+				SnapshotEvery: 25, // force snapshot+compaction churn during the soak
+			},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Recover(p); err != nil {
-		t.Fatal(err)
-	}
-	srv, err := marketing.NewServer(p, marketing.WithPersister(st), marketing.WithRegistry(reg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj, err := faults.New(faults.Config{Seed: faultSeed, Rate: 0.2, Kinds: faults.AllKinds()}, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &crashServer{p: p, st: st, ts: httptest.NewServer(inj.Middleware(srv.Handler()))}
+	t.Cleanup(func() { _ = f.Close() })
+	return f
 }
 
-// kill crashes the incarnation: the store drops its unflushed tail exactly
-// like a SIGKILLed process, and every client connection breaks mid-flight.
-func (cs *crashServer) kill() {
-	cs.st.Kill()
-	cs.ts.CloseClientConnections()
-	cs.ts.Close()
-}
-
-// newCrashClient returns a client with a deep retry budget, matching the
-// chaos soak: at a 20% fault rate back-to-back faults per call are routine.
-func newCrashClient(t *testing.T, url string) *marketing.Client {
+// crashClient talks straight to the shard, with a deep retry budget,
+// matching the chaos soak: at a 20% fault rate back-to-back faults per call
+// are routine. Its backoff is slept on the fleet's virtual clock.
+func crashClient(t *testing.T, f *chaos.Fleet) *marketing.Client {
 	t.Helper()
-	client, err := marketing.NewClient(url)
+	client, err := f.ShardClient(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,6 +92,29 @@ func newCrashClient(t *testing.T, url string) *marketing.Client {
 		MaxDelay:    20 * time.Millisecond,
 	})
 	return client
+}
+
+// shardMetrics reads the shard's registry — the store's recovery gauges in
+// particular, which describe the incarnation now serving.
+func shardMetrics(t *testing.T, f *chaos.Fleet) obs.Snapshot {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, f.ShardURL(0)+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := f.RoundTrip(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap obs.Snapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 // runScenario drives one advertiser flow (audience → campaign → ads →
@@ -197,57 +207,56 @@ func (l *ackLedger) deliveredCount() int {
 	return len(l.delivered)
 }
 
-// verifyLedger asserts every acked object and delivery day exists on p.
-func verifyLedger(t *testing.T, p *platform.Platform, led *ackLedger, phase string) {
+// verifyLedger asserts, over the wire, that every acked object and delivery
+// day exists on the shard now serving.
+func verifyLedger(t *testing.T, client *marketing.Client, led *ackLedger, phase string) {
 	t.Helper()
+	ctx := context.Background()
 	led.mu.Lock()
 	defer led.mu.Unlock()
-	for id := range led.audiences {
-		if _, err := p.Audience(id); err != nil {
-			t.Errorf("%s: acked audience %s lost: %v", phase, id, err)
-		}
+	inv, err := client.Inventory(ctx)
+	if err != nil {
+		t.Fatalf("%s: inventory: %v", phase, err)
+	}
+	// Audiences have no read route: the census must hold at least the acked
+	// ones (a create may have applied and been flushed without its ack).
+	if inv.Audiences < len(led.audiences) {
+		t.Errorf("%s: %d audiences recovered, %d were acked", phase, inv.Audiences, len(led.audiences))
 	}
 	for id, name := range led.campaigns {
-		c, err := p.Campaign(id)
-		if err != nil {
-			t.Errorf("%s: acked campaign %s lost: %v", phase, id, err)
-			continue
-		}
-		if c.Name != name {
-			t.Errorf("%s: campaign %s recovered with name %q, want %q", phase, id, c.Name, name)
+		if !slices.Contains(inv.CampaignNames, name) {
+			t.Errorf("%s: acked campaign %s (%q) lost", phase, id, name)
 		}
 	}
 	for id := range led.ads {
-		if _, err := p.Ad(id); err != nil {
+		if _, err := client.GetAd(ctx, id); err != nil {
 			t.Errorf("%s: acked ad %s lost: %v", phase, id, err)
 		}
 	}
 	for id, imp := range led.delivered {
-		ad, err := p.Ad(id)
+		ad, err := client.GetAd(ctx, id)
 		if err != nil {
 			t.Errorf("%s: delivered ad %s lost: %v", phase, id, err)
 			continue
 		}
-		if ad.Status != platform.StatusCompleted {
+		if ad.Status != "COMPLETED" {
 			t.Errorf("%s: ad %s delivery day lost: status %v, want COMPLETED", phase, id, ad.Status)
 		}
-		st, err := p.Insights(id)
+		ins, err := client.Insights(ctx, id)
 		if err != nil {
 			t.Errorf("%s: delivered ad %s has no insights: %v", phase, id, err)
 			continue
 		}
-		if imp >= 0 && st.Impressions != imp {
-			t.Errorf("%s: ad %s recovered with %d impressions, served %d", phase, id, st.Impressions, imp)
+		if imp >= 0 && ins.Impressions != imp {
+			t.Errorf("%s: ad %s recovered with %d impressions, served %d", phase, id, ins.Impressions, imp)
 		}
 	}
 	// No duplicates: a retried create that double-executed would produce a
 	// second campaign with the same name.
-	seen := map[string]bool{}
-	for _, name := range p.Inventory().CampaignNames {
-		if seen[name] {
-			t.Errorf("%s: campaign %q exists twice", phase, name)
+	for i := 1; i < len(inv.CampaignNames); i++ {
+		if inv.CampaignNames[i] == inv.CampaignNames[i-1] {
+			t.Errorf("%s: campaign %q exists twice", phase, inv.CampaignNames[i])
 		}
-		seen[name] = true
 	}
 }
 
@@ -259,19 +268,18 @@ func verifyLedger(t *testing.T, p *platform.Platform, led *ackLedger, phase stri
 // committed delivery day must be present — zero acked state lost — while
 // torn WAL tails from the crash are truncated, not fatal. Run with -race.
 func TestCrashRecoverySoak(t *testing.T) {
-	dir := t.TempDir()
+	f := crashFleet(t)
+	client := crashClient(t, f)
 	hashes := hashPool(t, 2000)
 	led := newAckLedger()
 
 	// Phase 1: load until at least two delivery days committed, then crash
 	// mid-load.
-	cs1 := startCrashServer(t, dir, 42)
-	client1 := newCrashClient(t, cs1.ts.URL)
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	loadDone := make(chan struct{})
 	go func() {
 		defer close(loadDone)
-		runLoad(ctx1, client1, led, hashes, 6, 200, "p1")
+		runLoad(ctx1, client, led, hashes, 6, 200, "p1")
 	}()
 	deadline := time.Now().Add(60 * time.Second)
 	for led.deliveredCount() < 4 && time.Now().Before(deadline) {
@@ -280,38 +288,59 @@ func TestCrashRecoverySoak(t *testing.T) {
 	if led.deliveredCount() < 4 {
 		t.Fatal("phase 1 never committed a delivery day")
 	}
-	cs1.kill() // mid-load: workers are still issuing requests
+	if err := f.Kill(0); err != nil { // mid-load: workers are still issuing requests
+		t.Fatal(err)
+	}
 	cancel1()
 	<-loadDone
 	p1Audiences := len(led.audiences)
+	// Whatever the crash left of its last write, leave more: half a frame at
+	// the end of the newest segment, as a kill between two write calls does.
+	segments, err := filepath.Glob(filepath.Join(f.Dir(0), "wal-*.wal"))
+	if err != nil || len(segments) == 0 {
+		t.Fatalf("WAL segments after the crash: %v, %v", segments, err)
+	}
+	slices.Sort(segments)
+	wal, err := os.OpenFile(segments[len(segments)-1], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.Write([]byte{0x40, 0, 0, 0, 0xde, 0xad}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	// Phase 2: recover from the crash and verify, then keep loading.
-	cs2 := startCrashServer(t, dir, 43)
-	verifyLedger(t, cs2.p, led, "after crash")
-	client2 := newCrashClient(t, cs2.ts.URL)
+	// Phase 2: recover from the crash — the torn tail is cut, not fatal — and
+	// verify, then keep loading.
+	if err := f.Relaunch(0); err != nil {
+		t.Fatalf("recovering from the crash: %v", err)
+	}
+	if cut := shardMetrics(t, f).Counters[store.MetricTruncatedBytes]; cut < 6 {
+		t.Errorf("recovery truncated %d bytes of a WAL that ended in a torn frame, want at least its 6", cut)
+	}
+	verifyLedger(t, client, led, "after crash")
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel2()
-	runLoad(ctx2, client2, led, hashes, 4, 6, "p2")
+	runLoad(ctx2, client, led, hashes, 4, 6, "p2")
 	if len(led.audiences) <= p1Audiences {
 		t.Error("phase 2 load created nothing; the recovered server is not serving writes")
 	}
 	// Graceful shutdown this time: drain, flush, final snapshot.
-	cs2.ts.Close()
-	rp, err := cs2.st.Close()
-	if err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatalf("graceful close after recovery: %v", err)
 	}
-	if rp.TailRecords != 0 {
-		t.Errorf("graceful close left %d WAL records outside the final snapshot", rp.TailRecords)
-	}
 
-	// Phase 3: restart once more and verify the union of both phases.
-	cs3 := startCrashServer(t, dir, 44)
-	defer func() {
-		cs3.ts.Close()
-		_, _ = cs3.st.Close()
-	}()
-	verifyLedger(t, cs3.p, led, "after graceful restart")
+	// Phase 3: restart once more — the final snapshot left the WAL nothing to
+	// replay — and verify the union of both phases.
+	if err := f.Relaunch(0); err != nil {
+		t.Fatal(err)
+	}
+	if tail := shardMetrics(t, f).Gauges[store.GaugeRecoveredEvents]; tail != 0 {
+		t.Errorf("graceful close left %d WAL records outside the final snapshot", tail)
+	}
+	verifyLedger(t, client, led, "after graceful restart")
 
 	led.mu.Lock()
 	t.Logf("soak: %d audiences, %d campaigns, %d ads, %d delivered ads acked and verified across 1 crash + 1 graceful restart",

@@ -90,7 +90,6 @@ type Client struct {
 	breaker     BreakerPolicy
 	consecFails int
 	openUntil   time.Time
-	rng         *rand.Rand
 	reg         *obs.Registry
 
 	idemBase string
@@ -113,7 +112,6 @@ func NewClient(baseURL string) (*Client, error) {
 		clock:    obs.SystemClock,
 		retry:    DefaultRetryPolicy(),
 		breaker:  DefaultBreakerPolicy(),
-		rng:      rand.New(rand.NewSource(rand.Int63())),
 		reg:      obs.NewRegistry(),
 		idemBase: fmt.Sprintf("ck-%08x", rand.Uint32()),
 		journal:  newRetryJournal(),
@@ -319,11 +317,16 @@ func (c *Client) breakerRecord(ok bool) {
 
 // backoffDelay computes the jittered wait before retry number `retry`
 // (1-based), raised to the server's Retry-After hint when that is larger.
+// The jitter is a hash of the clock reading: on the system clock its
+// nanoseconds scatter clients that failed together, and on a manual clock the
+// whole retry schedule is a function of that clock, so a simulated fleet
+// replays.
 func (c *Client) backoffDelay(retry int, retryAfter time.Duration) time.Duration {
 	c.mu.Lock()
 	p := c.retry
-	jitter := c.rng.Float64()
+	h := uint64(c.clock.Now().UnixNano()+int64(retry)) * 0x9e3779b97f4a7c15
 	c.mu.Unlock()
+	jitter := float64(h>>11) / (1 << 53)
 	d := p.BaseDelay << uint(retry-1)
 	if d > p.MaxDelay || d <= 0 {
 		d = p.MaxDelay

@@ -193,33 +193,6 @@ func readSnapshot(t *testing.T, baseURL string) obs.Snapshot {
 	return snap
 }
 
-// fakeClock advances only when slept on, so throttled clients can be tested
-// without wall-clock waits.
-type fakeClock struct {
-	mu    sync.Mutex
-	now   time.Time
-	slept time.Duration
-}
-
-func (f *fakeClock) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.now
-}
-
-func (f *fakeClock) Sleep(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.now = f.now.Add(d)
-	f.slept += d
-}
-
-func (f *fakeClock) totalSlept() time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.slept
-}
-
 // TestClientInjectableClock runs a heavily throttled client against a fake
 // clock: the pacing math must hold with zero real waiting.
 func TestClientInjectableClock(t *testing.T) {
@@ -228,7 +201,7 @@ func TestClientInjectableClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := &fakeClock{now: time.Unix(1_700_000_000, 0)}
+	fc := obs.NewManualClock()
 	client.SetClock(fc)
 	client.SetMinInterval(time.Hour)
 	start := time.Now()
@@ -240,7 +213,7 @@ func TestClientInjectableClock(t *testing.T) {
 	}
 	// First request goes through unthrottled; the next three each wait out
 	// the remaining interval on the fake clock.
-	if got := fc.totalSlept(); got != 3*time.Hour {
+	if got := slept(fc); got != 3*time.Hour {
 		t.Errorf("fake clock slept %v, want 3h", got)
 	}
 	// Restoring the nil clock falls back to the system clock.

@@ -23,15 +23,20 @@ func fastRetry(attempts int) RetryPolicy {
 
 // newResilienceClient builds a client against ts with a fake clock, so every
 // backoff sleep is recorded instead of waited out.
-func newResilienceClient(t *testing.T, ts *httptest.Server) (*Client, *fakeClock) {
+func newResilienceClient(t *testing.T, ts *httptest.Server) (*Client, *obs.ManualClock) {
 	t.Helper()
 	client, err := NewClient(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc := &fakeClock{now: time.Unix(1_700_000_000, 0)}
+	fc := obs.NewManualClock()
 	client.SetClock(fc)
 	return client, fc
+}
+
+// slept is how far a manual clock has been slept past its starting instant.
+func slept(c *obs.ManualClock) time.Duration {
+	return c.Now().Sub(obs.NewManualClock().Now())
 }
 
 func TestClientRetriesTransientFailures(t *testing.T) {
@@ -60,7 +65,7 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	if got := client.Metrics().Counter(MetricClientRetries).Value(); got != 2 {
 		t.Errorf("retries counter %d, want 2", got)
 	}
-	if fc.totalSlept() <= 0 {
+	if slept(fc) <= 0 {
 		t.Error("expected backoff sleeps on the injected clock")
 	}
 }
@@ -83,7 +88,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The backoff before the retry must be raised to the server's hint.
-	if got := fc.totalSlept(); got < 7*time.Second {
+	if got := slept(fc); got < 7*time.Second {
 		t.Errorf("slept %v, want >= 7s (Retry-After floor)", got)
 	}
 }

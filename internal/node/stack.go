@@ -102,6 +102,16 @@ func (s *Stack) Close() error {
 	return nil
 }
 
+// Kill drops the store as a SIGKILL of the process would: records buffered
+// but not yet flushed are lost, nothing is snapshotted, and whatever the
+// stack still answers fails its durability barrier. The simulated fleet
+// (internal/chaos) kills a shard this way.
+func (s *Stack) Kill() {
+	if s.store != nil {
+		s.store.Kill()
+	}
+}
+
 // WaitHealthy polls every backend's liveness endpoint until all answer 200 or
 // the budget runs out, so a router can start before (or while) its fleet
 // does — convenient for process supervisors that start everything at once.

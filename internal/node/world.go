@@ -29,10 +29,13 @@ type WorldConfig struct {
 	Behavior population.BehaviorConfig
 }
 
-// World is a built world. NC is nil under FLOnly.
+// World is a built world. NC is nil under FLOnly. Pop and Behavior are what
+// platform.New needs to train another platform over the same world, as every
+// shard of a fleet and every relaunch of one does.
 type World struct {
 	FL, NC   *voter.Registry
 	Pop      *population.Population
+	Behavior *population.Behavior
 	Platform *platform.Platform
 }
 
@@ -84,7 +87,7 @@ func (c WorldConfig) Build(platCfg platform.Config) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("behaviour model: %w", err)
 	}
-	w := &World{}
+	w := &World{Behavior: behave}
 	if w.FL, err = c.Registry(demo.StateFL); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package obs
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Clock abstracts wall time so that packages under the determinism lint
 // (the delivery engine in particular) can be instrumented without calling
@@ -19,3 +22,29 @@ func (systemClock) Sleep(d time.Duration) { time.Sleep(d) }
 
 // SystemClock is the real wall clock.
 var SystemClock Clock = systemClock{}
+
+// ManualClock is a Clock that moves only when slept on: Sleep returns at
+// once and leaves the clock that much later. Tests and the simulated fleet
+// (internal/chaos) run time-dependent code on it without waiting. It starts
+// at a fixed non-zero instant, so a reading never passes for "unset".
+type ManualClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+// NewManualClock returns a manual clock at its starting instant.
+func NewManualClock() *ManualClock {
+	return &ManualClock{now: time.Unix(1_700_000_000, 0)}
+}
+
+func (c *ManualClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *ManualClock) Sleep(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}

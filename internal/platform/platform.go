@@ -114,9 +114,14 @@ type Platform struct {
 	// ads with that targeting share (see resolveAudience).
 	resolved map[string][]int
 
-	served    []servedRow // retraining buffer of served impressions
-	reviewRNG *rand.Rand
-	nextID    int
+	served []servedRow // retraining buffer of served impressions
+	// reviewRNG decides ad review and appeals; reviewDraws counts what it has
+	// been asked for. The count is durable and replicated (mutations, State,
+	// Inventory), so a recovered platform resumes the stream where its peers
+	// are instead of at its start (see review and seekReview).
+	reviewRNG   *rand.Rand
+	reviewDraws int
+	nextID      int
 
 	// session is the active coordinated delivery session, if any (see
 	// delivery_session.go). In-memory only: a restart loses it, by design.
@@ -216,6 +221,9 @@ type Inventory struct {
 	// CampaignNames is sorted; duplicate names expose a double-created
 	// campaign even when counts happen to balance out.
 	CampaignNames []string
+	// ReviewDraws is the review RNG's cursor: one draw an ad created, one an
+	// appeal. Replicas that applied the same mutations agree on it.
+	ReviewDraws int
 }
 
 // Inventory counts the account's objects.
@@ -223,9 +231,10 @@ func (p *Platform) Inventory() Inventory {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	inv := Inventory{
-		Audiences: len(p.audiences),
-		Campaigns: len(p.campaigns),
-		Ads:       len(p.ads),
+		Audiences:   len(p.audiences),
+		Campaigns:   len(p.campaigns),
+		Ads:         len(p.ads),
+		ReviewDraws: p.reviewDraws,
 	}
 	for _, ad := range p.ads {
 		inv.TargetedUsers += len(ad.audience)
@@ -247,6 +256,23 @@ func (p *Platform) SetReviewRejectProb(prob float64) error {
 	p.cfg.ReviewRejectProb = prob
 	p.mu.Unlock()
 	return nil
+}
+
+// review draws the next verdict from the review stream: true rejects. The
+// caller holds p.mu for writing.
+func (p *Platform) review() bool {
+	p.reviewDraws++
+	return p.reviewRNG.Float64() < p.cfg.ReviewRejectProb
+}
+
+// seekReview moves the review stream forward to a recorded cursor by
+// discarding draws, so that the next live draw is the one a platform that
+// never restarted would make. A cursor at or behind the stream's is left
+// alone: replay is idempotent. The caller holds p.mu for writing.
+func (p *Platform) seekReview(draws int) {
+	for ; p.reviewDraws < draws; p.reviewDraws++ {
+		p.reviewRNG.Float64()
+	}
 }
 
 // CreateCampaign registers a campaign.
@@ -324,12 +350,12 @@ func (p *Platform) CreateAd(campaignID string, creative Creative, targeting Targ
 	}
 	ad.perceived = p.perceive(creative.Image)
 	ad.folded = p.ear.fold(&ad.perceived)
-	if p.reviewRNG.Float64() < p.cfg.ReviewRejectProb {
+	if p.review() {
 		ad.Status = StatusRejected
 	}
 	p.ads[ad.ID] = ad
-	// The emitted state carries the review outcome: replay must not re-roll
-	// the review RNG.
+	// The emitted state carries the review outcome and the cursor after it:
+	// replay must not re-roll the review RNG, only catch up with it.
 	p.emit(func() Mutation { return Mutation{Kind: MutAdCreated, Ad: adState(ad)} })
 	return ad.snapshot(), nil
 }
@@ -377,7 +403,7 @@ func (p *Platform) AppealAd(id string) (*Ad, error) {
 	if ad.Status != StatusRejected {
 		return nil, fmt.Errorf("platform: ad %s is %v, only rejected ads can be appealed", id, ad.Status)
 	}
-	if p.reviewRNG.Float64() >= p.cfg.ReviewRejectProb {
+	if !p.review() {
 		ad.Status = StatusActive
 	}
 	p.emit(func() Mutation {

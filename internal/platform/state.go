@@ -31,8 +31,10 @@ import (
 //     the hashes are not kept), which are only valid against the same world.
 //     Recovery must run against a platform built from the same seed;
 //     internal/store verifies the population size as a cheap fingerprint. The
-//     retraining buffer and the RNG cursors are deliberately non-durable:
-//     losing them costs nothing the audit methodology observes.
+//     retraining buffer is deliberately non-durable: losing it costs nothing
+//     the audit methodology observes. The review RNG's cursor is durable, as
+//     a count of draws: a shard that restarted with the stream at its start
+//     while its peers were k draws in reviewed the next ad differently.
 
 // StateVersion tags the serialized account layout. Readers must reject
 // versions they do not understand rather than guess. Version 1 embedded every
@@ -138,15 +140,19 @@ func sortDeliveryState(del *DeliveryState) {
 // Mutation is one durable platform state change, emitted through the
 // mutation hook after the change is applied in memory. Exactly one of the
 // payload pointers is set, selected by Kind. NextID is the ID allocator
-// cursor after the mutation, so replay restores it without parsing IDs.
+// cursor after the mutation, so replay restores it without parsing IDs;
+// ReviewDraws is the review RNG's cursor after it, carried by the two kinds
+// that draw (ad_created, ad_appealed). A record written before the field
+// existed decodes to 0 and moves nothing.
 type Mutation struct {
-	Kind     string         `json:"kind"`
-	NextID   int            `json:"next_id"`
-	Audience *AudienceState `json:"audience,omitempty"`
-	Campaign *Campaign      `json:"campaign,omitempty"`
-	Ad       *AdState       `json:"ad,omitempty"`
-	Appeal   *AppealState   `json:"appeal,omitempty"`
-	Delivery *DeliveryState `json:"delivery,omitempty"`
+	Kind        string         `json:"kind"`
+	NextID      int            `json:"next_id"`
+	ReviewDraws int            `json:"review_draws,omitempty"`
+	Audience    *AudienceState `json:"audience,omitempty"`
+	Campaign    *Campaign      `json:"campaign,omitempty"`
+	Ad          *AdState       `json:"ad,omitempty"`
+	Appeal      *AppealState   `json:"appeal,omitempty"`
+	Delivery    *DeliveryState `json:"delivery,omitempty"`
 }
 
 // MutationHook receives every committed mutation. It is invoked synchronously
@@ -172,6 +178,9 @@ func (p *Platform) emit(build func() Mutation) {
 	}
 	m := build()
 	m.NextID = p.nextID
+	if m.Kind == MutAdCreated || m.Kind == MutAdAppealed {
+		m.ReviewDraws = p.reviewDraws
+	}
 	p.hook(m)
 }
 
@@ -187,7 +196,7 @@ func (p *Platform) NumUsers() int {
 func (p *Platform) State() *State {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	st := &State{Version: StateVersion, NextID: p.nextID}
+	st := &State{Version: StateVersion, NextID: p.nextID, ReviewDraws: p.reviewDraws}
 	for _, ca := range p.audiences {
 		st.Audiences = append(st.Audiences, *audienceState(ca))
 	}
@@ -208,13 +217,16 @@ func (p *Platform) State() *State {
 }
 
 // State is the serializable account: everything a restart must bring back.
+// ReviewDraws is absent from states written before it existed; such a state
+// restores the review stream at its start, as every state then did.
 type State struct {
-	Version   int             `json:"version"`
-	NextID    int             `json:"next_id"`
-	Audiences []AudienceState `json:"audiences"`
-	Campaigns []Campaign      `json:"campaigns"`
-	Ads       []AdState       `json:"ads"`
-	Stats     []AdStatsState  `json:"stats"`
+	Version     int             `json:"version"`
+	NextID      int             `json:"next_id"`
+	ReviewDraws int             `json:"review_draws,omitempty"`
+	Audiences   []AudienceState `json:"audiences"`
+	Campaigns   []Campaign      `json:"campaigns"`
+	Ads         []AdState       `json:"ads"`
+	Stats       []AdStatsState  `json:"stats"`
 }
 
 // Restore replaces the account state wholesale. Call it on a freshly built
@@ -235,6 +247,7 @@ func (p *Platform) Restore(st *State) error {
 	p.ads = make(map[string]*Ad, len(st.Ads))
 	p.stats = make(map[string]*AdStats, len(st.Stats))
 	p.nextID = st.NextID
+	p.seekReview(st.ReviewDraws)
 	for i := range st.Audiences {
 		if err := p.applyAudienceLocked(&st.Audiences[i]); err != nil {
 			return err
@@ -267,6 +280,7 @@ func (p *Platform) ApplyMutation(m *Mutation) error {
 	if m.NextID > p.nextID {
 		p.nextID = m.NextID
 	}
+	p.seekReview(m.ReviewDraws)
 	switch m.Kind {
 	case MutAudienceCreated:
 		if m.Audience == nil {

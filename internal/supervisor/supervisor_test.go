@@ -11,33 +11,9 @@ import (
 	"github.com/adaudit/impliedidentity/internal/obs"
 )
 
-// fakeClock drives the health model and supervisor without real time.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{now: time.Unix(1_700_000_000, 0)}
-}
-
-func (f *fakeClock) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.now
-}
-
-func (f *fakeClock) Sleep(d time.Duration) { f.Advance(d) }
-
-func (f *fakeClock) Advance(d time.Duration) {
-	f.mu.Lock()
-	f.now = f.now.Add(d)
-	f.mu.Unlock()
-}
-
 func TestHealthScoring(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := NewFleetHealth(1, Thresholds{SuspectAfter: 2, DownAfter: 4}, reg, newFakeClock())
+	h := NewFleetHealth(1, Thresholds{SuspectAfter: 2, DownAfter: 4}, reg, obs.NewManualClock())
 
 	if got := h.Observe(0, false); got != Healthy {
 		t.Fatalf("1 failure: %v, want healthy", got)
@@ -89,7 +65,7 @@ func TestHealthScoring(t *testing.T) {
 // scores liveness, not success. Satellite check for the fault-injection
 // wiring.
 func TestHealthNeverFlapsOnErrorAnswers(t *testing.T) {
-	h := NewFleetHealth(1, Thresholds{}, nil, newFakeClock())
+	h := NewFleetHealth(1, Thresholds{}, nil, obs.NewManualClock())
 	for i := 0; i < 1000; i++ {
 		// alive=true models any HTTP status arriving, 500s included.
 		if got := h.Observe(0, true); got != Healthy {
@@ -108,14 +84,14 @@ func TestHealthNeverFlapsOnErrorAnswers(t *testing.T) {
 
 func TestHealthMTTR(t *testing.T) {
 	reg := obs.NewRegistry()
-	clock := newFakeClock()
+	clock := obs.NewManualClock()
 	h := NewFleetHealth(1, Thresholds{}, reg, clock)
 	h.MarkDown(0)
-	clock.Advance(90 * time.Second)
+	clock.Sleep(90 * time.Second)
 	h.MarkRecovering(0)
 	// A failed recovery demotes without resetting the outage start.
 	h.MarkDown(0)
-	clock.Advance(30 * time.Second)
+	clock.Sleep(30 * time.Second)
 	h.MarkRecovering(0)
 	h.MarkHealthy(0)
 	hist := reg.Histogram(MetricMTTR)
@@ -212,7 +188,7 @@ func (f *fakeRelauncher) Relaunch(shard int) error {
 // period, and rejoined once it answers again — the full lifecycle, driven
 // step by step on a fake clock.
 func TestSupervisorLifecycle(t *testing.T) {
-	clock := newFakeClock()
+	clock := obs.NewManualClock()
 	cluster := newFakeCluster(2, clock)
 	rel := &fakeRelauncher{cluster: cluster, revive: true}
 	reg := obs.NewRegistry()
@@ -234,7 +210,7 @@ func TestSupervisorLifecycle(t *testing.T) {
 	// quarantine it.
 	cluster.setAlive(1, false)
 	sup.Step(ctx)
-	clock.Advance(time.Second)
+	clock.Sleep(time.Second)
 	sup.Step(ctx)
 	if got := cluster.health.State(1); got != Down {
 		t.Fatalf("after 2 failed probes: %v, want down", got)
@@ -248,7 +224,7 @@ func TestSupervisorLifecycle(t *testing.T) {
 
 	// Within the grace period: probed, not relaunched (a pause/partition
 	// could clear on its own).
-	clock.Advance(time.Second)
+	clock.Sleep(time.Second)
 	sup.Step(ctx)
 	if len(rel.calls) != 0 {
 		t.Fatalf("relaunched %v inside grace period", rel.calls)
@@ -256,7 +232,7 @@ func TestSupervisorLifecycle(t *testing.T) {
 
 	// Past the grace period: relaunch fires, the shard answers again, the
 	// next pass marks it recovering and rejoins it.
-	clock.Advance(3 * time.Second)
+	clock.Sleep(3 * time.Second)
 	sup.Step(ctx)
 	if len(rel.calls) != 1 || rel.calls[0] != 1 {
 		t.Fatalf("relaunch calls %v, want [1]", rel.calls)
@@ -279,7 +255,7 @@ func TestSupervisorLifecycle(t *testing.T) {
 // Relaunches are rate-limited per shard, and a busy fleet (ErrBusy) is not a
 // rejoin failure.
 func TestSupervisorRelaunchBackoffAndBusy(t *testing.T) {
-	clock := newFakeClock()
+	clock := obs.NewManualClock()
 	cluster := newFakeCluster(1, clock)
 	rel := &fakeRelauncher{cluster: cluster} // revive=false: stays dead
 	reg := obs.NewRegistry()
@@ -294,12 +270,12 @@ func TestSupervisorRelaunchBackoffAndBusy(t *testing.T) {
 	cluster.setAlive(0, false)
 	for i := 0; i < 8; i++ {
 		sup.Step(ctx)
-		clock.Advance(time.Second)
+		clock.Sleep(time.Second)
 	}
 	if len(rel.calls) != 1 {
 		t.Fatalf("relaunches within backoff window: %v, want exactly 1", rel.calls)
 	}
-	clock.Advance(10 * time.Second)
+	clock.Sleep(10 * time.Second)
 	sup.Step(ctx)
 	if len(rel.calls) != 2 {
 		t.Fatalf("relaunches after backoff: %v, want 2", rel.calls)
@@ -330,7 +306,7 @@ func TestSupervisorRelaunchBackoffAndBusy(t *testing.T) {
 
 // The background loop runs on the injected clock and stops cleanly.
 func TestSupervisorStartStop(t *testing.T) {
-	clock := newFakeClock()
+	clock := obs.NewManualClock()
 	cluster := newFakeCluster(1, clock)
 	sup := New(cluster, nil, Config{ProbeInterval: time.Millisecond, Clock: clock}, nil)
 	sup.Start(context.Background())

@@ -1,15 +1,20 @@
 #!/usr/bin/env bash
-# Supervised chaos soak: the CI-facing wrapper around cmd/adchaos.
+# Supervised chaos soak over real processes: the CI-facing wrapper around
+# cmd/adchaos.
 #
-# Two real 2-shard fleets of adplatform children run the same deterministic
-# CRUD + delivery workload. Fleet A is disturbed by a seeded chaos schedule
-# (kill -9, SIGSTOP pauses, slowed and partitioned links) while the in-process
-# fleet supervisor detects, quarantines, relaunches (WAL recovery), journal-
-# replays, and digest-gates each failed shard back in — no operator, no
-# hand-rolled restart. Fleet B runs the acknowledged ops undisturbed. The soak
-# passes iff both fleets end byte-identical on the full wire-level insights
-# surface, no acknowledged write is lost, and recovery actually happened
-# (MTTR observed, below threshold).
+# `go test ./internal/chaos` explores seeded failure schedules by the hundred
+# over a simulated fleet: one process, a virtual clock, kill = drop the
+# shard's serving stack and recover its WAL. This script is the one run that
+# checks the simulation's kill against a real one. Two real 2-shard fleets of
+# adplatform children run the same workload (chaos.Soak; review rejects a
+# quarter of the ads, so it appeals). Fleet A is disturbed on chaos seed 1's
+# schedule — the one TestScheduleSeed1Pinned holds to literals — with
+# kill -9, SIGSTOP pauses, slowed and partitioned links, while the
+# supervisor detects, quarantines, relaunches (WAL recovery), journal-replays
+# and digest-gates each failed shard back in. Fleet B replays the operations
+# A acknowledged, undisturbed. adchaos exits non-zero unless both end
+# byte-identical on the wire-level insights surface, no acknowledged write is
+# lost, the fleet heals, and every refusal was typed.
 #
 # The harness binary (router + supervisor + chaos orchestrator in one
 # process) is built with -race: the soak doubles as a concurrency test of the
@@ -30,38 +35,5 @@ go build -race -o "$WORK/bin/adchaos" ./cmd/adchaos
 "$WORK/bin/adchaos" \
   -shard-bin "$WORK/bin/adplatform" \
   -shards 2 -seed 7 -voters 4000 -logrows 1500 \
-  -chaos-seed 1 -rate 0.6 -ticks 24 -tick 750ms -min-gap 4 -day-every 8 \
-  -workdir "$WORK/fleets" -out "$WORK/BENCH_chaos_v1.json"
-
-python3 - "$WORK/BENCH_chaos_v1.json" <<'EOF'
-import json, sys
-
-rep = json.load(open(sys.argv[1]))
-assert rep['digest']['identical'], (
-    f"healed fleet diverged from undisturbed fleet:\n"
-    f"  disturbed:   {rep['digest']['disturbed']}\n"
-    f"  undisturbed: {rep['digest']['undisturbed']}")
-assert rep['events'], "chaos schedule produced no disturbances — the soak proved nothing"
-
-crud = rep['crud']
-assert crud['acked'] > 0, "no CRUD op was ever acknowledged"
-if crud['degraded_attempted'] > 0:
-    assert crud['degraded_acked'] > 0, (
-        "CRUD was fully unavailable during a single-shard outage "
-        f"({crud['degraded_attempted']} attempts, 0 acked)")
-
-mttr = rep['mttr_ms']
-kills = rep['events_by_kind'].get('kill', 0)
-if kills > 0:
-    assert mttr['count'] > 0, f"{kills} kills but no MTTR observation — nothing ever rejoined"
-    assert mttr['p99'] < 30_000, f"MTTR p99 {mttr['p99']:.0f}ms above the 30s threshold"
-
-print(f"chaos soak OK: {len(rep['events'])} disturbances ({rep['events_by_kind']}), "
-      f"{crud['acked']}/{crud['attempted']} CRUD acked "
-      f"({crud['availability_pct']:.0f}% overall, "
-      f"{crud['degraded_availability_pct']:.0f}% while degraded), "
-      f"{rep['days']['committed']} days committed, "
-      f"MTTR p50 {mttr['p50']:.0f}ms p99 {mttr['p99']:.0f}ms, "
-      f"journal replayed {rep['journal']['replayed']} "
-      f"(p50 {rep['journal']['replay_p50_ms']:.1f}ms)")
-EOF
+  -chaos-seed 1 -rate 0.6 -ticks 24 -tick 750ms \
+  -workdir "$WORK/fleets"
