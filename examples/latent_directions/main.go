@@ -33,8 +33,11 @@ func main() {
 	}
 
 	var sweep []adaudit.SweepCell
-	source := pipeline.Samples[0].Image
-	fmt.Printf("source face: classifier reads it as %v\n\n", pipeline.Classifier.Profile(source))
+	source, err := pipeline.Sources.Face(0)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("source face: classifier reads it as %v\n\n", pipeline.Classifier.Profile(source.Image))
 	for _, spec := range specs {
 		sweep = append(sweep, adaudit.SweepCell{
 			Target:     spec.Profile,

@@ -22,26 +22,17 @@ type SplitAudiences struct {
 	PerState int
 }
 
-// hashRecords converts voter records to the PII hashes an advertiser
-// uploads.
-func hashRecords(records []voter.Record) []string {
-	out := make([]string, len(records))
+// appendRaceHashes appends the PII hashes an advertiser uploads for the
+// records of one race, in sample order. It reads the records in place: a
+// sample is tens of thousands of six-string records, and an upload needs only
+// their hashes.
+func appendRaceHashes(hashes []string, records []voter.Record, race demo.Race) []string {
 	for i := range records {
-		r := &records[i]
-		out[i] = population.HashPII(r.FirstName, r.LastName, r.Address, r.ZIP)
-	}
-	return out
-}
-
-// filterRace returns the subset of records with the given race.
-func filterRace(records []voter.Record, race demo.Race) []voter.Record {
-	var out []voter.Record
-	for i := range records {
-		if records[i].Race == race {
-			out = append(out, records[i])
+		if r := &records[i]; r.Race == race {
+			hashes = append(hashes, population.HashPII(r.FirstName, r.LastName, r.Address, r.ZIP))
 		}
 	}
-	return out
+	return hashes
 }
 
 // BalancedSamples draws one stratified, Table 1-balanced sample from each
@@ -61,22 +52,23 @@ func (l *Lab) BuildSplitAudiences(name string, flSample, ncSample []voter.Record
 	if len(flSample) == 0 || len(ncSample) == 0 {
 		return SplitAudiences{}, fmt.Errorf("core: empty state samples")
 	}
-	flWhite := filterRace(flSample, demo.RaceWhite)
-	flBlack := filterRace(flSample, demo.RaceBlack)
-	ncWhite := filterRace(ncSample, demo.RaceWhite)
-	ncBlack := filterRace(ncSample, demo.RaceBlack)
-	if len(flWhite) == 0 || len(flBlack) == 0 || len(ncWhite) == 0 || len(ncBlack) == 0 {
-		return SplitAudiences{}, fmt.Errorf("core: a race side is empty (fl %d/%d, nc %d/%d)",
-			len(flWhite), len(flBlack), len(ncWhite), len(ncBlack))
+	primaryHashes := appendRaceHashes(nil, flSample, demo.RaceWhite)
+	flWhite := len(primaryHashes)
+	primaryHashes = appendRaceHashes(primaryHashes, ncSample, demo.RaceBlack)
+	ncBlack := len(primaryHashes) - flWhite
+	reversedHashes := appendRaceHashes(nil, flSample, demo.RaceBlack)
+	flBlack := len(reversedHashes)
+	reversedHashes = appendRaceHashes(reversedHashes, ncSample, demo.RaceWhite)
+	ncWhite := len(reversedHashes) - flBlack
+	if flWhite == 0 || flBlack == 0 || ncWhite == 0 || ncBlack == 0 {
+		return SplitAudiences{}, fmt.Errorf("core: a race side is empty (fl %d/%d, nc %d/%d)", flWhite, flBlack, ncWhite, ncBlack)
 	}
 
-	primary, err := l.Client.CreateAudience(context.Background(), name+"/FLwhite+NCblack",
-		append(hashRecords(flWhite), hashRecords(ncBlack)...))
+	primary, err := l.Client.CreateAudience(context.Background(), name+"/FLwhite+NCblack", primaryHashes)
 	if err != nil {
 		return SplitAudiences{}, fmt.Errorf("core: uploading primary audience: %w", err)
 	}
-	reversed, err := l.Client.CreateAudience(context.Background(), name+"/FLblack+NCwhite",
-		append(hashRecords(flBlack), hashRecords(ncWhite)...))
+	reversed, err := l.Client.CreateAudience(context.Background(), name+"/FLblack+NCwhite", reversedHashes)
 	if err != nil {
 		return SplitAudiences{}, fmt.Errorf("core: uploading reversed audience: %w", err)
 	}

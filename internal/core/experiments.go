@@ -147,12 +147,15 @@ func (l *Lab) RunSyntheticExperiment(opt SyntheticExperimentOptions) (*Synthetic
 
 	// Figure 6 sweep over source 0's variants.
 	var sweep []SweepCell
-	source := sp.Samples[0].Image
+	source, err := sp.Sources.Face(0)
+	if err != nil {
+		return nil, err
+	}
 	for _, spec := range specs[:20] {
 		sweep = append(sweep, SweepCell{
 			Target:           spec.Profile,
 			Classified:       sp.Classifier.Profile(spec.Image),
-			NuisanceDistance: nuisanceDistance(source, spec),
+			NuisanceDistance: nuisanceDistance(source.Image, spec),
 		})
 	}
 	return &SyntheticResult{Pipeline: sp, Run: run, Deliveries: ds, Table4: t4, Sweep: sweep}, nil

@@ -27,12 +27,14 @@ func StockSpecs(perPerson int, seed int64) ([]AdSpec, error) {
 }
 
 // SyntheticPipeline bundles the §5.4 artifacts: the generative network, the
-// audit's classifier, and the discovered latent directions.
+// audit's classifier, the discovered latent directions, and the recipe for
+// the faces discovery sampled. It holds no sample: Sources.Face(i)
+// regenerates the few source people the ad sets are edited from.
 type SyntheticPipeline struct {
 	Net        *gan.Network
 	Classifier *face.Classifier
 	Directions gan.DirectionSet
-	Samples    []*gan.Face // the random faces used for discovery
+	Sources    gan.Sources
 }
 
 // NewSyntheticPipeline trains the classifier, samples faces, and fits the
@@ -46,23 +48,26 @@ func NewSyntheticPipeline(samples int, seed int64) (*SyntheticPipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(seed + 2))
-	ds, faces, err := gan.DiscoverDirections(net, clf, samples, rng, gan.SGDOptions{Seed: seed + 3})
+	ds, sources, err := gan.DiscoverDirections(net, clf, samples, seed+2, gan.SGDOptions{Seed: seed + 3})
 	if err != nil {
 		return nil, err
 	}
-	return &SyntheticPipeline{Net: net, Classifier: clf, Directions: ds, Samples: faces}, nil
+	return &SyntheticPipeline{Net: net, Classifier: clf, Directions: ds, Sources: sources}, nil
 }
 
 // SyntheticSpecs builds the §5.5 ad set: sources × 20 variants of the same
 // synthetic person (the paper used 5 sources, 100 images).
 func (sp *SyntheticPipeline) SyntheticSpecs(sources int) ([]AdSpec, error) {
-	if sources <= 0 || sources > len(sp.Samples) {
-		return nil, fmt.Errorf("core: %d sources requested, %d samples available", sources, len(sp.Samples))
+	if sources <= 0 || sources > sp.Sources.Len() {
+		return nil, fmt.Errorf("core: %d sources requested, %d samples available", sources, sp.Sources.Len())
 	}
 	var specs []AdSpec
 	for s := 0; s < sources; s++ {
-		variants, err := gan.VariantGrid(sp.Net, sp.Classifier, sp.Directions, sp.Samples[s])
+		source, err := sp.Sources.Face(s)
+		if err != nil {
+			return nil, err
+		}
+		variants, err := gan.VariantGrid(sp.Net, sp.Classifier, sp.Directions, source)
 		if err != nil {
 			return nil, fmt.Errorf("core: source %d: %w", s, err)
 		}
@@ -83,10 +88,10 @@ func (sp *SyntheticPipeline) SyntheticSpecs(sources int) ([]AdSpec, error) {
 // with the two audience copies this is the 88-ad Campaign 4.
 func (sp *SyntheticPipeline) EmploymentSpecs(seed int64) ([]AdSpec, error) {
 	rng := rand.New(rand.NewSource(seed))
-	if len(sp.Samples) == 0 {
-		return nil, fmt.Errorf("core: pipeline has no sample faces")
+	source, err := sp.Sources.Face(0)
+	if err != nil {
+		return nil, err
 	}
-	source := sp.Samples[0]
 	faces := map[demo.Profile]image.Features{}
 	for _, g := range []demo.Gender{demo.GenderMale, demo.GenderFemale} {
 		for _, r := range []demo.Race{demo.RaceWhite, demo.RaceBlack} {

@@ -34,7 +34,7 @@ func BenchmarkDiscoverDirections(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DiscoverDirections(net, clf, 2000, rand.New(rand.NewSource(13)), SGDOptions{Seed: 14}); err != nil {
+		if _, _, err := DiscoverDirections(net, clf, 2000, 13, SGDOptions{Seed: 14}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,9 +42,15 @@ func BenchmarkDiscoverDirections(b *testing.B) {
 
 func BenchmarkVariantGrid(b *testing.B) {
 	net, clf := benchSetup(b)
-	ds, faces, err := DiscoverDirections(net, clf, 400, rand.New(rand.NewSource(13)), SGDOptions{Seed: 14, Epochs: 10})
+	ds, sources, err := DiscoverDirections(net, clf, 400, 13, SGDOptions{Seed: 14, Epochs: 10})
 	if err != nil {
 		b.Fatal(err)
+	}
+	faces := make([]*Face, 8)
+	for i := range faces {
+		if faces[i], err = sources.Face(i); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

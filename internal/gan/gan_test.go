@@ -235,6 +235,9 @@ func TestWalkMovesAlongDirection(t *testing.T) {
 	}
 }
 
+// trainedSetup discovers directions over 1500 samples and returns the first
+// 80 of them (the batch over the sampling seed is what discovery sampled:
+// TestSourcesReplayBatchFaces).
 func trainedSetup(t *testing.T) (*Network, *face.Classifier, DirectionSet, []*Face) {
 	t.Helper()
 	net := testNetwork(t, 10)
@@ -242,8 +245,11 @@ func trainedSetup(t *testing.T) (*Network, *face.Classifier, DirectionSet, []*Fa
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(12))
-	ds, faces, err := DiscoverDirections(net, clf, 1500, rng, SGDOptions{Seed: 13, Epochs: 25})
+	ds, _, err := DiscoverDirections(net, clf, 1500, 12, SGDOptions{Seed: 13, Epochs: 25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faces, err := net.SampleBatch(80, rand.New(rand.NewSource(12)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +262,7 @@ func TestDiscoverDirectionsTooFewSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := DiscoverDirections(net, clf, 10, rand.New(rand.NewSource(1)), SGDOptions{}); err == nil {
+	if _, _, err := DiscoverDirections(net, clf, 10, 1, SGDOptions{}); err == nil {
 		t.Error("too few samples: want error")
 	}
 }

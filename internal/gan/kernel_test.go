@@ -8,6 +8,7 @@ import (
 	"hash"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/adaudit/impliedidentity/internal/face"
@@ -148,7 +149,11 @@ func TestPipelineBitsMatchGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds, faces, err := DiscoverDirections(net, clf, 400, rand.New(rand.NewSource(12)), SGDOptions{Seed: 13, Epochs: 25})
+		ds, sources, err := DiscoverDirections(net, clf, 400, 12, SGDOptions{Seed: 13, Epochs: 25})
+		if err != nil {
+			t.Fatal(err)
+		}
+		source, err := sources.Face(1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +164,7 @@ func TestPipelineBitsMatchGolden(t *testing.T) {
 		if got := hex.EncodeToString(h.Sum(nil)); got != c.directions {
 			t.Errorf("width %d: direction digest %s, golden %s", c.cfg.LayerWidth, got, c.directions)
 		}
-		variants, err := VariantGrid(net, clf, ds, faces[1])
+		variants, err := VariantGrid(net, clf, ds, source)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,5 +308,76 @@ func TestTuneAllocatesOnlyTheWinner(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Errorf("tune allocated %v objects per call, want O(1) (it scans 86 candidates)", allocs)
+	}
+}
+
+// TestSourcesReplayBatchFaces: discovery keeps no sample, so the faces the
+// audit edits are regenerated — and each must be, activation for activation
+// and image field for image field, the face SampleBatch over the sampling
+// seed puts at that index (the face a pipeline holding its samples used).
+func TestSourcesReplayBatchFaces(t *testing.T) {
+	net := testNetwork(t, 10)
+	clf, err := face.Train(face.TrainOptions{CorpusSize: 500, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sources, err := DiscoverDirections(net, clf, 80, 12, SGDOptions{Seed: 13, Epochs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := net.SampleBatch(80, rand.New(rand.NewSource(12)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sources.Len() != len(batch) {
+		t.Fatalf("%d sources, want %d", sources.Len(), len(batch))
+	}
+	for _, i := range []int{0, 1, 4, 79} {
+		got, err := sources.Face(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Image != batch[i].Image {
+			t.Errorf("face %d: image %+v, batch %+v", i, got.Image, batch[i].Image)
+		}
+		if len(got.Activations) != len(batch[i].Activations) {
+			t.Fatalf("face %d: %d activations, batch %d", i, len(got.Activations), len(batch[i].Activations))
+		}
+		for j, v := range got.Activations {
+			if v != batch[i].Activations[j] {
+				t.Fatalf("face %d: activation %d = %v, batch %v", i, j, v, batch[i].Activations[j])
+			}
+		}
+	}
+	for _, i := range []int{-1, 80} {
+		if _, err := sources.Face(i); err == nil {
+			t.Errorf("face %d of 80: want an error", i)
+		}
+	}
+}
+
+// TestDiscoveryAllocatesOneMatrix: at the benchmark's 2 000 samples on the
+// default network, everything DiscoverDirections allocates is its 18.4 MB
+// activation matrix plus per-run vectors (row headers, labels, weights) —
+// no face, latent or activation vector per sample, which cost 26.6 MB more.
+func TestDiscoveryAllocatesOneMatrix(t *testing.T) {
+	net, err := New(DefaultConfig(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clf, err := face.Train(face.TrainOptions{CorpusSize: 500, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, _, err := DiscoverDirections(net, clf, n, 13, SGDOptions{Seed: 14, Epochs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	matrix := float64(n * net.ActivationDim() * 8)
+	if over := float64(after.TotalAlloc-before.TotalAlloc) - matrix; over > 2<<20 {
+		t.Errorf("DiscoverDirections allocated %.1f MB beyond its %.1f MB matrix", over/(1<<20), matrix/(1<<20))
 	}
 }

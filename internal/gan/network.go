@@ -154,8 +154,15 @@ func (n *Network) Mapping(z []float64) ([]float64, error) {
 	if len(z) != n.cfg.LatentDim {
 		return nil, fmt.Errorf("gan: latent length %d, want %d", len(z), n.cfg.LatentDim)
 	}
-	width := n.cfg.LayerWidth
 	acts := make([]float64, n.ActivationDim())
+	n.mappingInto(acts, z)
+	return acts, nil
+}
+
+// mappingInto is Mapping into a caller-owned vector of ActivationDim values,
+// for a latent of LatentDim values.
+func (n *Network) mappingInto(acts, z []float64) {
+	width := n.cfg.LayerWidth
 	in := z
 	for l := 0; l < n.cfg.NumLayers; l++ {
 		out := acts[l*width : (l+1)*width]
@@ -165,7 +172,6 @@ func (n *Network) Mapping(z []float64) ([]float64, error) {
 		}
 		in = out
 	}
-	return acts, nil
 }
 
 // Synthesis attribute scales: projections of a roughly unit-variance
@@ -200,20 +206,29 @@ func (n *Network) Synthesize(acts []float64) (image.Features, error) {
 	return f, nil
 }
 
-// Face is one generated sample: the latent input, the activation vector,
-// and the synthesized image.
+// Face is one generated sample: the activation vector and the synthesized
+// image. The latent it came from is not kept; nothing reads it.
 type Face struct {
-	Z           []float64
 	Activations []float64
 	Image       image.Features
+}
+
+// drawLatent fills z with the next latent vector of the stream.
+func drawLatent(z []float64, rng *rand.Rand) {
+	for i := range z {
+		z[i] = rng.NormFloat64()
+	}
 }
 
 // Sample draws a random latent vector and runs the full pipeline.
 func (n *Network) Sample(rng *rand.Rand) (*Face, error) {
 	z := make([]float64, n.cfg.LatentDim)
-	for i := range z {
-		z[i] = rng.NormFloat64()
-	}
+	drawLatent(z, rng)
+	return n.faceOf(z)
+}
+
+// faceOf maps and synthesizes one latent vector.
+func (n *Network) faceOf(z []float64) (*Face, error) {
 	acts, err := n.Mapping(z)
 	if err != nil {
 		return nil, err
@@ -222,7 +237,7 @@ func (n *Network) Sample(rng *rand.Rand) (*Face, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Face{Z: z, Activations: acts, Image: img}, nil
+	return &Face{Activations: acts, Image: img}, nil
 }
 
 // SampleBatch draws count faces.

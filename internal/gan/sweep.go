@@ -16,49 +16,88 @@ type DirectionSet struct {
 	Age    Direction // toward older apparent age
 }
 
-// DiscoverDirections runs the §5.4 pipeline: sample nSamples random faces,
-// label each with the classifier (the Deepface stand-in), then fit one
-// logistic regression per binary attribute and one linear regression for
-// age, all on the flattened activation vectors. The returned directions
-// inherit whatever biases the classifier has — by construction, exactly as
-// in the paper.
-func DiscoverDirections(net *Network, clf *face.Classifier, nSamples int, rng *rand.Rand, opt SGDOptions) (DirectionSet, []*Face, error) {
+// Sources is the recipe for the faces a discovery run sampled: the network,
+// the sampling seed and the sample count. Discovery keeps none of its
+// samples; the few faces the audit edits into ads (§5.5 uses five) are
+// regenerated from here.
+type Sources struct {
+	net  *Network
+	seed int64
+	n    int
+}
+
+// Len returns the number of faces discovery sampled.
+func (s Sources) Len() int { return s.n }
+
+// Face regenerates sample i, bit for bit the face SampleBatch over the same
+// seed puts at index i. It replays the latent draws of samples 0..i —
+// NormFloat64 consumes a varying number of raw draws, so the stream cannot be
+// skipped into — and maps only the last.
+func (s Sources) Face(i int) (*Face, error) {
+	if i < 0 || i >= s.n {
+		return nil, fmt.Errorf("gan: source face %d of %d", i, s.n)
+	}
+	rng := rand.New(rand.NewSource(s.seed))
+	z := make([]float64, s.net.LatentDim())
+	for k := 0; k <= i; k++ {
+		drawLatent(z, rng)
+	}
+	return s.net.faceOf(z)
+}
+
+// DiscoverDirections runs the §5.4 pipeline: sample nSamples random faces
+// from the latent stream of seed, label each with the classifier (the
+// Deepface stand-in), then fit one logistic regression per binary attribute
+// and one linear regression for age, all on the flattened activation
+// vectors. The returned directions inherit whatever biases the classifier
+// has — by construction, exactly as in the paper.
+//
+// The activations live in one nSamples × ActivationDim matrix that dies with
+// the call: each latent is drawn into one reused buffer and mapped straight
+// into its row, and its image is labelled and dropped.
+func DiscoverDirections(net *Network, clf *face.Classifier, nSamples int, seed int64, opt SGDOptions) (DirectionSet, Sources, error) {
 	if nSamples < 50 {
-		return DirectionSet{}, nil, fmt.Errorf("gan: %d samples too few for direction discovery", nSamples)
+		return DirectionSet{}, Sources{}, fmt.Errorf("gan: %d samples too few for direction discovery", nSamples)
 	}
-	faces, err := net.SampleBatch(nSamples, rng)
-	if err != nil {
-		return DirectionSet{}, nil, err
-	}
+	dim := net.ActivationDim()
+	matrix := make([]float64, nSamples*dim)
 	acts := make([][]float64, nSamples)
 	gLabels := make([]float64, nSamples)
 	rLabels := make([]float64, nSamples)
 	ages := make([]float64, nSamples)
-	for i, f := range faces {
-		acts[i] = f.Activations
-		if g, _ := clf.Gender(f.Image); g == demo.GenderFemale {
+	rng := rand.New(rand.NewSource(seed))
+	z := make([]float64, net.LatentDim())
+	for i := range acts {
+		acts[i] = matrix[i*dim : (i+1)*dim : (i+1)*dim]
+		drawLatent(z, rng)
+		net.mappingInto(acts[i], z)
+		img, err := net.Synthesize(acts[i])
+		if err != nil {
+			return DirectionSet{}, Sources{}, err
+		}
+		if g, _ := clf.Gender(img); g == demo.GenderFemale {
 			gLabels[i] = 1
 		}
-		if r, _ := clf.Race(f.Image); r == demo.RaceBlack {
+		if r, _ := clf.Race(img); r == demo.RaceBlack {
 			rLabels[i] = 1
 		}
-		ages[i] = clf.AgeYears(f.Image)
+		ages[i] = clf.AgeYears(img)
 	}
 	wg, wr, wa, err := fitDirections(acts, gLabels, rLabels, ages, opt)
 	if err != nil {
-		return DirectionSet{}, nil, err
+		return DirectionSet{}, Sources{}, err
 	}
 	var ds DirectionSet
 	if ds.Gender, err = normalizedDirection("female", wg); err != nil {
-		return DirectionSet{}, nil, fmt.Errorf("gan: gender direction: %w", err)
+		return DirectionSet{}, Sources{}, fmt.Errorf("gan: gender direction: %w", err)
 	}
 	if ds.Race, err = normalizedDirection("black", wr); err != nil {
-		return DirectionSet{}, nil, fmt.Errorf("gan: race direction: %w", err)
+		return DirectionSet{}, Sources{}, fmt.Errorf("gan: race direction: %w", err)
 	}
 	if ds.Age, err = normalizedDirection("age", wa); err != nil {
-		return DirectionSet{}, nil, fmt.Errorf("gan: age direction: %w", err)
+		return DirectionSet{}, Sources{}, fmt.Errorf("gan: age direction: %w", err)
 	}
-	return ds, faces, nil
+	return ds, Sources{net: net, seed: seed, n: nSamples}, nil
 }
 
 // tune walks the activations along dir to the alpha whose synthesized image

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -12,14 +13,15 @@ import (
 	"testing"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
+	"github.com/adaudit/impliedidentity/internal/image"
 	"github.com/adaudit/impliedidentity/internal/population"
 )
 
 // oracleResolvePerAd is resolveAudience as it stood while every ad owned its
 // list: no table, a fresh slice per call. It is this round's oracle for the
 // shared lists (ROADMAP item 6: an oracle earns one round).
-func oracleResolvePerAd(p *Platform, t *Targeting) ([]int, error) {
-	var union []int
+func oracleResolvePerAd(p *Platform, t *Targeting) ([]int32, error) {
+	var union []int32
 	for k, id := range t.CustomAudienceIDs {
 		ca, err := p.audienceLocked(id)
 		if err != nil {
@@ -31,9 +33,9 @@ func oracleResolvePerAd(p *Platform, t *Targeting) ([]int, error) {
 			union = mergeAscending(union, ca.ascending())
 		}
 	}
-	out := make([]int, 0, len(union))
+	out := make([]int32, 0, len(union))
 	for _, idx := range union {
-		if t.matchesUser(p.pop.View(idx)) {
+		if t.matchesUser(p.pop.View(int(idx))) {
 			out = append(out, idx)
 		}
 	}
@@ -44,18 +46,19 @@ func oracleResolvePerAd(p *Platform, t *Targeting) ([]int, error) {
 }
 
 // userRange is an audience of the n accounts from population index lo up.
-func userRange(lo, n int) []int {
-	members := make([]int, n)
+func userRange(lo, n int) []int32 {
+	members := make([]int32, n)
 	for i := range members {
-		members[i] = lo + i
+		members[i] = int32(lo + i)
 	}
 	return members
 }
 
 // TestAdsShareOneResolvedList: ads with one targeting hold the identical
-// backing array; a different age cap resolves its own. Sharing is sound only
-// while nothing writes through Ad.audience, so the package's non-test source
-// is searched for a statement that would.
+// backing array — the audience's own ascending list where the limits remove
+// nobody; a different age cap resolves its own. Sharing is sound only while
+// nothing writes through Ad.audience, so the package's non-test source is
+// searched for a statement that would.
 func TestAdsShareOneResolvedList(t *testing.T) {
 	p, f := newTestPlatform(t, 921)
 	caID := uploadBalancedAudience(t, p, f, 20, 41)
@@ -63,7 +66,7 @@ func TestAdsShareOneResolvedList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	create := func(tg Targeting) []int {
+	create := func(tg Targeting) []int32 {
 		t.Helper()
 		ad, err := p.CreateAd(cmp.ID, Creative{Headline: "h"}, tg, 100)
 		if err != nil {
@@ -72,6 +75,9 @@ func TestAdsShareOneResolvedList(t *testing.T) {
 		return p.ads[ad.ID].audience
 	}
 	first := create(Targeting{CustomAudienceIDs: []string{caID}})
+	if sorted := p.audiences[caID].sorted; &first[0] != &sorted[0] || len(first) != len(sorted) {
+		t.Fatal("an ad on one unfiltered audience holds a copy of the audience's ascending list")
+	}
 	for n := 0; n < 5; n++ {
 		// A fresh Targeting value each time: the table is keyed by content.
 		if next := create(Targeting{CustomAudienceIDs: []string{caID}}); &next[0] != &first[0] || len(next) != len(first) {
@@ -137,7 +143,7 @@ func TestResolveMatchesOracle(t *testing.T) {
 		{"two, other order", Targeting{CustomAudienceIDs: []string{two, one}}},
 		{"lookalike", Targeting{CustomAudienceIDs: []string{look.ID}}},
 	}
-	want := map[string][]int{} // by ad ID
+	want := map[string][]int32{} // by ad ID
 	var ids []string
 	for _, sh := range shapes {
 		oracle, err := oracleResolvePerAd(p, &sh.tg)
@@ -185,6 +191,45 @@ func TestResolveMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestAudienceOrderSharesOneList: a union does not depend on the order its
+// audiences are named in, nor on one being named twice, so the three ads hold
+// one list (ROADMAP item 5e) — and a day over them leaves the State() bytes
+// it left while each spelling resolved a list of its own.
+func TestAudienceOrderSharesOneList(t *testing.T) {
+	p, f := newTestPlatform(t, 928)
+	one := uploadBalancedAudience(t, p, f, 20, 44)
+	two := uploadBalancedAudience(t, p, f, 20, 45)
+	cmp, err := p.CreateCampaign("permuted", ObjectiveTraffic, SpecialNone, 2019)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i, order := range [][]string{{one, two}, {two, one}, {one, two, one}} {
+		img := image.Features{HasPerson: true, GenderAxis: 0.9 - 0.9*float64(i), RaceAxis: -0.9 + 0.9*float64(i), AgeYears: 30}
+		ad, err := p.CreateAd(cmp.ID, Creative{Image: img, Headline: "h"}, Targeting{CustomAudienceIDs: order}, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, ad.ID)
+		if got, first := p.ads[ad.ID].audience, p.ads[ids[0]].audience; &got[0] != &first[0] || len(got) != len(first) {
+			t.Errorf("audiences %v resolved a list of their own", order)
+		}
+		if got := p.ads[ad.ID].Targeting.CustomAudienceIDs; !slices.Equal(got, order) {
+			t.Errorf("the ad records audiences %v, created with %v", got, order)
+		}
+	}
+	if len(p.resolved) != 1 {
+		t.Errorf("%d resolved lists for one targeting spelled three ways", len(p.resolved))
+	}
+	if err := p.RunDay(ids, 78); err != nil {
+		t.Fatal(err)
+	}
+	const want = "5dac0a42bdfd2f94895f4ea4f267f84d83212caf510fdc7e2df54d3f4ca4a0f9"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(stateJSON(t, p)))); got != want {
+		t.Errorf("state digest after the day %s, want %s", got, want)
+	}
+}
+
 // allocatedBytes reports the heap bytes fn allocates (tests in this package
 // do not run in parallel, so the process-wide counter is fn's own).
 func allocatedBytes(fn func()) uint64 {
@@ -195,12 +240,13 @@ func allocatedBytes(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestAdMemoryIndependentOfAudienceSize: once a targeting is resolved, what
-// another ad on it allocates does not depend on how many users it reaches —
-// to within 1 KB an ad (the race detector's sync.Pool drops items at random,
-// so fmt's buffers make the totals wobble by a few KB there). While every ad
-// owned its list, and cloned it for a hook that was not there, an ad cost
-// 2 × 8 B × members: 32 KB against 320 KB.
+// TestAdMemoryIndependentOfAudienceSize: the first ad on an unfiltered
+// targeting allocates the audience's ascending list, 4 B a member, and holds
+// that very list (as int lists with a filtered copy per targeting it cost
+// 2 × 8 B). Once a targeting is resolved, what another ad on it allocates
+// does not depend on how many users it reaches — to within 1 KB an ad (the
+// race detector's sync.Pool drops items at random, so fmt's buffers make the
+// totals wobble by a few KB there).
 func TestAdMemoryIndependentOfAudienceSize(t *testing.T) {
 	var bytes []uint64
 	for _, members := range []int{2000, 20000} {
@@ -215,7 +261,9 @@ func TestAdMemoryIndependentOfAudienceSize(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		create()
+		if first := allocatedBytes(create); first > uint64(4*members+4096) {
+			t.Errorf("the first ad on %d members allocated %d B, want one 4 B × members list and the ad", members, first)
+		}
 		bytes = append(bytes, allocatedBytes(func() {
 			for n := 2; n <= 200; n++ {
 				create()
@@ -251,8 +299,9 @@ func TestMutationPayloadOnlyForAHook(t *testing.T) {
 		}
 		return ca
 	}
-	// The match allocates its 8 B × n member list and a population bitset.
-	if got := allocatedBytes(func() { upload() }); got >= 12*n {
+	f.pop.MatchPII(keys[:1]) // the first match builds the population's PII index
+	// The match allocates its 4 B × n member list and a population bitset.
+	if got := allocatedBytes(func() { upload() }); got >= 6*n {
 		t.Fatalf("hook-less upload of %d members allocated %d B: more than one member-sized list", n, got)
 	}
 
@@ -356,7 +405,7 @@ func TestVersion1StateIsReadNotTrusted(t *testing.T) {
 	if err := p.Restore(&st); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.ads["ad-2"].audience; !slices.Equal(got, []int{10, 20, 30}) {
+	if got := p.ads["ad-2"].audience; !slices.Equal(got, []int32{10, 20, 30}) {
 		t.Fatalf("restored ad targets %v, want the resolved [10 20 30]", got)
 	}
 	if got := p.State().Version; got != 2 {

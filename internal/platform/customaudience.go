@@ -15,17 +15,17 @@ import (
 type CustomAudience struct {
 	ID      string
 	Name    string
-	Size    int   // matched accounts
-	members []int // population indexes; internal, never exposed via the API
+	Size    int     // matched accounts
+	members []int32 // population indexes; internal, never exposed via the API
 	// sorted caches ascending(). members itself keeps upload order: that is
 	// what the WAL and State() serialise.
-	sorted []int
+	sorted []int32
 }
 
 // ascending returns the members in ascending order without duplicates,
 // sorted by the first ad that targets the audience and kept for the rest.
 // The caller holds p.mu for writing.
-func (ca *CustomAudience) ascending() []int {
+func (ca *CustomAudience) ascending() []int32 {
 	if ca.sorted == nil {
 		ca.sorted = slices.Clone(ca.members)
 		slices.Sort(ca.sorted)
@@ -97,7 +97,7 @@ func (p *Platform) registerMatched(name string, keys []population.PIIKey) *Custo
 // registerAudienceLocked gives a new audience the next ID, installs it and
 // emits its creation, so that no way of building an audience can leave it
 // out of the mutation log. The caller holds p.mu for writing.
-func (p *Platform) registerAudienceLocked(name string, members []int) *CustomAudience {
+func (p *Platform) registerAudienceLocked(name string, members []int32) *CustomAudience {
 	ca := &CustomAudience{
 		ID:      fmt.Sprintf("ca-%d", len(p.audiences)+1),
 		Name:    name,
@@ -130,20 +130,26 @@ func (p *Platform) audienceLocked(id string) (*CustomAudience, error) {
 // of its Custom Audiences filtered by the attribute limits, ascending — the
 // audience order feeds seeded RNG consumption downstream. The union is a
 // merge of the audiences' ascending member lists, so one audience (the
-// audit's case) costs a single filtered pass.
+// audit's case) costs a single filtered pass, and limits that remove nobody
+// (the audit's and the fleet's case) return the union itself: an ad on one
+// unfiltered audience holds that audience's own ascending list.
 //
 // Each distinct targeting is resolved once: p.resolved keeps the list under
-// the targeting as given, and every ad with that targeting — created or
-// replayed — holds the same slice. Audiences are immutable and never removed,
-// so an entry cannot go stale; Restore, which replaces them, drops the table.
-// The caller holds p.mu for writing.
-func (p *Platform) resolveAudience(t *Targeting) ([]int, error) {
-	key := fmt.Sprintf("%q %d %d %d %d", t.CustomAudienceIDs, t.AgeMin, t.AgeMax, t.Genders, t.States)
+// the audience IDs, sorted and without repeats — a union does not depend on
+// the order its parts are named in — plus the limits, and every ad with that
+// targeting — created or replayed — holds the same slice. Audiences are
+// immutable and never removed, so an entry cannot go stale; Restore, which
+// replaces them, drops the table. The caller holds p.mu for writing.
+func (p *Platform) resolveAudience(t *Targeting) ([]int32, error) {
+	ids := slices.Clone(t.CustomAudienceIDs)
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	key := fmt.Sprintf("%q %d %d %d %d", ids, t.AgeMin, t.AgeMax, t.Genders, t.States)
 	if out, ok := p.resolved[key]; ok {
 		return out, nil
 	}
-	var union []int
-	for k, id := range t.CustomAudienceIDs {
+	var union []int32
+	for k, id := range ids {
 		ca, err := p.audienceLocked(id)
 		if err != nil {
 			return nil, err
@@ -154,10 +160,16 @@ func (p *Platform) resolveAudience(t *Targeting) ([]int, error) {
 			union = mergeAscending(union, ca.ascending())
 		}
 	}
-	out := make([]int, 0, len(union))
-	for _, idx := range union {
-		if t.matchesUser(p.pop.View(idx)) {
-			out = append(out, idx)
+	// Everyone before the first user a limit removes is kept; with no such
+	// user the union is the answer and nothing is copied.
+	removed := func(idx int32) bool { return !t.matchesUser(p.pop.View(int(idx))) }
+	out := union
+	if cut := slices.IndexFunc(union, removed); cut >= 0 {
+		out = append(make([]int32, 0, len(union)-1), union[:cut]...)
+		for _, idx := range union[cut+1:] {
+			if !removed(idx) {
+				out = append(out, idx)
+			}
 		}
 	}
 	if len(out) == 0 {
@@ -169,8 +181,8 @@ func (p *Platform) resolveAudience(t *Targeting) ([]int, error) {
 
 // mergeAscending returns the union of two ascending duplicate-free lists as
 // a new ascending duplicate-free list.
-func mergeAscending(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
+func mergeAscending(a, b []int32) []int32 {
+	out := make([]int32, 0, len(a)+len(b))
 	for len(a) > 0 && len(b) > 0 {
 		switch {
 		case a[0] < b[0]:

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -17,8 +16,8 @@ import (
 
 // oracleResolveAudience is resolveAudience as it stood before the merge:
 // a map union, the targeting filter, then a sort.
-func oracleResolveAudience(p *Platform, t *Targeting) ([]int, error) {
-	inUnion := map[int]bool{}
+func oracleResolveAudience(p *Platform, t *Targeting) ([]int32, error) {
+	inUnion := map[int32]bool{}
 	for _, id := range t.CustomAudienceIDs {
 		ca, err := p.audienceLocked(id)
 		if err != nil {
@@ -28,22 +27,22 @@ func oracleResolveAudience(p *Platform, t *Targeting) ([]int, error) {
 			inUnion[idx] = true
 		}
 	}
-	var out []int
+	var out []int32
 	for idx := range inUnion {
-		if t.matchesUser(p.pop.View(idx)) {
+		if t.matchesUser(p.pop.View(int(idx))) {
 			out = append(out, idx)
 		}
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("platform: targeting matches no users")
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out, nil
 }
 
 // installAudience registers an audience with the given members, in the
 // given (arbitrary) order, bypassing PII matching.
-func installAudience(p *Platform, members []int) string {
+func installAudience(p *Platform, members []int32) string {
 	ca := &CustomAudience{ID: fmt.Sprintf("ca-%d", len(p.audiences)+1), Size: len(members), members: members}
 	p.audiences[ca.ID] = ca
 	return ca.ID
@@ -61,9 +60,10 @@ func TestResolveAudienceMatchesMapAndSortOracle(t *testing.T) {
 	for k := 0; k < 8; k++ {
 		// Draw from a window of the population so that audiences overlap.
 		lo := rng.Intn(f.pop.Len() / 2)
-		members := rng.Perm(f.pop.Len() / 4)[:1+rng.Intn(400)]
-		for i := range members {
-			members[i] += lo
+		perm := rng.Perm(f.pop.Len() / 4)[:1+rng.Intn(400)]
+		members := make([]int32, len(perm))
+		for i, k := range perm {
+			members[i] = int32(lo + k)
 		}
 		ids = append(ids, installAudience(p, members))
 	}

@@ -50,7 +50,7 @@ func oracleDay(p *Platform, active []*Ad, seed int64, shards int) []*oracleAd {
 			shown:     map[int]int{},
 		}
 		for _, idx := range ad.audience {
-			adsByUser[idx] = append(adsByUser[idx], i)
+			adsByUser[int(idx)] = append(adsByUser[int(idx)], i)
 		}
 	}
 	users := make([]int, 0, len(adsByUser))

@@ -292,7 +292,7 @@ func (p *Platform) meanOptimizationTerm(ad *Ad) float64 {
 	var sum float64
 	var count int
 	for i := 0; i < n; i += step {
-		sum += p.optimizationTerm(ad, p.pop.View(ad.audience[i]))
+		sum += p.optimizationTerm(ad, p.pop.View(int(ad.audience[i])))
 		count++
 	}
 	if count == 0 || sum <= 0 {

@@ -130,7 +130,7 @@ func BenchmarkBuildEligIndex(b *testing.B) {
 func BenchmarkResolveAudience(b *testing.B) {
 	p, _ := benchDay(b)
 	everyone := p.audiences["ca-1"]
-	half := make([]int, 0, len(everyone.members)/2)
+	half := make([]int32, 0, len(everyone.members)/2)
 	for _, k := range rand.New(rand.NewSource(1)).Perm(len(everyone.members)) {
 		if k%2 == 0 {
 			half = append(half, everyone.members[k])

@@ -184,9 +184,8 @@ func (p *Platform) stepShards(run *dayRun, tick int, dirs []TickDirective) {
 // point) is deterministic.
 func (p *Platform) flushServed(run *dayRun) {
 	for _, sh := range run.shards {
-		for _, row := range sh.served {
-			p.recordServed(row.userIdx, row.ad, row.clicked)
-		}
+		room := maxServedLog - len(p.served)
+		p.served = append(p.served, sh.served[:min(len(sh.served), room)]...)
 		sh.served = sh.served[:0]
 	}
 }
@@ -370,7 +369,7 @@ func (p *Platform) auction(sh *dayShard, plan *dayPlan, row *planRow, lo, hi int
 		acc.clicks++
 	}
 	if len(sh.served) < sh.servedRoom {
-		sh.served = append(sh.served, servedRow{userIdx: int(row.user), ad: ad, clicked: clicked})
+		sh.served = append(sh.served, servedRow{ad: ad, user: row.user, clicked: clicked})
 	}
 }
 

@@ -236,7 +236,7 @@ func TestDeliverySkewsOlderThanAudience(t *testing.T) {
 	}
 	var audienceOld int
 	for _, idx := range ca.members {
-		if f.pop.View(idx).Age() >= 45 {
+		if f.pop.View(int(idx)).Age() >= 45 {
 			audienceOld++
 		}
 	}
@@ -409,7 +409,7 @@ func TestNearlyFullServedLogRecordsTheSameRows(t *testing.T) {
 			t.Fatalf("workers=%d: the day served %d rows, the nearly full buffer took %d; want more than %d and exactly %d", workers, len(all), len(tail), room, room)
 		}
 		for i, row := range tail {
-			if want := all[i]; row.userIdx != want.userIdx || row.clicked != want.clicked || row.ad.ID != want.ad.ID {
+			if want := all[i]; row.user != want.user || row.clicked != want.clicked || row.ad.ID != want.ad.ID {
 				t.Fatalf("workers=%d row %d: recorded %+v, an unbounded day records %+v", workers, i, row, want)
 			}
 		}

@@ -33,7 +33,7 @@ type eligIndex struct {
 // and a population index's row is the number of set bits below it (rank) —
 // a prefix read and a popcount, whatever order audiences arrive in.
 func buildEligIndex(active []*Ad) *eligIndex {
-	total, top := 0, -1
+	total, top := 0, int32(-1)
 	for _, ad := range active {
 		total += len(ad.audience)
 		for _, idx := range ad.audience {
@@ -52,7 +52,7 @@ func buildEligIndex(active []*Ad) *eligIndex {
 		below[w] = n
 		n += int32(bits.OnesCount64(set))
 	}
-	row := func(idx int) int32 {
+	row := func(idx int32) int32 {
 		return below[idx>>6] + int32(bits.OnesCount64(words[idx>>6]&(1<<(idx&63)-1)))
 	}
 

@@ -18,7 +18,10 @@ func (e *eligIndex) adsFor(pos int32) []int32 {
 func eligAds(audiences ...[]int) []*Ad {
 	ads := make([]*Ad, len(audiences))
 	for i, a := range audiences {
-		ads[i] = &Ad{runIdx: i, audience: a}
+		ads[i] = &Ad{runIdx: i}
+		for _, idx := range a {
+			ads[i].audience = append(ads[i].audience, int32(idx))
+		}
 	}
 	return ads
 }
@@ -30,7 +33,7 @@ func mapOracle(active []*Ad) (map[int][]int, []int) {
 	adsByUser := map[int][]int{}
 	for i, ad := range active {
 		for _, idx := range ad.audience {
-			adsByUser[idx] = append(adsByUser[idx], i)
+			adsByUser[int(idx)] = append(adsByUser[int(idx)], i)
 		}
 	}
 	users := make([]int, 0, len(adsByUser))

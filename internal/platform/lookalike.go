@@ -32,13 +32,13 @@ func (p *Platform) CreateLookalikeAudience(name, seedID string, size int) (*Cust
 	}
 	inSeed := make(map[int]bool, len(seed.members))
 	for _, idx := range seed.members {
-		inSeed[idx] = true
+		inSeed[int(idx)] = true
 	}
 
 	// Seed ZIP distribution vs the whole user base.
 	seedZIP := map[string]float64{}
 	for _, idx := range seed.members {
-		seedZIP[p.pop.View(idx).ZIP()]++
+		seedZIP[p.pop.View(int(idx)).ZIP()]++
 	}
 	baseZIP := map[string]float64{}
 	var seedActivity float64
@@ -46,7 +46,7 @@ func (p *Platform) CreateLookalikeAudience(name, seedID string, size int) (*Cust
 		baseZIP[p.pop.View(i).ZIP()]++
 	}
 	for _, idx := range seed.members {
-		seedActivity += p.pop.View(idx).Activity()
+		seedActivity += p.pop.View(int(idx)).Activity()
 	}
 	seedActivity /= float64(len(seed.members))
 	seedN := float64(len(seed.members))
@@ -81,9 +81,9 @@ func (p *Platform) CreateLookalikeAudience(name, seedID string, size int) (*Cust
 	if size > len(cands) {
 		size = len(cands)
 	}
-	members := make([]int, size)
+	members := make([]int32, size)
 	for i, c := range cands[:size] {
-		members[i] = c.idx
+		members[i] = int32(c.idx)
 	}
 	return p.registerAudienceLocked(name, members), nil
 }
@@ -114,7 +114,7 @@ func (p *Platform) CompositionOf(audienceID string) (AudienceComposition, error)
 	}
 	var black, female, older int
 	for _, idx := range ca.members {
-		u := p.pop.View(idx)
+		u := p.pop.View(int(idx))
 		if u.Race() == demo.RaceBlack {
 			black++
 		}

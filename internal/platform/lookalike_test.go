@@ -50,7 +50,7 @@ func TestLookalikeExcludesSeedAndEnriches(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No overlap with the seed.
-	inSeed := map[int]bool{}
+	inSeed := map[int32]bool{}
 	for _, idx := range seed.members {
 		inSeed[idx] = true
 	}

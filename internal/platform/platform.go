@@ -112,7 +112,7 @@ type Platform struct {
 	stats     map[string]*AdStats
 	// resolved is the one targeted-user list per distinct targeting that the
 	// ads with that targeting share (see resolveAudience).
-	resolved map[string][]int
+	resolved map[string][]int32
 
 	served []servedRow // retraining buffer of served impressions
 	// reviewRNG decides ad review and appeals; reviewDraws counts what it has
@@ -201,7 +201,7 @@ func New(cfg Config, pop *population.Population, behave *population.Behavior) (*
 		campaigns: map[string]*Campaign{},
 		ads:       map[string]*Ad{},
 		stats:     map[string]*AdStats{},
-		resolved:  map[string][]int{},
+		resolved:  map[string][]int32{},
 		reviewRNG: rand.New(rand.NewSource(cfg.Seed + 77)),
 	}, nil
 }

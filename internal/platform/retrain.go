@@ -13,23 +13,16 @@ import (
 // whether they clicked. The retraining buffer is what closes the feedback
 // loop the paper's discussion warns about ("this optimization for engagement
 // has also been leveraged by scammers", §2.2): the next model trains on
-// traffic the previous model chose.
+// traffic the previous model chose. The user is an int32 beside the flag so
+// that a row is 16 B, not 24: a platform buffers up to maxServedLog of them.
 type servedRow struct {
-	userIdx int
 	ad      *Ad
+	user    int32
 	clicked bool
 }
 
 // maxServedLog bounds the retraining buffer.
 const maxServedLog = 200000
-
-// recordServed appends an impression to the retraining buffer.
-func (p *Platform) recordServed(userIdx int, ad *Ad, clicked bool) {
-	if len(p.served) >= maxServedLog {
-		return
-	}
-	p.served = append(p.served, servedRow{userIdx: userIdx, ad: ad, clicked: clicked})
-}
 
 // ServedLogSize reports the retraining buffer size.
 func (p *Platform) ServedLogSize() int {
@@ -62,7 +55,7 @@ func (p *Platform) Retrain(cfg TrainingConfig) error {
 	copy(y, base.y)
 	for i := range p.served {
 		row := &p.served[i]
-		layout.featurize(p.pop.View(row.userIdx), &row.ad.perceived, x.Row(base.x.Rows+i))
+		layout.featurize(p.pop.View(int(row.user)), &row.ad.perceived, x.Row(base.x.Rows+i))
 		if row.clicked {
 			y[base.x.Rows+i] = 1
 		}

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
@@ -60,10 +61,10 @@ const (
 // matched member indexes the API never exposes (they are account state, not
 // advertiser-visible data).
 type AudienceState struct {
-	ID      string `json:"id"`
-	Name    string `json:"name"`
-	Size    int    `json:"size"`
-	Members []int  `json:"members"`
+	ID      string  `json:"id"`
+	Name    string  `json:"name"`
+	Size    int     `json:"size"`
+	Members []int32 `json:"members"`
 }
 
 // AdState is the serializable form of an Ad. Perceived-creative scores, the
@@ -242,7 +243,7 @@ func (p *Platform) Restore(st *State) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.audiences = make(map[string]*CustomAudience, len(st.Audiences))
-	p.resolved = map[string][]int{} // resolved against the audiences being replaced
+	p.resolved = map[string][]int32{} // resolved against the audiences being replaced
 	p.campaigns = make(map[string]*Campaign, len(st.Campaigns))
 	p.ads = make(map[string]*Ad, len(st.Ads))
 	p.stats = make(map[string]*AdStats, len(st.Stats))
@@ -332,7 +333,7 @@ func (p *Platform) ApplyMutation(m *Mutation) error {
 // caller holds p.mu.
 func (p *Platform) applyAudienceLocked(as *AudienceState) error {
 	for _, idx := range as.Members {
-		if idx < 0 || idx >= p.pop.Len() {
+		if idx < 0 || int(idx) >= p.pop.Len() {
 			return fmt.Errorf("platform: audience %s member index %d outside population of %d (world seed mismatch?)",
 				as.ID, idx, p.pop.Len())
 		}
@@ -341,7 +342,7 @@ func (p *Platform) applyAudienceLocked(as *AudienceState) error {
 		ID:      as.ID,
 		Name:    as.Name,
 		Size:    as.Size,
-		members: append([]int(nil), as.Members...),
+		members: slices.Clone(as.Members),
 	}
 	return nil
 }
@@ -399,7 +400,7 @@ func audienceState(ca *CustomAudience) *AudienceState {
 		ID:      ca.ID,
 		Name:    ca.Name,
 		Size:    ca.Size,
-		Members: append([]int(nil), ca.members...),
+		Members: slices.Clone(ca.members),
 	}
 }
 

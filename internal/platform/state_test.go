@@ -126,7 +126,7 @@ func TestRestoreRejectsVersionMismatch(t *testing.T) {
 func TestApplyMutationRejectsForeignWorld(t *testing.T) {
 	p, _ := newTestPlatform(t, 104)
 	m := Mutation{Kind: MutAudienceCreated, Audience: &AudienceState{
-		ID: "ca-1", Name: "alien", Size: 1, Members: []int{p.NumUsers() + 5},
+		ID: "ca-1", Name: "alien", Size: 1, Members: []int32{int32(p.NumUsers()) + 5},
 	}}
 	if err := p.ApplyMutation(&m); err == nil {
 		t.Fatal("audience index outside population: want error")

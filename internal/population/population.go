@@ -223,17 +223,17 @@ func (p *Population) LookupPII(hash string) (UserView, bool) {
 // identify, in key order, each user once however often its key repeats;
 // keys that identify nobody are skipped. The whole batch is answered under
 // one acquisition of mu.
-func (p *Population) MatchPII(keys []PIIKey) []int {
+func (p *Population) MatchPII(keys []PIIKey) []int32 {
 	ix := p.builtIndex()
 	seen := make([]uint64, (p.cols.n+63)/64)
-	members := make([]int, 0, len(keys))
+	members := make([]int32, 0, len(keys))
 	for i := range keys {
 		id := ix.lookup(&keys[i], p.cols.pii)
 		if id < 0 || seen[id>>6]&(1<<(id&63)) != 0 {
 			continue
 		}
 		seen[id>>6] |= 1 << (id & 63)
-		members = append(members, int(id))
+		members = append(members, id)
 	}
 	return members
 }

@@ -266,7 +266,7 @@ func TestMatchPII(t *testing.T) {
 		t.Fatal(err)
 	}
 	var keys []PIIKey
-	var want []int
+	var want []int32
 	seen := map[int]bool{}
 	for round := 0; round < 2; round++ { // second round: every key again
 		for i := len(fl.Records) - 1; i >= 0; i-- { // not ID order
@@ -279,7 +279,7 @@ func TestMatchPII(t *testing.T) {
 			keys = append(keys, key)
 			if u, ok := pop.LookupPII(hash); ok && !seen[u.ID()] {
 				seen[u.ID()] = true
-				want = append(want, u.ID())
+				want = append(want, int32(u.ID()))
 			}
 		}
 		keys = append(keys, PIIKey{byte(round)}) // a stranger

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/adaudit/impliedidentity/internal/platform"
 )
 
 // An ad record carries its targeting, not the user list the targeting
@@ -119,5 +121,57 @@ func TestRecoverRefusesAdWithoutItsAudience(t *testing.T) {
 	_, err := recoverDir(t, dir)
 	if err == nil || !strings.Contains(err.Error(), "ad-2") || !strings.Contains(err.Error(), `"ca-1"`) {
 		t.Fatalf("recovery: %v, want an error naming ad-2 and ca-1", err)
+	}
+}
+
+// TestStoredBytesPinned: member lists narrowed from int to int32 in memory;
+// on disk they are the same digits. One audience (uploaded out of index
+// order, one hash twice), a campaign and an ad must leave the State() bytes,
+// the WAL segment and the snapshot file they left before the change, which
+// is where the literals were recorded.
+func TestStoredBytesPinned(t *testing.T) {
+	const (
+		pinnedAudience = `{"id":"ca-1","name":"pinned","size":7,"members":[31,6,19,3,15,28,11]}`
+		pinnedCampaign = `{"ID":"cmp-1","Name":"c","Objective":0,"SpecialCategory":0,"AccountAge":2019}`
+		pinnedAd       = `{"id":"ad-2","campaign_id":"cmp-1","objective":0,"creative":{"Image":{"HasPerson":false,"GenderAxis":0,"RaceAxis":0,"AgeYears":0,"Nuisance":[0,0,0,0,0,0,0,0],"Job":""},"Headline":"h","Body":"","LinkURL":""},"targeting":{"CustomAudienceIDs":["ca-1"],"AgeMin":0,"AgeMax":0,"Genders":null,"States":null},"daily_budget_cents":200,"status":1}`
+		pinnedState    = `{"version":2,"next_id":2,"review_draws":1,"audiences":[` + pinnedAudience + `],"campaigns":[` + pinnedCampaign + `],"ads":[` + pinnedAd + `],"stats":null}`
+	)
+	dir := t.TempDir()
+	st, p, _ := openRecover(t, testOptions(dir))
+	defer st.Close()
+	all := piiHashes(t, 60)
+	var upload []string
+	for _, k := range []int{50, 12, 33, 4, 27, 12, 45, 19} {
+		upload = append(upload, all[k])
+	}
+	ca, err := p.CreateCustomAudience("pinned", upload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmp, err := p.CreateCampaign("c", platform.ObjectiveTraffic, platform.SpecialNone, 2019)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg := platform.Targeting{CustomAudienceIDs: []string{ca.ID}}
+	if _, err := p.CreateAd(cmp.ID, platform.Creative{Headline: "h"}, tg, 200); err != nil {
+		t.Fatal(err)
+	}
+	barrier(t, st)
+	if got := stateJSON(t, p); got != pinnedState {
+		t.Errorf("State():\n got %s\nwant %s", got, pinnedState)
+	}
+	wantWAL := frames(t,
+		`{"v":2,"seq":1,"mut":{"kind":"audience_created","next_id":0,"audience":`+pinnedAudience+`}}`,
+		`{"v":2,"seq":2,"mut":{"kind":"campaign_created","next_id":1,"campaign":`+pinnedCampaign+`}}`,
+		`{"v":2,"seq":3,"mut":{"kind":"ad_created","next_id":2,"review_draws":1,"ad":`+pinnedAd+`}}`)
+	if got, err := os.ReadFile(filepath.Join(dir, walName(1))); err != nil || !bytes.Equal(got, wantWAL) {
+		t.Errorf("WAL segment (err %v):\n got %q\nwant %q", err, got, wantWAL)
+	}
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	wantSnap := frames(t, fmt.Sprintf(`{"version":1,"seq":3,"world_users":%d,"state":%s}`, p.NumUsers(), pinnedState))
+	if got, err := os.ReadFile(filepath.Join(dir, snapName(3))); err != nil || !bytes.Equal(got, wantSnap) {
+		t.Errorf("snapshot (err %v):\n got %q\nwant %q", err, got, wantSnap)
 	}
 }
