@@ -6,19 +6,27 @@
 //
 // Usage:
 //
-//	adaudit run all                  # every artifact
+//	adaudit run all                  # every artifact, in the order below
 //	adaudit run table3               # one artifact
 //	adaudit -scale bench run fig7    # smaller, faster world
-//	adaudit -csv out/ run table3     # also dump per-ad deliveries as CSV
+//	adaudit -csv out/ run privacy    # also write what ran: per-ad CSVs, privacy_sweep.json
 //
-// Targets: table1 table2 table3 table4a table4b table4c table5 tableA1
-// fig1 fig2 fig3 fig4 fig5 fig6 fig7 ablations privacy all
+// Artifacts (the rows of the artifacts table; `adaudit -h` prints them from
+// it): table1 table3 fig3 table4a fig4 table4b fig6 fig5 table4c fig1 fig7
+// table5 tablea1 fig2 table2 objectives groups lookalike feedback power
+// privacy ablations verify.
+//
+// What the evaluation is — which campaigns, their seeds, what stands on what
+// — is core.Evaluation's; an artifact printed alone is byte for byte its
+// block of `run all`.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,19 +37,167 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "adaudit:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// artifact is one thing `adaudit run` prints: a name and how to render it
+// from the evaluation.
+type artifact struct {
+	name   string
+	render func(*core.Evaluation, io.Writer) error
+}
+
+// show is the usual render: get a result from the evaluation, format it.
+func show[T any](get func(*core.Evaluation) (T, error), format func(T) string) func(*core.Evaluation, io.Writer) error {
+	return func(e *core.Evaluation, w io.Writer) error {
+		v, err := get(e)
+		if err != nil {
+			return err
+		}
+		_, err = io.WriteString(w, format(v))
+		return err
+	}
+}
+
+// artifacts is every artifact, in the order `run all` renders them: the
+// paper's order first (Campaigns 1-4, Appendix A), then the extensions.
+var artifacts = []artifact{
+	{"table1", show((*core.Evaluation).Table1, report.Table1)},
+	{"table3", show((*core.Evaluation).Stock, func(r *core.StockResult) string { return report.Table3(r.Table3) })},
+	{"fig3", func(e *core.Evaluation, w io.Writer) error {
+		r, err := e.Stock()
+		if err != nil {
+			return err
+		}
+		_, err = io.WriteString(w, report.Figure3(r.Deliveries, "Figure 3 (stock images)")+
+			report.Figure3RaceCI(r.Deliveries, e.BootstrapSeed()))
+		return err
+	}},
+	{"table4a", show((*core.Evaluation).Stock, func(r *core.StockResult) string { return report.Table4(r.Table4, "a") })},
+	{"fig4", show((*core.Evaluation).Stock, func(r *core.StockResult) string { return report.Figure4(core.Figure4(r.Deliveries)) })},
+	{"table4b", show((*core.Evaluation).StockCapped, func(r *core.StockResult) string { return report.Table4(r.Table4, "b") })},
+	{"fig6", show((*core.Evaluation).Synthetic, func(r *core.SyntheticResult) string { return report.Figure6(r.Sweep) })},
+	{"fig5", show((*core.Evaluation).Synthetic, func(r *core.SyntheticResult) string {
+		return report.Figure3(r.Deliveries, "Figure 5 (synthetic images)")
+	})},
+	{"table4c", show((*core.Evaluation).Synthetic, func(r *core.SyntheticResult) string { return report.Table4(r.Table4, "c") })},
+	{"fig1", show((*core.Evaluation).Figure1, report.Figure1)},
+	{"fig7", show((*core.Evaluation).Employment, func(r *core.EmploymentResult) string {
+		return report.Figure7(r.RacePanel, r.GenderPanel)
+	})},
+	{"table5", show((*core.Evaluation).Employment, func(r *core.EmploymentResult) string { return report.Table5(r.Table5) })},
+	{"tablea1", show((*core.Evaluation).Poverty, func(r *core.PovertyResult) string {
+		return report.PovertySummary(r) + report.TableA1(r.TableA1)
+	})},
+	{"fig2", show((*core.Evaluation).Validation, report.Figure2Validation)},
+	{"table2", show((*core.Evaluation).Table2, report.Table2)},
+	{"objectives", show((*core.Evaluation).Objectives, report.Objectives)},
+	{"groups", show((*core.Evaluation).GroupPhotos, report.GroupPhotos)},
+	{"lookalike", show((*core.Evaluation).Lookalike, report.Lookalike)},
+	{"feedback", show((*core.Evaluation).Feedback, report.FeedbackLoop)},
+	{"power", func(_ *core.Evaluation, w io.Writer) error {
+		table, err := report.Power()
+		if err != nil {
+			return err
+		}
+		_, err = io.WriteString(w, table)
+		return err
+	}},
+	{"privacy", show((*core.Evaluation).PrivacySweep, report.PrivacySweep)},
+	{"ablations", renderAblations},
+	{"verify", func(e *core.Evaluation, w io.Writer) error {
+		checks, err := e.Checks()
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, report.Checklist(checks))
+		if !core.AllPass(checks) {
+			return fmt.Errorf("shape verification failed")
+		}
+		return nil
+	}},
+}
+
+// ablation is one lab of `run ablations`: a LabConfig override on a world of
+// its own, what to read from it, and the line that reports it.
+type ablation struct {
+	group int    // A<group>; the labs of a group share a world seed
+	title string // printed above the group's first lab
+	label string
+	cfg   core.LabConfig
+	read  func(l *core.Lab, seed int64) (core.AblationReading, error)
+	line  func(label string, r core.AblationReading) string
+}
+
+var ablations = []ablation{
+	{1, "A1 — delivery optimization off (content-blind auction):", "", core.LabConfig{DisableEAR: true}, stockCampaign(5), report.AblationFit},
+	{2, "A2 — engagement-affinity strength sweep:", "affinity ×0.5", core.LabConfig{Behavior: scaledBehavior(0.5)}, stockCampaign(5), report.AblationCoefficient},
+	{2, "", "affinity ×1.0", core.LabConfig{Behavior: scaledBehavior(1.0)}, stockCampaign(5), report.AblationCoefficient},
+	{2, "", "affinity ×1.5", core.LabConfig{Behavior: scaledBehavior(1.5)}, stockCampaign(5), report.AblationCoefficient},
+	{3, "A3 — region granularity (state vs DMA-like travel):", "state-level", core.LabConfig{TravelProb: 0.004}, validation, report.AblationLeakage},
+	{3, "", "DMA-level", core.LabConfig{TravelProb: 0.12}, validation, report.AblationLeakage},
+	{4, "A4 — reversed-copy aggregation under a location confounder (FL ×1.5 activity):", "", core.LabConfig{FLActivityBoost: 1.5}, validation, report.AblationError},
+	{5, "A5 — budget pacing vs greedy spend:", "paced ", core.LabConfig{}, stockCampaign(1), report.AblationSpend},
+	{5, "", "greedy", core.LabConfig{GreedyPacing: true}, stockCampaign(1), report.AblationSpend},
+}
+
+func stockCampaign(perPerson int) func(*core.Lab, int64) (core.AblationReading, error) {
+	return func(l *core.Lab, seed int64) (r core.AblationReading, err error) {
+		r.Stock, err = l.RunStockExperiment(core.StockExperimentOptions{Seed: seed, PerPerson: perPerson})
+		return r, err
+	}
+}
+
+func validation(l *core.Lab, seed int64) (r core.AblationReading, err error) {
+	r.Validation, err = l.ValidateRaceInference(2, seed)
+	return r, err
+}
+
+func scaledBehavior(scale float64) population.BehaviorConfig {
+	cfg := population.DefaultBehaviorConfig()
+	cfg.AffinityScale = scale
+	return cfg
+}
+
+func renderAblations(e *core.Evaluation, w io.Writer) error {
+	for i, a := range ablations {
+		if a.title != "" {
+			if i > 0 {
+				fmt.Fprintln(w)
+			}
+			fmt.Fprintln(w, a.title)
+		}
+		r, err := e.Ablate(a.group, a.cfg, a.read)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, a.line(a.label, r))
+	}
+	return nil
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("adaudit", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	scaleName := fs.String("scale", "full", "simulation scale: test, bench, or full")
 	seed := fs.Int64("seed", 1, "master seed for the simulated world")
-	csvDir := fs.String("csv", "", "directory to write per-ad delivery CSVs into (optional)")
-	benchPath := fs.String("bench", "", "path to write the privacy skew-detectability record as JSON (privacy target)")
+	csvDir := fs.String("csv", "", "directory to write what ran into: per-ad delivery CSVs, privacy_sweep.json (optional)")
+	fs.Usage = func() {
+		names := make([]string, len(artifacts))
+		for i, a := range artifacts {
+			names[i] = a.name
+		}
+		fmt.Fprintf(stderr, "usage: adaudit [flags] run <artifact>|all\n\nartifacts, in the order `run all` renders them:\n  %s\n\nflags:\n",
+			strings.Join(names, " "))
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
 		return err
 	}
 	rest := fs.Args()
@@ -52,9 +208,15 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	r := &runner{scale: scale, seed: *seed, csvDir: *csvDir, benchPath: *benchPath}
-	defer r.close()
-	return r.run(strings.ToLower(rest[1]))
+	e := &core.Evaluation{Seed: *seed, Scale: scale, Out: stdout, Err: stderr}
+	defer e.Close()
+	if err := runTarget(e, strings.ToLower(rest[1]), stdout); err != nil {
+		return err
+	}
+	if *csvDir == "" {
+		return nil
+	}
+	return export(e, *csvDir, stdout)
 }
 
 func parseScale(s string) (core.Scale, error) {
@@ -69,664 +231,55 @@ func parseScale(s string) (core.Scale, error) {
 	return 0, fmt.Errorf("unknown scale %q (want test, bench, or full)", s)
 }
 
-// runner lazily builds the lab and caches experiment results so `run all`
-// executes each campaign exactly once.
-type runner struct {
-	scale     core.Scale
-	seed      int64
-	csvDir    string
-	benchPath string
-
-	lab         *core.Lab
-	stock       *core.StockResult
-	stockCapped *core.StockResult
-	synthetic   *core.SyntheticResult
-	employment  *core.EmploymentResult
-	poverty     *core.PovertyResult
-}
-
-func (r *runner) close() {
-	if r.lab != nil {
-		_ = r.lab.Close()
-	}
-}
-
-func (r *runner) ensureLab() (*core.Lab, error) {
-	if r.lab != nil {
-		return r.lab, nil
-	}
-	fmt.Printf("building simulated world (scale=%s, seed=%d)...\n", r.scale, r.seed)
-	lab, err := core.NewLab(core.LabConfig{Seed: r.seed, Scale: r.scale})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Printf("marketing API listening at %s\n\n", lab.URL())
-	r.lab = lab
-	return lab, nil
-}
-
-func (r *runner) ensureStock() (*core.StockResult, error) {
-	if r.stock != nil {
-		return r.stock, nil
-	}
-	lab, err := r.ensureLab()
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println("running Campaign 1 (100 stock images × 2 audiences, all ages)...")
-	res, err := lab.RunStockExperiment(core.StockExperimentOptions{Seed: r.seed + 100})
-	if err != nil {
-		return nil, err
-	}
-	r.stock = res
-	return res, r.dumpCSV("campaign1_stock.csv", res.Deliveries)
-}
-
-func (r *runner) ensureStockCapped() (*core.StockResult, error) {
-	if r.stockCapped != nil {
-		return r.stockCapped, nil
-	}
-	lab, err := r.ensureLab()
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println("running Campaign 2 (stock images, audience age ≤ 45)...")
-	res, err := lab.RunStockExperiment(core.StockExperimentOptions{Seed: r.seed + 200, AgeMax: 45, BudgetCents: 350})
-	if err != nil {
-		return nil, err
-	}
-	r.stockCapped = res
-	return res, r.dumpCSV("campaign2_stock_capped.csv", res.Deliveries)
-}
-
-func (r *runner) ensureSynthetic() (*core.SyntheticResult, error) {
-	if r.synthetic != nil {
-		return r.synthetic, nil
-	}
-	lab, err := r.ensureLab()
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println("running Campaign 3 (StyleGAN-style synthetic faces, 5 people × 20 variants)...")
-	res, err := lab.RunSyntheticExperiment(core.SyntheticExperimentOptions{Seed: r.seed + 300, DiscoverySamples: r.discoverySamples()})
-	if err != nil {
-		return nil, err
-	}
-	r.synthetic = res
-	return res, r.dumpCSV("campaign3_synthetic.csv", res.Deliveries)
-}
-
-func (r *runner) ensureEmployment() (*core.EmploymentResult, error) {
-	if r.employment != nil {
-		return r.employment, nil
-	}
-	lab, err := r.ensureLab()
-	if err != nil {
-		return nil, err
-	}
-	var pipeline *core.SyntheticPipeline
-	if r.synthetic != nil {
-		pipeline = r.synthetic.Pipeline
-	}
-	fmt.Println("running Campaign 4 (employment ads: 11 jobs × 4 implied identities)...")
-	res, err := lab.RunEmploymentExperiment(core.EmploymentExperimentOptions{
-		Seed:             r.seed + 400,
-		Pipeline:         pipeline,
-		DiscoverySamples: r.discoverySamples(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	r.employment = res
-	return res, r.dumpCSV("campaign4_employment.csv", res.Deliveries)
-}
-
-func (r *runner) ensurePoverty() (*core.PovertyResult, error) {
-	if r.poverty != nil {
-		return r.poverty, nil
-	}
-	lab, err := r.ensureLab()
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println("running Appendix A (poverty-matched audiences, hostile ad review)...")
-	res, err := lab.RunPovertyExperiment(core.PovertyExperimentOptions{Seed: r.seed + 500})
-	if err != nil {
-		return nil, err
-	}
-	r.poverty = res
-	return res, r.dumpCSV("appendixA_poverty.csv", res.Deliveries)
-}
-
-func (r *runner) discoverySamples() int {
-	switch r.scale {
-	case core.ScaleFull:
-		return 50000 // the paper's sample count
-	case core.ScaleBench:
-		return 10000
-	default:
-		return 2000
-	}
-}
-
-func (r *runner) dumpCSV(name string, ds []core.Delivery) error {
-	if r.csvDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(r.csvDir, 0o755); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(r.csvDir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := report.DeliveriesCSV(f, ds); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", filepath.Join(r.csvDir, name))
-	return nil
-}
-
-func (r *runner) run(target string) error {
-	handlers := map[string]func() error{
-		"table1":     r.table1,
-		"table2":     r.table2,
-		"table3":     r.table3,
-		"table4a":    r.table4a,
-		"table4b":    r.table4b,
-		"table4c":    r.table4c,
-		"table5":     r.table5,
-		"tablea1":    r.tableA1,
-		"fig1":       r.fig1,
-		"fig2":       r.fig2,
-		"fig3":       r.fig3,
-		"fig4":       r.fig4,
-		"fig5":       r.fig5,
-		"fig6":       r.fig6,
-		"fig7":       r.fig7,
-		"ablations":  r.ablations,
-		"objectives": r.objectives,
-		"groups":     r.groups,
-		"lookalike":  r.lookalike,
-		"feedback":   r.feedback,
-		"verify":     r.verify,
-		"power":      r.power,
-		"privacy":    r.privacy,
-	}
-	if target == "all" {
-		order := []string{
-			"table1", "table3", "fig3", "table4a", "fig4", "table4b",
-			"fig6", "fig5", "table4c", "fig1", "fig7", "table5",
-			"tablea1", "fig2", "table2", "objectives", "groups",
-			"lookalike", "feedback", "power", "privacy", "ablations", "verify",
-		}
-		for _, t := range order {
-			if err := handlers[t](); err != nil {
-				return fmt.Errorf("%s: %w", t, err)
+// runTarget renders one artifact, or all of them with a blank line after each.
+func runTarget(e *core.Evaluation, target string, w io.Writer) error {
+	for _, a := range artifacts {
+		switch target {
+		case a.name:
+			return a.render(e, w)
+		case "all":
+			if err := a.render(e, w); err != nil {
+				return fmt.Errorf("%s: %w", a.name, err)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
-		return nil
 	}
-	h, ok := handlers[target]
-	if !ok {
+	if target != "all" {
 		return fmt.Errorf("unknown target %q", target)
 	}
-	return h()
-}
-
-func (r *runner) table1() error {
-	lab, err := r.ensureLab()
-	if err != nil {
-		return err
-	}
-	fl, nc := lab.BalancedSamples(lab.Config.Scale.PerCell(), r.seed+50)
-	fmt.Print(report.Table1(core.Table1(fl, nc)))
 	return nil
 }
 
-func (r *runner) table2() error {
-	var rows []core.Table2Row
-	if res, err := r.ensureStock(); err == nil {
-		rows = append(rows, core.SummarizeCampaign(res.Run, "Stock", "§5.2"))
-	} else {
+// export writes what the evaluation ran into dir: a CSV of per-ad deliveries
+// for each campaign, and the privacy sweep as JSON.
+func export(e *core.Evaluation, dir string, w io.Writer) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if res, err := r.ensureStockCapped(); err == nil {
-		rows = append(rows, core.SummarizeCampaign(res.Run, "Stock", "§5.3"))
-	} else {
-		return err
-	}
-	if res, err := r.ensureSynthetic(); err == nil {
-		rows = append(rows, core.SummarizeCampaign(res.Run, "Synthetic", "§5.5"))
-	} else {
-		return err
-	}
-	if res, err := r.ensureEmployment(); err == nil {
-		rows = append(rows, core.SummarizeCampaign(res.Run, "Synthetic+job background", "§6"))
-	} else {
-		return err
-	}
-	fmt.Print(report.Table2(rows))
-	return nil
-}
-
-func (r *runner) table3() error {
-	res, err := r.ensureStock()
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.Table3(res.Table3))
-	return nil
-}
-
-func (r *runner) table4a() error {
-	res, err := r.ensureStock()
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.Table4(res.Table4, "a"))
-	return nil
-}
-
-func (r *runner) table4b() error {
-	res, err := r.ensureStockCapped()
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.Table4(res.Table4, "b"))
-	return nil
-}
-
-func (r *runner) table4c() error {
-	res, err := r.ensureSynthetic()
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.Table4(res.Table4, "c"))
-	return nil
-}
-
-func (r *runner) table5() error {
-	res, err := r.ensureEmployment()
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.Table5(res.Table5))
-	return nil
-}
-
-func (r *runner) tableA1() error {
-	res, err := r.ensurePoverty()
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.PovertySummary(res))
-	fmt.Print(report.TableA1(res.TableA1))
-	return nil
-}
-
-func (r *runner) fig1() error {
-	lab, err := r.ensureLab()
-	if err != nil {
-		return err
-	}
-	// Reuse the synthetic pipeline if a synthetic campaign already ran.
-	var pipeline *core.SyntheticPipeline
-	if r.synthetic != nil {
-		pipeline = r.synthetic.Pipeline
-	} else {
-		if pipeline, err = core.NewSyntheticPipeline(r.discoverySamples(), r.seed+600); err != nil {
-			return err
-		}
-	}
-	res, err := lab.RunFigure1(pipeline, r.seed+601)
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.Figure1(res))
-	return nil
-}
-
-func (r *runner) fig2() error {
-	lab, err := r.ensureLab()
-	if err != nil {
-		return err
-	}
-	fmt.Println("validating the race-inference methodology against the simulator oracle...")
-	res, err := lab.ValidateRaceInference(2, r.seed+700)
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.Figure2Validation(res))
-	return nil
-}
-
-func (r *runner) fig3() error {
-	res, err := r.ensureStock()
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.Figure3(res.Deliveries, "Figure 3 (stock images)"))
-	fmt.Print(report.Figure3RaceCI(res.Deliveries, r.seed+950))
-	return nil
-}
-
-func (r *runner) fig4() error {
-	res, err := r.ensureStock()
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.Figure4(core.Figure4(res.Deliveries)))
-	return nil
-}
-
-func (r *runner) fig5() error {
-	res, err := r.ensureSynthetic()
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.Figure3(res.Deliveries, "Figure 5 (synthetic images)"))
-	return nil
-}
-
-func (r *runner) fig6() error {
-	res, err := r.ensureSynthetic()
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.Figure6(res.Sweep))
-	return nil
-}
-
-func (r *runner) fig7() error {
-	res, err := r.ensureEmployment()
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.Figure7(res.RacePanel, res.GenderPanel))
-	return nil
-}
-
-func (r *runner) objectives() error {
-	lab, err := r.ensureLab()
-	if err != nil {
-		return err
-	}
-	fmt.Println("running E13: the same ads under Awareness / Traffic / Conversions...")
-	res, err := lab.RunObjectiveComparison(r.seed + 900)
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.Objectives(res))
-	return nil
-}
-
-func (r *runner) groups() error {
-	lab, err := r.ensureLab()
-	if err != nil {
-		return err
-	}
-	fmt.Println("running E14: single-person vs diverse group-photo ads...")
-	res, err := lab.RunGroupPhotoExperiment(r.seed + 910)
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.GroupPhotos(res))
-	return nil
-}
-
-func (r *runner) lookalike() error {
-	lab, err := r.ensureLab()
-	if err != nil {
-		return err
-	}
-	fmt.Println("running E15: lookalike expansion from a Black-voter seed...")
-	res, err := lab.RunLookalikeExperiment(1200, 1500, r.seed+920)
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.Lookalike(res))
-	return nil
-}
-
-func (r *runner) power() error {
-	fmt.Println("Audit power analysis — probability of detecting a delivery skew")
-	fmt.Println("(two-sided α = 0.05, base rate 0.55; the paper's ads averaged ≈ 180 countable impressions)")
-	fmt.Printf("%-9s", "delta")
-	pairCounts := []int{1, 5, 10, 25, 50, 100}
-	for _, k := range pairCounts {
-		fmt.Printf(" %7d", k)
-	}
-	fmt.Println()
-	for _, delta := range []float64{0.02, 0.05, 0.10, 0.18, 0.25} {
-		fmt.Printf("%-8.2f", delta)
-		for _, k := range pairCounts {
-			p, err := core.AuditPower(core.PowerOptions{
-				Delta: delta, BaseRate: 0.55, ImpressionsPerAd: 180, Pairs: k,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf(" %6.1f%%", 100*p)
-		}
-		fmt.Println()
-	}
-	k, err := core.MinimumPairs(core.PowerOptions{Delta: 0.18, BaseRate: 0.55, ImpressionsPerAd: 180}, 0.95)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("pairs needed for 95%% power on the paper's 18-point race effect: %d (paper ran 50)\n", k)
-	return nil
-}
-
-func (r *runner) privacy() error {
-	stock, err := r.ensureStock()
-	if err != nil {
-		return err
-	}
-	lab, err := r.ensureLab()
-	if err != nil {
-		return err
-	}
-	fmt.Println("running the skew-detectability sweep: re-reading Campaign 1 at each privacy level...")
-	res, err := core.RunPrivacySweep(lab, stock.Run, core.PrivacySweepOptions{Seed: r.seed + 1000})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Privacy skew-detectability sweep (scale=%s, α=%.2f, target power %.0f%%)\n",
-		res.Scale, res.Alpha, 100*res.TargetPower)
-	fmt.Printf("baseline: race gap %+.4f, gender gap %+.4f, ≈%d impressions/ad, %d pairs/group\n",
-		res.BaselineRaceGap, res.BaselineGenderGap, res.ImpressionsPerAd, res.PairsPerGroup)
-	fmt.Printf("%-10s %5s %7s %6s %6s %7s %9s %8s %9s %8s %7s %9s\n",
-		"level", "k", "eps", "meas", "supp", "cells", "raceGap", "raceP", "genderGap", "genderP", "power", "minImps")
-	for _, c := range res.Cells {
-		eps := "∞"
-		if c.Epsilon > 0 {
-			eps = fmt.Sprintf("%.1f", c.Epsilon)
-		}
-		mark := func(measured, detected bool, p float64) string {
-			if !measured {
-				return "—"
-			}
-			s := fmt.Sprintf("%.3f", p)
-			if detected {
-				s += "*"
-			}
-			return s
-		}
-		minImps := "—"
-		if c.MinImpressionsPerAd > 0 {
-			minImps = fmt.Sprintf("%d", c.MinImpressionsPerAd)
-		}
-		fmt.Printf("%-10s %5d %7s %6d %6d %7d %+9.4f %8s %+9.4f %8s %6.1f%% %9s\n",
-			c.Level, c.K, eps, c.MeasurableAds, c.SuppressedAds, c.SuppressedCellsTotal,
-			c.RaceGap, mark(c.RaceMeasured, c.RaceDetected, c.RaceP),
-			c.GenderGap, mark(c.GenderMeasured, c.GenderDetected, c.GenderP),
-			100*c.AnalyticPower, minImps)
-	}
-	fmt.Println("(* = skew detected at α; power and minImps are the analytic model at the baseline effect size)")
-	if r.benchPath != "" {
-		data, err := json.MarshalIndent(res, "", "  ")
+	write := func(name string, body func(io.Writer) error) error {
+		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(r.benchPath, append(data, '\n'), 0o644); err != nil {
+		if err := body(f); err != nil {
+			f.Close()
 			return err
 		}
-		fmt.Printf("wrote %s\n", r.benchPath)
+		fmt.Fprintf(w, "wrote %s\n", f.Name())
+		return f.Close()
 	}
-	return nil
-}
-
-func (r *runner) verify() error {
-	stock, err := r.ensureStock()
-	if err != nil {
-		return err
-	}
-	capped, err := r.ensureStockCapped()
-	if err != nil {
-		return err
-	}
-	syn, err := r.ensureSynthetic()
-	if err != nil {
-		return err
-	}
-	emp, err := r.ensureEmployment()
-	if err != nil {
-		return err
-	}
-	pov, err := r.ensurePoverty()
-	if err != nil {
-		return err
-	}
-	lab, err := r.ensureLab()
-	if err != nil {
-		return err
-	}
-	val, err := lab.ValidateRaceInference(2, r.seed+940)
-	if err != nil {
-		return err
-	}
-	checks := core.ShapeChecks(stock, capped, syn, emp, pov, val)
-	fmt.Print(report.Checklist(checks))
-	if !core.AllPass(checks) {
-		return fmt.Errorf("shape verification failed")
-	}
-	return nil
-}
-
-func (r *runner) feedback() error {
-	// The feedback loop retrains the shared platform's model; run it on a
-	// dedicated lab so other targets keep the pristine model.
-	fmt.Println("running E16: retraining the delivery model on its own served impressions...")
-	lab, err := core.NewLab(core.LabConfig{Seed: r.seed + 930, Scale: scaleDown(r.scale)})
-	if err != nil {
-		return err
-	}
-	defer lab.Close()
-	res, err := lab.RunFeedbackLoop(4, r.seed+931)
-	if err != nil {
-		return err
-	}
-	fmt.Print(report.FeedbackLoop(res))
-	return nil
-}
-
-func (r *runner) ablations() error {
-	fmt.Println("A1 — delivery optimization off (content-blind auction):")
-	noEAR, err := core.NewLab(core.LabConfig{Seed: r.seed + 800, Scale: scaleDown(r.scale), DisableEAR: true})
-	if err != nil {
-		return err
-	}
-	defer noEAR.Close()
-	res, err := noEAR.RunStockExperiment(core.StockExperimentOptions{Seed: r.seed + 801})
-	if err != nil {
-		return err
-	}
-	c, _ := res.Table4.Black.Coefficient("Black")
-	p, _ := res.Table4.Black.PValueOf("Black")
-	fmt.Printf("  Black coefficient %.4f (p=%.2g, R²=%.3f) — skew vanishes without eAR\n\n",
-		c, p, res.Table4.Black.R2)
-
-	fmt.Println("A2 — engagement-affinity strength sweep:")
-	for _, scale := range []float64{0.5, 1.0, 1.5} {
-		lab, err := core.NewLab(core.LabConfig{Seed: r.seed + 810, Scale: scaleDown(r.scale), Behavior: scaledBehavior(scale)})
-		if err != nil {
+	campaigns, sweep := e.Delivered()
+	for _, c := range campaigns {
+		if err := write(c.Name+".csv", func(f io.Writer) error { return report.DeliveriesCSV(f, c.Deliveries) }); err != nil {
 			return err
 		}
-		sres, err := lab.RunStockExperiment(core.StockExperimentOptions{Seed: r.seed + 811})
-		lab.Close()
-		if err != nil {
-			return err
-		}
-		sc, _ := sres.Table4.Black.Coefficient("Black")
-		fmt.Printf("  affinity ×%.1f: Black coefficient %.4f\n", scale, sc)
 	}
-	fmt.Println()
-
-	fmt.Println("A3 — region granularity (state vs DMA-like travel):")
-	for _, tp := range []struct {
-		name string
-		prob float64
-	}{{"state-level", 0.004}, {"DMA-level", 0.12}} {
-		lab, err := core.NewLab(core.LabConfig{Seed: r.seed + 820, Scale: scaleDown(r.scale), TravelProb: tp.prob})
-		if err != nil {
-			return err
-		}
-		vres, err := lab.ValidateRaceInference(2, r.seed+821)
-		lab.Close()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  %-12s leakage %.2f%%, inference error %.4f\n", tp.name, 100*vres.MeanOutOfState, vres.MeanAbsError)
+	if sweep == nil {
+		return nil
 	}
-	fmt.Println()
-
-	fmt.Println("A4 — reversed-copy aggregation under a location confounder (FL ×1.5 activity):")
-	lab4, err := core.NewLab(core.LabConfig{Seed: r.seed + 830, Scale: scaleDown(r.scale), FLActivityBoost: 1.5})
-	if err != nil {
-		return err
-	}
-	vres, err := lab4.ValidateRaceInference(2, r.seed+831)
-	lab4.Close()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  aggregated inference error %.4f — confounder cancelled\n\n", vres.MeanAbsError)
-
-	fmt.Println("A5 — budget pacing vs greedy spend:")
-	for _, greedy := range []bool{false, true} {
-		lab, err := core.NewLab(core.LabConfig{Seed: r.seed + 840, Scale: scaleDown(r.scale), GreedyPacing: greedy})
-		if err != nil {
-			return err
-		}
-		sres, err := lab.RunStockExperiment(core.StockExperimentOptions{Seed: r.seed + 841, PerPerson: 1})
-		lab.Close()
-		if err != nil {
-			return err
-		}
-		name := "paced "
-		if greedy {
-			name = "greedy"
-		}
-		fmt.Printf("  %s: %d impressions, %.2f$ spend across %d ads\n",
-			name, sres.Run.TotalImpressions(), sres.Run.TotalSpendCents()/100, sres.Run.AdCount())
-	}
-	return nil
-}
-
-// scaleDown keeps ablations affordable even at -scale full.
-func scaleDown(s core.Scale) core.Scale {
-	if s == core.ScaleFull {
-		return core.ScaleBench
-	}
-	return s
-}
-
-func scaledBehavior(scale float64) population.BehaviorConfig {
-	cfg := population.DefaultBehaviorConfig()
-	cfg.AffinityScale = scale
-	return cfg
+	return write("privacy_sweep.json", func(f io.Writer) error {
+		enc := json.NewEncoder(f)
+		enc.SetIndent("", "  ")
+		return enc.Encode(sweep)
+	})
 }

@@ -202,3 +202,25 @@ func (l *Lab) RunPairedCampaign(cfg CampaignConfig, specs []AdSpec, auds SplitAu
 	}
 	return run, nil
 }
+
+// runSplit is the step every controlled experiment shares (§3.2-§3.3): draw
+// the balanced race-split audiences audName with audSeed, run the specs
+// against both, and measure each ad from its two copies.
+func (l *Lab) runSplit(cfg CampaignConfig, specs []AdSpec, audName string, audSeed int64) (*CampaignRun, []Delivery, error) {
+	auds, err := l.DefaultSplitAudiences(audName, audSeed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return l.runMeasured(cfg, specs, auds)
+}
+
+// runMeasured is runSplit over audiences the caller built (Appendix A
+// matches its samples on poverty first).
+func (l *Lab) runMeasured(cfg CampaignConfig, specs []AdSpec, auds SplitAudiences) (*CampaignRun, []Delivery, error) {
+	run, err := l.RunPairedCampaign(cfg, specs, auds)
+	if err != nil {
+		return nil, nil, err
+	}
+	ds, err := MeasureCampaign(run)
+	return run, ds, err
+}

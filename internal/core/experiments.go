@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
+	"github.com/adaudit/impliedidentity/internal/image"
 	"github.com/adaudit/impliedidentity/internal/stats"
 	"github.com/adaudit/impliedidentity/internal/voter"
 )
@@ -40,24 +42,16 @@ func (l *Lab) RunStockExperiment(opt StockExperimentOptions) (*StockResult, erro
 	if err != nil {
 		return nil, err
 	}
-	auds, err := l.DefaultSplitAudiences(fmt.Sprintf("stock-agemax%d", opt.AgeMax), opt.Seed+11)
-	if err != nil {
-		return nil, err
-	}
 	name := "Campaign 1 (stock, all ages)"
 	if opt.AgeMax > 0 {
 		name = fmt.Sprintf("Campaign 2 (stock, age<=%d)", opt.AgeMax)
 	}
-	run, err := l.RunPairedCampaign(CampaignConfig{
+	run, ds, err := l.runSplit(CampaignConfig{
 		Name:        name,
 		BudgetCents: opt.BudgetCents,
 		AgeMax:      opt.AgeMax,
 		Seed:        opt.Seed + 12,
-	}, specs, auds)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := MeasureCampaign(run)
+	}, specs, fmt.Sprintf("stock-agemax%d", opt.AgeMax), opt.Seed+11)
 	if err != nil {
 		return nil, err
 	}
@@ -123,20 +117,12 @@ func (l *Lab) RunSyntheticExperiment(opt SyntheticExperimentOptions) (*Synthetic
 	if err != nil {
 		return nil, err
 	}
-	auds, err := l.DefaultSplitAudiences("synthetic", opt.Seed+21)
-	if err != nil {
-		return nil, err
-	}
-	run, err := l.RunPairedCampaign(CampaignConfig{
+	run, ds, err := l.runSplit(CampaignConfig{
 		Name:        "Campaign 3 (synthetic)",
 		BudgetCents: opt.BudgetCents,
 		AgeMax:      opt.AgeMax,
 		Seed:        opt.Seed + 22,
-	}, specs, auds)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := MeasureCampaign(run)
+	}, specs, "synthetic", opt.Seed+21)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +141,7 @@ func (l *Lab) RunSyntheticExperiment(opt SyntheticExperimentOptions) (*Synthetic
 		sweep = append(sweep, SweepCell{
 			Target:           spec.Profile,
 			Classified:       sp.Classifier.Profile(spec.Image),
-			NuisanceDistance: nuisanceDistance(source.Image, spec),
+			NuisanceDistance: image.NuisanceDistance(source.Image, spec.Image),
 		})
 	}
 	return &SyntheticResult{Pipeline: sp, Run: run, Deliveries: ds, Table4: t4, Sweep: sweep}, nil
@@ -218,11 +204,7 @@ func (l *Lab) RunEmploymentExperiment(opt EmploymentExperimentOptions) (*Employm
 	if err != nil {
 		return nil, err
 	}
-	auds, err := l.DefaultSplitAudiences("employment", opt.Seed+32)
-	if err != nil {
-		return nil, err
-	}
-	run, err := l.RunPairedCampaign(CampaignConfig{
+	run, ds, err := l.runSplit(CampaignConfig{
 		Name:        "Campaign 4 (real-world employment)",
 		Special:     "EMPLOYMENT",
 		BudgetCents: opt.BudgetCents,
@@ -230,11 +212,7 @@ func (l *Lab) RunEmploymentExperiment(opt EmploymentExperimentOptions) (*Employm
 		Seed:        opt.Seed + 33,
 		Headline:    "Now hiring — apply today",
 		LinkURL:     "https://example-jobs.test/listings",
-	}, specs, auds)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := MeasureCampaign(run)
+	}, specs, "employment", opt.Seed+32)
 	if err != nil {
 		return nil, err
 	}
@@ -312,20 +290,12 @@ func (l *Lab) RunFigure1(pipeline *SyntheticPipeline, seed int64) (*Figure1Resul
 	if len(pair) != 2 {
 		return nil, fmt.Errorf("core: figure 1 pair not found in employment specs")
 	}
-	auds, err := l.DefaultSplitAudiences("figure1", seed+41)
-	if err != nil {
-		return nil, err
-	}
-	run, err := l.RunPairedCampaign(CampaignConfig{
+	_, ds, err := l.runSplit(CampaignConfig{
 		Name:        "Figure 1 job-ad pair",
 		Special:     "EMPLOYMENT",
 		BudgetCents: 246,
 		Seed:        seed + 42,
-	}, pair, auds)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := MeasureCampaign(run)
+	}, pair, "figure1", seed+41)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +371,7 @@ func (l *Lab) RunPovertyExperiment(opt PovertyExperimentOptions) (*PovertyResult
 	res.PreMedianWhite, res.PreMedianBlack = voter.PovertyStats(l.FL, flSample)
 	res.PreTest = povertyWelch(l, flSample, ncSample)
 
-	rng := newSeededRand(opt.Seed + 51)
+	rng := rand.New(rand.NewSource(opt.Seed + 51))
 	flMatched := voter.MatchPoverty(l.FL, flSample, 10, rng)
 	ncMatched := voter.MatchPoverty(l.NC, ncSample, 10, rng)
 	res.AudienceAfter = len(flMatched) + len(ncMatched)
@@ -428,7 +398,7 @@ func (l *Lab) RunPovertyExperiment(opt PovertyExperimentOptions) (*PovertyResult
 		// Review strictness is experiment-local state on the shared lab.
 		_ = l.Platform.SetReviewRejectProb(0)
 	}()
-	run, err := l.RunPairedCampaign(CampaignConfig{
+	run, ds, err := l.runMeasured(CampaignConfig{
 		Name:        "Appendix A (poverty-controlled)",
 		BudgetCents: opt.BudgetCents,
 		Seed:        opt.Seed + 53,
@@ -442,10 +412,6 @@ func (l *Lab) RunPovertyExperiment(opt PovertyExperimentOptions) (*PovertyResult
 		}
 	}
 	res.SurvivingSpecs = len(run.Ads) - res.RejectedSpecs
-	ds, err := MeasureCampaign(run)
-	if err != nil {
-		return nil, err
-	}
 	res.Deliveries = ds
 	if res.TableA1, err = TableA1(ds); err != nil {
 		return nil, err
@@ -492,19 +458,11 @@ func (l *Lab) ValidateRaceInference(perPerson int, seed int64) (*ValidationResul
 	if err != nil {
 		return nil, err
 	}
-	auds, err := l.DefaultSplitAudiences("validation", seed+61)
-	if err != nil {
-		return nil, err
-	}
-	run, err := l.RunPairedCampaign(CampaignConfig{
+	run, ds, err := l.runSplit(CampaignConfig{
 		Name:        "E11 methodology validation",
 		BudgetCents: 200,
 		Seed:        seed + 62,
-	}, specs, auds)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := MeasureCampaign(run)
+	}, specs, "validation", seed+61)
 	if err != nil {
 		return nil, err
 	}

@@ -47,20 +47,12 @@ func (l *Lab) RunObjectiveComparison(seed int64) (*ObjectiveComparisonResult, er
 	}
 	res := &ObjectiveComparisonResult{}
 	for i, objective := range []string{"AWARENESS", "TRAFFIC", "CONVERSIONS"} {
-		auds, err := l.DefaultSplitAudiences("objective-"+objective, seed+int64(i))
-		if err != nil {
-			return nil, err
-		}
-		run, err := l.RunPairedCampaign(CampaignConfig{
+		_, ds, err := l.runSplit(CampaignConfig{
 			Name:        "E13 " + objective,
 			Objective:   objective,
 			BudgetCents: 300,
 			Seed:        seed + 10 + int64(i),
-		}, specs, auds)
-		if err != nil {
-			return nil, err
-		}
-		ds, err := MeasureCampaign(run)
+		}, specs, "objective-"+objective, seed+int64(i))
 		if err != nil {
 			return nil, err
 		}
@@ -115,19 +107,11 @@ func (l *Lab) RunGroupPhotoExperiment(seed int64) (*GroupPhotoResult, error) {
 		{Key: "single-black", Profile: black.ImpliedProfile(), Image: black},
 		{Key: "diverse-pair", Profile: pair.ImpliedProfile(), Image: pair},
 	}
-	auds, err := l.DefaultSplitAudiences("group-photo", seed+1)
-	if err != nil {
-		return nil, err
-	}
-	run, err := l.RunPairedCampaign(CampaignConfig{
+	_, ds, err := l.runSplit(CampaignConfig{
 		Name:        "E14 group photos",
 		BudgetCents: 800,
 		Seed:        seed + 2,
-	}, specs, auds)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := MeasureCampaign(run)
+	}, specs, "group-photo", seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -269,15 +253,10 @@ func (l *Lab) RunFeedbackLoop(rounds int, seed int64) (*FeedbackLoopResult, erro
 			ServedLog: l.Platform.ServedLogSize(),
 		})
 		if r < rounds-1 {
-			if err := l.Platform.Retrain(trainingForRetrain(l, seed+int64(r))); err != nil {
+			if err := l.Platform.Retrain(platform.TrainingConfig{Seed: seed + int64(r) + 7777}); err != nil {
 				return nil, fmt.Errorf("core: retraining after round %d: %w", r, err)
 			}
 		}
 	}
 	return res, nil
-}
-
-// trainingForRetrain builds the retraining configuration at the lab's scale.
-func trainingForRetrain(l *Lab, seed int64) platform.TrainingConfig {
-	return platform.TrainingConfig{Seed: seed + 7777}
 }

@@ -75,41 +75,37 @@ type LabConfig struct {
 	Privacy privacy.Config
 }
 
-// votersPerState returns the registry size for the preset.
-func (s Scale) votersPerState() int {
-	switch s {
-	case ScaleBench:
-		return 40000
-	case ScaleFull:
-		return 120000
-	default:
-		return 20000
-	}
+// scalePreset is what a preset sizes: the registry per state, the engagement
+// log the platform trains on, the stratified-sample cap per cell for audience
+// construction, and the faces §5.4's direction fit samples (the paper's
+// 50,000 at full).
+type scalePreset struct{ votersPerState, trainingRows, perCell, discoverySamples int }
+
+var scalePresets = [...]scalePreset{
+	ScaleTest:  {20000, 20000, 250, 2000},
+	ScaleBench: {40000, 30000, 400, 10000},
+	ScaleFull:  {120000, 60000, 1200, 50000},
 }
 
-// trainingRows returns the engagement-log size for the preset.
-func (s Scale) trainingRows() int {
-	switch s {
-	case ScaleBench:
-		return 30000
-	case ScaleFull:
-		return 60000
-	default:
-		return 20000
+// preset returns s's row; an unknown scale is sized like ScaleTest.
+func (s Scale) preset() scalePreset {
+	if s < 0 || int(s) >= len(scalePresets) {
+		s = ScaleTest
 	}
+	return scalePresets[s]
 }
 
 // PerCell returns the default stratified-sample cap per cell for audience
 // construction at this scale.
-func (s Scale) PerCell() int {
-	switch s {
-	case ScaleBench:
-		return 400
-	case ScaleFull:
-		return 1200
-	default:
-		return 250
+func (s Scale) PerCell() int { return s.preset().perCell }
+
+// reduced is the preset side labs (ablations, the feedback loop) run at:
+// bench under a full evaluation, so it can afford a dozen of them.
+func (s Scale) reduced() Scale {
+	if s == ScaleFull {
+		return ScaleBench
 	}
+	return s
 }
 
 // Lab is a fully assembled audit environment: synthetic voter registries, a
@@ -137,8 +133,8 @@ type Lab struct {
 func NewLab(cfg LabConfig) (*Lab, error) {
 	worldCfg := node.WorldConfig{
 		Seed:       cfg.Seed,
-		Voters:     cfg.Scale.votersPerState(),
-		LogRows:    cfg.Scale.trainingRows(),
+		Voters:     cfg.Scale.preset().votersPerState,
+		LogRows:    cfg.Scale.preset().trainingRows,
 		Population: population.Config{TravelProb: cfg.TravelProb, FLActivityBoost: cfg.FLActivityBoost},
 		Behavior:   cfg.Behavior,
 	}
@@ -191,9 +187,10 @@ func (l *Lab) SetPrivacy(cfg privacy.Config) {
 	l.server.SetPrivacy(cfg)
 }
 
-// Close shuts down the marketing API server.
+// Close shuts down the marketing API server; closing a nil or closed lab
+// does nothing.
 func (l *Lab) Close() error {
-	if l.httpServer == nil {
+	if l == nil || l.httpServer == nil {
 		return nil
 	}
 	err := l.httpServer.Close()

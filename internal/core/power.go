@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"github.com/adaudit/impliedidentity/internal/privacy"
 	"github.com/adaudit/impliedidentity/internal/stats"
@@ -238,7 +239,7 @@ func SimulatedPower(o PowerOptions, trials int, seed int64) (float64, error) {
 	if trials < 100 {
 		return 0, fmt.Errorf("core: %d trials too few", trials)
 	}
-	rng := newSeededRand(seed)
+	rng := rand.New(rand.NewSource(seed))
 	p1 := o.BaseRate + o.Delta/2
 	p2 := o.BaseRate - o.Delta/2
 	if p1 >= 1 || p2 <= 0 {

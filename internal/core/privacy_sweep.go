@@ -21,8 +21,8 @@ import (
 // reads; the measured attenuation is then compared with the analytic power
 // model in PrivateAuditPower.
 
-// PrivacySweepSchema tags BENCH_privacy_v1.json so later PRs can extend the
-// layout while still parsing old trajectory points.
+// PrivacySweepSchema tags the privacy_sweep.json that `adaudit -csv <dir> run
+// privacy` writes, so the layout can grow while old files still parse.
 const PrivacySweepSchema = "adaudit/bench-privacy/v1"
 
 // PrivacySweepOptions configures the grid.

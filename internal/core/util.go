@@ -2,22 +2,9 @@ package core
 
 import (
 	"math"
-	"math/rand"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
-	"github.com/adaudit/impliedidentity/internal/image"
 )
-
-func impliedAges() []demo.ImpliedAge { return demo.AllImpliedAges() }
-
-// newSeededRand returns a deterministic RNG.
-func newSeededRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-// nuisanceDistance measures how far an ad spec's image sits from a source
-// image in nuisance space.
-func nuisanceDistance(source image.Features, spec AdSpec) float64 {
-	return image.NuisanceDistance(source, spec.Image)
-}
 
 // Fig4Point is one x-position of Figure 4: the fraction of men (or women)
 // aged 55+ in the actual audience, by the implied age and gender of the
@@ -33,7 +20,7 @@ type Fig4Point struct {
 // Figure4 computes the Figure 4 series from stock deliveries.
 func Figure4(ds []Delivery) []Fig4Point {
 	var out []Fig4Point
-	for _, a := range impliedAges() {
+	for _, a := range demo.AllImpliedAges() {
 		p := Fig4Point{ImpliedAge: a.String()}
 		p.MaleImgMen55, _ = GroupMean(ds,
 			func(d *Delivery) bool { return d.Profile.Age == a && d.Profile.Gender.String() == "male" },

@@ -98,13 +98,6 @@ type Config struct {
 	Rate float64
 	// Kinds are the eligible failure modes; empty means all of them.
 	Kinds []Kind
-	// RetryAfter is the value of the Retry-After header on injected 429s,
-	// in whole seconds (the header's unit). Zero sends "Retry-After: 0",
-	// which well-behaved clients treat as "retry at your own backoff".
-	RetryAfter time.Duration
-	// DripDelay paces slow responses: the body goes out in dripChunks pieces
-	// with DripDelay between them (default 1ms).
-	DripDelay time.Duration
 	// Clock is what injected latency and drip delays sleep on; nil is the
 	// system clock.
 	Clock obs.Clock
@@ -114,8 +107,13 @@ const (
 	// maxLatency bounds injected latency: enough to reorder concurrent
 	// requests without slowing a soak to a crawl.
 	maxLatency = 3 * time.Millisecond
-	// dripChunks is the number of pieces a slow response goes out in.
+	// dripChunks is the number of pieces a slow response goes out in, with
+	// dripDelay between them.
 	dripChunks = 4
+	dripDelay  = time.Millisecond
+	// retryAfter is the Retry-After header on injected 429s: "0", which
+	// well-behaved clients treat as "retry at your own backoff".
+	retryAfter = "0"
 )
 
 // exemptPaths lists the path prefixes never faulted: the operational
@@ -126,9 +124,6 @@ var exemptPaths = []string{"/metrics", "/healthz"}
 func (c Config) withDefaults() Config {
 	if len(c.Kinds) == 0 {
 		c.Kinds = AllKinds()
-	}
-	if c.DripDelay <= 0 {
-		c.DripDelay = time.Millisecond
 	}
 	if c.Clock == nil {
 		c.Clock = obs.SystemClock
@@ -315,7 +310,7 @@ func (inj *Injector) Middleware(next http.Handler) http.Handler {
 			inj.cfg.Clock.Sleep(d.Latency)
 			next.ServeHTTP(w, r)
 		case KindReject429:
-			w.Header().Set("Retry-After", strconv.Itoa(int(inj.cfg.RetryAfter/time.Second)))
+			w.Header().Set("Retry-After", retryAfter)
 			writeInjectedError(w, d.Status)
 		case KindReject5xx:
 			writeInjectedError(w, d.Status)
@@ -378,7 +373,7 @@ func (inj *Injector) drip(w http.ResponseWriter, r *http.Request, next http.Hand
 		}
 		body = body[n:]
 		if len(body) > 0 {
-			inj.cfg.Clock.Sleep(inj.cfg.DripDelay)
+			inj.cfg.Clock.Sleep(dripDelay)
 		}
 	}
 }

@@ -158,7 +158,7 @@ func okHandler() http.Handler {
 
 func TestMiddlewareRejectionFaults(t *testing.T) {
 	reg := obs.NewRegistry()
-	inj, err := New(Config{Seed: 1, Rate: 1, Kinds: []Kind{KindReject429}, RetryAfter: 2 * time.Second}, reg)
+	inj, err := New(Config{Seed: 1, Rate: 1, Kinds: []Kind{KindReject429}}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +172,8 @@ func TestMiddlewareRejectionFaults(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "2" {
-		t.Errorf("Retry-After %q, want \"2\"", got)
+	if got := resp.Header.Get("Retry-After"); got != "0" {
+		t.Errorf("Retry-After %q, want \"0\"", got)
 	}
 	var env struct {
 		Error string `json:"error"`
@@ -218,7 +218,7 @@ func TestMiddlewareDropTruncatesAfterHandlerRan(t *testing.T) {
 }
 
 func TestMiddlewareSlowDripCompletes(t *testing.T) {
-	inj, err := New(Config{Seed: 1, Rate: 1, Kinds: []Kind{KindSlow}, DripDelay: 200 * time.Microsecond}, nil)
+	inj, err := New(Config{Seed: 1, Rate: 1, Kinds: []Kind{KindSlow}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

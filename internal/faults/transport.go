@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -132,12 +131,12 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	case KindSlow:
 		// Client-side "slow" is indistinguishable from a dripped body:
 		// the answer arrives late but whole.
-		t.clock.Sleep(dripChunks * t.inj.cfg.DripDelay)
+		t.clock.Sleep(dripChunks * dripDelay)
 		return t.base.RoundTrip(req)
 	case KindReject429:
-		return synthesizeReject(req, d.Status, int(t.inj.cfg.RetryAfter/time.Second)), nil
+		return synthesizeReject(req, d.Status, retryAfter), nil
 	case KindReject5xx:
-		return synthesizeReject(req, d.Status, -1), nil
+		return synthesizeReject(req, d.Status, ""), nil
 	case KindDrop:
 		// Execute for real, discard the answer: the backend applied the
 		// request, the caller sees only a cut connection.
@@ -152,8 +151,8 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // synthesizeReject fabricates a rejection response without a round trip, in
-// the marketing API's JSON error envelope. retryAfter < 0 omits the header.
-func synthesizeReject(req *http.Request, status, retryAfter int) *http.Response {
+// the marketing API's JSON error envelope. An empty retryAfter omits the header.
+func synthesizeReject(req *http.Request, status int, retryAfter string) *http.Response {
 	body := fmt.Sprintf(`{"error":"faults: injected %d"}`, status)
 	resp := &http.Response{
 		StatusCode:    status,
@@ -166,8 +165,8 @@ func synthesizeReject(req *http.Request, status, retryAfter int) *http.Response 
 		ContentLength: int64(len(body)),
 		Request:       req,
 	}
-	if retryAfter >= 0 {
-		resp.Header.Set("Retry-After", strconv.Itoa(retryAfter))
+	if retryAfter != "" {
+		resp.Header.Set("Retry-After", retryAfter)
 	}
 	return resp
 }

@@ -88,7 +88,7 @@ func TestGateSlowDelays(t *testing.T) {
 // trip, and exempt paths skip the schedule.
 func TestTransportInjectsRejections(t *testing.T) {
 	srv, _, hits := newBackend(t)
-	inj, err := New(Config{Seed: 5, Rate: 1, Kinds: []Kind{KindReject429}, RetryAfter: 3 * time.Second}, nil)
+	inj, err := New(Config{Seed: 5, Rate: 1, Kinds: []Kind{KindReject429}}, nil)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -102,8 +102,8 @@ func TestTransportInjectsRejections(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Retry-After"); got != "3" {
-		t.Fatalf("Retry-After %q, want 3", got)
+	if got := resp.Header.Get("Retry-After"); got != "0" {
+		t.Fatalf("Retry-After %q, want 0", got)
 	}
 	if *hits != 0 {
 		t.Fatalf("rejected request reached the backend")

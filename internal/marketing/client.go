@@ -94,9 +94,6 @@ type Client struct {
 
 	idemBase string
 	idemSeq  atomic.Uint64
-
-	// journal records calls that needed retries, bounded (see retrylog.go).
-	journal *retryJournal
 }
 
 // NewClient builds a client for the API at baseURL (e.g.
@@ -114,7 +111,6 @@ func NewClient(baseURL string) (*Client, error) {
 		breaker:  DefaultBreakerPolicy(),
 		reg:      obs.NewRegistry(),
 		idemBase: fmt.Sprintf("ck-%08x", rand.Uint32()),
-		journal:  newRetryJournal(),
 	}, nil
 }
 
@@ -409,32 +405,9 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 	maxAttempts := c.retry.MaxAttempts
 	clock := c.clock
 	retries := c.reg.Counter(MetricClientRetries)
-	evictions := c.reg.Counter(MetricRetryJournalEvictions)
 	c.mu.Unlock()
 	if maxAttempts <= 0 {
 		maxAttempts = 1
-	}
-
-	// journal logs this call into the bounded retry journal; only calls
-	// that actually retried are recorded.
-	journal := func(attempts int, outcome string, lastErr error) {
-		if attempts <= 1 {
-			return
-		}
-		msg := ""
-		if lastErr != nil {
-			msg = lastErr.Error()
-		}
-		if c.journal.record(RetryEvent{
-			Method:         method,
-			Path:           path,
-			IdempotencyKey: idemKey,
-			Attempts:       attempts,
-			Outcome:        outcome,
-			LastError:      msg,
-		}) {
-			evictions.Inc()
-		}
 	}
 
 	var lastErr error
@@ -452,7 +425,6 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 		payload, err := c.once(ctx, method, path, body, idemKey)
 		if err == nil {
 			c.breakerRecord(true)
-			journal(attempt, RetryRecovered, lastErr)
 			return payload, nil
 		}
 		lastErr = err
@@ -464,7 +436,6 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 			if errors.As(err, &apiErr) {
 				c.breakerRecord(true)
 			}
-			journal(attempt, RetryTerminal, err)
 			return nil, err
 		}
 		c.breakerRecord(false)
@@ -478,7 +449,6 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 		}
 		clock.Sleep(c.backoffDelay(attempt, retryAfter))
 	}
-	journal(maxAttempts, RetryExhausted, lastErr)
 	return nil, fmt.Errorf("marketing: %s %s failed after %d attempts: %w", method, path, maxAttempts, lastErr)
 }
 
