@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/adaudit/impliedidentity/internal/coordinator"
 	"github.com/adaudit/impliedidentity/internal/node"
@@ -45,7 +44,7 @@ func simLauncher(t testing.TB, shards int) func(durable bool) (Deployment, error
 			Coordinator: coordinator.Config{MaxFanout: 1},
 			// A kill models a process crash, not power loss: what Kill drops is
 			// the unflushed buffer, fsync or no fsync.
-			Stack: node.StackConfig{Store: store.Options{Fsync: store.FsyncNone, FlushInterval: 100 * time.Microsecond}},
+			Stack: node.StackConfig{Store: store.Options{Fsync: store.FsyncNone}},
 		}
 		if testing.Verbose() {
 			cfg.Logf = t.Logf

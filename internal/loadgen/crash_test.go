@@ -65,7 +65,6 @@ func crashFleet(t *testing.T) *chaos.Fleet {
 			// would only slow the loop without changing what Kill can lose.
 			Store: store.Options{
 				Fsync:         store.FsyncNone,
-				FlushInterval: 500 * time.Microsecond,
 				SnapshotEvery: 25, // force snapshot+compaction churn during the soak
 			},
 		},

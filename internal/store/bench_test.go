@@ -1,9 +1,10 @@
 package store
 
 // Benchmarks of the durability layer, beside the code: one record appended
-// and group-committed, by kind, and a snapshot written and recovered from.
+// and group-committed, by kind; one acknowledged write, alone and with
+// concurrent writers; and a snapshot written and recovered from.
 //
-//	go test -run '^$' -bench 'WALAppend|SnapshotRecover' -benchtime 200x ./internal/store
+//	go test -run '^$' -bench 'WALAppend|Commit|SnapshotRecover' -benchtime 200x ./internal/store
 
 import (
 	"context"
@@ -77,6 +78,67 @@ func BenchmarkWALAppend(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(st.reg.Counter(MetricBytesAppended).Value())/float64(b.N), "bytes/record")
+		})
+	}
+}
+
+// BenchmarkCommit is the store's share of one acknowledged write: an ad
+// record through the platform's hook, then Barrier. serial is one writer, a
+// commit per record (what serve's one client costs the store); parallel is
+// 4×GOMAXPROCS writers and reports how many records each commit carried.
+// Both run under interval (no sync on the commit path) and always (one
+// fsync per commit).
+func BenchmarkCommit(b *testing.B) {
+	var ad platform.Mutation
+	src := newPlatform(b)
+	src.SetMutationHook(func(m platform.Mutation) {
+		if m.Kind == platform.MutAdCreated {
+			ad = m
+		}
+	})
+	benchAccount(b, src, 2)
+	ctx := context.Background()
+	for _, mode := range []FsyncMode{FsyncInterval, FsyncAlways} {
+		open := func(b *testing.B) *Store {
+			st, err := Open(Options{Dir: b.TempDir(), Fsync: mode})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { _, _ = st.Close() })
+			if _, err := st.Recover(newPlatform(b)); err != nil {
+				b.Fatal(err)
+			}
+			return st
+		}
+		b.Run("serial/"+string(mode), func(b *testing.B) {
+			st := open(b)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.onMutation(ad)
+				if err := st.Barrier(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("parallel/"+string(mode), func(b *testing.B) {
+			st := open(b)
+			commits := st.reg.Counter(MetricGroupCommits).Value()
+			b.ReportAllocs()
+			b.SetParallelism(4)
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					st.onMutation(ad)
+					if err := st.Barrier(ctx); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+			b.StopTimer()
+			records := st.reg.Counter(MetricRecordsAppended).Value()
+			b.ReportMetric(float64(records)/float64(st.reg.Counter(MetricGroupCommits).Value()-commits), "records/commit")
 		})
 	}
 }

@@ -6,20 +6,22 @@
 //
 // Design in one paragraph: the platform emits every committed mutation
 // through its hook (see platform/state.go); the store frames each one as a
-// length+CRC32 JSON record and appends it to the active WAL segment through
-// a group-commit pipeline — appends buffer under the lock, a background
-// flusher flushes (and fsyncs, per the configured mode) the whole batch at
-// the flush interval, and Barrier lets the HTTP server wait for durability
-// before acking, so one fsync covers every concurrent request in the window.
-// Every SnapshotEvery records the store writes a full-state snapshot and
-// rotates the WAL, deleting segments the snapshot covers. Recovery loads the
-// newest valid snapshot, then replays the WAL tail in sequence order,
-// truncating at the first torn or corrupt record instead of failing: a crash
-// mid-write costs at most the unacked tail, never the acked prefix.
+// length+CRC32 JSON record into a pending buffer and wakes nobody. The HTTP
+// server calls Barrier before acking, and a Barrier whose record is still
+// pending commits it itself: it takes the one-slot commit token, swaps the
+// pending buffer out, writes it (and fsyncs, per the configured mode) with
+// no lock the platform's mutations take, and releases every waiter of that
+// batch. Records appended while a commit is in flight form the next batch,
+// which the next waiter commits, so concurrent writers share one write and
+// one fsync without a commit window. Every SnapshotEvery records a
+// background goroutine writes a full-state snapshot and rotates the WAL,
+// deleting segments the snapshot covers. Recovery loads the newest valid
+// snapshot, then replays the WAL tail in sequence order, truncating at the
+// first torn or corrupt record instead of failing: a crash mid-write costs
+// at most the unacked tail, never the acked prefix.
 package store
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -41,8 +43,10 @@ const (
 	// FsyncAlways syncs once per group commit: an acked record survives
 	// machine power loss. The default.
 	FsyncAlways FsyncMode = "always"
-	// FsyncInterval syncs at most once per SyncEvery: an acked record
-	// survives process crash always, machine crash up to SyncEvery behind.
+	// FsyncInterval leaves commits unsynced and syncs the tail in the
+	// background syncEvery after the commit that left it dirty: an acked
+	// record survives process crash always, machine crash up to syncEvery
+	// behind.
 	FsyncInterval FsyncMode = "interval"
 	// FsyncNone never syncs explicitly: durability is whatever the OS page
 	// cache provides. For benchmarks and tests.
@@ -68,13 +72,13 @@ const (
 	MetricGroupCommits    = "store.group_commits"
 	MetricSnapshots       = "store.snapshots"
 	// MetricSnapshotFailures counts background snapshot attempts that
-	// returned an error. The flusher retries on the next threshold
-	// crossing, but a silently failing snapshot means recovery time grows
-	// unbounded — this counter is the alarm for that condition.
+	// returned an error. The next threshold crossing retries, but a
+	// silently failing snapshot means recovery time grows unbounded — this
+	// counter is the alarm for that condition.
 	MetricSnapshotFailures = "store.snapshot_failures"
 	// GaugeGroupCommitBatch is the size of the most recent group commit:
-	// together with the two counters above it tells whether the flush
-	// interval is actually batching concurrent writers.
+	// together with the two counters above it tells whether concurrent
+	// writers are sharing commits.
 	GaugeGroupCommitBatch = "store.group_commit_batch"
 	// GaugeRecoveryMs is how long the last Recover took, in milliseconds.
 	GaugeRecoveryMs = "store.recovery_duration_ms"
@@ -94,12 +98,6 @@ type Options struct {
 	Dir string
 	// Fsync is the sync discipline; default FsyncAlways.
 	Fsync FsyncMode
-	// FlushInterval is the group-commit window: how long the flusher lets a
-	// batch accumulate before flushing it. Default 1ms.
-	FlushInterval time.Duration
-	// SyncEvery bounds the fsync staleness in FsyncInterval mode.
-	// Default 100ms.
-	SyncEvery time.Duration
 	// SnapshotEvery writes a snapshot (and compacts the WAL) after this many
 	// appended records. 0 disables automatic snapshots; Close still writes a
 	// final one.
@@ -113,20 +111,17 @@ func (o Options) withDefaults() Options {
 	if o.Fsync == "" {
 		o.Fsync = FsyncAlways
 	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = time.Millisecond
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 100 * time.Millisecond
-	}
 	if o.Metrics == nil {
 		o.Metrics = obs.NewRegistry()
 	}
 	return o
 }
 
-// batch is one group commit in progress: appends join it, the flusher
-// settles it, waiters block on done and read err afterwards.
+// syncEvery is how long FsyncInterval leaves a committed tail unsynced.
+const syncEvery = 100 * time.Millisecond
+
+// batch is one group commit: appends join it while it is pending, the
+// leader that commits it closes done, waiters read err afterwards.
 type batch struct {
 	done chan struct{}
 	err  error
@@ -134,31 +129,38 @@ type batch struct {
 }
 
 // Store is the durable state store. Open it, Recover into a freshly built
-// platform (this also arms the mutation hook and starts the flusher), hand
-// it to the HTTP server as its persistence barrier, and Close on shutdown.
+// platform (this also arms the mutation hook), hand it to the HTTP server as
+// its persistence barrier, and Close on shutdown.
 type Store struct {
 	opts Options
 	reg  *obs.Registry
 
+	// token is the one-slot commit token: whoever holds it owns f and the
+	// buffer being written. Barrier leaders, the background sync, compact,
+	// Close and Kill take it.
+	token chan struct{}
+
 	mu        sync.Mutex
-	f         *os.File      // active WAL segment
-	buf       *bufio.Writer // append buffer over f
-	segStart  uint64        // first sequence the active segment may hold
-	seq       uint64        // last assigned sequence number
-	snapSeq   uint64        // sequence the latest snapshot covers
-	sinceSnap int           // records appended since the latest snapshot
-	cur       *batch        // open batch accumulating appends
-	lastBatch *batch        // batch containing the most recent append
-	sticky    error         // first unrecoverable append/flush error
-	lastSync  time.Time
+	f         *os.File // active WAL segment
+	pending   []byte   // framed records of cur, not yet written
+	spare     []byte   // the buffer the last commit wrote, reused by the next swap
+	segStart  uint64   // first sequence the active segment may hold
+	seq       uint64   // last assigned sequence number
+	written   uint64   // last sequence handed to f
+	snapSeq   uint64   // sequence the latest snapshot covers
+	sinceSnap int      // records appended since the latest snapshot
+	cur       *batch   // pending batch accumulating appends
+	last      *batch   // batch containing the most recent append
+	sticky    error    // first unrecoverable append/commit error
+	dirty     bool     // FsyncInterval: written since the last sync
 	closed    bool
 	recovered bool
 
 	p *platform.Platform
 
-	kick     chan struct{}
+	wake     chan struct{} // a commit found a snapshot due or left the tail dirty
 	stop     chan struct{}
-	flusherC chan struct{} // closed when the flusher exits
+	bgDone   chan struct{} // closed when the background goroutine exits
 	stopOnce sync.Once
 }
 
@@ -176,11 +178,12 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	return &Store{
-		opts:     opts,
-		reg:      opts.Metrics,
-		kick:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		flusherC: make(chan struct{}),
+		opts:   opts,
+		reg:    opts.Metrics,
+		token:  make(chan struct{}, 1),
+		wake:   make(chan struct{}, 1),
+		stop:   make(chan struct{}),
+		bgDone: make(chan struct{}),
 	}, nil
 }
 
@@ -222,7 +225,7 @@ func (ri *RecoveryInfo) String() string {
 // Recover restores the durable account into p (which must be freshly built
 // from the same world seed the store's history was recorded against), arms
 // p's mutation hook so subsequent mutations append to the WAL, and starts
-// the group-commit flusher. It must be called exactly once, before traffic.
+// the background goroutine. It must be called exactly once, before traffic.
 func (s *Store) Recover(p *platform.Platform) (*RecoveryInfo, error) {
 	if p == nil {
 		return nil, fmt.Errorf("store: nil platform")
@@ -314,40 +317,22 @@ func (s *Store) Recover(p *platform.Platform) (*RecoveryInfo, error) {
 		s.reg.Counter(MetricTruncatedBytes).Add(info.TruncatedBytes)
 	}
 
-	// Resume appending: reuse the newest surviving segment, or start a fresh
-	// one when the directory has none.
-	s.mu.Lock()
-	s.seq = lastSeq
-	s.snapSeq = info.SnapshotSeq
-	// The newest surviving segment (post-truncation) is append-ready;
-	// segments past a break were removed above.
-	var f *os.File
+	// Resume appending: reuse the newest surviving segment (segments past a
+	// break were removed above), or start a fresh one when there is none.
+	segStart, flags := lastSeq+1, os.O_WRONLY|os.O_CREATE|os.O_EXCL
 	for i := len(listing.segments) - 1; i >= 0; i-- {
-		path := filepath.Join(s.opts.Dir, walName(listing.segments[i]))
-		//adlint:allow lockhold (recovery runs before the store is shared; the lock is uncontended)
-		if _, statErr := os.Stat(path); statErr == nil {
-			f, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644) //adlint:allow lockhold (see above)
-			s.segStart = listing.segments[i]
+		if _, err := os.Stat(filepath.Join(s.opts.Dir, walName(listing.segments[i]))); err == nil {
+			segStart, flags = listing.segments[i], os.O_WRONLY|os.O_APPEND
 			break
 		}
 	}
+	f, err := os.OpenFile(filepath.Join(s.opts.Dir, walName(segStart)), flags, 0o644)
 	if err != nil {
-		s.mu.Unlock()
 		return nil, err
 	}
-	if f == nil {
-		s.segStart = lastSeq + 1
-		f, err = os.OpenFile(filepath.Join(s.opts.Dir, walName(s.segStart)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644) //adlint:allow lockhold (see above)
-		if err != nil {
-			s.mu.Unlock()
-			return nil, err
-		}
-	}
-	s.f = f
-	s.buf = bufio.NewWriterSize(f, 1<<20)
-	s.p = p
-	s.recovered = true
-	s.lastSync = time.Now()
+	s.mu.Lock()
+	s.seq, s.written, s.snapSeq, s.segStart = lastSeq, lastSeq, info.SnapshotSeq, segStart
+	s.f, s.p, s.recovered = f, p, true
 	s.mu.Unlock()
 
 	info.LastSeq = lastSeq
@@ -356,14 +341,14 @@ func (s *Store) Recover(p *platform.Platform) (*RecoveryInfo, error) {
 	s.reg.Gauge(GaugeRecoveredEvents).Set(int64(info.Replayed))
 
 	p.SetMutationHook(s.onMutation)
-	go s.flusher()
+	go s.background()
 	return info, nil
 }
 
-// onMutation is the platform hook: frame and buffer the record, join the
-// open batch, and wake the flusher. It runs under the platform's write lock,
-// so it must not block on I/O completion — durability waiting is Barrier's
-// job.
+// onMutation is the platform hook: frame the record into the pending
+// buffer and join the pending batch. It runs under the platform's write
+// lock, so it wakes nobody and never waits on I/O — committing is the job of
+// the Barrier that wants the record durable.
 func (s *Store) onMutation(m platform.Mutation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -372,124 +357,154 @@ func (s *Store) onMutation(m platform.Mutation) {
 	}
 	s.seq++
 	payload, err := json.Marshal(walRecord{Version: walRecordVersion, Seq: s.seq, Mut: m})
-	if err == nil {
-		err = writeFrame(s.buf, payload)
-	}
 	if err != nil {
-		s.sticky = fmt.Errorf("store: appending seq %d: %w", s.seq, err)
-		s.failPendingLocked()
+		s.failLocked(fmt.Errorf("store: appending seq %d: %w", s.seq, err))
 		return
 	}
+	s.pending = appendFrame(s.pending, payload)
 	if s.cur == nil {
 		s.cur = &batch{done: make(chan struct{})}
 	}
 	s.cur.n++
-	s.lastBatch = s.cur
+	s.last = s.cur
 	s.sinceSnap++
 	s.reg.Counter(MetricRecordsAppended).Inc()
 	s.reg.Counter(MetricBytesAppended).Add(int64(frameHeaderSize + len(payload)))
-	select {
-	case s.kick <- struct{}{}:
-	default:
-	}
 }
 
-// Barrier blocks until every mutation appended so far is flushed (and, per
+// Barrier blocks until every mutation appended so far is written (and, per
 // the fsync mode, synced). The HTTP server calls it between applying a
-// mutation and acking the response: persist-before-respond.
+// mutation and acking the response: persist-before-respond. When the batch
+// holding the latest record is still pending, the caller becomes its leader
+// and commits it; a leader finishes its commit even if ctx ends meanwhile.
 func (s *Store) Barrier(ctx context.Context) error {
 	s.mu.Lock()
-	if s.sticky != nil {
+	b, err := s.last, s.sticky
+	s.mu.Unlock()
+	if err != nil || b == nil {
+		return err
+	}
+	select {
+	case <-b.done:
+	case <-ctx.Done():
+		return ctx.Err()
+	case s.token <- struct{}{}:
+		// With the token held no batch is in flight, so b is either done or
+		// still the pending one.
+		select {
+		case <-b.done:
+		default:
+			_ = s.commit(false) // b.err carries the outcome
+		}
+		<-s.token
+	}
+	return b.err
+}
+
+// commit writes the pending batch, syncs the segment when sync is set or
+// the mode asks, and releases the batch's waiters. The caller holds the
+// token; s.mu is held only to swap the buffer out and to publish the
+// outcome, never across the write or the sync.
+func (s *Store) commit(sync bool) error {
+	sync = sync || s.opts.Fsync == FsyncAlways
+	s.mu.Lock()
+	if s.f == nil || s.sticky != nil { // closed or failed: nothing is pending
 		err := s.sticky
 		s.mu.Unlock()
 		return err
 	}
-	b := s.lastBatch
+	b, buf, f := s.cur, s.pending, s.f
+	if b != nil {
+		s.cur, s.pending, s.spare, s.written = nil, s.spare, nil, s.seq
+	}
+	sync = sync && (b != nil || s.dirty)
 	s.mu.Unlock()
-	if b == nil {
-		return nil
+
+	var err error
+	if b != nil {
+		_, err = f.Write(buf)
 	}
-	select {
-	case <-b.done:
-		return b.err
-	case <-ctx.Done():
-		return ctx.Err()
+	if err == nil && sync {
+		err = f.Sync()
+		s.reg.Counter(MetricFsyncs).Inc()
 	}
+
+	s.mu.Lock()
+	wake := false
+	switch {
+	case err != nil:
+		s.failLocked(fmt.Errorf("store: group commit: %w", err))
+	case sync:
+		s.dirty = false
+	case b != nil && s.opts.Fsync == FsyncInterval && !s.dirty:
+		s.dirty, wake = true, true
+	}
+	if b != nil {
+		s.spare = buf[:0]
+		wake = wake || s.snapshotDueLocked()
+	}
+	s.mu.Unlock()
+	if wake {
+		select {
+		case s.wake <- struct{}{}:
+		default:
+		}
+	}
+	if b != nil {
+		s.reg.Counter(MetricGroupCommits).Inc()
+		s.reg.Gauge(GaugeGroupCommitBatch).Set(int64(b.n))
+		b.err = err
+		close(b.done)
+	}
+	return err
 }
 
-// flusher is the group-commit loop: each kick opens a commit window of
-// FlushInterval, then the whole accumulated batch is flushed in one write
-// and (per mode) one fsync.
-func (s *Store) flusher() {
-	defer close(s.flusherC)
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
+// background does the work no request should pay for: the snapshot a
+// commit found due, and in FsyncInterval mode the sync of a tail a commit
+// left dirty, syncEvery after that commit.
+func (s *Store) background() {
+	defer close(s.bgDone)
+	var syncDue <-chan time.Time
 	for {
 		select {
 		case <-s.stop:
 			return
-		case <-s.kick:
-		}
-		if s.opts.FlushInterval > 0 {
-			timer.Reset(s.opts.FlushInterval)
-			select {
-			case <-timer.C:
-			case <-s.stop:
-				// A crash-style stop (Kill) must not flush; a graceful Close
-				// runs its own final flush after the flusher exits.
-				return
+		case <-syncDue:
+			syncDue = nil
+			s.token <- struct{}{}
+			_ = s.commit(true) // a failure is sticky
+			<-s.token
+		case <-s.wake:
+			s.maybeSnapshot()
+			s.mu.Lock()
+			dirty := s.dirty
+			s.mu.Unlock()
+			if dirty && syncDue == nil {
+				syncDue = time.After(syncEvery)
 			}
 		}
-		s.flushBatch(false)
-		s.maybeSnapshot()
 	}
 }
 
-// flushBatch settles the open batch: flush the buffer, sync per policy, and
-// release the waiters. force syncs regardless of mode (graceful shutdown).
-//
-//adlint:allow lockhold (group commit: the one flusher flushes and syncs under the latch, so appends queue behind the commit they join)
-func (s *Store) flushBatch(force bool) {
+// stopBackground stops the background goroutine and waits for it to exit,
+// reporting whether the store was recovered (and so had one).
+func (s *Store) stopBackground() bool {
+	s.stopOnce.Do(func() { close(s.stop) })
 	s.mu.Lock()
-	b := s.cur
-	s.cur = nil
-	if b == nil {
-		s.mu.Unlock()
-		return
-	}
-	err := s.sticky
-	if err == nil {
-		err = s.buf.Flush()
-	}
-	if err == nil {
-		sync := force
-		switch s.opts.Fsync {
-		case FsyncAlways:
-			sync = true
-		case FsyncInterval:
-			sync = sync || time.Since(s.lastSync) >= s.opts.SyncEvery
-		}
-		if sync {
-			err = s.f.Sync()
-			s.lastSync = time.Now()
-			s.reg.Counter(MetricFsyncs).Inc()
-		}
-	}
-	if err != nil && s.sticky == nil {
-		s.sticky = fmt.Errorf("store: group commit: %w", err)
-	}
-	s.reg.Counter(MetricGroupCommits).Inc()
-	s.reg.Gauge(GaugeGroupCommitBatch).Set(int64(b.n))
+	started := s.recovered
 	s.mu.Unlock()
-	b.err = err
-	close(b.done)
+	if started {
+		<-s.bgDone
+	}
+	return started
 }
 
-// failPendingLocked releases batch waiters with the sticky error; the caller
-// holds s.mu.
-func (s *Store) failPendingLocked() {
+// failLocked latches err as the sticky error and releases the pending
+// batch's waiters with it; the caller holds s.mu.
+func (s *Store) failLocked(err error) {
+	if s.sticky == nil {
+		s.sticky = err
+	}
 	if s.cur != nil {
 		s.cur.err = s.sticky
 		close(s.cur.done)
@@ -497,12 +512,18 @@ func (s *Store) failPendingLocked() {
 	}
 }
 
+// snapshotDueLocked reports whether SnapshotEvery has been crossed; the
+// caller holds s.mu.
+func (s *Store) snapshotDueLocked() bool {
+	return s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery && s.sticky == nil && !s.closed
+}
+
 // maybeSnapshot writes a snapshot when enough records accumulated since the
-// last one. It runs on the flusher goroutine: commits pause for the
-// snapshot's duration, which bounds memory and keeps the locking trivial.
+// last one. Commits go on while the state is written; only the rotation
+// takes the token.
 func (s *Store) maybeSnapshot() {
 	s.mu.Lock()
-	need := s.opts.SnapshotEvery > 0 && s.sinceSnap >= s.opts.SnapshotEvery && s.sticky == nil && !s.closed
+	need := s.snapshotDueLocked()
 	s.mu.Unlock()
 	if need {
 		if err := s.Snapshot(); err != nil {
@@ -543,46 +564,45 @@ func (s *Store) Snapshot() error {
 		return err
 	}
 	s.reg.Counter(MetricSnapshots).Inc()
+	s.token <- struct{}{}
+	defer func() { <-s.token }()
 	return s.compact(seq)
 }
 
-// compact rotates to a fresh WAL segment and deletes files the snapshot at
-// snapSeq makes redundant: segments whose every record is <= snapSeq, and
-// all but the two newest snapshots (the older survivor is the fallback when
-// the newest turns out unreadable).
-//
-//adlint:allow lockhold (segment rotation: flush, sync and swap the handle under the latch, so no append lands in a closed segment)
+// compact commits and syncs the pending batch, rotates to a fresh WAL
+// segment, and deletes files the snapshot at snapSeq makes redundant:
+// segments whose every record is <= snapSeq, and all but the two newest
+// snapshots (the older survivor is the fallback when the newest turns out
+// unreadable). The caller holds the token, so no commit lands in the
+// segment being closed.
 func (s *Store) compact(snapSeq uint64) error {
+	if err := s.commit(s.opts.Fsync != FsyncNone); err != nil {
+		return err
+	}
 	s.mu.Lock()
-	if s.closed {
+	if s.f == nil { // closed meanwhile
 		s.mu.Unlock()
 		return nil
 	}
-	err := s.buf.Flush()
-	if err == nil && s.opts.Fsync != FsyncNone {
-		err = s.f.Sync()
-	}
 	// Rotate only when the active segment holds records; an empty segment
-	// (seq < segStart) is already the fresh one.
-	if err == nil && s.seq >= s.segStart {
-		nextStart := s.seq + 1
-		var nf *os.File
-		nf, err = os.OpenFile(filepath.Join(s.opts.Dir, walName(nextStart)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-		if err == nil {
-			_ = s.f.Close()
-			s.f = nf
-			s.buf = bufio.NewWriterSize(nf, 1<<20)
-			s.segStart = nextStart
+	// (written < segStart) is already the fresh one.
+	old, next := s.f, s.written+1
+	rotate := s.written >= s.segStart
+	s.mu.Unlock()
+	if rotate {
+		nf, err := os.OpenFile(filepath.Join(s.opts.Dir, walName(next)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		if err != nil {
+			s.mu.Lock()
+			s.failLocked(fmt.Errorf("store: rotating WAL: %w", err))
+			s.mu.Unlock()
+			return err
 		}
-	}
-	if err != nil {
-		if s.sticky == nil {
-			s.sticky = fmt.Errorf("store: rotating WAL: %w", err)
-			s.failPendingLocked()
-		}
+		_ = old.Close()
+		s.mu.Lock()
+		s.f, s.segStart = nf, next
 		s.mu.Unlock()
-		return err
 	}
+	s.mu.Lock()
 	s.snapSeq = snapSeq
 	s.sinceSnap = 0
 	s.mu.Unlock()
@@ -610,88 +630,57 @@ type RecoveryPoint struct {
 	TailRecords uint64 // WAL records a restart would replay on top (0 after a clean Close)
 }
 
-// Close gracefully shuts the store down: stop the flusher, force-flush and
-// sync the WAL tail, write a final snapshot, and close the segment. The
-// returned RecoveryPoint is what a restart would recover from.
-//
-//adlint:allow lockhold (shutdown: the flusher has exited, the final flush runs under the latch by design)
+// Close gracefully shuts the store down: stop the background goroutine,
+// write a final snapshot (which commits and syncs the WAL tail), commit
+// anything appended since, and close the segment. It waits for a commit in
+// flight. The returned RecoveryPoint is what a restart would recover from.
 func (s *Store) Close() (RecoveryPoint, error) {
-	s.stopOnce.Do(func() { close(s.stop) })
-	s.mu.Lock()
-	started := s.recovered
-	s.mu.Unlock()
-	if !started {
-		// Opened but never recovered: no flusher, no file, nothing to do.
+	if !s.stopBackground() {
+		// Opened but never recovered: no goroutine, no file, nothing to do.
 		s.mu.Lock()
 		s.closed = true
 		s.mu.Unlock()
 		return RecoveryPoint{}, nil
 	}
-	<-s.flusherC
-	s.flushBatch(true)
-
-	var err error
+	err := s.Snapshot()
+	s.token <- struct{}{}
+	defer func() { <-s.token }()
 	s.mu.Lock()
-	sticky := s.sticky
+	s.closed = true // no append joins the final commit's batch after this
 	s.mu.Unlock()
-	if sticky == nil {
-		err = s.Snapshot()
-	} else {
-		err = sticky
+	if cerr := s.commit(s.opts.Fsync != FsyncNone); err == nil {
+		err = cerr
 	}
-
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		s.failPendingLocked()
-		if s.buf != nil {
-			if ferr := s.buf.Flush(); err == nil {
-				err = ferr
-			}
-		}
-		if s.f != nil {
-			if s.opts.Fsync != FsyncNone && sticky == nil {
-				if serr := s.f.Sync(); err == nil {
-					err = serr
-				}
-			}
-			if cerr := s.f.Close(); err == nil {
-				err = cerr
-			}
-		}
-	}
+	f := s.f
+	s.f = nil
 	rp := RecoveryPoint{SnapshotSeq: s.snapSeq, TailRecords: s.seq - s.snapSeq}
 	s.mu.Unlock()
+	if f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	return rp, err
 }
 
-// Kill simulates a crash for soak tests: the flusher stops without flushing,
-// buffered-but-unflushed records are dropped (exactly what a SIGKILL would
-// lose), pending barrier waiters fail, and the file handle closes as-is. The
-// on-disk state afterwards is whatever group commits had already flushed —
-// which, because acks wait on Barrier, covers every acked request.
-//
-//adlint:allow lockhold (crash simulation: closing the handle under the latch is the point)
+// Kill simulates a crash for soak tests: the background goroutine stops,
+// pending records are dropped unwritten (exactly what a SIGKILL would lose),
+// their barrier waiters fail, and the file handle closes as-is. A commit in
+// flight finishes first, so the on-disk state afterwards is whatever group
+// commits wrote — which, because acks wait on Barrier, covers every acked
+// request.
 func (s *Store) Kill() {
-	s.stopOnce.Do(func() { close(s.stop) })
+	s.stopBackground()
+	s.token <- struct{}{}
+	defer func() { <-s.token }()
 	s.mu.Lock()
-	started := s.recovered
+	f := s.f
+	s.f, s.closed = nil, true
+	s.failLocked(ErrKilled)
 	s.mu.Unlock()
-	if started {
-		<-s.flusherC
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
-	if s.sticky == nil {
-		s.sticky = ErrKilled
-	}
-	s.failPendingLocked()
-	if s.f != nil {
-		_ = s.f.Close() // deliberately no Flush: the buffer dies with the "process"
+	if f != nil {
+		_ = f.Close() // no write, no sync: the pending records die with the "process"
 	}
 }
 

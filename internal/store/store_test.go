@@ -76,11 +76,11 @@ func piiHashes(t testing.TB, n int) []string {
 	return hashes
 }
 
-// testOptions returns fast store options for tests: tight flush window, no
-// fsync (tests simulate process crashes, not power loss), snapshots manual
-// unless overridden.
+// testOptions returns fast store options for tests: no fsync (tests
+// simulate process crashes, not power loss), snapshots manual unless
+// overridden.
 func testOptions(dir string) Options {
-	return Options{Dir: dir, Fsync: FsyncNone, FlushInterval: 200 * time.Microsecond}
+	return Options{Dir: dir, Fsync: FsyncNone}
 }
 
 // openRecover opens a store over dir and recovers into a fresh platform.
@@ -130,6 +130,19 @@ func barrier(t *testing.T, st *Store) {
 	defer cancel()
 	if err := st.Barrier(ctx); err != nil {
 		t.Fatalf("barrier: %v", err)
+	}
+}
+
+// waitCounter waits, with a deadline, until the store counter name reaches
+// at least min: the background goroutine's work is an event, not a sleep.
+func waitCounter(t *testing.T, st *Store, name string, min int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for st.reg.Counter(name).Value() < min {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d after 10 s, want >= %d", name, st.reg.Counter(name).Value(), min)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -218,8 +231,8 @@ func TestRecoverFromWALOnly(t *testing.T) {
 }
 
 func TestBarrieredWritesSurviveKill(t *testing.T) {
-	// Kill drops whatever the group-commit flusher had not flushed; a
-	// mutation the barrier acked must never be in that set.
+	// Kill drops whatever no commit had written; a mutation the barrier
+	// acked must never be in that set.
 	dir := t.TempDir()
 	st, p, _ := openRecover(t, testOptions(dir))
 	if _, err := p.CreateCustomAudience("acked", piiHashes(t, 50)); err != nil {
@@ -371,9 +384,10 @@ func TestSnapshotCompactsSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 		barrier(t, st)
-		// Give the flusher a chance to run its snapshot check.
-		time.Sleep(5 * time.Millisecond)
 	}
+	// The commit that crossed SnapshotEvery handed the background goroutine
+	// a snapshot; Close writes the second.
+	waitCounter(t, st, MetricSnapshots, 1)
 	if _, err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

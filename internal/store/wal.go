@@ -44,16 +44,28 @@ var (
 	errCorruptRecord = errors.New("store: corrupt record")
 )
 
-// writeFrame appends one framed payload to w.
-func writeFrame(w io.Writer, payload []byte) error {
+// frameHeader returns the length+CRC32 prefix of payload's frame.
+func frameHeader(payload []byte) [frameHeaderSize]byte {
 	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	return hdr
+}
+
+// writeFrame writes one framed payload to w.
+func writeFrame(w io.Writer, payload []byte) error {
+	hdr := frameHeader(payload)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
 	return err
+}
+
+// appendFrame appends one framed payload to dst.
+func appendFrame(dst, payload []byte) []byte {
+	hdr := frameHeader(payload)
+	return append(append(dst, hdr[:]...), payload...)
 }
 
 // readFrame reads one framed payload. io.EOF exactly at a frame boundary is
