@@ -20,12 +20,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"net/http/httptest"
 	"os"
 	"time"
@@ -131,10 +129,16 @@ func run(args []string, stdout io.Writer) error {
 		pol.MaxAttempts = *retries
 		client.SetRetryPolicy(pol)
 	}
+	// The topology probe and the metrics scrape go through a client of their
+	// own, so the report's retry and breaker counts cover only the workload.
+	probe, err := newProbeClient(baseURL)
+	if err != nil {
+		return err
+	}
 	// A router target answers GET /v1/topology; a single adplatform 404s it.
 	// Recording the shard count keeps multi-process bench reports
 	// distinguishable from single-process ones.
-	shardCount := probeTopology(baseURL)
+	shardCount := probeTopology(probe)
 	if shardCount > 0 {
 		fmt.Fprintf(stdout, "target is a router over %d shard(s)\n", shardCount)
 	}
@@ -172,7 +176,7 @@ func run(args []string, stdout io.Writer) error {
 			*duration, rep.ScenariosCompleted, *scenarios)
 	}
 
-	if snap, err := fetchMetrics(baseURL); err == nil {
+	if snap, err := fetchMetrics(probe); err == nil {
 		rep.ServerMetrics = snap
 		rep.RequestsShed = snap.Counters[obs.MetricRequestsShed]
 		rep.FaultsInjected = snap.Counters[faults.MetricInjected]
@@ -208,41 +212,38 @@ func hashesFromExtract(path string) ([]string, error) {
 	return node.PIIHashes(records), nil
 }
 
+// newProbeClient builds the client for the target's side routes: one
+// attempt per call, as a probe should make.
+func newProbeClient(baseURL string) (*marketing.Client, error) {
+	probe, err := marketing.NewClient(baseURL)
+	if err != nil {
+		return nil, err
+	}
+	probe.SetRetryPolicy(marketing.RetryPolicy{MaxAttempts: 1})
+	return probe, nil
+}
+
 // probeTopology asks the target whether it is a router (GET /v1/topology)
 // and returns its shard count; 0 means a single-process target (or an
 // unreachable one — the load run itself will surface that).
-func probeTopology(baseURL string) int {
-	httpClient := &http.Client{Timeout: 5 * time.Second}
-	resp, err := httpClient.Get(baseURL + "/v1/topology")
-	if err != nil {
-		return 0
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0
-	}
+func probeTopology(probe *marketing.Client) int {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 	var topo struct {
 		Shards int `json:"shards"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&topo); err != nil {
+	if err := probe.Get(ctx, "/v1/topology", &topo); err != nil {
 		return 0
 	}
 	return topo.Shards
 }
 
 // fetchMetrics scrapes the target's GET /metrics endpoint.
-func fetchMetrics(baseURL string) (*obs.Snapshot, error) {
-	httpClient := &http.Client{Timeout: 10 * time.Second}
-	resp, err := httpClient.Get(baseURL + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("GET /metrics: status %d", resp.StatusCode)
-	}
+func fetchMetrics(probe *marketing.Client) (*obs.Snapshot, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	var snap obs.Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if err := probe.Get(ctx, "/metrics", &snap); err != nil {
 		return nil, err
 	}
 	return &snap, nil

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -164,6 +167,42 @@ func TestBadFlagsFailFast(t *testing.T) {
 		}
 		if !tc.late && strings.Contains(buf.String(), "self-hosting") {
 			t.Errorf("args %v: a world was built before the flags were refused", tc.args)
+		}
+	}
+}
+
+// TestProbeTopology covers -target's router detection: a router answers
+// GET /v1/topology with its shard count, while a single adplatform (404) and
+// an unreachable target both read as 0.
+func TestProbeTopology(t *testing.T) {
+	router := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || r.URL.Path != "/v1/topology" {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"shards":2}`)
+	}))
+	defer router.Close()
+	single := httptest.NewServer(http.NotFoundHandler())
+	defer single.Close()
+	closed := httptest.NewServer(http.NotFoundHandler())
+	closed.Close()
+
+	for _, tc := range []struct {
+		name, url string
+		want      int
+	}{
+		{"router", router.URL, 2},
+		{"single platform", single.URL, 0},
+		{"closed", closed.URL, 0},
+	} {
+		probe, err := newProbeClient(tc.url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := probeTopology(probe); got != tc.want {
+			t.Errorf("%s: probeTopology = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }

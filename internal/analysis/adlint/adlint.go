@@ -20,9 +20,11 @@
 //     be constants, with dynamic parts only in the "name|label" position
 //     (analyzer obsreg);
 //   - goroutine lifecycles: every go statement in the long-lived subsystems
-//     has a stop path the spawner can exercise (analyzer goroleak);
-//   - transport hygiene: every *http.Response body is closed or handed on
-//     whole on every path (analyzer bodyclose).
+//     has a stop path the spawner can exercise (analyzer goroleak).
+//
+// Transport hygiene (every *http.Response body closed) is not an analyzer:
+// marketing.Client is the one reader of responses in the program, and its
+// tests count the closes.
 //
 // The suite is deliberately dependency-free: it drives `go list -export` for
 // package discovery and export data, and type-checks with the standard
@@ -38,10 +40,8 @@
 //
 // placed on the offending line, on the line directly above it, or on the
 // line of the enclosing function declaration (which suppresses the named
-// analyzers for the whole function — used for e.g. the WAL group-commit
-// path, where fsync-under-lock IS the design). A package outside the
-// built-in determinism-critical list can opt into detrand with a
-// file-level
+// analyzers for the whole function). A package outside the built-in
+// determinism-critical list can opt into detrand with a file-level
 //
 //	//adlint:deterministic
 //
@@ -58,7 +58,7 @@ import (
 )
 
 // Analyzer is one named check. Run inspects the pass's package and reports
-// findings through pass.Reportf / pass.ReportfScoped.
+// findings through pass.ReportfScoped.
 type Analyzer struct {
 	// Name is the short identifier used in diagnostics and in
 	// //adlint:allow annotations.
@@ -194,15 +194,9 @@ func (p *Pass) allowedAt(pos token.Pos) bool {
 	return false
 }
 
-// Reportf records a finding at pos unless an allow directive covers that
-// line (or the line above it).
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportfScoped(pos, token.NoPos, format, args...)
-}
-
-// ReportfScoped is Reportf with an additional suppression scope: a directive
-// at scope's line (typically the enclosing function declaration) also
-// silences the finding. Pass token.NoPos for no scope.
+// ReportfScoped records a finding at pos unless an allow directive covers
+// that line (or the line above it), or scope's line (typically the enclosing
+// function declaration). Pass token.NoPos for no scope.
 func (p *Pass) ReportfScoped(pos, scope token.Pos, format string, args ...any) {
 	if p.allowedAt(pos) || (scope.IsValid() && p.allowedAt(scope)) {
 		return
@@ -253,7 +247,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 // go vet does not, and tier-1 tests do not already cover what it guards
 // (DESIGN §5b).
 func All() []*Analyzer {
-	return []*Analyzer{Detrand, Lockhold, Ctxflow, Walerr, Obsreg, Goroleak, Bodyclose}
+	return []*Analyzer{Detrand, Lockhold, Ctxflow, Walerr, Obsreg, Goroleak}
 }
 
 // ByName resolves a comma-separated -only list against the suite. An

@@ -24,7 +24,6 @@ func TestAnalyzers(t *testing.T) {
 		{"walerr", adlint.Walerr, []string{"walerr/internal/store", "walerr/caller"}},
 		{"obsreg", adlint.Obsreg, []string{"obsreg/a"}},
 		{"goroleak", adlint.Goroleak, []string{"goroleak/internal/supervisor"}},
-		{"bodyclose", adlint.Bodyclose, []string{"bodyclose/a"}},
 	}
 	for _, tt := range tests {
 		tt := tt
@@ -38,19 +37,19 @@ func TestAnalyzers(t *testing.T) {
 // TestByName covers the -only flag's resolver.
 func TestByName(t *testing.T) {
 	all, err := adlint.ByName("")
-	if err != nil || len(all) != 7 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 7, nil", len(all), err)
+	if err != nil || len(all) != 6 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 6, nil", len(all), err)
 	}
-	two, err := adlint.ByName("detrand, bodyclose")
-	if err != nil || len(two) != 2 || two[0].Name != "detrand" || two[1].Name != "bodyclose" {
-		t.Fatalf("ByName(detrand, bodyclose) = %v, err %v", two, err)
+	two, err := adlint.ByName("detrand, goroleak")
+	if err != nil || len(two) != 2 || two[0].Name != "detrand" || two[1].Name != "goroleak" {
+		t.Fatalf("ByName(detrand, goroleak) = %v, err %v", two, err)
 	}
 	_, err = adlint.ByName("nosuch")
 	if err == nil {
 		t.Fatal("ByName(nosuch) succeeded; want error")
 	}
 	// A typo must fail loudly AND tell the user what would have worked.
-	for _, name := range []string{"detrand", "lockhold", "goroleak", "bodyclose"} {
+	for _, name := range []string{"detrand", "lockhold", "goroleak", "walerr"} {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("ByName(nosuch) error %q does not list valid analyzer %q", err, name)
 		}

@@ -18,10 +18,6 @@ import (
 
 // Package is one loaded, type-checked target package.
 type Package struct {
-	// PkgPath is the import path (also Types.Path()).
-	PkgPath string
-	// Dir is the package directory on disk.
-	Dir  string
 	Fset *token.FileSet
 	// Files are the parsed non-test source files, with comments.
 	Files     []*ast.File
@@ -142,8 +138,6 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 			return nil, fmt.Errorf("adlint: type-checking %s: %v", t.ImportPath, err)
 		}
 		out = append(out, &Package{
-			PkgPath:   t.ImportPath,
-			Dir:       t.Dir,
 			Fset:      fset,
 			Files:     files,
 			Types:     pkg,

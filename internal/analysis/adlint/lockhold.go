@@ -217,3 +217,35 @@ func selectHasDefault(sel *ast.SelectStmt) bool {
 	}
 	return false
 }
+
+// terminates reports whether control cannot flow past stmt: returns,
+// branch statements, and the conventional process-exit calls.
+func terminates(stmt ast.Stmt) bool {
+	switch n := stmt.(type) {
+	case *ast.ReturnStmt, *ast.BranchStmt:
+		return true
+	case *ast.ExprStmt:
+		call, ok := n.X.(*ast.CallExpr)
+		if !ok {
+			return false
+		}
+		switch fun := ast.Unparen(call.Fun).(type) {
+		case *ast.Ident:
+			return fun.Name == "panic"
+		case *ast.SelectorExpr:
+			name := fun.Sel.Name
+			return name == "Exit" || name == "Fatal" || name == "Fatalf"
+		}
+	case *ast.BlockStmt:
+		return !fallsThrough(n.List)
+	}
+	return false
+}
+
+// fallsThrough reports whether a statement list can reach its end.
+func fallsThrough(stmts []ast.Stmt) bool {
+	if len(stmts) == 0 {
+		return true
+	}
+	return !terminates(stmts[len(stmts)-1])
+}

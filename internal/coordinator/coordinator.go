@@ -62,13 +62,10 @@ type Config struct {
 	// DayAttempts is how many times a delivery day is re-run from scratch
 	// after a shard failure before giving up. 0 defaults to 5.
 	DayAttempts int
-	// DayBackoff is the wait between day attempts, doubling per attempt.
-	// 0 defaults to 2s.
+	// DayBackoff is the wait between day attempts, doubling per attempt up
+	// to 8x (plus deterministic jitter derived from the day sequence, so
+	// coordinated fleets don't retry in lockstep). 0 defaults to 2s.
 	DayBackoff time.Duration
-	// DayBackoffMax caps the doubling (plus deterministic jitter derived
-	// from the day sequence, so coordinated fleets don't retry in
-	// lockstep). 0 defaults to 8x DayBackoff.
-	DayBackoffMax time.Duration
 	// JournalCap bounds the mutation catch-up journal; at capacity, new
 	// mutations are refused with ErrJournalFull (503 + Retry-After at the
 	// router) while a shard is down. 0 defaults to 256.
@@ -142,9 +139,6 @@ func New(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 	if cfg.DayBackoff <= 0 {
 		cfg.DayBackoff = 2 * time.Second
 	}
-	if cfg.DayBackoffMax <= 0 {
-		cfg.DayBackoffMax = 8 * cfg.DayBackoff
-	}
 	if cfg.JournalCap <= 0 {
 		cfg.JournalCap = 256
 	}
@@ -179,7 +173,7 @@ func New(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 			errors:   reg.Counter(MetricShardErrors + "|" + label),
 		})
 	}
-	c.health = supervisor.NewFleetHealth(len(c.shards), supervisor.Thresholds{}, reg, clock)
+	c.health = supervisor.NewFleetHealth(len(c.shards), reg, clock)
 	c.admitted = make([]bool, len(c.shards))
 	for i := range c.admitted {
 		c.admitted[i] = true

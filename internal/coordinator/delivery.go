@@ -125,22 +125,19 @@ func (c *Coordinator) Deliver(ctx context.Context, adIDs []string, seed int64) e
 }
 
 // dayBackoff is the wait before retry `attempt`: exponential from DayBackoff,
-// capped at DayBackoffMax, with deterministic jitter mixed from the day
+// capped at 8x DayBackoff, with deterministic jitter mixed from the day
 // sequence and attempt number — reproducible in tests (injected clock, fixed
 // sequence), yet de-synchronized across days and fleets.
 func (c *Coordinator) dayBackoff(daySeq uint64, attempt int) time.Duration {
+	maxBackoff := 8 * c.cfg.DayBackoff
 	backoff := c.cfg.DayBackoff << uint(attempt-2) // attempt 2 waits DayBackoff
-	if backoff <= 0 || backoff > c.cfg.DayBackoffMax {
-		backoff = c.cfg.DayBackoffMax
+	if backoff <= 0 || backoff > maxBackoff {
+		backoff = maxBackoff
 	}
 	// Jitter in [0, backoff/2): derived, not sampled, so a replayed test run
 	// waits exactly as long as the original.
 	jitter := time.Duration(faults.Mix64(int64(daySeq), uint64(attempt)) % uint64(backoff/2+1))
-	backoff += jitter
-	if backoff > c.cfg.DayBackoffMax {
-		backoff = c.cfg.DayBackoffMax
-	}
-	return backoff
+	return min(backoff+jitter, maxBackoff)
 }
 
 // rejoinQuarantinedLocked probes every quarantined shard and runs the rejoin

@@ -181,7 +181,7 @@ func TestShardResurrectionWithJournalCatchup(t *testing.T) {
 		t.Fatalf("healed inventory %+v", inv)
 	}
 	// Ten 503s in a row opened the client's breaker; its cooldown is virtual.
-	f.Clock.Sleep(marketing.DefaultBreakerPolicy().Cooldown)
+	f.Clock.Sleep(marketing.BreakerCooldown)
 	if err := client.Deliver(ctx, outageIDs, seed); err != nil {
 		t.Fatal(err)
 	}

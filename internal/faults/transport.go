@@ -142,7 +142,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		// request, the caller sees only a cut connection.
 		resp, err := t.base.RoundTrip(req)
 		if err == nil {
-			io.Copy(io.Discard, resp.Body) //nolint:errcheck // best-effort connection reuse
+			io.Copy(io.Discard, resp.Body) // best effort: a drained body lets the connection be reused
 			_ = resp.Body.Close()          //adlint:allow walerr (response is discarded wholesale; the injected drop error below is the point)
 		}
 		return nil, fmt.Errorf("faults: injected connection drop to %s", req.URL.Host)

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -138,6 +139,48 @@ func TestTransportDropExecutesThenFails(t *testing.T) {
 	}
 	if *hits != 1 {
 		t.Fatalf("dropped request backend hits %d, want 1 (executed then discarded)", *hits)
+	}
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// closeCounter is a response body that counts the Close calls it receives.
+type closeCounter struct {
+	io.Reader
+	closes *int
+}
+
+func (b closeCounter) Close() error {
+	*b.closes++
+	return nil
+}
+
+// A drop reads the backend's answer and throws it away; the body it received
+// must still be closed, or every injected drop pins a connection.
+func TestTransportDropClosesBody(t *testing.T) {
+	responses, closes := 0, 0
+	base := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		responses++
+		return &http.Response{
+			StatusCode: http.StatusOK,
+			Header:     http.Header{},
+			Body:       closeCounter{strings.NewReader(`{"ok":true}`), &closes},
+			Request:    req,
+		}, nil
+	})
+	inj, err := New(Config{Seed: 5, Rate: 1, Kinds: []Kind{KindDrop}}, nil)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "http://shard.test/v1/ads", nil)
+	if _, err := NewTransport(base, inj, nil, nil).RoundTrip(req); err == nil {
+		t.Fatal("dropped request returned a response")
+	}
+	if responses != 1 || closes != responses {
+		t.Fatalf("drop closed %d of %d response bodies, want 1 of 1", closes, responses)
 	}
 }
 

@@ -54,22 +54,17 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}
 }
 
-// BreakerPolicy configures the circuit breaker. After Threshold consecutive
-// retryable failures (terminal API answers count as service-alive and reset
-// the streak) the breaker opens for Cooldown: calls fail fast with
-// ErrCircuitOpen instead of hammering a down platform. After Cooldown the
-// next call probes; a failure re-opens the breaker.
-type BreakerPolicy struct {
-	Threshold int
-	Cooldown  time.Duration
-}
-
-// DefaultBreakerPolicy tolerates a chaotic platform (transient fault rates
-// well above anything a real API sustains) while still cutting off a dead
-// one within a few seconds.
-func DefaultBreakerPolicy() BreakerPolicy {
-	return BreakerPolicy{Threshold: 10, Cooldown: 5 * time.Second}
-}
+// The circuit breaker: after BreakerThreshold consecutive retryable failures
+// (terminal API answers count as service-alive and reset the streak) it opens
+// for BreakerCooldown, and calls fail fast with ErrCircuitOpen instead of
+// hammering a down platform. After the cooldown the next call probes; a
+// failure re-opens it. The values tolerate a chaotic platform (transient
+// fault rates well above anything a real API sustains) while still cutting
+// off a dead one within a few seconds.
+const (
+	BreakerThreshold = 10
+	BreakerCooldown  = 5 * time.Second
+)
 
 // Client is the advertiser-side API client the audit tooling uses. Requests
 // are optionally rate-limited, mirroring the paper's polite data-collection
@@ -87,7 +82,6 @@ type Client struct {
 	minInterval time.Duration
 	lastRequest time.Time
 	retry       RetryPolicy
-	breaker     BreakerPolicy
 	consecFails int
 	openUntil   time.Time
 	reg         *obs.Registry
@@ -108,7 +102,6 @@ func NewClient(baseURL string) (*Client, error) {
 		http:     &http.Client{Timeout: 10 * time.Minute},
 		clock:    obs.SystemClock,
 		retry:    DefaultRetryPolicy(),
-		breaker:  DefaultBreakerPolicy(),
 		reg:      obs.NewRegistry(),
 		idemBase: fmt.Sprintf("ck-%08x", rand.Uint32()),
 	}, nil
@@ -203,19 +196,6 @@ func (c *Client) SetRetryPolicy(p RetryPolicy) {
 	c.mu.Unlock()
 }
 
-// SetBreakerPolicy replaces the breaker policy. A zero Threshold restores
-// the default; a negative Threshold disables the breaker.
-func (c *Client) SetBreakerPolicy(p BreakerPolicy) {
-	if p.Threshold == 0 {
-		p = DefaultBreakerPolicy()
-	}
-	c.mu.Lock()
-	c.breaker = p
-	c.consecFails = 0
-	c.openUntil = time.Time{}
-	c.mu.Unlock()
-}
-
 // SetTransport replaces the client's underlying HTTP transport (nil
 // restores the default). A router injects client-side network chaos — the
 // faults.Transport with its seeded schedule and partition gate — onto its
@@ -282,7 +262,7 @@ func (c *Client) throttle() {
 func (c *Client) breakerAllow() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.breaker.Threshold < 0 || c.openUntil.IsZero() {
+	if c.openUntil.IsZero() {
 		return nil
 	}
 	if c.clock.Now().Before(c.openUntil) {
@@ -305,8 +285,8 @@ func (c *Client) breakerRecord(ok bool) {
 		return
 	}
 	c.consecFails++
-	if c.breaker.Threshold > 0 && c.consecFails >= c.breaker.Threshold {
-		c.openUntil = c.clock.Now().Add(c.breaker.Cooldown)
+	if c.consecFails >= BreakerThreshold {
+		c.openUntil = c.clock.Now().Add(BreakerCooldown)
 		c.consecFails = 0
 	}
 }
@@ -385,6 +365,14 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte, out
 // same resilience stack as every typed call.
 func (c *Client) Post(ctx context.Context, path string, body []byte) ([]byte, error) {
 	return c.roundTrip(ctx, http.MethodPost, path, body)
+}
+
+// Get reads a route and decodes its JSON answer into out: the read-side
+// twin of Post, through the same resilience stack. It is the entry for
+// routes outside the typed API, such as a router's topology or the metrics
+// scrape.
+func (c *Client) Get(ctx context.Context, path string, out any) error {
+	return c.send(ctx, http.MethodGet, path, nil, out)
 }
 
 // roundTrip runs one API call through the full resilience stack: breaker

@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"github.com/adaudit/impliedidentity/internal/obs"
@@ -191,10 +193,9 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 
 	client, fc := newResilienceClient(t, ts)
 	client.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond})
-	client.SetBreakerPolicy(BreakerPolicy{Threshold: 3, Cooldown: time.Minute})
 
-	// Three consecutive failures trip the breaker.
-	for i := 0; i < 3; i++ {
+	// BreakerThreshold consecutive failures trip the breaker.
+	for i := 0; i < BreakerThreshold; i++ {
 		if _, err := client.GetAd(context.Background(), "ad-1"); err == nil {
 			t.Fatal("expected failure while unhealthy")
 		}
@@ -210,7 +211,7 @@ func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
 	// After the cooldown a probe goes out; a healthy answer closes the
 	// breaker again.
 	healthy.Store(true)
-	fc.Sleep(2 * time.Minute)
+	fc.Sleep(BreakerCooldown + time.Second)
 	if _, err := client.GetAd(context.Background(), "ad-1"); err != nil {
 		t.Fatalf("half-open probe should succeed: %v", err)
 	}
@@ -234,8 +235,8 @@ func TestBreakerResetByTerminalAnswer(t *testing.T) {
 
 	client, _ := newResilienceClient(t, ts)
 	client.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond})
-	client.SetBreakerPolicy(BreakerPolicy{Threshold: 2, Cooldown: time.Hour})
-	for i := 0; i < 12; i++ {
+	// Enough calls that the failures among them alone would trip it.
+	for i := 0; i < 2*BreakerThreshold+2; i++ {
 		_, err := client.GetAd(context.Background(), "ad-1")
 		if errors.Is(err, ErrCircuitOpen) {
 			t.Fatalf("breaker tripped on call %d despite interleaved terminal answers", i+1)
@@ -403,5 +404,102 @@ func TestThrottleSleepsOutsideLock(t *testing.T) {
 	close(bc.release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countingBody is a response body that counts the Close calls it receives.
+type countingBody struct {
+	io.Reader
+	closes *atomic.Int64
+}
+
+func (b countingBody) Close() error {
+	b.closes.Add(1)
+	return nil
+}
+
+// scripted is one canned answer: a status, a body and whether the body is
+// cut off after what it holds.
+type scripted struct {
+	status    int
+	body      string
+	truncated bool
+}
+
+// bodyCounter is a RoundTripper that serves a script of answers in order and
+// counts the bodies it hands out and the closes they receive.
+type bodyCounter struct {
+	script            []scripted
+	responses, closes atomic.Int64
+}
+
+func (b *bodyCounter) RoundTrip(req *http.Request) (*http.Response, error) {
+	n := int(b.responses.Load())
+	if n >= len(b.script) {
+		return nil, fmt.Errorf("request %d beyond a script of %d answers", n+1, len(b.script))
+	}
+	b.responses.Add(1)
+	a := b.script[n]
+	var body io.Reader = strings.NewReader(a.body)
+	if a.truncated {
+		body = io.MultiReader(body, iotest.ErrReader(io.ErrUnexpectedEOF))
+	}
+	return &http.Response{
+		StatusCode: a.status,
+		Status:     http.StatusText(a.status),
+		Header:     http.Header{},
+		Body:       countingBody{body, &b.closes},
+		Request:    req,
+	}, nil
+}
+
+// TestClientClosesEveryResponseBody holds the client to the transport
+// contract on every path that receives a response: a body left open pins its
+// keep-alive connection, and a handful of leaks stalls the audit like a slow
+// shard would. The client is the only reader of responses in the program, so
+// this test is the whole check.
+func TestClientClosesEveryResponseBody(t *testing.T) {
+	ctx := context.Background()
+	ad := scripted{http.StatusOK, `{"id":"ad-1","status":"ACTIVE"}`, false}
+	getAd := func(c *Client) error {
+		_, err := c.GetAd(ctx, "ad-1")
+		return err
+	}
+	cases := []struct {
+		name    string
+		script  []scripted
+		call    func(*Client) error
+		wantErr bool
+	}{
+		{"2xx decode", []scripted{ad}, getAd, false},
+		{"terminal 4xx", []scripted{{http.StatusNotFound, `{"error":"marketing: no such ad"}`, false}}, getAd, true},
+		{"503 then retry", []scripted{{http.StatusServiceUnavailable, "", false}, ad}, getAd, false},
+		{"truncated body", []scripted{{http.StatusOK, `{"id":"ad`, true}, ad}, getAd, false},
+		{"Healthz", []scripted{{http.StatusOK, "ok", false}}, func(c *Client) error { return c.Healthz(ctx) }, false},
+		{"Get", []scripted{{http.StatusOK, `{"shards":2}`, false}}, func(c *Client) error {
+			var topo struct{ Shards int }
+			return c.Get(ctx, "/v1/topology", &topo)
+		}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			client, err := NewClient("http://shard.test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			client.SetClock(obs.NewManualClock())
+			rt := &bodyCounter{script: tc.script}
+			client.SetTransport(rt)
+			if err := tc.call(client); (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want error %v", err, tc.wantErr)
+			}
+			responses, closes := rt.responses.Load(), rt.closes.Load()
+			if responses != int64(len(tc.script)) {
+				t.Fatalf("client received %d responses, want %d", responses, len(tc.script))
+			}
+			if closes != responses {
+				t.Errorf("client closed %d of %d response bodies", closes, responses)
+			}
+		})
 	}
 }

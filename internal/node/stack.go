@@ -112,20 +112,23 @@ func (s *Stack) Kill() {
 	}
 }
 
-// WaitHealthy polls every backend's liveness endpoint until all answer 200 or
-// the budget runs out, so a router can start before (or while) its fleet
-// does — convenient for process supervisors that start everything at once.
+// WaitHealthy polls every backend's liveness endpoint, one Client.Healthz
+// attempt per probe, until all answer 2xx or the budget runs out, so a router
+// can start before (or while) its fleet does — convenient for process
+// supervisors that start everything at once.
 func WaitHealthy(backends []string, budget time.Duration) error {
 	deadline := time.Now().Add(budget)
-	probe := &http.Client{Timeout: 2 * time.Second}
 	for _, b := range backends {
+		client, err := marketing.NewClient(b)
+		if err != nil {
+			return err
+		}
 		for {
-			resp, err := probe.Get(b + "/healthz")
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			err := client.Healthz(ctx)
+			cancel()
 			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					break
-				}
+				break
 			}
 			if time.Now().After(deadline) {
 				return fmt.Errorf("backend %s not healthy within %s", b, budget)

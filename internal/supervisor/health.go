@@ -70,34 +70,22 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int32(s))
 }
 
-// Thresholds tune the failure scoring.
-type Thresholds struct {
+// The failure scoring. Each count is one failed probe or one failed fan-out
+// call, both of which already sit behind the client's own retry loop, so a
+// single streak unit means several wire failures in a row.
+const (
 	// SuspectAfter is the consecutive transport-failure count that moves a
-	// healthy shard to suspect. Default 2.
-	SuspectAfter int
+	// healthy shard to suspect.
+	SuspectAfter = 2
 	// DownAfter is the consecutive transport-failure count that moves a
-	// shard to down (and quarantine). Default 4. Each count is one failed
-	// probe or one failed fan-out call, both of which already sit behind the
-	// client's own retry loop, so a single streak unit means several wire
-	// failures in a row.
-	DownAfter int
-}
-
-func (t Thresholds) withDefaults() Thresholds {
-	if t.SuspectAfter <= 0 {
-		t.SuspectAfter = 2
-	}
-	if t.DownAfter <= t.SuspectAfter {
-		t.DownAfter = t.SuspectAfter + 2
-	}
-	return t
-}
+	// shard to down (and quarantine).
+	DownAfter = 4
+)
 
 // FleetHealth scores every shard of one fleet. It is shared between the
 // coordinator (which feeds RPC outcomes and gates admission) and the
 // supervisor loop (which feeds probe outcomes and drives recovery).
 type FleetHealth struct {
-	th    Thresholds
 	reg   *obs.Registry
 	clock obs.Clock
 
@@ -114,14 +102,14 @@ type shardHealth struct {
 
 // NewFleetHealth builds the health model for n shards, all healthy. Registry
 // and clock may be nil (private registry, system clock).
-func NewFleetHealth(n int, th Thresholds, reg *obs.Registry, clock obs.Clock) *FleetHealth {
+func NewFleetHealth(n int, reg *obs.Registry, clock obs.Clock) *FleetHealth {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	if clock == nil {
 		clock = obs.SystemClock
 	}
-	h := &FleetHealth{th: th.withDefaults(), reg: reg, clock: clock, shards: make([]shardHealth, n)}
+	h := &FleetHealth{reg: reg, clock: clock, shards: make([]shardHealth, n)}
 	for i := range h.shards {
 		h.setGaugeLocked(i, Healthy)
 	}
@@ -171,10 +159,10 @@ func (h *FleetHealth) Observe(shard int, alive bool) State {
 	}
 	sh.fails++
 	switch {
-	case sh.fails >= h.th.DownAfter:
+	case sh.fails >= DownAfter:
 		sh.downSince = h.clock.Now()
 		h.transitionLocked(shard, Down)
-	case sh.fails >= h.th.SuspectAfter:
+	case sh.fails >= SuspectAfter:
 		h.transitionLocked(shard, Suspect)
 	}
 	return sh.state

@@ -13,7 +13,7 @@ import (
 
 func TestHealthScoring(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := NewFleetHealth(1, Thresholds{SuspectAfter: 2, DownAfter: 4}, reg, obs.NewManualClock())
+	h := NewFleetHealth(1, reg, obs.NewManualClock())
 
 	if got := h.Observe(0, false); got != Healthy {
 		t.Fatalf("1 failure: %v, want healthy", got)
@@ -65,7 +65,7 @@ func TestHealthScoring(t *testing.T) {
 // scores liveness, not success. Satellite check for the fault-injection
 // wiring.
 func TestHealthNeverFlapsOnErrorAnswers(t *testing.T) {
-	h := NewFleetHealth(1, Thresholds{}, nil, obs.NewManualClock())
+	h := NewFleetHealth(1, nil, obs.NewManualClock())
 	for i := 0; i < 1000; i++ {
 		// alive=true models any HTTP status arriving, 500s included.
 		if got := h.Observe(0, true); got != Healthy {
@@ -85,7 +85,7 @@ func TestHealthNeverFlapsOnErrorAnswers(t *testing.T) {
 func TestHealthMTTR(t *testing.T) {
 	reg := obs.NewRegistry()
 	clock := obs.NewManualClock()
-	h := NewFleetHealth(1, Thresholds{}, reg, clock)
+	h := NewFleetHealth(1, reg, clock)
 	h.MarkDown(0)
 	clock.Sleep(90 * time.Second)
 	h.MarkRecovering(0)
@@ -115,7 +115,7 @@ type fakeCluster struct {
 
 func newFakeCluster(n int, clock obs.Clock) *fakeCluster {
 	f := &fakeCluster{
-		health:      NewFleetHealth(n, Thresholds{SuspectAfter: 1, DownAfter: 2}, nil, clock),
+		health:      NewFleetHealth(n, nil, clock),
 		alive:       make([]bool, n),
 		quarantined: make([]bool, n),
 		rejoinErr:   make([]error, n),
@@ -206,14 +206,20 @@ func TestSupervisorLifecycle(t *testing.T) {
 		t.Fatalf("healthy fleet scored %v", got)
 	}
 
-	// Shard 1 dies. DownAfter=2: two failed passes score it down and
-	// quarantine it.
+	// Shard 1 dies. DownAfter failed passes, a second apart, score it down
+	// and quarantine it.
 	cluster.setAlive(1, false)
-	sup.Step(ctx)
-	clock.Sleep(time.Second)
-	sup.Step(ctx)
+	for i := 0; i < DownAfter; i++ {
+		if i > 0 {
+			clock.Sleep(time.Second)
+		}
+		if got := cluster.health.State(1); got == Down {
+			t.Fatalf("down after %d failed probes, want %d", i, DownAfter)
+		}
+		sup.Step(ctx)
+	}
 	if got := cluster.health.State(1); got != Down {
-		t.Fatalf("after 2 failed probes: %v, want down", got)
+		t.Fatalf("after %d failed probes: %v, want down", DownAfter, got)
 	}
 	if !cluster.quarantined[1] {
 		t.Fatalf("down shard not quarantined")
