@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-json vet adlint loc bench-layers
+.PHONY: build test race lint lint-json fmt vet adlint loc bench-layers
 
 build:
 	$(GO) build ./...
@@ -11,9 +11,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# lint runs the same checks as the CI lint job: go vet plus the project's
-# custom analyzer suite (cmd/adlint).
-lint: vet adlint
+# lint runs the same checks as the CI lint job: gofmt, go vet and the
+# project's custom analyzer suite (cmd/adlint).
+lint: fmt vet adlint
+
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
-	"github.com/adaudit/impliedidentity/internal/population"
 )
 
 // dayPlan is everything about a delivery day that holds from its first tick
@@ -17,10 +16,9 @@ import (
 type dayPlan struct {
 	active []*Ad // by run index, the CSR index's ad addressing
 	elig   *eligIndex
-	// rows is aligned with elig.users. A shard gathers the rows it owns when
-	// it is built (newDayShard); rows nobody on this backend owns stay zero
-	// and are never read.
-	rows []planRow
+	// demand is competingDemand by demographic key: the background bid
+	// before its per-slot noise.
+	demand []float64
 	// terms and clicks memoise optimizationTerm and Behavior.ClickProb per
 	// (demographic key, ad) as float64 bits at [key*len(active)+run], so the
 	// ads competing for one user sit side by side. Both models read a user's
@@ -67,14 +65,13 @@ type adBid struct {
 	cap    float64 // what one shard may still spend this tick
 }
 
-// planRow is the per-user record an auction reads: the day-invariant inputs
-// of the background bid, the memo key and the delivery report, gathered from
-// the population columns into one contiguous 24-byte record so a visit with a
-// session costs one cache line rather than one per column.
+// planRow is the per-user record an auction reads: the row's slot range, the
+// memo key and the inputs of the delivery report, gathered from the CSR
+// offsets and the population columns into one 24-byte record.
 type planRow struct {
-	demand float64 // the background bid before its per-slot noise
 	travel float64 // probability an impression lands outside the home state
 	user   int32   // population index
+	lo, hi int32   // the row's slots: elig.ads[lo:hi] are the ads it may see
 	cell   uint8   // breakdown cell of (age bucket, gender) in region 0
 	race   demo.Race
 	home   demo.State
@@ -89,12 +86,12 @@ func (row *planRow) key() int {
 }
 
 // visit is one entry of the array a shard's tick shuffles and then scans in
-// order: the row's session threshold, which every user-tick reads, beside the
-// row's position, which only the ~13 % of user-ticks that have a session
-// follow into plan.rows.
+// order: the row's session threshold, which every user-tick reads, and the
+// row itself, which the ~13 % of user-ticks that have a session go on to
+// auction — a 32-byte record, so a session costs no load beyond the scan.
 type visit struct {
 	quiet float64 // sessionThreshold of activity/ticks
-	pos   int32   // row position in the plan's eligIndex
+	row   planRow
 }
 
 // The dense breakdown: one counter per (age bucket, gender, region), region
@@ -119,11 +116,15 @@ func cellKey(c int) BreakdownKey {
 // active ads (run order = slice order) and their starting bids.
 func (p *Platform) newDayPlan(active []*Ad, bids []adBid) *dayPlan {
 	elig := buildEligIndex(active)
+	demand := make([]float64, numKeys)
+	for key := range demand {
+		demand[key] = p.competingDemand(key/(cellGenders*numRaces), demo.Race(key%numRaces))
+	}
 	sigma := p.cfg.ValueNoise
 	return &dayPlan{
 		active:       active,
 		elig:         elig,
-		rows:         make([]planRow, elig.rows()),
+		demand:       demand,
 		terms:        make([]atomic.Uint64, numKeys*len(active)),
 		clicks:       make([]atomic.Uint64, numKeys*len(active)),
 		shown:        make([]uint8, len(elig.ads)),
@@ -135,35 +136,43 @@ func (p *Platform) newDayPlan(active []*Ad, bids []adBid) *dayPlan {
 	}
 }
 
-// gatherRows fills the plan rows at the given positions from the population
-// columns, and the visit entry of each. Every product keeps the operand order
-// the per-auction code had, so the hoisted values are the same bits.
+// gatherRows fills the visit entry of each of the given row positions, its
+// row gathered from the CSR offsets and the population columns. Every product
+// keeps the operand order the per-auction code had, so the hoisted values are
+// the same bits.
 func (p *Platform) gatherRows(plan *dayPlan, order []int32, visits []visit) {
 	ticks := float64(p.cfg.Ticks)
+	offsets := plan.elig.offsets
 	for i, pos := range order {
 		u := p.pop.View(int(plan.elig.users[pos]))
-		visits[i] = visit{quiet: sessionThreshold(u.Activity() / ticks), pos: pos}
-		row := &plan.rows[pos]
-		row.demand = p.competingDemand(u)
-		row.travel = u.TravelProb()
-		row.user = int32(u.ID())
-		row.cell = uint8((int(u.AgeBucket())*cellGenders + int(u.Gender())) * cellRegions)
-		row.race = u.Race()
-		row.home = u.State()
-		row.age = uint8(u.Age())
+		visits[i] = visit{
+			quiet: sessionThreshold(u.Activity() / ticks),
+			row: planRow{
+				travel: u.TravelProb(),
+				user:   int32(u.ID()),
+				lo:     offsets[pos],
+				hi:     offsets[pos+1],
+				cell:   uint8((int(u.AgeBucket())*cellGenders + int(u.Gender())) * cellRegions),
+				race:   u.Race(),
+				home:   u.State(),
+				age:    uint8(u.Age()),
+			},
+		}
 	}
 }
 
-// competingDemand is the level of the highest competing total value for a
-// user's slots, before the per-slot noise. Competition is stiffer for
-// younger users, making them more expensive for a budget-paced ad to win.
-func (p *Platform) competingDemand(u population.UserView) float64 {
+// competingDemand is the level of the highest competing total value for the
+// slots of a user of the given age and race, before the per-slot noise.
+// Competition is stiffer for younger users, making them more expensive for a
+// budget-paced ad to win. It reads nothing else of a user, so the day plan
+// tabulates it by demographic key.
+func (p *Platform) competingDemand(age int, race demo.Race) float64 {
 	ageFactor := 1.0
-	if age := u.Age(); age < 65 {
+	if age < 65 {
 		ageFactor += p.cfg.CompetitionAgeSlope * float64(65-age) / 47
 	}
 	raceFactor := 1.0
-	if u.Race() == demo.RaceWhite {
+	if race == demo.RaceWhite {
 		raceFactor += p.cfg.CompetitionWhitePremium
 	}
 	return p.cfg.CompetitionBase * ageFactor * raceFactor

@@ -18,6 +18,7 @@ import (
 
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/image"
+	"github.com/adaudit/impliedidentity/internal/population"
 )
 
 // oracleAd is one ad's state and report in the oracle day.
@@ -77,15 +78,7 @@ func oracleDay(p *Platform, active []*Ad, seed int64, shards int) []*oracleAd {
 	auction := func(s, tick, uid int) {
 		rng := rngs[s]
 		u := p.pop.View(uid)
-		ageFactor := 1.0
-		if age := u.Age(); age < 65 {
-			ageFactor += p.cfg.CompetitionAgeSlope * float64(65-age) / 47
-		}
-		raceFactor := 1.0
-		if u.Race() == demo.RaceWhite {
-			raceFactor += p.cfg.CompetitionWhitePremium
-		}
-		bg := p.cfg.CompetitionBase * ageFactor * raceFactor * math.Exp(0.45*rng.NormFloat64()-0.10125)
+		bg := oracleDemand(p, u) * math.Exp(0.45*rng.NormFloat64()-0.10125)
 		var winner *oracleAd
 		winnerIdx := -1
 		best, second := bg, 0.0
@@ -174,6 +167,20 @@ func oracleDay(p *Platform, active []*Ad, seed int64, shards int) []*oracleAd {
 		}
 	}
 	return ads
+}
+
+// oracleDemand is the background bid before its noise as the oracle day
+// computes it: from the user's view, at every auction.
+func oracleDemand(p *Platform, u population.UserView) float64 {
+	ageFactor := 1.0
+	if age := u.Age(); age < 65 {
+		ageFactor += p.cfg.CompetitionAgeSlope * float64(65-age) / 47
+	}
+	raceFactor := 1.0
+	if u.Race() == demo.RaceWhite {
+		raceFactor += p.cfg.CompetitionWhitePremium
+	}
+	return p.cfg.CompetitionBase * ageFactor * raceFactor
 }
 
 // knuthPoisson is the session draw as the oracle day made it: the threshold
@@ -282,34 +289,45 @@ func TestDayPlanMatchesMapOracleOnRandomDays(t *testing.T) {
 				t.Errorf("trial %d ad %d: hourly series %v, oracle %v", trial, i, st.HourlySeries, oa.hourly)
 			}
 		}
-		// The slot counters are the oracle's per-user counts, and every memo
-		// entry a shard filled is what a fresh evaluation on a user of its key
-		// returns — the oracle above evaluated both models per auction, from
-		// the population.
+		// Every row the shards carry is its user's CSR row, its slot counters
+		// are the oracle's per-user counts, and every memo entry a shard
+		// filled is what a fresh evaluation on a user of its key returns — the
+		// oracle above evaluated both models per auction, from the population.
 		nAds := len(plan.active)
 		keySeen := make([]bool, numKeys)
-		for row := 0; row < plan.elig.rows(); row++ {
-			uid := int(plan.elig.users[row])
-			for slot := plan.elig.offsets[row]; slot < plan.elig.offsets[row+1]; slot++ {
-				run := plan.elig.ads[slot]
-				if got, shown := int(plan.shown[slot]), want[run].shown[uid]; got != shown {
-					t.Fatalf("trial %d user %d ad %d: slot counter %d, oracle showed it %d times", trial, uid, run, got, shown)
+		carried := 0
+		for _, sh := range run.shards {
+			carried += len(sh.visits)
+			for _, v := range sh.visits {
+				uid := int(v.row.user)
+				row := sort.Search(plan.elig.rows(), func(r int) bool { return plan.elig.users[r] >= v.row.user })
+				if lo, hi := plan.elig.offsets[row], plan.elig.offsets[row+1]; v.row.lo != lo || v.row.hi != hi {
+					t.Fatalf("trial %d user %d: visit carries slots [%d, %d), the CSR row has [%d, %d)", trial, uid, v.row.lo, v.row.hi, lo, hi)
+				}
+				for slot := v.row.lo; slot < v.row.hi; slot++ {
+					run := plan.elig.ads[slot]
+					if got, shown := int(plan.shown[slot]), want[run].shown[uid]; got != shown {
+						t.Fatalf("trial %d user %d ad %d: slot counter %d, oracle showed it %d times", trial, uid, run, got, shown)
+					}
+				}
+				u := p.pop.View(uid)
+				key := v.row.key()
+				if at := (u.Age()*cellGenders+int(u.Gender()))*numRaces + int(u.Race()); key != at {
+					t.Fatalf("trial %d user %d (%d, %v, %v): row key %d, want %d", trial, uid, u.Age(), u.Gender(), u.Race(), key, at)
+				}
+				keySeen[key] = true
+				for run, ad := range plan.active {
+					if bits := plan.terms[key*nAds+run].Load(); bits != 0 && math.Float64frombits(bits) != p.optimizationTerm(ad, u) {
+						t.Fatalf("trial %d user %d ad %d: memoised term %v, fresh %v", trial, uid, run, math.Float64frombits(bits), p.optimizationTerm(ad, u))
+					}
+					if bits := plan.clicks[key*nAds+run].Load(); bits != 0 && math.Float64frombits(bits) != p.behave.ClickProb(u, ad.Creative.Image) {
+						t.Fatalf("trial %d user %d ad %d: memoised click probability %v, fresh %v", trial, uid, run, math.Float64frombits(bits), p.behave.ClickProb(u, ad.Creative.Image))
+					}
 				}
 			}
-			u := p.pop.View(uid)
-			key := plan.rows[row].key()
-			if at := (u.Age()*cellGenders+int(u.Gender()))*numRaces + int(u.Race()); key != at {
-				t.Fatalf("trial %d user %d (%d, %v, %v): row key %d, want %d", trial, uid, u.Age(), u.Gender(), u.Race(), key, at)
-			}
-			keySeen[key] = true
-			for run, ad := range plan.active {
-				if bits := plan.terms[key*nAds+run].Load(); bits != 0 && math.Float64frombits(bits) != p.optimizationTerm(ad, u) {
-					t.Fatalf("trial %d user %d ad %d: memoised term %v, fresh %v", trial, uid, run, math.Float64frombits(bits), p.optimizationTerm(ad, u))
-				}
-				if bits := plan.clicks[key*nAds+run].Load(); bits != 0 && math.Float64frombits(bits) != p.behave.ClickProb(u, ad.Creative.Image) {
-					t.Fatalf("trial %d user %d ad %d: memoised click probability %v, fresh %v", trial, uid, run, math.Float64frombits(bits), p.behave.ClickProb(u, ad.Creative.Image))
-				}
-			}
+		}
+		if carried != plan.elig.rows() {
+			t.Fatalf("trial %d: the shards carry %d rows, the index has %d", trial, carried, plan.elig.rows())
 		}
 		for name, table := range map[string][]atomic.Uint64{"term": plan.terms, "click": plan.clicks} {
 			filled := 0
@@ -375,26 +393,26 @@ func TestDayTickDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestShuffleRowsIsRandShuffle pins shuffleRows draw for draw against
-// rand.Shuffle: from equal seeds, three consecutive shuffles on one stream
-// leave the same permutation and the same next draw. The exported Int31n maps
-// a draw to an index differently (mask or modulo, not multiply-shift), so a
-// shuffle written with it fails here.
+// TestShuffleRowsIsRandShuffle pins shuffleRows on a dayRand draw for draw
+// against rand.Shuffle on a math/rand of the same seed: three consecutive
+// shuffles on one stream leave the same permutation and the same next draw.
+// The exported Int31n maps a draw to an index differently (mask or modulo,
+// not multiply-shift), so a shuffle written with it fails here.
 func TestShuffleRowsIsRandShuffle(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 1000, 40000} {
 		visits := make([]visit, n)
 		want := make([]int32, n)
 		for seed := int64(1); seed <= 50; seed++ {
 			for i := range visits {
-				visits[i] = visit{quiet: float64(i), pos: int32(i)}
+				visits[i] = visit{quiet: float64(i), row: planRow{user: int32(i), lo: int32(i)}}
 				want[i] = int32(i)
 			}
-			got, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got, ref := newDayRand(seed), rand.New(rand.NewSource(seed))
 			for round := 0; round < 3; round++ {
 				shuffleRows(got, visits)
 				ref.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
 				for i, v := range visits {
-					if v.pos != want[i] || v.quiet != float64(want[i]) {
+					if v.row.user != want[i] || v.row.lo != want[i] || v.quiet != float64(want[i]) {
 						t.Fatalf("n=%d seed=%d round %d: entry %d is %+v, rand.Shuffle put %d there", n, seed, round, i, v, want[i])
 					}
 				}
@@ -406,12 +424,16 @@ func TestShuffleRowsIsRandShuffle(t *testing.T) {
 	}
 }
 
-// TestMemoKeyIsAllTheModelsRead is the property the day plan's memo tables
-// rest on: optimizationTerm and Behavior.ClickProb return the same bits for
-// any two users who share (age, gender, race), whatever the creative and the
-// objective. Teach either model about anything else in a user — ZIP, state,
-// activity — and this fails; the tables' key (planRow.key, numKeys) has to
-// grow with the model before any golden is regenerated.
+// TestMemoKeyIsAllTheModelsRead is the property the day plan's key tables
+// rest on: optimizationTerm, Behavior.ClickProb and the background demand
+// return the same bits for any two users who share (age, gender, race),
+// whatever the creative and the objective. Teach any of them about anything
+// else in a user — ZIP, state, activity — and this fails; the tables' key
+// (planRow.key, numKeys) has to grow with the model before any golden is
+// regenerated. competingDemand takes only age and race, so its half of the
+// property is its signature: the check here is on the per-user expression
+// the oracle day evaluates, which TestDemandTableIsCompetingDemand ties to
+// the table.
 func TestMemoKeyIsAllTheModelsRead(t *testing.T) {
 	p, f := newTestPlatform(t, 917)
 	images := []image.Features{{}, {Job: "lumber"}} // no person, with and without a job
@@ -449,6 +471,9 @@ func TestMemoKeyIsAllTheModelsRead(t *testing.T) {
 			continue
 		}
 		pairs++
+		if x, y := oracleDemand(p, a), oracleDemand(p, b); math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("users %d and %d share (%d, %v, %v) but face background demand %v and %v", a.ID(), b.ID(), a.Age(), a.Gender(), a.Race(), x, y)
+		}
 		for _, ad := range ads {
 			if x, y := p.optimizationTerm(ad, a), p.optimizationTerm(ad, b); math.Float64bits(x) != math.Float64bits(y) {
 				t.Fatalf("users %d and %d share (%d, %v, %v) but %v terms are %v and %v", a.ID(), b.ID(), a.Age(), a.Gender(), a.Race(), ad.Objective, x, y)
@@ -458,6 +483,33 @@ func TestMemoKeyIsAllTheModelsRead(t *testing.T) {
 				t.Fatalf("users %d and %d share (%d, %v, %v) but click probabilities on %+v are %v and %v", a.ID(), b.ID(), a.Age(), a.Gender(), a.Race(), img, x, y)
 			}
 		}
+	}
+}
+
+// TestDemandTableIsCompetingDemand: for every user of the fixture world, the
+// plan's demand entry at the user's key is, bit for bit, competingDemand of
+// the user's age and race and the background level the oracle day computes
+// from the user's view.
+func TestDemandTableIsCompetingDemand(t *testing.T) {
+	p, ids := benchDay(t)
+	plan, err := p.prepareDay(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	visits := make([]visit, 1)
+	for pos := range plan.elig.users {
+		p.gatherRows(plan, []int32{int32(pos)}, visits)
+		u := p.pop.View(int(plan.elig.users[pos]))
+		got := plan.demand[visits[0].row.key()]
+		if want := p.competingDemand(u.Age(), u.Race()); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("user %d (%d, %v): table %v, competingDemand %v", u.ID(), u.Age(), u.Race(), got, want)
+		}
+		if want := oracleDemand(p, u); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("user %d (%d, %v): table %v, per-user expression %v", u.ID(), u.Age(), u.Race(), got, want)
+		}
+	}
+	if n := len(plan.elig.users); n != sharedFixture(t).pop.Len() {
+		t.Fatalf("the day covers %d users, the fixture world has %d", n, sharedFixture(t).pop.Len())
 	}
 }
 

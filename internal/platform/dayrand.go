@@ -1,0 +1,107 @@
+package platform
+
+import "math/rand"
+
+// dayRand is math/rand's generator as a concrete type: the day kernel's
+// uniform draws compile to a few inlined loads and adds instead of
+// Rand.Float64 → Rand.Int63 → Source.Int63 through an interface. It is the
+// additive lagged-Fibonacci generator rand.NewSource returns — a 607-word
+// register, the tap 273 words behind the feed, each output x = v[feed] +
+// v[tap] written back at the feed — and each method makes exactly the draws
+// the math/rand method of the same name makes, so a day's stream is the one
+// the goldens were recorded with (TestDayRandIsMathRand).
+type dayRand struct {
+	tap, feed int
+	vec       [rngLen]uint64
+	// norm is a rand.Rand over this same register, for NormFloat64: dayRand
+	// is a rand.Source64, so a normal draw consumes the stream exactly where
+	// math/rand's would.
+	norm *rand.Rand
+}
+
+const (
+	rngLen = 607
+	rngTap = 273
+)
+
+// newDayRand returns the generator rand.NewSource(seed) returns.
+func newDayRand(seed int64) *dayRand {
+	r := &dayRand{}
+	r.Seed(seed)
+	r.norm = rand.New(r)
+	return r
+}
+
+// Seed sets the register to the state rand.NewSource(seed) starts in.
+// math/rand stays the definition of that state: instead of copying its
+// seeding table, Seed takes the source's first rngLen outputs and solves the
+// recurrence backwards. From the starting state (tap 0, feed 334), output k
+// adds the word at feed_k = (333−k) mod 607, still untouched, to the word at
+// the tap, which holds output k−273 once k ≥ 273 and, before that, the
+// untouched starting word at feed_{k+334}.
+func (r *dayRand) Seed(seed int64) {
+	src := rand.NewSource(seed).(rand.Source64)
+	var x [rngLen]uint64
+	for k := range x {
+		x[k] = src.Uint64()
+	}
+	feed := func(k int) int { return (2*rngLen - rngTap - 1 - k) % rngLen }
+	for k := rngTap; k < rngLen; k++ {
+		r.vec[feed(k)] = x[k] - x[k-rngTap]
+	}
+	for k := 0; k < rngTap; k++ {
+		r.vec[feed(k)] = x[k] - r.vec[feed(k+rngLen-rngTap)]
+	}
+	r.tap, r.feed = 0, rngLen-rngTap
+}
+
+// Uint64 is the generator's step, rngSource.Uint64.
+func (r *dayRand) Uint64() uint64 {
+	r.tap--
+	if r.tap < 0 {
+		r.tap += rngLen
+	}
+	r.feed--
+	if r.feed < 0 {
+		r.feed += rngLen
+	}
+	x := r.vec[r.feed] + r.vec[r.tap]
+	r.vec[r.feed] = x
+	return x
+}
+
+// Int63 is rand.Rand.Int63.
+func (r *dayRand) Int63() int64 { return int64(r.Uint64() &^ (1 << 63)) }
+
+// Uint32 is rand.Rand.Uint32.
+func (r *dayRand) Uint32() uint32 { return uint32(r.Int63() >> 31) }
+
+// Int31 is rand.Rand.Int31.
+func (r *dayRand) Int31() int32 { return int32(r.Int63() >> 32) }
+
+// Float64 is rand.Rand.Float64, resampling the draw that rounds up to 1.
+func (r *dayRand) Float64() float64 {
+	for {
+		if f := float64(r.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
+
+// Intn is rand.Rand.Intn for an n in (0, 2³¹), where it is Int31n: a mask
+// for a power of two, otherwise rejection above the largest multiple of n,
+// then the remainder.
+func (r *dayRand) Intn(n int32) int32 {
+	if n&(n-1) == 0 {
+		return r.Int31() & (n - 1)
+	}
+	limit := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+	v := r.Int31()
+	for v > limit {
+		v = r.Int31()
+	}
+	return v % n
+}
+
+// NormFloat64 is rand.Rand.NormFloat64.
+func (r *dayRand) NormFloat64() float64 { return r.norm.NormFloat64() }

@@ -1,0 +1,120 @@
+package platform
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// TestDayRandIsMathRand runs dayRand against rand.New(rand.NewSource(seed))
+// call for call: seeds on both sides of math/rand's seed reduction (0, which
+// it replaces, negatives, and seeds at and past 2³¹), 100 000 interleaved
+// draws each, with Intn at powers of two, at small counts and at 2³⁰+1,
+// where about half the draws are rejected, and enough normal draws that
+// NormFloat64's tail strip is taken.
+func TestDayRandIsMathRand(t *testing.T) {
+	ns := []int32{1, 2, 3, 4, 7, 64, 100, 1 << 30, 1<<30 + 1, math.MaxInt32}
+	for _, seed := range []int64{0, 1, 31, -1, -1 << 40, 1 << 31, 1<<62 + 12345, math.MaxInt64, math.MinInt64} {
+		got, want := newDayRand(seed), rand.New(rand.NewSource(seed))
+		tails := 0
+		for i := 0; i < 100_000; i++ {
+			var a, b uint64
+			switch i % 6 {
+			case 0:
+				a, b = math.Float64bits(got.Float64()), math.Float64bits(want.Float64())
+			case 1:
+				a, b = uint64(got.Uint32()), uint64(want.Uint32())
+			case 2:
+				n := ns[i/6%len(ns)]
+				a, b = uint64(got.Intn(n)), uint64(want.Intn(int(n)))
+			case 3:
+				x := got.NormFloat64()
+				if math.Abs(x) > 3.442619855899 { // rn, where the ziggurat's base strip ends
+					tails++
+				}
+				a, b = math.Float64bits(x), math.Float64bits(want.NormFloat64())
+			case 4:
+				a, b = uint64(got.Int63()), uint64(want.Int63())
+			case 5:
+				a, b = got.Uint64(), want.Uint64()
+			}
+			if a != b {
+				t.Fatalf("seed %d call %d (kind %d): dayRand %#x, math/rand %#x", seed, i, i%6, a, b)
+			}
+		}
+		if tails == 0 {
+			t.Errorf("seed %d: no normal draw reached the tail", seed)
+		}
+	}
+}
+
+// BenchmarkDayRand times one draw of each kind the day kernel makes, from
+// dayRand and from math/rand on the same seed.
+func BenchmarkDayRand(b *testing.B) {
+	const seed = 31
+	var sink float64
+	for _, draw := range []struct {
+		name string
+		day  func(r *dayRand, n int) float64
+		std  func(r *rand.Rand, n int) float64
+	}{
+		{"Float64", func(r *dayRand, n int) (s float64) {
+			for i := 0; i < n; i++ {
+				s += r.Float64()
+			}
+			return s
+		}, func(r *rand.Rand, n int) (s float64) {
+			for i := 0; i < n; i++ {
+				s += r.Float64()
+			}
+			return s
+		}},
+		{"Uint32", func(r *dayRand, n int) (s float64) {
+			for i := 0; i < n; i++ {
+				s += float64(r.Uint32())
+			}
+			return s
+		}, func(r *rand.Rand, n int) (s float64) {
+			for i := 0; i < n; i++ {
+				s += float64(r.Uint32())
+			}
+			return s
+		}},
+		{"Intn", func(r *dayRand, n int) (s float64) {
+			for i := 0; i < n; i++ {
+				s += float64(r.Intn(3))
+			}
+			return s
+		}, func(r *rand.Rand, n int) (s float64) {
+			for i := 0; i < n; i++ {
+				s += float64(r.Intn(3))
+			}
+			return s
+		}},
+		{"NormFloat64", func(r *dayRand, n int) (s float64) {
+			for i := 0; i < n; i++ {
+				s += r.NormFloat64()
+			}
+			return s
+		}, func(r *rand.Rand, n int) (s float64) {
+			for i := 0; i < n; i++ {
+				s += r.NormFloat64()
+			}
+			return s
+		}},
+	} {
+		b.Run(draw.name+"/dayRand", func(b *testing.B) {
+			r := newDayRand(seed)
+			b.ResetTimer()
+			sink += draw.day(r, b.N)
+		})
+		b.Run(draw.name+"/math_rand", func(b *testing.B) {
+			r := rand.New(rand.NewSource(seed))
+			b.ResetTimer()
+			sink += draw.std(r, b.N)
+		})
+	}
+	if math.IsNaN(sink) {
+		b.Fatal("NaN draw")
+	}
+}

@@ -3,7 +3,6 @@ package platform
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
@@ -96,7 +95,7 @@ func (p *Platform) RunDayWorkers(adIDs []string, seed int64, workers int) error 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.session != nil {
-		return fmt.Errorf("platform: coordinated delivery session %q active, cannot run an in-process day", p.session.name)
+		return fmt.Errorf("%w: %q, cannot run an in-process day", ErrSessionActive, p.session.name)
 	}
 	if workers <= 0 {
 		workers = p.cfg.DeliveryWorkers
@@ -318,7 +317,7 @@ const noSessions = 2
 
 // poisson draws a Poisson variate by Knuth's method, given its threshold;
 // efficient for the small per-tick session rates used here.
-func poisson(rng *rand.Rand, l float64) int {
+func poisson(rng *dayRand, l float64) int {
 	if l == noSessions {
 		return 0
 	}

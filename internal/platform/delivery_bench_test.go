@@ -245,13 +245,14 @@ func (st *tickStepper) shard() *dayShard { return st.run.shards[0] }
 // walk, the auctions — cycling through whole days so that every tick of the
 // day (cold memo tables, warm tables, users at their frequency cap) weighs in
 // as it does in a real day. Building each new day sits outside the timer, and
-// so does the sparse case's world (a few seconds, once).
+// so does the sparse cases' world (a few seconds, once). sparse_shard_of_2 is
+// the frozen shard a backend of a 2-shard fleet ticks on that world.
 func BenchmarkDayTick(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
 		shards int
 		day    func(testing.TB) (*Platform, []string)
-	}{{"sequential", 1, benchDay}, {"shard_of_2", 2, benchDay}, {"sparse", 1, sparseDay}} {
+	}{{"sequential", 1, benchDay}, {"shard_of_2", 2, benchDay}, {"sparse", 1, sparseDay}, {"sparse_shard_of_2", 2, sparseDay}} {
 		b.Run(bc.name, func(b *testing.B) {
 			p, ids := bc.day(b)
 			ticks := p.cfg.Ticks

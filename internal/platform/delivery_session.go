@@ -15,14 +15,16 @@ package platform
 //
 // Nothing a session does before Finish touches durable state: counts live in
 // the shard's accumulators, served-log rows stay in its buffer, no mutation
-// is emitted.
+// is emitted. Nothing else moves the serve log while a session is open
+// (RunDayWorkers and Retrain refuse with ErrSessionActive), so the shard
+// buffers only the rows the log has room for at Begin, which are exactly the
+// rows Finish can flush.
 // A shard process that dies mid-day therefore loses the session entirely and
 // cleanly — the coordinator detects the conflict, aborts the day everywhere,
 // and re-runs it; determinism makes the re-run byte-identical.
 //
 // Sessions are deliberately in-memory and single: one coordinator owns a
-// backend. Begin replaces any existing session (that IS the recovery path),
-// and RunDayWorkers refuses to run while a session is active.
+// backend. Begin replaces any existing session (that IS the recovery path).
 
 import (
 	"errors"
@@ -35,6 +37,11 @@ import (
 // it to HTTP 409; the coordinator responds by aborting and re-running the
 // day.
 var ErrSessionConflict = errors.New("platform: delivery session conflict")
+
+// ErrSessionActive reports a call refused because a coordinated delivery
+// session is open on the backend: an in-process day, or a retraining that
+// would move the serve log the session's rows flush into at Finish.
+var ErrSessionActive = errors.New("platform: coordinated delivery session active")
 
 // daySession is the in-memory state of one coordinated delivery day on one
 // shard backend.

@@ -16,6 +16,9 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"github.com/adaudit/impliedidentity/internal/demo"
+	"github.com/adaudit/impliedidentity/internal/image"
 )
 
 // coordObjects is one backend's copy of the coordinated account state.
@@ -174,7 +177,7 @@ func TestDaySessionMatchesInProcessEngines(t *testing.T) {
 }
 
 // TestDaySessionProtocol covers the session lifecycle rules: tick replay,
-// ordering, engine exclusion, abort, and replacement.
+// ordering, engine and retraining exclusion, abort, and replacement.
 func TestDaySessionProtocol(t *testing.T) {
 	f := sharedFixture(t)
 	tc := diffCases()[0]
@@ -195,8 +198,11 @@ func TestDaySessionProtocol(t *testing.T) {
 	}
 	dirs := ctrl.TickDirectives(0)
 
-	if err := p.RunDayWorkers(ids, tc.runSeed, 1); err == nil {
-		t.Fatal("RunDayWorkers succeeded during an active session")
+	if err := p.RunDayWorkers(ids, tc.runSeed, 1); !errors.Is(err, ErrSessionActive) {
+		t.Fatalf("in-process day during an active session: got %v, want ErrSessionActive", err)
+	}
+	if err := p.Retrain(TrainingConfig{}); !errors.Is(err, ErrSessionActive) {
+		t.Fatalf("retraining during an active session: got %v, want ErrSessionActive", err)
 	}
 	if _, err := p.DaySessionTick("other", 0, dirs); !errors.Is(err, ErrSessionConflict) {
 		t.Fatalf("foreign session tick: got %v, want ErrSessionConflict", err)
@@ -244,5 +250,69 @@ func TestDaySessionProtocol(t *testing.T) {
 	}
 	if got := deliveryDigest(t, p, ids); got != tc.golden {
 		t.Errorf("post-abort engine run diverged from golden:\n got %s\nwant %s", got, tc.golden)
+	}
+}
+
+// TestSessionBuffersOnlyWhatFinishFlushes: a session shard buffers served rows
+// only up to the room the retraining buffer has at Begin, which nothing can
+// change before Finish. The same one-shard session day runs on an empty
+// buffer, on one with room for 200 rows and on a full one: it buffers every
+// impression, then exactly min(impressions, 200) rows — the first 200 the
+// unbounded day logs — then none.
+func TestSessionBuffersOnlyWhatFinishFlushes(t *testing.T) {
+	const room = 200
+	var all []servedRow
+	for _, used := range []int{0, maxServedLog - room, maxServedLog} {
+		p, f := newTestPlatform(t, 314)
+		caID := uploadBalancedAudience(t, p, f, 50, 35)
+		img := image.FromProfile(demo.AllProfiles()[0])
+		ids := createAdSet(t, p, ObjectiveTraffic, caID, []diffAdSpec{{img: img, budget: 300}, {img: img, budget: 300}})
+		p.served = make([]servedRow, used)
+		init, err := p.BeginDaySession("s", ids, 5, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl, err := NewPacingController(init, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tick := 0; tick < ctrl.Ticks(); tick++ {
+			rep, err := p.DaySessionTick("s", tick, ctrl.TickDirectives(tick))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ctrl.CommitTick([][]float64{rep.Spent}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		buffered := len(p.session.run.shards[0].served)
+		if err := p.FinishDaySession("s", ctrl.SpendCents()); err != nil {
+			t.Fatal(err)
+		}
+		impressions := 0
+		for _, id := range ids {
+			st, err := p.Insights(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			impressions += st.Impressions
+		}
+		logged := p.served[used:]
+		want := min(impressions, maxServedLog-used)
+		if buffered != want || len(logged) != want {
+			t.Fatalf("%d rows in use: the session buffered %d rows and flushed %d of %d impressions, want %d", used, buffered, len(logged), impressions, want)
+		}
+		if used == 0 {
+			if impressions <= room {
+				t.Fatalf("the day served %d impressions, want more than %d", impressions, room)
+			}
+			all = logged
+			continue
+		}
+		for i, row := range logged {
+			if w := all[i]; row.user != w.user || row.clicked != w.clicked || row.ad.ID != w.ad.ID {
+				t.Fatalf("%d rows in use, row %d: logged %+v, the unbounded day logs %+v", used, i, row, w)
+			}
+		}
 	}
 }

@@ -35,7 +35,6 @@ package platform
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -57,14 +56,15 @@ type adAcc struct {
 // dayShard owns a disjoint slice of the day's rows, a private RNG stream that
 // persists across ticks, and per-ad accumulators.
 type dayShard struct {
-	rng    *rand.Rand
+	rng    *dayRand
 	live   bool        // charge committed spend per auction instead of at the barrier
 	visits []visit     // the shard's rows, in the order the last tick walked them
 	accs   []adAcc     // indexed by run index
 	served []servedRow // buffered rows, until flushServed
 	// servedRoom bounds len(served) by the rows the retraining buffer can
-	// still take: the whole buffer for a session shard, which flushes once at
-	// Finish, and what is left of it at each tick of an in-process day
+	// still take: what is left of it when the shard is built, which is what a
+	// session shard can flush at Finish (nothing moves the buffer while a
+	// session is open), and what is left at each tick of an in-process day
 	// (driveTicks).
 	servedRoom int
 	auctions   int64
@@ -81,11 +81,11 @@ func (p *Platform) newDayShard(plan *dayPlan, seed int64, shard, shards int) *da
 	}
 	order := plan.elig.shardRows(shard, shards)
 	sh := &dayShard{
-		rng:        rand.New(rand.NewSource(seed)),
+		rng:        newDayRand(seed),
 		live:       live,
 		visits:     make([]visit, len(order)),
 		accs:       make([]adAcc, len(plan.active)),
-		servedRoom: maxServedLog,
+		servedRoom: maxServedLog - len(p.served),
 	}
 	ticks := p.cfg.Ticks
 	hourly := make([]int, len(sh.accs)*ticks)
@@ -233,14 +233,14 @@ func shardSeed(seed int64, shard int) int64 {
 // audience), running each user's sessions. The shuffle permutes the shard's
 // visit array in place — the order persists across ticks, starting from
 // ascending population order, which is what the committed digests were
-// recorded with — and the session draw then scans it front to back; only a
-// user who has a session is looked up in the plan. It only reads what is
-// shared (the frozen bids, the CSR index, filled memo entries) and writes its
-// own accumulators, the rows' slots and memo entries nobody has filled.
+// recorded with — and the session draw then scans it front to back; a user
+// who has a session is auctioned from the row the visit carries. It only
+// reads what is shared (the frozen bids, the CSR index, the tables, filled
+// memo entries) and writes its own accumulators, the rows' slots and memo
+// entries nobody has filled.
 func (p *Platform) tickShard(sh *dayShard, plan *dayPlan, tick int) {
 	rng := sh.rng
 	shuffleRows(rng, sh.visits)
-	offsets := plan.elig.offsets
 	for i := range sh.visits {
 		v := &sh.visits[i]
 		sessions := poisson(rng, v.quiet)
@@ -248,9 +248,8 @@ func (p *Platform) tickShard(sh *dayShard, plan *dayPlan, tick int) {
 			continue
 		}
 		sh.auctions += int64(sessions)
-		row, lo, hi := &plan.rows[v.pos], offsets[v.pos], offsets[v.pos+1]
 		for ; sessions > 0; sessions-- {
-			p.auction(sh, plan, row, lo, hi, tick)
+			p.auction(sh, plan, &v.row, tick)
 		}
 	}
 }
@@ -260,9 +259,10 @@ func (p *Platform) tickShard(sh *dayShard, plan *dayPlan, tick int) {
 // each i from the top, math/rand's unexported int31n(i+1): a Uint32, the
 // multiply-shift, and the rejection loop under the threshold — so the stream
 // and the permutation are the ones the goldens were recorded with
-// (TestShuffleRowsIsRandShuffle). A shard's rows are int32 positions, below
-// the 2³¹ where rand.Shuffle switches to Int63n.
-func shuffleRows(rng *rand.Rand, visits []visit) {
+// (TestShuffleRowsIsRandShuffle). A shard holds fewer rows than the int32
+// CSR offsets can address, below the 2³¹ where rand.Shuffle switches to
+// Int63n.
+func shuffleRows(rng *dayRand, visits []visit) {
 	for i := len(visits) - 1; i > 0; i-- {
 		n := uint32(i + 1)
 		prod := uint64(rng.Uint32()) * uint64(n)
@@ -279,21 +279,23 @@ func shuffleRows(rng *rand.Rand, visits []visit) {
 }
 
 // auction runs one ad slot of the user in `row`: the ads eligible for the
-// user (slots lo..hi of the plan) compete with each other and with background
+// user (the row's slots lo..hi) compete with each other and with background
 // advertiser demand; the winner pays the second price.
-func (p *Platform) auction(sh *dayShard, plan *dayPlan, row *planRow, lo, hi int32, tick int) {
+func (p *Platform) auction(sh *dayShard, plan *dayPlan, row *planRow, tick int) {
 	rng := sh.rng
+	key := row.key()
 	// Background demand: the highest competing total value for the slot.
-	bg := row.demand * math.Exp(0.45*rng.NormFloat64()-0.10125)
+	bg := plan.demand[key] * math.Exp(0.45*rng.NormFloat64()-0.10125)
 	winner := int32(-1)
 	best, second := bg, 0.0
 	// Random starting offset so exact-tie auctions don't systematically
 	// favor earlier-created ads.
+	lo, hi := row.lo, row.hi
 	slot := lo
 	if n := hi - lo; n > 1 {
-		slot += int32(rng.Intn(int(n)))
+		slot += rng.Intn(n)
 	}
-	memo := row.key() * len(plan.active)
+	memo := key * len(plan.active)
 	for k := lo; k < hi; k++ {
 		at := slot
 		if slot++; slot == hi {
@@ -377,7 +379,7 @@ func (p *Platform) auction(sh *dayShard, plan *dayPlan, row *planRow, lo, hi int
 // home state, or — while traveling — usually some other state, occasionally
 // the other study state (the miscount risk §3.3 argues is negligible and
 // symmetric).
-func deliveryRegion(rng *rand.Rand, row *planRow) demo.State {
+func deliveryRegion(rng *dayRand, row *planRow) demo.State {
 	if rng.Float64() >= row.travel {
 		return row.home
 	}

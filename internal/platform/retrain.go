@@ -36,10 +36,14 @@ func (p *Platform) ServedLogSize() int {
 // the last (re)training. Served impressions are selection-biased — the
 // previous model chose who saw what — which is precisely the feedback-loop
 // mechanism experiment E16 measures. Ads created after Retrain use the new
-// model; completed ads keep their recorded delivery.
+// model; completed ads keep their recorded delivery. It is refused while a
+// coordinated delivery session is open, whose rows are still to be logged.
 func (p *Platform) Retrain(cfg TrainingConfig) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.session != nil {
+		return fmt.Errorf("%w: %q, cannot retrain", ErrSessionActive, p.session.name)
+	}
 	if cfg.LogRows == 0 {
 		cfg.LogRows = p.cfg.Training.LogRows
 	}
