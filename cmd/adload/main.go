@@ -61,6 +61,7 @@ func run(args []string, stdout io.Writer) error {
 	out := fs.String("out", "", "path to write the JSON report (schema adaudit/bench-serving/v1)")
 	worldOf := node.WorldFlags(fs, node.WorldConfig{Seed: 1, Voters: 8000, LogRows: 3000, FLOnly: true})
 	stackOf := node.StackFlags(fs)
+	faultsOf := node.FaultFlags(fs)
 	deliveryWorkers := fs.Int("delivery-workers", 0, "delivery shard count sent with every deliver call (0 = server default, 1 = sequential oracle)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -72,11 +73,15 @@ func run(args []string, stdout io.Writer) error {
 		// legal with -target: they record the remote policy in the report; the
 		// seed is server-side only.)
 		if err := node.RejectSet(fs, "the self-hosted server", "-target",
-			"voters", "logrows", "fault-rate", "fault-seed", "fault-kinds", "shed-cap", "store-dir", "fsync", "privacy-seed"); err != nil {
+			"voters", "logrows", "shed-cap", "store-dir", "fsync", "privacy-seed"); err != nil {
 			return err
 		}
 	}
 	stackCfg, err := stackOf()
+	if err != nil {
+		return err
+	}
+	faultCfg, err := faultsOf()
 	if err != nil {
 		return err
 	}
@@ -121,6 +126,14 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Faults hit the workload's requests on their way out, so the retry layer
+	// under test sees them whether the server is in-process or remote.
+	faultReg := obs.NewRegistry()
+	transport, err := node.FaultTransport(faultCfg, faultReg, stdout)
+	if err != nil {
+		return err
+	}
+	client.SetTransport(transport)
 	if *throttle > 0 {
 		client.SetMinInterval(*throttle)
 	}
@@ -176,10 +189,10 @@ func run(args []string, stdout io.Writer) error {
 			*duration, rep.ScenariosCompleted, *scenarios)
 	}
 
+	rep.FaultsInjected = faultReg.Counter(faults.MetricInjected).Value()
 	if snap, err := fetchMetrics(probe); err == nil {
 		rep.ServerMetrics = snap
 		rep.RequestsShed = snap.Counters[obs.MetricRequestsShed]
-		rep.FaultsInjected = snap.Counters[faults.MetricInjected]
 	} else {
 		fmt.Fprintf(stdout, "warning: could not scrape %s/metrics: %v\n", baseURL, err)
 	}

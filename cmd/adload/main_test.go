@@ -119,18 +119,22 @@ func TestChaosSmokeRun(t *testing.T) {
 	}
 }
 
-func TestFaultFlagsRequireSelfHost(t *testing.T) {
-	for _, args := range [][]string{
-		{"-target", "http://127.0.0.1:1", "-voterfile", "x", "-fault-rate", "0.2"},
-		{"-target", "http://127.0.0.1:1", "-voterfile", "x", "-fault-seed", "9"},
-		{"-target", "http://127.0.0.1:1", "-voterfile", "x", "-fault-kinds", "drop"},
-		{"-target", "http://127.0.0.1:1", "-voterfile", "x", "-shed-cap", "10"},
-	} {
+// TestServerFlagsRequireSelfHost: a flag that configures the self-hosted
+// server is refused next to -target. The fault flags configure adload's own
+// requests, so they pass and the run goes on to read -voterfile.
+func TestServerFlagsRequireSelfHost(t *testing.T) {
+	remote := []string{"-target", "http://127.0.0.1:1", "-voterfile", "x"}
+	for _, flag := range [][]string{{"-shed-cap", "10"}, {"-privacy-seed", "9"}} {
 		var buf strings.Builder
-		err := run(args, &buf)
+		err := run(append(remote, flag...), &buf)
 		if err == nil || !strings.Contains(err.Error(), "-target") {
-			t.Errorf("args %v: want self-host conflict error, got %v", args, err)
+			t.Errorf("%v: want self-host conflict error, got %v", flag, err)
 		}
+	}
+	var buf strings.Builder
+	err := run(append(remote, "-fault-rate", "0.2", "-fault-seed", "9", "-fault-kinds", "drop"), &buf)
+	if err == nil || !strings.Contains(err.Error(), "open x") {
+		t.Errorf("fault flags with -target: want the -voterfile read to fail, got %v", err)
 	}
 }
 
@@ -155,6 +159,7 @@ func TestBadFlagsFailFast(t *testing.T) {
 		// loadgen.New checks -mode, and it needs the hash pool.
 		{args: []string{"-mode", "bursty", "-voters", "4000", "-logrows", "1500"}, want: "unknown mode", late: true},
 		{args: []string{"-fsync", "none"}, want: "cannot be combined with an empty -store-dir"},
+		{args: []string{"-fault-rate", "2"}, want: "rate 2 outside [0,1]"},
 		{args: []string{"-fsync", "sometimes", "-store-dir", "x"}, want: "fsync"},
 		{args: append(remote, "-voters", "4000"), want: "-voters applies to the self-hosted server and cannot be combined with -target"},
 		{args: append(remote, "-logrows", "1500"), want: "-logrows applies to the self-hosted server and cannot be combined with -target"},

@@ -65,7 +65,7 @@ func TestRunFlagValidation(t *testing.T) {
 		{[]string{"-fsync", "interval"}, "-fsync applies to the durable store and cannot be combined with an empty -store-dir"},
 		{[]string{"-snapshot-every", "10"}, "-snapshot-every applies to the durable store and cannot be combined with an empty -store-dir"},
 		{[]string{"-review-reject", "2"}, "-review-reject 2 out of range"},
-		{[]string{"-fault-kinds", "gremlins"}, "gremlins"},
+		{[]string{"-fault-rate", "0.1"}, "flag provided but not defined: -fault-rate"},
 		{[]string{"-privacy-k", "-1"}, "privacy"},
 		// An unusable address fails once the (small) world is built.
 		{[]string{"-voters", "2000", "-logrows", "1500", "-addr", "256.0.0.1:99999"}, ""},

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -42,7 +41,6 @@ import (
 	"time"
 
 	"github.com/adaudit/impliedidentity/internal/coordinator"
-	"github.com/adaudit/impliedidentity/internal/faults"
 	"github.com/adaudit/impliedidentity/internal/node"
 	"github.com/adaudit/impliedidentity/internal/obs"
 	"github.com/adaudit/impliedidentity/internal/supervisor"
@@ -88,18 +86,13 @@ func run(args []string) error {
 	}
 
 	reg := obs.NewRegistry()
-	// Fault injection sits on the router->shard RPC path, client-side: every
-	// fan-out call and every supervisor probe crosses it, exactly like a flaky
-	// network between router and fleet. Injected error ANSWERS must not flap
-	// the health model; only transport silence scores toward down.
-	var transport http.RoundTripper
-	if faultCfg.Rate > 0 {
-		inj, err := faults.New(faultCfg, reg)
-		if err != nil {
-			return err
-		}
-		transport = faults.NewTransport(nil, inj, nil, nil)
-		fmt.Printf("RPC fault injection armed: rate %.2f, seed %d, kinds %v\n", faultCfg.Rate, faultCfg.Seed, faultCfg.Kinds)
+	// Faults sit on the router->shard RPC path: every fan-out call and every
+	// supervisor probe crosses it, exactly like a flaky network between router
+	// and fleet. Injected error ANSWERS must not flap the health model; only
+	// transport silence scores toward down.
+	transport, err := node.FaultTransport(faultCfg, reg, os.Stdout)
+	if err != nil {
+		return err
 	}
 	coord, err := coordinator.New(coordinator.Config{
 		Backends:    backends,

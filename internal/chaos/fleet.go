@@ -126,8 +126,8 @@ type FleetConfig struct {
 	// Dir holds one WAL directory per shard. Empty serves from memory only:
 	// a killed shard then comes back with an empty account.
 	Dir string
-	// Stack configures every shard's serving stack; Store.Dir and
-	// Faults.Clock are the fleet's to set.
+	// Stack configures every shard's serving stack; Store.Dir is the
+	// fleet's to set.
 	Stack node.StackConfig
 	// Coordinator configures the router side (see NewControl); Backends,
 	// Transport and Clock are the fleet's to set.
@@ -236,10 +236,8 @@ func (f *Fleet) Tick(ctx context.Context) {
 // RoundTrip delivers a request to the handler its host names. A dead shard
 // refuses the connection. A paused one is silent for as long as its caller
 // waits — the supervisor's probe timeout for a probe, the router's request
-// timeout for anything else — and that wait is virtual. A handler that
-// aborts (http.ErrAbortHandler: the fault injector's dropped connection) is
-// a transport error, as it is over a socket.
-func (f *Fleet) RoundTrip(req *http.Request) (_ *http.Response, err error) {
+// timeout for anything else — and that wait is virtual.
+func (f *Fleet) RoundTrip(req *http.Request) (*http.Response, error) {
 	host := req.URL.Host
 	var h http.Handler // stays nil for a dead shard, and for a host nobody has
 	paused := false
@@ -266,13 +264,6 @@ func (f *Fleet) RoundTrip(req *http.Request) (_ *http.Response, err error) {
 		f.Clock.Sleep(silence)
 		return nil, fmt.Errorf("chaos: %s is stopped: no answer within %s", host, silence)
 	}
-	defer func() {
-		if v := recover(); v == http.ErrAbortHandler {
-			err = fmt.Errorf("chaos: %s closed the connection mid-response", host)
-		} else if v != nil {
-			panic(v)
-		}
-	}()
 	out := httptest.NewRecorder()
 	h.ServeHTTP(out, in)
 	return out.Result(), nil
@@ -322,7 +313,6 @@ func (f *Fleet) Relaunch(shard int) error {
 		return err
 	}
 	scfg := f.cfg.Stack
-	scfg.Faults.Clock = f.Clock
 	scfg.Store.Dir = f.Dir(shard)
 	stack, err := node.NewStack(plat, scfg, io.Discard)
 	if err != nil {

@@ -1,22 +1,24 @@
-// Package faults is a deterministic fault injector for the serving stack.
-// It wraps an http.Handler and disturbs a seeded fraction of requests with
-// the failure modes a long-running audit collection loop meets in the wild:
-// injected latency, 429/5xx rejections (with Retry-After), connections
-// dropped mid-response, and slow-dripped bodies.
+// Package faults is a deterministic fault injector for the serving stack's
+// outbound requests. Transport, an http.RoundTripper, disturbs a seeded
+// fraction of a client's requests with the failure modes a long-running
+// audit collection loop meets in the wild: injected latency, 429/5xx
+// rejections (with Retry-After), connections dropped after the server acted,
+// and slow answers. Its Gate partitions and slows links host by host.
 //
-// Determinism is the point: every arriving request consumes the next slot of
-// a fault schedule that is a pure function of (seed, slot index), so two
-// chaos runs with the same seed draw the identical schedule. Under
-// concurrency the mapping of requests to slots follows arrival order, but
-// the schedule itself — which slots fault, and how — is exactly
-// reproducible, which is what makes a chaos soak a regression test instead
-// of a dice roll.
+// Faults are injected where a client sees them: on the client side of the
+// wire, so the server under test runs exactly the code it serves with.
 //
-// The injector deliberately distinguishes pre-handler faults (latency, 429,
-// 5xx: the request never reaches the application) from post-handler faults
-// (drop, slow: the application state HAS changed and only the response is
-// damaged). The post-handler drop is the adversarial case for clients: a
-// retried POST whose first attempt was dropped after execution double-creates
+// Determinism is the point: every request consumes the next slot of a fault
+// schedule that is a pure function of (seed, slot index), so two chaos runs
+// with the same seed draw the identical schedule. Under concurrency the
+// mapping of requests to slots follows send order, but the schedule itself —
+// which slots fault, and how — is exactly reproducible, which is what makes
+// a chaos soak a regression test instead of a dice roll.
+//
+// Rejections are answered without sending the request: the server never
+// sees it. A drop sends the request and throws the answer away: the server's
+// state HAS changed and the client cannot know. That is the adversarial case
+// for clients: a retried POST whose first attempt was dropped double-creates
 // unless the server deduplicates by idempotency key.
 package faults
 
@@ -24,7 +26,6 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -37,20 +38,20 @@ type Kind string
 
 // The failure modes.
 const (
-	// KindLatency delays the request before the handler runs.
+	// KindLatency delays the request before it is sent.
 	KindLatency Kind = "latency"
-	// KindReject429 rejects the request with 429 and a Retry-After header
-	// before the handler runs (rate limiting / load shedding by the remote).
+	// KindReject429 answers 429 with a Retry-After header without sending
+	// the request (rate limiting / load shedding by the remote).
 	KindReject429 Kind = "429"
-	// KindReject5xx rejects the request with 500, 502, or 503 before the
-	// handler runs (platform-side failure).
+	// KindReject5xx answers 500, 502, or 503 without sending the request
+	// (platform-side failure).
 	KindReject5xx Kind = "5xx"
-	// KindDrop runs the handler, then truncates the response mid-body and
-	// aborts the connection: the side effect happened, the client cannot
-	// know. This is the fault that flushes out missing idempotency keys.
+	// KindDrop sends the request, discards the answer and reports a cut
+	// connection: the side effect happened, the client cannot know. This is
+	// the fault that flushes out missing idempotency keys.
 	KindDrop Kind = "drop"
-	// KindSlow runs the handler, then drips the response out in small
-	// delayed chunks. The request succeeds — eventually.
+	// KindSlow sends the request and holds the answer back before handing it
+	// over whole. The request succeeds — eventually.
 	KindSlow Kind = "slow"
 )
 
@@ -98,19 +99,14 @@ type Config struct {
 	Rate float64
 	// Kinds are the eligible failure modes; empty means all of them.
 	Kinds []Kind
-	// Clock is what injected latency and drip delays sleep on; nil is the
-	// system clock.
-	Clock obs.Clock
 }
 
 const (
 	// maxLatency bounds injected latency: enough to reorder concurrent
 	// requests without slowing a soak to a crawl.
 	maxLatency = 3 * time.Millisecond
-	// dripChunks is the number of pieces a slow response goes out in, with
-	// dripDelay between them.
-	dripChunks = 4
-	dripDelay  = time.Millisecond
+	// slowDelay is how long a slow answer is held back.
+	slowDelay = 4 * time.Millisecond
 	// retryAfter is the Retry-After header on injected 429s: "0", which
 	// well-behaved clients treat as "retry at your own backoff".
 	retryAfter = "0"
@@ -124,9 +120,6 @@ var exemptPaths = []string{"/metrics", "/healthz"}
 func (c Config) withDefaults() Config {
 	if len(c.Kinds) == 0 {
 		c.Kinds = AllKinds()
-	}
-	if c.Clock == nil {
-		c.Clock = obs.SystemClock
 	}
 	return c
 }
@@ -151,7 +144,8 @@ type Decision struct {
 	Latency time.Duration
 }
 
-// Injector hands out fault decisions and wraps handlers.
+// Injector is a cursor over the fault schedule: every request a Transport
+// sends through it takes the next slot.
 type Injector struct {
 	cfg Config
 	reg *obs.Registry
@@ -279,109 +273,4 @@ func (inj *Injector) exempt(path string) bool {
 		}
 	}
 	return false
-}
-
-// Middleware wraps next with fault injection. Rejection faults answer with
-// the marketing API's JSON error envelope so clients exercise their normal
-// error decoding.
-func (inj *Injector) Middleware(next http.Handler) http.Handler {
-	if inj.cfg.Rate == 0 {
-		return next
-	}
-	injected := inj.reg.Counter(MetricInjected)
-	perKind := map[Kind]*obs.Counter{}
-	for _, k := range AllKinds() {
-		perKind[k] = inj.reg.Counter(MetricInjected + "|" + string(k))
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if inj.exempt(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		d := inj.next()
-		if d.Kind == "" {
-			next.ServeHTTP(w, r)
-			return
-		}
-		injected.Inc()
-		perKind[d.Kind].Inc()
-		switch d.Kind {
-		case KindLatency:
-			inj.cfg.Clock.Sleep(d.Latency)
-			next.ServeHTTP(w, r)
-		case KindReject429:
-			w.Header().Set("Retry-After", retryAfter)
-			writeInjectedError(w, d.Status)
-		case KindReject5xx:
-			writeInjectedError(w, d.Status)
-		case KindDrop:
-			inj.drop(w, r, next)
-		case KindSlow:
-			inj.drip(w, r, next)
-		}
-	})
-}
-
-// writeInjectedError emits the API error envelope for an injected rejection.
-func writeInjectedError(w http.ResponseWriter, status int) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	fmt.Fprintf(w, `{"error":"faults: injected %d"}`, status)
-}
-
-// drop executes the handler fully (its side effects are real), then writes
-// only half the response and aborts the connection. The declared
-// Content-Length covers the full body, so the client observes a truncated
-// read, not a short-but-valid response.
-func (inj *Injector) drop(w http.ResponseWriter, r *http.Request, next http.Handler) {
-	rec := &obs.ResponseBuffer{}
-	next.ServeHTTP(rec, r)
-	copyHeader(w.Header(), rec.Header())
-	w.Header().Set("Content-Length", strconv.Itoa(len(rec.Body)))
-	w.WriteHeader(rec.Status())
-	if n := len(rec.Body) / 2; n > 0 {
-		_, _ = w.Write(rec.Body[:n])
-	}
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
-	panic(http.ErrAbortHandler)
-}
-
-// drip executes the handler, then releases the buffered body in delayed
-// chunks. The response completes; it is just slow.
-func (inj *Injector) drip(w http.ResponseWriter, r *http.Request, next http.Handler) {
-	rec := &obs.ResponseBuffer{}
-	next.ServeHTTP(rec, r)
-	copyHeader(w.Header(), rec.Header())
-	w.WriteHeader(rec.Status())
-	body := rec.Body
-	chunk := (len(body) + dripChunks - 1) / dripChunks
-	if chunk == 0 {
-		chunk = 1
-	}
-	for len(body) > 0 {
-		n := chunk
-		if n > len(body) {
-			n = len(body)
-		}
-		if _, err := w.Write(body[:n]); err != nil {
-			return
-		}
-		if f, ok := w.(http.Flusher); ok {
-			f.Flush()
-		}
-		body = body[n:]
-		if len(body) > 0 {
-			inj.cfg.Clock.Sleep(dripDelay)
-		}
-	}
-}
-
-func copyHeader(dst, src http.Header) {
-	for k, vs := range src {
-		for _, v := range vs {
-			dst.Add(k, v)
-		}
-	}
 }

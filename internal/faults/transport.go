@@ -1,22 +1,15 @@
 package faults
 
-// Client-side fault injection: an http.RoundTripper that disturbs the
-// router→shard RPC path without touching the backends, plus a runtime Gate
-// for per-host partitions and slowdowns (the chaos orchestrator's
-// network-layer levers).
+// Transport applies the Injector's schedule to every request it sends, and
+// the Gate's per-host partitions and slowdowns — the chaos orchestrator's
+// network-layer levers — before it. Latency and rejections happen before the
+// request leaves; a drop executes the request for real, then discards the
+// answer.
 //
-// The Transport reuses the Injector's seeded (seed, slot)→Decision schedule
-// but applies it on the CLIENT side of the wire, so network chaos is
-// injectable into a fleet without real process kills: latency and rejections
-// are synthesized before the request leaves, and a "drop" executes the
-// request for real, then discards the answer — the backend's side effect
-// happened, the caller cannot know, exactly the adversarial case for
-// idempotent retries.
-//
-// Exempt paths (by default /metrics and /healthz) skip the seeded schedule
-// but NOT the gate: an injected fault is a flaky network, which probes
-// should see through, while a partition cuts the host off entirely — probes
-// must fail too, or the supervisor would score a partitioned shard healthy.
+// Exempt paths (/metrics and /healthz) skip the seeded schedule but NOT the
+// gate: an injected fault is a flaky network, which probes should see
+// through, while a partition cuts the host off entirely — probes must fail
+// too, or the supervisor would score a partitioned shard healthy.
 
 import (
 	"bytes"
@@ -73,7 +66,7 @@ func (g *Gate) disturb(host string) (blocked bool, delay time.Duration) {
 	return g.blocked[host], g.slow[host]
 }
 
-// ErrPartitioned is the transport-level error for a gated-off host. It
+// partitionError is the transport-level error for a gated-off host. It
 // carries no HTTP status, so health scoring counts it as silence — a
 // partitioned shard scores toward down exactly like a dead one.
 type partitionError struct{ host string }
@@ -127,12 +120,10 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	switch d.Kind {
 	case KindLatency:
 		t.clock.Sleep(d.Latency)
-		return t.base.RoundTrip(req)
 	case KindSlow:
-		// Client-side "slow" is indistinguishable from a dripped body:
-		// the answer arrives late but whole.
-		t.clock.Sleep(dripChunks * dripDelay)
-		return t.base.RoundTrip(req)
+		resp, err := t.base.RoundTrip(req)
+		t.clock.Sleep(slowDelay)
+		return resp, err
 	case KindReject429:
 		return synthesizeReject(req, d.Status, retryAfter), nil
 	case KindReject5xx:

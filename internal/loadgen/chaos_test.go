@@ -11,8 +11,10 @@ import (
 	"github.com/adaudit/impliedidentity/internal/platform"
 )
 
-// chaosTarget self-hosts a marketing server wrapped in the fault injector,
-// returning the platform handle so the soak can audit its inventory.
+// chaosTarget self-hosts a marketing server and returns a client whose
+// requests draw faults on their way to it, plus the platform handle so the
+// soak can audit its inventory. The injector counts into the server's
+// registry, so one snapshot shows the faults beside the replays they caused.
 func chaosTarget(t testing.TB, faultCfg faults.Config) (*marketing.Client, *platform.Platform, *marketing.Server) {
 	t.Helper()
 	pop, behave, _ := world(t)
@@ -31,18 +33,20 @@ func chaosTarget(t testing.TB, faultCfg faults.Config) (*marketing.Client, *plat
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(inj.Middleware(srv.Handler()))
+	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	client, err := marketing.NewClient(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
+	client.SetTransport(faults.NewTransport(nil, inj, nil, nil))
 	return client, p, srv
 }
 
-// TestChaosSoakExactlyOnce is the acceptance soak: a full load run against a
-// server injecting faults into 20% of requests (every kind: latency, 429,
-// 5xx, connection drops, slow drips) under a fixed schedule seed. The
+// TestChaosSoakExactlyOnce is the acceptance soak: a full load run whose
+// requests draw faults 20% of the time (every kind: latency, 429, 5xx,
+// connections dropped after the server acted, slow answers) under a fixed
+// schedule seed. The
 // resilient client must absorb every fault — all scenarios complete with
 // zero operation errors — and the platform's inventory must show every
 // create executed exactly once: no lost campaigns from dropped responses, no

@@ -45,8 +45,8 @@ func newAckLedger() *ackLedger {
 
 // crashFleet is the durable platform under test: a simulated fleet of one
 // shard (internal/chaos.Fleet), its serving stack what cmd/adplatform
-// assembles — fault injection outermost and armed at 20 %, persist before
-// respond, a WAL directory that outlives every incarnation. Fleet.Kill is the
+// assembles — persist before respond, a WAL directory that outlives every
+// incarnation. Fleet.Kill is the
 // crash: the store drops its unflushed tail exactly like a SIGKILLed process
 // and the host refuses connections until Fleet.Relaunch recovers it.
 func crashFleet(t *testing.T) *chaos.Fleet {
@@ -59,7 +59,6 @@ func crashFleet(t *testing.T) *chaos.Fleet {
 		World: &node.World{FL: fl, Pop: pop, Behavior: behave}, Platform: cfg, Shards: 1,
 		Dir: t.TempDir(),
 		Stack: node.StackConfig{
-			Faults: faults.Config{Seed: 42, Rate: 0.2, Kinds: faults.AllKinds()},
 			// Fsync none: the soak simulates process crashes (Kill drops the
 			// store's unflushed buffer), not machine power loss, and fsyncs
 			// would only slow the loop without changing what Kill can lose.
@@ -76,15 +75,21 @@ func crashFleet(t *testing.T) *chaos.Fleet {
 	return f
 }
 
-// crashClient talks straight to the shard, with a deep retry budget,
-// matching the chaos soak: at a 20% fault rate back-to-back faults per call
-// are routine. Its backoff is slept on the fleet's virtual clock.
+// crashClient talks straight to the shard, its requests drawing faults 20%
+// of the time, with a deep retry budget, matching the chaos soak: at that
+// rate back-to-back faults per call are routine. Its backoff and injected
+// delays are slept on the fleet's virtual clock.
 func crashClient(t *testing.T, f *chaos.Fleet) *marketing.Client {
 	t.Helper()
 	client, err := f.ShardClient(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inj, err := faults.New(faults.Config{Seed: 42, Rate: 0.2, Kinds: faults.AllKinds()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client.SetTransport(faults.NewTransport(f, inj, nil, f.Clock))
 	client.SetRetryPolicy(marketing.RetryPolicy{
 		MaxAttempts: 8,
 		BaseDelay:   2 * time.Millisecond,
@@ -260,7 +265,7 @@ func verifyLedger(t *testing.T, client *marketing.Client, led *ackLedger, phase 
 }
 
 // TestCrashRecoverySoak is the durability acceptance soak: concurrent
-// advertiser load against a fault-injecting (20%), durably-backed server;
+// advertiser load, 20% of it faulted, against a durably-backed server;
 // the server is crashed mid-load (store buffer dropped, connections cut),
 // restarted from disk, loaded again, gracefully shut down, and restarted
 // once more. After every restart, every acknowledged create and every

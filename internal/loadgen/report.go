@@ -65,9 +65,10 @@ type Report struct {
 	// open circuit breaker.
 	Retries        int64 `json:"retries,omitempty"`
 	BreakerRejects int64 `json:"breaker_rejects,omitempty"`
-	// RequestsShed and FaultsInjected are scraped from the target's
-	// GET /metrics at the end of the run (zero when scraping failed or the
-	// server runs without faults/shedding).
+	// RequestsShed is scraped from the target's GET /metrics at the end of
+	// the run (zero when scraping failed or the server does not shed).
+	// FaultsInjected counts the faults injected into the workload's own
+	// requests (-fault-rate).
 	RequestsShed   int64 `json:"requests_shed,omitempty"`
 	FaultsInjected int64 `json:"faults_injected,omitempty"`
 	// Privacy records the insights privatization regime of the run: the

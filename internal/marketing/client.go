@@ -197,10 +197,10 @@ func (c *Client) SetRetryPolicy(p RetryPolicy) {
 }
 
 // SetTransport replaces the client's underlying HTTP transport (nil
-// restores the default). A router injects client-side network chaos — the
-// faults.Transport with its seeded schedule and partition gate — onto its
-// whole shard path this way. Call it before the client's first request; the
-// transport is not guarded for mid-flight swaps.
+// restores the default). Faults are injected this way — a faults.Transport
+// with its seeded schedule and partition gate — on a router's whole shard
+// path and on adload's workload. Call it before the client's first request;
+// the transport is not guarded for mid-flight swaps.
 func (c *Client) SetTransport(rt http.RoundTripper) {
 	c.http.Transport = rt
 }

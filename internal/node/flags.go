@@ -30,14 +30,15 @@ func WorldFlags(fs *flag.FlagSet, def WorldConfig) func() WorldConfig {
 	}
 }
 
-// FaultFlags declares -fault-rate, -fault-seed and -fault-kinds.
+// FaultFlags declares -fault-rate, -fault-seed and -fault-kinds: faults on the
+// process's own outbound requests (see FaultTransport).
 func FaultFlags(fs *flag.FlagSet) func() (faults.Config, error) {
-	rate := fs.Float64("fault-rate", 0, "chaos: probability a request (adrouter: an outbound shard RPC) draws an injected fault (0 disables)")
+	rate := fs.Float64("fault-rate", 0, "chaos: probability an outbound request (adload: the workload's, adrouter: a shard RPC) draws a fault injected on the client side (0 disables)")
 	seed := fs.Int64("fault-seed", 1, "chaos: fault-schedule seed (same seed, same schedule)")
 	kinds := fs.String("fault-kinds", "all", "chaos: comma-separated fault kinds (latency,429,5xx,drop,slow) or all")
 	return func() (faults.Config, error) {
 		k, err := faults.ParseKinds(*kinds)
-		return faults.Config{Seed: *seed, Rate: *rate, Kinds: k}, err
+		return faults.Config{Seed: *seed, Rate: *rate, Kinds: k}, errors.Join(err, faults.Schedule{Rate: *rate}.Validate())
 	}
 }
 
@@ -49,23 +50,22 @@ func PrivacyFlags(fs *flag.FlagSet) func() (privacy.Config, error) {
 	return func() (privacy.Config, error) { return privacy.FromFlags(*k, *epsilon, *seed) }
 }
 
-// StackFlags declares the flags of a serving stack: the fault and privacy
-// blocks, -store-dir, -fsync and -shed-cap. Without a directory there is no
+// StackFlags declares the flags of a serving stack: the privacy block,
+// -store-dir, -fsync and -shed-cap. Without a directory there is no
 // store, so -fsync is rejected, and with it every flag the caller names in
 // needStore: flags of its own that only tune the store.
 func StackFlags(fs *flag.FlagSet, needStore ...string) func() (StackConfig, error) {
-	faultsOf, privacyOf := FaultFlags(fs), PrivacyFlags(fs)
+	privacyOf := PrivacyFlags(fs)
 	dir := fs.String("store-dir", "", "durable state directory: WAL + snapshots, recovered on boot (empty serves from memory only)")
 	fsync := fs.String("fsync", "always", "WAL fsync discipline: always, interval, or none (requires -store-dir)")
 	shedCap := fs.Int("shed-cap", marketing.DefaultServerLimits().MaxInFlight, "max in-flight requests before shedding with 429 (0 disables)")
 	return func() (StackConfig, error) {
 		cfg := StackConfig{ShedCap: *shedCap, Store: store.Options{Dir: *dir}}
-		var errs [4]error
-		cfg.Faults, errs[0] = faultsOf()
-		cfg.Privacy, errs[1] = privacyOf()
-		cfg.Store.Fsync, errs[2] = store.ParseFsyncMode(*fsync)
+		var errs [3]error
+		cfg.Privacy, errs[0] = privacyOf()
+		cfg.Store.Fsync, errs[1] = store.ParseFsyncMode(*fsync)
 		if *dir == "" {
-			errs[3] = RejectSet(fs, "the durable store", "an empty -store-dir", append(needStore, "fsync")...)
+			errs[2] = RejectSet(fs, "the durable store", "an empty -store-dir", append(needStore, "fsync")...)
 		}
 		return cfg, errors.Join(errs[:]...)
 	}

@@ -24,7 +24,6 @@ import (
 type StackConfig struct {
 	ShedCap int            // max in-flight requests before shedding; 0 disables
 	Privacy privacy.Config // single-process privatization; a fleet sets it on the router instead
-	Faults  faults.Config  // Rate 0 disables injection
 	Store   store.Options  // empty Dir serves from memory only
 }
 
@@ -39,10 +38,9 @@ type Stack struct {
 
 // NewStack assembles the marketing API over plat and announces what it armed
 // on out. The order is the contract: one registry shared by the delivery
-// phases, the WAL, the HTTP middleware and the fault counters, so a single
-// GET /metrics shows all four; the account recovered from disk before the
-// server that acks against it exists; fault injection outermost, so an
-// injected fault costs the server nothing.
+// phases, the WAL and the HTTP middleware, so a single GET /metrics shows all
+// three; the account recovered from disk before the server that acks against
+// it exists.
 func NewStack(plat *platform.Platform, cfg StackConfig, out io.Writer) (*Stack, error) {
 	reg := obs.NewRegistry()
 	plat.SetObserver(reg, nil)
@@ -52,14 +50,6 @@ func NewStack(plat *platform.Platform, cfg StackConfig, out io.Writer) (*Stack, 
 	if cfg.Privacy.Enabled() {
 		fmt.Fprintf(out, "insights privacy armed: level %s, k=%d, epsilon=%v, seed %d\n",
 			cfg.Privacy.Level, cfg.Privacy.K, cfg.Privacy.Epsilon, cfg.Privacy.Seed)
-	}
-	var inj *faults.Injector
-	if cfg.Faults.Rate > 0 {
-		var err error
-		if inj, err = faults.New(cfg.Faults, reg); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(out, "injecting faults: rate %.2f, seed %d, kinds %v\n", cfg.Faults.Rate, cfg.Faults.Seed, cfg.Faults.Kinds)
 	}
 	s := &Stack{out: out}
 	if cfg.Store.Dir != "" {
@@ -82,10 +72,22 @@ func NewStack(plat *platform.Platform, cfg StackConfig, out io.Writer) (*Stack, 
 		return nil, errors.Join(err, s.Close())
 	}
 	s.Handler = s.Server.Handler()
-	if inj != nil {
-		s.Handler = inj.Middleware(s.Handler)
-	}
 	return s, nil
+}
+
+// FaultTransport arms the fault flags on a process's outbound requests: a
+// faults.Transport whose injections count into reg, announced on out. At
+// rate 0 it is nil, the default transport.
+func FaultTransport(cfg faults.Config, reg *obs.Registry, out io.Writer) (http.RoundTripper, error) {
+	if cfg.Rate == 0 {
+		return nil, nil
+	}
+	inj, err := faults.New(cfg, reg)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(out, "injecting faults into outbound requests: rate %.2f, seed %d, kinds %v\n", cfg.Rate, cfg.Seed, cfg.Kinds)
+	return faults.NewTransport(nil, inj, nil, nil), nil
 }
 
 // Close flushes the WAL tail and writes the shutdown snapshot, so the next

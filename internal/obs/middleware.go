@@ -43,8 +43,7 @@ func (w *statusRecorder) Write(b []byte) (int, error) {
 
 // ResponseBuffer is an http.ResponseWriter that holds a handler's whole
 // response in memory, for middleware that must see it before any byte
-// reaches the wire: the idempotency cache memoizes it, the fault injector
-// damages or paces its delivery. The zero value is ready to use; Status is
+// reaches the wire: the idempotency cache memoizes it. The zero value is ready to use; Status is
 // 200 unless the handler wrote another.
 type ResponseBuffer struct {
 	header http.Header

@@ -18,8 +18,8 @@ type ServingRow struct {
 }
 
 // ServingResilience carries the fault/retry accounting of a load run for the
-// summary's resilience line: client-side retries and breaker rejections,
-// server-side shed requests and injected faults.
+// summary's resilience line: client-side injected faults, retries and
+// breaker rejections, and server-side shed requests.
 type ServingResilience struct {
 	Retries        int64
 	BreakerRejects int64
