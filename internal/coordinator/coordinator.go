@@ -316,11 +316,11 @@ func (c *Coordinator) scatterEach(ctx context.Context, op string, targets []*sha
 	call := func(sc *shardConn) {
 		start := c.clock.Now()
 		err := fn(ctx, sc)
-		c.reg.Histogram(MetricShardLatency + "|" + sc.label).Observe(c.clock.Now().Sub(start))
-		c.reg.Counter(MetricShardRequests + "|" + sc.label).Inc()
+		sc.latency.Observe(c.clock.Now().Sub(start))
+		sc.requests.Inc()
 		c.observeOutcome(sc.index, err)
 		if err != nil {
-			c.reg.Counter(MetricShardErrors + "|" + sc.label).Inc()
+			sc.errors.Inc()
 			errs[sc.index] = fmt.Errorf("coordinator: %s on %s: %w", op, sc.label, err)
 		}
 	}

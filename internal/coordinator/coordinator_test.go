@@ -25,6 +25,7 @@ import (
 	"github.com/adaudit/impliedidentity/internal/image"
 	"github.com/adaudit/impliedidentity/internal/marketing"
 	"github.com/adaudit/impliedidentity/internal/node"
+	"github.com/adaudit/impliedidentity/internal/obs"
 	"github.com/adaudit/impliedidentity/internal/platform"
 )
 
@@ -257,6 +258,45 @@ func TestRouterRepeatDeterminism(t *testing.T) {
 	}
 	if digests[0] != digests[1] {
 		t.Errorf("repeated router day diverged:\n run0 %s\n run1 %s", digests[0], digests[1])
+	}
+}
+
+// replayCacheSizes reads each shard's replay-cache gauge from its /metrics.
+func replayCacheSizes(t *testing.T, f *chaos.Fleet) []int64 {
+	t.Helper()
+	sizes := make([]int64, f.Coord.Shards())
+	for i := range sizes {
+		var snap obs.Snapshot
+		if err := shardClient(t, f, i).Get(context.Background(), "/metrics", &snap); err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = snap.Gauges[marketing.MetricIdempotentEntries]
+	}
+	return sizes
+}
+
+// TestDayLeavesReplayCache: begin, tick and abort are idempotent by
+// protocol and bypass the shards' replay cache, so a coordinated day — a
+// begin and 48 ticks on each shard — adds to it only the entry of finish,
+// the one durable step.
+func TestDayLeavesReplayCache(t *testing.T) {
+	f := launch(t, 2, nil)
+	client := f.Client()
+	ids := setupAccount(t, client, 2)
+	before := replayCacheSizes(t, f)
+	for i, n := range before {
+		if n < 4 {
+			t.Fatalf("shard %d caches %d responses after four creates", i, n)
+		}
+	}
+	if err := client.Deliver(context.Background(), ids, 9250); err != nil {
+		t.Fatal(err)
+	}
+	after := replayCacheSizes(t, f)
+	for i := range after {
+		if after[i] != before[i]+1 {
+			t.Errorf("shard %d: a coordinated day took the replay cache from %d to %d entries, want %d (finish's)", i, before[i], after[i], before[i]+1)
+		}
 	}
 }
 

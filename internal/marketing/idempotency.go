@@ -16,6 +16,10 @@ const IdempotencyKeyHeader = "Idempotency-Key"
 // idempotency cache instead of re-executed.
 const MetricIdempotentReplays = "http.idempotent_replays"
 
+// MetricIdempotentEntries gauges the replay cache's size: the keyed
+// responses it holds for replay.
+const MetricIdempotentEntries = "http.idempotent_entries"
+
 // maxIdemEntries bounds the replay cache. Past the cap, completed entries
 // are evicted arbitrarily: an evicted key degrades to at-least-once for
 // that one call, which is the pre-idempotency behavior, not corruption.
@@ -71,6 +75,7 @@ func newIdemCache() *idemCache {
 // Requests without a key pass straight through.
 func (ic *idemCache) middleware(reg *obs.Registry, next http.Handler) http.Handler {
 	replays := reg.Counter(MetricIdempotentReplays)
+	size := reg.Gauge(MetricIdempotentEntries)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		key := r.Header.Get(IdempotencyKeyHeader)
 		if key == "" {
@@ -93,6 +98,7 @@ func (ic *idemCache) middleware(reg *obs.Registry, next http.Handler) http.Handl
 			ic.evictOneLocked()
 		}
 		ic.entries[key] = e
+		size.Set(int64(len(ic.entries)))
 		ic.mu.Unlock()
 
 		rec := &obs.ResponseBuffer{}
@@ -105,7 +111,7 @@ func (ic *idemCache) middleware(reg *obs.Registry, next http.Handler) http.Handl
 					e.status = http.StatusInternalServerError
 					e.body = []byte(`{"error":"marketing: handler panicked"}`)
 					e.contentType = "application/json"
-					ic.forget(key)
+					ic.forget(key, size)
 					close(e.done)
 					panic(v)
 				}
@@ -119,7 +125,7 @@ func (ic *idemCache) middleware(reg *obs.Registry, next http.Handler) http.Handl
 		if e.status >= 500 {
 			// Don't memoize failures: the client's retry (same key) should
 			// re-execute, not replay the failure.
-			ic.forget(key)
+			ic.forget(key, size)
 		}
 		close(e.done)
 		replayResponse(w, e)
@@ -127,9 +133,10 @@ func (ic *idemCache) middleware(reg *obs.Registry, next http.Handler) http.Handl
 }
 
 // forget drops a key so the next request bearing it executes fresh.
-func (ic *idemCache) forget(key string) {
+func (ic *idemCache) forget(key string, size *obs.Gauge) {
 	ic.mu.Lock()
 	delete(ic.entries, key)
+	size.Set(int64(len(ic.entries)))
 	ic.mu.Unlock()
 }
 

@@ -149,18 +149,23 @@ func (s *Server) privacyConfig() privacy.Config {
 // timeout → body limit → handler. Shedding sits outside idempotency so a
 // shed request consumes nothing; recovery sits outside the timeout because
 // http.TimeoutHandler re-panics handler panics in the serving goroutine.
+// The replay cache wraps every POST route but the session routes that are
+// idempotent by protocol (shard.go): begin, tick and abort.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	handle := func(pattern string, fn http.HandlerFunc) {
+	route := func(pattern string, fn http.HandlerFunc, idempotent bool) {
 		var h http.Handler = fn
 		h = obs.BodyLimit(s.limits.MaxBodyBytes, h)
 		h = obs.Timeout(s.reg, s.limits.RequestTimeout, h)
 		h = obs.Recover(s.reg, h)
-		if strings.HasPrefix(pattern, "POST ") {
+		if !idempotent {
 			h = s.idem.middleware(s.reg, h)
 		}
 		h = obs.LoadShed(s.reg, s.limits.MaxInFlight, h)
 		mux.Handle(pattern, obs.Instrument(s.reg, pattern, h))
+	}
+	handle := func(pattern string, fn http.HandlerFunc) {
+		route(pattern, fn, !strings.HasPrefix(pattern, "POST "))
 	}
 	handle("POST /v1/customaudiences", s.handleCreateAudience)
 	handle("POST /v1/campaigns", s.handleCreateCampaign)
@@ -171,10 +176,10 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /v1/insights", s.handleInsights)
 	// Shard-scoped delivery protocol (see shard.go): the coordinator's
 	// operator plane, not part of the advertiser API.
-	handle("POST /v1/shard/delivery/begin", s.handleBeginDay)
-	handle("POST /v1/shard/delivery/tick", s.handleDayTick)
+	route("POST /v1/shard/delivery/begin", s.handleBeginDay, true)
+	route("POST /v1/shard/delivery/tick", s.handleDayTick, true)
 	handle("POST /v1/shard/delivery/finish", s.handleFinishDay)
-	handle("POST /v1/shard/delivery/abort", s.handleAbortDay)
+	route("POST /v1/shard/delivery/abort", s.handleAbortDay, true)
 	// Rejoin handshake: state digest + census for the supervisor's
 	// digest-gated readmission of a resurrected shard.
 	handle("GET /v1/shard/status", s.handleShardStatus)

@@ -7,17 +7,29 @@ package marketing
 // ticks or sessions.
 //
 // The request/response payloads embed the platform's own wire types
-// (DayInit, TickDirective, TickReport) rather than copies: encoding/json
-// emits the shortest round-trip representation of every float64 and decodes
-// it to the identical bits, so the pacing snapshot a coordinator freezes
-// survives the HTTP hop exactly and byte-determinism holds end to end.
+// (DayInit, TickDirective, TickReport) rather than copies, and their JSON is
+// encoding/json's: the session wire (session_wire.go) writes the very bytes
+// json.Marshal writes and scans them back without reflection, handing
+// anything it does not recognise to encoding/json. Every float64 travels as
+// the shortest decimal that round-trips, so the pacing snapshot a
+// coordinator freezes survives the HTTP hop exactly and byte-determinism
+// holds end to end.
+//
+// Begin, tick and abort are idempotent by protocol, so the server registers
+// them without the replay cache (Server.Handler): a repeated tick replays
+// its recorded report, a repeated begin replaces the session with the same
+// one, aborting a missing session is a no-op, and the platform's lock
+// serialises a duplicate that arrives while the first is in flight. Finish,
+// the session's one durable step, keeps the cache like every other mutation.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 
 	"github.com/adaudit/impliedidentity/internal/platform"
@@ -63,8 +75,36 @@ func dayError(w http.ResponseWriter, err error) {
 	writeError(w, code, err)
 }
 
+// readSession reads a session request: the canonical bytes the client
+// writes are scanned by the message's row, anything else is answered by
+// Decode.
+func readSession[T any](w http.ResponseWriter, r *http.Request, row wire[T]) (T, bool) {
+	body, ok := ReadBody(w, r)
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	if v, ok := row.parse(body); ok {
+		return v, true
+	}
+	return Decode[T](w, bytes.NewReader(body))
+}
+
+// writeSession is WriteJSON(w, http.StatusOK, v), its bytes written by the
+// message's row.
+func writeSession[T any](w http.ResponseWriter, v *T, row wire[T]) {
+	buf, ok := row.put(make([]byte, 0, sessionBuf), v)
+	if !ok {
+		WriteJSON(w, http.StatusOK, v)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(buf, '\n'))
+}
+
 func (s *Server) handleBeginDay(w http.ResponseWriter, r *http.Request) {
-	req, ok := Decode[BeginDayRequest](w, r.Body)
+	req, ok := readSession(w, r, beginDayWire)
 	if !ok {
 		return
 	}
@@ -73,11 +113,11 @@ func (s *Server) handleBeginDay(w http.ResponseWriter, r *http.Request) {
 		dayError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, init)
+	writeSession(w, init, dayInitWire)
 }
 
 func (s *Server) handleDayTick(w http.ResponseWriter, r *http.Request) {
-	req, ok := Decode[DayTickRequest](w, r.Body)
+	req, ok := readSession(w, r, dayTickWire)
 	if !ok {
 		return
 	}
@@ -86,11 +126,11 @@ func (s *Server) handleDayTick(w http.ResponseWriter, r *http.Request) {
 		dayError(w, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, rep)
+	writeSession(w, rep, tickReportWire)
 }
 
 func (s *Server) handleFinishDay(w http.ResponseWriter, r *http.Request) {
-	req, ok := Decode[FinishDayRequest](w, r.Body)
+	req, ok := readSession(w, r, finishDayWire)
 	if !ok {
 		return
 	}
@@ -107,7 +147,7 @@ func (s *Server) handleFinishDay(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAbortDay(w http.ResponseWriter, r *http.Request) {
-	req, ok := Decode[AbortDayRequest](w, r.Body)
+	req, ok := readSession(w, r, abortDayWire)
 	if !ok {
 		return
 	}
@@ -127,34 +167,56 @@ func IsSessionConflict(err error) bool {
 	return errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusConflict
 }
 
-// BeginDay opens a coordinated delivery session on this backend.
-func (c *Client) BeginDay(ctx context.Context, req BeginDayRequest) (*platform.DayInit, error) {
-	var out platform.DayInit
-	if err := c.do(ctx, http.MethodPost, "/v1/shard/delivery/begin", req, &out); err != nil {
+// sessionPost posts one session message, its bytes written by the
+// message's row, and returns the answer's payload: Client.do for the
+// session routes.
+func sessionPost[Req any](ctx context.Context, c *Client, path string, req *Req, row wire[Req]) ([]byte, error) {
+	body, err := row.marshal(req)
+	if err != nil {
+		return nil, fmt.Errorf("marketing: encoding request: %w", err)
+	}
+	return c.roundTrip(ctx, http.MethodPost, path, body)
+}
+
+// sessionCall is sessionPost with the answer read into a fresh Resp:
+// scanned by the answer's row, or by json.Unmarshal where the row declines.
+func sessionCall[Req, Resp any](ctx context.Context, c *Client, path string, req *Req, reqRow wire[Req], respRow wire[Resp]) (*Resp, error) {
+	payload, err := sessionPost(ctx, c, path, req, reqRow)
+	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	if out, ok := respRow.parse(payload); ok {
+		return &out, nil
+	}
+	out := new(Resp)
+	if err := json.Unmarshal(payload, out); err != nil {
+		return nil, fmt.Errorf("marketing: decoding response: %w", err)
+	}
+	return out, nil
+}
+
+// BeginDay opens a coordinated delivery session on this backend.
+func (c *Client) BeginDay(ctx context.Context, req BeginDayRequest) (*platform.DayInit, error) {
+	return sessionCall(ctx, c, "/v1/shard/delivery/begin", &req, beginDayWire, dayInitWire)
 }
 
 // DayTick runs one coordinated tick on this backend. Re-sending the
 // previous tick (a retry whose response was lost) replays its report.
 func (c *Client) DayTick(ctx context.Context, req DayTickRequest) (*platform.TickReport, error) {
-	var out platform.TickReport
-	if err := c.do(ctx, http.MethodPost, "/v1/shard/delivery/tick", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return sessionCall(ctx, c, "/v1/shard/delivery/tick", &req, dayTickWire, tickReportWire)
 }
 
 // FinishDay commits a completed session on this backend.
 func (c *Client) FinishDay(ctx context.Context, session string, spendCents []float64) error {
-	return c.do(ctx, http.MethodPost, "/v1/shard/delivery/finish", FinishDayRequest{Session: session, SpendCents: spendCents}, nil)
+	_, err := sessionPost(ctx, c, "/v1/shard/delivery/finish", &FinishDayRequest{Session: session, SpendCents: spendCents}, finishDayWire)
+	return err
 }
 
 // AbortDay discards a session on this backend; aborting an already-gone
 // session succeeds.
 func (c *Client) AbortDay(ctx context.Context, session string) error {
-	return c.do(ctx, http.MethodPost, "/v1/shard/delivery/abort", AbortDayRequest{Session: session}, nil)
+	_, err := sessionPost(ctx, c, "/v1/shard/delivery/abort", &AbortDayRequest{Session: session}, abortDayWire)
+	return err
 }
 
 // ShardStatusResponse is the rejoin handshake (GET /v1/shard/status): the
