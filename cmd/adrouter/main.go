@@ -12,10 +12,11 @@
 //
 // With -supervise the router also runs the fleet supervisor: it probes every
 // shard, quarantines one that stops answering (CRUD keeps running against the
-// survivors, journaled for the absentee), and — when -shard-cmd is given — owns
-// the shard child processes outright: it spawns them at boot and resurrects a
-// dead one under the SAME shard index, replaying the journal gap and gating
-// readmission on a cross-shard state digest.
+// survivors), and — when -shard-cmd is given — owns the shard child processes
+// outright: it spawns them at boot and resurrects a dead one under the SAME
+// shard index. A resurrected shard recovers from its own WAL, takes the
+// replicated account from an admitted peer, and is readmitted once its state
+// digest equals the peer's.
 //
 // Usage:
 //
@@ -62,9 +63,8 @@ func run(args []string) error {
 	dayBackoff := fs.Duration("day-backoff", 2*time.Second, "initial wait between delivery-day attempts (doubles, capped at 8x)")
 	waitReady := fs.Duration("wait-ready", 30*time.Second, "how long to wait for every backend's /healthz at startup (0 skips the check)")
 	drainTimeout := node.DrainTimeoutFlag(fs)
-	supervise := fs.Bool("supervise", false, "run the fleet supervisor: probe shards, quarantine the unreachable, journal their CRUD gap, and rejoin them through the digest gate")
+	supervise := fs.Bool("supervise", false, "run the fleet supervisor: probe shards, quarantine the unreachable, and rejoin them by state transfer from a peer through the digest gate")
 	probeInterval := fs.Duration("probe-interval", 500*time.Millisecond, "supervisor probe cadence")
-	journalCap := fs.Int("journal-cap", 256, "max journaled mutations while a shard is down; a full journal sheds new writes with 503 + Retry-After")
 	shardCmd := fs.String("shard-cmd", "", "shard child command template ({shard} and {addr} expand per shard); the router spawns the children at boot and the supervisor resurrects dead ones under the same index")
 	shardLogDir := fs.String("shard-log-dir", "", "directory for per-shard child logs (with -shard-cmd; appended across relaunches)")
 	faultsOf := node.FaultFlags(fs)
@@ -99,7 +99,6 @@ func run(args []string) error {
 		MaxFanout:   *maxFanout,
 		DayAttempts: *dayRetries,
 		DayBackoff:  *dayBackoff,
-		JournalCap:  *journalCap,
 		Transport:   transport,
 		Privacy:     privCfg,
 	}, reg)

@@ -30,8 +30,8 @@ type Action string
 // The disturbances.
 const (
 	// ActKill SIGKILLs the shard process. Recovery is the full resurrection
-	// path: supervisor relaunch, WAL recovery, journal catch-up, digest-gated
-	// rejoin.
+	// path: supervisor relaunch, WAL recovery, state transfer from a peer,
+	// digest-gated rejoin.
 	ActKill Action = "kill"
 	// ActPause SIGSTOPs the shard for a window, then SIGCONTs it. The
 	// process is alive but silent — indistinguishable from a network hang,

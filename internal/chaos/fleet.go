@@ -65,18 +65,14 @@ type Control struct {
 }
 
 // NewControl assembles the router side over cfg.Backends. Zero fields of cfg
-// take the soak's values: a day gets 8 attempts 300 ms apart, the journal
-// holds 512 entries. The supervisor relaunches through rel and reports to
-// logf (either may be nil).
+// take the soak's values: a day gets 8 attempts 300 ms apart. The supervisor
+// relaunches through rel and reports to logf (either may be nil).
 func NewControl(cfg coordinator.Config, rel supervisor.Relauncher, logf func(string, ...any)) (*Control, error) {
 	if cfg.DayAttempts == 0 {
 		cfg.DayAttempts = 8
 	}
 	if cfg.DayBackoff == 0 {
 		cfg.DayBackoff = 300 * time.Millisecond
-	}
-	if cfg.JournalCap == 0 {
-		cfg.JournalCap = 512
 	}
 	reg := obs.NewRegistry()
 	coord, err := coordinator.New(cfg, reg)

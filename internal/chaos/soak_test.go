@@ -195,9 +195,9 @@ func describe(r *SoakResult) string {
 // first: the killed shard came back with its review stream at the start while
 // its peer was draws in, answered the next replayed appeal differently, and
 // never passed the rejoin gate. Chaos seed 18 failed on the second once the
-// cursor was in the digest: an appeal journaled during the outage had left its
-// ad rejected, the status probe took that for "already applied" and skipped
-// it, and the shard rejoined one draw behind.
+// cursor was in the digest: an appeal the shard missed during the outage had
+// left its ad rejected, the router's catch-up probe took that for "already
+// applied" and skipped it, and the shard rejoined one draw behind.
 func TestSoakPinnedRegressions(t *testing.T) {
 	for name, events := range map[string][]Event{
 		"review cursor lost by a restart":        {{Tick: 8, Shard: 0, Action: ActKill}},

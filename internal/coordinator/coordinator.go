@@ -20,9 +20,10 @@
 // The fleet degrades rather than dies: a per-shard health model scores
 // transport silence (never HTTP answers — an error status still proves the
 // process alive), a shard that crosses the down threshold is quarantined out
-// of the fan-out, CRUD keeps flowing with its mutations journaled
-// (journal.go), and a resurrected shard re-earns admission through the
-// digest-gated rejoin protocol. Shard INDEX is pinned for the life of the
+// of the fan-out, CRUD keeps flowing on the admitted shards, and a
+// resurrected shard re-earns admission through the rejoin protocol: it takes
+// the replicated half of the account from an admitted peer (state transfer)
+// and passes the state-digest gate. Shard INDEX is pinned for the life of the
 // fleet: the delivery partition is position-mod-N in shard order, so a shard
 // is resurrected under its own index, never renumbered — renumbering would
 // silently re-partition every subsequent day.
@@ -30,6 +31,8 @@ package coordinator
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -46,6 +49,17 @@ import (
 	"github.com/adaudit/impliedidentity/internal/platform"
 	"github.com/adaudit/impliedidentity/internal/privacy"
 	"github.com/adaudit/impliedidentity/internal/supervisor"
+)
+
+// Typed fleet-degradation errors. The router maps each onto 503 +
+// Retry-After: the condition is real but expected to clear — callers retry.
+var (
+	// ErrShardDown marks an operation that cannot be served while a shard is
+	// quarantined (delivery days, partitioned insights, an empty read pool).
+	ErrShardDown = errors.New("coordinator: shard quarantined")
+	// ErrDayExhausted marks a delivery day abandoned after the configured
+	// attempt budget.
+	ErrDayExhausted = errors.New("coordinator: delivery day attempts exhausted")
 )
 
 // Config shapes a Coordinator.
@@ -66,10 +80,6 @@ type Config struct {
 	// to 8x (plus deterministic jitter derived from the day sequence, so
 	// coordinated fleets don't retry in lockstep). 0 defaults to 2s.
 	DayBackoff time.Duration
-	// JournalCap bounds the mutation catch-up journal; at capacity, new
-	// mutations are refused with ErrJournalFull (503 + Retry-After at the
-	// router) while a shard is down. 0 defaults to 256.
-	JournalCap int
 	// Transport, when set, replaces every backend client's HTTP transport —
 	// the chaos/fault injection seam (faults.NewTransport).
 	Transport http.RoundTripper
@@ -117,12 +127,13 @@ type Coordinator struct {
 	mu     sync.Mutex
 	daySeq atomic.Uint64
 
-	// admMu guards the admission set and the journal's structure for
-	// readers (topology, snapshots). Writers additionally hold mu; lock
-	// order is mu then admMu, never the reverse.
+	// admMu guards the admission set for readers (topology, snapshots).
+	// Writers additionally hold mu; lock order is mu then admMu, never the
+	// reverse. lastOut is the shard quarantined last: after a whole-fleet
+	// outage it alone holds every acknowledged mutation.
 	admMu    sync.Mutex
 	admitted []bool
-	journal  *mutationJournal
+	lastOut  int
 
 	keyBase string
 	keySeq  atomic.Uint64
@@ -138,9 +149,6 @@ func New(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 	}
 	if cfg.DayBackoff <= 0 {
 		cfg.DayBackoff = 2 * time.Second
-	}
-	if cfg.JournalCap <= 0 {
-		cfg.JournalCap = 256
 	}
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -178,7 +186,6 @@ func New(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 	for i := range c.admitted {
 		c.admitted[i] = true
 	}
-	c.journal = newMutationJournal(cfg.JournalCap)
 	return c, nil
 }
 
@@ -201,8 +208,8 @@ func (c *Coordinator) SetRetryPolicy(p marketing.RetryPolicy) {
 }
 
 // mintFleetKey makes a fleet-wide idempotency key for a mutation that
-// arrived without one, so every shard — including a future journal replay —
-// executes the mutation under the same key.
+// arrived without one, so every shard executes the mutation under the same
+// key.
 func (c *Coordinator) mintFleetKey() string {
 	return fmt.Sprintf("%s-%d", c.keyBase, c.keySeq.Add(1))
 }
@@ -237,28 +244,31 @@ func (c *Coordinator) quarantinedIdx() []int {
 	return q
 }
 
-// referenceConn is the first admitted shard — the replica the journal's
-// census bootstrap and the rejoin digest gate compare against. Nil when the
-// whole fleet is down.
-func (c *Coordinator) referenceConn() *shardConn {
+// referenceConn is the first admitted shard — the replica a rejoining shard
+// takes its state from and digests against — or, when the whole fleet is
+// down, nil and the shard quarantined last.
+func (c *Coordinator) referenceConn() (*shardConn, int) {
 	c.admMu.Lock()
 	defer c.admMu.Unlock()
 	for i, sc := range c.shards {
 		if c.admitted[i] {
-			return sc
+			return sc, i
 		}
 	}
-	return nil
+	return nil, c.lastOut
 }
 
 // Quarantine removes a shard from the serving set (idempotent; reports
 // whether this call did the removal) and marks it down in the health model.
-// CRUD keeps flowing without it — its missed mutations accumulate in the
-// journal until it rejoins.
+// CRUD keeps flowing without it; it takes what it missed in its rejoin's
+// state transfer.
 func (c *Coordinator) Quarantine(shard int) bool {
 	c.admMu.Lock()
 	was := c.admitted[shard]
 	c.admitted[shard] = false
+	if was {
+		c.lastOut = shard
+	}
 	c.admMu.Unlock()
 	if was {
 		c.health.MarkDown(shard)
@@ -267,13 +277,10 @@ func (c *Coordinator) Quarantine(shard int) bool {
 	return was
 }
 
-// admit returns a shard to the serving set, drains its journal entries, and
-// closes its MTTR window.
+// admit returns a shard to the serving set and closes its MTTR window.
 func (c *Coordinator) admit(shard int) {
 	c.admMu.Lock()
 	c.admitted[shard] = true
-	c.journal.dropShard(shard)
-	c.reg.Gauge(MetricJournalDepth).Set(int64(c.journal.depth()))
 	c.admMu.Unlock()
 	c.health.MarkHealthy(shard)
 }
@@ -299,6 +306,88 @@ func (c *Coordinator) TryRejoin(ctx context.Context, shard int) error {
 	}
 	defer c.mu.Unlock()
 	return c.rejoinLocked(ctx, shard)
+}
+
+// rejoinLocked is the readmission protocol for one quarantined shard that
+// has recovered from its own WAL, run under the fleet mutex (so no mutation
+// or day moves while state converges):
+//
+//  1. handshake — the shard answers GET /v1/shard/status, its world
+//     fingerprint matches an admitted reference, and no day session is
+//     still open on it;
+//  2. state transfer — the reference's replicated half (GET
+//     /v1/shard/replicated) is relayed undecoded to the shard, which
+//     installs it over its own delivery half and snapshots its store (PUT);
+//  3. digest gate — the shard's state digest must equal the reference's,
+//     byte for byte. After a partial commit it does not: each shard's
+//     COMPLETED bits are its own, and Deliver's replay converges them;
+//  4. admit — back into the CRUD fan-out and delivery pool; MTTR is
+//     observed.
+//
+// With no admitted reference left (whole-fleet outage), the shard that was
+// quarantined last is readmitted on its own WAL alone — there is nothing to
+// take state from or digest against — and counted in
+// router.rejoin_unverified; every other shard missed the mutations acked
+// after it went out, so it waits for that one and takes its state from it.
+func (c *Coordinator) rejoinLocked(ctx context.Context, shard int) error {
+	if c.isAdmitted(shard) {
+		return nil
+	}
+	sc := c.shards[shard]
+	fail := func(err error) error {
+		c.reg.Counter(MetricRejoinFailures).Inc()
+		return err
+	}
+	st, err := sc.client.ShardStatus(ctx)
+	if err != nil {
+		return fail(fmt.Errorf("coordinator: rejoin handshake on %s: %w", sc.label, err))
+	}
+	if st.SessionActive {
+		return fail(fmt.Errorf("coordinator: rejoin %s: a day session is still open mid-recovery", sc.label))
+	}
+	switch ref, last := c.referenceConn(); {
+	case ref != nil:
+		if err := transfer(ctx, sc, ref, st.NumUsers); err != nil {
+			return fail(err)
+		}
+	case shard != last:
+		return fail(fmt.Errorf("coordinator: rejoin %s: whole fleet out, shard%d was quarantined last and rejoins first", sc.label, last))
+	default:
+		c.reg.Counter(MetricRejoinUnverified).Inc()
+	}
+	c.admit(shard)
+	c.reg.Counter(MetricRejoins).Inc()
+	return nil
+}
+
+// transfer is the rejoin's work against the reference: the world
+// fingerprint half of the handshake, the state transfer and the digest gate.
+func transfer(ctx context.Context, sc, ref *shardConn, numUsers int) error {
+	refSt, err := ref.client.ShardStatus(ctx)
+	if err != nil {
+		return fmt.Errorf("coordinator: rejoin reference handshake on %s: %w", ref.label, err)
+	}
+	if numUsers != refSt.NumUsers {
+		return divergence("rejoin world fingerprint", sc,
+			fmt.Sprintf("num_users=%d", numUsers), fmt.Sprintf("num_users=%d", refSt.NumUsers))
+	}
+	raw, err := ref.client.Replicated(ctx)
+	if err != nil {
+		return fmt.Errorf("coordinator: rejoin state read on %s: %w", ref.label, err)
+	}
+	if err := sc.client.InstallReplicated(ctx, raw); err != nil {
+		return fmt.Errorf("coordinator: rejoin state install on %s: %w", sc.label, err)
+	}
+	after, err := sc.client.ShardStatus(ctx)
+	if err != nil {
+		return fmt.Errorf("coordinator: rejoin digest read on %s: %w", sc.label, err)
+	}
+	// The reference's status digest hashes exactly the bytes relayed.
+	sum := sha256.Sum256(raw)
+	if want := hex.EncodeToString(sum[:]); after.StateDigest != want {
+		return divergence("rejoin state digest", sc, after.StateDigest, want)
+	}
+	return nil
 }
 
 // --- scatter ---------------------------------------------------------------
@@ -378,8 +467,7 @@ func (c *Coordinator) scatter(ctx context.Context, op string, targets []*shardCo
 
 // --- replicated CRUD -------------------------------------------------------
 
-// Replicated CRUD mutations. The kind labels errors and tells the journal
-// which census counter the mutation moves.
+// Replicated CRUD mutations; the kind labels errors.
 const (
 	kindAudience = "create audience"
 	kindCampaign = "create campaign"
@@ -399,11 +487,11 @@ type mutation struct {
 	body []byte
 }
 
-// outcome is what every shard must answer alike for one mutation and what a
-// journal replay must reproduce: the fields of the small typed responses
-// (CreateAudienceResponse, CreateCampaignResponse, AdResponse) taken
-// together. The review RNG is seeded identically on every backend, so an
-// ad's review status must agree along with its ID.
+// outcome is what every shard must answer alike for one mutation: the
+// fields of the small typed responses (CreateAudienceResponse,
+// CreateCampaignResponse, AdResponse) taken together. The review RNG is
+// seeded identically on every backend, so an ad's review status must agree
+// along with its ID.
 type outcome struct {
 	ID          string `json:"id"`
 	Status      string `json:"status"`
@@ -420,6 +508,68 @@ func (m *mutation) post(ctx context.Context, sc *shardConn) (payload []byte, got
 		return nil, outcome{}, fmt.Errorf("decoding response: %w", err)
 	}
 	return payload, got, nil
+}
+
+// mutate is the replicated-CRUD engine: relay the request bytes to every
+// admitted shard and assert the shards answered alike. It returns the
+// reference shard's response payload for the router to pass on. A shard
+// whose fan-out call fails AND whose health score crossed to down is
+// quarantined inline instead of failing the fleet; whether it applied the
+// mutation before it went silent does not matter, since its rejoin replaces
+// its replicated state whole. Failures on shards that are still considered
+// healthy fail the mutation (the caller's idempotent retry converges). A
+// shard answering unlike the reference fails it as a divergence and is
+// quarantined: its rejoin replaces its replicated half.
+func (c *Coordinator) mutate(ctx context.Context, m mutation) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if m.key == "" {
+		m.key = c.mintFleetKey()
+	}
+	admitted, _ := c.admissionSnapshot()
+	if len(admitted) == 0 {
+		return nil, fmt.Errorf("coordinator: %s: no admitted shards: %w", m.kind, ErrShardDown)
+	}
+
+	payloads := make([][]byte, len(c.shards))
+	got := make([]outcome, len(c.shards))
+	errs := c.scatterEach(ctx, m.kind, admitted, func(ctx context.Context, sc *shardConn) (err error) {
+		payloads[sc.index], got[sc.index], err = m.post(ctx, sc)
+		return err
+	})
+	var firstErr error
+	for _, sc := range admitted {
+		err := errs[sc.index]
+		if err == nil || c.health.State(sc.index) == supervisor.Down && c.Quarantine(sc.index) {
+			continue
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+
+	var ref *shardConn
+	var diverged error
+	for _, sc := range admitted {
+		switch {
+		case payloads[sc.index] == nil: // quarantined mid-flight
+		case ref == nil:
+			ref = sc
+		case got[sc.index] != got[ref.index]:
+			c.Quarantine(sc.index)
+			diverged = divergence(m.kind, sc, fmt.Sprintf("%+v", got[sc.index]), fmt.Sprintf("%+v", got[ref.index]))
+		}
+	}
+	if ref == nil {
+		return nil, fmt.Errorf("coordinator: %s: every shard went down mid-mutation: %w", m.kind, ErrShardDown)
+	}
+	if diverged != nil {
+		return nil, diverged
+	}
+	return payloads[ref.index], nil
 }
 
 // GetAd reads an ad's status from the first admitted shard that answers, in
@@ -546,7 +696,7 @@ func mergeInsights(shards []*shardConn, parts []*marketing.InsightsResponse) (*m
 // Inventory fans the object census out to every admitted shard and asserts
 // they agree — the cheap convergence check the multi-process smoke test
 // leans on. (CRUD state is replicated, so any admitted subset answers for
-// the fleet; quarantined shards are behind by exactly the journal.)
+// the fleet; a quarantined shard catches up when it rejoins.)
 func (c *Coordinator) Inventory(ctx context.Context) (*platform.Inventory, error) {
 	admitted, _ := c.admissionSnapshot()
 	if len(admitted) == 0 {
@@ -581,9 +731,9 @@ func (c *Coordinator) Inventory(ctx context.Context) (*platform.Inventory, error
 }
 
 // divergence builds the error for shards that disagree on what must be
-// replicated state. It is not retryable by design: divergence means a
-// backend executed a mutation the others did not (or runs different code /
-// a different world seed) and needs operator attention, not a retry.
+// replicated state (a backend executed a mutation the others did not, or runs
+// other code or world seed). mutate quarantines a shard that answered unlike
+// the reference, for its rejoin to repair; elsewhere it is only reported.
 func divergence(what string, sc *shardConn, got, want string) error {
 	return fmt.Errorf("coordinator: %s diverged on %s (%s): got %s, want %s (reference)", what, sc.label, sc.url, got, want)
 }

@@ -28,24 +28,11 @@ const (
 	MetricQuarantines = "router.quarantines"
 	// MetricRejoins counts shards readmitted through the rejoin protocol.
 	MetricRejoins = "router.rejoins"
-	// MetricRejoinFailures counts rejoin attempts that failed a handshake,
-	// replay, or the digest gate.
+	// MetricRejoinFailures counts rejoin attempts that failed the handshake,
+	// the state transfer, or the digest gate.
 	MetricRejoinFailures = "router.rejoin_failures"
 	// MetricRejoinUnverified counts readmissions with no admitted reference
-	// left to digest against (first shard back after a whole-fleet outage).
+	// left to digest against (the shard quarantined last, after a
+	// whole-fleet outage).
 	MetricRejoinUnverified = "router.rejoin_unverified"
-
-	// MetricJournalDepth gauges queued catch-up entries.
-	MetricJournalDepth = "router.journal.depth"
-	// MetricJournalAppends counts mutations journaled for down shards.
-	MetricJournalAppends = "router.journal.appends"
-	// MetricJournalRejects counts mutations refused because the journal was
-	// full (surfaced as 503 + Retry-After).
-	MetricJournalRejects = "router.journal.rejects"
-	// MetricJournalReplayed / MetricJournalSkipped count catch-up entries
-	// executed vs. probe-skipped (already applied pre-crash) during rejoin.
-	MetricJournalReplayed = "router.journal.replayed"
-	MetricJournalSkipped  = "router.journal.skipped"
-	// MetricJournalReplayLatency is the journal catch-up time per rejoin.
-	MetricJournalReplayLatency = "router.journal.replay"
 )

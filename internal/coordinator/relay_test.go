@@ -3,7 +3,8 @@ package coordinator_test
 // The relay contract of the replicated CRUD routes: the router reads a body
 // once and never decodes it, every admitted shard is handed the same bytes
 // under the caller's idempotency key, the shards alone validate, and a
-// quarantined shard later catches up from the journal's {path, body} entries.
+// quarantined shard later catches up on the replicated state the coordinator
+// relays, undecoded, from an admitted peer.
 
 import (
 	"bytes"
@@ -22,6 +23,8 @@ import (
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/image"
 	"github.com/adaudit/impliedidentity/internal/marketing"
+	"github.com/adaudit/impliedidentity/internal/platform"
+	"github.com/adaudit/impliedidentity/internal/supervisor"
 )
 
 // received is one mutating request as a shard's handler saw it.
@@ -200,52 +203,54 @@ func TestRouterRelaysRequestBytes(t *testing.T) {
 	}
 }
 
-// TestJournalReplaysRelayedBytes: a quarantined shard catches up on an
-// audience, a campaign, an ad and an appeal from {path, body} entries — the
-// very bytes and keys the admitted shard executed — reproduces every ID,
-// status and matched size, and passes the state-digest gate. The journal's
-// body is its own copy, not the caller's buffer.
-func TestJournalReplaysRelayedBytes(t *testing.T) {
+// TestStateTransferIsExactAndDurable: a shard that missed an audience, a
+// campaign, ads and appeals — one that left its ad rejected and one that
+// granted it — rejoins by taking the admitted shard's replicated half. What
+// it installs is the reference's bytes exactly, its own delivery tallies stay
+// as its WAL recovered them, the appeal outcomes and the review cursor agree
+// across shards, and a restart right after the rejoin recovers the installed
+// bytes from the store's snapshot.
+func TestStateTransferIsExactAndDurable(t *testing.T) {
 	ctx := context.Background()
 	worldHash := worldHash(t)
-	caps := []*capture{{}, {}}
 	// Review rejects some ads, so that an appeal has a subject; the review RNG
 	// is seeded alike on both shards.
 	const rejectRate = 0.3
-	f := launch(t, 2, both(both(durable(t), capturing(caps)), func(cfg *chaos.FleetConfig) { cfg.Platform = platformCfg(rejectRate) }))
-	coord, client := f.Coord, f.Client()
+	f := launch(t, 2, both(durable(t), func(cfg *chaos.FleetConfig) { cfg.Platform = platformCfg(rejectRate) }))
+	client := f.Client()
+	// A day before the outage gives each shard delivery tallies of its own.
+	delivered := setupAccount(t, client, 2)
+	var active []string
+	for _, id := range delivered {
+		if ad, err := client.GetAd(ctx, id); err != nil {
+			t.Fatal(err)
+		} else if ad.Status == "ACTIVE" {
+			active = append(active, id)
+		}
+	}
+	if len(active) == 0 {
+		t.Fatalf("review rejected both pre-outage ads; pick another rate")
+	}
+	if err := client.Deliver(ctx, active, 9650); err != nil {
+		t.Fatal(err)
+	}
 	if err := f.Kill(1); err != nil {
 		t.Fatal(err)
 	}
 	stepUntilDown(t, f, 1)
-	caps[0].take() // the probes and fan-outs that found shard 1 dead carry no mutation, but start clean
 
-	aud, err := client.CreateAudience(ctx, "journal-aud", worldHash[:400])
+	aud, err := client.CreateAudience(ctx, "transfer-aud", worldHash[:400])
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The campaign goes in below the router, from a buffer this test owns
-	// and scribbles over once mutate has returned.
-	buf := []byte(`{"name":"journal-cmp","objective":"TRAFFIC"}`)
-	campaignBody := bytes.Clone(buf)
-	payload, err := coord.Mutate(ctx, coordinator.KindCampaign, "own-buffer", "/v1/campaigns", buf)
+	cmp, err := client.CreateCampaign(ctx, marketing.CreateCampaignRequest{Name: "transfer-cmp", Objective: "TRAFFIC"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range buf {
-		buf[i] = 'X'
-	}
-	var cmp marketing.CreateCampaignResponse
-	if err := json.Unmarshal(payload, &cmp); err != nil || cmp.ID == "" {
-		t.Fatalf("campaign answer %s: %v", payload, err)
-	}
-	// Appeals go on until one leaves its ad rejected and one grants it: the
-	// first is the entry whose replay a status probe used to skip, leaving
-	// the recovered shard's review stream a draw behind.
+	// Appeals go on until one leaves its ad rejected and one grants it.
 	var kept, granted *marketing.AdResponse
-	ads, appeals := 0, 0
-	for ; (kept == nil || granted == nil) && ads < 40; ads++ {
-		ad, err := client.CreateAd(ctx, relayedAd(cmp.ID, aud.ID, ads))
+	for i := 0; (kept == nil || granted == nil) && i < 40; i++ {
+		ad, err := client.CreateAd(ctx, relayedAd(cmp.ID, aud.ID, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +261,6 @@ func TestJournalReplaysRelayedBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		appeals++
 		if appealed.Status == "REJECTED" {
 			kept = appealed
 		} else {
@@ -267,63 +271,121 @@ func TestJournalReplaysRelayedBytes(t *testing.T) {
 		t.Fatalf("40 ads at reject rate %v saw no appeal refused or none granted (%v, %v); pick another rate", rejectRate, kept, granted)
 	}
 
-	// The journal holds what shard 0 executed: same path, key and bytes, in
-	// order, each with the outcome the caller was given.
-	executed := caps[0].take()
-	entries := coord.Journaled()
-	if len(entries) != 2+ads+appeals || len(executed) != len(entries) {
-		t.Fatalf("%d journal entries, %d requests executed, want %d of each", len(entries), len(executed), 2+ads+appeals)
+	// The shard comes back from its WAL with nothing of the outage; its
+	// delivery tallies are read before the supervisor rejoins it.
+	if err := f.Relaunch(1); err != nil {
+		t.Fatal(err)
 	}
-	for i, e := range entries {
-		if e.Path != executed[i].path || e.Key != executed[i].key || !bytes.Equal(e.Body, executed[i].body) {
-			t.Errorf("entry %d (%s %s): not the request shard 0 executed (%s)", i, e.Kind, e.Path, executed[i].path)
-		}
-	}
-	if got := entries[1]; got.Kind != coordinator.KindCampaign || !bytes.Equal(got.Body, campaignBody) {
-		t.Errorf("journaled campaign body %q follows the caller's buffer, want %q", got.Body, campaignBody)
-	}
-	first, last := entries[0], entries[len(entries)-1]
-	if want := (coordinator.Outcome{ID: aud.ID, MatchedSize: aud.MatchedSize}); first.Kind != coordinator.KindAudience || first.Want != want {
-		t.Errorf("audience entry %s wants %+v, the caller got %+v", first.Kind, first.Want, want)
-	}
-	if last.Kind != coordinator.KindAppeal || !strings.HasSuffix(last.Path, "/appeal") {
-		t.Errorf("last entry is %s %s, want the last appeal", last.Kind, last.Path)
-	}
-
-	// The shard comes back from its WAL with nothing of the outage, and every
-	// entry — the appeal that changed nothing included — is replayed to it.
-	revive(t, f, 1)
-	replayed := caps[1].take()
-	if len(replayed) != len(executed) {
-		t.Fatalf("shard 1 was replayed %d requests, want %d", len(replayed), len(executed))
-	}
-	for i := range executed {
-		if replayed[i].path != executed[i].path || replayed[i].key != executed[i].key || !bytes.Equal(replayed[i].body, executed[i].body) {
-			t.Errorf("replay %d (%s): shard 1 received other bytes or another key than shard 0 executed", i, executed[i].path)
-		}
-	}
-	snap := f.Reg.Snapshot()
-	if got := snap.Counters[coordinator.MetricJournalReplayed]; got != int64(len(executed)) || snap.Gauges[coordinator.MetricJournalDepth] != 0 {
-		t.Errorf("replayed %d entries with %d left, want %d and 0", got, snap.Gauges[coordinator.MetricJournalDepth], len(executed))
-	}
-	var status [2]*marketing.ShardStatusResponse
-	for i := range status {
-		sc := shardClient(t, f, i)
-		if status[i], err = sc.ShardStatus(ctx); err != nil {
+	shards := []*marketing.Client{shardClient(t, f, 0), shardClient(t, f, 1)}
+	stats := func() string {
+		var st platform.State
+		if err := shards[1].Get(ctx, "/debug/state", &st); err != nil {
 			t.Fatal(err)
 		}
+		return string(mustJSON(t, st.Stats))
+	}
+	ownStats := stats()
+	if ownStats == "null" {
+		t.Fatal("shard 1 recovered no delivery tallies: the test proves nothing about keeping them")
+	}
+	f.Sup.Step(ctx)
+	if got := f.Coord.Health().State(1); got != supervisor.Healthy {
+		t.Fatalf("rejoined shard state %v, want healthy", got)
+	}
+
+	replicated := func(shard int) []byte {
+		raw, err := shards[shard].Replicated(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	want := replicated(0)
+	if got := replicated(1); !bytes.Equal(got, want) {
+		t.Errorf("shard 1's replicated half after the transfer is not the reference's:\n got %.300s\nwant %.300s", got, want)
+	}
+	if got := stats(); got != ownStats {
+		t.Errorf("the transfer moved shard 1's delivery tallies:\n got %.300s\nwant %.300s", got, ownStats)
+	}
+	var draws [2]int
+	for i, sc := range shards {
 		for _, appealed := range []*marketing.AdResponse{kept, granted} {
 			ad, err := sc.GetAd(ctx, appealed.ID)
 			if err != nil || ad.Status != appealed.Status {
 				t.Errorf("shard %d: appealed ad %+v, %v; the fleet answered %s", i, ad, err, appealed.Status)
 			}
 		}
+		inv, err := sc.Inventory(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		draws[i] = inv.ReviewDraws
 	}
-	if status[0].StateDigest != status[1].StateDigest {
-		t.Errorf("state digests differ after catch-up: %s vs %s", status[0].StateDigest, status[1].StateDigest)
+	if draws[0] != draws[1] {
+		t.Errorf("review cursors %d and %d after the transfer, want equal", draws[0], draws[1])
 	}
-	// The digest covers the review cursor: one draw an ad, one an appeal.
-	if got := status[1].Inventory.ReviewDraws; got != ads+appeals || got != status[0].Inventory.ReviewDraws {
-		t.Errorf("review cursors %d and %d after catch-up, want %d on both", status[0].Inventory.ReviewDraws, got, ads+appeals)
+
+	// Durable: with no mutation since the install, a kill and relaunch
+	// recover the installed bytes — from the snapshot the install wrote, as
+	// the shard's WAL holds nothing of the outage.
+	if err := f.Relaunch(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := replicated(1); !bytes.Equal(got, want) {
+		t.Errorf("shard 1 recovered other bytes than it installed:\n got %.300s\nwant %.300s", got, want)
+	}
+	if got := stats(); got != ownStats {
+		t.Errorf("shard 1 recovered other delivery tallies than it kept:\n got %.300s\nwant %.300s", got, ownStats)
+	}
+}
+
+// TestDivergedShardRejoinsByTransfer: a shard that executed a create the
+// fleet never relayed — as one does that reads, after its install, a request
+// under a key it never saw — answers the next create with another ID. The
+// outcome check refuses that create as a divergence and quarantines the
+// shard; the supervisor's next pass rejoins it by state transfer, which
+// drops what only it executed, and the caller's retry under its key gets
+// the reference's answer.
+func TestDivergedShardRejoinsByTransfer(t *testing.T) {
+	ctx := context.Background()
+	worldHash := worldHash(t)
+	f := launch(t, 2, nil)
+	router, err := coordinator.NewRouter(f.Coord, f.Reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := router.Handler()
+	audience := func(name string) []byte {
+		return mustJSON(t, marketing.CreateAudienceRequest{Name: name, PIIHashes: worldHash[:100]})
+	}
+	if status, answer := rawPost(t, url, "/v1/customaudiences", "first", audience("first")); status != 201 {
+		t.Fatalf("first create: %d %s", status, answer)
+	}
+	if _, err := shardClient(t, f, 1).CreateAudience(ctx, "unrelayed", worldHash[:50]); err != nil {
+		t.Fatal(err)
+	}
+
+	status, answer := rawPost(t, url, "/v1/customaudiences", "second", audience("second"))
+	if status != http.StatusBadGateway || !strings.Contains(answer, "create audience diverged on shard1") {
+		t.Fatalf("create after shard 1 went its own way: %d %s, want a 502 divergence", status, answer)
+	}
+	if f.Coord.Health().State(1) != supervisor.Down {
+		t.Fatalf("diverged shard state %v, want down (quarantined)", f.Coord.Health().State(1))
+	}
+	status, retried := rawPost(t, url, "/v1/customaudiences", "second", audience("second"))
+	if status != 201 || !strings.Contains(retried, `"id":"ca-2"`) {
+		t.Fatalf("retry under the same key: %d %s, want the reference's ca-2", status, retried)
+	}
+
+	f.Sup.Step(ctx)
+	if got := f.Coord.Health().State(1); got != supervisor.Healthy {
+		t.Fatalf("diverged shard state %v after a supervisor pass, want healthy", got)
+	}
+	status, third := rawPost(t, url, "/v1/customaudiences", "third", audience("third"))
+	if status != 201 || !strings.Contains(third, `"id":"ca-3"`) {
+		t.Fatalf("create over the healed fleet: %d %s, want ca-3", status, third)
+	}
+	if inv, err := f.Coord.Inventory(ctx); err != nil || inv.Audiences != 3 {
+		t.Fatalf("inventory over the healed fleet: %+v, %v (want 3 audiences on both shards)", inv, err)
 	}
 }

@@ -93,13 +93,12 @@ const degradedRetryAfter = "2"
 
 // writeRouterError maps a coordinator error onto the wire. Backend API
 // answers pass through with their own status (the router adds nothing to a
-// 400/404/409); fleet-degradation errors — a quarantined shard, a full
-// catch-up journal, an exhausted day budget — are 503 + Retry-After, the
-// "try again after the fleet heals" contract idempotent clients compose
-// with; everything else — transport failures, open breakers, divergence —
-// is the router's own 502.
+// 400/404/409); fleet-degradation errors — a quarantined shard, an
+// exhausted day budget — are 503 + Retry-After, the "try again after the
+// fleet heals" contract idempotent clients compose with; everything else —
+// transport failures, open breakers, divergence — is the router's own 502.
 func writeRouterError(w http.ResponseWriter, err error) {
-	if errors.Is(err, ErrShardDown) || errors.Is(err, ErrJournalFull) || errors.Is(err, ErrDayExhausted) {
+	if errors.Is(err, ErrShardDown) || errors.Is(err, ErrDayExhausted) {
 		w.Header().Set("Retry-After", degradedRetryAfter)
 		marketing.WriteJSON(w, http.StatusServiceUnavailable, marketing.ErrorResponse{Error: err.Error()})
 		return

@@ -1,12 +1,13 @@
 package coordinator_test
 
-// Supervision-layer tests over the simulated fleet: quarantine, journal
-// catch-up, digest-gated rejoin, journal overflow, the typed degradation
-// errors, and the no-flap property under injected 5xx. A shard dies here the
-// way it does under the chaos soak — Fleet.Kill drops its serving stack and
-// the unflushed tail of its WAL, Fleet.Relaunch trains a fresh platform and
-// recovers the account from disk — so what a restart loses (the delivery
-// session, the idempotency cache) is lost in these tests too.
+// Supervision-layer tests over the simulated fleet: quarantine, rejoin by
+// state transfer through the digest gate, a partial commit the transfer must
+// not hide, the typed degradation errors, and the no-flap property under
+// injected 5xx. A shard dies here the way it does under the chaos soak —
+// Fleet.Kill drops its serving stack and the unflushed tail of its WAL,
+// Fleet.Relaunch trains a fresh platform and recovers the account from disk
+// — so what a restart loses (the delivery session, the idempotency cache) is
+// lost in these tests too.
 
 import (
 	"context"
@@ -14,7 +15,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -52,7 +52,8 @@ func stepUntilDown(t *testing.T, f *chaos.Fleet, shard int) {
 }
 
 // revive relaunches a dead shard and gives the supervisor the one pass that
-// must walk it through replay and the digest gate back to healthy.
+// must walk it through the state transfer and the digest gate back to
+// healthy.
 func revive(t *testing.T, f *chaos.Fleet, shard int) {
 	t.Helper()
 	if err := f.Relaunch(shard); err != nil {
@@ -64,12 +65,12 @@ func revive(t *testing.T, f *chaos.Fleet, shard int) {
 	}
 }
 
-// The tentpole end to end: a shard dies, the supervisor quarantines it, CRUD
-// keeps flowing (journaled), insights degrade with a typed 503, the shard
-// comes back, rejoin replays the journal gap and passes the digest gate, and
-// a delivery day over the healed fleet is byte-identical to an undisturbed
-// fleet's.
-func TestShardResurrectionWithJournalCatchup(t *testing.T) {
+// The resurrection end to end: a shard dies, the supervisor quarantines it,
+// CRUD keeps flowing on the survivor, insights degrade with a typed 503, the
+// shard comes back, takes the replicated state from its peer and passes the
+// digest gate, and a delivery day over the healed fleet is byte-identical to
+// an undisturbed fleet's.
+func TestShardResurrectionWithStateTransfer(t *testing.T) {
 	const nAds = 2
 	const seed = 9600
 	ctx := context.Background()
@@ -100,7 +101,7 @@ func TestShardResurrectionWithJournalCatchup(t *testing.T) {
 
 	// Disturbed fleet: shard 1 dies after account setup.
 	f := launch(t, 2, durable(t))
-	coord, client, reg := f.Coord, f.Client(), f.Reg
+	coord, client := f.Coord, f.Client()
 	ids := setupAccount(t, client, nAds)
 	// Commit a day BEFORE the outage: a coordinated day leaves each shard
 	// with the tallies of its own user partition — divergent by design —
@@ -116,8 +117,8 @@ func TestShardResurrectionWithJournalCatchup(t *testing.T) {
 	}
 	stepUntilDown(t, f, 1)
 
-	// CRUD keeps flowing against the journal: a full audience + campaign +
-	// 2 ads land while shard 1 is a corpse.
+	// CRUD keeps flowing: a full audience + campaign + 2 ads land while
+	// shard 1 is a corpse.
 	aud, err := client.CreateAudience(ctx, "out-aud", hashes)
 	if err != nil {
 		t.Fatalf("audience create during outage: %v", err)
@@ -128,13 +129,6 @@ func TestShardResurrectionWithJournalCatchup(t *testing.T) {
 	}
 	outageIDs := createAdSet(t, client, cmp.ID, aud.ID, 2)
 	ids = append(ids, outageIDs...)
-	snap := reg.Snapshot()
-	if got := snap.Counters[coordinator.MetricJournalAppends]; got != 4 {
-		t.Errorf("journal appends during outage = %d, want 4", got)
-	}
-	if got := snap.Gauges[coordinator.MetricJournalDepth]; got != 4 {
-		t.Errorf("journal depth during outage = %d, want 4", got)
-	}
 
 	// Reads stay up off the admitted shard; partitioned insights degrade
 	// with the typed 503.
@@ -152,20 +146,11 @@ func TestShardResurrectionWithJournalCatchup(t *testing.T) {
 
 	// Resurrection: the shard recovers its WAL — account and committed day,
 	// no idempotency cache — and one supervisor pass marks it recovering and
-	// walks it through replay + digest gate back to admitted.
+	// walks it through the state transfer + digest gate back to admitted.
 	revive(t, f, 1)
-	snap = reg.Snapshot()
-	if got := snap.Counters[coordinator.MetricJournalReplayed]; got != 4 {
-		t.Errorf("journal entries replayed = %d, want 4 (zero acked writes lost)", got)
-	}
-	if got := snap.Gauges[coordinator.MetricJournalDepth]; got != 0 {
-		t.Errorf("journal depth after rejoin = %d, want 0", got)
-	}
+	snap := f.Reg.Snapshot()
 	if snap.Counters[coordinator.MetricRejoins] < 1 {
 		t.Errorf("rejoin counter = %d, want >= 1", snap.Counters[coordinator.MetricRejoins])
-	}
-	if snap.Histograms[coordinator.MetricJournalReplayLatency].Count == 0 {
-		t.Errorf("journal replay latency never observed")
 	}
 	if snap.Histograms[supervisor.MetricMTTR].Count == 0 {
 		t.Errorf("MTTR never observed")
@@ -190,64 +175,52 @@ func TestShardResurrectionWithJournalCatchup(t *testing.T) {
 	}
 }
 
-// Journal overflow: with the journal at capacity during an outage, new
-// mutations are refused with 503 + Retry-After — and the SAME idempotent
-// request succeeds cleanly after the fleet heals (the refusal happens before
-// any shard executes, so there is no half-applied state to reconcile).
-func TestJournalOverflow503ComposesWithRetry(t *testing.T) {
+// TestTransferKeepsPartialCommitVisible: shard 1 dies inside a day's finish
+// fan-out, after shard 0 committed and before it did, and is relaunched. The
+// day's retry preamble rejoins it, so its state transfer runs while the
+// partial commit is outstanding: the COMPLETED bits it must not take from
+// shard 0 (they are each shard's own) fail the digest gate, the day replays
+// on shard 1, and the fleet, rejoined, reads what an undisturbed one does.
+func TestTransferKeepsPartialCommitVisible(t *testing.T) {
+	const nAds = 2
+	const seed = 9450
 	ctx := context.Background()
-	f := launch(t, 2, both(durable(t), func(cfg *chaos.FleetConfig) { cfg.Coordinator.JournalCap = 1 }))
-	coord, client := f.Coord, f.Client()
-	setupAccount(t, client, 1)
+	want := referenceDigest(t, nAds, seed, 2, nil)
 
-	if err := f.Kill(1); err != nil {
+	var f *chaos.Fleet
+	var crashed atomic.Bool
+	f = launch(t, 2, both(durable(t), wrapShard(1, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/shard/delivery/finish" || !crashed.CompareAndSwap(false, true) {
+				next.ServeHTTP(w, r)
+				return
+			}
+			// Dead before its commit; its supervisor has it quarantined and
+			// back from its WAL by the time the finish is retried.
+			f.Coord.Quarantine(1)
+			if err := f.Relaunch(1); err != nil {
+				t.Error(err)
+			}
+			w.WriteHeader(http.StatusInternalServerError)
+		})
+	})))
+	client := f.Client()
+	ids := setupAccount(t, client, nAds)
+	if err := client.Deliver(ctx, ids, seed); err != nil {
 		t.Fatal(err)
 	}
-	stepUntilDown(t, f, 1)
-
-	// First mutation journals; the journal is now full.
-	if _, err := client.CreateCampaign(ctx, marketing.CreateCampaignRequest{Name: "fits", Objective: "TRAFFIC"}); err != nil {
-		t.Fatalf("first outage mutation: %v", err)
+	if !crashed.Load() {
+		t.Fatal("shard 1 never reached the finish")
 	}
-
-	// Second mutation overflows: raw POST to inspect status and headers.
-	post := func() *http.Response {
-		req, err := http.NewRequest(http.MethodPost, f.URL()+"/v1/campaigns",
-			strings.NewReader(`{"name":"overflows","objective":"TRAFFIC"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(marketing.IdempotencyKeyHeader, "overflow-key-1")
-		resp, err := f.RoundTrip(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
+	snap := f.Reg.Snapshot()
+	if snap.Counters[coordinator.MetricRejoinFailures] < 1 {
+		t.Errorf("the rejoin under a partial commit passed the digest gate; it must fail until the day replays")
 	}
-	resp := post()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("overflow status %d, want 503", resp.StatusCode)
+	if err := f.Coord.TryRejoin(ctx, 1); err != nil {
+		t.Fatalf("rejoin after the replayed day: %v", err)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("overflow response missing Retry-After")
-	}
-	if got := f.Reg.Snapshot().Counters[coordinator.MetricJournalRejects]; got < 1 {
-		t.Errorf("journal reject counter = %d, want >= 1", got)
-	}
-
-	// Heal, then the client's idempotent retry (same key) goes through.
-	revive(t, f, 1)
-	resp = post()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("post-heal retry status %d, want 201", resp.StatusCode)
-	}
-	inv, err := coord.Inventory(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inv.Campaigns != 3 {
-		t.Fatalf("campaigns after heal = %d, want 3 (no double-apply)", inv.Campaigns)
+	if got := insightsDigest(t, client, ids); got != want {
+		t.Errorf("healed fleet diverged from the reference:\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -1,8 +1,11 @@
 package marketing
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -340,5 +343,53 @@ func TestInsightsBreakdownDimensions(t *testing.T) {
 	// Unknown dimensions are rejected.
 	if _, err := e.client.InsightsBreakdown(context.Background(), ad.ID, "species"); err == nil {
 		t.Error("unknown dimension: want error")
+	}
+}
+
+// TestInstallTakesAnAccountPastTheRequestCap: an account grows past the
+// per-request body cap one capped request at a time. A shard that takes it
+// in a state transfer must still install it — a capped install would strand
+// every rejoin once the account outgrew the cap — while the same server
+// still refuses an advertiser request past the cap.
+func TestInstallTakesAnAccountPastTheRequestCap(t *testing.T) {
+	e := testEnv(t)
+	ctx := context.Background()
+	const limit = 8 << 10
+	serve := func() *Client {
+		p, _ := uploadPlatform(t)
+		p.SetMutationHook(nil)
+		s, err := NewServer(p, WithLimits(ServerLimits{MaxBodyBytes: limit}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		t.Cleanup(ts.Close)
+		c, err := NewClient(ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	peer, shard := serve(), serve()
+	var raw []byte
+	for i := 0; len(raw) <= 2*limit; i++ {
+		if _, err := peer.CreateAudience(ctx, fmt.Sprintf("aud-%d", i), e.worldHashes(100)); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if raw, err = peer.Replicated(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := shard.InstallReplicated(ctx, raw); err != nil {
+		t.Fatalf("installing a %d-byte account under a %d-byte request cap: %v", len(raw), limit, err)
+	}
+	if got, err := shard.Replicated(ctx); err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("installed account differs from the peer's (%d vs %d bytes), %v", len(got), len(raw), err)
+	}
+	_, err := shard.CreateAudience(ctx, "past-the-cap", e.worldHashes(200))
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("an upload past the %d-byte cap: %v, want 413", limit, err)
 	}
 }

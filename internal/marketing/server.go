@@ -26,7 +26,8 @@ type ServerLimits struct {
 	// RequestTimeout caps one request's wall time (503 past it). Zero
 	// disables the cap.
 	RequestTimeout time.Duration
-	// MaxBodyBytes caps the request body (413 past it). Zero disables.
+	// MaxBodyBytes caps the request body (413 past it) on every route but
+	// the shard's state install. Zero disables.
 	MaxBodyBytes int64
 	// MaxInFlight caps concurrently served requests (429 past it). Zero
 	// disables shedding.
@@ -153,9 +154,9 @@ func (s *Server) privacyConfig() privacy.Config {
 // idempotent by protocol (shard.go): begin, tick and abort.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	route := func(pattern string, fn http.HandlerFunc, idempotent bool) {
+	route := func(pattern string, fn http.HandlerFunc, idempotent bool, maxBody int64) {
 		var h http.Handler = fn
-		h = obs.BodyLimit(s.limits.MaxBodyBytes, h)
+		h = obs.BodyLimit(maxBody, h)
 		h = obs.Timeout(s.reg, s.limits.RequestTimeout, h)
 		h = obs.Recover(s.reg, h)
 		if !idempotent {
@@ -165,7 +166,7 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle(pattern, obs.Instrument(s.reg, pattern, h))
 	}
 	handle := func(pattern string, fn http.HandlerFunc) {
-		route(pattern, fn, !strings.HasPrefix(pattern, "POST "))
+		route(pattern, fn, !strings.HasPrefix(pattern, "POST "), s.limits.MaxBodyBytes)
 	}
 	handle("POST /v1/customaudiences", s.handleCreateAudience)
 	handle("POST /v1/campaigns", s.handleCreateCampaign)
@@ -176,21 +177,27 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /v1/insights", s.handleInsights)
 	// Shard-scoped delivery protocol (see shard.go): the coordinator's
 	// operator plane, not part of the advertiser API.
-	route("POST /v1/shard/delivery/begin", s.handleBeginDay, true)
-	route("POST /v1/shard/delivery/tick", s.handleDayTick, true)
+	route("POST /v1/shard/delivery/begin", s.handleBeginDay, true, s.limits.MaxBodyBytes)
+	route("POST /v1/shard/delivery/tick", s.handleDayTick, true, s.limits.MaxBodyBytes)
 	handle("POST /v1/shard/delivery/finish", s.handleFinishDay)
-	route("POST /v1/shard/delivery/abort", s.handleAbortDay, true)
-	// Rejoin handshake: state digest + census for the supervisor's
-	// digest-gated readmission of a resurrected shard.
+	route("POST /v1/shard/delivery/abort", s.handleAbortDay, true, s.limits.MaxBodyBytes)
+	// Rejoin: the handshake with the state digest, and the state transfer
+	// of the replicated half a resurrected shard takes from a peer. A PUT
+	// is not a POST: the install stays out of the replay cache. Its body is a
+	// whole account, which outgrows any per-request cap, so it has no body
+	// limit; each byte of it passed the cap on the peer in some request.
 	handle("GET /v1/shard/status", s.handleShardStatus)
+	handle("GET /v1/shard/replicated", s.handleReplicated)
+	route("PUT /v1/shard/replicated", s.handleInstallReplicated, true, 0)
 	mux.Handle("GET /metrics", obs.MetricsHandler(s.reg))
 	mux.Handle("GET /healthz", obs.HealthzHandler(s.reg))
 	// Operational census, not part of the advertiser API: the crash-recovery
 	// smoke test diffs it across a kill/restart.
 	mux.HandleFunc("GET /debug/inventory", s.handleInventory)
-	// Full serialized account state — the exact bytes the rejoin digest
-	// hashes. A digest-gate failure is undiagnosable from the hash alone;
-	// diffing two shards' /debug/state dumps names the diverging field.
+	// Full serialized account state: the replicated half the rejoin digest
+	// hashes, plus the shard's own Stats. A digest-gate failure is
+	// undiagnosable from the hash alone; diffing two shards' /debug/state
+	// dumps names the diverging field.
 	mux.HandleFunc("GET /debug/state", s.handleState)
 	return mux
 }

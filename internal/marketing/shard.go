@@ -220,14 +220,13 @@ func (c *Client) AbortDay(ctx context.Context, session string) error {
 }
 
 // ShardStatusResponse is the rejoin handshake (GET /v1/shard/status): the
-// cheap world fingerprint (NumUsers), the replicated-CRUD census, whether a
-// coordinated day session is open, and a digest of the REPLICATED account
-// state — audiences, campaigns, ads, and the ID-allocator cursor. Two
-// healthy shards hold byte-identical copies of those (the State
-// serialization is a deep copy with deterministic ordering), so the digest
-// is the coordinator's gate for readmitting a resurrected shard. An ad's
-// targeted users are not in it: they derive from its targeting and its
-// audiences' members, which are.
+// cheap world fingerprint (NumUsers), whether a coordinated day session is
+// open, and a digest of the REPLICATED account state — audiences, campaigns,
+// ads, the ID-allocator cursor and the review cursor. Two healthy shards
+// hold byte-identical copies of those (the State serialization is a deep
+// copy with deterministic ordering), so the digest is the coordinator's gate
+// for readmitting a resurrected shard. An ad's targeted users are not in it:
+// they derive from its targeting and its audiences' members, which are.
 //
 // Per-shard delivery tallies (State.Stats) are deliberately EXCLUDED: in a
 // coordinated day each shard delivers only its user partition, so two
@@ -237,16 +236,23 @@ func (c *Client) AbortDay(ctx context.Context, session string) error {
 // agreement is asserted end-to-end on the merged insights surface (the
 // differential soak digest), not shard-by-shard.
 type ShardStatusResponse struct {
-	NumUsers      int                `json:"num_users"`
-	StateDigest   string             `json:"state_digest"`
-	Inventory     platform.Inventory `json:"inventory"`
-	SessionActive bool               `json:"session_active"`
+	NumUsers      int    `json:"num_users"`
+	StateDigest   string `json:"state_digest"`
+	SessionActive bool   `json:"session_active"`
+}
+
+// replicated is the replicated half of the account as bytes: the State
+// without its Stats. The status digest hashes these bytes and the state
+// transfer relays them, so the gate and the transfer cannot disagree on
+// what is replicated.
+func (s *Server) replicated() ([]byte, error) {
+	st := s.p.State()
+	st.Stats = nil
+	return json.Marshal(st)
 }
 
 func (s *Server) handleShardStatus(w http.ResponseWriter, _ *http.Request) {
-	st := s.p.State()
-	st.Stats = nil // partitioned, not replicated — see ShardStatusResponse
-	raw, err := json.Marshal(st)
+	raw, err := s.replicated()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -255,9 +261,57 @@ func (s *Server) handleShardStatus(w http.ResponseWriter, _ *http.Request) {
 	WriteJSON(w, http.StatusOK, ShardStatusResponse{
 		NumUsers:      s.p.NumUsers(),
 		StateDigest:   hex.EncodeToString(sum[:]),
-		Inventory:     s.p.Inventory(),
 		SessionActive: s.p.SessionActive(),
 	})
+}
+
+func (s *Server) handleReplicated(w http.ResponseWriter, _ *http.Request) {
+	raw, err := s.replicated()
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(raw)
+}
+
+// snapshotter is the part of a durable store an installed state needs: the
+// install emits no mutation, so only a snapshot makes WAL recovery
+// reproduce it.
+type snapshotter interface{ Snapshot() error }
+
+// handleInstallReplicated installs a peer's replicated half over this
+// shard's account, keeping the shard's own delivery half
+// (platform.Restore), then snapshots the store. A completed ad the shard
+// lacks and an open day session are 409s.
+func (s *Server) handleInstallReplicated(w http.ResponseWriter, r *http.Request) {
+	st, ok := Decode[platform.State](w, r.Body)
+	if !ok {
+		return
+	}
+	var snap snapshotter
+	if s.persist != nil {
+		if snap, ok = s.persist.(snapshotter); !ok {
+			writeError(w, http.StatusInternalServerError, fmt.Errorf("marketing: the store cannot snapshot an installed state"))
+			return
+		}
+	}
+	if err := s.p.Restore(&st, true); err != nil {
+		code := http.StatusBadRequest
+		if errors.Is(err, platform.ErrDeliveryLost) || errors.Is(err, platform.ErrSessionActive) {
+			code = http.StatusConflict
+		}
+		writeError(w, code, err)
+		return
+	}
+	if snap != nil {
+		if err := snap.Snapshot(); err != nil {
+			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("marketing: snapshot after install: %w", err))
+			return
+		}
+	}
+	WriteJSON(w, http.StatusOK, struct{}{})
 }
 
 // ShardStatus fetches the rejoin handshake from this backend.
@@ -267,6 +321,19 @@ func (c *Client) ShardStatus(ctx context.Context) (*ShardStatusResponse, error) 
 		return nil, err
 	}
 	return &out, nil
+}
+
+// Replicated fetches the replicated half of this backend's account, the
+// bytes its status digest hashes, undecoded.
+func (c *Client) Replicated(ctx context.Context) ([]byte, error) {
+	return c.roundTrip(ctx, http.MethodGet, "/v1/shard/replicated", nil)
+}
+
+// InstallReplicated hands this backend a peer's replicated half as Replicated
+// returned it.
+func (c *Client) InstallReplicated(ctx context.Context, raw []byte) error {
+	_, err := c.roundTrip(ctx, http.MethodPut, "/v1/shard/replicated", raw)
+	return err
 }
 
 // Inventory fetches the backend's operational object census

@@ -341,7 +341,7 @@ func TestRestoreDropsResolvedLists(t *testing.T) {
 	st := p.State()
 	other := userRange(1000, 300)
 	st.Audiences[0].Members = other
-	if err := p.Restore(st); err != nil {
+	if err := p.Restore(st, false); err != nil {
 		t.Fatal(err)
 	}
 	ad, err := p.CreateAd(cmp.ID, Creative{Headline: "h"}, tg, 100)
@@ -402,7 +402,7 @@ func TestVersion1StateIsReadNotTrusted(t *testing.T) {
 	if err := json.Unmarshal([]byte(v1), &st); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Restore(&st); err != nil {
+	if err := p.Restore(&st, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := p.ads["ad-2"].audience; !slices.Equal(got, []int32{10, 20, 30}) {

@@ -202,7 +202,7 @@ func New(cfg Config, pop *population.Population, behave *population.Behavior) (*
 		ads:       map[string]*Ad{},
 		stats:     map[string]*AdStats{},
 		resolved:  map[string][]int32{},
-		reviewRNG: rand.New(rand.NewSource(cfg.Seed + 77)),
+		reviewRNG: newReviewRNG(cfg.Seed),
 	}, nil
 }
 
@@ -264,6 +264,9 @@ func (p *Platform) review() bool {
 	p.reviewDraws++
 	return p.reviewRNG.Float64() < p.cfg.ReviewRejectProb
 }
+
+// newReviewRNG starts the review stream of a platform configured with seed.
+func newReviewRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed + 77)) }
 
 // seekReview moves the review stream forward to a recorded cursor by
 // discarding draws, so that the next live draw is the one a platform that

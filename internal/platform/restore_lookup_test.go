@@ -36,7 +36,7 @@ func TestRestoreThenPIIMatchAndDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2 := mk()
-	if err := p2.Restore(&st); err != nil {
+	if err := p2.Restore(&st, false); err != nil {
 		t.Fatal(err)
 	}
 

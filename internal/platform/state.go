@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -230,10 +231,25 @@ type State struct {
 	Stats       []AdStatsState  `json:"stats"`
 }
 
-// Restore replaces the account state wholesale. Call it on a freshly built
-// platform (same world seed) before serving traffic; the mutation hook is
-// not invoked for restored state.
-func (p *Platform) Restore(st *State) error {
+// ErrDeliveryLost refuses a state transfer that holds a completed ad the
+// receiving platform lacks: the day that completed it delivered a slice of
+// users here, and that slice is gone. The marketing layer maps it to 409.
+var ErrDeliveryLost = errors.New("platform: a completed ad's delivery is missing here")
+
+// Restore replaces the account state with st; the mutation hook is not
+// invoked. It is refused while a coordinated day session is open, whose
+// Finish would commit onto the replaced account.
+//
+// With keepDelivery false all of st is installed: recovery restores a
+// snapshot onto a platform built from the same world seed. With keepDelivery
+// true st is a peer's replicated half (a rejoining shard's state transfer)
+// and the platform keeps its own delivery half: its Stats, which tally its
+// own user partition, and the COMPLETED bit of every ad it holds, which only
+// its own day commits set. Where exactly one of the two marks an ad
+// COMPLETED, the platform's own status stands, so the rejoin digest gate
+// still sees the partial commit; a COMPLETED ad the platform lacks is
+// ErrDeliveryLost. st's Stats are then ignored.
+func (p *Platform) Restore(st *State, keepDelivery bool) error {
 	if st == nil {
 		return fmt.Errorf("platform: nil state")
 	}
@@ -242,12 +258,30 @@ func (p *Platform) Restore(st *State) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.session != nil {
+		return fmt.Errorf("%w: %q, cannot restore", ErrSessionActive, p.session.name)
+	}
+	ownStatus := map[string]AdStatus{}
+	if keepDelivery {
+		for i := range st.Ads {
+			as := &st.Ads[i]
+			ad, held := p.ads[as.ID]
+			switch {
+			case !held && as.Status == StatusCompleted:
+				return fmt.Errorf("%w: ad %s", ErrDeliveryLost, as.ID)
+			case held && (ad.Status == StatusCompleted) != (as.Status == StatusCompleted):
+				ownStatus[as.ID] = ad.Status
+			}
+		}
+	}
 	p.audiences = make(map[string]*CustomAudience, len(st.Audiences))
 	p.resolved = map[string][]int32{} // resolved against the audiences being replaced
 	p.campaigns = make(map[string]*Campaign, len(st.Campaigns))
 	p.ads = make(map[string]*Ad, len(st.Ads))
-	p.stats = make(map[string]*AdStats, len(st.Stats))
 	p.nextID = st.NextID
+	// The stream restarts and seeks, so a cursor ahead of st's (a draw acked
+	// by nobody before a crash) is wound back too.
+	p.reviewRNG, p.reviewDraws = newReviewRNG(p.cfg.Seed), 0
 	p.seekReview(st.ReviewDraws)
 	for i := range st.Audiences {
 		if err := p.applyAudienceLocked(&st.Audiences[i]); err != nil {
@@ -263,6 +297,13 @@ func (p *Platform) Restore(st *State) error {
 			return err
 		}
 	}
+	for id, status := range ownStatus {
+		p.ads[id].Status = status
+	}
+	if keepDelivery {
+		return nil
+	}
+	p.stats = make(map[string]*AdStats, len(st.Stats))
 	for i := range st.Stats {
 		p.applyStatsLocked(&st.Stats[i])
 	}

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"github.com/adaudit/impliedidentity/internal/image"
@@ -76,7 +77,7 @@ func TestStateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2, _ := newTestPlatform(t, 104)
-	if err := p2.Restore(&decoded); err != nil {
+	if err := p2.Restore(&decoded, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := stateJSON(t, p2); got != want {
@@ -115,11 +116,100 @@ func TestStateRoundTrip(t *testing.T) {
 
 func TestRestoreRejectsVersionMismatch(t *testing.T) {
 	p, _ := newTestPlatform(t, 104)
-	if err := p.Restore(&State{Version: StateVersion + 1}); err == nil {
+	if err := p.Restore(&State{Version: StateVersion + 1}, false); err == nil {
 		t.Fatal("future state version: want error")
 	}
-	if err := p.Restore(nil); err == nil {
+	if err := p.Restore(nil, false); err == nil {
 		t.Fatal("nil state: want error")
+	}
+}
+
+// A restore winds the review stream back as well as forward: a platform
+// that drew twice more than the state it restores (an unacked create or
+// appeal before a crash) reviews the next ads exactly as a fresh platform
+// restored to that state does.
+func TestRestoreRewindsTheReviewStream(t *testing.T) {
+	ahead, f := newTestPlatform(t, 105)
+	if err := ahead.SetReviewRejectProb(0.5); err != nil {
+		t.Fatal(err)
+	}
+	caID := uploadBalancedAudience(t, ahead, f, 5, 7)
+	cmp, err := ahead.CreateCampaign("cursor", ObjectiveTraffic, SpecialNone, 2019)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targeting := Targeting{CustomAudienceIDs: []string{caID}}
+	img := image.Features{HasPerson: true, GenderAxis: 0.5, AgeYears: 40}
+	createAds := func(p *Platform, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := p.CreateAd(cmp.ID, Creative{Image: img, Headline: "h"}, targeting, 100); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	createAds(ahead, 3)
+	st := ahead.State()
+	createAds(ahead, 2)
+
+	fresh, _ := newTestPlatform(t, 105)
+	if err := fresh.SetReviewRejectProb(0.5); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Platform{ahead, fresh} {
+		if err := p.Restore(st, false); err != nil {
+			t.Fatal(err)
+		}
+		createAds(p, 8)
+	}
+	if got, want := stateJSON(t, ahead), stateJSON(t, fresh); got != want {
+		t.Fatalf("a platform restored from ahead of the state reviews differently from a fresh one:\n got %.300s\nwant %.300s", got, want)
+	}
+}
+
+// A state transfer keeps the receiver's delivery half and refuses what would
+// hide a lost one: a completed ad the receiver lacks, and an open session.
+func TestRestoreKeepingDelivery(t *testing.T) {
+	peer, f := newTestPlatform(t, 104)
+	delivered := buildAccount(t, peer, f)
+	half := peer.State()
+	half.Stats = nil
+
+	empty, _ := newTestPlatform(t, 104)
+	if err := empty.Restore(half, true); !errors.Is(err, ErrDeliveryLost) {
+		t.Fatalf("transfer of completed ads onto a shard without them: %v, want ErrDeliveryLost", err)
+	}
+	if inv := empty.Inventory(); inv.Ads != 0 {
+		t.Fatalf("a refused transfer installed %d ads", inv.Ads)
+	}
+
+	var appealed []string // the ad buildAccount appealed, still active
+	for _, ad := range half.Ads {
+		if ad.Status == StatusActive {
+			appealed = append(appealed, ad.ID)
+		}
+	}
+
+	// The peer takes its own half back: its stats stay, and an ad the half
+	// shows uncompleted keeps the peer's COMPLETED bit.
+	want := stateJSON(t, peer)
+	for i := range half.Ads {
+		if half.Ads[i].ID == delivered[0] {
+			half.Ads[i].Status = StatusActive
+		}
+	}
+	if err := peer.Restore(half, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := stateJSON(t, peer); got != want {
+		t.Fatalf("a transfer of the platform's own half moved its delivery:\n got %.300s\nwant %.300s", got, want)
+	}
+
+	if _, err := peer.BeginDaySession("open", appealed, 1, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := peer.Restore(half, true); !errors.Is(err, ErrSessionActive) {
+		t.Fatalf("transfer under an open session: %v, want ErrSessionActive", err)
 	}
 }
 

@@ -256,7 +256,7 @@ func (s *Store) Recover(p *platform.Platform) (*RecoveryInfo, error) {
 			return nil, fmt.Errorf("store: snapshot %s was taken against a %d-user world, this platform has %d (world seed mismatch)",
 				path, snap.WorldUsers, p.NumUsers())
 		}
-		if rerr := p.Restore(snap.State); rerr != nil {
+		if rerr := p.Restore(snap.State, false); rerr != nil {
 			return nil, fmt.Errorf("store: restoring %s: %w", path, rerr)
 		}
 		info.SnapshotSeq = snap.Seq

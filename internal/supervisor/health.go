@@ -21,10 +21,10 @@
 //	                         ▼
 //	                        down
 //
-// Readmission is never automatic: a recovering shard must replay the
-// mutation journal gap and pass the cross-shard digest gate (the
-// coordinator's TryRejoin) before MarkHealthy moves it back, which is also
-// where MTTR is measured — down-detection to verified readmission.
+// Readmission is never automatic: a recovering shard must take the
+// replicated state from an admitted peer and pass the cross-shard digest
+// gate (the coordinator's TryRejoin) before MarkHealthy moves it back, which
+// is also where MTTR is measured — down-detection to verified readmission.
 package supervisor
 
 import (
@@ -45,13 +45,12 @@ const (
 	// Suspect shards have a short transport-failure streak; they still take
 	// traffic (the streak either clears or escalates within a few probes).
 	Suspect
-	// Down shards are quarantined: excluded from fan-out, their CRUD writes
-	// queue in the mutation journal, and the supervisor works on bringing
-	// them back.
+	// Down shards are quarantined: excluded from fan-out while CRUD goes on
+	// without them, and the supervisor works on bringing them back.
 	Down
-	// Recovering shards answer probes again but have not yet replayed the
-	// journal gap and passed the digest gate; they stay quarantined until
-	// rejoin completes.
+	// Recovering shards answer probes again but have not yet taken a peer's
+	// replicated state and passed the digest gate; they stay quarantined
+	// until rejoin completes.
 	Recovering
 )
 

@@ -18,9 +18,9 @@ const (
 	MetricRelaunches = "supervisor.relaunches"
 	// MetricRelaunchFailures counts relaunches that could not start.
 	MetricRelaunchFailures = "supervisor.relaunch_failures"
-	// MetricRejoins counts completed rejoins (journal replay + digest gate).
+	// MetricRejoins counts completed rejoins (state transfer + digest gate).
 	MetricRejoins = "supervisor.rejoins"
-	// MetricRejoinFailures counts rejoin attempts that failed the replay or
-	// the digest gate.
+	// MetricRejoinFailures counts rejoin attempts that failed the state
+	// transfer or the digest gate.
 	MetricRejoinFailures = "supervisor.rejoin_failures"
 )

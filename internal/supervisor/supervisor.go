@@ -16,7 +16,7 @@ var ErrBusy = errors.New("supervisor: fleet busy, rejoin deferred")
 
 // Cluster is the supervisor's view of the coordinator. The supervisor owns
 // WHEN to probe, quarantine, relaunch, and rejoin; the cluster owns HOW —
-// the journal replay, the digest gate, and admission into the fan-out pool.
+// the state transfer, the digest gate, and admission into the fan-out pool.
 // (The interface points this way so the coordinator can import the health
 // model without a package cycle.)
 type Cluster interface {
@@ -28,12 +28,13 @@ type Cluster interface {
 	// through the same transport the fan-out uses, so a network partition is
 	// observed by probes exactly as by live traffic.
 	ProbeShard(ctx context.Context, shard int) error
-	// Quarantine excludes a shard from fan-out and starts journaling its
-	// CRUD gap. Reports whether the shard was newly quarantined.
+	// Quarantine excludes a shard from fan-out; CRUD goes on without it.
+	// Reports whether the shard was newly quarantined.
 	Quarantine(shard int) bool
-	// TryRejoin replays the journal gap onto a recovering shard, runs the
-	// cross-shard digest gate, and readmits it. Returns ErrBusy (retry
-	// later) when a delivery day holds the fleet mutex.
+	// TryRejoin installs an admitted peer's replicated state on a
+	// recovering shard, runs the cross-shard digest gate, and readmits it.
+	// Returns ErrBusy (retry later) when a delivery day holds the fleet
+	// mutex.
 	TryRejoin(ctx context.Context, shard int) error
 }
 
@@ -231,7 +232,7 @@ func (s *Supervisor) maybeRelaunch(shard int, h *FleetHealth) {
 	}
 }
 
-// rejoin drives one readmission attempt; the cluster does the journal replay
+// rejoin drives one readmission attempt; the cluster does the state transfer
 // and digest gate and marks the shard healthy itself on success.
 func (s *Supervisor) rejoin(ctx context.Context, shard int) {
 	err := s.cluster.TryRejoin(ctx, shard)
