@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"github.com/adaudit/impliedidentity/internal/chaos"
+	"github.com/adaudit/impliedidentity/internal/coordinator"
 	"github.com/adaudit/impliedidentity/internal/marketing"
 	"github.com/adaudit/impliedidentity/internal/node"
 )
@@ -56,6 +57,36 @@ func BenchmarkReplicatedAudience(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkMergeInsights times the router's merge of one ad's insights from
+// two shards, before the privacy pass: each part a full breakdown (6 age
+// buckets × 2 genders × 3 regions) and 48 pacing ticks.
+//
+//	go test -run '^$' -bench MergeInsights -benchmem ./internal/coordinator
+func BenchmarkMergeInsights(b *testing.B) {
+	parts := make([]*marketing.InsightsResponse, 2)
+	for s := range parts {
+		part := &marketing.InsightsResponse{AdID: "ad-1", SpendCents: 1250, Hourly: make([]int, 48)}
+		for a, age := range []string{"18-24", "25-34", "35-44", "45-54", "55-64", "65+"} {
+			for g, gender := range []string{"male", "female"} {
+				for r, region := range []string{"FL", "NC", "other"} {
+					n := 10*s + 7*a + 3*g + r
+					part.Breakdown = append(part.Breakdown, marketing.BreakdownRow{Age: age, Gender: gender, Region: region, Impressions: n})
+					part.Impressions += n
+					part.Hourly[n%48] += n
+				}
+			}
+		}
+		part.Reach, part.Clicks = part.Impressions*3/4, part.Impressions/50
+		parts[s] = part
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := coordinator.MergeInsights(parts); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

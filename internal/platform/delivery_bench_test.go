@@ -6,6 +6,7 @@ package platform
 // fixture world with every user in one audience (~30k rows, 4 ads, so ~120k
 // slots), large enough that a tick is auctions rather than loop set-up; the
 // tick also runs on a sparse audience over a 1M-user world (sparseDay).
+// BenchmarkInsights reads back an ad the fixture delivered.
 //
 //	go test -run '^$' -bench 'ResolveAudience|BuildEligIndex|PrepareDay|DayTick' -benchtime 200x ./internal/platform
 
@@ -30,7 +31,7 @@ type dayFixture struct {
 	ids  []string
 }
 
-var benchDayFx, sparseDayFx dayFixture
+var benchDayFx, sparseDayFx, insightsFx dayFixture
 
 // build trains a platform over the population and creates the four paired ads
 // on an audience of every stride-th user.
@@ -277,5 +278,27 @@ func BenchmarkDayTick(b *testing.B) {
 			perUnit(b, userTicks, "ns/user-tick")
 			perUnit(b, auctions, "ns/auction")
 		})
+	}
+}
+
+// BenchmarkInsights times one insights read of a delivered ad: the deep
+// copy Platform.Insights hands out, breakdown and race maps and the hourly
+// series included. The four ads target a 1-in-10 stride audience of the
+// shared fixture and deliver one day first.
+func BenchmarkInsights(b *testing.B) {
+	f := sharedFixture(b)
+	insightsFx.once.Do(func() {
+		insightsFx.build(703, f.pop, f.behave, 10)
+		if err := insightsFx.p.RunDay(insightsFx.ids, 7031); err != nil {
+			panic(err)
+		}
+	})
+	p, id := insightsFx.p, insightsFx.ids[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.Insights(id); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

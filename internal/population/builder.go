@@ -14,9 +14,8 @@ import (
 // a fixed-size pending buffer, and on flush probes the buffered candidates
 // for duplicates before appending the kept ones to the columns. A probe is a
 // cache miss into a table of millions of slots and another into the pii
-// column; taken one per record each waits out its own misses behind a
-// microsecond of formatting and hashing, while a buffer's worth run back to
-// back.
+// column; taken one per record each waits out its own misses behind the
+// next record's draws and hash, while a buffer's worth run back to back.
 //
 // The RNG draw order per record is a frozen contract (match draw, then the
 // activity noise draw, then — with no further draws — the PII hash), identical
@@ -31,20 +30,31 @@ type builder struct {
 	pending []candidate // matched, hashed, not yet probed; cap is the batch size
 	index   *piiIndex   // over cols.pii
 	zipIdx  map[string]uint16
-	scratch []byte
+	scratch []byte // a voter's raw address, then its normalized PII message
 }
 
 // candidate is a voter that passed the match draw: everything a user row
-// needs, plus the voter ID an out-of-range age is reported under.
+// needs, plus what names the voter should its age be out of range — the
+// registry record it came from, or, for a generator draw, its serial (the
+// state is the row's). An ID string is formatted only for that error.
 type candidate struct {
 	key      [32]byte
-	voterID  string
+	rec      *voter.Record
+	serial   int
 	zip      string
 	age      int
 	gender   demo.Gender
 	race     demo.Race
 	state    demo.State
 	activity float64
+}
+
+// voterID is the ID the candidate's voter is reported under.
+func (c *candidate) voterID() string {
+	if c.rec != nil {
+		return c.rec.ID
+	}
+	return voter.FormatID(c.state, c.serial)
 }
 
 // probeBlock is the most candidates Build and Stream park between flushes:
@@ -64,25 +74,56 @@ func newBuilder(cfg Config, expectedVoters, batch int) *builder {
 	est := int(float64(expectedVoters) * cfg.BaseMatchRate)
 	b.index = newPIIIndex(est)
 	b.cols.reserve(est + est/32)
+	b.cols.travel = cfg.TravelProb
 	return b
 }
 
-// consume applies the match model to one voter record, flushing when the
-// pending buffer fills.
+// consume applies the match model to one registry record, flushing when
+// the pending buffer fills. Its address is copied into the builder's buffer
+// and hashed from there, as a generator draw's is (consumeDraw).
 func (b *builder) consume(rec *voter.Record) error {
-	if b.rng.Float64() > b.cfg.BaseMatchRate*matchRateFactor(rec) {
+	activity, ok := b.account(rec, rec.State)
+	if !ok {
 		return nil
 	}
-	activity := b.cfg.MeanSessions * activityFactor(rec) * lognormalish(b.rng)
-	if rec.State == demo.StateFL {
-		activity *= b.cfg.FLActivityBoost
-	}
-	var key [32]byte
-	key, b.scratch = hashPIIRaw(rec.FirstName, rec.LastName, rec.Address, rec.ZIP, b.scratch)
-	b.pending = append(b.pending, candidate{
-		key: key, voterID: rec.ID, zip: rec.ZIP, age: rec.Age(),
+	return b.park(rec.FirstName, rec.LastName, append(b.scratch[:0], rec.Address...), candidate{
+		rec: rec, zip: rec.ZIP, age: rec.Age(),
 		gender: rec.Gender, race: rec.Race, state: rec.State, activity: activity,
 	})
+}
+
+// consumeDraw is consume for a generator draw, which is never formatted:
+// its address is appended to the builder's buffer and its ID is not made.
+func (b *builder) consumeDraw(d *voter.Draw) error {
+	activity, ok := b.account(d, d.State)
+	if !ok {
+		return nil
+	}
+	return b.park(d.FirstName, d.LastName, d.AppendAddress(b.scratch[:0]), candidate{
+		serial: d.Serial, zip: d.ZIP, age: d.Age(),
+		gender: d.Gender, race: d.Race, state: d.State, activity: activity,
+	})
+}
+
+// account makes a voter's draws: whether it has an account and, if it has,
+// its activity.
+func (b *builder) account(v aged, st demo.State) (activity float64, ok bool) {
+	if b.rng.Float64() > b.cfg.BaseMatchRate*matchRateFactor(v) {
+		return 0, false
+	}
+	activity = b.cfg.MeanSessions * activityFactor(v) * lognormalish(b.rng)
+	if st == demo.StateFL {
+		activity *= b.cfg.FLActivityBoost
+	}
+	return activity, true
+}
+
+// park hashes a matched voter's PII — address holds its raw street address,
+// in the builder's buffer — and parks the candidate, flushing when the
+// pending buffer fills.
+func (b *builder) park(first, last string, address []byte, c candidate) error {
+	c.key, b.scratch = hashPIIAddress(first, last, c.zip, address)
+	b.pending = append(b.pending, c)
 	if len(b.pending) == cap(b.pending) {
 		return b.flush()
 	}
@@ -126,14 +167,14 @@ func (b *builder) keep(c *candidate) error {
 		return nil
 	}
 	if c.age < 0 || c.age > math.MaxUint8 {
-		return fmt.Errorf("population: voter %s age %d outside column range", c.voterID, c.age)
+		return fmt.Errorf("population: voter %s age %d outside column range", c.voterID(), c.age)
 	}
 	zi, err := b.zipIndex(c.zip)
 	if err != nil {
 		return err
 	}
 	id := int32(b.cols.n)
-	b.cols.appendRow(uint8(c.age), c.gender, c.race, c.state, zi, c.activity, b.cfg.TravelProb, c.key)
+	b.cols.appendRow(uint8(c.age), c.gender, c.race, c.state, zi, c.activity, c.key)
 	b.index.insert(id, b.cols.pii)
 	return nil
 }
@@ -179,14 +220,14 @@ func Stream(cfg Config, chunkSize int, gens ...voter.GeneratorConfig) (*Populati
 		voters += gc.NumVoters
 	}
 	b := newBuilder(cfg, voters, min(chunkSize, probeBlock))
-	var rec voter.Record
+	var d voter.Draw
 	for _, gc := range gens {
 		g, err := voter.NewGenerator(gc)
 		if err != nil {
 			return nil, err
 		}
-		for g.Next(&rec) {
-			if err := b.consume(&rec); err != nil {
+		for g.Draw(&d) {
+			if err := b.consumeDraw(&d); err != nil {
 				return nil, err
 			}
 		}

@@ -27,7 +27,7 @@ type Columns struct {
 	zip      []uint16 // index into zipDict
 	zipDict  []string
 	activity []float64
-	travel   []float64
+	travel   float64 // every user's: Config.TravelProb, 0 for MakeView
 	pii      [][32]byte
 }
 
@@ -42,19 +42,17 @@ func (c *Columns) reserve(n int) {
 	c.state = make([]demo.State, 0, n)
 	c.zip = make([]uint16, 0, n)
 	c.activity = make([]float64, 0, n)
-	c.travel = make([]float64, 0, n)
 	c.pii = make([][32]byte, 0, n)
 }
 
 // appendRow appends one user's attributes to every column.
-func (c *Columns) appendRow(age uint8, g demo.Gender, r demo.Race, st demo.State, zip uint16, activity, travel float64, key [32]byte) {
+func (c *Columns) appendRow(age uint8, g demo.Gender, r demo.Race, st demo.State, zip uint16, activity float64, key [32]byte) {
 	c.age = append(c.age, age)
 	c.gender = append(c.gender, g)
 	c.race = append(c.race, r)
 	c.state = append(c.state, st)
 	c.zip = append(c.zip, zip)
 	c.activity = append(c.activity, activity)
-	c.travel = append(c.travel, travel)
 	c.pii = append(c.pii, key)
 	c.n++
 }
@@ -70,7 +68,6 @@ func (c *Columns) compact() {
 		c.state = append(make([]demo.State, 0, c.n), c.state...)
 		c.zip = append(make([]uint16, 0, c.n), c.zip...)
 		c.activity = append(make([]float64, 0, c.n), c.activity...)
-		c.travel = append(make([]float64, 0, c.n), c.travel...)
 		c.pii = append(make([][32]byte, 0, c.n), c.pii...)
 	}
 }
@@ -79,7 +76,7 @@ func (c *Columns) compact() {
 // the population benchmark.
 func (c *Columns) bytes() int64 {
 	b := int64(cap(c.age)) + int64(cap(c.gender)) + int64(cap(c.race)) + int64(cap(c.state)) +
-		2*int64(cap(c.zip)) + 8*int64(cap(c.activity)) + 8*int64(cap(c.travel)) + 32*int64(cap(c.pii))
+		2*int64(cap(c.zip)) + 8*int64(cap(c.activity)) + 32*int64(cap(c.pii))
 	for _, z := range c.zipDict {
 		b += int64(len(z)) + 16 // string bytes + header
 	}
@@ -97,7 +94,7 @@ func MakeView(state demo.State, zip string, age int, g demo.Gender, r demo.Race,
 	} else if age > 255 {
 		age = 255
 	}
-	c.appendRow(uint8(age), g, r, state, 0, activity, 0, [32]byte{})
+	c.appendRow(uint8(age), g, r, state, 0, activity, [32]byte{})
 	return UserView{c: c, i: 0}
 }
 
@@ -136,7 +133,7 @@ func (v UserView) Activity() float64 { return v.c.activity[v.i] }
 
 // TravelProb is the per-impression probability the user is currently outside
 // their home state (the <1% leakage §3.3 measures).
-func (v UserView) TravelProb() float64 { return v.c.travel[v.i] }
+func (v UserView) TravelProb() float64 { return v.c.travel }
 
 // PIIKey returns the hex form of the user's registration-PII hash, the join
 // key for Custom Audience matching. The hex string is materialized on demand;

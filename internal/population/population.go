@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"unicode"
 	"unicode/utf8"
@@ -52,32 +51,89 @@ func HashPII(first, last, address, zip string) string {
 	return string(dst[:])
 }
 
-// appendNormalized appends lowercase(trimmed(s)) to buf without allocating.
-// ASCII bytes are lower-cased arithmetically; from the first byte that is
-// not ASCII, per-rune unicode.ToLower over a range loop finishes the string.
-// Both match strings.ToLower byte for byte (it has the same ASCII fast
+// appendNormalized appends lowercase(trimmed(s)) to buf without allocating,
+// for a field given as a string or as bytes. The field is copied in one move
+// and its ASCII bytes lower-cased in place; from the first byte that is not
+// ASCII, per-rune unicode.ToLower rewrites the rest. Both match strings.ToLower
+// over strings.TrimSpace byte for byte (ToLower has the same ASCII fast
 // path), including the U+FFFD replacement of invalid UTF-8.
-func appendNormalized(buf []byte, s string) []byte {
-	s = strings.TrimSpace(s)
-	i := 0
-	for ; i < len(s) && s[i] < utf8.RuneSelf; i++ {
-		c := s[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
+func appendNormalized[S string | []byte](buf []byte, s S) []byte {
+	for len(s) > 0 {
+		r, n := rune(s[0]), 1
+		if r >= utf8.RuneSelf {
+			r, n = decodeRune(s)
 		}
-		buf = append(buf, c)
+		if !isSpace(r) {
+			break
+		}
+		s = s[n:]
 	}
-	for _, r := range s[i:] {
-		buf = utf8.AppendRune(buf, unicode.ToLower(r))
+	for len(s) > 0 {
+		r, n := rune(s[len(s)-1]), 1
+		if r >= utf8.RuneSelf {
+			r, n = decodeLastRune(s)
+		}
+		if !isSpace(r) {
+			break
+		}
+		s = s[:len(s)-n]
+	}
+	n := len(buf)
+	buf = append(buf, s...)
+	field := buf[n:]
+	for i, c := range field {
+		if c >= utf8.RuneSelf {
+			buf = buf[:n+i]
+			for s = s[i:]; len(s) > 0; {
+				r, w := decodeRune(s)
+				buf = utf8.AppendRune(buf, unicode.ToLower(r))
+				s = s[w:]
+			}
+			return buf
+		}
+		if 'A' <= c && c <= 'Z' {
+			field[i] = c + 'a' - 'A'
+		}
 	}
 	return buf
 }
 
+// isSpace is unicode.IsSpace with the ASCII test inlined.
+func isSpace(r rune) bool {
+	if r < utf8.RuneSelf {
+		return r == ' ' || uint32(r)-'\t' <= '\r'-'\t'
+	}
+	return unicode.IsSpace(r)
+}
+
+// decodeRune is utf8.DecodeRune for a string or bytes: a rune is at most
+// utf8.UTFMax bytes, so decoding a copy of them is decoding s.
+func decodeRune[S string | []byte](s S) (rune, int) {
+	var b [utf8.UTFMax]byte
+	return utf8.DecodeRune(b[:copy(b[:], s)])
+}
+
+// decodeLastRune is utf8.DecodeLastRune for a string or bytes.
+func decodeLastRune[S string | []byte](s S) (rune, int) {
+	var b [utf8.UTFMax]byte
+	return utf8.DecodeLastRune(b[:copy(b[:], s[max(0, len(s)-utf8.UTFMax):])])
+}
+
 // hashPIIRaw is the account-side PII hash: the same normalization contract
-// as HashPII, producing the raw 32-byte digest the pii column stores. It
-// reuses scratch for the normalized bytes and returns it for the next call.
+// as HashPII, producing the raw 32-byte digest the pii column stores. The
+// address is copied into scratch and hashed from there, as the builder
+// hashes the address it writes into its own buffer; scratch is returned for
+// the next call.
 func hashPIIRaw(first, last, address, zip string, scratch []byte) ([32]byte, []byte) {
-	buf := scratch[:0]
+	return hashPIIAddress(first, last, zip, append(scratch[:0], address...))
+}
+
+// hashPIIAddress hashes a voter's PII whose raw address is all of buf. The
+// normalized message is appended after the address, and buf, grown to hold
+// both, is returned for the next call.
+func hashPIIAddress(first, last, zip string, buf []byte) ([32]byte, []byte) {
+	address := buf
+	n := len(buf)
 	buf = appendNormalized(buf, first)
 	buf = append(buf, '|')
 	buf = appendNormalized(buf, last)
@@ -85,7 +141,7 @@ func hashPIIRaw(first, last, address, zip string, scratch []byte) ([32]byte, []b
 	buf = appendNormalized(buf, address)
 	buf = append(buf, '|')
 	buf = appendNormalized(buf, zip)
-	return sha256.Sum256(buf), buf
+	return sha256.Sum256(buf[n:]), buf
 }
 
 // Config controls population construction.
@@ -270,10 +326,14 @@ func Build(cfg Config, registries ...*voter.Registry) (*Population, error) {
 	return b.finish()
 }
 
+// aged is a voter the match model reads: a registry record or a generator
+// draw.
+type aged interface{ AgeBucket() demo.AgeBucket }
+
 // matchRateFactor adjusts account-match probability by demographic: account
 // ownership declines with age, mildly.
-func matchRateFactor(rec *voter.Record) float64 {
-	switch rec.AgeBucket() {
+func matchRateFactor(v aged) float64 {
+	switch v.AgeBucket() {
 	case demo.Age18to24:
 		return 1.15
 	case demo.Age25to34:
@@ -291,8 +351,8 @@ func matchRateFactor(rec *voter.Record) float64 {
 
 // activityFactor adjusts daily sessions by demographic: among account
 // holders, older users browse somewhat more.
-func activityFactor(rec *voter.Record) float64 {
-	switch rec.AgeBucket() {
+func activityFactor(v aged) float64 {
+	switch v.AgeBucket() {
 	case demo.Age18to24:
 		return 0.85
 	case demo.Age25to34:

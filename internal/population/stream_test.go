@@ -54,13 +54,14 @@ func TestStreamErrors(t *testing.T) {
 }
 
 // maxRetainedBytesPerUser is the documented steady-state memory budget of
-// the columnar layout: 54 bytes of column data per user (1 age + 1 gender +
-// 1 race + 1 state + 2 zip index + 8 activity + 8 travel + 32 pii digest),
-// ×9/8 for the slack compact() tolerates, plus a small allowance for the ZIP
-// dictionary and slice headers. The legacy struct layout retained ~190
-// bytes/user (80-byte struct, 64-byte heap hex key, ~50-byte map entry), so
-// this asserts the ≥3x reduction the columnar refactor exists for.
-const maxRetainedBytesPerUser = 64
+// the columnar layout: 46 bytes of column data per user (1 age + 1 gender +
+// 1 race + 1 state + 2 zip index + 8 activity + 32 pii digest; the travel
+// probability is one value for every user), ×9/8 for the slack compact()
+// tolerates (51.75), plus a small allowance for the ZIP dictionary and slice
+// headers. The legacy struct layout retained ~190 bytes/user (80-byte
+// struct, 64-byte heap hex key, ~50-byte map entry), so this asserts the
+// ≥3x reduction the columnar refactor exists for.
+const maxRetainedBytesPerUser = 56
 
 // TestMemoryBudgetPerUser checks both the accounting (MemoryBytes) and the
 // actual heap: building a population must not retain more than the budget
@@ -90,6 +91,28 @@ func TestMemoryBudgetPerUser(t *testing.T) {
 	if growth := int64(after.HeapAlloc) - int64(before.HeapAlloc); growth > 2*maxRetainedBytesPerUser*n {
 		t.Errorf("heap grew %d bytes for %d users (%d/user), budget %d/user (2x headroom)",
 			growth, n, growth/n, 2*maxRetainedBytesPerUser)
+	}
+}
+
+// TestStreamDoesNotAllocatePerVoter: a streamed build's allocations are its
+// columns, its index and its ZIP tables, whose number does not grow with
+// the voter count. A voter is drawn, matched and hashed in reused storage,
+// so doubling the world may add a handful of allocations, not one a voter.
+func TestStreamDoesNotAllocatePerVoter(t *testing.T) {
+	allocs := func(voters int) float64 {
+		fl := voter.DefaultGeneratorConfig(demo.StateFL, 71)
+		fl.NumVoters = voters
+		nc := voter.DefaultGeneratorConfig(demo.StateNC, 72)
+		nc.NumVoters = voters
+		return testing.AllocsPerRun(1, func() {
+			if _, err := Stream(Config{Seed: 701}, 65536, fl, nc); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(50_000), allocs(100_000)
+	if d := large - small; d > 64 || d < -64 {
+		t.Errorf("2×100 000 voters allocated %v times, 2×50 000 %v: the build allocates per voter", large, small)
 	}
 }
 

@@ -315,3 +315,27 @@ func TestNoisyCountClamp(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkApply times the privacy pass on one insights report the size a
+// delivered ad's is (6 age buckets × 2 genders × 3 regions = 36 cells, 48
+// pacing ticks), under each level that does work: the copy and suppression
+// alone, and with a noised count per released number.
+//
+//	go test -run '^$' -bench Apply -benchmem ./internal/privacy
+func BenchmarkApply(b *testing.B) {
+	r := report(rand.New(rand.NewSource(81)), 36)
+	r.Hourly = make([]int, 48)
+	for _, cfg := range []Config{
+		{Level: LevelKAnon, K: 15},
+		{Level: LevelKAnonDP, K: 15, Epsilon: 0.5, Seed: 82},
+	} {
+		b.Run(cfg.Level.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if out := Apply(cfg, r); !out.Privatized {
+					b.Fatal("report not privatized")
+				}
+			}
+		})
+	}
+}

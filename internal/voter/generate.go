@@ -50,19 +50,51 @@ type zipInfo struct {
 
 // Generator produces a synthetic registry one record at a time, so a
 // population can be streamed off it without materializing the registry.
-// Construction performs the ZIP-table draws; each Next consumes the per-
-// record draws. The draw sequence is a frozen contract: for the same
-// configuration, NewGenerator+Next yields records byte-identical to
-// Generate's registry, record for record.
+// Construction performs the ZIP-table draws; each Draw consumes the per-
+// record draws, and Next is Draw followed by formatting. The draw sequence is
+// a frozen contract: for the same configuration, NewGenerator+Next yields
+// records byte-identical to Generate's registry, record for record.
 type Generator struct {
 	cfg         GeneratorConfig
 	rng         *rand.Rand
 	zips        []zipInfo
 	totalWeight float64
 	zipPoverty  map[string]float64
-	idPrefix    string
 	i           int
 }
+
+// Draw is one generated voter before its ID and street address are
+// formatted: every string it holds is a shared table entry, so drawing one
+// allocates nothing. Next formats it into a Record.
+type Draw struct {
+	Serial    int // the ID's number: the voter's 1-based position in the stream
+	FirstName string
+	LastName  string
+	StreetNum int
+	Street    string
+	City      string
+	State     demo.State
+	ZIP       string
+	Gender    demo.Gender
+	Race      demo.Race
+	BirthYear int
+}
+
+// ID formats the voter's state voter ID.
+func (d *Draw) ID() string { return FormatID(d.State, d.Serial) }
+
+// AppendAddress appends the voter's street address to b.
+func (d *Draw) AppendAddress(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(d.StreetNum), 10)
+	b = append(b, ' ')
+	return append(b, d.Street...)
+}
+
+// Age returns the voter's age in the study year.
+func (d *Draw) Age() int { return StudyYear - d.BirthYear }
+
+// AgeBucket returns the Facebook reporting bucket the voter falls into.
+func (d *Draw) AgeBucket() demo.AgeBucket { return demo.BucketForAge(d.Age()) }
 
 // NewGenerator validates the configuration and draws the ZIP table.
 // Demographic marginals: gender ≈ 50/50, ages drawn from a voter-file
@@ -81,11 +113,9 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 
 	cities := cityNamesFL
 	zipBase := 32000 // FL ZIPs are 32xxx-34xxx
-	idPrefix := "FL"
 	if cfg.State == demo.StateNC {
 		cities = cityNamesNC
 		zipBase = 27000 // NC ZIPs are 27xxx-28xxx
-		idPrefix = "NC"
 	}
 
 	// Build ZIPs. Poverty ~ scaled Beta-like draw; Black share mixes the
@@ -131,17 +161,15 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 		zips:        zips,
 		totalWeight: totalWeight,
 		zipPoverty:  zipPoverty,
-		idPrefix:    idPrefix,
 	}, nil
 }
 
-// Next fills rec with the next record and reports whether one was produced;
-// it returns false once NumVoters records have been emitted.
-func (g *Generator) Next(rec *Record) bool {
+// Draw fills d with the next voter's draws and reports whether there was
+// one; it returns false once NumVoters voters have been drawn.
+func (g *Generator) Draw(d *Draw) bool {
 	if g.i >= g.cfg.NumVoters {
 		return false
 	}
-	i := g.i
 	g.i++
 	rng := g.rng
 	z := &g.zips[pickWeighted(rng, g.zips, g.totalWeight)]
@@ -163,11 +191,12 @@ func (g *Generator) Next(rec *Record) bool {
 	streetNum := 1 + rng.Intn(9999)
 	street := randomStreet(rng)
 	age := sampleVoterAge(rng)
-	*rec = Record{
-		ID:        voterID(g.idPrefix, i+1),
+	*d = Draw{
+		Serial:    g.i,
 		FirstName: firstName,
 		LastName:  lastName,
-		Address:   streetAddress(streetNum, street),
+		StreetNum: streetNum,
+		Street:    street,
 		City:      z.city,
 		State:     g.cfg.State,
 		ZIP:       z.code,
@@ -178,10 +207,34 @@ func (g *Generator) Next(rec *Record) bool {
 	return true
 }
 
-// voterID formats a state voter ID as fmt.Sprintf("%s%08d", prefix, serial)
-// does, for the two-letter state prefixes NewGenerator assigns: one
-// allocation, where Sprintf boxes both arguments first.
-func voterID(prefix string, serial int) string {
+// Next fills rec with the next record and reports whether one was produced;
+// it returns false once NumVoters records have been emitted.
+func (g *Generator) Next(rec *Record) bool {
+	var d Draw
+	if !g.Draw(&d) {
+		return false
+	}
+	var addr [48]byte
+	*rec = Record{
+		ID:        d.ID(),
+		FirstName: d.FirstName,
+		LastName:  d.LastName,
+		Address:   string(d.AppendAddress(addr[:0])),
+		City:      d.City,
+		State:     d.State,
+		ZIP:       d.ZIP,
+		Gender:    d.Gender,
+		Race:      d.Race,
+		BirthYear: d.BirthYear,
+	}
+	return true
+}
+
+// FormatID formats the state voter ID of the serial-th voter a generator
+// for the study state st draws, as fmt.Sprintf("%s%08d", st, serial) does
+// for its two-letter prefix, with one allocation.
+func FormatID(st demo.State, serial int) string {
+	prefix := st.String()
 	if serial >= 1e8 {
 		return prefix + strconv.Itoa(serial) // %08d stops padding here
 	}
@@ -192,16 +245,6 @@ func voterID(prefix string, serial int) string {
 		serial /= 10
 	}
 	return string(b[:])
-}
-
-// streetAddress formats fmt.Sprintf("%d %s", num, street) with one
-// allocation.
-func streetAddress(num int, street string) string {
-	var buf [48]byte
-	b := strconv.AppendInt(buf[:0], int64(num), 10)
-	b = append(b, ' ')
-	b = append(b, street...)
-	return string(b)
 }
 
 // ZIPPoverty returns the generated ZIP→poverty table (shared, do not

@@ -158,8 +158,12 @@ func median(xs []float64) float64 {
 // distribution is identical across every race×gender cell (Appendix A). It
 // bins poverty into nBins quantile bins computed over the whole sample, then
 // keeps min-cell-count records per (age bucket, bin) from each race×gender
-// cell. The result remains stratification-balanced.
+// cell. The result remains stratification-balanced. An empty sample yields
+// an empty result and consumes no draws.
 func MatchPoverty(reg *Registry, sample []Record, nBins int, rng *rand.Rand) []Record {
+	if len(sample) == 0 {
+		return nil
+	}
 	if nBins < 2 {
 		nBins = 2
 	}

@@ -84,6 +84,19 @@ func TestMatchPovertyMinBins(t *testing.T) {
 	}
 }
 
+// TestMatchPovertyEmptySample: an empty sample has no quantile edges to bin
+// by; it yields an empty result and leaves the RNG where it was.
+func TestMatchPovertyEmptySample(t *testing.T) {
+	reg := testRegistry(t, demo.StateFL, 1000)
+	rng := rand.New(rand.NewSource(13))
+	if matched := MatchPoverty(reg, nil, 10, rng); len(matched) != 0 {
+		t.Errorf("empty sample matched %d records", len(matched))
+	}
+	if got, want := rng.Int63(), rand.New(rand.NewSource(13)).Int63(); got != want {
+		t.Error("matching an empty sample consumed draws")
+	}
+}
+
 func TestPovertyOfUnknownZIPDefault(t *testing.T) {
 	reg := &Registry{State: demo.StateFL, ZIPPoverty: map[string]float64{}}
 	r := Record{ZIP: "99999"}
