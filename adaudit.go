@@ -6,8 +6,10 @@
 // reacts to the demographics of the person pictured in an ad. This module
 // reproduces the study end to end on a simulated substrate:
 //
-//   - a Lab assembles the world: synthetic FL/NC voter registries, a user
-//     population matched from them, and an ad-platform simulator whose
+//   - a Lab assembles the world: synthetic FL/NC voter registries, drawn
+//     once and kept as compact voter indexes (a PII digest and the
+//     demographics per voter), a user population matched from them in the
+//     same pass, and an ad-platform simulator whose
 //     machine-learned estimated-action-rate model drives a paced
 //     second-price auction, served over an HTTP marketing API;
 //   - the audit methodology — balanced audiences (Table 1), the
@@ -63,7 +65,7 @@ const (
 	ScaleFull  = core.ScaleFull
 )
 
-// NewLab builds the simulated world: registries, population, trained
+// NewLab builds the simulated world: voter indexes, population, trained
 // platform, and a live marketing API with a client pointed at it.
 func NewLab(cfg LabConfig) (*Lab, error) { return core.NewLab(cfg) }
 

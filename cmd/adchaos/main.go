@@ -112,7 +112,7 @@ func run(args []string) error {
 	res, err := chaos.Soak(context.Background(), chaos.SoakConfig{
 		Schedule: sched,
 		Ticks:    opts.ticks,
-		Hashes:   node.PIIHashes(fl.Records[:min(600, len(fl.Records))]),
+		Hashes:   node.RecordHashes(fl.Records[:min(600, len(fl.Records))]),
 		Logf:     func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
 	}, func(durable bool) (chaos.Deployment, error) {
 		if durable {

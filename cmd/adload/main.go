@@ -112,7 +112,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}()
 		baseURL = ts.URL
-		hashes = node.PIIHashes(world.FL.Records)
+		hashes = node.PIIHashes(world.FL.Entries)
 	} else {
 		if *voterFile == "" {
 			return fmt.Errorf("targeting %s requires -voterfile to build audiences (run adplatform with -voterdir)", *target)
@@ -222,7 +222,7 @@ func hashesFromExtract(path string) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parsing %s: %w", path, err)
 	}
-	return node.PIIHashes(records), nil
+	return node.RecordHashes(records), nil
 }
 
 // newProbeClient builds the client for the target's side routes: one

@@ -1,26 +1,29 @@
 // Command adplatform serves the simulated advertising platform's marketing
 // API over TCP, for driving the audit from external tooling (or from the
 // examples in this repository). It builds the synthetic world — FL/NC voter
-// registries, the matched user population, and the platform with its trained
-// delivery-optimization model — then listens until interrupted.
+// registries drawn and indexed in one pass, the matched user population, and
+// the platform with its trained delivery-optimization model — then listens
+// until interrupted.
 //
 // Usage:
 //
 //	adplatform -addr 127.0.0.1:8399 -scale bench -seed 7
 //
-// The server also writes the generated voter extracts to -voterdir (if set),
-// so an external auditor can parse them exactly as it would the real public
-// records.
+// With -voterdir the server regenerates the voter registries and writes them
+// there as extracts, so an external auditor can parse them exactly as it
+// would the real public records.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
 
+	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/node"
 	"github.com/adaudit/impliedidentity/internal/voter"
 )
@@ -66,7 +69,7 @@ func run(args []string) error {
 		return err
 	}
 	if *voterDir != "" {
-		if err := writeExtracts(*voterDir, world.FL, world.NC); err != nil {
+		if err := writeExtracts(*voterDir, worldCfg); err != nil {
 			return err
 		}
 	}
@@ -92,32 +95,38 @@ func run(args []string) error {
 	return nil
 }
 
-func writeExtracts(dir string, fl, nc *voter.Registry) error {
+// writeExtracts regenerates the world's two voter registries, one at a
+// time, and writes them to dir in the FL and NC extract layouts.
+func writeExtracts(dir string, wc node.WorldConfig) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	flPath := filepath.Join(dir, "fl_voter_extract.txt")
-	f, err := os.Create(flPath)
-	if err != nil {
-		return err
+	var paths []string
+	for _, ex := range []struct {
+		state demo.State
+		name  string
+		write func(io.Writer, []voter.Record) error
+	}{
+		{demo.StateFL, "fl_voter_extract.txt", voter.WriteFL},
+		{demo.StateNC, "ncvoter.txt", voter.WriteNC},
+	} {
+		reg, err := wc.Registry(ex.state)
+		if err != nil {
+			return err
+		}
+		path := filepath.Join(dir, ex.name)
+		f, err := os.Create(path)
+		if err != nil {
+			return err
+		}
+		if err := ex.write(f, reg.Records); err != nil {
+			return errors.Join(err, f.Close())
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		paths = append(paths, path)
 	}
-	if err := voter.WriteFL(f, fl.Records); err != nil {
-		return errors.Join(err, f.Close())
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	ncPath := filepath.Join(dir, "ncvoter.txt")
-	g, err := os.Create(ncPath)
-	if err != nil {
-		return err
-	}
-	if err := voter.WriteNC(g, nc.Records); err != nil {
-		return errors.Join(err, g.Close())
-	}
-	if err := g.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s and %s\n", flPath, ncPath)
+	fmt.Printf("wrote %s and %s\n", paths[0], paths[1])
 	return nil
 }

@@ -1,56 +1,50 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
+	"github.com/adaudit/impliedidentity/internal/node"
 	"github.com/adaudit/impliedidentity/internal/voter"
 )
 
 func TestWriteExtractsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	flCfg := voter.DefaultGeneratorConfig(demo.StateFL, 1)
-	flCfg.NumVoters = 200
-	fl, err := voter.Generate(flCfg)
-	if err != nil {
+	wc := node.WorldConfig{Seed: 1, Voters: 200}
+	if err := writeExtracts(dir, wc); err != nil {
 		t.Fatal(err)
 	}
-	ncCfg := voter.DefaultGeneratorConfig(demo.StateNC, 2)
-	ncCfg.NumVoters = 200
-	nc, err := voter.Generate(ncCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := writeExtracts(dir, fl, nc); err != nil {
-		t.Fatal(err)
-	}
-	// The written files parse back to identical records.
-	ff, err := os.Open(filepath.Join(dir, "fl_voter_extract.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ff.Close()
-	got, err := voter.ParseFL(ff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(fl.Records) {
-		t.Errorf("FL round trip: %d records, want %d", len(got), len(fl.Records))
-	}
-	nf, err := os.Open(filepath.Join(dir, "ncvoter.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nf.Close()
-	gotNC, err := voter.ParseNC(nf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotNC) != len(nc.Records) {
-		t.Errorf("NC round trip: %d records, want %d", len(gotNC), len(nc.Records))
+	// The written files parse back to the world's registries, record for
+	// record.
+	for _, ex := range []struct {
+		state demo.State
+		name  string
+		parse func(io.Reader) ([]voter.Record, error)
+	}{
+		{demo.StateFL, "fl_voter_extract.txt", voter.ParseFL},
+		{demo.StateNC, "ncvoter.txt", voter.ParseNC},
+	} {
+		reg, err := wc.Registry(ex.state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(filepath.Join(dir, ex.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ex.parse(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, reg.Records) {
+			t.Errorf("%s round trip: %d records parsed, not the registry's %d", ex.state, len(got), len(reg.Records))
+		}
 	}
 }
 

@@ -2,8 +2,9 @@
 // outside auditor would run it against a deployed platform server —
 // without any of the core package's conveniences:
 //
-//  1. write voter extracts to disk and parse them back with the FL/NC
-//     format readers (the files a real audit downloads from the states);
+//  1. write both states' voter extracts to disk and parse them back with
+//     the FL and NC format readers (the files a real audit downloads from
+//     the states);
 //  2. stratify a balanced sample and build the two race-split Custom
 //     Audiences of Figure 2, uploading PII hashes over HTTP;
 //  3. create two ads differing only in the pictured person's race, deliver
@@ -19,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"net/http/httptest"
@@ -86,27 +88,15 @@ func run() error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	flPath := filepath.Join(dir, "fl.txt")
-	f, err := os.Create(flPath)
+	flRecords, err := extract(filepath.Join(dir, "fl.txt"), fl.Records, voter.WriteFL, voter.ParseFL)
 	if err != nil {
 		return err
 	}
-	if err := voter.WriteFL(f, fl.Records); err != nil {
-		return errors.Join(err, f.Close())
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	rf, err := os.Open(flPath)
+	ncRecords, err := extract(filepath.Join(dir, "ncvoter.txt"), nc.Records, voter.WriteNC, voter.ParseNC)
 	if err != nil {
 		return err
 	}
-	flRecords, err := voter.ParseFL(rf)
-	rf.Close()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Auditor side: parsed %d FL voter records from disk\n", len(flRecords))
+	fmt.Printf("Auditor side: parsed %d FL and %d NC voter records from disk\n", len(flRecords), len(ncRecords))
 
 	client, err := marketing.NewClient(ts.URL)
 	if err != nil {
@@ -116,7 +106,7 @@ func run() error {
 
 	rng := rand.New(rand.NewSource(15))
 	flSample := voter.StratifiedSample(flRecords, 200, rng)
-	ncSample := voter.StratifiedSample(nc.Records, 200, rng)
+	ncSample := voter.StratifiedSample(ncRecords, 200, rng)
 	hashes := func(records []voter.Record, race demo.Race) []string {
 		var out []string
 		for i := range records {
@@ -208,4 +198,26 @@ func run() error {
 	}
 	fmt.Println("Identical targeting, budget, and timing — the difference is the algorithm.")
 	return nil
+}
+
+// extract writes records to path in one state's extract layout and parses
+// the file back, as an auditor reads the file the state publishes.
+func extract(path string, records []voter.Record, write func(io.Writer, []voter.Record) error,
+	parse func(io.Reader) ([]voter.Record, error)) ([]voter.Record, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := write(f, records); err != nil {
+		return nil, errors.Join(err, f.Close())
+	}
+	if err := f.Close(); err != nil {
+		return nil, err
+	}
+	rf, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer rf.Close()
+	return parse(rf)
 }

@@ -62,7 +62,7 @@ func soakHashes(t testing.TB) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return node.PIIHashes(world.FL.Records[:600])
+	return node.PIIHashes(world.FL.Entries[:600])
 }
 
 const soakTicks = 24

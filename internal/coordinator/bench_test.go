@@ -27,7 +27,7 @@ func BenchmarkReplicatedAudience(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hashes := node.PIIHashes(w.FL.Records[:20000])
+	hashes := node.PIIHashes(w.FL.Entries[:20000])
 	fleet := func(b *testing.B, shards int) *chaos.Fleet {
 		f, err := chaos.NewFleet(chaos.FleetConfig{World: w, Platform: cfg.PlatformConfig(), Shards: shards})
 		if err != nil {

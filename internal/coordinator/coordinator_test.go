@@ -104,7 +104,7 @@ func worldHash(t testing.TB) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return node.PIIHashes(w.FL.Records[:2000])
+	return node.PIIHashes(w.FL.Entries[:2000])
 }
 
 // setupAccount uploads the audience, creates a campaign, and creates nAds

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
-	"github.com/adaudit/impliedidentity/internal/population"
 	"github.com/adaudit/impliedidentity/internal/voter"
 )
 
@@ -23,45 +23,55 @@ type SplitAudiences struct {
 }
 
 // appendRaceHashes appends the PII hashes an advertiser uploads for the
-// records of one race, in sample order. It reads the records in place: a
-// sample is tens of thousands of six-string records, and an upload needs only
-// their hashes.
-func appendRaceHashes(hashes []string, records []voter.Record, race demo.Race) []string {
-	for i := range records {
-		if r := &records[i]; r.Race == race {
-			hashes = append(hashes, population.HashPII(r.FirstName, r.LastName, r.Address, r.ZIP))
+// voters of one race, in sample order: the index entries' stored digests,
+// hex-encoded.
+func appendRaceHashes(hashes []string, sample []voter.Entry, race demo.Race) []string {
+	for i := range sample {
+		if e := &sample[i]; e.Race == race {
+			hashes = append(hashes, e.Hash())
 		}
 	}
 	return hashes
 }
 
 // BalancedSamples draws one stratified, Table 1-balanced sample from each
-// state's registry.
-func (l *Lab) BalancedSamples(perCell int, seed int64) (fl, nc []voter.Record) {
+// state's voter index.
+func (l *Lab) BalancedSamples(perCell int, seed int64) (fl, nc []voter.Entry) {
 	rng := rand.New(rand.NewSource(seed))
-	fl = voter.StratifiedSample(l.FL.Records, perCell, rng)
-	nc = voter.StratifiedSample(l.NC.Records, perCell, rng)
+	fl = voter.StratifiedSample(l.FL.Entries, perCell, rng)
+	nc = voter.StratifiedSample(l.NC.Entries, perCell, rng)
 	return fl, nc
+}
+
+// splitHashes returns the two uploads of the Figure 2 audiences over
+// balanced per-state samples: primary is FL white then NC Black voters,
+// reversed FL Black then NC white, each in sample order.
+func splitHashes(flSample, ncSample []voter.Entry) (primary, reversed []string, err error) {
+	primary = appendRaceHashes(nil, flSample, demo.RaceWhite)
+	flWhite := len(primary)
+	primary = appendRaceHashes(primary, ncSample, demo.RaceBlack)
+	ncBlack := len(primary) - flWhite
+	reversed = appendRaceHashes(nil, flSample, demo.RaceBlack)
+	flBlack := len(reversed)
+	reversed = appendRaceHashes(reversed, ncSample, demo.RaceWhite)
+	ncWhite := len(reversed) - flBlack
+	if flWhite == 0 || flBlack == 0 || ncWhite == 0 || ncBlack == 0 {
+		return nil, nil, fmt.Errorf("core: a race side is empty (fl %d/%d, nc %d/%d)", flWhite, flBlack, ncWhite, ncBlack)
+	}
+	return primary, reversed, nil
 }
 
 // BuildSplitAudiences constructs and uploads the paired race-split Custom
 // Audiences from balanced per-state samples (Figure 2). The stratified
 // samples guarantee that within each audience the age and gender cells stay
 // balanced and that the two race sides are the same size.
-func (l *Lab) BuildSplitAudiences(name string, flSample, ncSample []voter.Record) (SplitAudiences, error) {
+func (l *Lab) BuildSplitAudiences(name string, flSample, ncSample []voter.Entry) (SplitAudiences, error) {
 	if len(flSample) == 0 || len(ncSample) == 0 {
 		return SplitAudiences{}, fmt.Errorf("core: empty state samples")
 	}
-	primaryHashes := appendRaceHashes(nil, flSample, demo.RaceWhite)
-	flWhite := len(primaryHashes)
-	primaryHashes = appendRaceHashes(primaryHashes, ncSample, demo.RaceBlack)
-	ncBlack := len(primaryHashes) - flWhite
-	reversedHashes := appendRaceHashes(nil, flSample, demo.RaceBlack)
-	flBlack := len(reversedHashes)
-	reversedHashes = appendRaceHashes(reversedHashes, ncSample, demo.RaceWhite)
-	ncWhite := len(reversedHashes) - flBlack
-	if flWhite == 0 || flBlack == 0 || ncWhite == 0 || ncBlack == 0 {
-		return SplitAudiences{}, fmt.Errorf("core: a race side is empty (fl %d/%d, nc %d/%d)", flWhite, flBlack, ncWhite, ncBlack)
+	primaryHashes, reversedHashes, err := splitHashes(flSample, ncSample)
+	if err != nil {
+		return SplitAudiences{}, err
 	}
 
 	primary, err := l.Client.CreateAudience(context.Background(), name+"/FLwhite+NCblack", primaryHashes)
@@ -92,7 +102,6 @@ func (l *Lab) DefaultSplitAudiences(name string, seed int64) (SplitAudiences, er
 // Table1 reports the stratified sample the way the paper's Table 1 does,
 // combining both states (group size is per race×gender cell across both
 // states; total is the full audience per age range).
-func Table1(flSample, ncSample []voter.Record) []voter.Table1Row {
-	combined := append(append([]voter.Record(nil), flSample...), ncSample...)
-	return voter.Table1(combined)
+func Table1(flSample, ncSample []voter.Entry) []voter.Table1Row {
+	return voter.Table1(slices.Concat(flSample, ncSample))
 }

@@ -368,12 +368,12 @@ func (l *Lab) RunPovertyExperiment(opt PovertyExperimentOptions) (*PovertyResult
 
 	flSample, ncSample := l.BalancedSamples(l.Config.Scale.PerCell(), opt.Seed+50)
 	res.AudienceBefore = len(flSample) + len(ncSample)
-	res.PreMedianWhite, res.PreMedianBlack = voter.PovertyStats(l.FL, flSample)
+	res.PreMedianWhite, res.PreMedianBlack = voter.PovertyStats(flSample, l.FL.Poverty)
 	res.PreTest = povertyWelch(l, flSample, ncSample)
 
 	rng := rand.New(rand.NewSource(opt.Seed + 51))
-	flMatched := voter.MatchPoverty(l.FL, flSample, 10, rng)
-	ncMatched := voter.MatchPoverty(l.NC, ncSample, 10, rng)
+	flMatched := voter.MatchPoverty(flSample, l.FL.Poverty, 10, rng)
+	ncMatched := voter.MatchPoverty(ncSample, l.NC.Poverty, 10, rng)
 	res.AudienceAfter = len(flMatched) + len(ncMatched)
 	res.PostTest = povertyWelch(l, flMatched, ncMatched)
 
@@ -419,20 +419,18 @@ func (l *Lab) RunPovertyExperiment(opt PovertyExperimentOptions) (*PovertyResult
 	return res, nil
 }
 
-func povertyWelch(l *Lab, flSample, ncSample []voter.Record) stats.WelchT {
+// povertyWelch compares the ZIP poverty of the white and the Black voters
+// of both states' samples.
+func povertyWelch(l *Lab, flSample, ncSample []voter.Entry) stats.WelchT {
 	var white, black []float64
-	add := func(reg *voter.Registry, sample []voter.Record) {
+	add := func(ix *voter.Index, sample []voter.Entry) {
 		for i := range sample {
-			r := &sample[i]
-			p, ok := reg.ZIPPoverty[r.ZIP]
-			if !ok {
-				continue
-			}
-			switch r.Race {
+			e := &sample[i]
+			switch e.Race {
 			case demo.RaceWhite:
-				white = append(white, p)
+				white = append(white, ix.Poverty(e))
 			case demo.RaceBlack:
-				black = append(black, p)
+				black = append(black, ix.Poverty(e))
 			}
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/image"
 	"github.com/adaudit/impliedidentity/internal/platform"
-	"github.com/adaudit/impliedidentity/internal/population"
 	"github.com/adaudit/impliedidentity/internal/voter"
 )
 
@@ -153,26 +152,7 @@ func (l *Lab) RunLookalikeExperiment(seedCount, expandCount int, seed int64) (*L
 		return nil, fmt.Errorf("core: seed and expansion sizes must be positive")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	// Seed list: Black voters from both states.
-	var hashes []string
-	take := func(records []voter.Record) {
-		var black []voter.Record
-		for i := range records {
-			if records[i].Race == demo.RaceBlack {
-				black = append(black, records[i])
-			}
-		}
-		for _, j := range rng.Perm(len(black)) {
-			if len(hashes) >= seedCount {
-				return
-			}
-			r := &black[j]
-			hashes = append(hashes, population.HashPII(r.FirstName, r.LastName, r.Address, r.ZIP))
-		}
-	}
-	take(l.FL.Records)
-	take(l.NC.Records)
-	seedResp, err := l.Client.CreateAudience(context.Background(), "lookalike-seed", hashes)
+	seedResp, err := l.Client.CreateAudience(context.Background(), "lookalike-seed", l.lookalikeSeed(rng, seedCount))
 	if err != nil {
 		return nil, err
 	}
@@ -190,16 +170,7 @@ func (l *Lab) RunLookalikeExperiment(seedCount, expandCount int, seed int64) (*L
 	}
 
 	// Random baseline of the same size, from a mixed voter sample.
-	var baseHashes []string
-	all := append(append([]voter.Record(nil), l.FL.Records...), l.NC.Records...)
-	for _, j := range rng.Perm(len(all)) {
-		if len(baseHashes) >= expandCount*2 {
-			break
-		}
-		r := &all[j]
-		baseHashes = append(baseHashes, population.HashPII(r.FirstName, r.LastName, r.Address, r.ZIP))
-	}
-	baseResp, err := l.Client.CreateAudience(context.Background(), "lookalike-baseline", baseHashes)
+	baseResp, err := l.Client.CreateAudience(context.Background(), "lookalike-baseline", l.randomVoters(rng, expandCount*2))
 	if err != nil {
 		return nil, err
 	}
@@ -207,6 +178,46 @@ func (l *Lab) RunLookalikeExperiment(seedCount, expandCount int, seed int64) (*L
 		return nil, err
 	}
 	return res, nil
+}
+
+// lookalikeSeed returns E15's seed upload: the hashes of up to n Black
+// voters, FL's in a random order, then NC's. Both states' orders are drawn
+// whether or not FL's fill the seed; the baseline's draws follow them.
+func (l *Lab) lookalikeSeed(rng *rand.Rand, n int) []string {
+	var hashes []string
+	for _, ix := range []*voter.Index{l.FL, l.NC} {
+		var black []int
+		for i := range ix.Entries {
+			if ix.Entries[i].Race == demo.RaceBlack {
+				black = append(black, i)
+			}
+		}
+		for _, j := range rng.Perm(len(black)) {
+			if len(hashes) >= n {
+				break
+			}
+			hashes = append(hashes, ix.Entries[black[j]].Hash())
+		}
+	}
+	return hashes
+}
+
+// randomVoters returns the hashes of n voters drawn at random from both
+// states, FL's entries numbered before NC's.
+func (l *Lab) randomVoters(rng *rand.Rand, n int) []string {
+	fl, nc := l.FL.Entries, l.NC.Entries
+	var hashes []string
+	for _, j := range rng.Perm(len(fl) + len(nc)) {
+		if len(hashes) >= n {
+			break
+		}
+		if j < len(fl) {
+			hashes = append(hashes, fl[j].Hash())
+		} else {
+			hashes = append(hashes, nc[j-len(fl)].Hash())
+		}
+	}
+	return hashes
 }
 
 // Lift returns how much more Black the expansion is than the random

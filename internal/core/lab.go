@@ -108,12 +108,13 @@ func (s Scale) reduced() Scale {
 	return s
 }
 
-// Lab is a fully assembled audit environment: synthetic voter registries, a
-// user population, a trained platform behind a live HTTP marketing API, and
-// the client the audit code uses.
+// Lab is a fully assembled audit environment: an index of each synthetic
+// voter registry, a user population, a trained platform behind a live HTTP
+// marketing API, and the client the audit code uses. The audit samples,
+// hashes and poverty-matches voters from the indexes' entries.
 type Lab struct {
 	Config LabConfig
-	FL, NC *voter.Registry
+	FL, NC *voter.Index
 	Pop    *population.Population
 	Client *marketing.Client
 
@@ -127,9 +128,9 @@ type Lab struct {
 	listener   net.Listener
 }
 
-// NewLab builds the world: registries for FL and NC, the population, the
-// platform (training its vision and eAR models), and an HTTP server bound
-// to a loopback port with a client pointed at it.
+// NewLab builds the world: the FL and NC voter indexes and the population,
+// drawn in one pass, the platform (training its vision and eAR models), and
+// an HTTP server bound to a loopback port with a client pointed at it.
 func NewLab(cfg LabConfig) (*Lab, error) {
 	worldCfg := node.WorldConfig{
 		Seed:       cfg.Seed,

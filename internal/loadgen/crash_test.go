@@ -51,12 +51,12 @@ func newAckLedger() *ackLedger {
 // and the host refuses connections until Fleet.Relaunch recovers it.
 func crashFleet(t *testing.T) *chaos.Fleet {
 	t.Helper()
-	pop, behave, fl := world(t)
+	pop, behave, _ := world(t)
 	cfg := platform.DefaultConfig(903)
 	cfg.Training.LogRows = 2000
 	cfg.ReviewRejectProb = 0
 	f, err := chaos.NewFleet(chaos.FleetConfig{
-		World: &node.World{FL: fl, Pop: pop, Behavior: behave}, Platform: cfg, Shards: 1,
+		World: &node.World{Pop: pop, Behavior: behave}, Platform: cfg, Shards: 1,
 		Dir: t.TempDir(),
 		Stack: node.StackConfig{
 			// Fsync none: the soak simulates process crashes (Kill drops the

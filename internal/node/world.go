@@ -33,7 +33,7 @@ type WorldConfig struct {
 // platform.New needs to train another platform over the same world, as every
 // shard of a fleet and every relaunch of one does.
 type World struct {
-	FL, NC   *voter.Registry
+	FL, NC   *voter.Index
 	Pop      *population.Population
 	Behavior *population.Behavior
 	Platform *platform.Platform
@@ -48,15 +48,21 @@ const (
 	seedPlatform
 )
 
-// Registry generates one state's voter registry.
-func (c WorldConfig) Registry(state demo.State) (*voter.Registry, error) {
+// generator configures the generator of one state's voter registry.
+func (c WorldConfig) generator(state demo.State) voter.GeneratorConfig {
 	offset := int64(seedFL)
 	if state == demo.StateNC {
 		offset = seedNC
 	}
 	cfg := voter.DefaultGeneratorConfig(state, c.Seed+offset)
 	cfg.NumVoters = c.Voters
-	reg, err := voter.Generate(cfg)
+	return cfg
+}
+
+// Registry generates one state's voter registry: the records Build indexed,
+// in the same order, for a caller that writes or parses voter extracts.
+func (c WorldConfig) Registry(state demo.State) (*voter.Registry, error) {
+	reg, err := voter.Generate(c.generator(state))
 	if err != nil {
 		return nil, fmt.Errorf("generating %s registry: %w", state, err)
 	}
@@ -71,10 +77,11 @@ func (c WorldConfig) PlatformConfig() platform.Config {
 	return cfg
 }
 
-// Build generates the registries, matches them into a population and trains
-// the platform on it. Whatever can be refused without a world — the platform
-// configuration, the behaviour model's — is refused before any of that work:
-// at a million voters the registries and the population take about a second.
+// Build draws the registries, matching them into a population and indexing
+// their voters in one pass, and trains the platform on the population.
+// Whatever can be refused without a world — the platform configuration, the
+// behaviour model's — is refused before any of that work: at a million
+// voters the population and the indexes take about a second.
 func (c WorldConfig) Build(platCfg platform.Config) (*World, error) {
 	if err := platCfg.Validate(); err != nil {
 		return nil, fmt.Errorf("platform configuration: %w", err)
@@ -88,20 +95,8 @@ func (c WorldConfig) Build(platCfg platform.Config) (*World, error) {
 		return nil, fmt.Errorf("behaviour model: %w", err)
 	}
 	w := &World{Behavior: behave}
-	if w.FL, err = c.Registry(demo.StateFL); err != nil {
+	if err := c.populate(w); err != nil {
 		return nil, err
-	}
-	regs := []*voter.Registry{w.FL}
-	if !c.FLOnly {
-		if w.NC, err = c.Registry(demo.StateNC); err != nil {
-			return nil, err
-		}
-		regs = append(regs, w.NC)
-	}
-	popCfg := c.Population
-	popCfg.Seed = c.Seed + seedPopulation
-	if w.Pop, err = population.Build(popCfg, regs...); err != nil {
-		return nil, fmt.Errorf("building population: %w", err)
 	}
 	if w.Platform, err = platform.New(platCfg, w.Pop, behave); err != nil {
 		return nil, fmt.Errorf("building platform: %w", err)
@@ -109,9 +104,38 @@ func (c WorldConfig) Build(platCfg platform.Config) (*World, error) {
 	return w, nil
 }
 
-// PIIHashes hashes voter records the way an advertiser does before uploading
-// them as an audience.
-func PIIHashes(records []voter.Record) []string {
+// populate draws the world's voters into its population and its indexes.
+func (c WorldConfig) populate(w *World) error {
+	gens := []voter.GeneratorConfig{c.generator(demo.StateFL)}
+	if !c.FLOnly {
+		gens = append(gens, c.generator(demo.StateNC))
+	}
+	popCfg := c.Population
+	popCfg.Seed = c.Seed + seedPopulation
+	pop, indexes, err := population.BuildIndexed(popCfg, gens...)
+	if err != nil {
+		return fmt.Errorf("building population: %w", err)
+	}
+	w.Pop, w.FL = pop, indexes[0]
+	if !c.FLOnly {
+		w.NC = indexes[1]
+	}
+	return nil
+}
+
+// PIIHashes returns the hashes an advertiser uploads as an audience of the
+// given voters: their index entries' digests, hex-encoded.
+func PIIHashes(entries []voter.Entry) []string {
+	hashes := make([]string, len(entries))
+	for i := range hashes {
+		hashes[i] = entries[i].Hash()
+	}
+	return hashes
+}
+
+// RecordHashes hashes voter records the way an advertiser does before
+// uploading them as an audience: the client side of a voter extract.
+func RecordHashes(records []voter.Record) []string {
 	hashes := make([]string, len(records))
 	for i := range hashes {
 		r := &records[i]

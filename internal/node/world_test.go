@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,21 +33,32 @@ func TestWorldDerivationPinned(t *testing.T) {
 			w.Pop.Len(), got, wantUsers, wantDigest)
 	}
 
-	// A client that regenerates a registry from the same config reaches every
-	// user of that state, and no one else.
+	// The world indexes every voter of both registries, and a client that
+	// regenerates a registry from the same config hashes what the index
+	// holds, voter for voter. Those hashes reach every user of that state,
+	// and no one else.
 	matched := 0
 	for _, state := range []demo.State{demo.StateFL, demo.StateNC} {
 		reg, err := cfg.Registry(state)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, hash := range PIIHashes(reg.Records) {
-			if u, ok := w.Pop.LookupPII(hash); ok {
-				matched++
-				if u.State() != state || u.PIIKey() != hash {
-					t.Fatalf("%s hash %s resolved to a %s user with key %s", state, hash, u.State(), u.PIIKey())
-				}
+		ix := w.FL
+		if state == demo.StateNC {
+			ix = w.NC
+		}
+		if !slices.Equal(PIIHashes(ix.Entries), RecordHashes(reg.Records)) {
+			t.Fatalf("%s: the world's index does not hold the registry's hashes", state)
+		}
+		keys := make([]population.PIIKey, len(ix.Entries))
+		for i := range keys {
+			keys[i] = ix.Entries[i].Digest
+		}
+		for _, id := range w.Pop.MatchPII(keys) {
+			if u := w.Pop.View(int(id)); u.State() != state {
+				t.Fatalf("%s voter matched %s user %d", state, u.State(), id)
 			}
+			matched++
 		}
 	}
 	if matched != w.Pop.Len() {
@@ -95,4 +107,20 @@ func TestBuildRefusesConfigBeforeGenerating(t *testing.T) {
 	if _, err := wc.Build(wc.PlatformConfig()); err == nil || !strings.Contains(err.Error(), "behaviour model") {
 		t.Errorf("BaseCTR 0.9 and zero voters: got %v, want the behaviour model's refusal", err)
 	}
+}
+
+// BenchmarkWorldBuild times what a world's set-up spends before training
+// its platform: the one pass that draws, hashes and indexes every voter of
+// both states and matches them into a population, at the bench-scale lab's
+// 40 000 voters per state. Training is platform.New's benchmark.
+func BenchmarkWorldBuild(b *testing.B) {
+	cfg := WorldConfig{Seed: 11, Voters: 40_000}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var w World
+		if err := cfg.populate(&w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*cfg.Voters), "ns/voter")
 }

@@ -206,10 +206,3 @@ func JobAffinity(job string, g demo.Gender, r demo.Race) float64 {
 	}
 	return 0.5 * z
 }
-
-// KnownJob reports whether the behaviour model has composition data for a
-// job type.
-func KnownJob(job string) bool {
-	_, ok := jobShares[job]
-	return ok
-}

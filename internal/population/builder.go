@@ -105,6 +105,27 @@ func (b *builder) consumeDraw(d *voter.Draw) error {
 	})
 }
 
+// consumeHashed is consumeDraw for a draw whose PII digest the caller has
+// already computed (hashDraw): a matched voter takes key instead of being
+// hashed again.
+func (b *builder) consumeHashed(d *voter.Draw, key *[32]byte) error {
+	activity, ok := b.account(d, d.State)
+	if !ok {
+		return nil
+	}
+	return b.queue(candidate{
+		key: *key, serial: d.Serial, zip: d.ZIP, age: d.Age(),
+		gender: d.Gender, race: d.Race, state: d.State, activity: activity,
+	})
+}
+
+// hashDraw computes a draw's PII digest as consumeDraw does: its street
+// address is appended to buf and hashed from there, and buf is returned for
+// reuse.
+func hashDraw(d *voter.Draw, buf []byte) ([32]byte, []byte) {
+	return hashPIIAddress(d.FirstName, d.LastName, d.ZIP, d.AppendAddress(buf[:0]))
+}
+
 // account makes a voter's draws: whether it has an account and, if it has,
 // its activity.
 func (b *builder) account(v aged, st demo.State) (activity float64, ok bool) {
@@ -119,10 +140,14 @@ func (b *builder) account(v aged, st demo.State) (activity float64, ok bool) {
 }
 
 // park hashes a matched voter's PII — address holds its raw street address,
-// in the builder's buffer — and parks the candidate, flushing when the
-// pending buffer fills.
+// in the builder's buffer — and queues the candidate.
 func (b *builder) park(first, last string, address []byte, c candidate) error {
 	c.key, b.scratch = hashPIIAddress(first, last, c.zip, address)
+	return b.queue(c)
+}
+
+// queue parks a hashed candidate, flushing when the pending buffer fills.
+func (b *builder) queue(c candidate) error {
 	b.pending = append(b.pending, c)
 	if len(b.pending) == cap(b.pending) {
 		return b.flush()
@@ -193,22 +218,10 @@ func (b *builder) finish() (*Population, error) {
 	return &Population{cols: b.cols}, nil
 }
 
-// Stream builds the population straight from generator configurations,
-// at most chunkSize matched voters parked at a time (and never more than
-// probeBlock), without materializing voter registries or intermediate user
-// objects — the construction path for multi-million-user worlds. For
-// identical Config and generator inputs its output is byte-identical to Build
-// over voter.Generate's registries, at every chunk size (the stream property
-// suite pins chunk sizes 1, 7, and 1024).
-//
-// Stream does not retain registries, so worlds built this way cannot serve
-// audits that read the registry itself (stratified sampling); it exists for
-// delivery-scale benchmarking and population-level measurements.
-func Stream(cfg Config, chunkSize int, gens ...voter.GeneratorConfig) (*Population, error) {
+// streamBuilder checks the inputs of a build from generator configurations
+// and sizes its builder for their voters, batch candidates parked at a time.
+func streamBuilder(cfg Config, batch int, gens []voter.GeneratorConfig) (*builder, error) {
 	cfg.setDefaults()
-	if chunkSize <= 0 {
-		return nil, fmt.Errorf("population: chunk size must be positive, got %d", chunkSize)
-	}
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("population: no generator configs")
 	}
@@ -219,7 +232,28 @@ func Stream(cfg Config, chunkSize int, gens ...voter.GeneratorConfig) (*Populati
 	for _, gc := range gens {
 		voters += gc.NumVoters
 	}
-	b := newBuilder(cfg, voters, min(chunkSize, probeBlock))
+	return newBuilder(cfg, voters, batch), nil
+}
+
+// Stream builds the population straight from generator configurations,
+// at most chunkSize matched voters parked at a time (and never more than
+// probeBlock), without materializing voter registries or intermediate user
+// objects — the construction path for multi-million-user worlds. For
+// identical Config and generator inputs its output is byte-identical to Build
+// over voter.Generate's registries, at every chunk size (the stream property
+// suite pins chunk sizes 1, 7, and 1024).
+//
+// Stream keeps nothing of the voters it does not match, so worlds built
+// this way cannot serve audits that sample voters (stratified sampling);
+// BuildIndexed is Stream for those.
+func Stream(cfg Config, chunkSize int, gens ...voter.GeneratorConfig) (*Population, error) {
+	if chunkSize <= 0 {
+		return nil, fmt.Errorf("population: chunk size must be positive, got %d", chunkSize)
+	}
+	b, err := streamBuilder(cfg, min(chunkSize, probeBlock), gens)
+	if err != nil {
+		return nil, err
+	}
 	var d voter.Draw
 	for _, gc := range gens {
 		g, err := voter.NewGenerator(gc)
@@ -233,4 +267,43 @@ func Stream(cfg Config, chunkSize int, gens ...voter.GeneratorConfig) (*Populati
 		}
 	}
 	return b.finish()
+}
+
+// BuildIndexed builds the population as Stream does and, in the same pass,
+// one voter.Index per generator configuration, in the order given: the
+// world an audit samples from. Every voter is drawn once and hashed once,
+// into a reused buffer; the index stores the digest, and a matched voter's
+// user takes it instead of hashing again. The population is byte-identical
+// to Build's over voter.Generate's registries, and entry i of an index is
+// record i of the registry.
+func BuildIndexed(cfg Config, gens ...voter.GeneratorConfig) (*Population, []*voter.Index, error) {
+	b, err := streamBuilder(cfg, probeBlock, gens)
+	if err != nil {
+		return nil, nil, err
+	}
+	indexes := make([]*voter.Index, 0, len(gens))
+	var (
+		d   voter.Draw
+		key [32]byte
+	)
+	for _, gc := range gens {
+		g, err := voter.NewGenerator(gc)
+		if err != nil {
+			return nil, nil, fmt.Errorf("population: generating the %s voter registry: %w", gc.State, err)
+		}
+		ix := g.NewIndex()
+		for g.Draw(&d) {
+			key, b.scratch = hashDraw(&d, b.scratch)
+			ix.Add(&d, &key)
+			if err := b.consumeHashed(&d, &key); err != nil {
+				return nil, nil, err
+			}
+		}
+		indexes = append(indexes, ix)
+	}
+	pop, err := b.finish()
+	if err != nil {
+		return nil, nil, err
+	}
+	return pop, indexes, nil
 }

@@ -153,6 +153,38 @@ func TestStreamMatchesLegacyOracle(t *testing.T) {
 	}
 }
 
+// TestBuildIndexedMatchesLegacyOracle pins the audit's world build — one
+// pass that hashes every voter and indexes it — to the same legacy output,
+// and each index to its registry: entry i carries record i's digest and
+// cell.
+func TestBuildIndexedMatchesLegacyOracle(t *testing.T) {
+	for _, tc := range diffSeeds {
+		t.Run(tc.name, func(t *testing.T) {
+			regs := diffRegistries(t, tc.reg)
+			pop, indexes, err := BuildIndexed(tc.cfg, diffGenConfigs(tc.reg)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertMatchesLegacy(t, pop, legacyBuild(tc.cfg, regs...))
+			if len(indexes) != len(regs) {
+				t.Fatalf("%d indexes for %d registries", len(indexes), len(regs))
+			}
+			for k, reg := range regs {
+				ix := indexes[k]
+				if ix.State != reg.State || len(ix.Entries) != len(reg.Records) {
+					t.Fatalf("index %d: %d %v entries, registry of %d %v", k, len(ix.Entries), ix.State, len(reg.Records), reg.State)
+				}
+				for i := range reg.Records {
+					r, e := &reg.Records[i], &ix.Entries[i]
+					if e.Hash() != HashPII(r.FirstName, r.LastName, r.Address, r.ZIP) || e.Cell() != r.Cell() {
+						t.Fatalf("%v voter %d: entry %+v is not record %+v", reg.State, i, e, r)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestGeneratorMatchesGenerate pins the record stream itself: NewGenerator+
 // Next must emit registries byte-identical to the one-shot Generate.
 func TestGeneratorMatchesGenerate(t *testing.T) {

@@ -262,19 +262,6 @@ func (p *Population) builtIndex() *piiIndex {
 	return p.index
 }
 
-// LookupPII returns the user with the given hex PII hash.
-func (p *Population) LookupPII(hash string) (UserView, bool) {
-	key, ok := DecodePIIKey(hash)
-	if !ok {
-		return UserView{}, false
-	}
-	id := p.builtIndex().lookup(&key, p.cols.pii)
-	if id < 0 {
-		return UserView{}, false
-	}
-	return UserView{c: &p.cols, i: id}, true
-}
-
 // MatchPII is the audience-upload match: the IDs of the users the keys
 // identify, in key order, each user once however often its key repeats;
 // keys that identify nobody are skipped. The whole batch is answered under

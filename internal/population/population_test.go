@@ -24,6 +24,20 @@ func testRegistry(t *testing.T, state demo.State, n int) *voter.Registry {
 	return reg
 }
 
+// LookupPII returns the user with the given hex PII hash: one key through
+// the upload's index.
+func (p *Population) LookupPII(hash string) (UserView, bool) {
+	key, ok := DecodePIIKey(hash)
+	if !ok {
+		return UserView{}, false
+	}
+	id := p.builtIndex().lookup(&key, p.cols.pii)
+	if id < 0 {
+		return UserView{}, false
+	}
+	return UserView{c: &p.cols, i: id}, true
+}
+
 func TestHashPIINormalization(t *testing.T) {
 	a := HashPII("John", "Smith", "1 Oak St", "33101")
 	b := HashPII(" john ", "SMITH", "1 oak st", "33101")

@@ -2,7 +2,9 @@ package population
 
 import (
 	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/voter"
@@ -51,6 +53,15 @@ func TestStreamErrors(t *testing.T) {
 	if _, err := Stream(Config{Seed: 1}, 64, bad); err == nil {
 		t.Error("invalid generator config: want error")
 	}
+	if _, _, err := BuildIndexed(Config{Seed: 1}); err == nil {
+		t.Error("indexed, no generators: want error")
+	}
+	if _, _, err := BuildIndexed(Config{Seed: 1, BaseMatchRate: 2}, gens...); err == nil {
+		t.Error("indexed, bad match rate: want error")
+	}
+	if _, _, err := BuildIndexed(Config{Seed: 1}, bad); err == nil || !strings.Contains(err.Error(), "registry") {
+		t.Errorf("indexed, invalid generator config: got %v, want the registry's refusal", err)
+	}
 }
 
 // maxRetainedBytesPerUser is the documented steady-state memory budget of
@@ -94,25 +105,81 @@ func TestMemoryBudgetPerUser(t *testing.T) {
 	}
 }
 
+// maxIndexBytesPerVoter is a voter.Index's budget: an Entry is a 32-byte
+// digest, a 2-byte ZIP id and three 1-byte fields (age, gender, race) — 37
+// bytes, 38 with the struct's 2-byte alignment — and the poverty table
+// adds 8 bytes per ZIP, a few hundredths of a byte per voter. A Record with
+// its six strings is ~150 bytes.
+const maxIndexBytesPerVoter = 40
+
+// TestIndexMemoryBudgetPerVoter checks an index's layout and what building
+// one retains: the entries an index holds, over every voter of its
+// registry, stay within the budget.
+func TestIndexMemoryBudgetPerVoter(t *testing.T) {
+	if size := unsafe.Sizeof(voter.Entry{}); size != 38 {
+		t.Errorf("voter.Entry is %d bytes, want 38", size)
+	}
+	fl := voter.DefaultGeneratorConfig(demo.StateFL, 43)
+	fl.NumVoters = 60000
+	nc := voter.DefaultGeneratorConfig(demo.StateNC, 44)
+	nc.NumVoters = 60000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	pop, indexes, err := BuildIndexed(Config{Seed: 403}, fl, nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	voters := int64(fl.NumVoters + nc.NumVoters)
+	for _, ix := range indexes {
+		if got := int64(cap(ix.Entries)) * int64(unsafe.Sizeof(voter.Entry{})) / int64(len(ix.Entries)); got > maxIndexBytesPerVoter {
+			t.Errorf("%v index holds %d bytes/voter, budget %d", ix.State, got, maxIndexBytesPerVoter)
+		}
+	}
+	// What the build retains is the population's columns and the indexes;
+	// the indexes' share is the growth less the columns' accounted bytes,
+	// with the same 2x headroom TestMemoryBudgetPerUser gives the columns.
+	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc) - pop.MemoryBytes()
+	if growth > 2*maxIndexBytesPerVoter*voters {
+		t.Errorf("indexes retain %d bytes for %d voters (%d/voter), budget %d/voter (2x headroom)",
+			growth, voters, growth/voters, 2*maxIndexBytesPerVoter)
+	}
+	runtime.KeepAlive(indexes)
+}
+
 // TestStreamDoesNotAllocatePerVoter: a streamed build's allocations are its
 // columns, its index and its ZIP tables, whose number does not grow with
 // the voter count. A voter is drawn, matched and hashed in reused storage,
 // so doubling the world may add a handful of allocations, not one a voter.
+// BuildIndexed adds one voter index per generator, sized up front.
 func TestStreamDoesNotAllocatePerVoter(t *testing.T) {
-	allocs := func(voters int) float64 {
+	allocs := func(voters int, build func(fl, nc voter.GeneratorConfig) error) float64 {
 		fl := voter.DefaultGeneratorConfig(demo.StateFL, 71)
 		fl.NumVoters = voters
 		nc := voter.DefaultGeneratorConfig(demo.StateNC, 72)
 		nc.NumVoters = voters
 		return testing.AllocsPerRun(1, func() {
-			if _, err := Stream(Config{Seed: 701}, 65536, fl, nc); err != nil {
+			if err := build(fl, nc); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
-	small, large := allocs(50_000), allocs(100_000)
-	if d := large - small; d > 64 || d < -64 {
-		t.Errorf("2×100 000 voters allocated %v times, 2×50 000 %v: the build allocates per voter", large, small)
+	for name, build := range map[string]func(fl, nc voter.GeneratorConfig) error{
+		"Stream": func(fl, nc voter.GeneratorConfig) error {
+			_, err := Stream(Config{Seed: 701}, 65536, fl, nc)
+			return err
+		},
+		"BuildIndexed": func(fl, nc voter.GeneratorConfig) error {
+			_, _, err := BuildIndexed(Config{Seed: 701}, fl, nc)
+			return err
+		},
+	} {
+		small, large := allocs(50_000, build), allocs(100_000, build)
+		if d := large - small; d > 64 || d < -64 {
+			t.Errorf("%s: 2×100 000 voters allocated %v times, 2×50 000 %v: the build allocates per voter", name, large, small)
+		}
 	}
 }
 

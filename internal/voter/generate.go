@@ -77,6 +77,7 @@ type Draw struct {
 	ZIP       string
 	Gender    demo.Gender
 	Race      demo.Race
+	zip       uint16 // the ZIP's position in the generator's table (an Entry's ZIP id)
 	BirthYear int
 }
 
@@ -105,6 +106,9 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 	}
 	if cfg.NumVoters <= 0 || cfg.NumZIPs <= 0 {
 		return nil, fmt.Errorf("voter: need positive NumVoters (%d) and NumZIPs (%d)", cfg.NumVoters, cfg.NumZIPs)
+	}
+	if cfg.NumZIPs > math.MaxUint16+1 {
+		return nil, fmt.Errorf("voter: NumZIPs %d above %d", cfg.NumZIPs, math.MaxUint16+1)
 	}
 	if cfg.BlackShare <= 0 || cfg.BlackShare >= 1 {
 		return nil, fmt.Errorf("voter: BlackShare %v outside (0,1)", cfg.BlackShare)
@@ -172,7 +176,8 @@ func (g *Generator) Draw(d *Draw) bool {
 	}
 	g.i++
 	rng := g.rng
-	z := &g.zips[pickWeighted(rng, g.zips, g.totalWeight)]
+	zi := pickWeighted(rng, g.zips, g.totalWeight)
+	z := &g.zips[zi]
 	gender := demo.GenderMale
 	gc := 'M'
 	if rng.Float64() < 0.5 {
@@ -202,6 +207,7 @@ func (g *Generator) Draw(d *Draw) bool {
 		ZIP:       z.code,
 		Gender:    gender,
 		Race:      race,
+		zip:       uint16(zi),
 		BirthYear: StudyYear - age,
 	}
 	return true

@@ -9,50 +9,43 @@ import (
 	"github.com/adaudit/impliedidentity/internal/demo"
 )
 
-// StratifiedSample selects voters from a registry such that, within each age
-// bucket, every gender×race cell contributes exactly the same number of
-// records (§3.2: "we select voters such that the number of men and women is
-// equal, as is the number of Black and white voters, and as are the
-// intersections of race and gender"). The per-bucket group size is the size
-// of the rarest cell, optionally capped by maxPerCell (0 = uncapped).
-// Sampling within a cell is uniform without replacement and deterministic in
-// rng.
-func StratifiedSample(records []Record, maxPerCell int, rng *rand.Rand) []Record {
+// StratifiedSample selects voters such that, within each age bucket, every
+// gender×race cell contributes exactly the same number of them (§3.2: "we
+// select voters such that the number of men and women is equal, as is the
+// number of Black and white voters, and as are the intersections of race and
+// gender"). The per-bucket group size is the size of the rarest cell,
+// optionally capped by maxPerCell (0 = uncapped). Sampling within a cell is
+// uniform without replacement and deterministic in rng; records and index
+// entries of one registry yield the same voters for the same rng.
+func StratifiedSample[T Voter, P voterRef[T]](voters []T, maxPerCell int, rng *rand.Rand) []T {
 	byCell := map[Cell][]int{}
-	for i := range records {
-		r := &records[i]
-		if r.Race != demo.RaceWhite && r.Race != demo.RaceBlack {
+	for i := range voters {
+		c := P(&voters[i]).Cell()
+		if c.Race != demo.RaceWhite && c.Race != demo.RaceBlack {
 			continue // the audit only balances the two measured race groups
 		}
-		if r.Gender == demo.GenderUnknown {
+		if c.Gender == demo.GenderUnknown {
 			continue
 		}
-		c := Cell{Age: r.AgeBucket(), Gender: r.Gender, Race: r.Race}
 		byCell[c] = append(byCell[c], i)
 	}
-	var out []Record
+	var out []T
 	for _, bucket := range demo.AllAgeBuckets() {
+		cells := bucketCells(bucket)
 		k := math.MaxInt
-		for _, g := range []demo.Gender{demo.GenderMale, demo.GenderFemale} {
-			for _, rc := range []demo.Race{demo.RaceWhite, demo.RaceBlack} {
-				n := len(byCell[Cell{Age: bucket, Gender: g, Race: rc}])
-				if n < k {
-					k = n
-				}
-			}
+		for _, c := range cells {
+			k = min(k, len(byCell[c]))
 		}
-		if k == math.MaxInt || k == 0 {
+		if k == 0 {
 			continue
 		}
 		if maxPerCell > 0 && k > maxPerCell {
 			k = maxPerCell
 		}
-		for _, g := range []demo.Gender{demo.GenderMale, demo.GenderFemale} {
-			for _, rc := range []demo.Race{demo.RaceWhite, demo.RaceBlack} {
-				idx := byCell[Cell{Age: bucket, Gender: g, Race: rc}]
-				for _, j := range rng.Perm(len(idx))[:k] {
-					out = append(out, records[idx[j]])
-				}
+		for _, c := range cells {
+			idx := byCell[c]
+			for _, j := range rng.Perm(len(idx))[:k] {
+				out = append(out, voters[idx[j]])
 			}
 		}
 	}
@@ -69,24 +62,17 @@ type Table1Row struct {
 
 // Table1 summarizes a stratified sample the way the paper's Table 1 does.
 // It returns one row per age bucket present in the sample.
-func Table1(sample []Record) []Table1Row {
-	counts := CellCounts(sample)
+func Table1[T Voter, P voterRef[T]](sample []T) []Table1Row {
+	counts := CellCounts[T, P](sample)
 	var rows []Table1Row
 	for _, bucket := range demo.AllAgeBuckets() {
-		var total, group int
-		first := true
-		for _, g := range []demo.Gender{demo.GenderMale, demo.GenderFemale} {
-			for _, rc := range []demo.Race{demo.RaceWhite, demo.RaceBlack} {
-				n := counts[Cell{Age: bucket, Gender: g, Race: rc}]
-				total += n
-				if first {
-					group = n
-					first = false
-				}
-			}
+		cells := bucketCells(bucket)
+		total := 0
+		for _, c := range cells {
+			total += counts[c]
 		}
 		if total > 0 {
-			rows = append(rows, Table1Row{Age: bucket, GroupSize: group, Total: total})
+			rows = append(rows, Table1Row{Age: bucket, GroupSize: counts[cells[0]], Total: total})
 		}
 	}
 	return rows
@@ -94,48 +80,35 @@ func Table1(sample []Record) []Table1Row {
 
 // VerifyBalance checks the Table 1 invariant: within every age bucket all
 // four gender×race cells have identical counts.
-func VerifyBalance(sample []Record) error {
-	counts := CellCounts(sample)
+func VerifyBalance[T Voter, P voterRef[T]](sample []T) error {
+	counts := CellCounts[T, P](sample)
 	for _, bucket := range demo.AllAgeBuckets() {
-		want := -1
-		for _, g := range []demo.Gender{demo.GenderMale, demo.GenderFemale} {
-			for _, rc := range []demo.Race{demo.RaceWhite, demo.RaceBlack} {
-				n := counts[Cell{Age: bucket, Gender: g, Race: rc}]
-				if want == -1 {
-					want = n
-				} else if n != want {
-					return fmt.Errorf("voter: bucket %s unbalanced: cell %s/%s has %d, want %d",
-						bucket, g, rc, n, want)
-				}
+		cells := bucketCells(bucket)
+		want := counts[cells[0]]
+		for _, c := range cells[1:] {
+			if n := counts[c]; n != want {
+				return fmt.Errorf("voter: bucket %s unbalanced: cell %s/%s has %d, want %d",
+					bucket, c.Gender, c.Race, n, want)
 			}
 		}
 	}
 	return nil
 }
 
-// povertyOf returns the ZIP-level poverty rate for a record, defaulting to
-// the statewide median proxy when the ZIP is unknown.
-func povertyOf(reg *Registry, r *Record) float64 {
-	if p, ok := reg.ZIPPoverty[r.ZIP]; ok {
-		return p
-	}
-	return 0.12
-}
-
 // PovertyStats reports the median ZIP-poverty per race group in a sample,
 // the quantities Appendix A cites ("half of the white people we targeted
 // lived in ZIP codes with poverty at 12% or below, and half of the Black
-// people lived in ZIP codes with poverty at 16% or below").
-func PovertyStats(reg *Registry, sample []Record) (medianWhite, medianBlack float64) {
+// people lived in ZIP codes with poverty at 16% or below"). poverty reads a
+// voter's ZIP poverty: Index.Poverty for entries.
+func PovertyStats[T Voter, P voterRef[T]](sample []T, poverty func(P) float64) (medianWhite, medianBlack float64) {
 	var w, b []float64
 	for i := range sample {
-		r := &sample[i]
-		p := povertyOf(reg, r)
-		switch r.Race {
+		v := P(&sample[i])
+		switch v.Cell().Race {
 		case demo.RaceWhite:
-			w = append(w, p)
+			w = append(w, poverty(v))
 		case demo.RaceBlack:
-			b = append(b, p)
+			b = append(b, poverty(v))
 		}
 	}
 	return median(w), median(b)
@@ -156,11 +129,11 @@ func median(xs []float64) float64 {
 
 // MatchPoverty subsamples a stratified sample so the ZIP-poverty
 // distribution is identical across every race×gender cell (Appendix A). It
-// bins poverty into nBins quantile bins computed over the whole sample, then
-// keeps min-cell-count records per (age bucket, bin) from each race×gender
-// cell. The result remains stratification-balanced. An empty sample yields
-// an empty result and consumes no draws.
-func MatchPoverty(reg *Registry, sample []Record, nBins int, rng *rand.Rand) []Record {
+// bins poverty, as poverty reads it, into nBins quantile bins computed over
+// the whole sample, then keeps min-cell-count voters per (age bucket, bin)
+// from each race×gender cell. The result remains stratification-balanced.
+// An empty sample yields an empty result and consumes no draws.
+func MatchPoverty[T Voter, P voterRef[T]](sample []T, poverty func(P) float64, nBins int, rng *rand.Rand) []T {
 	if len(sample) == 0 {
 		return nil
 	}
@@ -170,7 +143,7 @@ func MatchPoverty(reg *Registry, sample []Record, nBins int, rng *rand.Rand) []R
 	// Quantile bin edges over the pooled poverty values.
 	pooled := make([]float64, len(sample))
 	for i := range sample {
-		pooled[i] = povertyOf(reg, &sample[i])
+		pooled[i] = poverty(&sample[i])
 	}
 	sort.Float64s(pooled)
 	edges := make([]float64, nBins-1)
@@ -192,41 +165,35 @@ func MatchPoverty(reg *Registry, sample []Record, nBins int, rng *rand.Rand) []R
 	}
 	byStratumCell := map[stratum]map[Cell][]int{}
 	for i := range sample {
-		r := &sample[i]
-		s := stratum{age: r.AgeBucket(), bin: binOf(povertyOf(reg, r))}
-		c := Cell{Age: r.AgeBucket(), Gender: r.Gender, Race: r.Race}
+		v := P(&sample[i])
+		c := v.Cell()
+		s := stratum{age: c.Age, bin: binOf(poverty(v))}
 		if byStratumCell[s] == nil {
 			byStratumCell[s] = map[Cell][]int{}
 		}
 		byStratumCell[s][c] = append(byStratumCell[s][c], i)
 	}
 
-	var out []Record
+	var out []T
 	// Deterministic iteration order: age buckets then bins.
 	for _, bucket := range demo.AllAgeBuckets() {
 		for bin := 0; bin < nBins; bin++ {
-			cells := byStratumCell[stratum{age: bucket, bin: bin}]
-			if cells == nil {
+			byCell := byStratumCell[stratum{age: bucket, bin: bin}]
+			if byCell == nil {
 				continue
 			}
+			cells := bucketCells(bucket)
 			k := math.MaxInt
-			for _, g := range []demo.Gender{demo.GenderMale, demo.GenderFemale} {
-				for _, rc := range []demo.Race{demo.RaceWhite, demo.RaceBlack} {
-					n := len(cells[Cell{Age: bucket, Gender: g, Race: rc}])
-					if n < k {
-						k = n
-					}
-				}
+			for _, c := range cells {
+				k = min(k, len(byCell[c]))
 			}
-			if k == math.MaxInt || k == 0 {
+			if k == 0 {
 				continue
 			}
-			for _, g := range []demo.Gender{demo.GenderMale, demo.GenderFemale} {
-				for _, rc := range []demo.Race{demo.RaceWhite, demo.RaceBlack} {
-					idx := cells[Cell{Age: bucket, Gender: g, Race: rc}]
-					for _, j := range rng.Perm(len(idx))[:k] {
-						out = append(out, sample[idx[j]])
-					}
+			for _, c := range cells {
+				idx := byCell[c]
+				for _, j := range rng.Perm(len(idx))[:k] {
+					out = append(out, sample[idx[j]])
 				}
 			}
 		}

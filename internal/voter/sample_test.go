@@ -9,11 +9,50 @@ import (
 	"github.com/adaudit/impliedidentity/internal/stats"
 )
 
+// testIndex indexes a default generator's first n voters under a zero
+// digest: the samplers never read it.
+func testIndex(t *testing.T, state demo.State, n int) *Index {
+	t.Helper()
+	cfg := DefaultGeneratorConfig(state, 42)
+	cfg.NumVoters = n
+	g, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := g.NewIndex()
+	var d Draw
+	var digest [32]byte
+	for g.Draw(&d) {
+		ix.Add(&d, &digest)
+	}
+	return ix
+}
+
+// TestIndexEntriesAreRegistryRecords: entry i of an index carries record
+// i's cell and its registry's ZIP poverty. Generated ZIP codes collide, and
+// an entry's poverty is then the one the registry's map holds for the code.
+func TestIndexEntriesAreRegistryRecords(t *testing.T) {
+	for _, state := range []demo.State{demo.StateFL, demo.StateNC} {
+		reg := testRegistry(t, state, 20000)
+		ix := testIndex(t, state, 20000)
+		if ix.State != state || len(ix.Entries) != len(reg.Records) {
+			t.Fatalf("%v: index of %d %v entries, registry of %d", state, len(ix.Entries), ix.State, len(reg.Records))
+		}
+		for i := range ix.Entries {
+			e, r := &ix.Entries[i], &reg.Records[i]
+			if e.Cell() != r.Cell() || int(e.Age) != r.Age() || ix.Poverty(e) != reg.ZIPPoverty[r.ZIP] {
+				t.Fatalf("%v voter %d: entry %+v (poverty %v), record %+v (poverty %v)",
+					state, i, e, ix.Poverty(e), r, reg.ZIPPoverty[r.ZIP])
+			}
+		}
+	}
+}
+
 func TestPovertyStatsBlackHigherBeforeMatching(t *testing.T) {
-	reg := testRegistry(t, demo.StateFL, 40000)
+	ix := testIndex(t, demo.StateFL, 40000)
 	rng := rand.New(rand.NewSource(10))
-	sample := StratifiedSample(reg.Records, 0, rng)
-	mw, mb := PovertyStats(reg, sample)
+	sample := StratifiedSample(ix.Entries, 0, rng)
+	mw, mb := PovertyStats(sample, ix.Poverty)
 	if math.IsNaN(mw) || math.IsNaN(mb) {
 		t.Fatal("NaN medians")
 	}
@@ -23,10 +62,10 @@ func TestPovertyStatsBlackHigherBeforeMatching(t *testing.T) {
 }
 
 func TestMatchPovertyEqualizesDistributions(t *testing.T) {
-	reg := testRegistry(t, demo.StateFL, 40000)
+	ix := testIndex(t, demo.StateFL, 40000)
 	rng := rand.New(rand.NewSource(11))
-	sample := StratifiedSample(reg.Records, 0, rng)
-	matched := MatchPoverty(reg, sample, 10, rng)
+	sample := StratifiedSample(ix.Entries, 0, rng)
+	matched := MatchPoverty(sample, ix.Poverty, 10, rng)
 	if len(matched) == 0 {
 		t.Fatal("empty matched sample")
 	}
@@ -41,9 +80,9 @@ func TestMatchPovertyEqualizesDistributions(t *testing.T) {
 	// indistinguishable.
 	var w, b []float64
 	for i := range matched {
-		r := &matched[i]
-		p := reg.ZIPPoverty[r.ZIP]
-		switch r.Race {
+		e := &matched[i]
+		p := ix.Poverty(e)
+		switch e.Race {
 		case demo.RaceWhite:
 			w = append(w, p)
 		case demo.RaceBlack:
@@ -58,9 +97,9 @@ func TestMatchPovertyEqualizesDistributions(t *testing.T) {
 	// check that matching actually did something).
 	var w0, b0 []float64
 	for i := range sample {
-		r := &sample[i]
-		p := reg.ZIPPoverty[r.ZIP]
-		switch r.Race {
+		e := &sample[i]
+		p := ix.Poverty(e)
+		switch e.Race {
 		case demo.RaceWhite:
 			w0 = append(w0, p)
 		case demo.RaceBlack:
@@ -74,11 +113,11 @@ func TestMatchPovertyEqualizesDistributions(t *testing.T) {
 }
 
 func TestMatchPovertyMinBins(t *testing.T) {
-	reg := testRegistry(t, demo.StateNC, 10000)
+	ix := testIndex(t, demo.StateNC, 10000)
 	rng := rand.New(rand.NewSource(12))
-	sample := StratifiedSample(reg.Records, 100, rng)
+	sample := StratifiedSample(ix.Entries, 100, rng)
 	// nBins below 2 is clamped, not an error.
-	matched := MatchPoverty(reg, sample, 1, rng)
+	matched := MatchPoverty(sample, ix.Poverty, 1, rng)
 	if err := VerifyBalance(matched); err != nil {
 		t.Fatal(err)
 	}
@@ -87,21 +126,13 @@ func TestMatchPovertyMinBins(t *testing.T) {
 // TestMatchPovertyEmptySample: an empty sample has no quantile edges to bin
 // by; it yields an empty result and leaves the RNG where it was.
 func TestMatchPovertyEmptySample(t *testing.T) {
-	reg := testRegistry(t, demo.StateFL, 1000)
+	ix := testIndex(t, demo.StateFL, 1000)
 	rng := rand.New(rand.NewSource(13))
-	if matched := MatchPoverty(reg, nil, 10, rng); len(matched) != 0 {
+	if matched := MatchPoverty(nil, ix.Poverty, 10, rng); len(matched) != 0 {
 		t.Errorf("empty sample matched %d records", len(matched))
 	}
 	if got, want := rng.Int63(), rand.New(rand.NewSource(13)).Int63(); got != want {
 		t.Error("matching an empty sample consumed draws")
-	}
-}
-
-func TestPovertyOfUnknownZIPDefault(t *testing.T) {
-	reg := &Registry{State: demo.StateFL, ZIPPoverty: map[string]float64{}}
-	r := Record{ZIP: "99999"}
-	if p := povertyOf(reg, &r); p != 0.12 {
-		t.Errorf("default poverty = %v", p)
 	}
 }
 

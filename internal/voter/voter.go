@@ -4,8 +4,9 @@
 // synthetic registry generator (the real files are public records, but we
 // cannot ship them; the generator produces registries with realistic
 // marginals and the poverty/race correlation Appendix A depends on), the
-// stratified sampler that builds balanced target audiences (Table 1), and
-// the poverty-matched subsampler from Appendix A.
+// compact index a world keeps of a generated registry instead of its
+// records, the stratified sampler that builds balanced target audiences
+// (Table 1), and the poverty-matched subsampler from Appendix A.
 package voter
 
 import (
@@ -81,26 +82,35 @@ func (c Cell) String() string {
 	return fmt.Sprintf("%s/%s/%s", c.Age, c.Gender, c.Race)
 }
 
-// CellCounts tallies records per stratification cell.
-func CellCounts(records []Record) map[Cell]int {
+// Cell returns the voter's stratification cell.
+func (r *Record) Cell() Cell { return Cell{Age: r.AgeBucket(), Gender: r.Gender, Race: r.Race} }
+
+// Voter is a voter as the samplers read it: a parsed or generated registry
+// record, or the entry a world's index keeps.
+type Voter interface{ Record | Entry }
+
+// voterRef is a pointer to a Voter, through which the samplers read it.
+type voterRef[T Voter] interface {
+	*T
+	Cell() Cell
+}
+
+// CellCounts tallies voters per stratification cell.
+func CellCounts[T Voter, P voterRef[T]](voters []T) map[Cell]int {
 	out := map[Cell]int{}
-	for i := range records {
-		r := &records[i]
-		out[Cell{Age: r.AgeBucket(), Gender: r.Gender, Race: r.Race}]++
+	for i := range voters {
+		out[P(&voters[i]).Cell()]++
 	}
 	return out
 }
 
-// StudyCells enumerates the 6 age buckets × 2 genders × 2 races = 24 cells
-// the balanced audiences are stratified over.
-func StudyCells() []Cell {
-	var out []Cell
-	for _, a := range demo.AllAgeBuckets() {
-		for _, g := range []demo.Gender{demo.GenderMale, demo.GenderFemale} {
-			for _, r := range []demo.Race{demo.RaceWhite, demo.RaceBlack} {
-				out = append(out, Cell{Age: a, Gender: g, Race: r})
-			}
-		}
+// bucketCells returns an age bucket's four gender×race cells — the cells
+// Table 1 balances — in the order the samplers visit them.
+func bucketCells(age demo.AgeBucket) [4]Cell {
+	return [4]Cell{
+		{Age: age, Gender: demo.GenderMale, Race: demo.RaceWhite},
+		{Age: age, Gender: demo.GenderMale, Race: demo.RaceBlack},
+		{Age: age, Gender: demo.GenderFemale, Race: demo.RaceWhite},
+		{Age: age, Gender: demo.GenderFemale, Race: demo.RaceBlack},
 	}
-	return out
 }

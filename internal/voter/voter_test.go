@@ -122,6 +122,17 @@ func TestGenerateErrors(t *testing.T) {
 	}
 }
 
+// StudyCells enumerates the 6 age buckets × 2 genders × 2 races = 24 cells
+// the balanced audiences are stratified over.
+func StudyCells() []Cell {
+	var out []Cell
+	for _, a := range demo.AllAgeBuckets() {
+		cells := bucketCells(a)
+		out = append(out, cells[:]...)
+	}
+	return out
+}
+
 func TestStudyCellsComplete(t *testing.T) {
 	cells := StudyCells()
 	if len(cells) != 24 {
