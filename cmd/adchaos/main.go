@@ -178,7 +178,6 @@ func startFleet(opts options, tag string, firstPort int, durable bool) (_ *procF
 			"-voters", strconv.Itoa(opts.world.Voters),
 			"-logrows", strconv.Itoa(opts.world.LogRows),
 			"-review-reject", strconv.FormatFloat(chaos.ReviewReject, 'g', -1, 64),
-			"-delivery-workers", "1",
 		}
 		if durable {
 			argv[i] = append(argv[i],

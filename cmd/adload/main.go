@@ -62,7 +62,7 @@ func run(args []string, stdout io.Writer) error {
 	worldOf := node.WorldFlags(fs, node.WorldConfig{Seed: 1, Voters: 8000, LogRows: 3000, FLOnly: true})
 	stackOf := node.StackFlags(fs)
 	faultsOf := node.FaultFlags(fs)
-	deliveryWorkers := fs.Int("delivery-workers", 0, "delivery shard count sent with every deliver call (0 = server default, 1 = sequential oracle)")
+	deliveryWorkers := fs.Int("delivery-workers", 0, "delivery shard count sent with every deliver call (0 = one shard on a single adplatform, the fleet width behind adrouter; 1 = sequential oracle)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

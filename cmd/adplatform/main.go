@@ -43,7 +43,6 @@ func run(args []string) error {
 	stackOf := node.StackFlags(fs, "snapshot-every")
 	reviewReject := fs.Float64("review-reject", -1, "override the ad-review rejection probability (0..1; negative keeps the default) — every shard in one fleet must agree")
 	snapshotEvery := fs.Int("snapshot-every", 5000, "write a snapshot and compact the WAL every N records (0 disables automatic snapshots; requires -store-dir)")
-	deliveryWorkers := fs.Int("delivery-workers", 1, "default delivery shard count for /v1/deliver (1 = sequential oracle engine; requests may override)")
 	drainTimeout := node.DrainTimeoutFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -58,7 +57,6 @@ func run(args []string) error {
 	}
 	worldCfg := worldOf()
 	platCfg := worldCfg.PlatformConfig()
-	platCfg.DeliveryWorkers = *deliveryWorkers
 	if *reviewReject >= 0 {
 		platCfg.ReviewRejectProb = *reviewReject
 	}

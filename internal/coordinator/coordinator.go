@@ -19,8 +19,9 @@
 //
 // The fleet degrades rather than dies: a per-shard health model scores
 // transport silence (never HTTP answers — an error status still proves the
-// process alive), a shard that crosses the down threshold is quarantined out
-// of the fan-out, CRUD keeps flowing on the admitted shards, and a
+// process alive), a shard that crosses the down threshold is out of the
+// fan-out the moment it is scored (the health model is the one record of
+// admission), CRUD keeps flowing on the shards in service, and a
 // resurrected shard re-earns admission through the rejoin protocol: it takes
 // the replicated half of the account from an admitted peer (state transfer)
 // and passes the state-digest gate. Shard INDEX is pinned for the life of the
@@ -118,6 +119,8 @@ type Coordinator struct {
 	shards []*shardConn
 	reg    *obs.Registry
 	clock  obs.Clock
+	// health is the per-shard health model and the one record of which
+	// shards are in service (healthy or suspect).
 	health *supervisor.FleetHealth
 
 	// mu serializes mutating fan-outs and delivery days. Determinism needs
@@ -126,14 +129,6 @@ type Coordinator struct {
 	// readmitted only at a mutation boundary.
 	mu     sync.Mutex
 	daySeq atomic.Uint64
-
-	// admMu guards the admission set for readers (topology, snapshots).
-	// Writers additionally hold mu; lock order is mu then admMu, never the
-	// reverse. lastOut is the shard quarantined last: after a whole-fleet
-	// outage it alone holds every acknowledged mutation.
-	admMu    sync.Mutex
-	admitted []bool
-	lastOut  int
 
 	keyBase string
 	keySeq  atomic.Uint64
@@ -182,10 +177,6 @@ func New(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 		})
 	}
 	c.health = supervisor.NewFleetHealth(len(c.shards), reg, clock)
-	c.admitted = make([]bool, len(c.shards))
-	for i := range c.admitted {
-		c.admitted[i] = true
-	}
 	return c, nil
 }
 
@@ -197,7 +188,8 @@ func (c *Coordinator) Backends() []string {
 	return append([]string(nil), c.cfg.Backends...)
 }
 
-// Health exposes the per-shard health model (the supervisor's scorekeeper).
+// Health exposes the per-shard health model: the supervisor's scorekeeper
+// and the fleet's one record of which shards are in service.
 func (c *Coordinator) Health() *supervisor.FleetHealth { return c.health }
 
 // SetRetryPolicy applies one retry policy to every backend client.
@@ -216,73 +208,17 @@ func (c *Coordinator) mintFleetKey() string {
 
 // --- admission -------------------------------------------------------------
 
-// isAdmitted reports whether a shard is in the serving set.
-func (c *Coordinator) isAdmitted(shard int) bool {
-	c.admMu.Lock()
-	defer c.admMu.Unlock()
-	return c.admitted[shard]
-}
-
-// admissionSnapshot splits the fleet into admitted conns and quarantined
-// indexes.
-func (c *Coordinator) admissionSnapshot() (admitted []*shardConn, quarantined []int) {
-	c.admMu.Lock()
-	defer c.admMu.Unlock()
-	for i, sc := range c.shards {
-		if c.admitted[i] {
-			admitted = append(admitted, sc)
-		} else {
-			quarantined = append(quarantined, i)
+// serving lists the shards in service, from one snapshot of the health
+// model. A shard out of it takes what it missed in its rejoin's state
+// transfer.
+func (c *Coordinator) serving() []*shardConn {
+	var in []*shardConn
+	for i, st := range c.health.States() {
+		if st.InService() {
+			in = append(in, c.shards[i])
 		}
 	}
-	return admitted, quarantined
-}
-
-// quarantinedIdx lists the quarantined shard indexes.
-func (c *Coordinator) quarantinedIdx() []int {
-	_, q := c.admissionSnapshot()
-	return q
-}
-
-// referenceConn is the first admitted shard — the replica a rejoining shard
-// takes its state from and digests against — or, when the whole fleet is
-// down, nil and the shard quarantined last.
-func (c *Coordinator) referenceConn() (*shardConn, int) {
-	c.admMu.Lock()
-	defer c.admMu.Unlock()
-	for i, sc := range c.shards {
-		if c.admitted[i] {
-			return sc, i
-		}
-	}
-	return nil, c.lastOut
-}
-
-// Quarantine removes a shard from the serving set (idempotent; reports
-// whether this call did the removal) and marks it down in the health model.
-// CRUD keeps flowing without it; it takes what it missed in its rejoin's
-// state transfer.
-func (c *Coordinator) Quarantine(shard int) bool {
-	c.admMu.Lock()
-	was := c.admitted[shard]
-	c.admitted[shard] = false
-	if was {
-		c.lastOut = shard
-	}
-	c.admMu.Unlock()
-	if was {
-		c.health.MarkDown(shard)
-		c.reg.Counter(MetricQuarantines).Inc()
-	}
-	return was
-}
-
-// admit returns a shard to the serving set and closes its MTTR window.
-func (c *Coordinator) admit(shard int) {
-	c.admMu.Lock()
-	c.admitted[shard] = true
-	c.admMu.Unlock()
-	c.health.MarkHealthy(shard)
+	return in
 }
 
 // ProbeShard is the supervisor's liveness probe: one unretried GET /healthz
@@ -298,7 +234,7 @@ func (c *Coordinator) ProbeShard(ctx context.Context, shard int) error {
 // supervisor.ErrBusy and the day's own retry preamble performs the rejoin
 // inline instead.
 func (c *Coordinator) TryRejoin(ctx context.Context, shard int) error {
-	if c.isAdmitted(shard) {
+	if c.health.State(shard).InService() {
 		return nil
 	}
 	if !c.mu.TryLock() {
@@ -321,16 +257,16 @@ func (c *Coordinator) TryRejoin(ctx context.Context, shard int) error {
 //  3. digest gate — the shard's state digest must equal the reference's,
 //     byte for byte. After a partial commit it does not: each shard's
 //     COMPLETED bits are its own, and Deliver's replay converges them;
-//  4. admit — back into the CRUD fan-out and delivery pool; MTTR is
-//     observed.
+//  4. admit — MarkHealthy puts it back into the CRUD fan-out and delivery
+//     pool; MTTR is observed.
 //
-// With no admitted reference left (whole-fleet outage), the shard that was
-// quarantined last is readmitted on its own WAL alone — there is nothing to
-// take state from or digest against — and counted in
-// router.rejoin_unverified; every other shard missed the mutations acked
-// after it went out, so it waits for that one and takes its state from it.
+// With no shard in service left (whole-fleet outage), the shard that left
+// service last is readmitted on its own WAL alone — there is nothing to take
+// state from or digest against — and counted in router.rejoin_unverified;
+// every other shard missed the mutations acked after it went out, so it
+// waits for that one and takes its state from it.
 func (c *Coordinator) rejoinLocked(ctx context.Context, shard int) error {
-	if c.isAdmitted(shard) {
+	if c.health.State(shard).InService() {
 		return nil
 	}
 	sc := c.shards[shard]
@@ -345,17 +281,17 @@ func (c *Coordinator) rejoinLocked(ctx context.Context, shard int) error {
 	if st.SessionActive {
 		return fail(fmt.Errorf("coordinator: rejoin %s: a day session is still open mid-recovery", sc.label))
 	}
-	switch ref, last := c.referenceConn(); {
-	case ref != nil:
-		if err := transfer(ctx, sc, ref, st.NumUsers); err != nil {
+	switch ref, ok := c.health.Reference(); {
+	case ok:
+		if err := transfer(ctx, sc, c.shards[ref], st.NumUsers); err != nil {
 			return fail(err)
 		}
-	case shard != last:
-		return fail(fmt.Errorf("coordinator: rejoin %s: whole fleet out, shard%d was quarantined last and rejoins first", sc.label, last))
+	case shard != ref:
+		return fail(fmt.Errorf("coordinator: rejoin %s: whole fleet out, shard%d was quarantined last and rejoins first", sc.label, ref))
 	default:
 		c.reg.Counter(MetricRejoinUnverified).Inc()
 	}
-	c.admit(shard)
+	c.health.MarkHealthy(shard)
 	c.reg.Counter(MetricRejoins).Inc()
 	return nil
 }
@@ -511,36 +447,36 @@ func (m *mutation) post(ctx context.Context, sc *shardConn) (payload []byte, got
 }
 
 // mutate is the replicated-CRUD engine: relay the request bytes to every
-// admitted shard and assert the shards answered alike. It returns the
+// shard in service and assert the shards answered alike. It returns the
 // reference shard's response payload for the router to pass on. A shard
-// whose fan-out call fails AND whose health score crossed to down is
-// quarantined inline instead of failing the fleet; whether it applied the
-// mutation before it went silent does not matter, since its rejoin replaces
-// its replicated state whole. Failures on shards that are still considered
-// healthy fail the mutation (the caller's idempotent retry converges). A
-// shard answering unlike the reference fails it as a divergence and is
-// quarantined: its rejoin replaces its replicated half.
+// whose fan-out call fails AND that the call scored out of service is left
+// behind instead of failing the fleet; whether it applied the mutation
+// before it went silent does not matter, since its rejoin replaces its
+// replicated state whole. Failures on shards still in service fail the
+// mutation (the caller's idempotent retry converges). A shard answering
+// unlike the reference fails it as a divergence and is marked down: its
+// rejoin replaces its replicated half.
 func (c *Coordinator) mutate(ctx context.Context, m mutation) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if m.key == "" {
 		m.key = c.mintFleetKey()
 	}
-	admitted, _ := c.admissionSnapshot()
-	if len(admitted) == 0 {
+	in := c.serving()
+	if len(in) == 0 {
 		return nil, fmt.Errorf("coordinator: %s: no admitted shards: %w", m.kind, ErrShardDown)
 	}
 
 	payloads := make([][]byte, len(c.shards))
 	got := make([]outcome, len(c.shards))
-	errs := c.scatterEach(ctx, m.kind, admitted, func(ctx context.Context, sc *shardConn) (err error) {
+	errs := c.scatterEach(ctx, m.kind, in, func(ctx context.Context, sc *shardConn) (err error) {
 		payloads[sc.index], got[sc.index], err = m.post(ctx, sc)
 		return err
 	})
 	var firstErr error
-	for _, sc := range admitted {
+	for _, sc := range in {
 		err := errs[sc.index]
-		if err == nil || c.health.State(sc.index) == supervisor.Down && c.Quarantine(sc.index) {
+		if err == nil || !c.health.State(sc.index).InService() {
 			continue
 		}
 		if firstErr == nil {
@@ -553,13 +489,13 @@ func (c *Coordinator) mutate(ctx context.Context, m mutation) ([]byte, error) {
 
 	var ref *shardConn
 	var diverged error
-	for _, sc := range admitted {
+	for _, sc := range in {
 		switch {
-		case payloads[sc.index] == nil: // quarantined mid-flight
+		case payloads[sc.index] == nil: // scored out mid-flight
 		case ref == nil:
 			ref = sc
 		case got[sc.index] != got[ref.index]:
-			c.Quarantine(sc.index)
+			c.health.MarkDown(sc.index)
 			diverged = divergence(m.kind, sc, fmt.Sprintf("%+v", got[sc.index]), fmt.Sprintf("%+v", got[ref.index]))
 		}
 	}
@@ -572,16 +508,16 @@ func (c *Coordinator) mutate(ctx context.Context, m mutation) ([]byte, error) {
 	return payloads[ref.index], nil
 }
 
-// GetAd reads an ad's status from the first admitted shard that answers, in
-// shard order (reads need no quorum: shards are replicas of the CRUD state).
+// GetAd reads an ad's status from the first shard in service that answers,
+// in shard order (reads need no quorum: shards are replicas of the CRUD
+// state).
 func (c *Coordinator) GetAd(ctx context.Context, adID string) (*marketing.AdResponse, error) {
+	in := c.serving()
+	if len(in) == 0 {
+		return nil, fmt.Errorf("coordinator: get ad %s: no admitted shards: %w", adID, ErrShardDown)
+	}
 	var lastErr error
-	asked := 0
-	for _, sc := range c.shards {
-		if !c.isAdmitted(sc.index) {
-			continue
-		}
-		asked++
+	for _, sc := range in {
 		resp, err := sc.client.GetAd(ctx, adID)
 		if err == nil {
 			return resp, nil
@@ -590,9 +526,6 @@ func (c *Coordinator) GetAd(ctx context.Context, adID string) (*marketing.AdResp
 		if !marketing.Retryable(err) {
 			break // a terminal answer (404, validation) is the answer
 		}
-	}
-	if asked == 0 {
-		return nil, fmt.Errorf("coordinator: get ad %s: no admitted shards: %w", adID, ErrShardDown)
 	}
 	return nil, lastErr
 }
@@ -607,7 +540,7 @@ func (c *Coordinator) GetAd(ctx context.Context, adID string) (*marketing.AdResp
 // shard is quarantined — the merge would silently under-count. Callers get
 // a typed retryable error until the fleet heals.
 func (c *Coordinator) Insights(ctx context.Context, adID string, dims []string) (*marketing.InsightsResponse, error) {
-	if q := c.quarantinedIdx(); len(q) > 0 {
+	if q := c.health.Out(); len(q) > 0 {
 		return nil, fmt.Errorf("coordinator: insights for %s need the full fleet, shards %v quarantined: %w", adID, q, ErrShardDown)
 	}
 	out := make([]*marketing.InsightsResponse, len(c.shards))
@@ -693,17 +626,17 @@ func mergeInsights(shards []*shardConn, parts []*marketing.InsightsResponse) (*m
 	return m, nil
 }
 
-// Inventory fans the object census out to every admitted shard and asserts
-// they agree — the cheap convergence check the multi-process smoke test
-// leans on. (CRUD state is replicated, so any admitted subset answers for
-// the fleet; a quarantined shard catches up when it rejoins.)
+// Inventory fans the object census out to every shard in service and
+// asserts they agree — the cheap convergence check the multi-process smoke
+// test leans on. (CRUD state is replicated, so any subset in service answers
+// for the fleet; a quarantined shard catches up when it rejoins.)
 func (c *Coordinator) Inventory(ctx context.Context) (*platform.Inventory, error) {
-	admitted, _ := c.admissionSnapshot()
-	if len(admitted) == 0 {
+	in := c.serving()
+	if len(in) == 0 {
 		return nil, fmt.Errorf("coordinator: inventory: no admitted shards: %w", ErrShardDown)
 	}
 	out := make([]*platform.Inventory, len(c.shards))
-	err := c.scatter(ctx, "inventory", admitted, func(ctx context.Context, sc *shardConn) error {
+	err := c.scatter(ctx, "inventory", in, func(ctx context.Context, sc *shardConn) error {
 		inv, err := sc.client.Inventory(ctx)
 		if err != nil {
 			return err
@@ -715,7 +648,7 @@ func (c *Coordinator) Inventory(ctx context.Context) (*platform.Inventory, error
 		return nil, err
 	}
 	var ref *platform.Inventory
-	for _, sc := range admitted {
+	for _, sc := range in {
 		inv := out[sc.index]
 		if ref == nil {
 			ref = inv
@@ -732,7 +665,7 @@ func (c *Coordinator) Inventory(ctx context.Context) (*platform.Inventory, error
 
 // divergence builds the error for shards that disagree on what must be
 // replicated state (a backend executed a mutation the others did not, or runs
-// other code or world seed). mutate quarantines a shard that answered unlike
+// other code or world seed). mutate marks down a shard that answered unlike
 // the reference, for its rejoin to repair; elsewhere it is only reported.
 func divergence(what string, sc *shardConn, got, want string) error {
 	return fmt.Errorf("coordinator: %s diverged on %s (%s): got %s, want %s (reference)", what, sc.label, sc.url, got, want)

@@ -42,7 +42,7 @@ type dayRecord struct {
 
 // Deliver runs one coordinated delivery day over all shards, re-running it
 // after shard failures until it commits everywhere or attempts run out.
-// Every shard must be admitted for a fresh attempt to start — the delivery
+// Every shard must be in service for a fresh attempt to start — the delivery
 // partition is position-mod-N over ALL shards, so a day cannot simply skip a
 // quarantined one. Between attempts the loop performs the rejoin protocol
 // inline (it already holds the fleet mutex the supervisor's TryRejoin would
@@ -91,10 +91,10 @@ func (c *Coordinator) Deliver(ctx context.Context, adIDs []string, seed int64) e
 				return fmt.Errorf("coordinator: day partially committed with no replayable record (shards %v pending): %w", pending, lastErr)
 			}
 			err = c.replayDay(ctx, rec, pending)
-		case len(c.quarantinedIdx()) > 0:
+		case len(c.health.Out()) > 0:
 			// A fresh attempt needs the whole fleet: the day's user partition
 			// spans every shard index.
-			err = fmt.Errorf("coordinator: day needs full fleet, shards %v quarantined: %w", c.quarantinedIdx(), ErrShardDown)
+			err = fmt.Errorf("coordinator: day needs full fleet, shards %v quarantined: %w", c.health.Out(), ErrShardDown)
 		default:
 			rec = &dayRecord{
 				session: fmt.Sprintf("day-%d-%d", seed, daySeq),
@@ -145,7 +145,7 @@ func (c *Coordinator) dayBackoff(daySeq uint64, attempt int) time.Duration {
 // preamble); failures leave the shard quarantined for a later pass or the
 // supervisor.
 func (c *Coordinator) rejoinQuarantinedLocked(ctx context.Context) {
-	for _, idx := range c.quarantinedIdx() {
+	for _, idx := range c.health.Out() {
 		pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 		err := c.ProbeShard(pctx, idx)
 		cancel()

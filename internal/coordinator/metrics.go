@@ -24,15 +24,13 @@ const (
 	// operator-facing name).
 	MetricDayRetries = "router.delivery.day_retries"
 
-	// MetricQuarantines counts shards removed from the serving set.
-	MetricQuarantines = "router.quarantines"
 	// MetricRejoins counts shards readmitted through the rejoin protocol.
 	MetricRejoins = "router.rejoins"
 	// MetricRejoinFailures counts rejoin attempts that failed the handshake,
 	// the state transfer, or the digest gate.
 	MetricRejoinFailures = "router.rejoin_failures"
-	// MetricRejoinUnverified counts readmissions with no admitted reference
-	// left to digest against (the shard quarantined last, after a
+	// MetricRejoinUnverified counts readmissions with no shard in service
+	// left to digest against (the shard that left service last, after a
 	// whole-fleet outage).
 	MetricRejoinUnverified = "router.rejoin_unverified"
 )

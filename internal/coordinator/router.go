@@ -3,10 +3,9 @@ package coordinator
 // The router's HTTP surface: the same advertiser-facing API the marketing
 // server exposes, plus operator routes (topology, inventory, metrics), so
 // audit tooling points at a router exactly as it would at a single backend.
-// Mutating routes carry the same resilience chain as the marketing server —
-// instrumentation, load shedding, idempotency replay, panic recovery,
-// timeouts, body limits — reusing the obs middleware and the marketing
-// package's exported idempotency cache.
+// Its routes wear the marketing server's resilience chain
+// (marketing.Resilience): instrumentation, load shedding, idempotency
+// replay, panic recovery, timeouts, body limits.
 
 import (
 	"errors"
@@ -20,7 +19,8 @@ import (
 )
 
 // TopologyResponse describes the fleet behind the router, including each
-// shard's health state and whether it is currently admitted to the fan-out.
+// shard's health state and whether it is currently admitted to the fan-out
+// (in service: healthy or suspect).
 type TopologyResponse struct {
 	Shards   int      `json:"shards"`
 	Backends []string `json:"backends"`
@@ -38,7 +38,7 @@ type Router struct {
 	c      *Coordinator
 	reg    *obs.Registry
 	limits marketing.ServerLimits
-	idem   *marketing.IdempotencyCache
+	chain  *marketing.Resilience
 }
 
 // NewRouter wraps a coordinator in the HTTP API, instrumenting into the
@@ -50,27 +50,20 @@ func NewRouter(c *Coordinator, reg *obs.Registry) (*Router, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &Router{c: c, reg: reg, limits: marketing.DefaultServerLimits(), idem: marketing.NewIdempotencyCache()}, nil
+	return &Router{c: c, reg: reg, limits: marketing.DefaultServerLimits(), chain: marketing.NewResilience(reg)}, nil
 }
 
 // Metrics returns the router's metrics registry.
 func (rt *Router) Metrics() *obs.Registry { return rt.reg }
 
-// Handler returns the routing table with the full resilience chain, mirror
-// of the marketing server's (see marketing.Server.Handler for the ordering
-// rationale).
+// Handler returns the routing table, every API route behind the resilience
+// chain and every POST behind its replay cache.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern string, timeout time.Duration, fn http.HandlerFunc) {
-		var h http.Handler = fn
-		h = obs.BodyLimit(rt.limits.MaxBodyBytes, h)
-		h = obs.Timeout(rt.reg, timeout, h)
-		h = obs.Recover(rt.reg, h)
-		if strings.HasPrefix(pattern, "POST ") {
-			h = rt.idem.Middleware(rt.reg, h)
-		}
-		h = obs.LoadShed(rt.reg, rt.limits.MaxInFlight, h)
-		mux.Handle(pattern, obs.Instrument(rt.reg, pattern, h))
+		l := rt.limits
+		l.RequestTimeout = timeout
+		mux.Handle(pattern, rt.chain.Wrap(pattern, l, strings.HasPrefix(pattern, "POST "), fn))
 	}
 	handle("POST /v1/customaudiences", rt.limits.RequestTimeout, rt.relay(kindAudience, http.StatusCreated))
 	handle("POST /v1/campaigns", rt.limits.RequestTimeout, rt.relay(kindCampaign, http.StatusCreated))
@@ -194,7 +187,7 @@ func (rt *Router) handleTopology(w http.ResponseWriter, _ *http.Request) {
 	admitted := make([]bool, len(states))
 	for i, st := range states {
 		health[i] = st.String()
-		admitted[i] = rt.c.isAdmitted(i)
+		admitted[i] = st.InService()
 	}
 	marketing.WriteJSON(w, http.StatusOK, TopologyResponse{
 		Shards:   rt.c.Shards(),

@@ -197,7 +197,7 @@ func TestTransferKeepsPartialCommitVisible(t *testing.T) {
 			}
 			// Dead before its commit; its supervisor has it quarantined and
 			// back from its WAL by the time the finish is retried.
-			f.Coord.Quarantine(1)
+			f.Coord.Health().MarkDown(1)
 			if err := f.Relaunch(1); err != nil {
 				t.Error(err)
 			}
@@ -388,5 +388,117 @@ func TestDayErrorPaths(t *testing.T) {
 	}
 	if committed || len(pending) != 1 || pending[0] != 1 {
 		t.Fatalf("dayStatus with unreachable shard = (%v, %v)", committed, pending)
+	}
+}
+
+// rawGet hands a router one GET and returns the recorded response.
+func rawGet(router http.Handler, path string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	router.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	return rec
+}
+
+// scoreDownByInsights reads insights through the coordinator, with no
+// supervisor pass, until live traffic has scored the shard down.
+func scoreDownByInsights(t *testing.T, f *chaos.Fleet, shard int, adID string) {
+	t.Helper()
+	for i := 0; i < 2*supervisor.DownAfter && f.Coord.Health().State(shard) != supervisor.Down; i++ {
+		if _, err := f.Coord.Insights(context.Background(), adID, nil); err == nil {
+			t.Fatalf("insights read %d answered with shard %d dead", i, shard)
+		}
+	}
+	if got := f.Coord.Health().State(shard); got != supervisor.Down {
+		t.Fatalf("live insights reads left shard %d %v, want down", shard, got)
+	}
+}
+
+// TestShardScoredDownLeavesServiceAtOnce: a shard that live traffic scores
+// down is out of service the moment it is scored, before any supervisor
+// pass. The next insights read is refused with the typed ErrShardDown — a
+// 503 with Retry-After at the router, not the dead shard's transport error
+// as a 502 — the topology shows the shard not admitted, and a create still
+// lands on the survivor.
+func TestShardScoredDownLeavesServiceAtOnce(t *testing.T) {
+	ctx := context.Background()
+	f := launch(t, 2, nil)
+	client := f.Client()
+	ids := setupAccount(t, client, 1)
+	if err := client.Deliver(ctx, ids, 9900); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := f.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	scoreDownByInsights(t, f, 1, ids[0])
+
+	if _, err := f.Coord.Insights(ctx, ids[0], nil); !errors.Is(err, coordinator.ErrShardDown) {
+		t.Fatalf("insights read after shard 1 was scored down: %v, want ErrShardDown", err)
+	}
+	rec := rawGet(f.Router, "/v1/insights?ad_id="+ids[0])
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("router insights read: %d (Retry-After %q) %s, want 503 with Retry-After",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body)
+	}
+	var topo coordinator.TopologyResponse
+	if err := json.Unmarshal(rawGet(f.Router, "/v1/topology").Body.Bytes(), &topo); err != nil {
+		t.Fatal(err)
+	}
+	if len(topo.Admitted) != 2 || !topo.Admitted[0] || topo.Admitted[1] || topo.Health[1] != "down" {
+		t.Fatalf("topology %+v, want shard 1 down and not admitted", topo)
+	}
+	if _, err := client.CreateCampaign(ctx, marketing.CreateCampaignRequest{Name: "survivor", Objective: "TRAFFIC"}); err != nil {
+		t.Fatalf("create on the survivor: %v", err)
+	}
+}
+
+// TestEveryExitFromServiceCountedOnce: the quarantine counter rises by one
+// per exit from service, whichever path took the shard out — live RPCs, a
+// supervisor probe or a divergence — and not again while the shard stays
+// out.
+func TestEveryExitFromServiceCountedOnce(t *testing.T) {
+	ctx := context.Background()
+	f := launch(t, 2, durable(t))
+	client := f.Client()
+	ids := setupAccount(t, client, 1)
+	quarantines := func() int64 { return f.Reg.Snapshot().Counters[supervisor.MetricQuarantines] }
+	expect := func(path string, want int64) {
+		t.Helper()
+		if got := quarantines(); got != want {
+			t.Fatalf("after %s: %d quarantines counted, want %d", path, got, want)
+		}
+		for i := 0; i < 3 && !f.Coord.Health().State(1).InService(); i++ {
+			f.Sup.Step(ctx) // a shard that stays out is not counted again
+		}
+		if got := quarantines(); got != want {
+			t.Fatalf("after %s and supervisor passes: %d quarantines counted, want %d", path, got, want)
+		}
+	}
+
+	if err := f.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	scoreDownByInsights(t, f, 1, ids[0])
+	expect("live insights reads", 1)
+	// The reads opened shard 1's breaker; its cooldown is virtual.
+	f.Clock.Sleep(marketing.BreakerCooldown)
+	revive(t, f, 1)
+
+	if err := f.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	stepUntilDown(t, f, 1)
+	expect("supervisor probes", 2)
+	revive(t, f, 1)
+
+	if _, err := shardClient(t, f, 1).CreateCampaign(ctx, marketing.CreateCampaignRequest{Name: "unrelayed", Objective: "TRAFFIC"}); err != nil {
+		t.Fatal(err)
+	}
+	if status, answer := rawPost(t, f.Router, "/v1/campaigns", "diverge", mustJSON(t, marketing.CreateCampaignRequest{Name: "next", Objective: "TRAFFIC"})); status != http.StatusBadGateway {
+		t.Fatalf("create after shard 1 went its own way: %d %s, want a 502 divergence", status, answer)
+	}
+	expect("a divergence", 3)
+	if got := f.Coord.Health().State(1); got != supervisor.Healthy {
+		t.Fatalf("diverged shard state %v after supervisor passes, want healthy (rejoined)", got)
 	}
 }

@@ -51,7 +51,8 @@ type Report struct {
 	AdsPerCampaign     int     `json:"ads_per_campaign"`
 	AudienceSize       int     `json:"audience_size"`
 	// DeliveryWorkers is the per-request delivery shard count sent with
-	// every deliver call (0 = server default).
+	// every deliver call (0 = one shard on a single server, the fleet width
+	// behind a router).
 	DeliveryWorkers int `json:"delivery_workers,omitempty"`
 	// Shards is the process topology behind the target when it is a router
 	// (scraped from GET /v1/topology); 0 for a single-process target.

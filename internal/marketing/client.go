@@ -556,16 +556,15 @@ func (c *Client) GetAd(ctx context.Context, adID string) (*AdResponse, error) {
 	return &out, nil
 }
 
-// Deliver runs the listed ads for one simulated day with the server's
-// default delivery worker count.
+// Deliver runs the listed ads for one simulated day without a worker count:
+// one shard on a single server, the fleet width behind a router.
 func (c *Client) Deliver(ctx context.Context, adIDs []string, seed int64) error {
 	return c.DeliverWorkers(ctx, adIDs, seed, 0)
 }
 
 // DeliverWorkers runs the listed ads for one simulated day with an explicit
-// delivery shard count (0 defers to the server's default, 1 is the single
-// live shard of the historical sequential day; the server refuses a count
-// above 64).
+// delivery shard count (0 is Deliver's default, 1 is the single live shard
+// of the historical sequential day; the server refuses a count above 64).
 func (c *Client) DeliverWorkers(ctx context.Context, adIDs []string, seed int64, workers int) error {
 	return c.do(ctx, http.MethodPost, "/v1/deliver", DeliverRequest{AdIDs: adIDs, Seed: seed, Workers: workers}, nil)
 }

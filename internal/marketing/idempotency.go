@@ -25,26 +25,6 @@ const MetricIdempotentEntries = "http.idempotent_entries"
 // that one call, which is the pre-idempotency behavior, not corruption.
 const maxIdemEntries = 100_000
 
-// IdempotencyCache is the exported handle to the execute-once-per-key
-// response cache, for HTTP frontends outside this package (the
-// coordinator's router) that need the same semantics on their own mutating
-// routes. The marketing server wires its private cache itself.
-type IdempotencyCache struct {
-	c *idemCache
-}
-
-// NewIdempotencyCache builds an empty cache.
-func NewIdempotencyCache() *IdempotencyCache {
-	return &IdempotencyCache{c: newIdemCache()}
-}
-
-// Middleware wraps a mutating endpoint with execute-once-per-key semantics:
-// the first request bearing an Idempotency-Key executes, later ones replay
-// the stored response byte for byte; 5xx responses are never memoized.
-func (ic *IdempotencyCache) Middleware(reg *obs.Registry, next http.Handler) http.Handler {
-	return ic.c.middleware(reg, next)
-}
-
 // idemEntry memoizes one execution's response. done closes when the first
 // execution finishes; the response fields are immutable afterwards.
 // Retry-After rides along with the status: a 503 whose header is dropped in
@@ -57,23 +37,25 @@ type idemEntry struct {
 	body        []byte
 }
 
-// idemCache is the server-side half of exactly-once creates: the first
-// request bearing a key executes, every later request with the same key
-// replays the stored response byte for byte. Responses with 5xx statuses
-// are returned to their waiters but NOT memoized, so a genuine server
-// failure is re-executed (not replayed forever) when the client retries.
-type idemCache struct {
+// IdempotencyCache is the replay cache, the server-side half of
+// exactly-once creates: the first request bearing a key executes, every
+// later request with the same key replays the stored response byte for
+// byte. Responses with 5xx statuses are returned to their waiters but NOT
+// memoized, so a genuine server failure is re-executed (not replayed
+// forever) when the client retries. A Resilience chain owns one and puts
+// its replay routes behind it.
+type IdempotencyCache struct {
 	mu      sync.Mutex
 	entries map[string]*idemEntry
 }
 
-func newIdemCache() *idemCache {
-	return &idemCache{entries: map[string]*idemEntry{}}
+func newIdemCache() *IdempotencyCache {
+	return &IdempotencyCache{entries: map[string]*idemEntry{}}
 }
 
 // middleware wraps a mutating endpoint with execute-once-per-key semantics.
 // Requests without a key pass straight through.
-func (ic *idemCache) middleware(reg *obs.Registry, next http.Handler) http.Handler {
+func (ic *IdempotencyCache) middleware(reg *obs.Registry, next http.Handler) http.Handler {
 	replays := reg.Counter(MetricIdempotentReplays)
 	size := reg.Gauge(MetricIdempotentEntries)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -133,7 +115,7 @@ func (ic *idemCache) middleware(reg *obs.Registry, next http.Handler) http.Handl
 }
 
 // forget drops a key so the next request bearing it executes fresh.
-func (ic *idemCache) forget(key string, size *obs.Gauge) {
+func (ic *IdempotencyCache) forget(key string, size *obs.Gauge) {
 	ic.mu.Lock()
 	delete(ic.entries, key)
 	size.Set(int64(len(ic.entries)))
@@ -141,7 +123,7 @@ func (ic *idemCache) forget(key string, size *obs.Gauge) {
 }
 
 // evictOneLocked removes one completed entry; the caller holds ic.mu.
-func (ic *idemCache) evictOneLocked() {
+func (ic *IdempotencyCache) evictOneLocked() {
 	for k, e := range ic.entries {
 		select {
 		case <-e.done:

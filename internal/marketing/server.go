@@ -102,7 +102,7 @@ type Server struct {
 	p       *platform.Platform
 	reg     *obs.Registry
 	limits  ServerLimits
-	idem    *idemCache
+	idem    *IdempotencyCache
 	persist Persister
 	// privacy holds the insights privatization policy. Atomic so the audit
 	// sweep can switch levels on a live server between (read-only) insights
@@ -144,29 +144,48 @@ func (s *Server) privacyConfig() privacy.Config {
 	return privacy.Config{}
 }
 
-// Handler returns the API routing table with per-endpoint instrumentation
-// and the resilience chain. Outside-in per route: instrumentation → load
-// shedding → idempotency (mutating routes only) → panic recovery → request
-// timeout → body limit → handler. Shedding sits outside idempotency so a
-// shed request consumes nothing; recovery sits outside the timeout because
-// http.TimeoutHandler re-panics handler panics in the serving goroutine.
-// The replay cache wraps every POST route but the session routes that are
-// idempotent by protocol (shard.go): begin, tick and abort.
+// Resilience is the hardening chain every API route wears, on the marketing
+// server and on the coordinator's router alike, with the replay cache its
+// routes share. Build one per server or router.
+type Resilience struct {
+	reg    *obs.Registry
+	replay *IdempotencyCache
+}
+
+// NewResilience builds a chain that counts into reg, with an empty replay
+// cache.
+func NewResilience(reg *obs.Registry) *Resilience {
+	return &Resilience{reg: reg, replay: newIdemCache()}
+}
+
+// Wrap puts one route behind the chain. Outside-in: instrumentation → load
+// shedding → replay cache (when replay is set) → panic recovery → request
+// timeout → body limit → handler. Shedding sits outside the replay cache so
+// a shed request consumes nothing; recovery sits outside the timeout because
+// http.TimeoutHandler re-panics handler panics in the serving goroutine. l
+// is the route's own limits; a zero field turns its layer off.
+func (rs *Resilience) Wrap(pattern string, l ServerLimits, replay bool, h http.Handler) http.Handler {
+	h = obs.BodyLimit(l.MaxBodyBytes, h)
+	h = obs.Timeout(rs.reg, l.RequestTimeout, h)
+	h = obs.Recover(rs.reg, h)
+	if replay {
+		h = rs.replay.middleware(rs.reg, h)
+	}
+	h = obs.LoadShed(rs.reg, l.MaxInFlight, h)
+	return obs.Instrument(rs.reg, pattern, h)
+}
+
+// Handler returns the API routing table, every route behind the resilience
+// chain. The replay cache wraps every POST route but the session routes that
+// are idempotent by protocol (shard.go): begin, tick and abort.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	route := func(pattern string, fn http.HandlerFunc, idempotent bool, maxBody int64) {
-		var h http.Handler = fn
-		h = obs.BodyLimit(maxBody, h)
-		h = obs.Timeout(s.reg, s.limits.RequestTimeout, h)
-		h = obs.Recover(s.reg, h)
-		if !idempotent {
-			h = s.idem.middleware(s.reg, h)
-		}
-		h = obs.LoadShed(s.reg, s.limits.MaxInFlight, h)
-		mux.Handle(pattern, obs.Instrument(s.reg, pattern, h))
+	rs := &Resilience{reg: s.reg, replay: s.idem}
+	route := func(pattern string, fn http.HandlerFunc, replay bool, l ServerLimits) {
+		mux.Handle(pattern, rs.Wrap(pattern, l, replay, fn))
 	}
 	handle := func(pattern string, fn http.HandlerFunc) {
-		route(pattern, fn, !strings.HasPrefix(pattern, "POST "), s.limits.MaxBodyBytes)
+		route(pattern, fn, strings.HasPrefix(pattern, "POST "), s.limits)
 	}
 	handle("POST /v1/customaudiences", s.handleCreateAudience)
 	handle("POST /v1/campaigns", s.handleCreateCampaign)
@@ -177,10 +196,10 @@ func (s *Server) Handler() http.Handler {
 	handle("GET /v1/insights", s.handleInsights)
 	// Shard-scoped delivery protocol (see shard.go): the coordinator's
 	// operator plane, not part of the advertiser API.
-	route("POST /v1/shard/delivery/begin", s.handleBeginDay, true, s.limits.MaxBodyBytes)
-	route("POST /v1/shard/delivery/tick", s.handleDayTick, true, s.limits.MaxBodyBytes)
+	route("POST /v1/shard/delivery/begin", s.handleBeginDay, false, s.limits)
+	route("POST /v1/shard/delivery/tick", s.handleDayTick, false, s.limits)
 	handle("POST /v1/shard/delivery/finish", s.handleFinishDay)
-	route("POST /v1/shard/delivery/abort", s.handleAbortDay, true, s.limits.MaxBodyBytes)
+	route("POST /v1/shard/delivery/abort", s.handleAbortDay, false, s.limits)
 	// Rejoin: the handshake with the state digest, and the state transfer
 	// of the replicated half a resurrected shard takes from a peer. A PUT
 	// is not a POST: the install stays out of the replay cache. Its body is a
@@ -188,7 +207,9 @@ func (s *Server) Handler() http.Handler {
 	// limit; each byte of it passed the cap on the peer in some request.
 	handle("GET /v1/shard/status", s.handleShardStatus)
 	handle("GET /v1/shard/replicated", s.handleReplicated)
-	route("PUT /v1/shard/replicated", s.handleInstallReplicated, true, 0)
+	install := s.limits
+	install.MaxBodyBytes = 0
+	route("PUT /v1/shard/replicated", s.handleInstallReplicated, false, install)
 	mux.Handle("GET /metrics", obs.MetricsHandler(s.reg))
 	mux.Handle("GET /healthz", obs.HealthzHandler(s.reg))
 	// Operational census, not part of the advertiser API: the crash-recovery
@@ -391,11 +412,11 @@ func (s *Server) handleDeliver(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if req.Workers < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("workers must be non-negative, got %d", req.Workers))
-		return
+	workers := req.Workers
+	if workers == 0 {
+		workers = 1
 	}
-	err := s.p.RunDayWorkers(req.AdIDs, req.Seed, req.Workers)
+	err := s.p.RunDayWorkers(req.AdIDs, req.Seed, workers)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

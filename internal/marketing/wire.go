@@ -264,11 +264,11 @@ type AdResponse struct {
 type DeliverRequest struct {
 	AdIDs []string `json:"ad_ids"`
 	Seed  int64    `json:"seed"`
-	// Workers selects the day's shard count. 0 (the default, and what older
-	// clients send) defers to the server's configured default; 1 is the
-	// single live shard of the historical sequential day; a count outside
-	// [0, 64] is refused with 400. Delivery output is deterministic for a
-	// fixed (seed, workers) pair.
+	// Workers selects the day's shard count: 1 is the single live shard of
+	// the historical sequential day, and absent or 0 means 1 on a single
+	// server and the fleet width behind a router. A count outside [0, 64] is
+	// refused with 400. Delivery output is deterministic for a fixed (seed,
+	// workers) pair.
 	Workers int `json:"workers,omitempty"`
 }
 

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
-	"github.com/adaudit/impliedidentity/internal/platform"
 	"github.com/adaudit/impliedidentity/internal/population"
 )
 
@@ -84,24 +83,19 @@ func TestBuildRefusesConfigBeforeGenerating(t *testing.T) {
 	if _, err := wc.Build(wc.PlatformConfig()); err == nil || !strings.Contains(err.Error(), "registry") {
 		t.Fatalf("zero voters with a valid platform: got %v, want the registry's refusal", err)
 	}
-	for name, edit := range map[string]func(*platform.Config){
-		"shard count": func(c *platform.Config) { c.DeliveryWorkers = 100 },
-		"log rows":    func(c *platform.Config) { c.Training.LogRows = 10 },
-	} {
-		cfg := wc.PlatformConfig()
-		edit(&cfg)
-		// The platform's sentinels are unexported; the innermost error of what
-		// Validate returns is the sentinel.
-		cause := cfg.Validate()
-		for next := cause; next != nil; next = errors.Unwrap(next) {
-			cause = next
-		}
-		if cause == nil {
-			t.Fatalf("%s: Validate accepts the configuration", name)
-		}
-		if _, err := wc.Build(cfg); !errors.Is(err, cause) {
-			t.Errorf("%s: Build returned %v, want %v", name, err, cause)
-		}
+	cfg := wc.PlatformConfig()
+	cfg.Training.LogRows = 10
+	// The platform's sentinels are unexported; the innermost error of what
+	// Validate returns is the sentinel.
+	cause := cfg.Validate()
+	for next := cause; next != nil; next = errors.Unwrap(next) {
+		cause = next
+	}
+	if cause == nil {
+		t.Fatal("10 log rows: Validate accepts the configuration")
+	}
+	if _, err := wc.Build(cfg); !errors.Is(err, cause) {
+		t.Errorf("10 log rows: Build returned %v, want %v", err, cause)
 	}
 	wc.Behavior = population.BehaviorConfig{BaseCTR: 0.9}
 	if _, err := wc.Build(wc.PlatformConfig()); err == nil || !strings.Contains(err.Error(), "behaviour model") {

@@ -182,7 +182,7 @@ func TestResolveMatchesOracle(t *testing.T) {
 		t.Fatalf("targeted users: creator %d, replayer %d", a.TargetedUsers, b.TargetedUsers)
 	}
 	for _, q := range []*Platform{p, p2} {
-		if err := q.RunDay(ids, 77); err != nil {
+		if err := q.RunDayWorkers(ids, 77, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,7 +221,7 @@ func TestAudienceOrderSharesOneList(t *testing.T) {
 	if len(p.resolved) != 1 {
 		t.Errorf("%d resolved lists for one targeting spelled three ways", len(p.resolved))
 	}
-	if err := p.RunDay(ids, 78); err != nil {
+	if err := p.RunDayWorkers(ids, 78, 1); err != nil {
 		t.Fatal(err)
 	}
 	const want = "5dac0a42bdfd2f94895f4ea4f267f84d83212caf510fdc7e2df54d3f4ca4a0f9"
@@ -357,7 +357,7 @@ func TestRestoreDropsResolvedLists(t *testing.T) {
 			t.Errorf("%s targets %d users after Restore, a fresh resolution %d", id, len(a.audience), len(fresh))
 		}
 	}
-	if err := p.RunDay([]string{ad.ID}, 5); err != nil {
+	if err := p.RunDayWorkers([]string{ad.ID}, 5, 1); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := p.Insights(ad.ID)

@@ -210,7 +210,7 @@ func TestUploadDoesNotBlockReaders(t *testing.T) {
 	caID := uploadBalancedAudience(t, p, f, 40, 63)
 	img := image.FromProfile(demo.Profile{Gender: demo.GenderFemale, Race: demo.RaceWhite, Age: demo.ImpliedAdult})
 	ads := createAdSet(t, p, ObjectiveTraffic, caID, []diffAdSpec{{img: img, budget: 200_000}})
-	if err := p.RunDay(ads, 917); err != nil {
+	if err := p.RunDayWorkers(ads, 917, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Every account 32 times over: a million rows to match.

@@ -70,22 +70,17 @@ func (p *Platform) Insights(adID string) (*AdStats, error) {
 	return s.clone(), nil
 }
 
-// RunDay delivers all the given ads over one simulated 24-hour window using
-// the configured default shard count (Config.DeliveryWorkers). Per the
-// audit protocol (§3.2), ads launched together experience the same running
-// environment: one shared auction per ad slot. Ads must be Active; rejected
-// ads are skipped with their status preserved (the Appendix A analysis
-// depends on knowing which were rejected). After the run every delivered ad
-// is StatusCompleted and its insights are frozen.
-func (p *Platform) RunDay(adIDs []string, seed int64) error {
-	return p.RunDayWorkers(adIDs, seed, 0)
-}
-
-// RunDayWorkers is RunDay with an explicit shard count; workers <= 0 falls
-// back to Config.DeliveryWorkers, and a count outside [1, 64] is refused. It
-// is the in-process driver of a day: a fleet that owns every shard, running
-// the same tick barrier (PacingController) and shard step (stepShards) a
-// coordinated day runs, one goroutine per shard. Output is a pure function
+// RunDayWorkers delivers all the given ads over one simulated 24-hour window
+// across workers shards; a count outside [1, 64] is refused, 0 included. Per
+// the audit protocol (§3.2), ads launched together experience the same
+// running environment: one shared auction per ad slot. Ads must be Active;
+// rejected ads are skipped with their status preserved (the Appendix A
+// analysis depends on knowing which were rejected). After the run every
+// delivered ad is StatusCompleted and its insights are frozen.
+//
+// It is the in-process driver of a day: a fleet that owns every shard,
+// running the same tick barrier (PacingController) and shard step
+// (stepShards) a coordinated day runs, one goroutine per shard. Output is a pure function
 // of (ads, seed, shard count): repeated runs with the same inputs are
 // bit-identical, and workers=1 — one live shard drawing from the day seed —
 // reproduces the historical sequential output exactly. Different shard
@@ -96,9 +91,6 @@ func (p *Platform) RunDayWorkers(adIDs []string, seed int64, workers int) error 
 	defer p.mu.Unlock()
 	if p.session != nil {
 		return fmt.Errorf("%w: %q, cannot run an in-process day", ErrSessionActive, p.session.name)
-	}
-	if workers <= 0 {
-		workers = p.cfg.DeliveryWorkers
 	}
 	if err := checkShardCount(workers); err != nil {
 		return err

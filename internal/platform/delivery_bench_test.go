@@ -289,7 +289,7 @@ func BenchmarkInsights(b *testing.B) {
 	f := sharedFixture(b)
 	insightsFx.once.Do(func() {
 		insightsFx.build(703, f.pop, f.behave, 10)
-		if err := insightsFx.p.RunDay(insightsFx.ids, 7031); err != nil {
+		if err := insightsFx.p.RunDayWorkers(insightsFx.ids, 7031, 1); err != nil {
 			panic(err)
 		}
 	})

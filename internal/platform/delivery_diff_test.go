@@ -340,30 +340,3 @@ func TestDeliveryShardedSelfDeterministic(t *testing.T) {
 		})
 	}
 }
-
-// TestDeliveryWorkersFallsBackToConfig checks that RunDay (and an explicit
-// workers<=0) use Config.DeliveryWorkers, by matching the digest of an
-// explicit worker count.
-func TestDeliveryWorkersFallsBackToConfig(t *testing.T) {
-	f := sharedFixture(t)
-	tc := diffCases()[0]
-	cfg := tc.cfg()
-	cfg.DeliveryWorkers = 4
-	p, err := New(cfg, f.pop, f.behave)
-	if err != nil {
-		t.Fatal(err)
-	}
-	caID := tc.setup(t, p, f)
-
-	explicit := createAdSet(t, p, tc.obj, caID, tc.specs)
-	if err := p.RunDayWorkers(explicit, tc.runSeed, 4); err != nil {
-		t.Fatal(err)
-	}
-	viaConfig := createAdSet(t, p, tc.obj, caID, tc.specs)
-	if err := p.RunDay(viaConfig, tc.runSeed); err != nil {
-		t.Fatal(err)
-	}
-	if a, b := deliveryDigest(t, p, explicit), deliveryDigest(t, p, viaConfig); a != b {
-		t.Errorf("RunDay with DeliveryWorkers=4 diverged from explicit workers=4:\n got %s\nwant %s", b, a)
-	}
-}

@@ -28,7 +28,7 @@ func launchPair(t *testing.T, p *Platform, caID string, imgA, imgB image.Feature
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RunDay([]string{adA.ID, adB.ID}, 999); err != nil {
+	if err := p.RunDayWorkers([]string{adA.ID, adB.ID}, 999, 1); err != nil {
 		t.Fatal(err)
 	}
 	sa, err := p.Insights(adA.ID)
@@ -102,17 +102,17 @@ func TestRunDayBasicInvariants(t *testing.T) {
 	statsInvariants(t, sb, 200)
 	// Ads are completed after the run and cannot run again.
 	adIDs := []string{sa.AdID, sb.AdID}
-	if err := p.RunDay(adIDs, 1000); err == nil {
+	if err := p.RunDayWorkers(adIDs, 1000, 1); err == nil {
 		t.Error("re-running completed ads: want error")
 	}
 }
 
 func TestRunDayErrors(t *testing.T) {
 	p, f := newTestPlatform(t, 301)
-	if err := p.RunDay([]string{"ad-404"}, 1); err == nil {
+	if err := p.RunDayWorkers([]string{"ad-404"}, 1, 1); err == nil {
 		t.Error("unknown ad: want error")
 	}
-	if err := p.RunDay(nil, 1); err == nil {
+	if err := p.RunDayWorkers(nil, 1, 1); err == nil {
 		t.Error("no ads: want error")
 	}
 	if _, err := p.Insights("ad-404"); err == nil {
@@ -122,10 +122,10 @@ func TestRunDayErrors(t *testing.T) {
 	// refused request leaves it deliverable.
 	caID := uploadBalancedAudience(t, p, f, 10, 5)
 	ids := createAdSet(t, p, ObjectiveTraffic, caID, []diffAdSpec{{img: imageOfAdult(), budget: 500}})
-	if err := p.RunDay([]string{ids[0], ids[0]}, 1); err == nil {
+	if err := p.RunDayWorkers([]string{ids[0], ids[0]}, 1, 1); err == nil {
 		t.Error("ad listed twice: want error")
 	}
-	if err := p.RunDay(ids, 1); err != nil {
+	if err := p.RunDayWorkers(ids, 1, 1); err != nil {
 		t.Errorf("day after a refused request: %v", err)
 	}
 }
@@ -150,7 +150,7 @@ func TestRejectedAdsAreSkippedNotFatal(t *testing.T) {
 	if rejected.Status != StatusRejected {
 		t.Fatal("setup: second ad should be rejected")
 	}
-	if err := p.RunDay([]string{okAd.ID, rejected.ID}, 5); err != nil {
+	if err := p.RunDayWorkers([]string{okAd.ID, rejected.ID}, 5, 1); err != nil {
 		t.Fatalf("run with rejected ad present: %v", err)
 	}
 	if _, err := p.Insights(rejected.ID); err == nil {

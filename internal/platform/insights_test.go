@@ -21,7 +21,7 @@ func TestInsightsReturnsDeepCopy(t *testing.T) {
 	caID := uploadBalancedAudience(t, p, f, 30, 71)
 	img := image.FromProfile(demo.Profile{Gender: demo.GenderMale, Race: demo.RaceWhite, Age: demo.ImpliedAdult})
 	ids := createAdSet(t, p, ObjectiveTraffic, caID, []diffAdSpec{{img: img, budget: 500}})
-	if err := p.RunDay(ids, 7071); err != nil {
+	if err := p.RunDayWorkers(ids, 7071, 1); err != nil {
 		t.Fatal(err)
 	}
 

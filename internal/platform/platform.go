@@ -60,14 +60,6 @@ type Config struct {
 	// VisionSeed seeds the platform's own content classifier training,
 	// independent of any classifier the auditor uses.
 	VisionSeed int64
-	// DeliveryWorkers is the default shard count for RunDay: the number of
-	// deterministic user shards delivery is partitioned across, one
-	// goroutine each. 0 means 1, the single live shard whose output is the
-	// historical sequential day; New refuses a count outside [1, 64]. Output
-	// is bit-identical across runs for a fixed count; different counts give
-	// statistically equivalent but distinct days (each shard has its own
-	// seeded RNG stream). See DESIGN.md.
-	DeliveryWorkers int
 }
 
 // DefaultConfig returns the standard simulation configuration.
@@ -143,9 +135,6 @@ func (c Config) withDefaults() Config {
 	if c.Ticks == 0 {
 		c.Ticks = 48
 	}
-	if c.DeliveryWorkers == 0 {
-		c.DeliveryWorkers = 1
-	}
 	return c
 }
 
@@ -156,9 +145,6 @@ func (c Config) Validate() error {
 	c = c.withDefaults()
 	if c.Ticks < 2 {
 		return fmt.Errorf("platform: need at least 2 pacing ticks, got %d", c.Ticks)
-	}
-	if err := checkShardCount(c.DeliveryWorkers); err != nil {
-		return fmt.Errorf("Config.DeliveryWorkers: %w", err)
 	}
 	if c.FrequencyCap > maxFrequencyCap {
 		return fmt.Errorf("platform: frequency cap %d above the supported maximum %d", c.FrequencyCap, maxFrequencyCap)

@@ -171,13 +171,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg, nil, nil); !errors.Is(err, errLogRows) {
 		t.Errorf("tiny training log and no population: got %v, want errLogRows", err)
 	}
-	for _, workers := range []int{-1, maxDeliveryWorkers + 1} {
-		cfg = testConfig(1)
-		cfg.DeliveryWorkers = workers
-		if _, err := New(cfg, f.pop, f.behave); !errors.Is(err, errShardCount) {
-			t.Errorf("default delivery workers %d: got %v, want errShardCount", workers, err)
-		}
-	}
 }
 
 // TestShardCountRefusedNotSubstituted: the three ways into a day share one
@@ -187,8 +180,10 @@ func TestShardCountRefusedNotSubstituted(t *testing.T) {
 	caID := uploadBalancedAudience(t, p, f, 20, 1)
 	ids := createAdSet(t, p, ObjectiveTraffic, caID, []diffAdSpec{{img: image.FromProfile(demo.AllProfiles()[0]), budget: 300}})
 	const over = maxDeliveryWorkers + 1
-	if err := p.RunDayWorkers(ids, 1, over); !errors.Is(err, errShardCount) {
-		t.Errorf("RunDayWorkers(%d): got %v, want errShardCount", over, err)
+	for _, workers := range []int{0, over} {
+		if err := p.RunDayWorkers(ids, 1, workers); !errors.Is(err, errShardCount) {
+			t.Errorf("RunDayWorkers(%d): got %v, want errShardCount", workers, err)
+		}
 	}
 	if ad, err := p.Ad(ids[0]); err != nil || ad.Status != StatusActive {
 		t.Errorf("a refused day delivered: ad %+v, %v", ad, err)

@@ -57,7 +57,7 @@ func buildAccount(t *testing.T, p *Platform, f *fixture) []string {
 	if _, err := p.AppealAd(adC.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.RunDay([]string{adA.ID, adB.ID}, 999); err != nil {
+	if err := p.RunDayWorkers([]string{adA.ID, adB.ID}, 999, 1); err != nil {
 		t.Fatal(err)
 	}
 	return []string{adA.ID, adB.ID}

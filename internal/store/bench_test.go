@@ -39,7 +39,7 @@ func benchAccount(b *testing.B, p *platform.Platform, ads int) {
 		}
 		ids = append(ids, ad.ID)
 	}
-	if err := p.RunDay(ids[:2], 42); err != nil {
+	if err := p.RunDayWorkers(ids[:2], 42, 1); err != nil {
 		b.Fatal(err)
 	}
 }

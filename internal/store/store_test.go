@@ -119,7 +119,7 @@ func drive(t *testing.T, p *platform.Platform, tag string) {
 		}
 		ads = append(ads, ad.ID)
 	}
-	if err := p.RunDay(ads, 42); err != nil {
+	if err := p.RunDayWorkers(ads, 42, 1); err != nil {
 		t.Fatal(err)
 	}
 }

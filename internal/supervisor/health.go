@@ -1,8 +1,9 @@
 // Package supervisor is the fleet self-healing layer over the multi-process
 // serving tier: a per-shard health state machine fed by liveness probes and
-// live RPC outcomes, a probe loop that quarantines shards scored down and
-// relaunches (or re-attaches) them, and the rejoin hand-off back into the
-// coordinator's CRUD fan-out and delivery pool.
+// live RPC outcomes, a probe loop that relaunches (or re-attaches) shards
+// scored down, and the rejoin hand-off back into the coordinator's CRUD
+// fan-out and delivery pool. The health model is the one record of
+// admission: a shard is in service exactly when it is healthy or suspect.
 //
 // The state machine is deliberately conservative about what counts as
 // failure: ANY HTTP answer — including injected 5xx, shed 429s, and terminal
@@ -45,14 +46,20 @@ const (
 	// Suspect shards have a short transport-failure streak; they still take
 	// traffic (the streak either clears or escalates within a few probes).
 	Suspect
-	// Down shards are quarantined: excluded from fan-out while CRUD goes on
-	// without them, and the supervisor works on bringing them back.
+	// Down shards are quarantined: out of service, excluded from fan-out
+	// while CRUD goes on without them, and the supervisor works on bringing
+	// them back.
 	Down
 	// Recovering shards answer probes again but have not yet taken a peer's
 	// replicated state and passed the digest gate; they stay quarantined
 	// until rejoin completes.
 	Recovering
 )
+
+// InService reports whether a shard in this state takes traffic: the CRUD
+// fan-out, reads and delivery days. Healthy and suspect shards do; down and
+// recovering ones are quarantined.
+func (s State) InService() bool { return s == Healthy || s == Suspect }
 
 // String names the state for topology output and logs.
 func (s State) String() string {
@@ -81,8 +88,9 @@ const (
 	DownAfter = 4
 )
 
-// FleetHealth scores every shard of one fleet. It is shared between the
-// coordinator (which feeds RPC outcomes and gates admission) and the
+// FleetHealth scores every shard of one fleet, and is the fleet's only
+// record of which shards are in service. It is shared between the
+// coordinator (which feeds RPC outcomes and reads admission from it) and the
 // supervisor loop (which feeds probe outcomes and drives recovery).
 type FleetHealth struct {
 	reg   *obs.Registry
@@ -90,6 +98,9 @@ type FleetHealth struct {
 
 	mu     sync.Mutex
 	shards []shardHealth
+	// lastOut is the shard that left service last: after a whole-fleet
+	// outage it alone holds every acknowledged mutation.
+	lastOut int
 }
 
 // shardHealth is one shard's score.
@@ -126,6 +137,8 @@ func (h *FleetHealth) setGaugeLocked(shard int, s State) {
 func shardLabel(shard int) string { return fmt.Sprintf("shard%d", shard) }
 
 // transitionLocked moves a shard and publishes the gauge + transition count.
+// A move out of service is a quarantine, counted here once whichever path
+// took the shard out: live RPCs, a probe or a forced MarkDown.
 func (h *FleetHealth) transitionLocked(shard int, to State) {
 	from := h.shards[shard].state
 	if from == to {
@@ -134,6 +147,10 @@ func (h *FleetHealth) transitionLocked(shard int, to State) {
 	h.shards[shard].state = to
 	h.setGaugeLocked(shard, to)
 	h.reg.Counter(MetricTransitions + "|" + to.String()).Inc()
+	if from.InService() && !to.InService() {
+		h.lastOut = shard
+		h.reg.Counter(MetricQuarantines).Inc()
+	}
 }
 
 // Observe feeds one interaction outcome — a probe or a live fan-out RPC —
@@ -185,6 +202,33 @@ func (h *FleetHealth) States() []State {
 	return out
 }
 
+// Out lists the shards out of service, in shard order.
+func (h *FleetHealth) Out() []int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	var out []int
+	for i := range h.shards {
+		if !h.shards[i].state.InService() {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// Reference is the first shard in service — the replica a rejoining shard
+// takes its state from and digests against — or, when the whole fleet is
+// out, the shard that left service last, with ok false.
+func (h *FleetHealth) Reference() (shard int, ok bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for i := range h.shards {
+		if h.shards[i].state.InService() {
+			return i, true
+		}
+	}
+	return h.lastOut, false
+}
+
 // DownSince reports when the shard was scored down (zero if it never was, or
 // has been readmitted since).
 func (h *FleetHealth) DownSince(shard int) time.Time {
@@ -193,8 +237,8 @@ func (h *FleetHealth) DownSince(shard int) time.Time {
 	return h.shards[shard].downSince
 }
 
-// MarkDown forces a shard down — the coordinator quarantining a shard whose
-// fan-out failures crossed the threshold, or the supervisor demoting a
+// MarkDown forces a shard down — the coordinator quarantining a shard that
+// answered a mutation unlike its peers, or the supervisor demoting a
 // recovering shard whose probe failed again. The original downSince is kept
 // on a Recovering→Down demotion so MTTR stays honest.
 func (h *FleetHealth) MarkDown(shard int) {

@@ -8,6 +8,9 @@ const (
 	MetricShardState = "supervisor.shard.state"
 	// MetricTransitions counts state transitions, labeled by target state.
 	MetricTransitions = "supervisor.transitions"
+	// MetricQuarantines counts exits from service: moves from healthy or
+	// suspect to down, one per exit whichever path scored it.
+	MetricQuarantines = "supervisor.quarantines"
 	// MetricMTTR is the down-detection→verified-readmission latency.
 	MetricMTTR = "supervisor.mttr"
 	// MetricProbes counts liveness probes sent.

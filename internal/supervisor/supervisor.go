@@ -15,10 +15,11 @@ import (
 var ErrBusy = errors.New("supervisor: fleet busy, rejoin deferred")
 
 // Cluster is the supervisor's view of the coordinator. The supervisor owns
-// WHEN to probe, quarantine, relaunch, and rejoin; the cluster owns HOW —
-// the state transfer, the digest gate, and admission into the fan-out pool.
-// (The interface points this way so the coordinator can import the health
-// model without a package cycle.)
+// WHEN to probe, relaunch, and rejoin; the cluster owns HOW — the state
+// transfer and the digest gate. Admission is the shared health model's: a
+// shard scored down is out of the fan-out the moment it is scored. (The
+// interface points this way so the coordinator can import the health model
+// without a package cycle.)
 type Cluster interface {
 	// Shards reports the fleet size.
 	Shards() int
@@ -28,9 +29,6 @@ type Cluster interface {
 	// through the same transport the fan-out uses, so a network partition is
 	// observed by probes exactly as by live traffic.
 	ProbeShard(ctx context.Context, shard int) error
-	// Quarantine excludes a shard from fan-out; CRUD goes on without it.
-	// Reports whether the shard was newly quarantined.
-	Quarantine(shard int) bool
 	// TryRejoin installs an admitted peer's replicated state on a
 	// recovering shard, runs the cross-shard digest gate, and readmits it.
 	// Returns ErrBusy (retry later) when a delivery day holds the fleet
@@ -160,24 +158,18 @@ func (s *Supervisor) Stop() {
 	s.stop = nil
 }
 
-// Step runs one supervision pass over every shard: probe, score, quarantine,
-// relaunch, rejoin. Exported so tests (and deterministic harnesses) can
-// drive the loop without real time.
+// Step runs one supervision pass over every shard: probe, score, relaunch,
+// rejoin. Exported so tests (and deterministic harnesses) can drive the loop
+// without real time.
 func (s *Supervisor) Step(ctx context.Context) {
 	h := s.cluster.Health()
 	for i := 0; i < s.cluster.Shards(); i++ {
 		switch h.State(i) {
 		case Healthy, Suspect:
-			alive := s.probe(ctx, i)
-			if h.Observe(i, alive) == Down {
-				if s.cluster.Quarantine(i) {
-					s.logf("supervisor: shard %d unreachable, quarantined", i)
-				}
+			if h.Observe(i, s.probe(ctx, i)) == Down {
+				s.logf("supervisor: shard %d unreachable, quarantined", i)
 			}
 		case Down:
-			// The RPC path may have scored the shard down before anyone
-			// quarantined it; make the quarantine effective first.
-			s.cluster.Quarantine(i)
 			if s.probe(ctx, i) {
 				if h.MarkRecovering(i) {
 					s.rejoin(ctx, i)

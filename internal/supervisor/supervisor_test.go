@@ -103,22 +103,53 @@ func TestHealthMTTR(t *testing.T) {
 	}
 }
 
+// Admission is the health state: healthy and suspect shards are in service,
+// each exit from service is counted once, and with the whole fleet out the
+// reference is the shard that left service last.
+func TestHealthIsAdmission(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := NewFleetHealth(3, reg, obs.NewManualClock())
+	quarantines := func() int64 { return reg.Counter(MetricQuarantines).Value() }
+	for i := 0; i < SuspectAfter; i++ {
+		h.Observe(1, false)
+	}
+	if !h.State(1).InService() || len(h.Out()) != 0 {
+		t.Fatalf("suspect shard out of service: out %v", h.Out())
+	}
+	for i := SuspectAfter; i < DownAfter; i++ {
+		h.Observe(1, false)
+	}
+	h.MarkDown(2)
+	h.MarkDown(2)
+	if got := h.Out(); len(got) != 2 || got[0] != 1 || got[1] != 2 || quarantines() != 2 {
+		t.Fatalf("out %v with %d quarantines, want [1 2] and 2", got, quarantines())
+	}
+	if ref, ok := h.Reference(); !ok || ref != 0 {
+		t.Fatalf("reference %d (%v), want shard 0 in service", ref, ok)
+	}
+	// A recovering shard that fails again was out already: not a new exit.
+	h.MarkRecovering(1)
+	h.MarkDown(1)
+	h.MarkDown(0)
+	if ref, ok := h.Reference(); ok || ref != 0 || quarantines() != 3 {
+		t.Fatalf("whole fleet out: reference %d (%v), %d quarantines; want shard 0, the last out, and 3", ref, ok, quarantines())
+	}
+}
+
 // fakeCluster scripts per-shard probe outcomes and records supervisor calls.
 type fakeCluster struct {
-	mu          sync.Mutex
-	health      *FleetHealth
-	alive       []bool
-	quarantined []bool
-	rejoinErr   []error
-	rejoins     []int
+	mu        sync.Mutex
+	health    *FleetHealth
+	alive     []bool
+	rejoinErr []error
+	rejoins   []int
 }
 
 func newFakeCluster(n int, clock obs.Clock) *fakeCluster {
 	f := &fakeCluster{
-		health:      NewFleetHealth(n, nil, clock),
-		alive:       make([]bool, n),
-		quarantined: make([]bool, n),
-		rejoinErr:   make([]error, n),
+		health:    NewFleetHealth(n, nil, clock),
+		alive:     make([]bool, n),
+		rejoinErr: make([]error, n),
 	}
 	for i := range f.alive {
 		f.alive[i] = true
@@ -138,15 +169,6 @@ func (f *fakeCluster) ProbeShard(_ context.Context, shard int) error {
 	return fmt.Errorf("connection refused")
 }
 
-func (f *fakeCluster) Quarantine(shard int) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	was := !f.quarantined[shard]
-	f.quarantined[shard] = true
-	f.health.MarkDown(shard)
-	return was
-}
-
 func (f *fakeCluster) TryRejoin(_ context.Context, shard int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -154,7 +176,6 @@ func (f *fakeCluster) TryRejoin(_ context.Context, shard int) error {
 	if err := f.rejoinErr[shard]; err != nil {
 		return err
 	}
-	f.quarantined[shard] = false
 	f.health.MarkHealthy(shard)
 	return nil
 }
@@ -221,8 +242,8 @@ func TestSupervisorLifecycle(t *testing.T) {
 	if got := cluster.health.State(1); got != Down {
 		t.Fatalf("after %d failed probes: %v, want down", DownAfter, got)
 	}
-	if !cluster.quarantined[1] {
-		t.Fatalf("down shard not quarantined")
+	if cluster.health.State(1).InService() {
+		t.Fatalf("down shard still in service")
 	}
 	if len(rel.calls) != 0 {
 		t.Fatalf("relaunched before the grace period: %v", rel.calls)
@@ -247,8 +268,8 @@ func TestSupervisorLifecycle(t *testing.T) {
 	if got := cluster.health.State(1); got != Healthy {
 		t.Fatalf("after relaunch + rejoin: %v, want healthy", got)
 	}
-	if cluster.quarantined[1] {
-		t.Fatalf("rejoined shard still quarantined")
+	if !cluster.health.State(1).InService() {
+		t.Fatalf("rejoined shard out of service")
 	}
 	if len(cluster.rejoins) == 0 {
 		t.Fatalf("no rejoin attempted")

@@ -3,8 +3,8 @@
 # 2-shard fleet must be byte-identical to a single adplatform privatizing the
 # same world under the same policy and noise seed.
 #
-# Topology A: one adplatform with -delivery-workers 2 and the privacy policy
-# armed locally. Topology B: two RAW shard adplatforms behind an adrouter that
+# Topology A: one adplatform with the privacy policy armed locally; the
+# workload's -delivery-workers 2 runs its days on two shards in process. Topology B: two RAW shard adplatforms behind an adrouter that
 # applies the SAME policy to the merged report (merge-then-privatize). Both
 # run the identical seeded cmd/adload workload; the smoke then reads every
 # created ad's privatized insights (full + age,gender,region breakdown) from
@@ -55,7 +55,7 @@ wait_healthy() {
 echo "starting topology A: single adplatform, privacy armed locally..."
 # shellcheck disable=SC2086
 "$WORK/bin/adplatform" -addr 127.0.0.1:8410 $WORLD $PRIVACY \
-  -delivery-workers 2 -voterdir "$WORK/extracts" >"$WORK/logs/single.log" 2>&1 &
+  -voterdir "$WORK/extracts" >"$WORK/logs/single.log" 2>&1 &
 PIDS+=($!)
 
 echo "starting topology B: 2 raw shards behind a privatizing router..."
