@@ -143,7 +143,7 @@ func run(args []string, stdout io.Writer) error {
 		client.SetRetryPolicy(pol)
 	}
 	// The topology probe and the metrics scrape go through a client of their
-	// own, so the report's retry and breaker counts cover only the workload.
+	// own, so the report's retry count covers only the workload.
 	probe, err := newProbeClient(baseURL)
 	if err != nil {
 		return err
@@ -286,7 +286,6 @@ func summarize(rep *loadgen.Report) string {
 	out := report.ServingSummary(title, rows, rep.WallSeconds, rep.ThroughputRPS, rep.Errors,
 		report.ServingResilience{
 			Retries:        rep.Retries,
-			BreakerRejects: rep.BreakerRejects,
 			RequestsShed:   rep.RequestsShed,
 			FaultsInjected: rep.FaultsInjected,
 		})

@@ -10,26 +10,27 @@
 // -logrows); the router asserts cross-shard agreement on every response and
 // fails loudly on divergence.
 //
-// With -supervise the router also runs the fleet supervisor: it probes every
-// shard, quarantines one that stops answering (CRUD keeps running against the
-// survivors), and — when -shard-cmd is given — owns the shard child processes
-// outright: it spawns them at boot and resurrects a dead one under the SAME
-// shard index. A resurrected shard recovers from its own WAL, takes the
-// replicated account from an admitted peer, and is readmitted once its state
-// digest equals the peer's.
+// The router always runs the fleet supervisor: it probes every shard,
+// quarantines one that stops answering (CRUD keeps running against the
+// survivors) and rejoins it once it answers again. A rejoining shard takes
+// the replicated account from an admitted peer and is readmitted once its
+// state digest equals the peer's. With -shard-cmd the router also owns the
+// shard child processes outright: it spawns them at boot and resurrects a
+// dead one under the SAME shard index, which recovers from its own WAL
+// first. Without it the supervisor only re-attaches shards that an external
+// process manager restarts.
 //
 // Usage:
 //
 //	adrouter -addr 127.0.0.1:8400 \
 //	  -shards http://127.0.0.1:8401,http://127.0.0.1:8402
 //
-//	adrouter -addr 127.0.0.1:8400 -supervise \
+//	adrouter -addr 127.0.0.1:8400 \
 //	  -shards http://127.0.0.1:8401,http://127.0.0.1:8402 \
 //	  -shard-cmd './bin/adplatform -addr {addr} -store-dir wal/shard{shard}'
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -63,7 +64,6 @@ func run(args []string) error {
 	dayBackoff := fs.Duration("day-backoff", 2*time.Second, "initial wait between delivery-day attempts (doubles, capped at 8x)")
 	waitReady := fs.Duration("wait-ready", 30*time.Second, "how long to wait for every backend's /healthz at startup (0 skips the check)")
 	drainTimeout := node.DrainTimeoutFlag(fs)
-	supervise := fs.Bool("supervise", false, "run the fleet supervisor: probe shards, quarantine the unreachable, and rejoin them by state transfer from a peer through the digest gate")
 	probeInterval := fs.Duration("probe-interval", 500*time.Millisecond, "supervisor probe cadence")
 	shardCmd := fs.String("shard-cmd", "", "shard child command template ({shard} and {addr} expand per shard); the router spawns the children at boot and the supervisor resurrects dead ones under the same index")
 	shardLogDir := fs.String("shard-log-dir", "", "directory for per-shard child logs (with -shard-cmd; appended across relaunches)")
@@ -153,21 +153,17 @@ func run(args []string) error {
 	}
 
 	// The supervisor runs under the signal's context: once draining begins it
-	// must not resurrect shards the same signal is taking down.
-	var start func(context.Context)
-	if *supervise {
-		// A nil *ProcessRelauncher must stay a nil interface: re-attach-only
-		// mode (an external process manager restarts the children).
-		var relIface supervisor.Relauncher
-		if rel != nil {
-			relIface = rel
-		}
-		sup := supervisor.New(coord, relIface, supervisor.Config{ProbeInterval: *probeInterval, Logf: log.Printf}, reg)
-		start = sup.Start
-		defer sup.Stop()
-		fmt.Printf("fleet supervisor running (probe every %s, relaunch %v)\n", *probeInterval, rel != nil)
+	// must not resurrect shards the same signal is taking down. A nil
+	// *ProcessRelauncher must stay a nil interface: re-attach-only mode (an
+	// external process manager restarts the children).
+	var relIface supervisor.Relauncher
+	if rel != nil {
+		relIface = rel
 	}
-	drainErr := node.Serve(ln, router.Handler(), *drainTimeout, start)
+	sup := supervisor.New(coord, relIface, supervisor.Config{ProbeInterval: *probeInterval, Logf: log.Printf}, reg)
+	defer sup.Stop()
+	fmt.Printf("fleet supervisor running (probe every %s, relaunch %v)\n", *probeInterval, rel != nil)
+	drainErr := node.Serve(ln, router.Handler(), *drainTimeout, sup.Start)
 	fmt.Println("final router metrics:")
 	fmt.Print(reg.Snapshot().String())
 	return drainErr

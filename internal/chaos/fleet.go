@@ -6,8 +6,8 @@ package chaos
 // supervisor.New, stepped through its exported Step. Nothing here stands in
 // for production code. What is simulated is the network — an
 // http.RoundTripper that hands a request to the handler its URL's host names
-// — and time: one obs.ManualClock behind every backoff, breaker, slowed link
-// and health timestamp, which moves only when something sleeps on it. A
+// — and time: one obs.ManualClock behind every backoff, slowed link and
+// health timestamp, which moves only when something sleeps on it. A
 // schedule that takes 18 s of wall over real processes takes a fraction of a
 // second here, and the same seed replays to the same bytes.
 

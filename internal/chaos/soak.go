@@ -170,22 +170,13 @@ func soakDisturbed(ctx context.Context, cfg SoakConfig, launch func(bool) (Deplo
 
 	// The verification day must commit. Delivery is one-shot per ad, so if a
 	// mid-chaos day consumed every active ad, create until one is active. The
-	// fleet is whole again, but the client's breaker may still be cooling off
-	// from the outage: that refusal is waited out, any other is a failure.
-	verify := func(op Op) error {
-		err := w.do(ctx, op)
-		for waited := 0; errors.Is(err, marketing.ErrCircuitOpen) && waited < healTicks; waited++ {
-			d.Tick(ctx)
-			err = w.do(ctx, op)
-		}
-		return err
-	}
+	// fleet is whole again, so any refusal is a failure.
 	for tick := cfg.Ticks; len(w.undelivered) == 0; tick++ {
-		if err := verify(w.next(tick)); err != nil {
+		if err := w.do(ctx, w.next(tick)); err != nil {
 			return nil, fmt.Errorf("operation at tick %d on the healed fleet: %w", tick, err)
 		}
 	}
-	if err := verify(w.nextDay(cfg.Ticks)); err != nil {
+	if err := w.do(ctx, w.nextDay(cfg.Ticks)); err != nil {
 		return nil, fmt.Errorf("verification day on the healed fleet: %w", err)
 	}
 
@@ -228,12 +219,12 @@ func soakReplay(ctx context.Context, cfg SoakConfig, launch func(bool) (Deployme
 
 // typedRefusal reports whether a failed operation was refused the way the
 // fleet promises to refuse: the router's 503 for a degraded fleet or 502 for
-// a shard it could not reach, or the client's open breaker. A divergence is
-// reported as a 502 too, and is never an acceptable answer.
+// a shard it could not reach. A divergence is reported as a 502 too, and is
+// never an acceptable answer.
 func typedRefusal(err error) bool {
 	var api *marketing.APIError
 	if !errors.As(err, &api) || strings.Contains(api.Message, "diverged") {
-		return errors.Is(err, marketing.ErrCircuitOpen)
+		return false
 	}
 	return api.StatusCode == http.StatusServiceUnavailable || api.StatusCode == http.StatusBadGateway
 }

@@ -226,3 +226,22 @@ func TestSoakSeed1MatchesRealProcesses(t *testing.T) {
 			res.Refused, res.Digest, realRun)
 	}
 }
+
+// TestSoakSeed16RefusesNothing pins the schedule a second failure detector
+// hurt most: shard 1 partitioned at tick 0, shard 0 at tick 4, shard 1
+// paused at tick 16 and slowed at tick 20. When each marketing.Client kept a
+// circuit breaker of its own, the router's clients refused shard 1's rejoin
+// handshakes after its partition healed, so the fleet was whole-out at tick 4,
+// and the advertiser's client went on refusing locally after both shards were
+// back. With the health model the only judge of liveness, every operation of
+// the schedule is acknowledged.
+func TestSoakSeed16RefusesNothing(t *testing.T) {
+	res, err := soakSeed(t, 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Refused != 0 || len(res.Ops) != 30 {
+		t.Errorf("chaos seed 16 over 2 simulated shards: %d refused, %d acknowledged; want 0 refused and all 30 acknowledged\n%s",
+			res.Refused, len(res.Ops), describe(res))
+	}
+}

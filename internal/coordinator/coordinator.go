@@ -85,7 +85,7 @@ type Config struct {
 	// the chaos/fault injection seam (faults.NewTransport).
 	Transport http.RoundTripper
 	// Clock injects time for the day-retry backoff, MTTR accounting and the
-	// backend clients' retry backoff and breakers; nil is the system clock.
+	// backend clients' retry backoff; nil is the system clock.
 	Clock obs.Clock
 	// Privacy is the insights privatization policy, applied to the MERGED
 	// report after cross-shard summation (merge-then-privatize: per-shard

@@ -89,7 +89,7 @@ const degradedRetryAfter = "2"
 // 400/404/409); fleet-degradation errors — a quarantined shard, an
 // exhausted day budget — are 503 + Retry-After, the "try again after the
 // fleet heals" contract idempotent clients compose with; everything else —
-// transport failures, open breakers, divergence — is the router's own 502.
+// transport failures, divergence — is the router's own 502.
 func writeRouterError(w http.ResponseWriter, err error) {
 	if errors.Is(err, ErrShardDown) || errors.Is(err, ErrDayExhausted) {
 		w.Header().Set("Retry-After", degradedRetryAfter)

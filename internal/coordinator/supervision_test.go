@@ -165,8 +165,6 @@ func TestShardResurrectionWithStateTransfer(t *testing.T) {
 	if inv.Ads != 4 || inv.Audiences != 2 || inv.Campaigns != 2 {
 		t.Fatalf("healed inventory %+v", inv)
 	}
-	// Ten 503s in a row opened the client's breaker; its cooldown is virtual.
-	f.Clock.Sleep(marketing.BreakerCooldown)
 	if err := client.Deliver(ctx, outageIDs, seed); err != nil {
 		t.Fatal(err)
 	}
@@ -480,8 +478,6 @@ func TestEveryExitFromServiceCountedOnce(t *testing.T) {
 	}
 	scoreDownByInsights(t, f, 1, ids[0])
 	expect("live insights reads", 1)
-	// The reads opened shard 1's breaker; its cooldown is virtual.
-	f.Clock.Sleep(marketing.BreakerCooldown)
 	revive(t, f, 1)
 
 	if err := f.Kill(1); err != nil {

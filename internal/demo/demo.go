@@ -80,20 +80,6 @@ func (r Race) String() string {
 	}
 }
 
-// ParseRace converts a string (case-insensitive; accepts the voter-extract
-// codes "W", "B") into a Race.
-func ParseRace(s string) (Race, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "w", "white", "white, not hispanic":
-		return RaceWhite, nil
-	case "b", "black", "black, not hispanic":
-		return RaceBlack, nil
-	case "o", "other", "":
-		return RaceOther, nil
-	}
-	return RaceOther, fmt.Errorf("demo: unknown race %q", s)
-}
-
 // AgeBucket is one of the six age ranges Facebook uses when reporting
 // delivery breakdowns (§3.2, footnote 3). The paper's target audiences are
 // stratified within these buckets (Table 1).
@@ -243,25 +229,6 @@ func (a ImpliedAge) RepresentativeYears() float64 {
 // AllImpliedAges lists the implied age groups in ascending order.
 func AllImpliedAges() []ImpliedAge {
 	return []ImpliedAge{ImpliedChild, ImpliedTeen, ImpliedAdult, ImpliedMiddleAged, ImpliedElderly}
-}
-
-// ParseImpliedAge converts a label into an ImpliedAge. It accepts both
-// "middle-aged" and the "middle-age" spelling Table 3 uses, and "old" as a
-// synonym for elderly (Figure 3's x-axis label).
-func ParseImpliedAge(s string) (ImpliedAge, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "child":
-		return ImpliedChild, nil
-	case "teen", "teenager":
-		return ImpliedTeen, nil
-	case "adult":
-		return ImpliedAdult, nil
-	case "middle-aged", "middle-age", "middleaged":
-		return ImpliedMiddleAged, nil
-	case "elderly", "old":
-		return ImpliedElderly, nil
-	}
-	return 0, fmt.Errorf("demo: unknown implied age %q", s)
 }
 
 // State identifies one of the two voter-record states the methodology uses as

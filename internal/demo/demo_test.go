@@ -33,31 +33,6 @@ func TestParseGenderCodes(t *testing.T) {
 	}
 }
 
-func TestRaceRoundTrip(t *testing.T) {
-	for _, r := range []Race{RaceOther, RaceWhite, RaceBlack} {
-		got, err := ParseRace(r.String())
-		if err != nil {
-			t.Fatalf("ParseRace(%q): %v", r.String(), err)
-		}
-		if got != r {
-			t.Errorf("round trip %v -> %q -> %v", r, r.String(), got)
-		}
-	}
-	if _, err := ParseRace("martian"); err == nil {
-		t.Error("ParseRace(martian): want error")
-	}
-}
-
-func TestParseRaceVoterCodes(t *testing.T) {
-	// The voter extracts use census labels; the parser must accept them.
-	if r, err := ParseRace("White, Not Hispanic"); err != nil || r != RaceWhite {
-		t.Errorf("census white label: got %v, %v", r, err)
-	}
-	if r, err := ParseRace("Black, Not Hispanic"); err != nil || r != RaceBlack {
-		t.Errorf("census black label: got %v, %v", r, err)
-	}
-}
-
 func TestBucketForAgeMatchesBounds(t *testing.T) {
 	for _, b := range AllAgeBuckets() {
 		lo, hi := b.Bounds()
@@ -104,22 +79,6 @@ func TestAgeBucketMidInsideBounds(t *testing.T) {
 		if mid < float64(lo) || mid > float64(hi) {
 			t.Errorf("%v: mid %v outside [%d,%d]", b, mid, lo, hi)
 		}
-	}
-}
-
-func TestImpliedAgeRoundTrip(t *testing.T) {
-	for _, a := range AllImpliedAges() {
-		got, err := ParseImpliedAge(a.String())
-		if err != nil || got != a {
-			t.Errorf("round trip %v: got %v, %v", a, got, err)
-		}
-	}
-	// Aliases used in the paper's tables and figures.
-	if a, err := ParseImpliedAge("middle-age"); err != nil || a != ImpliedMiddleAged {
-		t.Errorf("middle-age alias: %v, %v", a, err)
-	}
-	if a, err := ParseImpliedAge("old"); err != nil || a != ImpliedElderly {
-		t.Errorf("old alias: %v, %v", a, err)
 	}
 }
 

@@ -408,10 +408,9 @@ func (r *Runner) report(wall time.Duration) *Report {
 			SuppressedCellsTotal: r.suppressedCells.Load(),
 		}
 	}
-	// The client shares this registry (New wires it), so its resilience
-	// counters land in the same snapshot as the per-op histograms.
+	// The client shares this registry (New wires it), so its retry counter
+	// lands in the same snapshot as the per-op histograms.
 	rep.Retries = snap.Counters[marketing.MetricClientRetries]
-	rep.BreakerRejects = snap.Counters[marketing.MetricClientBreakerRejects]
 	for _, op := range Ops {
 		requests := snap.Counters["op.requests|"+op]
 		if requests == 0 {

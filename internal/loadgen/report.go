@@ -62,10 +62,8 @@ type Report struct {
 	Errors        int64   `json:"errors"`
 	ThroughputRPS float64 `json:"throughput_rps"`
 	// Retries counts client-side retry attempts beyond each call's first
-	// try; BreakerRejects counts calls refused outright by the client's
-	// open circuit breaker.
-	Retries        int64 `json:"retries,omitempty"`
-	BreakerRejects int64 `json:"breaker_rejects,omitempty"`
+	// try.
+	Retries int64 `json:"retries,omitempty"`
 	// RequestsShed is scraped from the target's GET /metrics at the end of
 	// the run (zero when scraping failed or the server does not shed).
 	// FaultsInjected counts the faults injected into the workload's own

@@ -25,14 +25,7 @@ const (
 	// MetricClientRetries counts retried attempts (attempts beyond the
 	// first for any call).
 	MetricClientRetries = "client.retries"
-	// MetricClientBreakerRejects counts calls refused locally because the
-	// circuit breaker was open.
-	MetricClientBreakerRejects = "client.breaker_rejects"
 )
-
-// ErrCircuitOpen is returned (wrapped) when the circuit breaker refuses a
-// call without touching the network.
-var ErrCircuitOpen = errors.New("marketing: circuit breaker open")
 
 // RetryPolicy shapes the client's retry loop: exponential backoff with equal
 // jitter, honoring server Retry-After hints.
@@ -54,25 +47,15 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}
 }
 
-// The circuit breaker: after BreakerThreshold consecutive retryable failures
-// (terminal API answers count as service-alive and reset the streak) it opens
-// for BreakerCooldown, and calls fail fast with ErrCircuitOpen instead of
-// hammering a down platform. After the cooldown the next call probes; a
-// failure re-opens it. The values tolerate a chaotic platform (transient
-// fault rates well above anything a real API sustains) while still cutting
-// off a dead one within a few seconds.
-const (
-	BreakerThreshold = 10
-	BreakerCooldown  = 5 * time.Second
-)
-
 // Client is the advertiser-side API client the audit tooling uses. Requests
 // are optionally rate-limited, mirroring the paper's polite data-collection
 // posture (§4.1), and hardened against a flaky platform: every call takes a
 // context, retries retryable failures with jittered exponential backoff
-// (honoring Retry-After), attaches idempotency keys to mutating requests so
-// a retried POST cannot double-create, and trips a circuit breaker after
-// sustained failure.
+// (honoring Retry-After), and attaches idempotency keys to mutating requests
+// so a retried POST cannot double-create. It keeps no failure streak and
+// never refuses a call on its own: whether a service is in or out is the
+// server's to say (a fleet router answers 503 + Retry-After), and the
+// client's part is to back off as told.
 type Client struct {
 	baseURL string
 	http    *http.Client
@@ -82,8 +65,6 @@ type Client struct {
 	minInterval time.Duration
 	lastRequest time.Time
 	retry       RetryPolicy
-	consecFails int
-	openUntil   time.Time
 	reg         *obs.Registry
 
 	idemBase string
@@ -141,13 +122,12 @@ func (e *APIError) Retryable() bool {
 
 // Retryable reports whether err is worth retrying: retryable API statuses
 // and transport-level failures (connection drops, truncated bodies) are;
-// terminal API errors, context cancellation, and open-breaker rejections
-// are not.
+// terminal API errors and context cancellation are not.
 func Retryable(err error) bool {
 	if err == nil {
 		return false
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrCircuitOpen) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
 	var apiErr *APIError
@@ -168,8 +148,8 @@ func (c *Client) SetMinInterval(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// SetClock replaces the clock behind the throttle, backoff, and breaker. A
-// nil clock restores the system clock.
+// SetClock replaces the clock behind the throttle and backoff. A nil clock
+// restores the system clock.
 func (c *Client) SetClock(clock obs.Clock) {
 	if clock == nil {
 		clock = obs.SystemClock
@@ -206,16 +186,15 @@ func (c *Client) SetTransport(rt http.RoundTripper) {
 }
 
 // Healthz performs one liveness probe (GET /healthz): a single attempt with
-// no retries, no backoff, and no breaker involvement, so a supervisor's
-// probe loop observes the raw transport outcome on its own cadence.
+// no retries and no backoff, so a supervisor's probe loop observes the raw
+// transport outcome on its own cadence.
 func (c *Client) Healthz(ctx context.Context) error {
 	_, err := c.once(ctx, http.MethodGet, "/healthz", nil, "")
 	return err
 }
 
-// SetMetrics points the client's resilience counters (retries, breaker
-// rejections) at reg, so a load generator can fold them into its report.
-// Nil restores a private registry.
+// SetMetrics points the client's retry counter at reg, so a load generator
+// can fold it into its report. Nil restores a private registry.
 func (c *Client) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -255,39 +234,6 @@ func (c *Client) throttle() {
 	c.mu.Unlock()
 	if wait > 0 {
 		clock.Sleep(wait)
-	}
-}
-
-// breakerAllow refuses the call while the breaker is open.
-func (c *Client) breakerAllow() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.openUntil.IsZero() {
-		return nil
-	}
-	if c.clock.Now().Before(c.openUntil) {
-		c.reg.Counter(MetricClientBreakerRejects).Inc()
-		return fmt.Errorf("%w (until %s)", ErrCircuitOpen, c.openUntil.Format(time.RFC3339))
-	}
-	// Cooldown elapsed: half-open. Clear the gate so a probe goes out; a
-	// failure will re-open it.
-	c.openUntil = time.Time{}
-	return nil
-}
-
-// breakerRecord feeds one attempt outcome into the breaker. ok covers both
-// 2xx and terminal API answers: the service responded, the circuit is fine.
-func (c *Client) breakerRecord(ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ok {
-		c.consecFails = 0
-		return
-	}
-	c.consecFails++
-	if c.consecFails >= BreakerThreshold {
-		c.openUntil = c.clock.Now().Add(BreakerCooldown)
-		c.consecFails = 0
 	}
 }
 
@@ -375,11 +321,11 @@ func (c *Client) Get(ctx context.Context, path string, out any) error {
 	return c.send(ctx, http.MethodGet, path, nil, out)
 }
 
-// roundTrip runs one API call through the full resilience stack: breaker
-// gate, throttle, attempt, classify, back off, retry. Mutating methods carry
-// an idempotency key that stays constant across retries, so the server can
-// deduplicate a retried create whose first response was lost. It returns the
-// 2xx response payload.
+// roundTrip runs one API call through the full resilience stack: throttle,
+// attempt, classify, back off, retry. Mutating methods carry an idempotency
+// key that stays constant across retries, so the server can deduplicate a
+// retried create whose first response was lost. It returns the 2xx response
+// payload.
 func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	idemKey := ""
 	if method != http.MethodGet {
@@ -403,30 +349,18 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if err := c.breakerAllow(); err != nil {
-			return nil, err
-		}
 		if attempt > 1 {
 			retries.Inc()
 		}
 		c.throttle()
 		payload, err := c.once(ctx, method, path, body, idemKey)
 		if err == nil {
-			c.breakerRecord(true)
 			return payload, nil
 		}
 		lastErr = err
 		if !Retryable(err) {
-			// A terminal API answer proves the service is up and resets the
-			// breaker streak; context cancellation says nothing about the
-			// service and is not recorded at all.
-			var apiErr *APIError
-			if errors.As(err, &apiErr) {
-				c.breakerRecord(true)
-			}
 			return nil, err
 		}
-		c.breakerRecord(false)
 		if attempt == maxAttempts {
 			break
 		}

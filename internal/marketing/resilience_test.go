@@ -168,79 +168,11 @@ func TestAPIErrorClassification(t *testing.T) {
 	if Retryable(context.Canceled) || Retryable(context.DeadlineExceeded) {
 		t.Error("context errors are not retryable")
 	}
-	if Retryable(fmt.Errorf("gate: %w", ErrCircuitOpen)) {
-		t.Error("breaker rejection is not retryable")
-	}
 	if !Retryable(errors.New("connection reset by peer")) {
 		t.Error("transport errors are retryable")
 	}
 	if !Retryable(fmt.Errorf("wrap: %w", &APIError{StatusCode: 503})) {
 		t.Error("wrapped retryable APIError should classify as retryable")
-	}
-}
-
-func TestCircuitBreakerOpensAndRecovers(t *testing.T) {
-	var healthy atomic.Bool
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !healthy.Load() {
-			w.WriteHeader(http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"id":"ad-1","status":"ACTIVE"}`)
-	}))
-	defer ts.Close()
-
-	client, fc := newResilienceClient(t, ts)
-	client.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond})
-
-	// BreakerThreshold consecutive failures trip the breaker.
-	for i := 0; i < BreakerThreshold; i++ {
-		if _, err := client.GetAd(context.Background(), "ad-1"); err == nil {
-			t.Fatal("expected failure while unhealthy")
-		}
-	}
-	_, err := client.GetAd(context.Background(), "ad-1")
-	if !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("err %v, want ErrCircuitOpen after threshold failures", err)
-	}
-	if got := client.Metrics().Counter(MetricClientBreakerRejects).Value(); got != 1 {
-		t.Errorf("breaker_rejects %d, want 1", got)
-	}
-
-	// After the cooldown a probe goes out; a healthy answer closes the
-	// breaker again.
-	healthy.Store(true)
-	fc.Sleep(BreakerCooldown + time.Second)
-	if _, err := client.GetAd(context.Background(), "ad-1"); err != nil {
-		t.Fatalf("half-open probe should succeed: %v", err)
-	}
-	if _, err := client.GetAd(context.Background(), "ad-1"); err != nil {
-		t.Fatalf("breaker should be closed after recovery: %v", err)
-	}
-}
-
-func TestBreakerResetByTerminalAnswer(t *testing.T) {
-	// Alternating retryable failures and terminal 404s never trip the
-	// breaker: a terminal answer proves the service is alive.
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1)%2 == 1 {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
-		}
-		w.WriteHeader(http.StatusNotFound)
-	}))
-	defer ts.Close()
-
-	client, _ := newResilienceClient(t, ts)
-	client.SetRetryPolicy(RetryPolicy{MaxAttempts: 1, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond})
-	// Enough calls that the failures among them alone would trip it.
-	for i := 0; i < 2*BreakerThreshold+2; i++ {
-		_, err := client.GetAd(context.Background(), "ad-1")
-		if errors.Is(err, ErrCircuitOpen) {
-			t.Fatalf("breaker tripped on call %d despite interleaved terminal answers", i+1)
-		}
 	}
 }
 

@@ -287,14 +287,6 @@ func (p *Platform) CreateCampaign(name string, obj Objective, special SpecialAdC
 	return c, nil
 }
 
-// Campaign returns a campaign by ID. Campaigns are immutable after
-// creation, so the shared pointer is safe to read without the lock.
-func (p *Platform) Campaign(id string) (*Campaign, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.campaignLocked(id)
-}
-
 // campaignLocked looks up a campaign; the caller holds p.mu.
 func (p *Platform) campaignLocked(id string) (*Campaign, error) {
 	c, ok := p.campaigns[id]

@@ -35,7 +35,6 @@ package privacy
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Level selects the privatization regime for an insights surface.
@@ -65,19 +64,6 @@ func (l Level) String() string {
 		return "k-anon+dp"
 	}
 	return fmt.Sprintf("Level(%d)", int(l))
-}
-
-// ParseLevel parses a level name as printed by String.
-func ParseLevel(s string) (Level, error) {
-	switch strings.TrimSpace(s) {
-	case "off":
-		return LevelOff, nil
-	case "k-anon":
-		return LevelKAnon, nil
-	case "k-anon+dp":
-		return LevelKAnonDP, nil
-	}
-	return 0, fmt.Errorf("privacy: unknown level %q (want off, k-anon, or k-anon+dp)", s)
 }
 
 // Config is one privatization policy. The zero value is LevelOff.

@@ -17,18 +17,6 @@ func randomCells(rng *rand.Rand, n, spread int) []Cell {
 	return cells
 }
 
-func TestLevelRoundTrip(t *testing.T) {
-	for _, l := range []Level{LevelOff, LevelKAnon, LevelKAnonDP} {
-		got, err := ParseLevel(l.String())
-		if err != nil || got != l {
-			t.Errorf("ParseLevel(%q) = %v, %v", l, got, err)
-		}
-	}
-	if _, err := ParseLevel("anonymouse"); err == nil {
-		t.Error("unknown level: want error")
-	}
-}
-
 func TestFromFlags(t *testing.T) {
 	cases := []struct {
 		k    int

@@ -18,23 +18,22 @@ type ServingRow struct {
 }
 
 // ServingResilience carries the fault/retry accounting of a load run for the
-// summary's resilience line: client-side injected faults, retries and
-// breaker rejections, and server-side shed requests.
+// summary's resilience line: client-side injected faults and retries, and
+// server-side shed requests.
 type ServingResilience struct {
 	Retries        int64
-	BreakerRejects int64
 	RequestsShed   int64
 	FaultsInjected int64
 }
 
 func (r ServingResilience) any() bool {
-	return r.Retries != 0 || r.BreakerRejects != 0 || r.RequestsShed != 0 || r.FaultsInjected != 0
+	return r.Retries != 0 || r.RequestsShed != 0 || r.FaultsInjected != 0
 }
 
 // ServingSummary renders the adload human-readable result: one aligned row
 // per operation plus the run totals line, in the style of the paper-table
-// formatters above. A resilience line is appended when any retries, breaker
-// rejections, shed requests, or injected faults occurred.
+// formatters above. A resilience line is appended when any retries, shed
+// requests, or injected faults occurred.
 func ServingSummary(title string, rows []ServingRow, wallSeconds, throughputRPS float64, totalErrors int64, res ServingResilience) string {
 	var b strings.Builder
 	b.WriteString(title + "\n")
@@ -46,8 +45,8 @@ func ServingSummary(title string, rows []ServingRow, wallSeconds, throughputRPS 
 	}
 	fmt.Fprintf(&b, "%-18s %.2fs wall, %.1f req/s, %d errors\n", "total", wallSeconds, throughputRPS, totalErrors)
 	if res.any() {
-		fmt.Fprintf(&b, "%-18s %d injected faults, %d retries, %d shed, %d breaker rejects\n",
-			"resilience", res.FaultsInjected, res.Retries, res.RequestsShed, res.BreakerRejects)
+		fmt.Fprintf(&b, "%-18s %d injected faults, %d retries, %d shed\n",
+			"resilience", res.FaultsInjected, res.Retries, res.RequestsShed)
 	}
 	return b.String()
 }

@@ -15,14 +15,14 @@ func TestServingSummaryGolden(t *testing.T) {
 		{Op: "create_ad", Requests: 1200, Errors: 3, P50Ms: 1.5, P90Ms: 4.25, P99Ms: 9.125, MaxMs: 31.5},
 		{Op: "deliver", Requests: 40, Errors: 0, P50Ms: 120, P90Ms: 180.5, P99Ms: 240.125, MaxMs: 260},
 	}
-	res := ServingResilience{Retries: 17, BreakerRejects: 2, RequestsShed: 5, FaultsInjected: 41}
+	res := ServingResilience{Retries: 17, RequestsShed: 5, FaultsInjected: 41}
 	got := ServingSummary("adload summary", rows, 12.5, 99.2, 3, res)
 	want := "adload summary\n" +
 		"Operation           Requests  Errors   p50 (ms)   p90 (ms)   p99 (ms)   max (ms)\n" +
 		"create_ad               1200       3      1.500      4.250      9.125     31.500\n" +
 		"deliver                   40       0    120.000    180.500    240.125    260.000\n" +
 		"total              12.50s wall, 99.2 req/s, 3 errors\n" +
-		"resilience         41 injected faults, 17 retries, 5 shed, 2 breaker rejects\n"
+		"resilience         41 injected faults, 17 retries, 5 shed\n"
 	if got != want {
 		t.Errorf("ServingSummary golden mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}
@@ -35,7 +35,7 @@ func TestServingSummaryOmitsQuietResilienceLine(t *testing.T) {
 	}
 	// Any single non-zero counter brings the line back.
 	for _, res := range []ServingResilience{
-		{Retries: 1}, {BreakerRejects: 1}, {RequestsShed: 1}, {FaultsInjected: 1},
+		{Retries: 1}, {RequestsShed: 1}, {FaultsInjected: 1},
 	} {
 		out := ServingSummary("one fault", nil, 1, 0, 0, res)
 		if !strings.Contains(out, "resilience") {

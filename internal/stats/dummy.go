@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // DummyEncoder builds regression design matrices from categorical variables
 // using dummy (reference-level) encoding: a categorical with N levels becomes
@@ -77,21 +74,4 @@ func (e *DummyEncoder) EncodeAll(obs []map[string]string) (*Matrix, error) {
 		rows[i] = r
 	}
 	return MatrixFromRows(rows)
-}
-
-// LevelsOf returns the sorted distinct values of key across observations,
-// convenient for building encoders from data.
-func LevelsOf(obs []map[string]string, key string) []string {
-	set := map[string]bool{}
-	for _, o := range obs {
-		if v, ok := o[key]; ok {
-			set[v] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -79,17 +79,6 @@ func TestEncodeAllShape(t *testing.T) {
 	}
 }
 
-func TestLevelsOf(t *testing.T) {
-	obs := []map[string]string{
-		{"job": "lumber"}, {"job": "janitor"}, {"job": "lumber"}, {"other": "x"},
-	}
-	got := LevelsOf(obs, "job")
-	want := []string{"janitor", "lumber"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("LevelsOf = %v", got)
-	}
-}
-
 func TestDummyRegressionIntegration(t *testing.T) {
 	// End-to-end: encode a categorical design and verify OLS reads group
 	// means through the dummy coding. y = 1 (ref), 3 (level L).

@@ -95,14 +95,6 @@ func OLS(names []string, x *Matrix, y []float64) (*OLSResult, error) {
 	return olsDesign(allNames, design, y)
 }
 
-// OLSNoIntercept fits y = X·β with the design used exactly as given.
-func OLSNoIntercept(names []string, x *Matrix, y []float64) (*OLSResult, error) {
-	if len(names) != x.Cols {
-		return nil, fmt.Errorf("stats: %d names for %d columns", len(names), x.Cols)
-	}
-	return olsDesign(append([]string(nil), names...), x, y)
-}
-
 func olsDesign(names []string, x *Matrix, y []float64) (*OLSResult, error) {
 	n, p := x.Rows, x.Cols
 	if len(y) != n {

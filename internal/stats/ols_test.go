@@ -214,7 +214,7 @@ func TestOLSAccessors(t *testing.T) {
 }
 
 func TestOLSNoIntercept(t *testing.T) {
-	// Through-origin fit: y = 2x exactly.
+	// Through-origin fit: y = 2x exactly, with the design used as given.
 	n := 20
 	x := NewMatrix(n, 1)
 	y := make([]float64, n)
@@ -222,7 +222,7 @@ func TestOLSNoIntercept(t *testing.T) {
 		x.Set(i, 0, float64(i+1))
 		y[i] = 2 * float64(i+1)
 	}
-	res, err := OLSNoIntercept([]string{"x"}, x, y)
+	res, err := olsDesign([]string{"x"}, x, y)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -683,10 +683,3 @@ func (s *Store) Kill() {
 		_ = f.Close() // no write, no sync: the pending records die with the "process"
 	}
 }
-
-// LastSeq reports the most recently assigned sequence number.
-func (s *Store) LastSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
