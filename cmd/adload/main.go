@@ -20,7 +20,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,9 +53,6 @@ func run(args []string, stdout io.Writer) error {
 	scenarios := fs.Int("scenarios", 8, "virtual advertisers to run")
 	ads := fs.Int("ads", 2, "ads per campaign")
 	audience := fs.Int("audience", 200, "PII hashes per audience upload")
-	polls := fs.Int("polls", 2, "insights polls per delivered ad")
-	duration := fs.Duration("duration", 0, "wall-clock cap on the run; 0 = run all scenarios")
-	throttle := fs.Duration("throttle", 0, "client-side minimum interval between requests; 0 disables")
 	retries := fs.Int("retries", 0, "client max attempts per API call (0 = library default)")
 	out := fs.String("out", "", "path to write the JSON report (schema adaudit/bench-serving/v1)")
 	worldOf := node.WorldFlags(fs, node.WorldConfig{Seed: 1, Voters: 8000, LogRows: 3000, FLOnly: true})
@@ -67,6 +63,20 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
+	// A discipline's rate flag means nothing to the other one, so setting it
+	// there is refused rather than ignored.
+	var err error
+	switch loadgen.Mode(*mode) {
+	case loadgen.ModeClosed:
+		err = node.RejectSet(fs, "open mode", "-mode closed", "rps")
+	case loadgen.ModeOpen:
+		err = node.RejectSet(fs, "closed mode", "-mode open", "concurrency")
+	default:
+		err = fmt.Errorf("unknown mode %q (want %s or %s)", *mode, loadgen.ModeClosed, loadgen.ModeOpen)
+	}
+	if err != nil {
+		return err
+	}
 	if *target != "" {
 		// These configure the self-hosted world and server; against a remote
 		// one they would silently do nothing. (-privacy-k/-privacy-epsilon stay
@@ -134,9 +144,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	client.SetTransport(transport)
-	if *throttle > 0 {
-		client.SetMinInterval(*throttle)
-	}
 	if *retries > 0 {
 		pol := marketing.DefaultRetryPolicy()
 		pol.MaxAttempts = *retries
@@ -163,7 +170,6 @@ func run(args []string, stdout io.Writer) error {
 		Scenarios:       *scenarios,
 		AdsPerCampaign:  *ads,
 		AudienceSize:    *audience,
-		InsightsPolls:   *polls,
 		Hashes:          hashes,
 		DeliveryWorkers: *deliveryWorkers,
 		ShardCount:      shardCount,
@@ -173,20 +179,10 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	ctx := context.Background()
-	if *duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *duration)
-		defer cancel()
-	}
 	fmt.Fprintf(stdout, "running %d scenarios (%s mode) against %s...\n", *scenarios, *mode, baseURL)
-	rep, runErr := runner.Run(ctx)
-	if runErr != nil && !errors.Is(runErr, context.DeadlineExceeded) {
-		return runErr
-	}
-	if errors.Is(runErr, context.DeadlineExceeded) {
-		fmt.Fprintf(stdout, "duration cap hit after %v: %d of %d scenarios completed\n",
-			*duration, rep.ScenariosCompleted, *scenarios)
+	rep, err := runner.Run(context.Background())
+	if err != nil {
+		return err
 	}
 
 	rep.FaultsInjected = faultReg.Counter(faults.MetricInjected).Value()

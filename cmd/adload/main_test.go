@@ -153,11 +153,12 @@ func TestBadFlagsFailFast(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want string // substring of the error; empty accepts any error
-		late bool   // refused only after the world is built
 	}{
 		{args: []string{"-scenarios", "many"}},
-		// loadgen.New checks -mode, and it needs the hash pool.
-		{args: []string{"-mode", "bursty", "-voters", "4000", "-logrows", "1500"}, want: "unknown mode", late: true},
+		{args: []string{"-mode", "bursty"}, want: "unknown mode"},
+		{args: []string{"-rps", "10"}, want: "-rps applies to open mode and cannot be combined with -mode closed"},
+		{args: []string{"-mode", "closed", "-rps", "10"}, want: "-rps applies to open mode"},
+		{args: []string{"-mode", "open", "-concurrency", "2"}, want: "-concurrency applies to closed mode and cannot be combined with -mode open"},
 		{args: []string{"-fsync", "none"}, want: "cannot be combined with an empty -store-dir"},
 		{args: []string{"-fault-rate", "2"}, want: "rate 2 outside [0,1]"},
 		{args: []string{"-fsync", "sometimes", "-store-dir", "x"}, want: "fsync"},
@@ -170,7 +171,7 @@ func TestBadFlagsFailFast(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("args %v: want error containing %q, got %v", tc.args, tc.want, err)
 		}
-		if !tc.late && strings.Contains(buf.String(), "self-hosting") {
+		if strings.Contains(buf.String(), "self-hosting") {
 			t.Errorf("args %v: a world was built before the flags were refused", tc.args)
 		}
 	}

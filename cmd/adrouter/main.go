@@ -59,12 +59,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("adrouter", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8400", "listen address")
 	shards := fs.String("shards", "", "comma-separated shard backend base URLs, in shard order (required)")
-	maxFanout := fs.Int("max-fanout", 0, "max concurrent backend calls per fan-out (0 = all shards at once)")
-	dayRetries := fs.Int("day-retries", 5, "delivery-day attempts before giving up (a shard crash mid-day costs one attempt)")
-	dayBackoff := fs.Duration("day-backoff", 2*time.Second, "initial wait between delivery-day attempts (doubles, capped at 8x)")
-	waitReady := fs.Duration("wait-ready", 30*time.Second, "how long to wait for every backend's /healthz at startup (0 skips the check)")
 	drainTimeout := node.DrainTimeoutFlag(fs)
-	probeInterval := fs.Duration("probe-interval", 500*time.Millisecond, "supervisor probe cadence")
 	shardCmd := fs.String("shard-cmd", "", "shard child command template ({shard} and {addr} expand per shard); the router spawns the children at boot and the supervisor resurrects dead ones under the same index")
 	shardLogDir := fs.String("shard-log-dir", "", "directory for per-shard child logs (with -shard-cmd; appended across relaunches)")
 	faultsOf := node.FaultFlags(fs)
@@ -95,12 +90,9 @@ func run(args []string) error {
 		return err
 	}
 	coord, err := coordinator.New(coordinator.Config{
-		Backends:    backends,
-		MaxFanout:   *maxFanout,
-		DayAttempts: *dayRetries,
-		DayBackoff:  *dayBackoff,
-		Transport:   transport,
-		Privacy:     privCfg,
+		Backends:  backends,
+		Transport: transport,
+		Privacy:   privCfg,
 	}, reg)
 	if err != nil {
 		return err
@@ -132,10 +124,8 @@ func run(args []string) error {
 		defer rel.StopAll()
 	}
 
-	if *waitReady > 0 {
-		if err := node.WaitHealthy(backends, *waitReady); err != nil {
-			return err
-		}
+	if err := node.WaitHealthy(backends, 30*time.Second); err != nil {
+		return err
 	}
 	router, err := coordinator.NewRouter(coord, reg)
 	if err != nil {
@@ -160,9 +150,9 @@ func run(args []string) error {
 	if rel != nil {
 		relIface = rel
 	}
-	sup := supervisor.New(coord, relIface, supervisor.Config{ProbeInterval: *probeInterval, Logf: log.Printf}, reg)
+	sup := supervisor.New(coord, relIface, supervisor.Config{Logf: log.Printf}, reg)
 	defer sup.Stop()
-	fmt.Printf("fleet supervisor running (probe every %s, relaunch %v)\n", *probeInterval, rel != nil)
+	fmt.Printf("fleet supervisor running (relaunch %v)\n", rel != nil)
 	drainErr := node.Serve(ln, router.Handler(), *drainTimeout, sup.Start)
 	fmt.Println("final router metrics:")
 	fmt.Print(reg.Snapshot().String())

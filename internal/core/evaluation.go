@@ -245,7 +245,7 @@ func (e *Evaluation) Lookalike() (*LookalikeResult, error) {
 func (e *Evaluation) PrivacySweep() (*PrivacySweepResult, error) {
 	return step(e, &e.sweep, "running the skew-detectability sweep: re-reading Campaign 1 at each privacy level...",
 		func(l *Lab) (*PrivacySweepResult, error) {
-			return RunPrivacySweep(l, e.stock.val.Run, PrivacySweepOptions{Seed: e.Seed + seedPrivacy})
+			return RunPrivacySweep(l, e.stock.val.Run, e.Seed+seedPrivacy)
 		}, after(e.Stock))
 }
 

@@ -77,25 +77,23 @@ type PrivacyPowerOptions struct {
 	K int
 	// Epsilon is the insights DP noise parameter (0 = no noise).
 	Epsilon float64
-	// Cells is the number of breakdown cells the measurement sums over
-	// (each released cell carries one independent noise draw). Default 24 —
-	// the 6 age buckets × 2 genders × 2 regions surface the audit reads.
-	Cells int
-	// MinCellShare is the expected share of an ad's impressions in its
-	// smallest group-defining cell; suppression erases the measurement
-	// unless ImpressionsPerAd × MinCellShare ≥ K. Default 0.05.
-	MinCellShare float64
 }
+
+// The insights surface the audit reads, as the power model sees it.
+const (
+	// breakdownCells is the number of breakdown cells the measurement sums
+	// over (each released cell carries one independent noise draw): the 6
+	// age buckets × 2 genders × 2 regions.
+	breakdownCells = 24
+	// minCellShare is the expected share of an ad's impressions in its
+	// smallest group-defining cell; suppression erases the measurement
+	// unless ImpressionsPerAd × minCellShare ≥ K.
+	minCellShare float64 = 0.05
+)
 
 func (o *PrivacyPowerOptions) fillDefaults() {
 	if o.Alpha == 0 {
 		o.Alpha = 0.05
-	}
-	if o.Cells == 0 {
-		o.Cells = 24
-	}
-	if o.MinCellShare == 0 {
-		o.MinCellShare = 0.05
 	}
 }
 
@@ -103,7 +101,7 @@ func (o *PrivacyPowerOptions) fillDefaults() {
 // insights surface privatizes. Two mechanisms attenuate power:
 //
 //   - suppression is a cliff: if the smallest group-defining cell falls
-//     below K (ImpressionsPerAd × MinCellShare < K), the cells the fraction
+//     below K (ImpressionsPerAd × minCellShare < K), the cells the fraction
 //     is computed from are withheld and the skew is unmeasurable — power 0;
 //   - noise is a tax: each of the C released cells carries an independent
 //     discrete-Laplace draw of variance σ², and by the delta method the
@@ -123,11 +121,8 @@ func PrivateAuditPower(o PrivacyPowerOptions) (float64, error) {
 	if o.Epsilon < 0 {
 		return 0, fmt.Errorf("core: privacy epsilon %v negative", o.Epsilon)
 	}
-	if o.MinCellShare <= 0 || o.MinCellShare > 1 {
-		return 0, fmt.Errorf("core: min cell share %v outside (0,1]", o.MinCellShare)
-	}
 	m := float64(o.ImpressionsPerAd)
-	if o.K > 0 && m*o.MinCellShare < float64(o.K) {
+	if o.K > 0 && m*minCellShare < float64(o.K) {
 		// Below the suppression cliff: the breakdown cells are withheld and
 		// no amount of statistical care recovers the fraction.
 		return 0, nil
@@ -136,7 +131,7 @@ func PrivateAuditPower(o PrivacyPowerOptions) (float64, error) {
 	v := p * (1 - p) / m
 	if o.Epsilon > 0 {
 		sigma2 := privacy.NoiseVariance(o.Epsilon)
-		v += sigma2 * float64(o.Cells) * p * (1 - p) / (m * m)
+		v += sigma2 * float64(breakdownCells) * p * (1 - p) / (m * m)
 	}
 	se := math.Sqrt(2 * v / float64(o.Pairs))
 	return stats.NormalPower(o.Delta/se, o.Alpha), nil
@@ -154,7 +149,7 @@ func MinimumImpressionsForPower(o PrivacyPowerOptions, targetPower float64) (int
 	const capM = 1 << 30
 	lo := 1
 	if o.K > 0 {
-		lo = int(math.Ceil(float64(o.K) / o.MinCellShare))
+		lo = int(math.Ceil(float64(o.K) / minCellShare))
 	}
 	hi := lo
 	for {

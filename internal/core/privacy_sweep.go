@@ -25,35 +25,12 @@ import (
 // privacy` writes, so the layout can grow while old files still parse.
 const PrivacySweepSchema = "adaudit/bench-privacy/v1"
 
-// PrivacySweepOptions configures the grid.
-type PrivacySweepOptions struct {
-	// Ks is the k-anonymity grid; default {0, 20, 100}.
-	Ks []int
-	// Epsilons is the DP noise grid; 0 means no noise (epsilon = ∞).
-	// Default {0, 1, 0.1}.
-	Epsilons []float64
-	// Seed fixes the sweep's noise streams.
-	Seed int64
-	// Alpha is the detection threshold for the Welch tests; default 0.05.
-	Alpha float64
-	// TargetPower sizes the minimum-campaign answer; default 0.8.
-	TargetPower float64
-}
-
-func (o *PrivacySweepOptions) setDefaults() {
-	if len(o.Ks) == 0 {
-		o.Ks = []int{0, 20, 100}
-	}
-	if len(o.Epsilons) == 0 {
-		o.Epsilons = []float64{0, 1, 0.1}
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.05
-	}
-	if o.TargetPower == 0 {
-		o.TargetPower = 0.8
-	}
-}
+// The sweep's detection threshold for the Welch tests and the power that
+// sizes its minimum-campaign answer.
+const (
+	sweepAlpha       float64 = 0.05
+	sweepTargetPower float64 = 0.8
+)
 
 // PrivacySweepCell is the sweep outcome at one privacy level.
 type PrivacySweepCell struct {
@@ -200,11 +177,11 @@ func groupContrast(ds []Delivery, inA func(*Delivery) bool, metric func(*Deliver
 	return w.DeltaM, w.T, w.P, true
 }
 
-// RunPrivacySweep re-reads one delivered campaign at every grid level and
-// assembles the detectability record. The lab's privacy policy is restored
-// to off before returning.
-func RunPrivacySweep(l *Lab, run *CampaignRun, opt PrivacySweepOptions) (*PrivacySweepResult, error) {
-	opt.setDefaults()
+// RunPrivacySweep re-reads one delivered campaign at every grid level —
+// k-anonymity thresholds {0, 20, 100} × DP epsilons {0 (no noise), 1, 0.1} —
+// and assembles the detectability record; seed fixes the noise streams. The
+// lab's privacy policy is restored to off before returning.
+func RunPrivacySweep(l *Lab, run *CampaignRun, seed int64) (*PrivacySweepResult, error) {
 	defer l.SetPrivacy(privacy.Config{})
 
 	// Baseline: privacy off, the paper's own measurement.
@@ -224,9 +201,9 @@ func RunPrivacySweep(l *Lab, run *CampaignRun, opt PrivacySweepOptions) (*Privac
 		Schema:      PrivacySweepSchema,
 		Name:        "privacy-detectability",
 		Scale:       l.Config.Scale.String(),
-		Seed:        opt.Seed,
-		Alpha:       opt.Alpha,
-		TargetPower: opt.TargetPower,
+		Seed:        seed,
+		Alpha:       sweepAlpha,
+		TargetPower: sweepTargetPower,
 	}
 	raceGap, _, _, _ := groupContrast(base.deliveries, isBlackImage, fracBlack)
 	genderGap, _, _, _ := groupContrast(base.deliveries, isFemaleImage, fracFemale)
@@ -250,9 +227,9 @@ func RunPrivacySweep(l *Lab, run *CampaignRun, opt PrivacySweepOptions) (*Privac
 	}
 	res.BaselineBaseRate = rateSum / float64(len(base.deliveries))
 
-	for _, k := range opt.Ks {
-		for _, eps := range opt.Epsilons {
-			cfg, err := privacy.FromFlags(k, eps, opt.Seed)
+	for _, k := range []int{0, 20, 100} {
+		for _, eps := range []float64{0, 1, 0.1} {
+			cfg, err := privacy.FromFlags(k, eps, seed)
 			if err != nil {
 				return nil, err
 			}
@@ -273,13 +250,13 @@ func RunPrivacySweep(l *Lab, run *CampaignRun, opt PrivacySweepOptions) (*Privac
 			gap, t, p, ok := groupContrast(m.deliveries, isBlackImage, fracBlack)
 			cell.RaceMeasured = ok
 			cell.RaceGap, cell.RaceT, cell.RaceP = zeroNaN(gap), zeroNaN(t), zeroNaN(p)
-			cell.RaceDetected = ok && p < opt.Alpha
+			cell.RaceDetected = ok && p < sweepAlpha
 			gap, t, p, ok = groupContrast(m.deliveries, isFemaleImage, fracFemale)
 			cell.GenderMeasured = ok
 			cell.GenderGap, cell.GenderT, cell.GenderP = zeroNaN(gap), zeroNaN(t), zeroNaN(p)
-			cell.GenderDetected = ok && p < opt.Alpha
+			cell.GenderDetected = ok && p < sweepAlpha
 
-			cell.AnalyticPower, cell.MinImpressionsPerAd = analyticCell(res, k, eps, opt)
+			cell.AnalyticPower, cell.MinImpressionsPerAd = analyticCell(res, k, eps)
 			res.Cells = append(res.Cells, cell)
 		}
 	}
@@ -290,7 +267,7 @@ func RunPrivacySweep(l *Lab, run *CampaignRun, opt PrivacySweepOptions) (*Privac
 // anchored on the baseline effect size and campaign geometry. Unmeasurable
 // or degenerate anchors yield (0, 0) rather than an error: the sweep is a
 // record, and a zero row is itself the finding.
-func analyticCell(res *PrivacySweepResult, k int, eps float64, opt PrivacySweepOptions) (power float64, minImps int) {
+func analyticCell(res *PrivacySweepResult, k int, eps float64) (power float64, minImps int) {
 	delta := res.BaselineRaceGap
 	if delta <= 0 || delta >= 1 || res.PairsPerGroup < 1 || res.ImpressionsPerAd < 1 {
 		return 0, 0
@@ -308,7 +285,7 @@ func analyticCell(res *PrivacySweepResult, k int, eps float64, opt PrivacySweepO
 			BaseRate:         baseRate,
 			ImpressionsPerAd: res.ImpressionsPerAd,
 			Pairs:            res.PairsPerGroup,
-			Alpha:            opt.Alpha,
+			Alpha:            sweepAlpha,
 		},
 		K:       k,
 		Epsilon: eps,
@@ -317,7 +294,7 @@ func analyticCell(res *PrivacySweepResult, k int, eps float64, opt PrivacySweepO
 	if err != nil {
 		return 0, 0
 	}
-	m, err := MinimumImpressionsForPower(po, opt.TargetPower)
+	m, err := MinimumImpressionsForPower(po, sweepTargetPower)
 	if err != nil {
 		m = 0
 	}

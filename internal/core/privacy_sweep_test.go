@@ -87,7 +87,7 @@ func TestMinimumImpressionsForPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The answer must clear the suppression cliff (K / MinCellShare = 400).
+	// The answer must clear the suppression cliff (K / minCellShare = 400).
 	if m < 400 {
 		t.Errorf("minimum impressions %d below the suppression floor 400", m)
 	}
@@ -144,7 +144,7 @@ func TestRunPrivacySweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunPrivacySweep(l, stock.Run, PrivacySweepOptions{Seed: 4401})
+	res, err := RunPrivacySweep(l, stock.Run, 4401)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestRunPrivacySweep(t *testing.T) {
 	}
 
 	// Determinism: the same sweep again yields the same bytes.
-	res2, err := RunPrivacySweep(l, stock.Run, PrivacySweepOptions{Seed: 4401})
+	res2, err := RunPrivacySweep(l, stock.Run, 4401)
 	if err != nil {
 		t.Fatal(err)
 	}

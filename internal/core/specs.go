@@ -15,7 +15,7 @@ import (
 // i.e. 100 images).
 func StockSpecs(perPerson int, seed int64) ([]AdSpec, error) {
 	rng := rand.New(rand.NewSource(seed))
-	cat, err := image.NewStockCatalog(perPerson, image.DefaultStockOptions(), rng)
+	cat, err := image.NewStockCatalog(perPerson, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -62,16 +62,9 @@ func Train(opt TrainOptions) (*Classifier, error) {
 	yRace := make([]float64, n)
 	yAge := make([]float64, n)
 	profiles := demo.AllProfiles()
-	stock := image.DefaultStockOptions()
 	for i := 0; i < n; i++ {
 		p := profiles[rng.Intn(len(profiles))]
-		f := image.FromProfile(p)
-		f.GenderAxis += stock.PersonJitter * rng.NormFloat64()
-		f.RaceAxis += stock.PersonJitter * rng.NormFloat64()
-		f.AgeYears += stock.AgeJitterYears * rng.NormFloat64()
-		for j := range f.Nuisance {
-			f.Nuisance[j] = stock.NuisanceStdDev * rng.NormFloat64()
-		}
+		f := image.StockFeatures(p, rng)
 		f.ApplyPresentationBias()
 		copy(x.Row(i), f.Vector())
 		if p.Gender == demo.GenderFemale {

@@ -45,7 +45,7 @@ func TestClassifierAccuracyOnCleanImages(t *testing.T) {
 func TestClassifierAccuracyOnStockPhotos(t *testing.T) {
 	c := trainTest(t, 2)
 	rng := rand.New(rand.NewSource(99))
-	cat, err := image.NewStockCatalog(5, image.DefaultStockOptions(), rng)
+	cat, err := image.NewStockCatalog(5, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

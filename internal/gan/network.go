@@ -278,25 +278,3 @@ func (n *Network) Truncate(acts []float64, mean []float64, psi float64) ([]float
 	}
 	return out, nil
 }
-
-// MeanActivations estimates the mean activation vector over count random
-// samples, the anchor for the truncation trick.
-func (n *Network) MeanActivations(count int, rng *rand.Rand) ([]float64, error) {
-	if count <= 0 {
-		return nil, fmt.Errorf("gan: mean over %d samples", count)
-	}
-	mean := make([]float64, n.ActivationDim())
-	for k := 0; k < count; k++ {
-		f, err := n.Sample(rng)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range f.Activations {
-			mean[i] += v
-		}
-	}
-	for i := range mean {
-		mean[i] /= float64(count)
-	}
-	return mean, nil
-}

@@ -161,23 +161,32 @@ func (f *Features) ApplyPresentationBias() {
 
 // Stock photo sampling ---------------------------------------------------
 
-// StockOptions configures stock-photo sampling.
-type StockOptions struct {
-	// NuisanceStdDev is the standard deviation of each nuisance axis across
-	// stock photos — the photo-to-photo variation in composition, clothing,
-	// lighting, etc. that §5.4 sets out to remove.
-	NuisanceStdDev float64
-	// PersonJitter is demographic-presentation noise: two photos of
+// Stock-photo variation, matching the variance contrast the paper describes.
+const (
+	// stockNuisanceStdDev is the standard deviation of each nuisance axis
+	// across stock photos — the photo-to-photo variation in composition,
+	// clothing, lighting, etc. that §5.4 sets out to remove.
+	stockNuisanceStdDev float64 = 0.8
+	// stockPersonJitter is demographic-presentation noise: two photos of
 	// different people from the same group don't sit at the exact same spot
 	// on the person axes.
-	PersonJitter float64
-	// AgeJitterYears spreads apparent age within the implied group.
-	AgeJitterYears float64
-}
+	stockPersonJitter float64 = 0.15
+	// stockAgeJitterYears spreads apparent age within the implied group.
+	stockAgeJitterYears float64 = 3
+)
 
-// DefaultStockOptions matches the variance contrast the paper describes.
-func DefaultStockOptions() StockOptions {
-	return StockOptions{NuisanceStdDev: 0.8, PersonJitter: 0.15, AgeJitterYears: 3}
+// StockFeatures draws one stock photo of a person in profile p: the group's
+// presentation with person-to-person jitter and fresh nuisance. The
+// presentation bias is left to the caller, which may first adjust the axes.
+func StockFeatures(p demo.Profile, rng *rand.Rand) Features {
+	f := FromProfile(p)
+	f.GenderAxis += stockPersonJitter * rng.NormFloat64()
+	f.RaceAxis += stockPersonJitter * rng.NormFloat64()
+	f.AgeYears += stockAgeJitterYears * rng.NormFloat64()
+	for i := range f.Nuisance {
+		f.Nuisance[i] = stockNuisanceStdDev * rng.NormFloat64()
+	}
+	return f
 }
 
 // StockPhoto is one licensed stock image with its manual annotation.
@@ -195,21 +204,15 @@ type StockCatalog struct {
 
 // NewStockCatalog samples a balanced catalog: perPerson photos for each of
 // the 20 profiles. The paper uses perPerson = 5 (100 images total).
-func NewStockCatalog(perPerson int, opt StockOptions, rng *rand.Rand) (*StockCatalog, error) {
+func NewStockCatalog(perPerson int, rng *rand.Rand) (*StockCatalog, error) {
 	if perPerson <= 0 {
 		return nil, fmt.Errorf("image: perPerson must be positive, got %d", perPerson)
 	}
 	cat := &StockCatalog{}
 	for _, p := range demo.AllProfiles() {
 		for k := 0; k < perPerson; k++ {
-			f := FromProfile(p)
-			f.GenderAxis += opt.PersonJitter * rng.NormFloat64()
-			f.RaceAxis += opt.PersonJitter * rng.NormFloat64()
-			f.AgeYears += opt.AgeJitterYears * rng.NormFloat64()
+			f := StockFeatures(p, rng)
 			clampAxes(&f, p)
-			for i := range f.Nuisance {
-				f.Nuisance[i] = opt.NuisanceStdDev * rng.NormFloat64()
-			}
 			f.ApplyPresentationBias()
 			cat.Photos = append(cat.Photos, StockPhoto{
 				ID:       fmt.Sprintf("stock-%s-%d", compactProfile(p), k+1),

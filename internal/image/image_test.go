@@ -65,7 +65,7 @@ func TestVectorShapeAndNames(t *testing.T) {
 
 func TestNewStockCatalogBalancedAndLabelled(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	cat, err := NewStockCatalog(5, DefaultStockOptions(), rng)
+	cat, err := NewStockCatalog(5, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestNewStockCatalogBalancedAndLabelled(t *testing.T) {
 }
 
 func TestNewStockCatalogErrors(t *testing.T) {
-	if _, err := NewStockCatalog(0, DefaultStockOptions(), rand.New(rand.NewSource(1))); err == nil {
+	if _, err := NewStockCatalog(0, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("perPerson 0: want error")
 	}
 }
@@ -102,7 +102,7 @@ func TestStockNuisanceVarianceHigh(t *testing.T) {
 	// Stock photos of the same profile must differ substantially in
 	// nuisance space — the contrast the synthetic pipeline removes.
 	rng := rand.New(rand.NewSource(2))
-	cat, err := NewStockCatalog(5, DefaultStockOptions(), rng)
+	cat, err := NewStockCatalog(5, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestStockNuisanceVarianceHigh(t *testing.T) {
 
 func TestPresentationBiasCouplesSmileToGender(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	cat, err := NewStockCatalog(10, DefaultStockOptions(), rng)
+	cat, err := NewStockCatalog(10, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

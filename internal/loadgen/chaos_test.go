@@ -56,7 +56,6 @@ func TestChaosSoakExactlyOnce(t *testing.T) {
 	const (
 		scenarios = 12
 		adsPer    = 2
-		polls     = 2
 	)
 	client, p, srv := chaosTarget(t, faults.Config{Seed: 42, Rate: 0.2, Kinds: faults.AllKinds()})
 	// Deep attempt budget with short waits: at a 20% fault rate a handful of
@@ -74,7 +73,6 @@ func TestChaosSoakExactlyOnce(t *testing.T) {
 		Scenarios:      scenarios,
 		AdsPerCampaign: adsPer,
 		AudienceSize:   50,
-		InsightsPolls:  polls,
 		Hashes:         hashPool(t, 2000),
 	}, client)
 	if err != nil {

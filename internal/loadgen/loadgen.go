@@ -55,6 +55,11 @@ const (
 	OpInsights       = "insights"
 )
 
+// insightsPolls is how many insights reads follow each delivered ad,
+// alternating the full breakdown with a gender-only one — the polling
+// pattern of the audit's data collection.
+const insightsPolls = 2
+
 // Ops lists every operation in scenario order.
 var Ops = []string{OpCreateAudience, OpCreateCampaign, OpCreateAd, OpDeliver, OpInsights}
 
@@ -79,10 +84,6 @@ type Config struct {
 	// AudienceSize is the number of PII hashes per audience upload
 	// (default 200).
 	AudienceSize int
-	// InsightsPolls is how many insights reads follow each delivered ad
-	// (default 2), alternating the full breakdown with a gender-only one —
-	// the polling pattern of the audit's data collection.
-	InsightsPolls int
 	// Hashes is the PII hash pool audiences are drawn from. Required: the
 	// platform rejects targeting that matches no users.
 	Hashes []string
@@ -122,9 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AudienceSize <= 0 {
 		c.AudienceSize = 200
-	}
-	if c.InsightsPolls <= 0 {
-		c.InsightsPolls = 2
 	}
 	return c
 }
@@ -275,7 +273,7 @@ func (r *Runner) scenario(ctx context.Context, idx int) error {
 		return err
 	}
 
-	for p := 0; p < r.cfg.InsightsPolls; p++ {
+	for p := 0; p < insightsPolls; p++ {
 		for _, id := range adIDs {
 			if ctx.Err() != nil {
 				return ctx.Err()

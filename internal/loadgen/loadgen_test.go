@@ -94,14 +94,13 @@ func baseConfig(t testing.TB) Config {
 		Scenarios:      6,
 		AdsPerCampaign: 2,
 		AudienceSize:   150,
-		InsightsPolls:  2,
 		Hashes:         hashPool(t, 2000),
 	}
 }
 
 // countChecks asserts the request accounting a deterministic healthy run
 // must produce.
-func countChecks(t *testing.T, rep *Report, scenarios, adsPer, polls int) {
+func countChecks(t *testing.T, rep *Report, scenarios, adsPer int) {
 	t.Helper()
 	if rep.ScenariosCompleted != scenarios || rep.ScenariosFailed != 0 {
 		t.Fatalf("scenarios: %d completed, %d failed, want %d/0",
@@ -112,7 +111,7 @@ func countChecks(t *testing.T, rep *Report, scenarios, adsPer, polls int) {
 		OpCreateCampaign: int64(scenarios),
 		OpCreateAd:       int64(scenarios * adsPer),
 		OpDeliver:        int64(scenarios),
-		OpInsights:       int64(scenarios * adsPer * polls),
+		OpInsights:       int64(scenarios * adsPer * insightsPolls),
 	}
 	var total int64
 	for op, n := range want {
@@ -147,7 +146,7 @@ func TestClosedLoopRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	countChecks(t, rep, cfg.Scenarios, cfg.AdsPerCampaign, cfg.InsightsPolls)
+	countChecks(t, rep, cfg.Scenarios, cfg.AdsPerCampaign)
 	if rep.Mode != "closed" || rep.Workers != cfg.Workers {
 		t.Errorf("mode/workers: %s/%d", rep.Mode, rep.Workers)
 	}
@@ -187,7 +186,7 @@ func TestOpenLoopRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	countChecks(t, rep, cfg.Scenarios, cfg.AdsPerCampaign, cfg.InsightsPolls)
+	countChecks(t, rep, cfg.Scenarios, cfg.AdsPerCampaign)
 	if rep.Mode != "open" || rep.ArrivalRPS != 300 || rep.Workers != 0 {
 		t.Errorf("open-loop report header: %+v", rep)
 	}

@@ -5,6 +5,8 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -31,9 +33,10 @@ func usageBlocks(t *testing.T, bin string) map[string]string {
 	return blocks
 }
 
-// TestSharedFlagsIdentical builds the binaries and compares what each prints
-// for a flag it shares with another: name, type, usage and default must be
-// byte-identical, the default excepted where it is per-binary by design.
+// TestSharedFlagsIdentical builds the binaries, checks each one's complete
+// flag list, and compares what each prints for a flag it shares with
+// another: name, type, usage and default must be byte-identical, the default
+// excepted where it is per-binary by design.
 func TestSharedFlagsIdentical(t *testing.T) {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("no go toolchain on PATH")
@@ -52,6 +55,28 @@ func TestSharedFlagsIdentical(t *testing.T) {
 	usage := map[string]map[string]string{}
 	for _, b := range bins {
 		usage[b] = usageBlocks(t, filepath.Join(dir, b))
+	}
+
+	// Each binary's complete flag set, so that adding or removing a flag is
+	// a reviewed diff here.
+	for b, want := range map[string][]string{
+		"adplatform": {"addr", "drain-timeout", "fsync", "logrows", "privacy-epsilon", "privacy-k", "privacy-seed",
+			"review-reject", "seed", "shed-cap", "snapshot-every", "store-dir", "voterdir", "voters"},
+		"adrouter": {"addr", "drain-timeout", "fault-kinds", "fault-rate", "fault-seed", "privacy-epsilon", "privacy-k",
+			"privacy-seed", "shard-cmd", "shard-log-dir", "shards"},
+		"adload": {"ads", "audience", "concurrency", "delivery-workers", "fault-kinds", "fault-rate", "fault-seed", "fsync",
+			"logrows", "mode", "out", "privacy-epsilon", "privacy-k", "privacy-seed", "retries", "rps", "scenarios", "seed",
+			"shed-cap", "store-dir", "target", "voterfile", "voters"},
+		"adchaos": {"actions", "chaos-seed", "logrows", "rate", "seed", "shard-bin", "shards", "tick", "ticks", "voters", "workdir"},
+	} {
+		var got []string
+		for name := range usage[b] {
+			got = append(got, name)
+		}
+		sort.Strings(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s flags:\n got  %v\n want %v", b, got, want)
+		}
 	}
 
 	world := []string{"adplatform", "adload", "adchaos"}

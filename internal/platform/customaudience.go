@@ -34,20 +34,6 @@ func (ca *CustomAudience) ascending() []int32 {
 	return ca.sorted
 }
 
-// UploadRecord is one row of an audience upload: the advertiser-side PII,
-// hashed client-side before transmission as real platforms require.
-type UploadRecord struct {
-	FirstName string
-	LastName  string
-	Address   string
-	ZIP       string
-}
-
-// Hash returns the normalized PII hash for the row.
-func (r UploadRecord) Hash() string {
-	return population.HashPII(r.FirstName, r.LastName, r.Address, r.ZIP)
-}
-
 // CreateCustomAudience matches a list of hex PII hashes against the user
 // base and registers the audience. Duplicate hashes are tolerated (matched
 // once); hashes that are not 64 hex characters match nobody.

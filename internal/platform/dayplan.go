@@ -44,7 +44,6 @@ type dayPlan struct {
 	bids []adBid
 	// The configuration an auction reads, fixed for the life of a platform.
 	frequencyCap int
-	quality      float64
 	noise        float64 // ValueNoise, the lognormal's σ
 	noiseShift   float64 // σ²/2, which keeps the noise factor's mean at 1
 }
@@ -130,7 +129,6 @@ func (p *Platform) newDayPlan(active []*Ad, bids []adBid) *dayPlan {
 		shown:        make([]uint8, len(elig.ads)),
 		bids:         bids,
 		frequencyCap: p.cfg.FrequencyCap,
-		quality:      p.cfg.Quality,
 		noise:        sigma,
 		noiseShift:   sigma * sigma / 2,
 	}
@@ -169,11 +167,11 @@ func (p *Platform) gatherRows(plan *dayPlan, order []int32, visits []visit) {
 func (p *Platform) competingDemand(age int, race demo.Race) float64 {
 	ageFactor := 1.0
 	if age < 65 {
-		ageFactor += p.cfg.CompetitionAgeSlope * float64(65-age) / 47
+		ageFactor += competitionAgeSlope * float64(65-age) / 47
 	}
 	raceFactor := 1.0
 	if race == demo.RaceWhite {
-		raceFactor += p.cfg.CompetitionWhitePremium
+		raceFactor += competitionWhitePremium
 	}
-	return p.cfg.CompetitionBase * ageFactor * raceFactor
+	return competitionBase * ageFactor * raceFactor
 }

@@ -43,7 +43,7 @@ func oracleDay(p *Platform, active []*Ad, seed int64, shards int) []*oracleAd {
 	for i, ad := range active {
 		ads[i] = &oracleAd{
 			ad:        ad,
-			pacing:    math.Min(math.Max(2*p.cfg.CompetitionBase/p.meanOptimizationTerm(ad), 0.005), 50),
+			pacing:    math.Min(math.Max(2*competitionBase/p.meanOptimizationTerm(ad), 0.005), 50),
 			budget:    float64(ad.DailyBudgetCents) / 100,
 			hourly:    make([]int, ticks),
 			breakdown: map[BreakdownKey]int{},
@@ -96,7 +96,7 @@ func oracleDay(p *Platform, active []*Ad, seed int64, shards int) []*oracleAd {
 			if p.cfg.FrequencyCap > 0 && oa.shown[uid] >= p.cfg.FrequencyCap {
 				continue
 			}
-			value := oa.pacing*p.optimizationTerm(oa.ad, u) + p.cfg.Quality
+			value := oa.pacing*p.optimizationTerm(oa.ad, u) + adQuality
 			if p.cfg.ValueNoise > 0 {
 				sigma := p.cfg.ValueNoise
 				value *= math.Exp(sigma*rng.NormFloat64() - sigma*sigma/2)
@@ -174,13 +174,13 @@ func oracleDay(p *Platform, active []*Ad, seed int64, shards int) []*oracleAd {
 func oracleDemand(p *Platform, u population.UserView) float64 {
 	ageFactor := 1.0
 	if age := u.Age(); age < 65 {
-		ageFactor += p.cfg.CompetitionAgeSlope * float64(65-age) / 47
+		ageFactor += competitionAgeSlope * float64(65-age) / 47
 	}
 	raceFactor := 1.0
 	if u.Race() == demo.RaceWhite {
-		raceFactor += p.cfg.CompetitionWhitePremium
+		raceFactor += competitionWhitePremium
 	}
-	return p.cfg.CompetitionBase * ageFactor * raceFactor
+	return competitionBase * ageFactor * raceFactor
 }
 
 // knuthPoisson is the session draw as the oracle day made it: the threshold

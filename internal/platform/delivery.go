@@ -219,7 +219,7 @@ func (p *Platform) prepareDay(adIDs []string) (*dayPlan, error) {
 		// would burn their budget at eAR-scaled bids ~25× too high.
 		meanTerm := p.meanOptimizationTerm(ad)
 		bids[i] = adBid{
-			pacing: math.Min(math.Max(2*p.cfg.CompetitionBase/meanTerm, 0.005), 50),
+			pacing: math.Min(math.Max(2*competitionBase/meanTerm, 0.005), 50),
 			budget: float64(ad.DailyBudgetCents) / 100,
 		}
 	}

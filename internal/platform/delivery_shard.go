@@ -315,7 +315,7 @@ func (p *Platform) auction(sh *dayShard, plan *dayPlan, row *planRow, tick int) 
 			term = p.optimizationTerm(plan.active[run], p.pop.View(int(row.user)))
 			entry.Store(math.Float64bits(term))
 		}
-		value := bid.pacing*term + plan.quality
+		value := bid.pacing*term + adQuality
 		if plan.noise > 0 {
 			value *= math.Exp(plan.noise*rng.NormFloat64() - plan.noiseShift)
 		}

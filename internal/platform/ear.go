@@ -254,7 +254,6 @@ func trainEAR(cfg TrainingConfig, pop *population.Population, behave *population
 func fillEngagementLog(rng *rand.Rand, layout featureLayout, pop *population.Population, behave *population.Behavior, vision visionModel, x *stats.Matrix, y []float64) {
 	jobs := image.JobTypes()
 	profiles := demo.AllProfiles()
-	stock := image.DefaultStockOptions()
 	for i := 0; i < x.Rows; i++ {
 		u := pop.View(rng.Intn(pop.Len()))
 		var img image.Features
@@ -263,13 +262,7 @@ func fillEngagementLog(rng *rand.Rand, layout featureLayout, pop *population.Pop
 			img = image.Features{}
 		default:
 			p := profiles[rng.Intn(len(profiles))]
-			img = image.FromProfile(p)
-			img.GenderAxis += stock.PersonJitter * rng.NormFloat64()
-			img.RaceAxis += stock.PersonJitter * rng.NormFloat64()
-			img.AgeYears += stock.AgeJitterYears * rng.NormFloat64()
-			for j := range img.Nuisance {
-				img.Nuisance[j] = stock.NuisanceStdDev * rng.NormFloat64()
-			}
+			img = image.StockFeatures(p, rng)
 			img.ApplyPresentationBias()
 			if r < 0.40 {
 				img.Job = jobs[rng.Intn(len(jobs))]

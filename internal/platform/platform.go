@@ -19,29 +19,11 @@ type Config struct {
 	Ticks int
 	// Training configures engagement-log generation and eAR fitting.
 	Training TrainingConfig
-	// Quality is the ad-quality term added to every bid (§2.1). The audit's
-	// ads are identical in quality, so this is a constant.
-	Quality float64
-	// CompetitionBase sets the background advertiser demand level (the
-	// highest competing total value for a slot, in dollars). Default 0.012.
-	CompetitionBase float64
-	// CompetitionAgeSlope makes younger users more expensive: competing
-	// demand is multiplied by 1+slope×(65-age)/47 for ages below 65.
-	// Default 1.2. This mundane market asymmetry produces the overall
-	// delivery skew toward older users the paper observes (§5.3).
-	CompetitionAgeSlope float64
-	// CompetitionWhitePremium raises competing demand for white users
-	// (default 0.3): other advertisers' targeting prices demographics
-	// differently (§5.2 footnote 5: groups "may not be equally priced based
-	// on the targeting of other advertisers"). This is what makes balanced
-	// audiences deliver majority-Black at equal budgets, as the paper's
-	// intercepts show (Table 4a: 57% Black for a white-adult-male image).
-	CompetitionWhitePremium float64
 	// ValueNoise is the per-slot lognormal σ applied to each ad's
 	// bid×eAR term, modelling per-request context features and ranking
 	// exploration. Without it the deterministic eAR ordering sorts users
 	// across ads winner-take-all, wildly overstating delivery skews.
-	// Default 0.9.
+	// Default 0.7.
 	ValueNoise float64
 	// ReviewRejectProb is the ad-review rejection probability. Near zero in
 	// normal operation; Appendix A's experiment raises it via
@@ -57,26 +39,40 @@ type Config struct {
 	// FrequencyCap limits how many times one ad is shown to one user per
 	// day. Default 4; 0 disables the cap; at most 255.
 	FrequencyCap int
-	// VisionSeed seeds the platform's own content classifier training,
-	// independent of any classifier the auditor uses.
-	VisionSeed int64
 }
+
+// The platform's fixed market calibration.
+const (
+	// adQuality is the ad-quality term added to every bid (§2.1). The audit's
+	// ads are identical in quality, so this is a constant.
+	adQuality float64 = 0.004
+	// competitionBase sets the background advertiser demand level (the
+	// highest competing total value for a slot, in dollars).
+	competitionBase float64 = 0.007
+	// competitionAgeSlope makes younger users more expensive: competing
+	// demand is multiplied by 1+slope×(65-age)/47 for ages below 65. This
+	// mundane market asymmetry produces the overall delivery skew toward
+	// older users the paper observes (§5.3).
+	competitionAgeSlope float64 = 2.2
+	// competitionWhitePremium raises competing demand for white users: other
+	// advertisers' targeting prices demographics differently (§5.2 footnote
+	// 5: groups "may not be equally priced based on the targeting of other
+	// advertisers"). This is what makes balanced audiences deliver
+	// majority-Black at equal budgets, as the paper's intercepts show
+	// (Table 4a: 57% Black for a white-adult-male image).
+	competitionWhitePremium float64 = 0.3
+)
 
 // DefaultConfig returns the standard simulation configuration.
 func DefaultConfig(seed int64) Config {
 	return Config{
-		Seed:                    seed,
-		Ticks:                   48,
-		Training:                TrainingConfig{LogRows: 60000, Seed: seed + 1},
-		Quality:                 0.004,
-		FrequencyCap:            4,
-		CompetitionBase:         0.007,
-		CompetitionAgeSlope:     2.2,
-		CompetitionWhitePremium: 0.3,
-		ValueNoise:              0.7,
-		ReviewRejectProb:        0.01,
-		UseEAR:                  true,
-		VisionSeed:              seed + 2,
+		Seed:             seed,
+		Ticks:            48,
+		Training:         TrainingConfig{LogRows: 60000, Seed: seed + 1},
+		FrequencyCap:     4,
+		ValueNoise:       0.7,
+		ReviewRejectProb: 0.01,
+		UseEAR:           true,
 	}
 }
 
@@ -169,7 +165,9 @@ func New(cfg Config, pop *population.Population, behave *population.Behavior) (*
 		return nil, fmt.Errorf("platform: nil behaviour model")
 	}
 	cfg = cfg.withDefaults()
-	vision, err := face.Train(face.TrainOptions{CorpusSize: 4000, Seed: cfg.VisionSeed, LabelNoise: 0.02})
+	// The platform's own content classifier, independent of any classifier
+	// the auditor uses.
+	vision, err := face.Train(face.TrainOptions{CorpusSize: 4000, Seed: cfg.Seed + 2, LabelNoise: 0.02})
 	if err != nil {
 		return nil, fmt.Errorf("platform: training vision model: %w", err)
 	}

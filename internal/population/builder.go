@@ -132,7 +132,7 @@ func (b *builder) account(v aged, st demo.State) (activity float64, ok bool) {
 	if b.rng.Float64() > b.cfg.BaseMatchRate*matchRateFactor(v) {
 		return 0, false
 	}
-	activity = b.cfg.MeanSessions * activityFactor(v) * lognormalish(b.rng)
+	activity = meanSessions * activityFactor(v) * lognormalish(b.rng)
 	if st == demo.StateFL {
 		activity *= b.cfg.FLActivityBoost
 	}

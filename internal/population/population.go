@@ -154,9 +154,6 @@ type Config struct {
 	// Default 0.004, consistent with the <1% out-of-state delivery §3.3
 	// reports for state-level splits.
 	TravelProb float64
-	// MeanSessions is the mean sessions/day across the population.
-	// Default 6.
-	MeanSessions float64
 	// FLActivityBoost multiplies the activity of Florida users (default 1).
 	// Setting it away from 1 injects a location confounder; the A4 ablation
 	// uses it to show the reversed-copy aggregation cancels such
@@ -164,15 +161,15 @@ type Config struct {
 	FLActivityBoost float64
 }
 
+// meanSessions is the mean sessions/day across the population.
+const meanSessions float64 = 6
+
 func (c *Config) setDefaults() {
 	if c.BaseMatchRate == 0 {
 		c.BaseMatchRate = 0.65
 	}
 	if c.TravelProb == 0 {
 		c.TravelProb = 0.004
-	}
-	if c.MeanSessions == 0 {
-		c.MeanSessions = 6
 	}
 	if c.FLActivityBoost == 0 {
 		c.FLActivityBoost = 1

@@ -21,22 +21,22 @@ type GeneratorConfig struct {
 	// BlackShare is the overall fraction of Black voters. Real registries
 	// are not balanced; the stratified sampler is what produces balance.
 	BlackShare float64
-	// PovertyRaceCorrelation in [0,1] controls how strongly a ZIP's Black
-	// population share tracks its poverty rate, reproducing the residential-
-	// segregation pattern Appendix A controls for. 0 decouples them.
-	PovertyRaceCorrelation float64
 }
+
+// povertyRaceCorrelation in [0,1] is how strongly a ZIP's Black population
+// share tracks its poverty rate, reproducing the residential-segregation
+// pattern Appendix A controls for. 0 would decouple them.
+const povertyRaceCorrelation float64 = 0.6
 
 // DefaultGeneratorConfig returns the configuration used by the full-scale
 // experiments for the given state.
 func DefaultGeneratorConfig(state demo.State, seed int64) GeneratorConfig {
 	return GeneratorConfig{
-		State:                  state,
-		Seed:                   seed,
-		NumVoters:              120000,
-		NumZIPs:                120,
-		BlackShare:             0.30,
-		PovertyRaceCorrelation: 0.6,
+		State:      state,
+		Seed:       seed,
+		NumVoters:  120000,
+		NumZIPs:    120,
+		BlackShare: 0.30,
 	}
 }
 
@@ -139,7 +139,7 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 		// ZIP race shares highly dispersed (a few percent to near-total),
 		// which both Appendix A and the lookalike extension depend on.
 		logit := math.Log(cfg.BlackShare/(1-cfg.BlackShare)) +
-			1.5*cfg.PovertyRaceCorrelation*povScore + 0.7*rng.NormFloat64()
+			1.5*povertyRaceCorrelation*povScore + 0.7*rng.NormFloat64()
 		share := 1 / (1 + math.Exp(-logit))
 		if share < 0.02 {
 			share = 0.02
