@@ -3,21 +3,24 @@
 //
 // Usage:
 //
-//	go run ./cmd/adlint [-only detrand,walerr] [-list] [-json] [packages]
+//	go run ./cmd/adlint [-json] [packages]
 //
 // With no package arguments it analyzes ./... from the current directory.
 // The process exits 1 when any diagnostic is reported and 2 on usage or
 // load errors, mirroring go vet. -json switches the output to a single JSON
 // array of findings on stdout for machine consumers (CI annotation,
-// editors); exit codes are unchanged. Findings are suppressed per-line with
-// //adlint:allow annotations; see the adlint package documentation for the
-// grammar and the invariant each analyzer enforces.
+// editors); exit codes are unchanged. Every finding names its analyzer, so
+// one analyzer's findings are a filter on that column. Findings are
+// suppressed per line with //adlint:allow annotations; see the adlint
+// package documentation for the grammar and the invariant each analyzer
+// enforces.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -36,74 +39,65 @@ type jsonFinding struct {
 }
 
 func main() {
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	list := flag.Bool("list", false, "list the analyzers in the suite and exit")
-	asJSON := flag.Bool("json", false, "emit findings as a JSON array on stdout")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: adlint [-only names] [-list] [-json] [packages]\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-
-	if *list {
-		for _, a := range adlint.All() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
-
-	analyzers, err := adlint.ByName(*only)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
 	dir, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "adlint:", err)
 		os.Exit(2)
 	}
+	os.Exit(run(dir, os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	pkgs, err := adlint.Load(dir, patterns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "adlint:", err)
-		os.Exit(2)
+// run analyzes the packages args name, relative to dir, prints the findings
+// to stdout with paths relative to dir, and returns the exit status.
+func run(dir string, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("adlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	asJSON := fs.Bool("json", false, "emit findings as a JSON array on stdout")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: adlint [-json] [packages]\n")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
 
-	diags := adlint.Run(pkgs, analyzers)
-	findings := make([]jsonFinding, 0, len(diags))
-	for _, d := range diags {
-		pos := d.Pos
-		if rel, err := filepath.Rel(dir, pos.Filename); err == nil && !filepath.IsAbs(rel) {
-			pos.Filename = rel
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
+	}
+	pkgs, err := adlint.Load(dir, patterns)
+	if err != nil {
+		fmt.Fprintln(stderr, "adlint:", err)
+		return 2
+	}
+
+	diags := adlint.Run(pkgs, adlint.All())
+	findings := make([]jsonFinding, len(diags))
+	for i, d := range diags {
+		file := d.Pos.Filename
+		if rel, err := filepath.Rel(dir, file); err == nil {
+			file = rel
 		}
-		findings = append(findings, jsonFinding{
-			File:     pos.Filename,
-			Line:     pos.Line,
-			Column:   pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
+		findings[i] = jsonFinding{file, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message}
 	}
 
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(os.Stderr, "adlint:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "adlint:", err)
+			return 2
 		}
 	} else {
 		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: %s: %s\n", f.File, f.Line, f.Column, f.Analyzer, f.Message)
+			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Column, f.Analyzer, f.Message)
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "adlint: %d finding(s) across %d package(s)\n", len(diags), len(pkgs))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "adlint: %d finding(s) across %d package(s)\n", len(diags), len(pkgs))
+		return 1
 	}
+	return 0
 }

@@ -67,7 +67,10 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	backends := splitBackends(*shards)
+	backends, err := splitBackends(*shards)
+	if err != nil {
+		return err
+	}
 	if len(backends) == 0 {
 		return fmt.Errorf("-shards is required (comma-separated backend URLs)")
 	}
@@ -167,10 +170,7 @@ func shardCommandLines(tmpl, logDir string, backends []string) ([][]string, []st
 	argv := make([][]string, len(backends))
 	logs := make([]string, len(backends))
 	for i, backend := range backends {
-		u, err := url.Parse(backend)
-		if err != nil || u.Host == "" {
-			return nil, nil, fmt.Errorf("backend %q: cannot derive {addr}: %v", backend, err)
-		}
+		u, _ := url.Parse(backend) // splitBackends refused every entry without a host
 		line := strings.ReplaceAll(tmpl, "{shard}", strconv.Itoa(i))
 		line = strings.ReplaceAll(line, "{addr}", u.Host)
 		argv[i] = strings.Fields(line)
@@ -187,12 +187,20 @@ func shardCommandLines(tmpl, logDir string, backends []string) ([][]string, []st
 	return argv, logs, nil
 }
 
-func splitBackends(raw string) []string {
+// splitBackends parses the -shards list, refusing an entry that is not an
+// http or https URL with a host (marketing.NewClient's rule) before any shard
+// is launched.
+func splitBackends(raw string) ([]string, error) {
 	var out []string
 	for _, part := range strings.Split(raw, ",") {
-		if p := strings.TrimSpace(part); p != "" {
-			out = append(out, strings.TrimRight(p, "/"))
+		p := strings.TrimSpace(part)
+		if p == "" {
+			continue
 		}
+		if u, err := url.Parse(p); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return nil, fmt.Errorf("-shards entry %q is not an http:// or https:// URL with a host", p)
+		}
+		out = append(out, strings.TrimRight(p, "/"))
 	}
-	return out
+	return out, nil
 }

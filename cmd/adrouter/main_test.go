@@ -4,21 +4,22 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"testing"
 )
 
+// TestShardCommandLines renders the template over a -shards list as run
+// does: the list is checked by splitBackends before any line is rendered.
 func TestShardCommandLines(t *testing.T) {
-	backends := []string{"http://127.0.0.1:8401", "http://127.0.0.1:8402"}
+	backends := "http://127.0.0.1:8401,http://127.0.0.1:8402"
 	logDir := filepath.Join(t.TempDir(), "logs")
 	for _, tc := range []struct {
 		name     string
 		tmpl     string
 		logDir   string
-		backends []string
+		backends string
 		argv     [][]string
 		logs     []string
-		err      string // substring of the error; empty wants success
+		err      string // the whole error; empty wants success
 	}{
 		{
 			name:     "expands shard and addr",
@@ -42,14 +43,19 @@ func TestShardCommandLines(t *testing.T) {
 			logs: []string{filepath.Join(logDir, "shard0.log"), filepath.Join(logDir, "shard1.log")},
 		},
 		{name: "renders empty", tmpl: " \t ", backends: backends, err: "-shard-cmd rendered empty for shard 0"},
-		{name: "backend without host", tmpl: "adplatform -addr {addr}", backends: []string{"/shard0"}, err: `backend "/shard0": cannot derive {addr}`},
-		{name: "unparsable backend", tmpl: "adplatform -addr {addr}", backends: []string{"127.0.0.1:8401"}, err: `backend "127.0.0.1:8401": cannot derive {addr}`},
+		{name: "backend without host", tmpl: "adplatform -addr {addr}", backends: "/shard0", err: `-shards entry "/shard0" is not an http:// or https:// URL with a host`},
+		{name: "unparsable backend", tmpl: "adplatform -addr {addr}", backends: "127.0.0.1:8401", err: `-shards entry "127.0.0.1:8401" is not an http:// or https:// URL with a host`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			argv, logs, err := shardCommandLines(tc.tmpl, tc.logDir, tc.backends)
+			var argv [][]string
+			var logs []string
+			backends, err := splitBackends(tc.backends)
+			if err == nil {
+				argv, logs, err = shardCommandLines(tc.tmpl, tc.logDir, backends)
+			}
 			if tc.err != "" {
-				if err == nil || !strings.Contains(err.Error(), tc.err) {
-					t.Fatalf("want error containing %q, got %v", tc.err, err)
+				if err == nil || err.Error() != tc.err {
+					t.Fatalf("want error %q, got %v", tc.err, err)
 				}
 				return
 			}
@@ -75,14 +81,25 @@ func TestSplitBackends(t *testing.T) {
 	for _, tc := range []struct {
 		raw  string
 		want []string
+		err  string // the whole error; empty wants success
 	}{
-		{"", nil},
-		{" , ,", nil},
-		{"http://127.0.0.1:8401", []string{"http://127.0.0.1:8401"}},
-		{" http://a:1/ , ,http://b:2// ", []string{"http://a:1", "http://b:2"}},
+		{raw: "", want: nil},
+		{raw: " , ,", want: nil},
+		{raw: "http://127.0.0.1:8401", want: []string{"http://127.0.0.1:8401"}},
+		{raw: " http://a:1/ , ,https://b:2// ", want: []string{"http://a:1", "https://b:2"}},
+		{raw: "http://a:1,/shard0", err: `-shards entry "/shard0" is not an http:// or https:// URL with a host`},
+		{raw: "localhost:8401", err: `-shards entry "localhost:8401" is not an http:// or https:// URL with a host`},
+		{raw: " ftp://h ", err: `-shards entry "ftp://h" is not an http:// or https:// URL with a host`},
 	} {
-		if got := splitBackends(tc.raw); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("splitBackends(%q) = %q, want %q", tc.raw, got, tc.want)
+		got, err := splitBackends(tc.raw)
+		if tc.err != "" {
+			if err == nil || err.Error() != tc.err {
+				t.Errorf("splitBackends(%q): error %v, want %q", tc.raw, err, tc.err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("splitBackends(%q) = %q, %v; want %q", tc.raw, got, err, tc.want)
 		}
 	}
 }

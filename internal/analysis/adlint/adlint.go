@@ -38,14 +38,9 @@
 //
 //	//adlint:allow <name>[,<name>...] (reason)
 //
-// placed on the offending line, on the line directly above it, or on the
-// line of the enclosing function declaration (which suppresses the named
-// analyzers for the whole function). A package outside the built-in
-// determinism-critical list can opt into detrand with a file-level
-//
-//	//adlint:deterministic
-//
-// comment anywhere in one of its files.
+// placed on the offending line or on the line directly above it. Which
+// packages detrand holds to determinism is its built-in list; no directive
+// changes it.
 package adlint
 
 import (
@@ -58,13 +53,11 @@ import (
 )
 
 // Analyzer is one named check. Run inspects the pass's package and reports
-// findings through pass.ReportfScoped.
+// findings through pass.Reportf.
 type Analyzer struct {
 	// Name is the short identifier used in diagnostics and in
 	// //adlint:allow annotations.
 	Name string
-	// Doc is a one-paragraph description of the invariant enforced.
-	Doc string
 	// Run executes the check over one package.
 	Run func(*Pass)
 }
@@ -74,11 +67,6 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-}
-
-// String renders the vet-style "file:line:col: analyzer: message" line.
-func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
 // Pass carries one type-checked package through one analyzer.
@@ -91,10 +79,6 @@ type Pass struct {
 
 	// allow maps "filename:line" to the analyzer names allowed there.
 	allow map[string]map[string]bool
-	// deterministic is true when a file in the package carries the
-	// //adlint:deterministic directive (path-based marking is detrand's own
-	// concern).
-	deterministic bool
 
 	diags *[]Diagnostic
 }
@@ -103,7 +87,7 @@ type Pass struct {
 const directivePrefix = "//adlint:"
 
 // indexDirectives scans the package's comments once and records allow
-// annotations by file:line, plus the package-level deterministic marker.
+// annotations by file:line. A comment with any other verb is ignored.
 func (p *Pass) indexDirectives() {
 	p.allow = map[string]map[string]bool{}
 	for _, f := range p.Files {
@@ -114,22 +98,20 @@ func (p *Pass) indexDirectives() {
 					continue
 				}
 				verb, tail := splitVerb(strings.TrimPrefix(text, directivePrefix))
-				switch verb {
-				case "deterministic":
-					p.deterministic = true
-				case "allow":
-					names := parseAllowNames(tail)
-					if len(names) == 0 {
-						continue
-					}
-					pos := p.Fset.Position(c.Pos())
-					key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
-					if p.allow[key] == nil {
-						p.allow[key] = map[string]bool{}
-					}
-					for _, n := range names {
-						p.allow[key][n] = true
-					}
+				if verb != "allow" {
+					continue
+				}
+				names := parseAllowNames(tail)
+				if len(names) == 0 {
+					continue
+				}
+				pos := p.Fset.Position(c.Pos())
+				key := fmt.Sprintf("%s:%d", pos.Filename, pos.Line)
+				if p.allow[key] == nil {
+					p.allow[key] = map[string]bool{}
+				}
+				for _, n := range names {
+					p.allow[key][n] = true
 				}
 			}
 		}
@@ -178,31 +160,17 @@ func isIdent(s string) bool {
 	return true
 }
 
-// allowedAt reports whether the current analyzer is suppressed at pos: an
-// allow directive on the same line or the line directly above.
-func (p *Pass) allowedAt(pos token.Pos) bool {
-	if !pos.IsValid() {
-		return false
-	}
+// Reportf records a finding at pos unless an allow directive naming the
+// analyzer sits on that line or on the line directly above it.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	for _, line := range []int{position.Line, position.Line - 1} {
-		key := fmt.Sprintf("%s:%d", position.Filename, line)
-		if names := p.allow[key]; names != nil && names[p.Analyzer.Name] {
-			return true
+		if p.allow[fmt.Sprintf("%s:%d", position.Filename, line)][p.Analyzer.Name] {
+			return
 		}
 	}
-	return false
-}
-
-// ReportfScoped records a finding at pos unless an allow directive covers
-// that line (or the line above it), or scope's line (typically the enclosing
-// function declaration). Pass token.NoPos for no scope.
-func (p *Pass) ReportfScoped(pos, scope token.Pos, format string, args ...any) {
-	if p.allowedAt(pos) || (scope.IsValid() && p.allowedAt(scope)) {
-		return
-	}
 	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
+		Pos:      position,
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
@@ -248,29 +216,4 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 // (DESIGN §5b).
 func All() []*Analyzer {
 	return []*Analyzer{Detrand, Lockhold, Ctxflow, Walerr, Obsreg, Goroleak}
-}
-
-// ByName resolves a comma-separated -only list against the suite. An
-// unknown name is an error that enumerates the valid names, so a typo
-// fails loudly instead of quietly checking nothing.
-func ByName(names string) ([]*Analyzer, error) {
-	if names == "" {
-		return All(), nil
-	}
-	byName := map[string]*Analyzer{}
-	valid := make([]string, 0, len(All()))
-	for _, a := range All() {
-		byName[a.Name] = a
-		valid = append(valid, a.Name)
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("adlint: unknown analyzer %q (valid analyzers: %s)", n, strings.Join(valid, ", "))
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }

@@ -1,7 +1,6 @@
 package adlint_test
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/adaudit/impliedidentity/internal/analysis/adlint"
@@ -18,7 +17,7 @@ func TestAnalyzers(t *testing.T) {
 		analyzer *adlint.Analyzer
 		fixtures []string
 	}{
-		{"detrand", adlint.Detrand, []string{"detrand/internal/platform", "detrand/internal/privacy", "detrand/internal/chaos", "detrand/internal/supervisor", "detrand/clocked", "detrand/optin"}},
+		{"detrand", adlint.Detrand, []string{"detrand/internal/platform", "detrand/internal/privacy", "detrand/internal/chaos", "detrand/internal/supervisor", "detrand/clocked"}},
 		{"lockhold", adlint.Lockhold, []string{"lockhold/a"}},
 		{"ctxflow", adlint.Ctxflow, []string{"ctxflow/internal/marketing"}},
 		{"walerr", adlint.Walerr, []string{"walerr/internal/store", "walerr/caller"}},
@@ -31,27 +30,5 @@ func TestAnalyzers(t *testing.T) {
 			t.Parallel()
 			analysistest.Run(t, tt.analyzer, tt.fixtures...)
 		})
-	}
-}
-
-// TestByName covers the -only flag's resolver.
-func TestByName(t *testing.T) {
-	all, err := adlint.ByName("")
-	if err != nil || len(all) != 6 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want 6, nil", len(all), err)
-	}
-	two, err := adlint.ByName("detrand, goroleak")
-	if err != nil || len(two) != 2 || two[0].Name != "detrand" || two[1].Name != "goroleak" {
-		t.Fatalf("ByName(detrand, goroleak) = %v, err %v", two, err)
-	}
-	_, err = adlint.ByName("nosuch")
-	if err == nil {
-		t.Fatal("ByName(nosuch) succeeded; want error")
-	}
-	// A typo must fail loudly AND tell the user what would have worked.
-	for _, name := range []string{"detrand", "lockhold", "goroleak", "walerr"} {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("ByName(nosuch) error %q does not list valid analyzer %q", err, name)
-		}
 	}
 }

@@ -2,7 +2,6 @@ package adlint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -19,7 +18,6 @@ import (
 //     and cancellation silently stop working for that call.
 var Ctxflow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "require API methods and HTTP handlers to propagate their context.Context",
 	Run:  runCtxflow,
 }
 
@@ -30,7 +28,6 @@ const marketingPkgSuffix = "internal/marketing"
 func runCtxflow(pass *Pass) {
 	inMarketing := pathHasSuffix(pass.Pkg.Path(), marketingPkgSuffix)
 	for _, fd := range funcDecls(pass.Files) {
-		scope := scopePos(fd)
 		ctxParam := paramOfType(pass.TypesInfo, fd, func(t types.Type) bool {
 			return namedIs(t, "context", "Context")
 		})
@@ -39,11 +36,11 @@ func runCtxflow(pass *Pass) {
 		})
 
 		if ctxParam != nil || reqParam != nil {
-			checkFreshContext(pass, fd, ctxParam, scope)
+			checkFreshContext(pass, fd, ctxParam)
 		}
 		if inMarketing && ctxParam != nil && fd.Name.IsExported() &&
 			!usesObject(pass.TypesInfo, fd.Body, ctxParam) {
-			pass.ReportfScoped(fd.Name.Pos(), scope,
+			pass.Reportf(fd.Name.Pos(),
 				"exported %s accepts a context.Context (%s) but never uses it; propagate it into downstream calls or drop the parameter",
 				fd.Name.Name, ctxParam.Name())
 		}
@@ -53,7 +50,7 @@ func runCtxflow(pass *Pass) {
 // checkFreshContext flags context.Background()/context.TODO() calls inside a
 // function that already has a context available (a ctx parameter or an
 // *http.Request whose Context method supplies one).
-func checkFreshContext(pass *Pass, fd *ast.FuncDecl, ctxParam types.Object, scope token.Pos) {
+func checkFreshContext(pass *Pass, fd *ast.FuncDecl, ctxParam types.Object) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
@@ -70,7 +67,7 @@ func checkFreshContext(pass *Pass, fd *ast.FuncDecl, ctxParam types.Object, scop
 		if ctxParam != nil {
 			have = "the " + ctxParam.Name() + " parameter"
 		}
-		pass.ReportfScoped(call.Pos(), scope,
+		pass.Reportf(call.Pos(),
 			"context.%s severs the cancellation chain; derive from %s instead", f.Name(), have)
 		return true
 	})

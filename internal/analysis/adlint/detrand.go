@@ -2,7 +2,6 @@ package adlint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -12,8 +11,8 @@ import (
 // schedule, the synthetic population, the statistics kernels, the load
 // generator's workload decisions, and the privacy layer (whose noise stream
 // must be a pure function of seed and cell key for the router/single-process
-// equivalence proof). A package outside this list opts in with a file-level
-// //adlint:deterministic directive.
+// equivalence proof). The list is the one way a package is made
+// determinism-critical.
 var deterministicPkgSuffixes = []string{
 	"internal/platform",
 	"internal/faults",
@@ -46,32 +45,27 @@ var globalRandExempt = map[string]bool{
 // resolves to the interface method, never to time.Now.
 var Detrand = &Analyzer{
 	Name: "detrand",
-	Doc: "forbid wall-clock reads, global math/rand, and order-dependent map " +
-		"iteration in determinism-critical packages",
-	Run: runDetrand,
+	Run:  runDetrand,
 }
 
 func runDetrand(pass *Pass) {
-	critical := pass.deterministic
-	if !critical {
-		for _, suffix := range deterministicPkgSuffixes {
-			if pathHasSuffix(pass.Pkg.Path(), suffix) {
-				critical = true
-				break
-			}
+	critical := false
+	for _, suffix := range deterministicPkgSuffixes {
+		if pathHasSuffix(pass.Pkg.Path(), suffix) {
+			critical = true
+			break
 		}
 	}
 	if !critical {
 		return
 	}
 	for _, fd := range funcDecls(pass.Files) {
-		scope := scopePos(fd)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			switch node := n.(type) {
 			case *ast.CallExpr:
-				checkDetrandCall(pass, node, scope)
+				checkDetrandCall(pass, node)
 			case *ast.RangeStmt:
-				checkMapRange(pass, fd, node, scope)
+				checkMapRange(pass, fd, node)
 			}
 			return true
 		})
@@ -79,7 +73,7 @@ func runDetrand(pass *Pass) {
 }
 
 // checkDetrandCall flags wall-clock reads and global-RNG draws.
-func checkDetrandCall(pass *Pass, call *ast.CallExpr, scope token.Pos) {
+func checkDetrandCall(pass *Pass, call *ast.CallExpr) {
 	f := calleeOf(pass.TypesInfo, call)
 	if f == nil {
 		return
@@ -87,13 +81,13 @@ func checkDetrandCall(pass *Pass, call *ast.CallExpr, scope token.Pos) {
 	switch pkgPathOf(f) {
 	case "time":
 		if !isMethod(f) && (f.Name() == "Now" || f.Name() == "Since" || f.Name() == "Until") {
-			pass.ReportfScoped(call.Pos(), scope,
+			pass.Reportf(call.Pos(),
 				"wall-clock read time.%s in determinism-critical package %s; inject a Clock or derive timing from the seed",
 				f.Name(), pass.Pkg.Path())
 		}
 	case "math/rand", "math/rand/v2":
 		if !isMethod(f) && !globalRandExempt[f.Name()] {
-			pass.ReportfScoped(call.Pos(), scope,
+			pass.Reportf(call.Pos(),
 				"global rand.%s draws from the process-wide generator; use a seeded rand.New(rand.NewSource(seed))",
 				f.Name())
 		}
@@ -104,7 +98,7 @@ func checkDetrandCall(pass *Pass, call *ast.CallExpr, scope token.Pos) {
 // escapes into ordered output — an append to a variable declared outside the
 // loop, a channel send, or direct printing — unless the enclosing function
 // later sorts the accumulated value (the repo's collect-then-sort idiom).
-func checkMapRange(pass *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt, scope token.Pos) {
+func checkMapRange(pass *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt) {
 	tv, ok := pass.TypesInfo.Types[rng.X]
 	if !ok {
 		return
@@ -115,7 +109,7 @@ func checkMapRange(pass *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt, scope token
 	ast.Inspect(rng.Body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.SendStmt:
-			pass.ReportfScoped(node.Pos(), scope,
+			pass.Reportf(node.Pos(),
 				"channel send inside map iteration publishes elements in nondeterministic order; collect and sort first")
 			return true
 		case *ast.CallExpr:
@@ -136,13 +130,13 @@ func checkMapRange(pass *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt, scope token
 				if sortedInFunc(pass.TypesInfo, fd, obj) {
 					return true
 				}
-				pass.ReportfScoped(node.Pos(), scope,
+				pass.Reportf(node.Pos(),
 					"append to %q inside map iteration depends on map order; sort the result afterwards or annotate", root.Name)
 				return true
 			}
 			if f := calleeOf(pass.TypesInfo, node); f != nil && pkgPathOf(f) == "fmt" &&
 				(strings.HasPrefix(f.Name(), "Fprint") || strings.HasPrefix(f.Name(), "Print")) {
-				pass.ReportfScoped(node.Pos(), scope,
+				pass.Reportf(node.Pos(),
 					"fmt.%s inside map iteration emits elements in nondeterministic order; collect and sort first", f.Name())
 			}
 		}

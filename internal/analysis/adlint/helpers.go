@@ -199,12 +199,3 @@ func constStringOf(info *types.Info, e ast.Expr) (string, bool) {
 	}
 	return constant.StringVal(tv.Value), true
 }
-
-// enclosingScope pairs a reported position with its function declaration so
-// directives on the func line suppress the whole body.
-func scopePos(fd *ast.FuncDecl) token.Pos {
-	if fd == nil {
-		return token.NoPos
-	}
-	return fd.Pos()
-}

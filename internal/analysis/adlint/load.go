@@ -70,9 +70,6 @@ func runGoList(dir string, args ...string) ([]listedPackage, error) {
 // design, are only reachable by naming their directories explicitly (which
 // is what the analysistest harness does).
 func Load(dir string, patterns []string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
 	// Pass 1: which packages did the patterns match?
 	matched, err := runGoList(dir, append([]string{"-json=ImportPath"}, patterns...)...)
 	if err != nil {

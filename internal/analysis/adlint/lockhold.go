@@ -24,19 +24,18 @@ import (
 // critical section at its eventual call site.
 var Lockhold = &Analyzer{
 	Name: "lockhold",
-	Doc:  "forbid blocking calls (sleep, I/O, channel waits) while a mutex is held",
 	Run:  runLockhold,
 }
 
 func runLockhold(pass *Pass) {
 	for _, fd := range funcDecls(pass.Files) {
-		scanLockScope(pass, fd.Body, scopePos(fd))
+		scanLockScope(pass, fd.Body)
 	}
 }
 
 // scanLockScope walks one function body in source order, tracking held
 // locks, and recurses into nested FuncLits with a fresh (empty) lock set.
-func scanLockScope(pass *Pass, body *ast.BlockStmt, scope token.Pos) {
+func scanLockScope(pass *Pass, body *ast.BlockStmt) {
 	held := map[string]token.Pos{} // mutex expr text -> Lock() position
 	var walk func(n ast.Node) bool
 	// branch walks one branch's statements. Control never flows off the end
@@ -55,7 +54,7 @@ func scanLockScope(pass *Pass, body *ast.BlockStmt, scope token.Pos) {
 	walk = func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.FuncLit:
-			scanLockScope(pass, node.Body, scope)
+			scanLockScope(pass, node.Body)
 			return false
 		case *ast.BlockStmt:
 			branch(node.List)
@@ -76,16 +75,16 @@ func scanLockScope(pass *Pass, body *ast.BlockStmt, scope token.Pos) {
 			}
 			return true
 		case *ast.SendStmt:
-			reportBlocked(pass, held, node.Pos(), scope, "channel send")
+			reportBlocked(pass, held, node.Pos(), "channel send")
 			return true
 		case *ast.UnaryExpr:
 			if node.Op == token.ARROW {
-				reportBlocked(pass, held, node.Pos(), scope, "channel receive")
+				reportBlocked(pass, held, node.Pos(), "channel receive")
 			}
 			return true
 		case *ast.SelectStmt:
 			if !selectHasDefault(node) {
-				reportBlocked(pass, held, node.Pos(), scope, "select without default")
+				reportBlocked(pass, held, node.Pos(), "select without default")
 			}
 			// The comm expressions are part of the (already reported) select
 			// wait; scan only the clause bodies to avoid double counting.
@@ -107,7 +106,7 @@ func scanLockScope(pass *Pass, body *ast.BlockStmt, scope token.Pos) {
 				return true
 			}
 			if desc := blockingCall(pass.TypesInfo, node); desc != "" {
-				reportBlocked(pass, held, node.Pos(), scope, desc)
+				reportBlocked(pass, held, node.Pos(), desc)
 			}
 			return true
 		}
@@ -117,9 +116,9 @@ func scanLockScope(pass *Pass, body *ast.BlockStmt, scope token.Pos) {
 }
 
 // reportBlocked emits one diagnostic per held mutex at a blocking site.
-func reportBlocked(pass *Pass, held map[string]token.Pos, pos, scope token.Pos, what string) {
+func reportBlocked(pass *Pass, held map[string]token.Pos, pos token.Pos, what string) {
 	for mu := range held {
-		pass.ReportfScoped(pos, scope,
+		pass.Reportf(pos,
 			"%s while holding %s; release the lock first (reserve under the lock, wait outside it)", what, mu)
 	}
 }

@@ -17,7 +17,6 @@ import (
 //     create incompatible series in one registry slot.
 var Obsreg = &Analyzer{
 	Name: "obsreg",
-	Doc:  "require constant metric names (or const|label concatenations) and one kind per name",
 	Run:  runObsreg,
 }
 
@@ -35,7 +34,6 @@ func runObsreg(pass *Pass) {
 	}
 	kinds := map[string]firstUse{}
 	for _, fd := range funcDecls(pass.Files) {
-		scope := scopePos(fd)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok || len(call.Args) < 1 {
@@ -53,14 +51,14 @@ func runObsreg(pass *Pass) {
 			arg := ast.Unparen(call.Args[0])
 			name, constant := constStringOf(pass.TypesInfo, arg)
 			if !constant && !isConstLabelConcat(pass, arg) {
-				pass.ReportfScoped(arg.Pos(), scope,
+				pass.Reportf(arg.Pos(),
 					"dynamic metric name passed to Registry.%s; use a package constant, or a CONST+\"|\"+label concatenation for per-label series",
 					f.Name())
 				return true
 			}
 			if constant {
 				if prev, seen := kinds[name]; seen && prev.kind != f.Name() {
-					pass.ReportfScoped(arg.Pos(), scope,
+					pass.Reportf(arg.Pos(),
 						"metric %q registered as %s here but as %s elsewhere in this package; one name maps to one kind",
 						name, f.Name(), prev.kind)
 				} else if !seen {

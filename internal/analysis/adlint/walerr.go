@@ -2,7 +2,6 @@ package adlint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 )
@@ -27,7 +26,6 @@ import (
 // //adlint:allow walerr annotation with the reason.
 var Walerr = &Analyzer{
 	Name: "walerr",
-	Doc:  "forbid discarded errors from WAL/snapshot/fsync APIs and the write path",
 	Run:  runWalerr,
 }
 
@@ -46,7 +44,6 @@ var closeLikeNames = map[string]bool{"Close": true, "Flush": true, "Sync": true}
 func runWalerr(pass *Pass) {
 	inStore := pathHasSuffix(pass.Pkg.Path(), storePkgSuffix)
 	for _, fd := range funcDecls(pass.Files) {
-		scope := scopePos(fd)
 		written := writtenObjects(pass, fd)
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			var call *ast.CallExpr
@@ -61,7 +58,7 @@ func runWalerr(pass *Pass) {
 			if call == nil {
 				return true
 			}
-			checkDiscarded(pass, call, scope, inStore, written)
+			checkDiscarded(pass, call, inStore, written)
 			return true
 		})
 	}
@@ -69,7 +66,7 @@ func runWalerr(pass *Pass) {
 
 // checkDiscarded reports a discarded-error call that matches one of the
 // walerr rules.
-func checkDiscarded(pass *Pass, call *ast.CallExpr, scope token.Pos, inStore bool, written map[types.Object]bool) {
+func checkDiscarded(pass *Pass, call *ast.CallExpr, inStore bool, written map[types.Object]bool) {
 	f := calleeOf(pass.TypesInfo, call)
 	if f == nil || !returnsError(f) {
 		return
@@ -77,13 +74,13 @@ func checkDiscarded(pass *Pass, call *ast.CallExpr, scope token.Pos, inStore boo
 	// Rule 1: store-API calls, from anywhere.
 	if recv := recvNamed(f); recv != nil && f.Exported() && recv.Obj().Pkg() != nil &&
 		pathHasSuffix(recv.Obj().Pkg().Path(), storePkgSuffix) {
-		pass.ReportfScoped(call.Pos(), scope,
+		pass.Reportf(call.Pos(),
 			"error from %s.%s discarded; durability failures must be propagated or logged", recv.Obj().Name(), f.Name())
 		return
 	}
 	// Rule 2: write-path names inside the store package itself.
 	if inStore && isMethod(f) && storeWriteNames[f.Name()] {
-		pass.ReportfScoped(call.Pos(), scope,
+		pass.Reportf(call.Pos(),
 			"error from %s discarded on the persistence path; a swallowed %s error breaks the durability guarantee",
 			exprText(pass.Fset, call.Fun), f.Name())
 		return
@@ -99,7 +96,7 @@ func checkDiscarded(pass *Pass, call *ast.CallExpr, scope token.Pos, inStore boo
 			return
 		}
 		if obj := objOf(pass.TypesInfo, root); obj != nil && written[obj] {
-			pass.ReportfScoped(call.Pos(), scope,
+			pass.Reportf(call.Pos(),
 				"error from %s discarded but %s was written to in this function; %s is the last chance to surface a buffered write failure",
 				exprText(pass.Fset, call.Fun), root.Name, f.Name())
 		}

@@ -1,6 +1,6 @@
 // Package clocked is the false-positive regression for detrand: it is not
-// determinism-critical (no path-suffix match, no directive), so wall-clock
-// reads and global rand draws here must produce no diagnostics.
+// determinism-critical (no path-suffix match), so wall-clock reads and global
+// rand draws here must produce no diagnostics.
 package clocked
 
 import (

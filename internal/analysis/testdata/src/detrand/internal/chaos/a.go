@@ -1,7 +1,6 @@
 // Package chaos is a detrand fixture: its import-path suffix internal/chaos
 // is on the built-in determinism-critical list — the chaos schedule must be
-// a pure function of (seed, tick) so a soak log replays bit-identically —
-// with no file-level //adlint:deterministic opt-in needed.
+// a pure function of (seed, tick) so a soak log replays bit-identically.
 package chaos
 
 import (

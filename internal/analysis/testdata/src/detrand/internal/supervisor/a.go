@@ -1,7 +1,8 @@
 // Package supervisor is a detrand fixture: its import-path suffix
 // internal/supervisor is on the built-in determinism-critical list — the
 // relaunch backoff must be Mix64-jittered from seeded state, never from the
-// clock or the global RNG — with no file-level opt-in needed.
+// clock or the global RNG. It also proves the injectable-Clock pattern is
+// exempt: a method named Now never resolves to time.Now.
 package supervisor
 
 import (
@@ -25,4 +26,15 @@ func GlobalJitter(base time.Duration) time.Duration {
 func SeededJitter(seed int64, attempt int, base time.Duration) time.Duration {
 	rng := rand.New(rand.NewSource(seed ^ int64(attempt)))
 	return base + time.Duration(rng.Int63n(int64(base/4)))
+}
+
+// Clock abstracts time for injection, mirroring obs.Clock.
+type Clock interface {
+	Now() time.Time
+	Sleep(d time.Duration)
+}
+
+// Stamp reads through the injected clock: no diagnostic.
+func Stamp(c Clock) time.Time {
+	return c.Now()
 }

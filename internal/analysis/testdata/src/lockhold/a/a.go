@@ -137,10 +137,8 @@ func (w *widget) Spawn(ch chan int) {
 }
 
 // Flush deliberately syncs under the lock: the group-commit design.
-//
-//adlint:allow lockhold (group commit: the single writer flushes under the latch)
 func (w *widget) Flush(f *os.File) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return f.Sync()
+	return f.Sync() //adlint:allow lockhold (group commit: the single writer flushes under the latch)
 }

@@ -232,19 +232,3 @@ func walkInto(out, acts []float64, dir Direction, alpha float64) {
 		out[i] = v + alpha*d[i]
 	}
 }
-
-// Cosine returns the cosine similarity of two directions — the diagnostic
-// used to verify that independently fitted attribute directions are close to
-// orthogonal (so walking one holds the others approximately constant).
-func Cosine(a, b Direction) float64 {
-	var num, na, nb float64
-	for i := range a.Vec {
-		num += a.Vec[i] * b.Vec[i]
-		na += a.Vec[i] * a.Vec[i]
-		nb += b.Vec[i] * b.Vec[i]
-	}
-	if na == 0 || nb == 0 {
-		return math.NaN()
-	}
-	return num / math.Sqrt(na*nb)
-}

@@ -255,26 +255,3 @@ func (n *Network) SampleBatch(count int, rng *rand.Rand) ([]*Face, error) {
 	}
 	return out, nil
 }
-
-// Truncate applies the StyleGAN "truncation trick": pull an activation
-// vector toward the population mean activation by factor psi in [0, 1].
-// psi = 1 returns the input unchanged; psi = 0 collapses to the mean face.
-// Truncation trades diversity for typicality — attribute ranges shrink —
-// and is the standard knob for sampling more conservative faces.
-func (n *Network) Truncate(acts []float64, mean []float64, psi float64) ([]float64, error) {
-	if len(acts) != n.ActivationDim() || len(mean) != n.ActivationDim() {
-		return nil, fmt.Errorf("gan: truncate length %d/%d, want %d", len(acts), len(mean), n.ActivationDim())
-	}
-	if psi < 0 || psi > 1 {
-		return nil, fmt.Errorf("gan: psi %v outside [0,1]", psi)
-	}
-	out := make([]float64, len(acts))
-	if psi == 1 {
-		copy(out, acts) // exact identity, avoiding float round-trip error
-		return out, nil
-	}
-	for i := range acts {
-		out[i] = mean[i] + psi*(acts[i]-mean[i])
-	}
-	return out, nil
-}

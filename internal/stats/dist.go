@@ -189,67 +189,6 @@ func SignificanceStars(p float64) string {
 	return ""
 }
 
-// ChiSquareCDF returns P(X ≤ x) for a chi-square variable with k degrees of
-// freedom, via the regularized lower incomplete gamma function.
-func ChiSquareCDF(x, k float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return regIncGammaLower(k/2, x/2)
-}
-
-// regIncGammaLower computes P(a, x), the regularized lower incomplete gamma
-// function, via series (x < a+1) or continued fraction (otherwise).
-func regIncGammaLower(a, x float64) float64 {
-	if x < 0 || a <= 0 {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 0
-	}
-	if x < a+1 {
-		// Series expansion.
-		ap := a
-		sum := 1 / a
-		del := sum
-		for i := 0; i < 500; i++ {
-			ap++
-			del *= x / ap
-			sum += del
-			if math.Abs(del) < math.Abs(sum)*1e-15 {
-				break
-			}
-		}
-		return sum * math.Exp(-x+a*math.Log(x)-lgamma(a))
-	}
-	// Continued fraction for Q(a,x), then P = 1-Q.
-	const fpmin = 1e-300
-	b := x + 1 - a
-	c := 1 / fpmin
-	d := 1 / b
-	h := d
-	for i := 1; i <= 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = b + an/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-15 {
-			break
-		}
-	}
-	q := math.Exp(-x+a*math.Log(x)-lgamma(a)) * h
-	return 1 - q
-}
-
 // BenjaminiHochberg converts a slice of p-values into adjusted q-values
 // controlling the false discovery rate. An audit fits many coefficients
 // across many models (Table 4 alone stars 21 terms); BH adjustment keeps

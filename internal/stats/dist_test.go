@@ -135,23 +135,6 @@ func TestSignificanceStars(t *testing.T) {
 	}
 }
 
-func TestChiSquareCDF(t *testing.T) {
-	// χ²(2) is Exponential(1/2): CDF(x) = 1 - exp(-x/2).
-	for _, x := range []float64{0.5, 1, 3, 8} {
-		want := 1 - math.Exp(-x/2)
-		if got := ChiSquareCDF(x, 2); !almostEqual(got, want, 1e-9) {
-			t.Errorf("ChiSquareCDF(%v, 2) = %v, want %v", x, got, want)
-		}
-	}
-	// 95th percentile of χ²(1) is 3.841.
-	if got := ChiSquareCDF(3.841, 1); !almostEqual(got, 0.95, 1e-3) {
-		t.Errorf("ChiSquareCDF(3.841, 1) = %v", got)
-	}
-	if got := ChiSquareCDF(-1, 3); got != 0 {
-		t.Errorf("negative x: %v", got)
-	}
-}
-
 func TestBenjaminiHochberg(t *testing.T) {
 	// Worked example (m = 5): sorted p = .01, .02, .03, .04, .5.
 	ps := []float64{0.04, 0.5, 0.01, 0.03, 0.02}

@@ -97,8 +97,8 @@ func indexDesign(names []string, x *Matrix) (*designIndex, error) {
 
 func (d *designIndex) row(i int) []int32 { return d.idx[d.start[i]:d.start[i+1]] }
 
-// accumulate adds one observation to the Newton sums: r·x̃ to grad, unless it
-// is nil, and w·x̃x̃ᵀ to the upper triangle of h, where x̃ = (1, row) and nz
+// accumulate adds one observation to the Newton sums: r·x̃ to grad and w·x̃x̃ᵀ
+// to the upper triangle of h, where x̃ = (1, row) and nz
 // indexes row's non-zero entries. Entries that are exactly ±0 are skipped,
 // which leaves every sum bit for bit what the full loop gives: each
 // accumulator starts at +0 and can never become −0 by addition; under
@@ -110,14 +110,10 @@ func (d *designIndex) row(i int) []int32 { return d.idx[d.start[i]:d.start[i+1]]
 func accumulate(grad []float64, h *Matrix, row []float64, nz []int32, r, w float64) {
 	h0 := h.Row(0)
 	h0[0] += w
-	if grad != nil {
-		grad[0] += r
-	}
+	grad[0] += r
 	if len(nz) == len(row) {
 		for a, va := range row {
-			if grad != nil {
-				grad[a+1] += r * va
-			}
+			grad[a+1] += r * va
 			h0[a+1] += w * va
 			ha := h.Row(a + 1)
 			for b := a; b < len(row); b++ {
@@ -128,9 +124,7 @@ func accumulate(grad []float64, h *Matrix, row []float64, nz []int32, r, w float
 	}
 	for k, a := range nz {
 		va := row[a]
-		if grad != nil {
-			grad[a+1] += r * va
-		}
+		grad[a+1] += r * va
 		h0[a+1] += w * va
 		ha := h.Row(int(a) + 1)
 		for _, b := range nz[k:] {
@@ -270,61 +264,6 @@ func Logit(names []string, x *Matrix, y []float64, opt LogitOptions) (*LogitResu
 	}
 	res.LogLik = ll
 	return res, nil
-}
-
-// Inference computes Wald standard errors, z statistics, and two-sided
-// p-values for a fitted logistic regression, from the inverse observed
-// information (Hessian of the negative log-likelihood) at the optimum. x
-// must be the regressor matrix (without intercept) the model was fitted on.
-// With Ridge > 0 the fit is penalized and these are approximate.
-type LogitInference struct {
-	StdErr []float64
-	ZStat  []float64
-	PValue []float64
-}
-
-// Inference computes Wald inference for the fitted model.
-func (r *LogitResult) Inference(x *Matrix) (*LogitInference, error) {
-	p := len(r.Coef)
-	if x.Rows != r.N || x.Cols+1 != p {
-		return nil, fmt.Errorf("stats: design %dx%d does not match fitted model (n=%d, p=%d)", x.Rows, x.Cols, r.N, p)
-	}
-	nz, err := indexDesign(r.Names[1:], x)
-	if err != nil {
-		return nil, err
-	}
-	info := NewMatrix(p, p)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		z := r.Coef[0]
-		for j, v := range row {
-			z += r.Coef[j+1] * v
-		}
-		m := Sigmoid(z)
-		accumulate(nil, info, row, nz.row(i), 0, m*(1-m))
-	}
-	mirrorUpper(info)
-	cov, err := info.SymInverse()
-	if err != nil {
-		return nil, fmt.Errorf("stats: inverting information matrix: %w", err)
-	}
-	out := &LogitInference{
-		StdErr: make([]float64, p),
-		ZStat:  make([]float64, p),
-		PValue: make([]float64, p),
-	}
-	for j := 0; j < p; j++ {
-		se := math.Sqrt(cov.At(j, j))
-		out.StdErr[j] = se
-		if se > 0 {
-			out.ZStat[j] = r.Coef[j] / se
-			out.PValue[j] = 2 * NormalCDF(-math.Abs(out.ZStat[j]))
-		} else {
-			out.ZStat[j] = math.NaN()
-			out.PValue[j] = math.NaN()
-		}
-	}
-	return out, nil
 }
 
 // TwoProportionZ holds a two-proportion z-test: are two ads' delivery

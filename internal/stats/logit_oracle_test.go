@@ -5,9 +5,8 @@ import (
 	"math"
 )
 
-// The logistic fit and its Wald inference as they stood before the
-// accumulation learned to skip a row's exact zeros: every regressor pair of
-// every row multiplied out. Kept verbatim (bodies untouched, only renamed) as
+// The logistic fit as it stood before the accumulation learned to skip a
+// row's exact zeros: every regressor pair of every row multiplied out. Kept verbatim (bodies untouched, only renamed) as
 // this round's oracle for TestLogitSkipsZerosBitForBit; ROADMAP item 6 gives
 // such a copy one round.
 
@@ -141,56 +140,4 @@ func denseLogit(names []string, x *Matrix, y []float64, opt LogitOptions) (*Logi
 	}
 	res.LogLik = ll
 	return res, nil
-}
-
-func denseInference(r *LogitResult, x *Matrix) (*LogitInference, error) {
-	p := len(r.Coef)
-	if x.Rows != r.N || x.Cols+1 != p {
-		return nil, fmt.Errorf("stats: design %dx%d does not match fitted model (n=%d, p=%d)", x.Rows, x.Cols, r.N, p)
-	}
-	info := NewMatrix(p, p)
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		z := r.Coef[0]
-		for j, v := range row {
-			z += r.Coef[j+1] * v
-		}
-		m := Sigmoid(z)
-		w := m * (1 - m)
-		info.Set(0, 0, info.At(0, 0)+w)
-		ir0 := info.Row(0)
-		for a, va := range row {
-			ir0[a+1] += w * va
-			ia := info.Row(a + 1)
-			for b := a; b < len(row); b++ {
-				ia[b+1] += w * va * row[b]
-			}
-		}
-	}
-	for a := 0; a < p; a++ {
-		for b := a + 1; b < p; b++ {
-			info.Set(b, a, info.At(a, b))
-		}
-	}
-	cov, err := info.SymInverse()
-	if err != nil {
-		return nil, fmt.Errorf("stats: inverting information matrix: %w", err)
-	}
-	out := &LogitInference{
-		StdErr: make([]float64, p),
-		ZStat:  make([]float64, p),
-		PValue: make([]float64, p),
-	}
-	for j := 0; j < p; j++ {
-		se := math.Sqrt(cov.At(j, j))
-		out.StdErr[j] = se
-		if se > 0 {
-			out.ZStat[j] = r.Coef[j] / se
-			out.PValue[j] = 2 * NormalCDF(-math.Abs(out.ZStat[j]))
-		} else {
-			out.ZStat[j] = math.NaN()
-			out.PValue[j] = math.NaN()
-		}
-	}
-	return out, nil
 }

@@ -177,39 +177,6 @@ func TestSigmoidClamps(t *testing.T) {
 	}
 }
 
-func TestLogitInference(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	n := 4000
-	x := NewMatrix(n, 1)
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		v := rng.NormFloat64()
-		x.Set(i, 0, v)
-		if rng.Float64() < Sigmoid(0.8*v) {
-			y[i] = 1
-		}
-	}
-	res, err := Logit([]string{"v"}, x, y, LogitOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inf, err := res.Inference(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The strong slope should be clearly significant with sensible SEs.
-	if inf.PValue[1] > 1e-6 {
-		t.Errorf("slope p = %v", inf.PValue[1])
-	}
-	// The estimate should sit within 4 SEs of truth.
-	if d := res.Coef[1] - 0.8; d > 4*inf.StdErr[1] || d < -4*inf.StdErr[1] {
-		t.Errorf("slope %v ± %v vs truth 0.8", res.Coef[1], inf.StdErr[1])
-	}
-	if _, err := res.Inference(NewMatrix(n, 3)); err == nil {
-		t.Error("mismatched design: want error")
-	}
-}
-
 func TestTwoProportionZTest(t *testing.T) {
 	// Clear difference: 560/1000 vs 290/1000.
 	res, err := TwoProportionZTest(560, 1000, 290, 1000)

@@ -1,4 +1,3 @@
-//adlint:deterministic
 package supervisor
 
 import (
