@@ -138,6 +138,30 @@ func tune(net *Network, acts []float64, dir Direction, errOf func(image.Features
 // to our hints"). Two coordinate passes absorb the small cross-talk between
 // directions.
 func TuneToProfile(net *Network, clf *face.Classifier, ds DirectionSet, acts []float64, target demo.Profile) ([]float64, image.Features, error) {
+	buf := make([]float64, len(acts))
+	cur, err := tuneSteps(net, acts, profileSteps(clf, ds, target), buf)
+	if err != nil {
+		return nil, image.Features{}, err
+	}
+	img, err := net.Synthesize(cur)
+	if err != nil {
+		return nil, image.Features{}, err
+	}
+	return cur, img, nil
+}
+
+// tuneStep is one coordinate step of TuneToProfile: a direction and the
+// classifier error tune minimises along it.
+type tuneStep struct {
+	dir   Direction
+	errOf func(image.Features) float64
+}
+
+// profileSteps returns TuneToProfile's six steps toward target: race, gender
+// and age, twice. The race step reads only the target race and the gender
+// step only the target gender, so the first two steps of a pass depend on
+// nothing else of the profile.
+func profileSteps(clf *face.Classifier, ds DirectionSet, target demo.Profile) []tuneStep {
 	// Target near-saturated classifier scores: stock photos of each group
 	// score ≈ 0.98 / 0.02, and the tuned variants must imply demographics
 	// as strongly as the stock images they are compared against (§5.5).
@@ -150,29 +174,25 @@ func TuneToProfile(net *Network, clf *face.Classifier, ds DirectionSet, acts []f
 		raceTarget = 0.97
 	}
 	ageTarget := target.Age.RepresentativeYears()
-	steps := [...]struct {
-		dir   Direction
-		errOf func(image.Features) float64
-	}{
+	pass := []tuneStep{
 		{ds.Race, func(f image.Features) float64 { return abs(clf.RaceScore(f) - raceTarget) }},
 		{ds.Gender, func(f image.Features) float64 { return abs(clf.GenderScore(f) - genderTarget) }},
 		{ds.Age, func(f image.Features) float64 { return abs(clf.AgeYears(f) - ageTarget) }},
 	}
+	return append(pass, pass...)
+}
+
+// tuneSteps runs the steps in order from acts, each tuning the previous
+// one's result. acts is only read.
+func tuneSteps(net *Network, acts []float64, steps []tuneStep, buf []float64) ([]float64, error) {
 	cur := acts
-	buf := make([]float64, len(acts))
-	var err error
-	for pass := 0; pass < 2; pass++ {
-		for _, s := range steps {
-			if cur, err = tune(net, cur, s.dir, s.errOf, buf); err != nil {
-				return nil, image.Features{}, err
-			}
+	for _, s := range steps {
+		var err error
+		if cur, err = tune(net, cur, s.dir, s.errOf, buf); err != nil {
+			return nil, err
 		}
 	}
-	img, err := net.Synthesize(cur)
-	if err != nil {
-		return nil, image.Features{}, err
-	}
-	return cur, img, nil
+	return cur, nil
 }
 
 // Variant is one tuned image of a source person.
@@ -184,13 +204,46 @@ type Variant struct {
 
 // VariantGrid generates the §5.5 image set for one source face: the 20
 // demographic combinations (2 genders × 2 races × 5 implied ages) of the
-// same "person".
+// same "person". Each variant is TuneToProfile of the source; the first
+// pass's race step is tuned once per race and its gender step once per
+// (race, gender), because the profiles that share them start from the same
+// activations: 86 tune scans instead of 120, and the same bits.
 func VariantGrid(net *Network, clf *face.Classifier, ds DirectionSet, source *Face) ([]Variant, error) {
+	type raceGender struct {
+		race   demo.Race
+		gender demo.Gender
+	}
+	byRace := map[demo.Race][]float64{}
+	byRaceGender := map[raceGender][]float64{}
+	buf := make([]float64, len(source.Activations))
 	var out []Variant
 	for _, p := range demo.AllProfiles() {
-		acts, img, err := TuneToProfile(net, clf, ds, source.Activations, p)
+		fail := func(err error) ([]Variant, error) { return nil, fmt.Errorf("gan: tuning to %v: %w", p, err) }
+		steps := profileSteps(clf, ds, p)
+		afterRace, ok := byRace[p.Race]
+		if !ok {
+			var err error
+			if afterRace, err = tuneSteps(net, source.Activations, steps[:1], buf); err != nil {
+				return fail(err)
+			}
+			byRace[p.Race] = afterRace
+		}
+		key := raceGender{p.Race, p.Gender}
+		afterGender, ok := byRaceGender[key]
+		if !ok {
+			var err error
+			if afterGender, err = tuneSteps(net, afterRace, steps[1:2], buf); err != nil {
+				return fail(err)
+			}
+			byRaceGender[key] = afterGender
+		}
+		acts, err := tuneSteps(net, afterGender, steps[2:], buf)
 		if err != nil {
-			return nil, fmt.Errorf("gan: tuning to %v: %w", p, err)
+			return fail(err)
+		}
+		img, err := net.Synthesize(acts)
+		if err != nil {
+			return fail(err)
 		}
 		out = append(out, Variant{Target: p, Activations: acts, Image: img})
 	}

@@ -14,7 +14,8 @@ import (
 // and a table miss the kernel reads nothing else: not the platform's
 // configuration, not the population.
 type dayPlan struct {
-	active []*Ad // by run index, the CSR index's ad addressing
+	arena  *dayArena // holds every slice below but active and bids
+	active []*Ad     // by run index, the CSR index's ad addressing
 	elig   *eligIndex
 	// demand is competingDemand by demographic key: the background bid
 	// before its per-slot noise.
@@ -112,21 +113,24 @@ func cellKey(c int) BreakdownKey {
 }
 
 // newDayPlan builds the plan's index, memo tables and slot counters for the
-// active ads (run order = slice order) and their starting bids.
-func (p *Platform) newDayPlan(active []*Ad, bids []adBid) *dayPlan {
-	elig := buildEligIndex(active)
-	demand := make([]float64, numKeys)
-	for key := range demand {
-		demand[key] = p.competingDemand(key/(cellGenders*numRaces), demo.Race(key%numRaces))
-	}
+// active ads (run order = slice order) and their starting bids in the arena.
+func (p *Platform) newDayPlan(a *dayArena, active []*Ad, bids []adBid) *dayPlan {
+	elig := a.buildEligIndex(active)
+	a.terms = resize(a.terms, numKeys*len(active))
+	a.clicks = resize(a.clicks, numKeys*len(active))
+	a.shown = resize(a.shown, len(elig.ads))
+	clear(a.terms)
+	clear(a.clicks)
+	clear(a.shown)
 	sigma := p.cfg.ValueNoise
 	return &dayPlan{
+		arena:        a,
 		active:       active,
 		elig:         elig,
-		demand:       demand,
-		terms:        make([]atomic.Uint64, numKeys*len(active)),
-		clicks:       make([]atomic.Uint64, numKeys*len(active)),
-		shown:        make([]uint8, len(elig.ads)),
+		demand:       a.demand,
+		terms:        a.terms,
+		clicks:       a.clicks,
+		shown:        a.shown,
 		bids:         bids,
 		frequencyCap: p.cfg.FrequencyCap,
 		noise:        sigma,
@@ -134,14 +138,15 @@ func (p *Platform) newDayPlan(active []*Ad, bids []adBid) *dayPlan {
 	}
 }
 
-// gatherRows fills the visit entry of each of the given row positions, its
-// row gathered from the CSR offsets and the population columns. Every product
-// keeps the operand order the per-auction code had, so the hoisted values are
-// the same bits.
-func (p *Platform) gatherRows(plan *dayPlan, order []int32, visits []visit) {
+// gatherRows fills the visit entry of every row shard `shard` of `shards`
+// owns, visits[k] from row position shard + k·shards, gathered from the CSR
+// offsets and the population columns. Every product keeps the operand order
+// the per-auction code had, so the hoisted values are the same bits.
+func (p *Platform) gatherRows(plan *dayPlan, shard, shards int, visits []visit) {
 	ticks := float64(p.cfg.Ticks)
 	offsets := plan.elig.offsets
-	for i, pos := range order {
+	for i := range visits {
+		pos := shard + i*shards
 		u := p.pop.View(int(plan.elig.users[pos]))
 		visits[i] = visit{
 			quiet: sessionThreshold(u.Activity() / ticks),

@@ -496,11 +496,11 @@ func TestDemandTableIsCompetingDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	visits := make([]visit, 1)
+	visits := make([]visit, plan.elig.rows())
+	p.gatherRows(plan, 0, 1, visits)
 	for pos := range plan.elig.users {
-		p.gatherRows(plan, []int32{int32(pos)}, visits)
 		u := p.pop.View(int(plan.elig.users[pos]))
-		got := plan.demand[visits[0].row.key()]
+		got := plan.demand[visits[pos].row.key()]
 		if want := p.competingDemand(u.Age(), u.Race()); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("user %d (%d, %v): table %v, competingDemand %v", u.ID(), u.Age(), u.Race(), got, want)
 		}

@@ -99,6 +99,7 @@ func (p *Platform) RunDayWorkers(adIDs []string, seed int64, workers int) error 
 	if err != nil {
 		return err
 	}
+	defer p.parkArena(plan.arena)
 	ctrl, err := NewPacingController(p.dayInit("", plan), workers)
 	if err != nil {
 		return err
@@ -181,7 +182,9 @@ func (p *Platform) finishDay(run *dayRun, spendCents []float64, del *DeliverySta
 // prepareDay resolves a delivery request into the day plan: the run's active
 // ad set, its CSR eligibility index with the slot-aligned frequency counters,
 // the empty memo tables, and every ad's starting bid state (zeroed spend,
-// starting pacing).
+// starting pacing). The plan is built in the arena the last day parked, or a
+// new one (takeArena), which the day holds until it ends; a request refused
+// here takes none.
 // It is shared by RunDayWorkers and the coordinated day session
 // (delivery_session.go) and consumes no randomness, so every shard of a
 // coordinated day derives the identical plan from the same CRUD state. The
@@ -223,7 +226,7 @@ func (p *Platform) prepareDay(adIDs []string) (*dayPlan, error) {
 			budget: float64(ad.DailyBudgetCents) / 100,
 		}
 	}
-	return p.newDayPlan(active, bids), nil
+	return p.newDayPlan(p.takeArena(), active, bids), nil
 }
 
 // dayInit reports a prepared plan the way a shard backend reports it to its

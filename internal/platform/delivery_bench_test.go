@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"weak"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/image"
@@ -117,7 +118,7 @@ func BenchmarkBuildEligIndex(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		slots += int64(len(buildEligIndex(plan.active).ads))
+		slots += int64(len(plan.arena.buildEligIndex(plan.active).ads))
 	}
 	perUnit(b, slots, "ns/slot")
 }
@@ -187,20 +188,35 @@ func BenchmarkCreateAd(b *testing.B) {
 
 // BenchmarkPrepareDay is what a day costs before its first tick: resolve the
 // ads, estimate their starting bids, build the index and the slot arrays,
-// and gather the rows of the day's only shard.
+// and gather the rows of the day's only shard. steady parks each day's arena
+// as a day that ends does, so the next day takes it back; cold drops it, so
+// every day allocates its buffers, as the first day of a platform does.
 func BenchmarkPrepareDay(b *testing.B) {
 	p, ids := benchDay(b)
-	var users int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	day := func(b *testing.B) int {
 		plan, err := p.prepareDay(ids)
 		if err != nil {
 			b.Fatal(err)
 		}
-		users += int64(len(p.newDayRun(plan, 1, 0, 1, 1).shards[0].visits))
+		users := len(p.newDayRun(plan, 1, 0, 1, 1).shards[0].visits)
+		p.parkArena(plan.arena)
+		return users
 	}
-	perUnit(b, users, "ns/user")
+	for _, name := range []string{"steady", "cold"} {
+		b.Run(name, func(b *testing.B) {
+			day(b)
+			var users int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if name == "cold" {
+					p.spareArena = weak.Pointer[dayArena]{}
+				}
+				users += int64(day(b))
+			}
+			perUnit(b, users, "ns/user")
+		})
+	}
 }
 
 // tickStepper drives shard 0 of a `shards`-wide day one tick at a time the

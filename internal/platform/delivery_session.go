@@ -65,7 +65,8 @@ type daySession struct {
 //
 // Any existing session is replaced: sessions are volatile scratch, and
 // replacement is how a coordinator recovers a backend that holds a stale
-// day.
+// day. A request refused before replacing leaves the session open. The
+// replaced day's arena is parked after the new day has taken its own.
 func (p *Platform) BeginDaySession(session string, adIDs []string, seed int64, shard, shards int) (*DayInit, error) {
 	if session == "" {
 		return nil, fmt.Errorf("platform: day session needs a name")
@@ -82,6 +83,7 @@ func (p *Platform) BeginDaySession(session string, adIDs []string, seed int64, s
 	if err != nil {
 		return nil, err
 	}
+	p.endSession()
 	p.session = &daySession{
 		name: session,
 		del:  &DeliveryState{Seed: seed, Workers: shards, Shard: shard, Shards: shards},
@@ -150,7 +152,7 @@ func (p *Platform) FinishDaySession(session string, spendCents []float64) error 
 		return fmt.Errorf("platform: session %q got %d spend totals, want %d: %w", session, len(spendCents), len(active), ErrSessionConflict)
 	}
 	p.finishDay(sess.run, spendCents, sess.del)
-	p.session = nil
+	p.endSession()
 	return nil
 }
 
@@ -166,8 +168,17 @@ func (p *Platform) AbortDaySession(session string) error {
 	if p.session.name != session {
 		return fmt.Errorf("platform: session %q active, cannot abort %q: %w", p.session.name, session, ErrSessionConflict)
 	}
-	p.session = nil
+	p.endSession()
 	return nil
+}
+
+// endSession closes the open session, if any, and parks its day's arena; the
+// caller holds p.mu for writing.
+func (p *Platform) endSession() {
+	if p.session != nil {
+		p.parkArena(p.session.run.plan.arena)
+		p.session = nil
+	}
 }
 
 // SessionActive reports whether a coordinated day session is currently open

@@ -54,12 +54,14 @@ type adAcc struct {
 }
 
 // dayShard owns a disjoint slice of the day's rows, a private RNG stream that
-// persists across ticks, and per-ad accumulators.
+// persists across ticks, and per-ad accumulators. It lives in the day's
+// arena, and a day that reuses the arena reuses its shards.
 type dayShard struct {
 	rng    *dayRand
 	live   bool        // charge committed spend per auction instead of at the barrier
 	visits []visit     // the shard's rows, in the order the last tick walked them
 	accs   []adAcc     // indexed by run index
+	hourly []int       // the accumulators' hourly counters, ad after ad
 	served []servedRow // buffered rows, until flushServed
 	// servedRoom bounds len(served) by the rows the retraining buffer can
 	// still take: what is left of it when the shard is built, which is what a
@@ -70,30 +72,37 @@ type dayShard struct {
 	auctions   int64
 }
 
-// newDayShard builds shard `shard` of a `shards`-wide day over the plan and
-// gathers its rows. The only shard of a 1-shard day is live and draws from
-// the day seed itself — the historical sequential stream; every other shard
-// draws from a private stream derived from (seed, shard).
-func (p *Platform) newDayShard(plan *dayPlan, seed int64, shard, shards int) *dayShard {
+// initDayShard makes sh shard `shard` of a `shards`-wide day over the plan,
+// keeping its buffers and its generator's register, and gathers its rows.
+// The only shard of a 1-shard day is live and draws from the day seed itself
+// — the historical sequential stream; every other shard draws from a private
+// stream derived from (seed, shard).
+func (p *Platform) initDayShard(sh *dayShard, plan *dayPlan, seed int64, shard, shards int) {
 	live := shards == 1
 	if !live {
 		seed = shardSeed(seed, shard)
 	}
-	order := plan.elig.shardRows(shard, shards)
-	sh := &dayShard{
-		rng:        newDayRand(seed),
-		live:       live,
-		visits:     make([]visit, len(order)),
-		accs:       make([]adAcc, len(plan.active)),
-		servedRoom: maxServedLog - len(p.served),
+	if sh.rng == nil {
+		sh.rng = newDayRand(seed)
+	} else {
+		sh.rng.Seed(seed)
 	}
 	ticks := p.cfg.Ticks
-	hourly := make([]int, len(sh.accs)*ticks)
-	for i := range sh.accs {
-		sh.accs[i].hourly = hourly[i*ticks : (i+1)*ticks]
+	*sh = dayShard{
+		rng:        sh.rng,
+		live:       live,
+		visits:     resize(sh.visits, plan.elig.shardLen(shard, shards)),
+		accs:       resize(sh.accs, len(plan.active)),
+		hourly:     resize(sh.hourly, len(plan.active)*ticks),
+		served:     sh.served[:0],
+		servedRoom: maxServedLog - len(p.served),
 	}
-	p.gatherRows(plan, order, sh.visits)
-	return sh
+	clear(sh.accs)
+	clear(sh.hourly)
+	for i := range sh.accs {
+		sh.accs[i].hourly = sh.hourly[i*ticks : (i+1)*ticks]
+	}
+	p.gatherRows(plan, shard, shards, sh.visits)
 }
 
 // dayRun is one process's part of a delivery day: the plan, the shards of the
@@ -108,28 +117,34 @@ type dayRun struct {
 	merge time.Duration
 }
 
-// newDayRun builds shards lo..hi-1 of a `shards`-wide day over the plan. A run
-// of several shards builds them side by side, a goroutine each, all done
-// before it returns: a shard gathers only the rows it owns and draws nothing.
+// newDayRun builds shards lo..hi-1 of a `shards`-wide day over the plan, in
+// the plan's arena. A run of several shards builds them side by side, a
+// goroutine each filling its arena slot, all done before it returns: a shard
+// gathers only the rows it owns and draws nothing.
 func (p *Platform) newDayRun(plan *dayPlan, seed int64, lo, hi, shards int) *dayRun {
-	run := &dayRun{plan: plan, shards: make([]*dayShard, hi-lo), reports: make([][]float64, hi-lo)}
+	a := plan.arena
+	for len(a.shards) < hi-lo {
+		a.shards = append(a.shards, new(dayShard))
+		a.reports = append(a.reports, nil)
+	}
+	run := &dayRun{plan: plan, shards: a.shards[:hi-lo], reports: a.reports[:hi-lo]}
 	if p.obsReg != nil {
 		run.start = p.clock.Now()
 	}
-	for s := range run.reports {
-		run.reports[s] = make([]float64, len(plan.bids))
+	for s := range run.reports { // every tick writes them before anything reads them
+		run.reports[s] = resize(run.reports[s], len(plan.bids))
 	}
 	if len(run.shards) == 1 {
-		run.shards[0] = p.newDayShard(plan, seed, lo, shards)
+		p.initDayShard(run.shards[0], plan, seed, lo, shards)
 		return run
 	}
 	var wg sync.WaitGroup
-	for s := range run.shards {
+	for s, sh := range run.shards {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
-			run.shards[s] = p.newDayShard(plan, seed, lo+s, shards)
-		}(s)
+			p.initDayShard(sh, plan, seed, lo+s, shards)
+		}()
 	}
 	wg.Wait()
 	return run
@@ -184,10 +199,26 @@ func (p *Platform) stepShards(run *dayRun, tick int, dirs []TickDirective) {
 // point) is deterministic.
 func (p *Platform) flushServed(run *dayRun) {
 	for _, sh := range run.shards {
-		room := maxServedLog - len(p.served)
-		p.served = append(p.served, sh.served[:min(len(sh.served), room)]...)
+		rows := sh.served[:min(len(sh.served), maxServedLog-len(p.served))]
+		p.served = append(growServed(p.served, len(rows)), rows...)
 		sh.served = sh.served[:0]
 	}
+}
+
+// growServed returns log with room for n more rows. When it must grow, its
+// new capacity is the smallest maxServedLog/2^k that holds them and at least
+// doubles the old one, so a log filled from empty ends at exactly
+// maxServedLog, and every array it outgrew together holds less than that.
+func growServed(log []servedRow, n int) []servedRow {
+	need := len(log) + n
+	if need <= cap(log) {
+		return log
+	}
+	size := maxServedLog
+	for size/2 >= max(need, 2*cap(log)) {
+		size /= 2
+	}
+	return append(make([]servedRow, 0, size), log...)
 }
 
 // foldInto adds the shard's day-end counts to the ads' reports. Every field

@@ -24,15 +24,15 @@ type eligIndex struct {
 	ads     []int32
 }
 
-// buildEligIndex constructs the index for the run's active ads (run order =
-// slice order). It consumes no randomness and allocates the three CSR slices
-// plus two transients: a bitset over population indexes up to the largest
-// one targeted, and its per-word rank prefix.
+// buildEligIndex constructs the arena's index for the run's active ads (run
+// order = slice order). It consumes no randomness and fills the three CSR
+// slices and two transients: a bitset over population indexes up to the
+// largest one targeted, and its per-word rank prefix.
 //
 // The targeted set is the bitset: users is its set bits in order (select),
 // and a population index's row is the number of set bits below it (rank) —
 // a prefix read and a popcount, whatever order audiences arrive in.
-func buildEligIndex(active []*Ad) *eligIndex {
+func (a *dayArena) buildEligIndex(active []*Ad) *eligIndex {
 	total, top := 0, int32(-1)
 	for _, ad := range active {
 		total += len(ad.audience)
@@ -40,13 +40,16 @@ func buildEligIndex(active []*Ad) *eligIndex {
 			top = max(top, idx)
 		}
 	}
-	words := make([]uint64, (top+64)/64)
+	a.words = resize(a.words, int(top+64)/64)
+	words := a.words
+	clear(words)
 	for _, ad := range active {
 		for _, idx := range ad.audience {
 			words[idx>>6] |= 1 << (idx & 63)
 		}
 	}
-	below := make([]int32, len(words)) // set bits in the words before this one
+	a.below = resize(a.below, len(words))
+	below := a.below // set bits in the words before this one
 	n := int32(0)
 	for w, set := range words {
 		below[w] = n
@@ -56,11 +59,11 @@ func buildEligIndex(active []*Ad) *eligIndex {
 		return below[idx>>6] + int32(bits.OnesCount64(words[idx>>6]&(1<<(idx&63)-1)))
 	}
 
-	e := &eligIndex{
-		users:   make([]int32, 0, n),
-		offsets: make([]int32, n+1),
-		ads:     make([]int32, total),
-	}
+	e := &a.elig
+	e.users = resize(e.users, int(n))[:0]
+	e.offsets = resize(e.offsets, int(n)+1)
+	clear(e.offsets)
+	e.ads = resize(e.ads, total)
 	for w, set := range words {
 		for ; set != 0; set &= set - 1 {
 			e.users = append(e.users, int32(w<<6+bits.TrailingZeros64(set)))
@@ -94,16 +97,12 @@ func buildEligIndex(active []*Ad) *eligIndex {
 // rows returns the number of targeted users.
 func (e *eligIndex) rows() int { return len(e.users) }
 
-// shardRows returns the row positions shard `shard` of `shards` owns, in
-// ascending order: the deterministic base order the per-tick seeded shuffles
-// start from (ascending population index, exactly the old sorted user list).
-// The split is round-robin by position, which spreads every demographic
-// stratum across shards instead of giving one shard a contiguous
-// (correlated) block.
-func (e *eligIndex) shardRows(shard, shards int) []int32 {
-	order := make([]int32, 0, (len(e.users)-shard+shards-1)/shards)
-	for i := shard; i < len(e.users); i += shards {
-		order = append(order, int32(i))
-	}
-	return order
+// shardLen is the number of rows shard `shard` of `shards` owns: positions
+// shard, shard+shards, … — in ascending order, the deterministic base order
+// the per-tick seeded shuffles start from (ascending population index,
+// exactly the old sorted user list). The split is round-robin by position,
+// which spreads every demographic stratum across shards instead of giving
+// one shard a contiguous (correlated) block.
+func (e *eligIndex) shardLen(shard, shards int) int {
+	return (len(e.users) - shard + shards - 1) / shards
 }

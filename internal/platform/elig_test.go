@@ -13,7 +13,7 @@ func (e *eligIndex) adsFor(pos int32) []int32 {
 }
 
 // eligAds builds a throwaway active-ad slice with the given audiences; only
-// the fields buildEligIndex reads (audience, and implicitly run order) are
+// the fields the index build reads (audience, and implicitly run order) are
 // populated.
 func eligAds(audiences ...[]int) []*Ad {
 	ads := make([]*Ad, len(audiences))
@@ -46,9 +46,9 @@ func mapOracle(active []*Ad) (map[int][]int, []int) {
 
 // assertMatchesOracle checks the CSR index against the sorted-map oracle:
 // identical user sequence, and identical per-user ad list in run order.
-func assertMatchesOracle(t *testing.T, active []*Ad) {
+func assertMatchesOracle(t *testing.T, a *dayArena, active []*Ad) {
 	t.Helper()
-	e := buildEligIndex(active)
+	e := a.buildEligIndex(active)
 	adsByUser, users := mapOracle(active)
 	if e.rows() != len(users) {
 		t.Fatalf("rows %d, oracle %d", e.rows(), len(users))
@@ -82,12 +82,12 @@ func TestEligIndexMatchesSortedMapOracle(t *testing.T) {
 		"duplicated_sets": eligAds([]int{2, 4}, []int{2, 4}, []int{2, 4}, []int{4}),
 	}
 	for name, active := range cases {
-		t.Run(name, func(t *testing.T) { assertMatchesOracle(t, active) })
+		t.Run(name, func(t *testing.T) { assertMatchesOracle(t, new(dayArena), active) })
 	}
 }
 
 func TestEligIndexEmptyAudiences(t *testing.T) {
-	e := buildEligIndex(eligAds(nil, nil))
+	e := new(dayArena).buildEligIndex(eligAds(nil, nil))
 	if e.rows() != 0 {
 		t.Fatalf("all-empty audiences: %d rows, want 0", e.rows())
 	}
@@ -96,8 +96,11 @@ func TestEligIndexEmptyAudiences(t *testing.T) {
 	}
 }
 
+// TestEligIndexRandomizedAgainstOracle builds every trial's index in one
+// arena, so each build also starts from the buffers of a different day.
 func TestEligIndexRandomizedAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
+	arena := new(dayArena)
 	for trial := 0; trial < 50; trial++ {
 		nAds := 1 + rng.Intn(6)
 		audiences := make([][]int, nAds)
@@ -114,37 +117,46 @@ func TestEligIndexRandomizedAgainstOracle(t *testing.T) {
 			}
 			sort.Ints(audiences[i])
 		}
-		assertMatchesOracle(t, eligAds(audiences...))
+		assertMatchesOracle(t, arena, eligAds(audiences...))
 	}
 }
 
+// TestEligIndexRowOrderIsIdentity: the only shard of a 1-shard day gathers
+// every row in position order, each with its own slot range.
 func TestEligIndexRowOrderIsIdentity(t *testing.T) {
-	e := buildEligIndex(eligAds([]int{10, 20}, []int{20, 30}))
-	order := e.shardRows(0, 1)
-	if len(order) != e.rows() {
-		t.Fatalf("order length %d, rows %d", len(order), e.rows())
+	p, ids := benchDay(t)
+	plan, err := p.prepareDay(ids)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, pos := range order {
-		if int(pos) != i {
-			t.Fatalf("order[%d] = %d, want identity", i, pos)
+	e := plan.elig
+	visits := make([]visit, e.shardLen(0, 1))
+	if len(visits) != e.rows() {
+		t.Fatalf("shard 0 of 1 owns %d rows, the index has %d", len(visits), e.rows())
+	}
+	p.gatherRows(plan, 0, 1, visits)
+	for pos, v := range visits {
+		if v.row.user != e.users[pos] || v.row.lo != e.offsets[pos] || v.row.hi != e.offsets[pos+1] {
+			t.Fatalf("visit %d holds user %d slots [%d, %d), row %d is user %d slots [%d, %d)", pos, v.row.user, v.row.lo, v.row.hi, pos, e.users[pos], e.offsets[pos], e.offsets[pos+1])
 		}
 	}
 }
 
 // TestEligIndexShardRowsPartition: for every shard count the shards' rows
-// are position mod count, ascending, and together cover every row once —
-// including counts above the row count, which leave some shards empty.
+// are the positions shard, shard+count, … below the row count, and together
+// cover every row once — including counts above the row count, which leave
+// some shards empty.
 func TestEligIndexShardRowsPartition(t *testing.T) {
-	e := buildEligIndex(eligAds([]int{1, 2, 3, 5, 8, 13, 21}))
+	e := new(dayArena).buildEligIndex(eligAds([]int{1, 2, 3, 5, 8, 13, 21}))
 	for shards := 1; shards <= e.rows()+2; shards++ {
 		seen := make([]int, e.rows())
 		for shard := 0; shard < shards; shard++ {
-			rows := e.shardRows(shard, shards)
-			for k, pos := range rows {
-				if int(pos)%shards != shard || (k > 0 && pos <= rows[k-1]) {
-					t.Fatalf("shard %d of %d owns %v", shard, shards, rows)
-				}
-				seen[pos]++
+			n := e.shardLen(shard, shards)
+			if last := shard + n*shards; last < e.rows() || (n > 0 && last-shards >= e.rows()) {
+				t.Fatalf("shard %d of %d owns %d of %d rows", shard, shards, n, e.rows())
+			}
+			for k := 0; k < n; k++ {
+				seen[shard+k*shards]++
 			}
 		}
 		for pos, n := range seen {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"weak"
 
 	"github.com/adaudit/impliedidentity/internal/face"
 	"github.com/adaudit/impliedidentity/internal/obs"
@@ -114,6 +115,10 @@ type Platform struct {
 	// session is the active coordinated delivery session, if any (see
 	// delivery_session.go). In-memory only: a restart loses it, by design.
 	session *daySession
+	// spareArena is the buffers of the last day that ended, for the next
+	// prepareDay to take back unless the collector has taken them first
+	// (see dayArena).
+	spareArena weak.Pointer[dayArena]
 
 	// hook receives every committed mutation (see state.go); invoked while
 	// p.mu is held for writing, so emission order is application order.
