@@ -150,8 +150,8 @@ func (t *procTarget) Pause(shard int) error  { return t.signal("pause", shard, s
 func (t *procTarget) Resume(shard int) error { return t.signal("resume", shard, supervisor.SigCont) }
 
 // procFleet is the chaos Deployment over real processes: adplatform children
-// behind an in-process router serving real HTTP, the supervisor in its own
-// goroutine.
+// behind an in-process router serving real HTTP, the coordinator's
+// supervision loop in its own goroutine.
 type procFleet struct {
 	procTarget
 	*chaos.Control
@@ -204,9 +204,10 @@ func startFleet(opts options, tag string, firstPort int, durable bool) (_ *procF
 		return nil, err
 	}
 	f := &procFleet{procTarget: procTarget{chaos.Links{Gate: faults.NewGate(), Hosts: hosts}, rel}, tickLen: opts.tickLen}
-	f.Control, err = chaos.NewControl(
-		coordinator.Config{Backends: backends, Transport: faults.NewTransport(nil, nil, f.Gate, nil)}, rel,
-		func(format string, args ...any) { fmt.Printf("[sup] "+format+"\n", args...) })
+	f.Control, err = chaos.NewControl(coordinator.Config{
+		Backends: backends, Transport: faults.NewTransport(nil, nil, f.Gate, nil), Relauncher: rel,
+		Logf: func(format string, args ...any) { fmt.Printf("[sup] "+format+"\n", args...) },
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -221,7 +222,7 @@ func startFleet(opts options, tag string, firstPort int, durable bool) (_ *procF
 		return nil, err
 	}
 	f.client.SetRetryPolicy(chaos.ClientRetry)
-	f.Sup.Start(context.Background())
+	f.Coord.Start(context.Background())
 	fmt.Printf("[%s] fleet up: router http://%s, shards %v\n", tag, ln.Addr(), hosts)
 	return f, nil
 }
@@ -230,7 +231,7 @@ func (f *procFleet) Client() *marketing.Client { return f.client }
 func (f *procFleet) Tick(context.Context)      { time.Sleep(f.tickLen) }
 
 func (f *procFleet) Close() error {
-	f.Sup.Stop()
+	f.Coord.Stop()
 	err := f.httpSrv.Close()
 	f.rel.StopAll()
 	return err

@@ -17,8 +17,8 @@
 // state digest equals the peer's. With -shard-cmd the router also owns the
 // shard child processes outright: it spawns them at boot and resurrects a
 // dead one under the SAME shard index, which recovers from its own WAL
-// first. Without it the supervisor only re-attaches shards that an external
-// process manager restarts.
+// first. Without it the coordinator's supervision pass only re-attaches
+// shards that an external process manager restarts.
 //
 // Usage:
 //
@@ -85,18 +85,10 @@ func run(args []string) error {
 
 	reg := obs.NewRegistry()
 	// Faults sit on the router->shard RPC path: every fan-out call and every
-	// supervisor probe crosses it, exactly like a flaky network between router
+	// supervision probe crosses it, exactly like a flaky network between router
 	// and fleet. Injected error ANSWERS must not flap the health model; only
 	// transport silence scores toward down.
 	transport, err := node.FaultTransport(faultCfg, reg, os.Stdout)
-	if err != nil {
-		return err
-	}
-	coord, err := coordinator.New(coordinator.Config{
-		Backends:  backends,
-		Transport: transport,
-		Privacy:   privCfg,
-	}, reg)
 	if err != nil {
 		return err
 	}
@@ -106,7 +98,11 @@ func run(args []string) error {
 	}
 
 	// With a command template the router owns the shard children: initial
-	// spawn here, resurrection by the supervisor, SIGKILL sweep on exit.
+	// spawn here, resurrection by the coordinator's supervision pass, SIGKILL
+	// sweep on exit. Without one the pass re-attaches only (an external
+	// process manager restarts the children), and the Relauncher must stay a
+	// nil interface, not a nil *ProcessRelauncher.
+	ccfg := coordinator.Config{Backends: backends, Transport: transport, Privacy: privCfg, Logf: log.Printf}
 	var rel *supervisor.ProcessRelauncher
 	if *shardCmd != "" {
 		argv, logs, err := shardCommandLines(*shardCmd, *shardLogDir, backends)
@@ -125,6 +121,11 @@ func run(args []string) error {
 			fmt.Printf("  shard%d child: pid %d (%s)\n", i, rel.Pid(i), strings.Join(argv[i], " "))
 		}
 		defer rel.StopAll()
+		ccfg.Relauncher = rel
+	}
+	coord, err := coordinator.New(ccfg, reg)
+	if err != nil {
+		return err
 	}
 
 	if err := node.WaitHealthy(backends, 30*time.Second); err != nil {
@@ -145,18 +146,11 @@ func run(args []string) error {
 		fmt.Printf("  shard%d -> %s\n", i, u)
 	}
 
-	// The supervisor runs under the signal's context: once draining begins it
-	// must not resurrect shards the same signal is taking down. A nil
-	// *ProcessRelauncher must stay a nil interface: re-attach-only mode (an
-	// external process manager restarts the children).
-	var relIface supervisor.Relauncher
-	if rel != nil {
-		relIface = rel
-	}
-	sup := supervisor.New(coord, relIface, supervisor.Config{Logf: log.Printf}, reg)
-	defer sup.Stop()
+	// The supervision loop runs under the signal's context: once draining
+	// begins it must not resurrect shards the same signal is taking down.
+	defer coord.Stop()
 	fmt.Printf("fleet supervisor running (relaunch %v)\n", rel != nil)
-	drainErr := node.Serve(ln, router.Handler(), *drainTimeout, sup.Start)
+	drainErr := node.Serve(ln, router.Handler(), *drainTimeout, coord.Start)
 	fmt.Println("final router metrics:")
 	fmt.Print(reg.Snapshot().String())
 	return drainErr

@@ -1,9 +1,9 @@
 package adlint
 
 // Analyzer goroleak enforces goroutine lifecycle discipline in the
-// long-lived subsystems — the supervisor's probe/relaunch loops, the
-// coordinator's fan-out, and the chaos scheduler. Every `go` statement
-// there must have a reachable stop path the spawner can exercise:
+// long-lived subsystems — the coordinator's supervision loop and fan-out,
+// the relauncher's child reapers, and the chaos scheduler. Every `go`
+// statement there must have a reachable stop path the spawner can exercise:
 //
 //   - context cancellation: the goroutine (or an in-package function it
 //     calls) checks ctx.Done()/ctx.Err();

@@ -2,8 +2,8 @@ package chaos
 
 // Fleet is a whole serving fleet in one process: the shards are node.Stacks —
 // what cmd/adplatform serves — over one shared world, each with its own WAL
-// directory; the router is coordinator.New + NewRouter; the supervisor is
-// supervisor.New, stepped through its exported Step. Nothing here stands in
+// directory; the router is coordinator.New + NewRouter, the coordinator's
+// supervision pass stepped through its exported Step. Nothing here stands in
 // for production code. What is simulated is the network — an
 // http.RoundTripper that hands a request to the handler its URL's host names
 // — and time: one obs.ManualClock behind every backoff, slowed link and
@@ -29,7 +29,6 @@ import (
 	"github.com/adaudit/impliedidentity/internal/node"
 	"github.com/adaudit/impliedidentity/internal/obs"
 	"github.com/adaudit/impliedidentity/internal/platform"
-	"github.com/adaudit/impliedidentity/internal/supervisor"
 )
 
 // The settings a soaked fleet runs with, real processes or simulated.
@@ -37,7 +36,7 @@ const (
 	// ReviewReject is the shards' ad-review rejection rate: high enough that
 	// a 24-tick soak sees rejections and appeals.
 	ReviewReject = 0.25
-	// TickLen is one workload tick of a simulated fleet: three supervisor
+	// TickLen is one workload tick of a simulated fleet: three supervision
 	// passes a probeInterval apart.
 	TickLen       = 750 * time.Millisecond
 	probeInterval = 250 * time.Millisecond
@@ -55,24 +54,36 @@ var (
 	ClientRetry = marketing.RetryPolicy{MaxAttempts: 10, BaseDelay: 100 * time.Millisecond, MaxDelay: 600 * time.Millisecond}
 )
 
-// Control is the router side of a fleet: the coordinator, the router's
-// handler over it and the supervisor, sharing one registry.
+// Control is the router side of a fleet: the coordinator, which supervises
+// the shards, and the router's handler over it, sharing one registry.
 type Control struct {
 	Coord  *coordinator.Coordinator
 	Router http.Handler
-	Sup    *supervisor.Supervisor
 	Reg    *obs.Registry
 }
 
 // NewControl assembles the router side over cfg.Backends. Zero fields of cfg
-// take the soak's values: a day gets 8 attempts 300 ms apart. The supervisor
-// relaunches through rel and reports to logf (either may be nil).
-func NewControl(cfg coordinator.Config, rel supervisor.Relauncher, logf func(string, ...any)) (*Control, error) {
+// take the soak's values: a day gets 8 attempts 300 ms apart, supervision
+// passes run probeInterval apart, and a shard down 2 s is relaunched, at most
+// once every 2 s.
+func NewControl(cfg coordinator.Config) (*Control, error) {
 	if cfg.DayAttempts == 0 {
 		cfg.DayAttempts = 8
 	}
 	if cfg.DayBackoff == 0 {
 		cfg.DayBackoff = 300 * time.Millisecond
+	}
+	if cfg.ProbeInterval == 0 {
+		cfg.ProbeInterval = probeInterval
+	}
+	if cfg.ProbeTimeout == 0 {
+		cfg.ProbeTimeout = probeTimeout
+	}
+	if cfg.RelaunchAfter == 0 {
+		cfg.RelaunchAfter = 2 * time.Second
+	}
+	if cfg.RelaunchBackoff == 0 {
+		cfg.RelaunchBackoff = 2 * time.Second
 	}
 	reg := obs.NewRegistry()
 	coord, err := coordinator.New(cfg, reg)
@@ -84,12 +95,7 @@ func NewControl(cfg coordinator.Config, rel supervisor.Relauncher, logf func(str
 	if err != nil {
 		return nil, err
 	}
-	sup := supervisor.New(coord, rel, supervisor.Config{
-		ProbeInterval: probeInterval, ProbeTimeout: probeTimeout,
-		RelaunchAfter: 2 * time.Second, RelaunchBackoff: 2 * time.Second,
-		Clock: cfg.Clock, Logf: logf,
-	}, reg)
-	return &Control{Coord: coord, Router: router.Handler(), Sup: sup, Reg: reg}, nil
+	return &Control{Coord: coord, Router: router.Handler(), Reg: reg}, nil
 }
 
 // Coordinator is the router's coordinator.
@@ -126,7 +132,7 @@ type FleetConfig struct {
 	// fleet's to set.
 	Stack node.StackConfig
 	// Coordinator configures the router side (see NewControl); Backends,
-	// Transport and Clock are the fleet's to set.
+	// Transport, Clock, Relauncher and Logf are the fleet's to set.
 	Coordinator coordinator.Config
 	// Injector, if set, faults the router's RPCs to the shards, as
 	// adrouter -fault-rate does.
@@ -134,7 +140,7 @@ type FleetConfig struct {
 	// Wrap, if set, stands in front of a shard's handler on every launch of
 	// it; tests inject failures there that no disturbance models.
 	Wrap func(shard int, h http.Handler) http.Handler
-	// Logf, if set, receives the supervisor's events; a fleet stuck in
+	// Logf, if set, receives the supervision pass's events; a fleet stuck in
 	// recovering cannot be diagnosed without the rejoin error they carry.
 	Logf func(format string, args ...any)
 }
@@ -184,7 +190,8 @@ func NewFleet(cfg FleetConfig) (_ *Fleet, err error) {
 	// link, as in cmd/adrouter: a partition cuts probes and fan-out alike.
 	ccfg.Transport = faults.NewTransport(f, cfg.Injector, f.Gate, f.Clock)
 	ccfg.Clock = f.Clock
-	if f.Control, err = NewControl(ccfg, f, cfg.Logf); err != nil {
+	ccfg.Relauncher, ccfg.Logf = f, cfg.Logf
+	if f.Control, err = NewControl(ccfg); err != nil {
 		return nil, err
 	}
 	if f.client, err = f.clientAt(f.URL()); err != nil {
@@ -220,18 +227,18 @@ func (f *Fleet) ShardClient(shard int) (*marketing.Client, error) {
 func (f *Fleet) URL() string               { return "http://" + routerHost }
 func (f *Fleet) ShardURL(shard int) string { return "http://" + f.Hosts[shard] }
 
-// Tick lets one workload tick of virtual time pass, the supervisor making
-// its passes through it.
+// Tick lets one workload tick of virtual time pass, the coordinator making
+// its supervision passes through it.
 func (f *Fleet) Tick(ctx context.Context) {
 	for elapsed := time.Duration(0); elapsed < TickLen; elapsed += probeInterval {
-		f.Sup.Step(ctx)
+		f.Coord.Step(ctx)
 		f.Clock.Sleep(probeInterval)
 	}
 }
 
 // RoundTrip delivers a request to the handler its host names. A dead shard
 // refuses the connection. A paused one is silent for as long as its caller
-// waits — the supervisor's probe timeout for a probe, the router's request
+// waits — the probe timeout for a supervision probe, the router's request
 // timeout for anything else — and that wait is virtual.
 func (f *Fleet) RoundTrip(req *http.Request) (*http.Response, error) {
 	host := req.URL.Host

@@ -94,6 +94,27 @@ type Config struct {
 	// Shards behind this coordinator must serve raw insights; a
 	// pre-privatized shard response is refused as a divergence.
 	Privacy privacy.Config
+
+	// Relauncher restarts a shard's process for the supervision pass (see
+	// Step). Nil re-attaches only: an external process manager restarts
+	// the shards, and the pass rejoins them when they answer.
+	Relauncher supervisor.Relauncher
+	// ProbeInterval is the pause between supervision passes. 0 defaults
+	// to 500ms.
+	ProbeInterval time.Duration
+	// ProbeTimeout bounds one liveness probe. 0 defaults to 2s.
+	ProbeTimeout time.Duration
+	// RelaunchAfter is how long a down shard may stay unreachable before
+	// its process is relaunched (a dead process never answers; a paused or
+	// partitioned one may come back on its own). 0 defaults to 3s.
+	RelaunchAfter time.Duration
+	// RelaunchBackoff is the minimum spacing between relaunches of one
+	// shard. 0 defaults to 5s.
+	RelaunchBackoff time.Duration
+	// Logf, when set, receives supervision events worth an operator's
+	// attention: quarantines, relaunches and rejoin failures, whose error
+	// text is the only diagnosis of a fleet stuck in recovering.
+	Logf func(format string, args ...any)
 }
 
 // shardConn is one backend: its resilient API client, its metric label and
@@ -132,6 +153,11 @@ type Coordinator struct {
 
 	keyBase string
 	keySeq  atomic.Uint64
+
+	// The supervision loop (supervise.go): when each shard was last
+	// relaunched, and the loop's stop and done signals.
+	lastRelaunch []time.Time
+	stop, done   chan struct{}
 }
 
 // New builds a coordinator over the configured backends.
@@ -144,6 +170,18 @@ func New(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 	}
 	if cfg.DayBackoff <= 0 {
 		cfg.DayBackoff = 2 * time.Second
+	}
+	if cfg.ProbeInterval <= 0 {
+		cfg.ProbeInterval = 500 * time.Millisecond
+	}
+	if cfg.ProbeTimeout <= 0 {
+		cfg.ProbeTimeout = 2 * time.Second
+	}
+	if cfg.RelaunchAfter <= 0 {
+		cfg.RelaunchAfter = 3 * time.Second
+	}
+	if cfg.RelaunchBackoff <= 0 {
+		cfg.RelaunchBackoff = 5 * time.Second
 	}
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -177,6 +215,7 @@ func New(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 		})
 	}
 	c.health = supervisor.NewFleetHealth(len(c.shards), reg, clock)
+	c.lastRelaunch = make([]time.Time, len(c.shards))
 	return c, nil
 }
 
@@ -188,8 +227,8 @@ func (c *Coordinator) Backends() []string {
 	return append([]string(nil), c.cfg.Backends...)
 }
 
-// Health exposes the per-shard health model: the supervisor's scorekeeper
-// and the fleet's one record of which shards are in service.
+// Health exposes the per-shard health model: the fleet's one record of which
+// shards are in service.
 func (c *Coordinator) Health() *supervisor.FleetHealth { return c.health }
 
 // SetRetryPolicy applies one retry policy to every backend client.
@@ -219,29 +258,6 @@ func (c *Coordinator) serving() []*shardConn {
 		}
 	}
 	return in
-}
-
-// ProbeShard is the supervisor's liveness probe: one unretried GET /healthz
-// against the shard.
-func (c *Coordinator) ProbeShard(ctx context.Context, shard int) error {
-	return c.shards[shard].client.Healthz(ctx)
-}
-
-// TryRejoin attempts the full rejoin protocol for a quarantined shard. It
-// needs the fleet mutex (rejoin is a mutation-order event) but will not wait
-// for it: while a delivery day holds the lock — minutes, with retries — the
-// supervisor should keep probing rather than block, so a busy fleet returns
-// supervisor.ErrBusy and the day's own retry preamble performs the rejoin
-// inline instead.
-func (c *Coordinator) TryRejoin(ctx context.Context, shard int) error {
-	if c.health.State(shard).InService() {
-		return nil
-	}
-	if !c.mu.TryLock() {
-		return supervisor.ErrBusy
-	}
-	defer c.mu.Unlock()
-	return c.rejoinLocked(ctx, shard)
 }
 
 // rejoinLocked is the readmission protocol for one quarantined shard that

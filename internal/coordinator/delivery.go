@@ -44,11 +44,11 @@ type dayRecord struct {
 // after shard failures until it commits everywhere or attempts run out.
 // Every shard must be in service for a fresh attempt to start — the delivery
 // partition is position-mod-N over ALL shards, so a day cannot simply skip a
-// quarantined one. Between attempts the loop performs the rejoin protocol
-// inline (it already holds the fleet mutex the supervisor's TryRejoin would
-// contend on), which is how a day survives a mid-day shard crash: the shard
-// is relaunched by the supervisor, rejoined here, and the day re-runs
-// byte-identically.
+// quarantined one. Between attempts the loop recovers quarantined shards
+// as a supervision pass does, under the fleet mutex it already holds (a pass
+// running meanwhile skips its rejoins), which is how a day survives a
+// mid-day shard crash: the shard is relaunched by a pass, rejoined here, and
+// the day re-runs byte-identically.
 func (c *Coordinator) Deliver(ctx context.Context, adIDs []string, seed int64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -66,12 +66,16 @@ func (c *Coordinator) Deliver(ctx context.Context, adIDs []string, seed int64) e
 			// make the re-run a *different* (non-replayable) day.
 			c.clock.Sleep(c.dayBackoff(daySeq, attempt)) //adlint:allow lockhold (day retries must keep fleet CRUD frozen; a mutation between attempts would change the re-run day)
 		}
-		// Heal before retrying: quarantined shards that answer a probe again
-		// are walked through the rejoin protocol under the lock we already
-		// hold. A rejoin that fails (still dead, digest gap from a partial
-		// commit) leaves the shard quarantined; the partial-commit replay
-		// below converges the day state so a later pass can succeed.
-		c.rejoinQuarantinedLocked(ctx)
+		// Heal before retrying: each quarantined shard gets the supervision
+		// pass's recovery under the lock we already hold. A rejoin that fails
+		// (still dead, digest gap from a partial commit) leaves the shard
+		// quarantined; the partial-commit replay below converges the day
+		// state so a later pass can succeed.
+		for _, idx := range c.health.Out() {
+			if answered, _ := c.recoverShard(ctx, idx); answered {
+				c.rejoin(ctx, idx)
+			}
+		}
 		var err error
 		committed, pending, statusErr := c.dayStatus(ctx, adIDs, attempt)
 		switch {
@@ -138,24 +142,6 @@ func (c *Coordinator) dayBackoff(daySeq uint64, attempt int) time.Duration {
 	// waits exactly as long as the original.
 	jitter := time.Duration(faults.Mix64(int64(daySeq), uint64(attempt)) % uint64(backoff/2+1))
 	return min(backoff+jitter, maxBackoff)
-}
-
-// rejoinQuarantinedLocked probes every quarantined shard and runs the rejoin
-// protocol for the ones that answer. Called with c.mu held (Deliver's retry
-// preamble); failures leave the shard quarantined for a later pass or the
-// supervisor.
-func (c *Coordinator) rejoinQuarantinedLocked(ctx context.Context) {
-	for _, idx := range c.health.Out() {
-		pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		err := c.ProbeShard(pctx, idx)
-		cancel()
-		c.observeOutcome(idx, err)
-		if err != nil {
-			continue
-		}
-		c.health.MarkRecovering(idx)
-		_ = c.rejoinLocked(ctx, idx)
-	}
 }
 
 // runDayOnce runs one full day attempt across all shards, recording the

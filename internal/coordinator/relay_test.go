@@ -272,7 +272,7 @@ func TestStateTransferIsExactAndDurable(t *testing.T) {
 	}
 
 	// The shard comes back from its WAL with nothing of the outage; its
-	// delivery tallies are read before the supervisor rejoins it.
+	// delivery tallies are read before the supervision pass rejoins it.
 	if err := f.Relaunch(1); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestStateTransferIsExactAndDurable(t *testing.T) {
 	if ownStats == "null" {
 		t.Fatal("shard 1 recovered no delivery tallies: the test proves nothing about keeping them")
 	}
-	f.Sup.Step(ctx)
+	f.Coord.Step(ctx)
 	if got := f.Coord.Health().State(1); got != supervisor.Healthy {
 		t.Fatalf("rejoined shard state %v, want healthy", got)
 	}
@@ -343,7 +343,7 @@ func TestStateTransferIsExactAndDurable(t *testing.T) {
 // fleet never relayed — as one does that reads, after its install, a request
 // under a key it never saw — answers the next create with another ID. The
 // outcome check refuses that create as a divergence and quarantines the
-// shard; the supervisor's next pass rejoins it by state transfer, which
+// shard; the next supervision pass rejoins it by state transfer, which
 // drops what only it executed, and the caller's retry under its key gets
 // the reference's answer.
 func TestDivergedShardRejoinsByTransfer(t *testing.T) {
@@ -377,9 +377,9 @@ func TestDivergedShardRejoinsByTransfer(t *testing.T) {
 		t.Fatalf("retry under the same key: %d %s, want the reference's ca-2", status, retried)
 	}
 
-	f.Sup.Step(ctx)
+	f.Coord.Step(ctx)
 	if got := f.Coord.Health().State(1); got != supervisor.Healthy {
-		t.Fatalf("diverged shard state %v after a supervisor pass, want healthy", got)
+		t.Fatalf("diverged shard state %v after a supervision pass, want healthy", got)
 	}
 	status, third := rawPost(t, url, "/v1/customaudiences", "third", audience("third"))
 	if status != 201 || !strings.Contains(third, `"id":"ca-3"`) {

@@ -80,7 +80,7 @@ func (rt *Router) Handler() http.Handler {
 }
 
 // degradedRetryAfter is the Retry-After hint for fleet-degradation 503s:
-// roughly one supervisor probe/rejoin cycle, so a well-behaved client's next
+// roughly one supervision probe/rejoin cycle, so a well-behaved client's next
 // idempotent retry lands after the fleet had a chance to heal.
 const degradedRetryAfter = "2"
 

@@ -36,14 +36,14 @@ func both(a, b func(*chaos.FleetConfig)) func(*chaos.FleetConfig) {
 	return func(cfg *chaos.FleetConfig) { a(cfg); b(cfg) }
 }
 
-// stepUntilDown drives supervisor passes until the shard is quarantined. The
+// stepUntilDown drives supervision passes until the shard is quarantined. The
 // passes sleep on nothing, so the fleet's clock stands still and the
 // supervisor's relaunch grace never runs out: the test decides when the shard
 // comes back.
 func stepUntilDown(t *testing.T, f *chaos.Fleet, shard int) {
 	t.Helper()
 	for i := 0; i < 10; i++ {
-		f.Sup.Step(context.Background())
+		f.Coord.Step(context.Background())
 		if f.Coord.Health().State(shard) == supervisor.Down {
 			return
 		}
@@ -51,7 +51,7 @@ func stepUntilDown(t *testing.T, f *chaos.Fleet, shard int) {
 	t.Fatalf("shard %d never quarantined (state %v)", shard, f.Coord.Health().State(shard))
 }
 
-// revive relaunches a dead shard and gives the supervisor the one pass that
+// revive relaunches a dead shard and gives the coordinator the one supervision pass that
 // must walk it through the state transfer and the digest gate back to
 // healthy.
 func revive(t *testing.T, f *chaos.Fleet, shard int) {
@@ -59,7 +59,7 @@ func revive(t *testing.T, f *chaos.Fleet, shard int) {
 	if err := f.Relaunch(shard); err != nil {
 		t.Fatal(err)
 	}
-	f.Sup.Step(context.Background())
+	f.Coord.Step(context.Background())
 	if got := f.Coord.Health().State(shard); got != supervisor.Healthy {
 		t.Fatalf("revived shard state %v, want healthy", got)
 	}
@@ -145,7 +145,7 @@ func TestShardResurrectionWithStateTransfer(t *testing.T) {
 	}
 
 	// Resurrection: the shard recovers its WAL — account and committed day,
-	// no idempotency cache — and one supervisor pass marks it recovering and
+	// no idempotency cache — and one supervision pass marks it recovering and
 	// walks it through the state transfer + digest gate back to admitted.
 	revive(t, f, 1)
 	snap := f.Reg.Snapshot()
@@ -214,8 +214,9 @@ func TestTransferKeepsPartialCommitVisible(t *testing.T) {
 	if snap.Counters[coordinator.MetricRejoinFailures] < 1 {
 		t.Errorf("the rejoin under a partial commit passed the digest gate; it must fail until the day replays")
 	}
-	if err := f.Coord.TryRejoin(ctx, 1); err != nil {
-		t.Fatalf("rejoin after the replayed day: %v", err)
+	f.Coord.Step(ctx)
+	if got := f.Coord.Health().State(1); got != supervisor.Healthy {
+		t.Fatalf("first pass after the replayed day left shard 1 %v, want healthy", got)
 	}
 	if got := insightsDigest(t, client, ids); got != want {
 		t.Errorf("healed fleet diverged from the reference:\n got %s\nwant %s", got, want)
@@ -329,7 +330,7 @@ func TestNoFlapUnderInjected5xx(t *testing.T) {
 	ctx := context.Background()
 	ids := setupAccount(t, client, 2)
 	for i := 0; i < 5; i++ {
-		f.Sup.Step(ctx)
+		f.Coord.Step(ctx)
 		if _, err := client.GetAd(ctx, ids[0]); err != nil {
 			t.Fatalf("GetAd under injection: %v", err)
 		}
@@ -397,7 +398,7 @@ func rawGet(router http.Handler, path string) *httptest.ResponseRecorder {
 }
 
 // scoreDownByInsights reads insights through the coordinator, with no
-// supervisor pass, until live traffic has scored the shard down.
+// supervision pass, until live traffic has scored the shard down.
 func scoreDownByInsights(t *testing.T, f *chaos.Fleet, shard int, adID string) {
 	t.Helper()
 	for i := 0; i < 2*supervisor.DownAfter && f.Coord.Health().State(shard) != supervisor.Down; i++ {
@@ -466,10 +467,10 @@ func TestEveryExitFromServiceCountedOnce(t *testing.T) {
 			t.Fatalf("after %s: %d quarantines counted, want %d", path, got, want)
 		}
 		for i := 0; i < 3 && !f.Coord.Health().State(1).InService(); i++ {
-			f.Sup.Step(ctx) // a shard that stays out is not counted again
+			f.Coord.Step(ctx) // a shard that stays out is not counted again
 		}
 		if got := quarantines(); got != want {
-			t.Fatalf("after %s and supervisor passes: %d quarantines counted, want %d", path, got, want)
+			t.Fatalf("after %s and supervision passes: %d quarantines counted, want %d", path, got, want)
 		}
 	}
 
@@ -495,6 +496,6 @@ func TestEveryExitFromServiceCountedOnce(t *testing.T) {
 	}
 	expect("a divergence", 3)
 	if got := f.Coord.Health().State(1); got != supervisor.Healthy {
-		t.Fatalf("diverged shard state %v after supervisor passes, want healthy (rejoined)", got)
+		t.Fatalf("diverged shard state %v after supervision passes, want healthy (rejoined)", got)
 	}
 }

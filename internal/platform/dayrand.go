@@ -17,6 +17,9 @@ type dayRand struct {
 	// is a rand.Source64, so a normal draw consumes the stream exactly where
 	// math/rand's would.
 	norm *rand.Rand
+	// src is the math/rand source Seed reseeds and reads the register's
+	// definition from, kept so a reseed builds no 4.9 KB source.
+	src rand.Source64
 }
 
 const (
@@ -40,10 +43,14 @@ func newDayRand(seed int64) *dayRand {
 // the tap, which holds output k−273 once k ≥ 273 and, before that, the
 // untouched starting word at feed_{k+334}.
 func (r *dayRand) Seed(seed int64) {
-	src := rand.NewSource(seed).(rand.Source64)
+	if r.src == nil {
+		r.src = rand.NewSource(seed).(rand.Source64)
+	} else {
+		r.src.Seed(seed)
+	}
 	var x [rngLen]uint64
 	for k := range x {
-		x[k] = src.Uint64()
+		x[k] = r.src.Uint64()
 	}
 	feed := func(k int) int { return (2*rngLen - rngTap - 1 - k) % rngLen }
 	for k := rngTap; k < rngLen; k++ {

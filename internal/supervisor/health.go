@@ -1,9 +1,11 @@
-// Package supervisor is the fleet self-healing layer over the multi-process
-// serving tier: a per-shard health state machine fed by liveness probes and
-// live RPC outcomes, a probe loop that relaunches (or re-attaches) shards
-// scored down, and the rejoin hand-off back into the coordinator's CRUD
-// fan-out and delivery pool. The health model is the one record of
-// admission: a shard is in service exactly when it is healthy or suspect.
+// Package supervisor holds what fleet self-healing needs below the
+// coordinator: the per-shard health state machine fed by liveness probes and
+// live RPC outcomes, the Relauncher a supervision pass restarts shards
+// through (ProcessRelauncher for real child processes), and the supervision
+// metric names. The pass itself — probe, relaunch, rejoin — is the
+// coordinator's (coordinator.Step), beside the fleet mutex a rejoin takes.
+// The health model is the one record of admission: a shard is in service
+// exactly when it is healthy or suspect.
 //
 // The state machine is deliberately conservative about what counts as
 // failure: ANY HTTP answer — including injected 5xx, shed 429s, and terminal
@@ -24,8 +26,9 @@
 //
 // Readmission is never automatic: a recovering shard must take the
 // replicated state from an admitted peer and pass the cross-shard digest
-// gate (the coordinator's TryRejoin) before MarkHealthy moves it back, which
-// is also where MTTR is measured — down-detection to verified readmission.
+// gate (the coordinator's rejoin protocol) before MarkHealthy moves it back,
+// which is also where MTTR is measured — down-detection to verified
+// readmission.
 package supervisor
 
 import (
@@ -47,8 +50,8 @@ const (
 	// traffic (the streak either clears or escalates within a few probes).
 	Suspect
 	// Down shards are quarantined: out of service, excluded from fan-out
-	// while CRUD goes on without them, and the supervisor works on bringing
-	// them back.
+	// while CRUD goes on without them, and the supervision pass works on
+	// bringing them back.
 	Down
 	// Recovering shards answer probes again but have not yet taken a peer's
 	// replicated state and passed the digest gate; they stay quarantined
@@ -89,9 +92,9 @@ const (
 )
 
 // FleetHealth scores every shard of one fleet, and is the fleet's only
-// record of which shards are in service. It is shared between the
-// coordinator (which feeds RPC outcomes and reads admission from it) and the
-// supervisor loop (which feeds probe outcomes and drives recovery).
+// record of which shards are in service. The coordinator feeds it RPC
+// outcomes and probe outcomes, reads admission from it and drives recovery
+// by it.
 type FleetHealth struct {
 	reg   *obs.Registry
 	clock obs.Clock
@@ -165,7 +168,7 @@ func (h *FleetHealth) Observe(shard int, alive bool) State {
 	sh := &h.shards[shard]
 	switch sh.state {
 	case Down, Recovering:
-		// Scored out already; recovery is the supervisor's job.
+		// Scored out already; recovery is the supervision pass's job.
 		return sh.state
 	}
 	if alive {
@@ -238,7 +241,7 @@ func (h *FleetHealth) DownSince(shard int) time.Time {
 }
 
 // MarkDown forces a shard down — the coordinator quarantining a shard that
-// answered a mutation unlike its peers, or the supervisor demoting a
+// answered a mutation unlike its peers, or the supervision pass demoting a
 // recovering shard whose probe failed again. The original downSince is kept
 // on a Recovering→Down demotion so MTTR stays honest.
 func (h *FleetHealth) MarkDown(shard int) {

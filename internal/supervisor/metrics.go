@@ -1,6 +1,8 @@
 package supervisor
 
-// Supervisor metric names. Per-shard series use the registry's "name|label"
+// Supervision metric names: the health model's and the coordinator's
+// supervision pass's. Rejoins are counted once, as router.rejoins and
+// router.rejoin_failures. Per-shard series use the registry's "name|label"
 // convention with the static shardN label set.
 const (
 	// MetricShardState is the numeric health state per shard
@@ -21,9 +23,4 @@ const (
 	MetricRelaunches = "supervisor.relaunches"
 	// MetricRelaunchFailures counts relaunches that could not start.
 	MetricRelaunchFailures = "supervisor.relaunch_failures"
-	// MetricRejoins counts completed rejoins (state transfer + digest gate).
-	MetricRejoins = "supervisor.rejoins"
-	// MetricRejoinFailures counts rejoin attempts that failed the state
-	// transfer or the digest gate.
-	MetricRejoinFailures = "supervisor.rejoin_failures"
 )

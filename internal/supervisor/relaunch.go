@@ -16,6 +16,13 @@ import (
 	"time"
 )
 
+// Relauncher restarts a shard's process. Implementations are process-level
+// (exec) or a simulated fleet; the coordinator's supervision pass calls it
+// for a shard that has stayed down past its grace period.
+type Relauncher interface {
+	Relaunch(shard int) error
+}
+
 // ProcessRelauncher launches and relaunches real shard child processes. It
 // doubles as the chaos orchestrator's process-level target: Signal exposes
 // SIGKILL/SIGSTOP/SIGCONT on the current child of a shard.
