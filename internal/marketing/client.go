@@ -193,8 +193,9 @@ func (c *Client) Healthz(ctx context.Context) error {
 	return err
 }
 
-// SetMetrics points the client's retry counter at reg, so a load generator
-// can fold it into its report. Nil restores a private registry.
+// SetMetrics points the client's retry counter at reg, so a router counts
+// its shard clients' retries in its own registry. Nil restores a private
+// registry.
 func (c *Client) SetMetrics(reg *obs.Registry) {
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -315,8 +316,8 @@ func (c *Client) Post(ctx context.Context, path string, body []byte) ([]byte, er
 
 // Get reads a route and decodes its JSON answer into out: the read-side
 // twin of Post, through the same resilience stack. It is the entry for
-// routes outside the typed API, such as a router's topology or the metrics
-// scrape.
+// routes outside the typed API, such as a router's topology, GET /metrics
+// or GET /debug/state; tests read those through it.
 func (c *Client) Get(ctx context.Context, path string, out any) error {
 	return c.send(ctx, http.MethodGet, path, nil, out)
 }

@@ -44,7 +44,7 @@ func FaultFlags(fs *flag.FlagSet) func() (faults.Config, error) {
 
 // PrivacyFlags declares -privacy-k, -privacy-epsilon and -privacy-seed.
 func PrivacyFlags(fs *flag.FlagSet) func() (privacy.Config, error) {
-	k := fs.Int("privacy-k", 0, "insights privacy: k-anonymity threshold for breakdown cells and minimum audience (0 disables suppression); in a fleet set it on the router, which privatizes the merged report, and leave the shards raw; adload -target records it as the remote policy")
+	k := fs.Int("privacy-k", 0, "insights privacy: k-anonymity threshold for breakdown cells and minimum audience (0 disables suppression); in a fleet set it on the router, which privatizes the merged report, and leave the shards raw")
 	epsilon := fs.Float64("privacy-epsilon", 0, "insights privacy: DP noise parameter epsilon (0 disables noise; smaller = noisier); same placement as -privacy-k")
 	seed := fs.Int64("privacy-seed", 1, "insights privacy: noise-stream seed (same seed, same noise — keep it per-deployment, not per-query)")
 	return func() (privacy.Config, error) { return privacy.FromFlags(*k, *epsilon, *seed) }

@@ -65,7 +65,7 @@ func TestSharedFlagsIdentical(t *testing.T) {
 		"adrouter": {"addr", "drain-timeout", "fault-kinds", "fault-rate", "fault-seed", "privacy-epsilon", "privacy-k",
 			"privacy-seed", "shard-cmd", "shard-log-dir", "shards"},
 		"adload": {"ads", "audience", "concurrency", "delivery-workers", "fault-kinds", "fault-rate", "fault-seed", "fsync",
-			"logrows", "mode", "out", "privacy-epsilon", "privacy-k", "privacy-seed", "retries", "rps", "scenarios", "seed",
+			"logrows", "privacy-epsilon", "privacy-k", "privacy-seed", "retries", "scenarios", "seed",
 			"shed-cap", "store-dir", "target", "voterfile", "voters"},
 		"adchaos": {"actions", "chaos-seed", "logrows", "rate", "seed", "shard-bin", "shards", "tick", "ticks", "voters", "workdir"},
 	} {

@@ -34,11 +34,11 @@ type Behavior struct {
 type BehaviorConfig struct {
 	BaseCTR              float64 // baseline click probability, default 0.02
 	AffinityScale        float64 // global multiplier, default 1
-	RaceHomophily        float64 // default 1.1
-	GenderAffinity       float64 // default 0.18
-	AgeProximity         float64 // default 0.9 (penalty at max age distance)
-	ChildToWomen         float64 // default 0.9
-	YoungWomenToOlderMen float64 // default 1.3
+	RaceHomophily        float64 // default 0.9
+	GenderAffinity       float64 // default 0.02
+	AgeProximity         float64 // default 1.6 (penalty at max age distance)
+	ChildToWomen         float64 // default 1.2
+	YoungWomenToOlderMen float64 // default 2.2
 	JobComposition       float64 // default 1.0
 }
 

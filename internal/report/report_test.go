@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -221,6 +222,50 @@ func TestDeliveriesCSVRoundTrip(t *testing.T) {
 	// Spot check a data row.
 	if recs[1][1] != ds[0].Profile.Race.String() {
 		t.Errorf("race column: %q", recs[1][1])
+	}
+}
+
+func TestDeliveriesCSVGoldenRow(t *testing.T) {
+	ds := []core.Delivery{{
+		Key: "lumber-bm",
+		Profile: demo.Profile{
+			Gender: demo.GenderMale, Race: demo.RaceBlack, Age: demo.ImpliedAdult,
+		},
+		Job:         "lumber",
+		Impressions: 1234, Reach: 900, Clicks: 17,
+		SpendCents: 420.5, FracBlack: 0.651, FracFemale: 0.25,
+		FracAge35Plus: 0.5, FracAge45Plus: 0.25, FracAge65Plus: 0.1,
+		AvgAge: 41.75, FracMen55Plus: 0.08, FracWomen55Plus: 0.04,
+		OutOfState: 0.005,
+	}}
+	var buf bytes.Buffer
+	if err := DeliveriesCSV(&buf, ds); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("lines = %d, want header + 1 row:\n%s", len(lines), buf.String())
+	}
+	wantRow := "lumber-bm," + ds[0].Profile.Race.String() + "," + ds[0].Profile.Gender.String() + "," +
+		ds[0].Profile.Age.String() + ",lumber,1234,900,17," +
+		"420.500000,0.651000,0.250000,0.500000,0.250000,0.100000,41.750000,0.080000,0.040000,0.005000"
+	if lines[1] != wantRow {
+		t.Errorf("CSV row mismatch:\ngot:  %s\nwant: %s", lines[1], wantRow)
+	}
+}
+
+type failingWriter struct{ err error }
+
+func (w failingWriter) Write([]byte) (int, error) { return 0, w.err }
+
+func TestDeliveriesCSVWriterError(t *testing.T) {
+	sentinel := errors.New("disk full")
+	err := DeliveriesCSV(failingWriter{err: sentinel}, sampleDeliveries())
+	if err == nil {
+		t.Fatal("want an error from a failing writer")
+	}
+	if !errors.Is(err, sentinel) {
+		t.Errorf("error %v should wrap the writer's error", err)
 	}
 }
 
