@@ -95,6 +95,19 @@ func TestExternalTargetRequiresVoterFile(t *testing.T) {
 
 // TestBadFlagsFailFast: a bad value, and a flag the run would silently
 // ignore, are both refused before any world is built.
+// TestZeroScenariosRefused: -scenarios 0 is an error, not the default
+// workload.
+func TestZeroScenariosRefused(t *testing.T) {
+	var buf strings.Builder
+	err := run([]string{"-scenarios", "0", "-voters", "4000", "-logrows", "1500"}, &buf)
+	if err == nil || !strings.Contains(err.Error(), "Scenarios must be positive, got 0") {
+		t.Errorf("-scenarios 0: got %v, want the scenario count refused", err)
+	}
+	if strings.Contains(buf.String(), "running") {
+		t.Errorf("-scenarios 0 ran a workload:\n%s", buf.String())
+	}
+}
+
 func TestBadFlagsFailFast(t *testing.T) {
 	remote := []string{"-target", "http://127.0.0.1:1", "-voterfile", "x"}
 	for _, tc := range []struct {

@@ -121,7 +121,8 @@ func (l Links) SetPartition(shard int, on bool) { l.Gate.SetPartition(l.Hosts[sh
 // FleetConfig shapes a simulated fleet.
 type FleetConfig struct {
 	// World is shared by every shard. Platform configures the platform.New
-	// each shard — and each relaunch of one — trains over it.
+	// each shard — and each relaunch of one — builds over it; the models are
+	// trained once per world and configuration and shared.
 	World    *node.World
 	Platform platform.Config
 	Shards   int
@@ -305,8 +306,9 @@ func (f *Fleet) Dir(shard int) string {
 }
 
 // Relaunch replaces a shard's process: whatever was there is killed, and a
-// platform trained afresh over the shared world recovers the account from
-// the shard's WAL directory — same index, same host, same directory.
+// new platform over the shared world, with the models its first build
+// trained, recovers the account from the shard's WAL directory — same index,
+// same host, same directory.
 func (f *Fleet) Relaunch(shard int) error {
 	if err := f.Kill(shard); err != nil {
 		return err

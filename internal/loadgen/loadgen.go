@@ -35,15 +35,13 @@ type Config struct {
 	// Seed drives every workload decision. Same seed → same request
 	// sequence.
 	Seed int64
-	// Workers is the worker-pool size (default 4).
+	// Workers is the worker-pool size.
 	Workers int
-	// Scenarios is how many virtual advertisers to run (default 8).
+	// Scenarios is how many virtual advertisers to run.
 	Scenarios int
-	// AdsPerCampaign is the number of ads each advertiser creates
-	// (default 2).
+	// AdsPerCampaign is the number of ads each advertiser creates.
 	AdsPerCampaign int
-	// AudienceSize is the number of PII hashes per audience upload
-	// (default 200).
+	// AudienceSize is the number of PII hashes per audience upload.
 	AudienceSize int
 	// Hashes is the PII hash pool audiences are drawn from. Required: the
 	// platform rejects targeting that matches no users.
@@ -53,23 +51,6 @@ type Config struct {
 	// shard on a single server and the fleet width behind a router; 1 forces
 	// the sequential oracle.
 	DeliveryWorkers int
-}
-
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.Scenarios <= 0 {
-		c.Scenarios = 8
-	}
-	if c.AdsPerCampaign <= 0 {
-		c.AdsPerCampaign = 2
-	}
-	if c.AudienceSize <= 0 {
-		c.AudienceSize = 200
-	}
-	return c
 }
 
 // Runner executes load scenarios against one marketing API client.
@@ -86,7 +67,15 @@ func New(cfg Config, client *marketing.Client) (*Runner, error) {
 	if len(cfg.Hashes) == 0 {
 		return nil, fmt.Errorf("loadgen: empty PII hash pool")
 	}
-	return &Runner{cfg: cfg.withDefaults(), client: client}, nil
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Workers", cfg.Workers}, {"Scenarios", cfg.Scenarios}, {"AdsPerCampaign", cfg.AdsPerCampaign}, {"AudienceSize", cfg.AudienceSize}} {
+		if f.v <= 0 {
+			return nil, fmt.Errorf("loadgen: %s must be positive, got %d", f.name, f.v)
+		}
+	}
+	return &Runner{cfg: cfg, client: client}, nil
 }
 
 // profileFor draws a creative demographic deterministically from the

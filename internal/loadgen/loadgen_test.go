@@ -2,8 +2,10 @@ package loadgen
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -180,6 +182,29 @@ func TestRunnerValidation(t *testing.T) {
 	}
 	if _, err := New(Config{}, client); err == nil {
 		t.Error("empty hash pool: want error")
+	}
+	// A count below one is refused, never replaced by a default.
+	for _, field := range []string{"Workers", "Scenarios", "AdsPerCampaign", "AudienceSize"} {
+		for _, v := range []int{0, -1} {
+			cfg := baseConfig(t)
+			switch field {
+			case "Workers":
+				cfg.Workers = v
+			case "Scenarios":
+				cfg.Scenarios = v
+			case "AdsPerCampaign":
+				cfg.AdsPerCampaign = v
+			case "AudienceSize":
+				cfg.AudienceSize = v
+			}
+			want := fmt.Sprintf("%s must be positive, got %d", field, v)
+			if _, err := New(cfg, client); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s = %d: got %v, want an error containing %q", field, v, err, want)
+			}
+		}
+	}
+	if _, err := New(baseConfig(t), client); err != nil {
+		t.Errorf("base configuration: %v", err)
 	}
 }
 

@@ -30,8 +30,9 @@ type WorldConfig struct {
 }
 
 // World is a built world. NC is nil under FLOnly. Pop and Behavior are what
-// platform.New needs to train another platform over the same world, as every
-// shard of a fleet and every relaunch of one does.
+// platform.New needs to build another platform over the same world, as every
+// shard of a fleet and every relaunch of one does; with the same
+// platform.Config it shares the models World.Platform was trained with.
 type World struct {
 	FL, NC   *voter.Index
 	Pop      *population.Population

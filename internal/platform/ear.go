@@ -230,9 +230,6 @@ type TrainingConfig struct {
 // the platform touches the behaviour model, and only through sampled
 // outcomes.
 func trainEAR(cfg TrainingConfig, pop *population.Population, behave *population.Behavior, vision visionModel) (*earModel, error) {
-	if cfg.LogRows == 0 {
-		cfg.LogRows = 60000
-	}
 	rows, err := trainLogRows(cfg, pop, behave, vision)
 	if err != nil {
 		return nil, err

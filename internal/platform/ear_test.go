@@ -32,13 +32,37 @@ func TestEARFitPinned(t *testing.T) {
 	}
 }
 
-var sinkPlatform *Platform
+var (
+	sinkPlatform *Platform
+	sinkEAR      *earModel
+)
 
-// BenchmarkNew measures platform construction on the shared fixture world at
-// 12 000 log rows: vision training, engagement-log generation and the eAR fit
-// — the platform.new_s every benchmark workload pays in set-up.
+// BenchmarkNew measures a cold training on the shared fixture world at 12 000
+// log rows: vision training, engagement-log generation and the eAR fit — what
+// the first New over a world pays, and the platform.new_s of a workload that
+// builds one platform per world. It calls the training step itself, because
+// New over the fixture reads the models it trained the first time.
 func BenchmarkNew(b *testing.B) {
 	f := sharedFixture(b)
+	cfg := testConfig(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, ear, err := train(cfg.Seed, cfg.Training, f.pop, f.behave)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkEAR = ear
+	}
+}
+
+// BenchmarkNewSharedWorld measures a New over a world a platform with the
+// same configuration was already built on: every shard of a fleet after the
+// first, and every relaunch of one.
+func BenchmarkNewSharedWorld(b *testing.B) {
+	f := sharedFixture(b)
+	if _, err := New(testConfig(1), f.pop, f.behave); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p, err := New(testConfig(1), f.pop, f.behave)

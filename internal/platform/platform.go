@@ -7,7 +7,6 @@ import (
 	"sync"
 	"weak"
 
-	"github.com/adaudit/impliedidentity/internal/face"
 	"github.com/adaudit/impliedidentity/internal/obs"
 	"github.com/adaudit/impliedidentity/internal/population"
 )
@@ -69,7 +68,7 @@ func DefaultConfig(seed int64) Config {
 	return Config{
 		Seed:             seed,
 		Ticks:            48,
-		Training:         TrainingConfig{LogRows: 60000, Seed: seed + 1},
+		Training:         TrainingConfig{LogRows: defaultLogRows, Seed: seed + 1},
 		FrequencyCap:     4,
 		ValueNoise:       0.7,
 		ReviewRejectProb: 0.01,
@@ -150,15 +149,16 @@ func (c Config) Validate() error {
 	if c.FrequencyCap > maxFrequencyCap {
 		return fmt.Errorf("platform: frequency cap %d above the supported maximum %d", c.FrequencyCap, maxFrequencyCap)
 	}
-	if c.Training.LogRows != 0 { // 0: trainEAR's default size
+	if c.Training.LogRows != 0 { // 0: defaultLogRows
 		return checkLogRows(c.Training.LogRows)
 	}
 	return nil
 }
 
-// New builds a platform over a user population: it trains the platform's
-// content classifier, generates engagement logs, and fits the eAR model. The
-// configuration is checked first (Config.Validate).
+// New builds a platform over a user population. Its content classifier and
+// eAR model, fitted on generated engagement logs, are trained on the first
+// New for a (world, Seed, Training) and shared by every later one (see
+// trainedModels). The configuration is checked first (Config.Validate).
 func New(cfg Config, pop *population.Population, behave *population.Behavior) (*Platform, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -170,13 +170,7 @@ func New(cfg Config, pop *population.Population, behave *population.Behavior) (*
 		return nil, fmt.Errorf("platform: nil behaviour model")
 	}
 	cfg = cfg.withDefaults()
-	// The platform's own content classifier, independent of any classifier
-	// the auditor uses.
-	vision, err := face.Train(face.TrainOptions{CorpusSize: 4000, Seed: cfg.Seed + 2, LabelNoise: 0.02})
-	if err != nil {
-		return nil, fmt.Errorf("platform: training vision model: %w", err)
-	}
-	ear, err := trainEAR(cfg.Training, pop, behave, vision)
+	vision, ear, err := trainedModels(cfg, pop, behave)
 	if err != nil {
 		return nil, err
 	}

@@ -12,8 +12,9 @@ import (
 	"github.com/adaudit/impliedidentity/internal/voter"
 )
 
-// fixture shares one trained platform across tests; construction (vision +
-// eAR training) dominates test time otherwise.
+// fixture shares one world across tests. New trains the models once per
+// (world, Seed, Training) and shares them, so tests that build platforms with
+// the same seed train once between them.
 type fixture struct {
 	pop      *population.Population
 	behave   *population.Behavior
