@@ -23,6 +23,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"syscall"
 	"time"
 
 	"github.com/adaudit/impliedidentity/internal/chaos"
@@ -31,7 +32,6 @@ import (
 	"github.com/adaudit/impliedidentity/internal/faults"
 	"github.com/adaudit/impliedidentity/internal/marketing"
 	"github.com/adaudit/impliedidentity/internal/node"
-	"github.com/adaudit/impliedidentity/internal/supervisor"
 )
 
 const (
@@ -135,7 +135,7 @@ func run(args []string) error {
 // that is already dead is a no-op, not a failure.
 type procTarget struct {
 	chaos.Links
-	rel *supervisor.ProcessRelauncher
+	rel *node.ShardProcs
 }
 
 func (t *procTarget) signal(what string, shard int, sig os.Signal) error {
@@ -145,9 +145,9 @@ func (t *procTarget) signal(what string, shard int, sig os.Signal) error {
 	return nil
 }
 
-func (t *procTarget) Kill(shard int) error   { return t.signal("kill", shard, supervisor.SigKill) }
-func (t *procTarget) Pause(shard int) error  { return t.signal("pause", shard, supervisor.SigStop) }
-func (t *procTarget) Resume(shard int) error { return t.signal("resume", shard, supervisor.SigCont) }
+func (t *procTarget) Kill(shard int) error   { return t.signal("kill", shard, syscall.SIGKILL) }
+func (t *procTarget) Pause(shard int) error  { return t.signal("pause", shard, syscall.SIGSTOP) }
+func (t *procTarget) Resume(shard int) error { return t.signal("resume", shard, syscall.SIGCONT) }
 
 // procFleet is the chaos Deployment over real processes: adplatform children
 // behind an in-process router serving real HTTP, the coordinator's
@@ -186,7 +186,7 @@ func startFleet(opts options, tag string, firstPort int, durable bool) (_ *procF
 		}
 		logs[i] = filepath.Join(dir, "shard"+strconv.Itoa(i)+".log")
 	}
-	rel, err := supervisor.NewProcessRelauncher(argv, logs)
+	rel, err := node.StartShards(argv, logs)
 	if err != nil {
 		return nil, err
 	}
@@ -195,11 +195,6 @@ func startFleet(opts options, tag string, firstPort int, durable bool) (_ *procF
 			rel.StopAll()
 		}
 	}()
-	for i := range argv {
-		if err := rel.Start(i); err != nil {
-			return nil, err
-		}
-	}
 	if err := node.WaitHealthy(backends, bootTimeout); err != nil {
 		return nil, err
 	}

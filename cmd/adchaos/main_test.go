@@ -3,12 +3,13 @@ package main
 import (
 	"os/exec"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
 	"github.com/adaudit/impliedidentity/internal/chaos"
 	"github.com/adaudit/impliedidentity/internal/faults"
-	"github.com/adaudit/impliedidentity/internal/supervisor"
+	"github.com/adaudit/impliedidentity/internal/node"
 )
 
 // Every bad command line is refused before a child is spawned or a world
@@ -52,11 +53,8 @@ func TestProcTargetSignalsToADeadChildAreNoOps(t *testing.T) {
 	if err != nil {
 		t.Skip("no sleep binary to stand in for a shard child")
 	}
-	rel, err := supervisor.NewProcessRelauncher([][]string{{sleep, "60"}}, nil)
+	rel, err := node.StartShards([][]string{{sleep, "60"}}, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rel.Start(0); err != nil {
 		t.Fatal(err)
 	}
 	defer rel.StopAll()
@@ -75,7 +73,7 @@ func TestProcTargetSignalsToADeadChildAreNoOps(t *testing.T) {
 	}
 	// Wait for the corpse: Signal starts failing once the child is reaped.
 	deadline := time.Now().Add(10 * time.Second)
-	for rel.Signal(0, supervisor.SigCont) == nil {
+	for rel.Signal(0, syscall.SIGCONT) == nil {
 		if time.Now().After(deadline) {
 			t.Fatalf("child %d survived SIGKILL", pid)
 		}

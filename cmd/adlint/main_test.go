@@ -33,7 +33,7 @@ func TestRun(t *testing.T) {
 		{"ctxflow/internal/marketing", "ctxflow"},
 		{"walerr/internal/store", "walerr"},
 		{"obsreg/a", "obsreg"},
-		{"goroleak/internal/supervisor", "goroleak"},
+		{"goroleak/internal/node", "goroleak"},
 		{"detrand/clocked", ""},
 	} {
 		t.Run(tc.fixture, func(t *testing.T) {

@@ -80,6 +80,18 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	worldCfg := worldOf()
+	loadCfg := loadgen.Config{
+		Seed:            worldCfg.Seed,
+		Workers:         *concurrency,
+		Scenarios:       *scenarios,
+		AdsPerCampaign:  *ads,
+		AudienceSize:    *audience,
+		DeliveryWorkers: *deliveryWorkers,
+	}
+	// The counts are refused before a self-hosted world is built.
+	if err := loadCfg.ValidateCounts(); err != nil {
+		return err
+	}
 
 	baseURL := *target
 	var hashes []string
@@ -133,15 +145,8 @@ func run(args []string, stdout io.Writer) error {
 		pol.MaxAttempts = *retries
 		client.SetRetryPolicy(pol)
 	}
-	runner, err := loadgen.New(loadgen.Config{
-		Seed:            worldCfg.Seed,
-		Workers:         *concurrency,
-		Scenarios:       *scenarios,
-		AdsPerCampaign:  *ads,
-		AudienceSize:    *audience,
-		Hashes:          hashes,
-		DeliveryWorkers: *deliveryWorkers,
-	}, client)
+	loadCfg.Hashes = hashes
+	runner, err := loadgen.New(loadCfg, client)
 	if err != nil {
 		return err
 	}

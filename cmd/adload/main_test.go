@@ -93,21 +93,25 @@ func TestExternalTargetRequiresVoterFile(t *testing.T) {
 	}
 }
 
-// TestBadFlagsFailFast: a bad value, and a flag the run would silently
-// ignore, are both refused before any world is built.
-// TestZeroScenariosRefused: -scenarios 0 is an error, not the default
-// workload.
+// TestZeroScenariosRefused: a count below one is an error, not the default
+// workload, and it is refused before the self-hosted world is built.
 func TestZeroScenariosRefused(t *testing.T) {
-	var buf strings.Builder
-	err := run([]string{"-scenarios", "0", "-voters", "4000", "-logrows", "1500"}, &buf)
-	if err == nil || !strings.Contains(err.Error(), "Scenarios must be positive, got 0") {
-		t.Errorf("-scenarios 0: got %v, want the scenario count refused", err)
-	}
-	if strings.Contains(buf.String(), "running") {
-		t.Errorf("-scenarios 0 ran a workload:\n%s", buf.String())
+	for flag, field := range map[string]string{"-scenarios": "Scenarios", "-concurrency": "Workers", "-ads": "AdsPerCampaign", "-audience": "AudienceSize"} {
+		for _, v := range []string{"0", "-1"} {
+			var buf strings.Builder
+			err := run([]string{flag, v, "-voters", "4000", "-logrows", "1500"}, &buf)
+			if want := field + " must be positive, got " + v; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s %s: got %v, want an error containing %q", flag, v, err, want)
+			}
+			if strings.Contains(buf.String(), "self-hosting") {
+				t.Errorf("%s %s built a world before refusing:\n%s", flag, v, buf.String())
+			}
+		}
 	}
 }
 
+// TestBadFlagsFailFast: a bad value, and a flag the run would silently
+// ignore, are both refused before any world is built.
 func TestBadFlagsFailFast(t *testing.T) {
 	remote := []string{"-target", "http://127.0.0.1:1", "-voterfile", "x"}
 	for _, tc := range []struct {

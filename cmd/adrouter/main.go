@@ -45,7 +45,6 @@ import (
 	"github.com/adaudit/impliedidentity/internal/coordinator"
 	"github.com/adaudit/impliedidentity/internal/node"
 	"github.com/adaudit/impliedidentity/internal/obs"
-	"github.com/adaudit/impliedidentity/internal/supervisor"
 )
 
 func main() {
@@ -101,26 +100,21 @@ func run(args []string) error {
 	// spawn here, resurrection by the coordinator's supervision pass, SIGKILL
 	// sweep on exit. Without one the pass re-attaches only (an external
 	// process manager restarts the children), and the Relauncher must stay a
-	// nil interface, not a nil *ProcessRelauncher.
+	// nil interface, not a nil *node.ShardProcs.
 	ccfg := coordinator.Config{Backends: backends, Transport: transport, Privacy: privCfg, Logf: log.Printf}
-	var rel *supervisor.ProcessRelauncher
+	var rel *node.ShardProcs
 	if *shardCmd != "" {
 		argv, logs, err := shardCommandLines(*shardCmd, *shardLogDir, backends)
 		if err != nil {
 			return err
 		}
-		rel, err = supervisor.NewProcessRelauncher(argv, logs)
-		if err != nil {
+		if rel, err = node.StartShards(argv, logs); err != nil {
 			return err
 		}
-		for i := range backends {
-			if err := rel.Start(i); err != nil {
-				rel.StopAll()
-				return err
-			}
+		defer rel.StopAll()
+		for i := range argv {
 			fmt.Printf("  shard%d child: pid %d (%s)\n", i, rel.Pid(i), strings.Join(argv[i], " "))
 		}
-		defer rel.StopAll()
 		ccfg.Relauncher = rel
 	}
 	coord, err := coordinator.New(ccfg, reg)

@@ -17,12 +17,12 @@ func TestAnalyzers(t *testing.T) {
 		analyzer *adlint.Analyzer
 		fixtures []string
 	}{
-		{"detrand", adlint.Detrand, []string{"detrand/internal/platform", "detrand/internal/privacy", "detrand/internal/chaos", "detrand/internal/supervisor", "detrand/clocked"}},
+		{"detrand", adlint.Detrand, []string{"detrand/internal/platform", "detrand/internal/privacy", "detrand/internal/chaos", "detrand/internal/coordinator", "detrand/clocked"}},
 		{"lockhold", adlint.Lockhold, []string{"lockhold/a"}},
 		{"ctxflow", adlint.Ctxflow, []string{"ctxflow/internal/marketing"}},
 		{"walerr", adlint.Walerr, []string{"walerr/internal/store", "walerr/caller"}},
 		{"obsreg", adlint.Obsreg, []string{"obsreg/a"}},
-		{"goroleak", adlint.Goroleak, []string{"goroleak/internal/supervisor"}},
+		{"goroleak", adlint.Goroleak, []string{"goroleak/internal/node"}},
 	}
 	for _, tt := range tests {
 		tt := tt

@@ -20,11 +20,12 @@ var deterministicPkgSuffixes = []string{
 	"internal/stats",
 	"internal/loadgen",
 	"internal/privacy",
-	// The chaos schedule is a pure (seed, tick) function and the health
-	// model stamps outages from an injected clock: both replay in soak logs
-	// only if they never touch the wall clock or the global RNG.
+	// The chaos schedule is a pure (seed, tick) function and the
+	// coordinator's health model stamps outages from an injected clock: both
+	// replay in soak logs only if they never touch the wall clock or the
+	// global RNG.
 	"internal/chaos",
-	"internal/supervisor",
+	"internal/coordinator",
 }
 
 // globalRandExempt lists the math/rand package-level functions that are the

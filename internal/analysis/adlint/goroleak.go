@@ -2,7 +2,7 @@ package adlint
 
 // Analyzer goroleak enforces goroutine lifecycle discipline in the
 // long-lived subsystems — the coordinator's supervision loop and fan-out,
-// the relauncher's child reapers, and the chaos scheduler. Every `go`
+// internal/node's shard-process reapers, and the chaos scheduler. Every `go`
 // statement there must have a reachable stop path the spawner can exercise:
 //
 //   - context cancellation: the goroutine (or an in-package function it
@@ -34,8 +34,8 @@ import (
 
 // goroleakPkgSuffixes scopes the check to the long-lived subsystems.
 var goroleakPkgSuffixes = []string{
-	"internal/supervisor",
 	"internal/coordinator",
+	"internal/node",
 	"internal/chaos",
 }
 

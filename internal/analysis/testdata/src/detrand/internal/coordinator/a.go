@@ -1,9 +1,9 @@
-// Package supervisor is a detrand fixture: its import-path suffix
-// internal/supervisor is on the built-in determinism-critical list — the
+// Package coordinator is a detrand fixture: its import-path suffix
+// internal/coordinator is on the built-in determinism-critical list — the
 // relaunch backoff must be Mix64-jittered from seeded state, never from the
 // clock or the global RNG. It also proves the injectable-Clock pattern is
 // exempt: a method named Now never resolves to time.Now.
-package supervisor
+package coordinator
 
 import (
 	"math/rand"

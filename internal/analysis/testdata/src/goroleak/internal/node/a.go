@@ -1,8 +1,8 @@
-// Package supervisor is a goroleak fixture: its import-path suffix
-// internal/supervisor marks it long-lived, so every go statement needs a
-// stop path — ctx cancellation, a done/stop channel shared with the
-// spawner, or a WaitGroup join.
-package supervisor
+// Package node is a goroleak fixture: its import-path suffix internal/node
+// marks it long-lived, so every go statement needs a stop path — ctx
+// cancellation, a done/stop channel shared with the spawner, or a WaitGroup
+// join.
+package node
 
 import (
 	"context"

@@ -146,7 +146,7 @@ type FleetConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// Fleet is the simulated fleet. It is a Deployment, a supervisor.Relauncher
+// Fleet is the simulated fleet. It is a Deployment, a coordinator.Relauncher
 // and the http.RoundTripper of every client inside it. Its methods may be
 // called from several goroutines.
 type Fleet struct {

@@ -22,7 +22,6 @@ import (
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/image"
 	"github.com/adaudit/impliedidentity/internal/marketing"
-	"github.com/adaudit/impliedidentity/internal/supervisor"
 )
 
 // Deployment is a fleet the soak can load, disturb and watch heal: the
@@ -159,10 +158,10 @@ func soakDisturbed(ctx context.Context, cfg SoakConfig, launch func(bool) (Deplo
 
 	// Heal: every shard must come back before the verification day.
 	coord := d.Coordinator()
-	unhealthy := func(s supervisor.State) bool { return s != supervisor.Healthy }
-	for waited := 0; slices.ContainsFunc(coord.Health().States(), unhealthy); waited++ {
+	unhealthy := func(s coordinator.State) bool { return s != coordinator.Healthy }
+	for waited := 0; slices.ContainsFunc(coord.States(), unhealthy); waited++ {
 		if waited == healTicks {
-			return nil, fmt.Errorf("fleet did not heal within %d ticks of the last disturbance (states %v)", healTicks, coord.Health().States())
+			return nil, fmt.Errorf("fleet did not heal within %d ticks of the last disturbance (states %v)", healTicks, coord.States())
 		}
 		d.Tick(ctx)
 	}

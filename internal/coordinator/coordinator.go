@@ -17,17 +17,35 @@
 // delivery day is simply re-run — determinism makes the re-run
 // indistinguishable from an uninterrupted one.
 //
-// The fleet degrades rather than dies: a per-shard health model scores
-// transport silence (never HTTP answers — an error status still proves the
-// process alive), a shard that crosses the down threshold is out of the
-// fan-out the moment it is scored (the health model is the one record of
-// admission), CRUD keeps flowing on the shards in service, and a
-// resurrected shard re-earns admission through the rejoin protocol: it takes
-// the replicated half of the account from an admitted peer (state transfer)
-// and passes the state-digest gate. Shard INDEX is pinned for the life of the
-// fleet: the delivery partition is position-mod-N in shard order, so a shard
-// is resurrected under its own index, never renumbered — renumbering would
-// silently re-partition every subsequent day.
+// The fleet degrades rather than dies. A per-shard health model (health.go),
+// fed by liveness probes and live RPC outcomes, is the one record of
+// admission: a shard is in service exactly when it is healthy or suspect,
+// and one that crosses the down threshold is out of the fan-out the moment
+// it is scored while CRUD keeps flowing on the shards in service. The model
+// is deliberately conservative about what counts as failure: ANY HTTP answer
+// — including injected 5xx, shed 429s and terminal validation errors —
+// proves the process alive and resets the failure streak. Only transport
+// silence (connection refused, timeout, dropped mid-body) advances a shard
+// toward down, so a fleet under heavy fault injection at the network layer
+// never flaps.
+//
+//	healthy ──failures──▶ suspect ──failures──▶ down
+//	   ▲                     │ success            │ probe answers
+//	   │                     ▼                    ▼
+//	   └──────rejoin────── recovering ◀───────────┘
+//	                         │ probe fails again
+//	                         ▼
+//	                        down
+//
+// Readmission is never automatic. The supervision pass (supervise.go)
+// probes, relaunches through Config.Relauncher and rejoins: a recovering
+// shard takes the replicated half of the account from an admitted peer
+// (state transfer) and passes the state-digest gate before it is healthy
+// again, which is also where MTTR is measured — down-detection to verified
+// readmission. Shard INDEX is pinned for the life of the fleet: the delivery
+// partition is position-mod-N in shard order, so a shard is resurrected
+// under its own index, never renumbered — renumbering would silently
+// re-partition every subsequent day.
 package coordinator
 
 import (
@@ -49,7 +67,6 @@ import (
 	"github.com/adaudit/impliedidentity/internal/obs"
 	"github.com/adaudit/impliedidentity/internal/platform"
 	"github.com/adaudit/impliedidentity/internal/privacy"
-	"github.com/adaudit/impliedidentity/internal/supervisor"
 )
 
 // Typed fleet-degradation errors. The router maps each onto 503 +
@@ -98,7 +115,7 @@ type Config struct {
 	// Relauncher restarts a shard's process for the supervision pass (see
 	// Step). Nil re-attaches only: an external process manager restarts
 	// the shards, and the pass rejoins them when they answer.
-	Relauncher supervisor.Relauncher
+	Relauncher Relauncher
 	// ProbeInterval is the pause between supervision passes. 0 defaults
 	// to 500ms.
 	ProbeInterval time.Duration
@@ -115,6 +132,13 @@ type Config struct {
 	// attention: quarantines, relaunches and rejoin failures, whose error
 	// text is the only diagnosis of a fleet stuck in recovering.
 	Logf func(format string, args ...any)
+}
+
+// Relauncher restarts a shard's process under its own index — real child
+// processes (node.ShardProcs) or a simulated fleet. The supervision pass
+// calls it for a shard that has stayed down past RelaunchAfter.
+type Relauncher interface {
+	Relaunch(shard int) error
 }
 
 // shardConn is one backend: its resilient API client, its metric label and
@@ -142,7 +166,7 @@ type Coordinator struct {
 	clock  obs.Clock
 	// health is the per-shard health model and the one record of which
 	// shards are in service (healthy or suspect).
-	health *supervisor.FleetHealth
+	health *fleetHealth
 
 	// mu serializes mutating fan-outs and delivery days. Determinism needs
 	// identical mutation order on every backend; a thin coordinator buys it
@@ -194,7 +218,7 @@ func New(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 		cfg:     cfg,
 		reg:     reg,
 		clock:   clock,
-		keyBase: fmt.Sprintf("fk-%08x", rand.Uint32()),
+		keyBase: fmt.Sprintf("fk-%08x", rand.Uint32()), //adlint:allow detrand (a restarted router must mint keys no earlier router used)
 	}
 	for i, u := range cfg.Backends {
 		cl, err := marketing.NewClient(u)
@@ -214,7 +238,7 @@ func New(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 			errors:   reg.Counter(MetricShardErrors + "|" + label),
 		})
 	}
-	c.health = supervisor.NewFleetHealth(len(c.shards), reg, clock)
+	c.health = newFleetHealth(c.shards, reg, clock)
 	c.lastRelaunch = make([]time.Time, len(c.shards))
 	return c, nil
 }
@@ -227,9 +251,10 @@ func (c *Coordinator) Backends() []string {
 	return append([]string(nil), c.cfg.Backends...)
 }
 
-// Health exposes the per-shard health model: the fleet's one record of which
-// shards are in service.
-func (c *Coordinator) Health() *supervisor.FleetHealth { return c.health }
+// States reports every shard's health state in shard order. The health model
+// is the fleet's one record of admission: a shard is in service exactly when
+// its state is.
+func (c *Coordinator) States() []State { return c.health.states() }
 
 // SetRetryPolicy applies one retry policy to every backend client.
 func (c *Coordinator) SetRetryPolicy(p marketing.RetryPolicy) {
@@ -252,7 +277,7 @@ func (c *Coordinator) mintFleetKey() string {
 // transfer.
 func (c *Coordinator) serving() []*shardConn {
 	var in []*shardConn
-	for i, st := range c.health.States() {
+	for i, st := range c.health.states() {
 		if st.InService() {
 			in = append(in, c.shards[i])
 		}
@@ -282,7 +307,7 @@ func (c *Coordinator) serving() []*shardConn {
 // every other shard missed the mutations acked after it went out, so it
 // waits for that one and takes its state from it.
 func (c *Coordinator) rejoinLocked(ctx context.Context, shard int) error {
-	if c.health.State(shard).InService() {
+	if c.health.state(shard).InService() {
 		return nil
 	}
 	sc := c.shards[shard]
@@ -297,7 +322,7 @@ func (c *Coordinator) rejoinLocked(ctx context.Context, shard int) error {
 	if st.SessionActive {
 		return fail(fmt.Errorf("coordinator: rejoin %s: a day session is still open mid-recovery", sc.label))
 	}
-	switch ref, ok := c.health.Reference(); {
+	switch ref, ok := c.health.reference(); {
 	case ok:
 		if err := transfer(ctx, sc, c.shards[ref], st.NumUsers); err != nil {
 			return fail(err)
@@ -307,7 +332,7 @@ func (c *Coordinator) rejoinLocked(ctx context.Context, shard int) error {
 	default:
 		c.reg.Counter(MetricRejoinUnverified).Inc()
 	}
-	c.health.MarkHealthy(shard)
+	c.health.markHealthy(shard)
 	c.reg.Counter(MetricRejoins).Inc()
 	return nil
 }
@@ -386,23 +411,20 @@ func (c *Coordinator) scatterEach(ctx context.Context, op string, targets []*sha
 	return errs
 }
 
-// observeOutcome feeds one RPC outcome into the health model. The scoring
-// doctrine: ANY HTTP answer — success, a terminal 4xx, an injected 5xx or
-// 429 — proves the process alive and resets the failure streak; only
-// transport silence (connection refused, timeout, a connection dropped
-// mid-body) counts toward down. This is what makes suspect-scoring
-// structurally flap-free under transient injected server errors. A caller
+// observeOutcome feeds one RPC outcome into the health model: an HTTP
+// answer of any status (an APIError) proves the process alive, anything
+// else is transport silence (see the package documentation). A caller
 // cancellation says nothing about the shard and is not scored.
 func (c *Coordinator) observeOutcome(shard int, err error) {
 	if err == nil {
-		c.health.Observe(shard, true)
+		c.health.observe(shard, true)
 		return
 	}
 	if errors.Is(err, context.Canceled) {
 		return
 	}
 	var apiErr *marketing.APIError
-	c.health.Observe(shard, errors.As(err, &apiErr))
+	c.health.observe(shard, errors.As(err, &apiErr))
 }
 
 // scatter runs fn against the given shards and returns the first error in
@@ -492,7 +514,7 @@ func (c *Coordinator) mutate(ctx context.Context, m mutation) ([]byte, error) {
 	var firstErr error
 	for _, sc := range in {
 		err := errs[sc.index]
-		if err == nil || !c.health.State(sc.index).InService() {
+		if err == nil || !c.health.state(sc.index).InService() {
 			continue
 		}
 		if firstErr == nil {
@@ -511,7 +533,7 @@ func (c *Coordinator) mutate(ctx context.Context, m mutation) ([]byte, error) {
 		case ref == nil:
 			ref = sc
 		case got[sc.index] != got[ref.index]:
-			c.health.MarkDown(sc.index)
+			c.health.markDown(sc.index)
 			diverged = divergence(m.kind, sc, fmt.Sprintf("%+v", got[sc.index]), fmt.Sprintf("%+v", got[ref.index]))
 		}
 	}
@@ -556,7 +578,7 @@ func (c *Coordinator) GetAd(ctx context.Context, adID string) (*marketing.AdResp
 // shard is quarantined — the merge would silently under-count. Callers get
 // a typed retryable error until the fleet heals.
 func (c *Coordinator) Insights(ctx context.Context, adID string, dims []string) (*marketing.InsightsResponse, error) {
-	if q := c.health.Out(); len(q) > 0 {
+	if q := c.health.out(); len(q) > 0 {
 		return nil, fmt.Errorf("coordinator: insights for %s need the full fleet, shards %v quarantined: %w", adID, q, ErrShardDown)
 	}
 	out := make([]*marketing.InsightsResponse, len(c.shards))

@@ -71,7 +71,7 @@ func (c *Coordinator) Deliver(ctx context.Context, adIDs []string, seed int64) e
 		// (still dead, digest gap from a partial commit) leaves the shard
 		// quarantined; the partial-commit replay below converges the day
 		// state so a later pass can succeed.
-		for _, idx := range c.health.Out() {
+		for _, idx := range c.health.out() {
 			if answered, _ := c.recoverShard(ctx, idx); answered {
 				c.rejoin(ctx, idx)
 			}
@@ -95,10 +95,10 @@ func (c *Coordinator) Deliver(ctx context.Context, adIDs []string, seed int64) e
 				return fmt.Errorf("coordinator: day partially committed with no replayable record (shards %v pending): %w", pending, lastErr)
 			}
 			err = c.replayDay(ctx, rec, pending)
-		case len(c.health.Out()) > 0:
+		case len(c.health.out()) > 0:
 			// A fresh attempt needs the whole fleet: the day's user partition
 			// spans every shard index.
-			err = fmt.Errorf("coordinator: day needs full fleet, shards %v quarantined: %w", c.health.Out(), ErrShardDown)
+			err = fmt.Errorf("coordinator: day needs full fleet, shards %v quarantined: %w", c.health.out(), ErrShardDown)
 		default:
 			rec = &dayRecord{
 				session: fmt.Sprintf("day-%d-%d", seed, daySeq),

@@ -10,6 +10,12 @@ import (
 	"github.com/adaudit/impliedidentity/internal/marketing"
 )
 
+// DownAfter is the transport-failure streak that scores a shard down.
+const DownAfter = downAfter
+
+// MarkDown quarantines a shard, as a diverged mutation answer does.
+func (c *Coordinator) MarkDown(shard int) { c.health.markDown(shard) }
+
 // DayStatus probes whether a previous day attempt's commit landed.
 func (c *Coordinator) DayStatus(ctx context.Context, adIDs []string, attempt int) (committed bool, pending []int, err error) {
 	return c.dayStatus(ctx, adIDs, attempt)

@@ -1,35 +1,4 @@
-// Package supervisor holds what fleet self-healing needs below the
-// coordinator: the per-shard health state machine fed by liveness probes and
-// live RPC outcomes, the Relauncher a supervision pass restarts shards
-// through (ProcessRelauncher for real child processes), and the supervision
-// metric names. The pass itself — probe, relaunch, rejoin — is the
-// coordinator's (coordinator.Step), beside the fleet mutex a rejoin takes.
-// The health model is the one record of admission: a shard is in service
-// exactly when it is healthy or suspect.
-//
-// The state machine is deliberately conservative about what counts as
-// failure: ANY HTTP answer — including injected 5xx, shed 429s, and terminal
-// validation errors — proves the process is alive and resets the failure
-// streak. Only transport-level silence (connection refused, timeout, dropped
-// mid-body) advances a shard toward down, so a fleet under heavy fault
-// injection at the network layer never flaps; see Observe.
-//
-// States and transitions:
-//
-//	healthy ──failures──▶ suspect ──failures──▶ down
-//	   ▲                     │ success            │ probe answers
-//	   │                     ▼                    ▼
-//	   └──────rejoin────── recovering ◀───────────┘
-//	                         │ probe fails again
-//	                         ▼
-//	                        down
-//
-// Readmission is never automatic: a recovering shard must take the
-// replicated state from an admitted peer and pass the cross-shard digest
-// gate (the coordinator's rejoin protocol) before MarkHealthy moves it back,
-// which is also where MTTR is measured — down-detection to verified
-// readmission.
-package supervisor
+package coordinator
 
 import (
 	"fmt"
@@ -39,7 +8,8 @@ import (
 	"github.com/adaudit/impliedidentity/internal/obs"
 )
 
-// State is one shard's position in the health machine.
+// State is one shard's position in the health machine (see the package
+// documentation for its transitions).
 type State int32
 
 // The health states, in escalation order.
@@ -83,19 +53,19 @@ func (s State) String() string {
 // call, both of which already sit behind the client's own retry loop, so a
 // single streak unit means several wire failures in a row.
 const (
-	// SuspectAfter is the consecutive transport-failure count that moves a
+	// suspectAfter is the consecutive transport-failure count that moves a
 	// healthy shard to suspect.
-	SuspectAfter = 2
-	// DownAfter is the consecutive transport-failure count that moves a
+	suspectAfter = 2
+	// downAfter is the consecutive transport-failure count that moves a
 	// shard to down (and quarantine).
-	DownAfter = 4
+	downAfter = 4
 )
 
-// FleetHealth scores every shard of one fleet, and is the fleet's only
+// fleetHealth scores every shard of one fleet, and is the fleet's only
 // record of which shards are in service. The coordinator feeds it RPC
 // outcomes and probe outcomes, reads admission from it and drives recovery
 // by it.
-type FleetHealth struct {
+type fleetHealth struct {
 	reg   *obs.Registry
 	clock obs.Clock
 
@@ -106,49 +76,35 @@ type FleetHealth struct {
 	lastOut int
 }
 
-// shardHealth is one shard's score.
+// shardHealth is one shard's score and its state gauge.
 type shardHealth struct {
 	state     State
 	fails     int
 	downSince time.Time
+	gauge     *obs.Gauge
 }
 
-// NewFleetHealth builds the health model for n shards, all healthy. Registry
-// and clock may be nil (private registry, system clock).
-func NewFleetHealth(n int, reg *obs.Registry, clock obs.Clock) *FleetHealth {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	if clock == nil {
-		clock = obs.SystemClock
-	}
-	h := &FleetHealth{reg: reg, clock: clock, shards: make([]shardHealth, n)}
-	for i := range h.shards {
-		h.setGaugeLocked(i, Healthy)
+// newFleetHealth builds the health model for the given shards, all healthy.
+func newFleetHealth(shards []*shardConn, reg *obs.Registry, clock obs.Clock) *fleetHealth {
+	h := &fleetHealth{reg: reg, clock: clock, shards: make([]shardHealth, len(shards))}
+	for i, sc := range shards {
+		h.shards[i].gauge = reg.Gauge(metricShardState + "|" + sc.label)
+		h.shards[i].gauge.Set(int64(Healthy))
 	}
 	return h
 }
 
-// Shards reports the fleet size.
-func (h *FleetHealth) Shards() int { return len(h.shards) }
-
-// setGaugeLocked publishes a shard's state as a numeric gauge.
-func (h *FleetHealth) setGaugeLocked(shard int, s State) {
-	h.reg.Gauge(MetricShardState + "|" + shardLabel(shard)).Set(int64(s))
-}
-
-func shardLabel(shard int) string { return fmt.Sprintf("shard%d", shard) }
-
 // transitionLocked moves a shard and publishes the gauge + transition count.
 // A move out of service is a quarantine, counted here once whichever path
-// took the shard out: live RPCs, a probe or a forced MarkDown.
-func (h *FleetHealth) transitionLocked(shard int, to State) {
-	from := h.shards[shard].state
+// took the shard out: live RPCs, a probe or a forced markDown.
+func (h *fleetHealth) transitionLocked(shard int, to State) {
+	sh := &h.shards[shard]
+	from := sh.state
 	if from == to {
 		return
 	}
-	h.shards[shard].state = to
-	h.setGaugeLocked(shard, to)
+	sh.state = to
+	sh.gauge.Set(int64(to))
 	h.reg.Counter(MetricTransitions + "|" + to.String()).Inc()
 	if from.InService() && !to.InService() {
 		h.lastOut = shard
@@ -156,13 +112,13 @@ func (h *FleetHealth) transitionLocked(shard int, to State) {
 	}
 }
 
-// Observe feeds one interaction outcome — a probe or a live fan-out RPC —
+// observe feeds one interaction outcome — a probe or a live fan-out RPC —
 // into the score. alive means the shard gave ANY HTTP answer (2xx, terminal
 // 4xx, even an injected 5xx): the process is up, the streak resets. Only
-// transport silence counts against the shard. Observe never promotes out of
+// transport silence counts against the shard. observe never promotes out of
 // Down/Recovering (readmission goes through the rejoin gate), and returns
 // the resulting state.
-func (h *FleetHealth) Observe(shard int, alive bool) State {
+func (h *fleetHealth) observe(shard int, alive bool) State {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	sh := &h.shards[shard]
@@ -178,24 +134,24 @@ func (h *FleetHealth) Observe(shard int, alive bool) State {
 	}
 	sh.fails++
 	switch {
-	case sh.fails >= DownAfter:
+	case sh.fails >= downAfter:
 		sh.downSince = h.clock.Now()
 		h.transitionLocked(shard, Down)
-	case sh.fails >= SuspectAfter:
+	case sh.fails >= suspectAfter:
 		h.transitionLocked(shard, Suspect)
 	}
 	return sh.state
 }
 
-// State reads one shard's state.
-func (h *FleetHealth) State(shard int) State {
+// state reads one shard's state.
+func (h *fleetHealth) state(shard int) State {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.shards[shard].state
 }
 
-// States snapshots every shard's state in shard order.
-func (h *FleetHealth) States() []State {
+// states snapshots every shard's state in shard order.
+func (h *fleetHealth) states() []State {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make([]State, len(h.shards))
@@ -205,8 +161,8 @@ func (h *FleetHealth) States() []State {
 	return out
 }
 
-// Out lists the shards out of service, in shard order.
-func (h *FleetHealth) Out() []int {
+// out lists the shards out of service, in shard order.
+func (h *fleetHealth) out() []int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var out []int
@@ -218,10 +174,10 @@ func (h *FleetHealth) Out() []int {
 	return out
 }
 
-// Reference is the first shard in service — the replica a rejoining shard
+// reference is the first shard in service — the replica a rejoining shard
 // takes its state from and digests against — or, when the whole fleet is
 // out, the shard that left service last, with ok false.
-func (h *FleetHealth) Reference() (shard int, ok bool) {
+func (h *fleetHealth) reference() (shard int, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for i := range h.shards {
@@ -232,24 +188,24 @@ func (h *FleetHealth) Reference() (shard int, ok bool) {
 	return h.lastOut, false
 }
 
-// DownSince reports when the shard was scored down (zero if it never was, or
+// downSince reports when the shard was scored down (zero if it never was, or
 // has been readmitted since).
-func (h *FleetHealth) DownSince(shard int) time.Time {
+func (h *fleetHealth) downSince(shard int) time.Time {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.shards[shard].downSince
 }
 
-// MarkDown forces a shard down — the coordinator quarantining a shard that
+// markDown forces a shard down — the coordinator quarantining a shard that
 // answered a mutation unlike its peers, or the supervision pass demoting a
 // recovering shard whose probe failed again. The original downSince is kept
 // on a Recovering→Down demotion so MTTR stays honest.
-func (h *FleetHealth) MarkDown(shard int) {
+func (h *fleetHealth) markDown(shard int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	sh := &h.shards[shard]
 	if sh.state != Down {
-		if sh.downSince.IsZero() || sh.state == Healthy || sh.state == Suspect {
+		if sh.downSince.IsZero() || sh.state.InService() {
 			sh.downSince = h.clock.Now()
 		}
 		sh.fails = 0
@@ -257,9 +213,9 @@ func (h *FleetHealth) MarkDown(shard int) {
 	}
 }
 
-// MarkRecovering moves a down shard to recovering (its probe answered).
+// markRecovering moves a down shard to recovering (its probe answered).
 // Reports whether the transition happened.
-func (h *FleetHealth) MarkRecovering(shard int) bool {
+func (h *fleetHealth) markRecovering(shard int) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.shards[shard].state != Down {
@@ -269,9 +225,9 @@ func (h *FleetHealth) MarkRecovering(shard int) bool {
 	return true
 }
 
-// MarkHealthy readmits a shard after a completed rejoin, observing MTTR
+// markHealthy readmits a shard after a completed rejoin, observing MTTR
 // (down-detection to verified readmission) when the shard had been down.
-func (h *FleetHealth) MarkHealthy(shard int) {
+func (h *fleetHealth) markHealthy(shard int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	sh := &h.shards[shard]

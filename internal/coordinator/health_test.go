@@ -1,78 +1,88 @@
-package supervisor
+package coordinator
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"github.com/adaudit/impliedidentity/internal/obs"
 )
 
+// testHealth builds the health model over n anonymous shard connections.
+func testHealth(n int, reg *obs.Registry, clock obs.Clock) *fleetHealth {
+	shards := make([]*shardConn, n)
+	for i := range shards {
+		shards[i] = &shardConn{index: i, label: fmt.Sprintf("shard%d", i)}
+	}
+	return newFleetHealth(shards, reg, clock)
+}
+
 func TestHealthScoring(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := NewFleetHealth(1, reg, obs.NewManualClock())
+	h := testHealth(1, reg, obs.NewManualClock())
 
-	if got := h.Observe(0, false); got != Healthy {
+	if got := h.observe(0, false); got != Healthy {
 		t.Fatalf("1 failure: %v, want healthy", got)
 	}
-	if got := h.Observe(0, false); got != Suspect {
+	if got := h.observe(0, false); got != Suspect {
 		t.Fatalf("2 failures: %v, want suspect", got)
 	}
 	// An HTTP answer — any answer — resets the streak entirely.
-	if got := h.Observe(0, true); got != Healthy {
+	if got := h.observe(0, true); got != Healthy {
 		t.Fatalf("answer after suspect: %v, want healthy", got)
 	}
 	for i := 0; i < 3; i++ {
-		h.Observe(0, false)
+		h.observe(0, false)
 	}
-	if got := h.State(0); got != Suspect {
+	if got := h.state(0); got != Suspect {
 		t.Fatalf("3 failures: %v, want suspect", got)
 	}
-	if got := h.Observe(0, false); got != Down {
+	if got := h.observe(0, false); got != Down {
 		t.Fatalf("4 failures: %v, want down", got)
 	}
-	if h.DownSince(0).IsZero() {
+	if h.downSince(0).IsZero() {
 		t.Fatalf("down shard has no downSince")
 	}
 	// Observations cannot promote out of down — readmission goes through
 	// the rejoin gate only.
-	if got := h.Observe(0, true); got != Down {
+	if got := h.observe(0, true); got != Down {
 		t.Fatalf("answer while down: %v, want down (rejoin gate only)", got)
 	}
-	if !h.MarkRecovering(0) {
+	if !h.markRecovering(0) {
 		t.Fatalf("MarkRecovering from down refused")
 	}
-	if h.MarkRecovering(0) {
+	if h.markRecovering(0) {
 		t.Fatalf("MarkRecovering from recovering accepted")
 	}
-	if got := h.Observe(0, true); got != Recovering {
+	if got := h.observe(0, true); got != Recovering {
 		t.Fatalf("answer while recovering: %v, want recovering", got)
 	}
-	h.MarkHealthy(0)
-	if got := h.State(0); got != Healthy {
-		t.Fatalf("after MarkHealthy: %v", got)
+	h.markHealthy(0)
+	if got := h.state(0); got != Healthy {
+		t.Fatalf("after markHealthy: %v", got)
 	}
-	if !h.DownSince(0).IsZero() {
+	if !h.downSince(0).IsZero() {
 		t.Fatalf("downSince survived readmission")
 	}
 }
 
 // The structural no-flap property: a shard answering every request — even if
-// every answer is an injected 5xx — never leaves healthy, because Observe
+// every answer is an injected 5xx — never leaves healthy, because observe
 // scores liveness, not success. Satellite check for the fault-injection
 // wiring.
 func TestHealthNeverFlapsOnErrorAnswers(t *testing.T) {
-	h := NewFleetHealth(1, nil, obs.NewManualClock())
+	h := testHealth(1, obs.NewRegistry(), obs.NewManualClock())
 	for i := 0; i < 1000; i++ {
 		// alive=true models any HTTP status arriving, 500s included.
-		if got := h.Observe(0, true); got != Healthy {
+		if got := h.observe(0, true); got != Healthy {
 			t.Fatalf("iteration %d: %v, want healthy", i, got)
 		}
 	}
 	// Even interleaved transport failures below the threshold never reach
 	// suspect when answers keep arriving.
 	for i := 0; i < 100; i++ {
-		h.Observe(0, false)
-		if got := h.Observe(0, true); got != Healthy {
+		h.observe(0, false)
+		if got := h.observe(0, true); got != Healthy {
 			t.Fatalf("interleaved iteration %d: %v, want healthy", i, got)
 		}
 	}
@@ -81,15 +91,15 @@ func TestHealthNeverFlapsOnErrorAnswers(t *testing.T) {
 func TestHealthMTTR(t *testing.T) {
 	reg := obs.NewRegistry()
 	clock := obs.NewManualClock()
-	h := NewFleetHealth(1, reg, clock)
-	h.MarkDown(0)
+	h := testHealth(1, reg, clock)
+	h.markDown(0)
 	clock.Sleep(90 * time.Second)
-	h.MarkRecovering(0)
+	h.markRecovering(0)
 	// A failed recovery demotes without resetting the outage start.
-	h.MarkDown(0)
+	h.markDown(0)
 	clock.Sleep(30 * time.Second)
-	h.MarkRecovering(0)
-	h.MarkHealthy(0)
+	h.markRecovering(0)
+	h.markHealthy(0)
 	hist := reg.Histogram(MetricMTTR)
 	if hist.Count() != 1 {
 		t.Fatalf("MTTR observations: %d, want 1", hist.Count())
@@ -104,30 +114,30 @@ func TestHealthMTTR(t *testing.T) {
 // reference is the shard that left service last.
 func TestHealthIsAdmission(t *testing.T) {
 	reg := obs.NewRegistry()
-	h := NewFleetHealth(3, reg, obs.NewManualClock())
+	h := testHealth(3, reg, obs.NewManualClock())
 	quarantines := func() int64 { return reg.Counter(MetricQuarantines).Value() }
-	for i := 0; i < SuspectAfter; i++ {
-		h.Observe(1, false)
+	for i := 0; i < suspectAfter; i++ {
+		h.observe(1, false)
 	}
-	if !h.State(1).InService() || len(h.Out()) != 0 {
-		t.Fatalf("suspect shard out of service: out %v", h.Out())
+	if !h.state(1).InService() || len(h.out()) != 0 {
+		t.Fatalf("suspect shard out of service: out %v", h.out())
 	}
-	for i := SuspectAfter; i < DownAfter; i++ {
-		h.Observe(1, false)
+	for i := suspectAfter; i < downAfter; i++ {
+		h.observe(1, false)
 	}
-	h.MarkDown(2)
-	h.MarkDown(2)
-	if got := h.Out(); len(got) != 2 || got[0] != 1 || got[1] != 2 || quarantines() != 2 {
+	h.markDown(2)
+	h.markDown(2)
+	if got := h.out(); len(got) != 2 || got[0] != 1 || got[1] != 2 || quarantines() != 2 {
 		t.Fatalf("out %v with %d quarantines, want [1 2] and 2", got, quarantines())
 	}
-	if ref, ok := h.Reference(); !ok || ref != 0 {
+	if ref, ok := h.reference(); !ok || ref != 0 {
 		t.Fatalf("reference %d (%v), want shard 0 in service", ref, ok)
 	}
 	// A recovering shard that fails again was out already: not a new exit.
-	h.MarkRecovering(1)
-	h.MarkDown(1)
-	h.MarkDown(0)
-	if ref, ok := h.Reference(); ok || ref != 0 || quarantines() != 3 {
+	h.markRecovering(1)
+	h.markDown(1)
+	h.markDown(0)
+	if ref, ok := h.reference(); ok || ref != 0 || quarantines() != 3 {
 		t.Fatalf("whole fleet out: reference %d (%v), %d quarantines; want shard 0, the last out, and 3", ref, ok, quarantines())
 	}
 }

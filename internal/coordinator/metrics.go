@@ -1,8 +1,9 @@
 package coordinator
 
-// Router metric names. Per-shard metrics use the registry's "name|label"
-// convention — constant metric name, shard label after the separator — so
-// cardinality stays fixed at the (small, static) shard count.
+// Router and supervision metric names: the operator's /metrics contract.
+// Per-shard metrics use the registry's "name|label" convention — constant
+// metric name, shard label after the separator — so cardinality stays fixed
+// at the (small, static) shard count.
 const (
 	// MetricShardRequests counts backend calls, labeled per shard.
 	MetricShardRequests = "router.shard.requests"
@@ -33,4 +34,23 @@ const (
 	// left to digest against (the shard that left service last, after a
 	// whole-fleet outage).
 	MetricRejoinUnverified = "router.rejoin_unverified"
+
+	// metricShardState is the numeric health state per shard
+	// (0 healthy, 1 suspect, 2 down, 3 recovering), labeled per shard.
+	metricShardState = "supervisor.shard.state"
+	// MetricTransitions counts state transitions, labeled by target state.
+	MetricTransitions = "supervisor.transitions"
+	// MetricQuarantines counts exits from service: moves from healthy or
+	// suspect to down, one per exit whichever path scored it.
+	MetricQuarantines = "supervisor.quarantines"
+	// MetricMTTR is the down-detection→verified-readmission latency.
+	MetricMTTR = "supervisor.mttr"
+	// MetricProbes counts liveness probes sent.
+	MetricProbes = "supervisor.probes"
+	// metricProbeFailures counts probes with no HTTP answer.
+	metricProbeFailures = "supervisor.probe_failures"
+	// MetricRelaunches counts shard process relaunches initiated.
+	MetricRelaunches = "supervisor.relaunches"
+	// metricRelaunchFailures counts relaunches that could not start.
+	metricRelaunchFailures = "supervisor.relaunch_failures"
 )

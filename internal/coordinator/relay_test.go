@@ -24,7 +24,6 @@ import (
 	"github.com/adaudit/impliedidentity/internal/image"
 	"github.com/adaudit/impliedidentity/internal/marketing"
 	"github.com/adaudit/impliedidentity/internal/platform"
-	"github.com/adaudit/impliedidentity/internal/supervisor"
 )
 
 // received is one mutating request as a shard's handler saw it.
@@ -289,7 +288,7 @@ func TestStateTransferIsExactAndDurable(t *testing.T) {
 		t.Fatal("shard 1 recovered no delivery tallies: the test proves nothing about keeping them")
 	}
 	f.Coord.Step(ctx)
-	if got := f.Coord.Health().State(1); got != supervisor.Healthy {
+	if got := state(f, 1); got != coordinator.Healthy {
 		t.Fatalf("rejoined shard state %v, want healthy", got)
 	}
 
@@ -369,8 +368,8 @@ func TestDivergedShardRejoinsByTransfer(t *testing.T) {
 	if status != http.StatusBadGateway || !strings.Contains(answer, "create audience diverged on shard1") {
 		t.Fatalf("create after shard 1 went its own way: %d %s, want a 502 divergence", status, answer)
 	}
-	if f.Coord.Health().State(1) != supervisor.Down {
-		t.Fatalf("diverged shard state %v, want down (quarantined)", f.Coord.Health().State(1))
+	if state(f, 1) != coordinator.Down {
+		t.Fatalf("diverged shard state %v, want down (quarantined)", state(f, 1))
 	}
 	status, retried := rawPost(t, url, "/v1/customaudiences", "second", audience("second"))
 	if status != 201 || !strings.Contains(retried, `"id":"ca-2"`) {
@@ -378,7 +377,7 @@ func TestDivergedShardRejoinsByTransfer(t *testing.T) {
 	}
 
 	f.Coord.Step(ctx)
-	if got := f.Coord.Health().State(1); got != supervisor.Healthy {
+	if got := state(f, 1); got != coordinator.Healthy {
 		t.Fatalf("diverged shard state %v after a supervision pass, want healthy", got)
 	}
 	status, third := rawPost(t, url, "/v1/customaudiences", "third", audience("third"))

@@ -182,7 +182,7 @@ func (rt *Router) handleInsights(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleTopology(w http.ResponseWriter, _ *http.Request) {
-	states := rt.c.Health().States()
+	states := rt.c.States()
 	health := make([]string, len(states))
 	admitted := make([]bool, len(states))
 	for i, st := range states {

@@ -9,8 +9,6 @@ package coordinator
 import (
 	"context"
 	"time"
-
-	"github.com/adaudit/impliedidentity/internal/supervisor"
 )
 
 // Start launches the supervision loop in its own goroutine: a pass, then
@@ -56,8 +54,8 @@ func (c *Coordinator) Stop() {
 // tests) call Step instead of Start.
 func (c *Coordinator) Step(ctx context.Context) {
 	for i := range c.shards {
-		if c.health.State(i).InService() {
-			if c.health.Observe(i, c.probe(ctx, i)) == supervisor.Down {
+		if c.health.state(i).InService() {
+			if c.health.observe(i, c.probe(ctx, i)) == Down {
 				c.logf("supervisor: shard %d unreachable, quarantined", i)
 			}
 			continue
@@ -77,14 +75,14 @@ func (c *Coordinator) Step(ctx context.Context) {
 // goes back to down. It reports whether the shard answered, and so may
 // rejoin, and whether it was down. Deliver's retry preamble runs it too.
 func (c *Coordinator) recoverShard(ctx context.Context, shard int) (answered, wasDown bool) {
-	wasDown = c.health.State(shard) == supervisor.Down
+	wasDown = c.health.state(shard) == Down
 	answered = c.probe(ctx, shard)
 	switch {
 	case answered && wasDown:
-		c.health.MarkRecovering(shard)
+		c.health.markRecovering(shard)
 	case !answered && !wasDown:
 		// Came up, went away again (e.g. killed mid-recovery).
-		c.health.MarkDown(shard)
+		c.health.markDown(shard)
 	}
 	return answered, wasDown
 }
@@ -104,11 +102,11 @@ func (c *Coordinator) rejoin(ctx context.Context, shard int) {
 // a partition cuts probes as it cuts live traffic, and reports whether the
 // shard answered. /healthz can only answer 200: any error is silence.
 func (c *Coordinator) probe(ctx context.Context, shard int) bool {
-	c.reg.Counter(supervisor.MetricProbes).Inc()
+	c.reg.Counter(MetricProbes).Inc()
 	pctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
 	defer cancel()
 	if err := c.shards[shard].client.Healthz(pctx); err != nil {
-		c.reg.Counter(supervisor.MetricProbeFailures).Inc()
+		c.reg.Counter(metricProbeFailures).Inc()
 		return false
 	}
 	return true
@@ -123,7 +121,7 @@ func (c *Coordinator) maybeRelaunch(shard int) {
 		return
 	}
 	now := c.clock.Now()
-	since := c.health.DownSince(shard)
+	since := c.health.downSince(shard)
 	if since.IsZero() || now.Sub(since) < c.cfg.RelaunchAfter {
 		return
 	}
@@ -131,10 +129,10 @@ func (c *Coordinator) maybeRelaunch(shard int) {
 		return
 	}
 	c.lastRelaunch[shard] = now
-	c.reg.Counter(supervisor.MetricRelaunches).Inc()
+	c.reg.Counter(MetricRelaunches).Inc()
 	c.logf("supervisor: relaunching shard %d (down %s)", shard, now.Sub(since).Round(time.Millisecond))
 	if err := c.cfg.Relauncher.Relaunch(shard); err != nil {
-		c.reg.Counter(supervisor.MetricRelaunchFailures).Inc()
+		c.reg.Counter(metricRelaunchFailures).Inc()
 		c.logf("supervisor: relaunch shard %d failed: %v", shard, err)
 	}
 }

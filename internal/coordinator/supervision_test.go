@@ -22,7 +22,6 @@ import (
 	"github.com/adaudit/impliedidentity/internal/coordinator"
 	"github.com/adaudit/impliedidentity/internal/faults"
 	"github.com/adaudit/impliedidentity/internal/marketing"
-	"github.com/adaudit/impliedidentity/internal/supervisor"
 )
 
 // durable gives every shard a WAL directory, so a killed one comes back
@@ -44,11 +43,11 @@ func stepUntilDown(t *testing.T, f *chaos.Fleet, shard int) {
 	t.Helper()
 	for i := 0; i < 10; i++ {
 		f.Coord.Step(context.Background())
-		if f.Coord.Health().State(shard) == supervisor.Down {
+		if state(f, shard) == coordinator.Down {
 			return
 		}
 	}
-	t.Fatalf("shard %d never quarantined (state %v)", shard, f.Coord.Health().State(shard))
+	t.Fatalf("shard %d never quarantined (state %v)", shard, state(f, shard))
 }
 
 // revive relaunches a dead shard and gives the coordinator the one supervision pass that
@@ -60,7 +59,7 @@ func revive(t *testing.T, f *chaos.Fleet, shard int) {
 		t.Fatal(err)
 	}
 	f.Coord.Step(context.Background())
-	if got := f.Coord.Health().State(shard); got != supervisor.Healthy {
+	if got := state(f, shard); got != coordinator.Healthy {
 		t.Fatalf("revived shard state %v, want healthy", got)
 	}
 }
@@ -152,7 +151,7 @@ func TestShardResurrectionWithStateTransfer(t *testing.T) {
 	if snap.Counters[coordinator.MetricRejoins] < 1 {
 		t.Errorf("rejoin counter = %d, want >= 1", snap.Counters[coordinator.MetricRejoins])
 	}
-	if snap.Histograms[supervisor.MetricMTTR].Count == 0 {
+	if snap.Histograms[coordinator.MetricMTTR].Count == 0 {
 		t.Errorf("MTTR never observed")
 	}
 
@@ -195,7 +194,7 @@ func TestTransferKeepsPartialCommitVisible(t *testing.T) {
 			}
 			// Dead before its commit; its supervisor has it quarantined and
 			// back from its WAL by the time the finish is retried.
-			f.Coord.Health().MarkDown(1)
+			f.Coord.MarkDown(1)
 			if err := f.Relaunch(1); err != nil {
 				t.Error(err)
 			}
@@ -215,7 +214,7 @@ func TestTransferKeepsPartialCommitVisible(t *testing.T) {
 		t.Errorf("the rejoin under a partial commit passed the digest gate; it must fail until the day replays")
 	}
 	f.Coord.Step(ctx)
-	if got := f.Coord.Health().State(1); got != supervisor.Healthy {
+	if got := state(f, 1); got != coordinator.Healthy {
 		t.Fatalf("first pass after the replayed day left shard 1 %v, want healthy", got)
 	}
 	if got := insightsDigest(t, client, ids); got != want {
@@ -338,13 +337,13 @@ func TestNoFlapUnderInjected5xx(t *testing.T) {
 	if _, err := coord.Inventory(ctx); err != nil {
 		t.Fatalf("inventory under injection: %v", err)
 	}
-	for shard, st := range coord.Health().States() {
-		if st != supervisor.Healthy {
+	for shard, st := range coord.States() {
+		if st != coordinator.Healthy {
 			t.Errorf("shard %d state %v under injected 5xx, want healthy (no flap)", shard, st)
 		}
 	}
 	snap := f.Reg.Snapshot()
-	if got := snap.Counters[supervisor.MetricTransitions+"|suspect"]; got != 0 {
+	if got := snap.Counters[coordinator.MetricTransitions+"|suspect"]; got != 0 {
 		t.Errorf("suspect transitions under injected 5xx = %d, want 0", got)
 	}
 	if got := inj.Metrics().Snapshot().Counters[faults.MetricInjected]; got == 0 {
@@ -401,12 +400,12 @@ func rawGet(router http.Handler, path string) *httptest.ResponseRecorder {
 // supervision pass, until live traffic has scored the shard down.
 func scoreDownByInsights(t *testing.T, f *chaos.Fleet, shard int, adID string) {
 	t.Helper()
-	for i := 0; i < 2*supervisor.DownAfter && f.Coord.Health().State(shard) != supervisor.Down; i++ {
+	for i := 0; i < 2*coordinator.DownAfter && state(f, shard) != coordinator.Down; i++ {
 		if _, err := f.Coord.Insights(context.Background(), adID, nil); err == nil {
 			t.Fatalf("insights read %d answered with shard %d dead", i, shard)
 		}
 	}
-	if got := f.Coord.Health().State(shard); got != supervisor.Down {
+	if got := state(f, shard); got != coordinator.Down {
 		t.Fatalf("live insights reads left shard %d %v, want down", shard, got)
 	}
 }
@@ -460,13 +459,13 @@ func TestEveryExitFromServiceCountedOnce(t *testing.T) {
 	f := launch(t, 2, durable(t))
 	client := f.Client()
 	ids := setupAccount(t, client, 1)
-	quarantines := func() int64 { return f.Reg.Snapshot().Counters[supervisor.MetricQuarantines] }
+	quarantines := func() int64 { return f.Reg.Snapshot().Counters[coordinator.MetricQuarantines] }
 	expect := func(path string, want int64) {
 		t.Helper()
 		if got := quarantines(); got != want {
 			t.Fatalf("after %s: %d quarantines counted, want %d", path, got, want)
 		}
-		for i := 0; i < 3 && !f.Coord.Health().State(1).InService(); i++ {
+		for i := 0; i < 3 && !state(f, 1).InService(); i++ {
 			f.Coord.Step(ctx) // a shard that stays out is not counted again
 		}
 		if got := quarantines(); got != want {
@@ -495,7 +494,7 @@ func TestEveryExitFromServiceCountedOnce(t *testing.T) {
 		t.Fatalf("create after shard 1 went its own way: %d %s, want a 502 divergence", status, answer)
 	}
 	expect("a divergence", 3)
-	if got := f.Coord.Health().State(1); got != supervisor.Healthy {
+	if got := state(f, 1); got != coordinator.Healthy {
 		t.Fatalf("diverged shard state %v after supervision passes, want healthy (rejoined)", got)
 	}
 }

@@ -59,6 +59,21 @@ type Runner struct {
 	client *marketing.Client
 }
 
+// ValidateCounts refuses a worker, scenario, ad or audience count below
+// one, never replacing it with a default. It reads nothing else, so a caller
+// can check the counts before it builds the world Hashes come from.
+func (c Config) ValidateCounts() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Workers", c.Workers}, {"Scenarios", c.Scenarios}, {"AdsPerCampaign", c.AdsPerCampaign}, {"AudienceSize", c.AudienceSize}} {
+		if f.v <= 0 {
+			return fmt.Errorf("loadgen: %s must be positive, got %d", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // New validates the configuration and builds a runner.
 func New(cfg Config, client *marketing.Client) (*Runner, error) {
 	if client == nil {
@@ -67,13 +82,8 @@ func New(cfg Config, client *marketing.Client) (*Runner, error) {
 	if len(cfg.Hashes) == 0 {
 		return nil, fmt.Errorf("loadgen: empty PII hash pool")
 	}
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"Workers", cfg.Workers}, {"Scenarios", cfg.Scenarios}, {"AdsPerCampaign", cfg.AdsPerCampaign}, {"AudienceSize", cfg.AudienceSize}} {
-		if f.v <= 0 {
-			return nil, fmt.Errorf("loadgen: %s must be positive, got %d", f.name, f.v)
-		}
+	if err := cfg.ValidateCounts(); err != nil {
+		return nil, err
 	}
 	return &Runner{cfg: cfg, client: client}, nil
 }

@@ -10,16 +10,16 @@
 # quarter of the ads, so it appeals). Fleet A is disturbed on chaos seed 1's
 # schedule — the one TestScheduleSeed1Pinned holds to literals — with
 # kill -9, SIGSTOP pauses, slowed and partitioned links, while the
-# supervisor detects, quarantines, relaunches (WAL recovery), transfers the
-# replicated state from the admitted peer to, and digest-gates back in, each
-# failed shard. Fleet B replays the operations
+# coordinator's supervision pass detects, quarantines, relaunches (WAL
+# recovery), transfers the replicated state from the admitted peer to, and
+# digest-gates back in, each failed shard. Fleet B replays the operations
 # A acknowledged, undisturbed. adchaos exits non-zero unless both end
 # byte-identical on the wire-level insights surface, no acknowledged write is
 # lost, the fleet heals, and every refusal was typed.
 #
-# The harness binary (router + supervisor + chaos orchestrator in one
+# The harness binary (router + supervision pass + chaos orchestrator in one
 # process) is built with -race: the soak doubles as a concurrency test of the
-# coordinator/supervisor/rejoin interplay under real process churn.
+# coordinator's supervision/rejoin interplay under real process churn.
 #
 # Usage: scripts/chaos_soak.sh [workdir]
 set -euo pipefail
