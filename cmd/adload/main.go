@@ -79,6 +79,17 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// The counts are refused, under the flag the user typed, before a
+	// self-hosted world is built; loadgen.New would refuse the same values
+	// under its Config field names.
+	for _, f := range []struct {
+		flag string
+		v    int
+	}{{"concurrency", *concurrency}, {"scenarios", *scenarios}, {"ads", *ads}, {"audience", *audience}} {
+		if f.v <= 0 {
+			return fmt.Errorf("-%s must be positive, got %d", f.flag, f.v)
+		}
+	}
 	worldCfg := worldOf()
 	loadCfg := loadgen.Config{
 		Seed:            worldCfg.Seed,
@@ -87,10 +98,6 @@ func run(args []string, stdout io.Writer) error {
 		AdsPerCampaign:  *ads,
 		AudienceSize:    *audience,
 		DeliveryWorkers: *deliveryWorkers,
-	}
-	// The counts are refused before a self-hosted world is built.
-	if err := loadCfg.ValidateCounts(); err != nil {
-		return err
 	}
 
 	baseURL := *target

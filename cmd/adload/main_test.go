@@ -94,14 +94,15 @@ func TestExternalTargetRequiresVoterFile(t *testing.T) {
 }
 
 // TestZeroScenariosRefused: a count below one is an error, not the default
-// workload, and it is refused before the self-hosted world is built.
+// workload, named by its flag, and it is refused before the self-hosted
+// world is built.
 func TestZeroScenariosRefused(t *testing.T) {
-	for flag, field := range map[string]string{"-scenarios": "Scenarios", "-concurrency": "Workers", "-ads": "AdsPerCampaign", "-audience": "AudienceSize"} {
+	for _, flag := range []string{"-scenarios", "-concurrency", "-ads", "-audience"} {
 		for _, v := range []string{"0", "-1"} {
 			var buf strings.Builder
 			err := run([]string{flag, v, "-voters", "4000", "-logrows", "1500"}, &buf)
-			if want := field + " must be positive, got " + v; err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("%s %s: got %v, want an error containing %q", flag, v, err, want)
+			if want := flag + " must be positive, got " + v; err == nil || err.Error() != want {
+				t.Errorf("%s %s: got %v, want the error %q", flag, v, err, want)
 			}
 			if strings.Contains(buf.String(), "self-hosting") {
 				t.Errorf("%s %s built a world before refusing:\n%s", flag, v, buf.String())

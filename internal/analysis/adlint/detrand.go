@@ -8,15 +8,18 @@ import (
 
 // deterministicPkgSuffixes lists the packages whose outputs must replay
 // bit-identically under a fixed seed: the delivery engine, the fault
-// schedule, the synthetic population, the statistics kernels, the load
-// generator's workload decisions, and the privacy layer (whose noise stream
-// must be a pure function of seed and cell key for the router/single-process
+// schedule, the synthetic voters and population and the generator they and
+// the engine draw from, the statistics kernels, the load generator's
+// workload decisions, and the privacy layer (whose noise stream must be a
+// pure function of seed and cell key for the router/single-process
 // equivalence proof). The list is the one way a package is made
 // determinism-critical.
 var deterministicPkgSuffixes = []string{
 	"internal/platform",
 	"internal/faults",
+	"internal/voter",
 	"internal/population",
+	"internal/mathrand",
 	"internal/stats",
 	"internal/loadgen",
 	"internal/privacy",

@@ -1,4 +1,4 @@
-package platform
+package mathrand
 
 import (
 	"math"
@@ -6,27 +6,29 @@ import (
 	"testing"
 )
 
-// TestDayRandIsMathRand runs dayRand against rand.New(rand.NewSource(seed))
-// call for call: seeds on both sides of math/rand's seed reduction (0, which
-// it replaces, negatives, and seeds at and past 2³¹), 100 000 interleaved
-// draws each, with Intn at powers of two, at small counts and at 2³⁰+1,
-// where about half the draws are rejected, and enough normal draws that
+// TestRandIsMathRand runs Rand against rand.New(rand.NewSource(seed)) call
+// for call: seeds on both sides of math/rand's seed reduction (0, which it
+// replaces, negatives, and seeds at and past 2³¹), 100 000 interleaved draws
+// each, with Int31n and Intn at powers of two, at small counts and at
+// 2³⁰+1, where about half the draws are rejected, Intn and Int63n past 2³¹
+// (Int63's rejection loop at 2⁶²+1), and enough normal draws that
 // NormFloat64's tail strip is taken.
-func TestDayRandIsMathRand(t *testing.T) {
+func TestRandIsMathRand(t *testing.T) {
 	ns := []int32{1, 2, 3, 4, 7, 64, 100, 1 << 30, 1<<30 + 1, math.MaxInt32}
+	wide := []int64{1 << 31, 1<<31 + 1, 1 << 40, 3 << 40, 1<<62 + 1, math.MaxInt64}
 	for _, seed := range []int64{0, 1, 31, -1, -1 << 40, 1 << 31, 1<<62 + 12345, math.MaxInt64, math.MinInt64} {
-		got, want := newDayRand(seed), rand.New(rand.NewSource(seed))
+		got, want := New(seed), rand.New(rand.NewSource(seed))
 		tails := 0
 		for i := 0; i < 100_000; i++ {
 			var a, b uint64
-			switch i % 6 {
+			switch i % 9 {
 			case 0:
 				a, b = math.Float64bits(got.Float64()), math.Float64bits(want.Float64())
 			case 1:
 				a, b = uint64(got.Uint32()), uint64(want.Uint32())
 			case 2:
-				n := ns[i/6%len(ns)]
-				a, b = uint64(got.Intn(n)), uint64(want.Intn(int(n)))
+				n := ns[i/9%len(ns)]
+				a, b = uint64(got.Int31n(n)), uint64(want.Int31n(n))
 			case 3:
 				x := got.NormFloat64()
 				if math.Abs(x) > 3.442619855899 { // rn, where the ziggurat's base strip ends
@@ -37,9 +39,18 @@ func TestDayRandIsMathRand(t *testing.T) {
 				a, b = uint64(got.Int63()), uint64(want.Int63())
 			case 5:
 				a, b = got.Uint64(), want.Uint64()
+			case 6:
+				n := int(ns[i/9%len(ns)])
+				a, b = uint64(got.Intn(n)), uint64(want.Intn(n))
+			case 7:
+				n := wide[i/9%len(wide)]
+				a, b = uint64(got.Int63n(n)), uint64(want.Int63n(n))
+			case 8:
+				n := int(wide[i/9%len(wide)])
+				a, b = uint64(got.Intn(n)), uint64(want.Intn(n))
 			}
 			if a != b {
-				t.Fatalf("seed %d call %d (kind %d): dayRand %#x, math/rand %#x", seed, i, i%6, a, b)
+				t.Fatalf("seed %d call %d (kind %d): Rand %#x, math/rand %#x", seed, i, i%9, a, b)
 			}
 		}
 		if tails == 0 {
@@ -48,17 +59,17 @@ func TestDayRandIsMathRand(t *testing.T) {
 	}
 }
 
-// BenchmarkDayRand times one draw of each kind the day kernel makes, from
-// dayRand and from math/rand on the same seed.
-func BenchmarkDayRand(b *testing.B) {
+// BenchmarkRand times one draw of each kind the delivery kernel and the
+// world build make, from Rand and from math/rand on the same seed.
+func BenchmarkRand(b *testing.B) {
 	const seed = 31
 	var sink float64
 	for _, draw := range []struct {
 		name string
-		day  func(r *dayRand, n int) float64
+		fast func(r *Rand, n int) float64
 		std  func(r *rand.Rand, n int) float64
 	}{
-		{"Float64", func(r *dayRand, n int) (s float64) {
+		{"Float64", func(r *Rand, n int) (s float64) {
 			for i := 0; i < n; i++ {
 				s += r.Float64()
 			}
@@ -69,7 +80,7 @@ func BenchmarkDayRand(b *testing.B) {
 			}
 			return s
 		}},
-		{"Uint32", func(r *dayRand, n int) (s float64) {
+		{"Uint32", func(r *Rand, n int) (s float64) {
 			for i := 0; i < n; i++ {
 				s += float64(r.Uint32())
 			}
@@ -80,7 +91,18 @@ func BenchmarkDayRand(b *testing.B) {
 			}
 			return s
 		}},
-		{"Intn", func(r *dayRand, n int) (s float64) {
+		{"Int31n", func(r *Rand, n int) (s float64) {
+			for i := 0; i < n; i++ {
+				s += float64(r.Int31n(3))
+			}
+			return s
+		}, func(r *rand.Rand, n int) (s float64) {
+			for i := 0; i < n; i++ {
+				s += float64(r.Int31n(3))
+			}
+			return s
+		}},
+		{"Intn", func(r *Rand, n int) (s float64) {
 			for i := 0; i < n; i++ {
 				s += float64(r.Intn(3))
 			}
@@ -91,7 +113,7 @@ func BenchmarkDayRand(b *testing.B) {
 			}
 			return s
 		}},
-		{"NormFloat64", func(r *dayRand, n int) (s float64) {
+		{"NormFloat64", func(r *Rand, n int) (s float64) {
 			for i := 0; i < n; i++ {
 				s += r.NormFloat64()
 			}
@@ -103,10 +125,10 @@ func BenchmarkDayRand(b *testing.B) {
 			return s
 		}},
 	} {
-		b.Run(draw.name+"/dayRand", func(b *testing.B) {
-			r := newDayRand(seed)
+		b.Run(draw.name+"/mathrand", func(b *testing.B) {
+			r := New(seed)
 			b.ResetTimer()
-			sink += draw.day(r, b.N)
+			sink += draw.fast(r, b.N)
 		})
 		b.Run(draw.name+"/math_rand", func(b *testing.B) {
 			r := rand.New(rand.NewSource(seed))

@@ -18,6 +18,7 @@ import (
 
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/image"
+	"github.com/adaudit/impliedidentity/internal/mathrand"
 	"github.com/adaudit/impliedidentity/internal/population"
 )
 
@@ -393,7 +394,7 @@ func TestDayTickDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestShuffleRowsIsRandShuffle pins shuffleRows on a dayRand draw for draw
+// TestShuffleRowsIsRandShuffle pins shuffleRows on a mathrand.Rand draw for draw
 // against rand.Shuffle on a math/rand of the same seed: three consecutive
 // shuffles on one stream leave the same permutation and the same next draw.
 // The exported Int31n maps a draw to an index differently (mask or modulo,
@@ -407,7 +408,7 @@ func TestShuffleRowsIsRandShuffle(t *testing.T) {
 				visits[i] = visit{quiet: float64(i), row: planRow{user: int32(i), lo: int32(i)}}
 				want[i] = int32(i)
 			}
-			got, ref := newDayRand(seed), rand.New(rand.NewSource(seed))
+			got, ref := mathrand.New(seed), rand.New(rand.NewSource(seed))
 			for round := 0; round < 3; round++ {
 				shuffleRows(got, visits)
 				ref.Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })

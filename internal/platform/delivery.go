@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
+	"github.com/adaudit/impliedidentity/internal/mathrand"
 	"github.com/adaudit/impliedidentity/internal/population"
 )
 
@@ -312,7 +313,7 @@ const noSessions = 2
 
 // poisson draws a Poisson variate by Knuth's method, given its threshold;
 // efficient for the small per-tick session rates used here.
-func poisson(rng *dayRand, l float64) int {
+func poisson(rng *mathrand.Rand, l float64) int {
 	if l == noSessions {
 		return 0
 	}

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
+	"github.com/adaudit/impliedidentity/internal/mathrand"
 )
 
 // adAcc is one ad's accumulator inside one shard. Spend is drained at every
@@ -57,7 +58,7 @@ type adAcc struct {
 // persists across ticks, and per-ad accumulators. It lives in the day's
 // arena, and a day that reuses the arena reuses its shards.
 type dayShard struct {
-	rng    *dayRand
+	rng    *mathrand.Rand
 	live   bool        // charge committed spend per auction instead of at the barrier
 	visits []visit     // the shard's rows, in the order the last tick walked them
 	accs   []adAcc     // indexed by run index
@@ -83,7 +84,7 @@ func (p *Platform) initDayShard(sh *dayShard, plan *dayPlan, seed int64, shard, 
 		seed = shardSeed(seed, shard)
 	}
 	if sh.rng == nil {
-		sh.rng = newDayRand(seed)
+		sh.rng = mathrand.New(seed)
 	} else {
 		sh.rng.Seed(seed)
 	}
@@ -293,7 +294,7 @@ func (p *Platform) tickShard(sh *dayShard, plan *dayPlan, tick int) {
 // (TestShuffleRowsIsRandShuffle). A shard holds fewer rows than the int32
 // CSR offsets can address, below the 2³¹ where rand.Shuffle switches to
 // Int63n.
-func shuffleRows(rng *dayRand, visits []visit) {
+func shuffleRows(rng *mathrand.Rand, visits []visit) {
 	for i := len(visits) - 1; i > 0; i-- {
 		n := uint32(i + 1)
 		prod := uint64(rng.Uint32()) * uint64(n)
@@ -324,7 +325,7 @@ func (p *Platform) auction(sh *dayShard, plan *dayPlan, row *planRow, tick int) 
 	lo, hi := row.lo, row.hi
 	slot := lo
 	if n := hi - lo; n > 1 {
-		slot += rng.Intn(n)
+		slot += rng.Int31n(n)
 	}
 	memo := key * len(plan.active)
 	for k := lo; k < hi; k++ {
@@ -410,7 +411,7 @@ func (p *Platform) auction(sh *dayShard, plan *dayPlan, row *planRow, tick int) 
 // home state, or — while traveling — usually some other state, occasionally
 // the other study state (the miscount risk §3.3 argues is negligible and
 // symmetric).
-func deliveryRegion(rng *dayRand, row *planRow) demo.State {
+func deliveryRegion(rng *mathrand.Rand, row *planRow) demo.State {
 	if rng.Float64() >= row.travel {
 		return row.home
 	}

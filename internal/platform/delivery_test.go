@@ -7,6 +7,7 @@ import (
 
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/image"
+	"github.com/adaudit/impliedidentity/internal/mathrand"
 	"github.com/adaudit/impliedidentity/internal/population"
 	"github.com/adaudit/impliedidentity/internal/voter"
 )
@@ -305,7 +306,7 @@ func TestExpIsTheGoldensExp(t *testing.T) {
 }
 
 func TestPoissonProperties(t *testing.T) {
-	rng := newDayRand(42)
+	rng := mathrand.New(42)
 	// Mean of Poisson(λ) draws should approximate λ.
 	const lambda = 0.3
 	var sum int
@@ -317,11 +318,11 @@ func TestPoissonProperties(t *testing.T) {
 		t.Errorf("poisson mean %v, want ≈ %v", mean, lambda)
 	}
 	// A rate that is not positive gives 0 without consuming a draw.
-	probe := newDayRand(7)
+	probe := mathrand.New(7)
 	if poisson(probe, sessionThreshold(0)) != 0 || poisson(probe, sessionThreshold(-1)) != 0 {
 		t.Error("non-positive lambda should give 0")
 	}
-	if probe.Int63() != newDayRand(7).Int63() {
+	if probe.Int63() != mathrand.New(7).Int63() {
 		t.Error("non-positive lambda consumed a draw")
 	}
 }

@@ -3,9 +3,9 @@ package population
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
+	"github.com/adaudit/impliedidentity/internal/mathrand"
 	"github.com/adaudit/impliedidentity/internal/voter"
 )
 
@@ -13,9 +13,10 @@ import (
 // match model to voter records one at a time, parks each matched candidate in
 // a fixed-size pending buffer, and on flush probes the buffered candidates
 // for duplicates before appending the kept ones to the columns. A probe is a
-// cache miss into a table of millions of slots and another into the pii
-// column; taken one per record each waits out its own misses behind the
-// next record's draws and hash, while a buffer's worth run back to back.
+// cache miss into a table of millions of slots (the pii column is read only
+// where a slot's tag matches the key's, see piiIndex); taken one per record
+// each waits out its own miss behind the next record's draws and hash, while
+// flush's touch pass puts a buffer's worth of misses in flight together.
 //
 // The RNG draw order per record is a frozen contract (match draw, then the
 // activity noise draw, then — with no further draws — the PII hash), identical
@@ -25,12 +26,13 @@ import (
 // first error are the one-at-a-time builder's at every buffer size.
 type builder struct {
 	cfg     Config
-	rng     *rand.Rand
+	rng     *mathrand.Rand // math/rand's stream for cfg.Seed, as a concrete type
 	cols    Columns
 	pending []candidate // matched, hashed, not yet probed; cap is the batch size
 	index   *piiIndex   // over cols.pii
 	zipIdx  map[string]uint16
 	scratch []byte // a voter's raw address, then its normalized PII message
+	touched int32  // what flush's touch pass read, kept so its loads are not dropped
 }
 
 // candidate is a voter that passed the match draw: everything a user row
@@ -66,7 +68,7 @@ const probeBlock = 256
 func newBuilder(cfg Config, expectedVoters, batch int) *builder {
 	b := &builder{
 		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		rng:     mathrand.New(cfg.Seed),
 		pending: make([]candidate, 0, batch),
 		zipIdx:  make(map[string]uint16, 256),
 		scratch: make([]byte, 0, 128),
@@ -132,7 +134,7 @@ func (b *builder) account(v aged, st demo.State) (activity float64, ok bool) {
 	if b.rng.Float64() > b.cfg.BaseMatchRate*matchRateFactor(v) {
 		return 0, false
 	}
-	activity = meanSessions * activityFactor(v) * lognormalish(b.rng)
+	activity = meanSessions * activityFactor(v) * lognormalish(b.rng.NormFloat64())
 	if st == demo.StateFL {
 		activity *= b.cfg.FLActivityBoost
 	}
@@ -170,10 +172,17 @@ func (b *builder) zipIndex(zip string) (uint16, error) {
 }
 
 // flush probes the pending candidates in record order and appends the kept
-// ones to the columns.
+// ones to the columns. A touch pass reads every candidate's home slot first,
+// so the buffer's cache misses into the index overlap instead of each
+// waiting behind the last; the probes then mostly find their slots cached.
 func (b *builder) flush() error {
 	pending := b.pending
 	b.pending = b.pending[:0]
+	var touched int32
+	for i := range pending {
+		touched |= b.index.touch(&pending[i].key)
+	}
+	b.touched = touched
 	for i := range pending {
 		if err := b.keep(&pending[i]); err != nil {
 			return err

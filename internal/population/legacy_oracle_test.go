@@ -39,7 +39,7 @@ func legacyBuild(cfg Config, registries ...*voter.Registry) []legacyUser {
 			if rng.Float64() > cfg.BaseMatchRate*matchRateFactor(rec) {
 				continue
 			}
-			activity := meanSessions * activityFactor(rec) * lognormalish(rng)
+			activity := meanSessions * activityFactor(rec) * lognormalish(rng.NormFloat64())
 			if rec.State == demo.StateFL {
 				activity *= cfg.FLActivityBoost
 			}

@@ -26,7 +26,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"unicode"
 	"unicode/utf8"
@@ -352,8 +351,8 @@ func activityFactor(v aged) float64 {
 	}
 }
 
-// lognormalish draws a positive multiplicative noise term with mean 1
-// (lognormal with σ = 0.3, mean-corrected).
-func lognormalish(rng *rand.Rand) float64 {
-	return math.Exp(0.3*rng.NormFloat64() - 0.045)
+// lognormalish turns a standard normal draw into a positive multiplicative
+// noise term with mean 1 (lognormal with σ = 0.3, mean-corrected).
+func lognormalish(z float64) float64 {
+	return math.Exp(0.3*z - 0.045)
 }

@@ -1,6 +1,7 @@
 package population
 
 import (
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -211,23 +212,28 @@ func TestViewAccessorsDoNotAllocate(t *testing.T) {
 }
 
 // BenchmarkStream measures the streamed world build end to end — generate,
-// match draw, PII hash, duplicate probe, column append — at 2 × 100 000
-// voters, the same shape (two states, 64k chunks) as the 1M-user worlds the
-// delivery benchmarks stand on.
+// match draw, PII hash, duplicate probe, column append — in the shape (two
+// states, 64k chunks) of the 1M-user worlds the delivery benchmarks stand
+// on: at 2 × 100 000 voters, where the PII index fits in cache, and at
+// 2 × 785 000, that world's size, where a probe misses it.
 func BenchmarkStream(b *testing.B) {
-	fl := voter.DefaultGeneratorConfig(demo.StateFL, 51)
-	fl.NumVoters = 100_000
-	nc := voter.DefaultGeneratorConfig(demo.StateNC, 52)
-	nc.NumVoters = 100_000
-	b.ReportAllocs()
-	users := 0
-	for i := 0; i < b.N; i++ {
-		pop, err := Stream(Config{Seed: 501}, 65536, fl, nc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		users += pop.Len()
+	for _, voters := range []int{100_000, 785_000} {
+		b.Run(fmt.Sprintf("2x%d", voters), func(b *testing.B) {
+			fl := voter.DefaultGeneratorConfig(demo.StateFL, 51)
+			fl.NumVoters = voters
+			nc := voter.DefaultGeneratorConfig(demo.StateNC, 52)
+			nc.NumVoters = voters
+			b.ReportAllocs()
+			users := 0
+			for i := 0; i < b.N; i++ {
+				pop, err := Stream(Config{Seed: 501}, 65536, fl, nc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				users += pop.Len()
+			}
+			b.ReportMetric(float64(users)/b.Elapsed().Seconds(), "users/s")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(fl.NumVoters+nc.NumVoters)), "ns/voter")
+		})
 	}
-	b.ReportMetric(float64(users)/b.Elapsed().Seconds(), "users/s")
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(fl.NumVoters+nc.NumVoters)), "ns/voter")
 }

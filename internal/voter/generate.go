@@ -3,10 +3,10 @@ package voter
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
+	"github.com/adaudit/impliedidentity/internal/mathrand"
 )
 
 // GeneratorConfig controls synthetic registry generation.
@@ -45,7 +45,6 @@ type zipInfo struct {
 	city       string
 	poverty    float64
 	blackShare float64
-	weight     float64 // sampling weight (population proxy)
 }
 
 // Generator produces a synthetic registry one record at a time, so a
@@ -53,14 +52,16 @@ type zipInfo struct {
 // Construction performs the ZIP-table draws; each Draw consumes the per-
 // record draws, and Next is Draw followed by formatting. The draw sequence is
 // a frozen contract: for the same configuration, NewGenerator+Next yields
-// records byte-identical to Generate's registry, record for record.
+// records byte-identical to Generate's registry, record for record. The
+// draws come from mathrand.Rand, math/rand's stream as a concrete type, so
+// they are the ones rand.New(rand.NewSource(Seed)) makes.
 type Generator struct {
-	cfg         GeneratorConfig
-	rng         *rand.Rand
-	zips        []zipInfo
-	totalWeight float64
-	zipPoverty  map[string]float64
-	i           int
+	cfg        GeneratorConfig
+	rng        *mathrand.Rand
+	zips       []zipInfo
+	zipPick    zipPicker
+	zipPoverty map[string]float64
+	i          int
 }
 
 // Draw is one generated voter before its ID and street address are
@@ -113,7 +114,7 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 	if cfg.BlackShare <= 0 || cfg.BlackShare >= 1 {
 		return nil, fmt.Errorf("voter: BlackShare %v outside (0,1)", cfg.BlackShare)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := mathrand.New(cfg.Seed)
 
 	cities := cityNamesFL
 	zipBase := 32000 // FL ZIPs are 32xxx-34xxx
@@ -125,6 +126,7 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 	// Build ZIPs. Poverty ~ scaled Beta-like draw; Black share mixes the
 	// statewide share with a poverty-linked component.
 	zips := make([]zipInfo, cfg.NumZIPs)
+	weights := make([]float64, cfg.NumZIPs) // sampling weight (population proxy)
 	zipPoverty := make(map[string]float64, cfg.NumZIPs)
 	for i := range zips {
 		pov := 0.03 + 0.30*math.Pow(rng.Float64(), 1.7) // long right tail, mean ≈ 0.12
@@ -151,20 +153,16 @@ func NewGenerator(cfg GeneratorConfig) (*Generator, error) {
 			city:       cities[rng.Intn(len(cities))],
 			poverty:    pov,
 			blackShare: share,
-			weight:     0.2 + rng.Float64(),
 		}
+		weights[i] = 0.2 + rng.Float64()
 		zipPoverty[zips[i].code] = pov
 	}
-	var totalWeight float64
-	for i := range zips {
-		totalWeight += zips[i].weight
-	}
 	return &Generator{
-		cfg:         cfg,
-		rng:         rng,
-		zips:        zips,
-		totalWeight: totalWeight,
-		zipPoverty:  zipPoverty,
+		cfg:        cfg,
+		rng:        rng,
+		zips:       zips,
+		zipPick:    newZIPPicker(weights),
+		zipPoverty: zipPoverty,
 	}, nil
 }
 
@@ -176,7 +174,7 @@ func (g *Generator) Draw(d *Draw) bool {
 	}
 	g.i++
 	rng := g.rng
-	zi := pickWeighted(rng, g.zips, g.totalWeight)
+	zi := g.zipPick.pick(rng.Float64() * g.zipPick.total)
 	z := &g.zips[zi]
 	gender := demo.GenderMale
 	gc := 'M'
@@ -272,15 +270,100 @@ func Generate(cfg GeneratorConfig) (*Registry, error) {
 	return &Registry{State: cfg.State, Records: records, ZIPPoverty: g.zipPoverty}, nil
 }
 
-func pickWeighted(rng *rand.Rand, zips []zipInfo, total float64) int {
-	t := rng.Float64() * total
-	for i := range zips {
-		t -= zips[i].weight
-		if t <= 0 {
-			return i
-		}
+// zipPicker is the ZIP draw: a point t uniform in [0, total) picks the first
+// ZIP at which t minus the weights so far, subtracted one after another in
+// float64, is ≤ 0 (the last ZIP if none is). Each subtraction is monotone in
+// t, so that residual is ≤ 0 exactly when t ≤ cut[i], the largest float64
+// whose residual after ZIP i is ≤ 0, and the pick is the first i with
+// t ≤ cut[i]: the subtract scan's ZIP, bit for bit, found a step or two up
+// from a guide table's entry instead of by walking the table.
+type zipPicker struct {
+	total   float64   // the weights summed in table order: t's range
+	weights []float64 // what the scan subtracts, for tables too long for cut
+	// cut[i] is the largest t whose residual after ZIP i is ≤ 0; cut never
+	// decreases. nil above maxCutZIPs, where the scan itself picks.
+	cut []float64
+	// guide[j] is the first i whose cut lies in stretch j of the range or
+	// above it (see stretch); a t in stretch j exceeds every cut before
+	// that, so its search starts there and only steps up.
+	guide []int32
+	scale float64 // len(guide)/total
+}
+
+// maxCutZIPs bounds the tables the cut search runs on: it evaluates an
+// i-step subtraction chain ~63 times for each i, so a table of n ZIPs costs
+// ~32n² subtractions (~0.5 ms at the 120 ZIPs of the default presets, ~35 ms
+// at this bound).
+const maxCutZIPs = 1024
+
+// newZIPPicker builds the picker over the ZIP weights, in table order.
+func newZIPPicker(weights []float64) zipPicker {
+	p := zipPicker{weights: weights}
+	for _, w := range weights {
+		p.total += w
 	}
-	return len(zips) - 1
+	if len(weights) > maxCutZIPs {
+		return p
+	}
+	// Bisect over the bit patterns of non-negative float64s, which order as
+	// their values do: the residual of t = 0 is ≤ 0 and that of +Inf is not.
+	p.cut = make([]float64, len(weights))
+	lo := uint64(0)
+	for i := range p.cut {
+		hi := math.Float64bits(math.Inf(1))
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if residual(math.Float64frombits(mid), weights[:i+1]) <= 0 {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		p.cut[i] = math.Float64frombits(lo) // cut[i+1] ≥ cut[i]: keep lo
+	}
+	p.guide = make([]int32, len(weights))
+	p.scale = float64(len(p.guide)) / p.total
+	i := 0
+	for j := range p.guide {
+		for i < len(p.cut)-1 && p.stretch(p.cut[i]) < j {
+			i++
+		}
+		p.guide[j] = int32(i)
+	}
+	return p
+}
+
+// stretch returns which of len(guide) equal stretches of [0, total) t lies
+// in, the last for any t beyond. It never decreases as t grows, so a cut in
+// an earlier stretch than t's is below t.
+func (p *zipPicker) stretch(t float64) int {
+	return min(int(t*p.scale), len(p.guide)-1)
+}
+
+// residual is what is left of t after the scan subtracts weights, in order.
+func residual(t float64, weights []float64) float64 {
+	for _, w := range weights {
+		t -= w
+	}
+	return t
+}
+
+// pick returns the ZIP a t in [0, total) draws: the first i with
+// t ≤ cut[i], or the last ZIP.
+func (p *zipPicker) pick(t float64) int {
+	if p.cut == nil {
+		for i, w := range p.weights {
+			if t -= w; t <= 0 {
+				return i
+			}
+		}
+		return len(p.weights) - 1
+	}
+	i := int(p.guide[p.stretch(t)])
+	for i < len(p.cut)-1 && t > p.cut[i] {
+		i++
+	}
+	return i
 }
 
 // sampleVoterAge draws an age from a distribution resembling registered-
@@ -298,7 +381,7 @@ var voterAgeBucketWeights = []struct {
 	{demo.Age65Plus, 0.23},
 }
 
-func sampleVoterAge(rng *rand.Rand) int {
+func sampleVoterAge(rng *mathrand.Rand) int {
 	t := rng.Float64()
 	for _, w := range voterAgeBucketWeights {
 		t -= w.weight

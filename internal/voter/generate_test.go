@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
+	"github.com/adaudit/impliedidentity/internal/mathrand"
 )
 
 // TestFormattersMatchSprintf pins the two fmt-free formatters Next uses to the Sprintf calls they replaced, at every width boundary:
@@ -69,6 +71,88 @@ func TestDrawDoesNotAllocate(t *testing.T) {
 	var d Draw
 	if allocs := testing.AllocsPerRun(1000, func() { g.Draw(&d) }); allocs != 0 {
 		t.Errorf("Draw allocated %v times per voter, want 0", allocs)
+	}
+}
+
+// scanZIP is the definition of the ZIP draw: subtract the weights from t
+// one after another and stop at the first ZIP that takes the residual to
+// ≤ 0, the last ZIP if none does.
+func scanZIP(weights []float64, t float64) int {
+	for i, w := range weights {
+		t -= w
+		if t <= 0 {
+			return i
+		}
+	}
+	return len(weights) - 1
+}
+
+// TestZIPPickIsTheSubtractScan holds the cut-table pick to the subtract
+// scan: a million draws from each of ten generators of the default presets,
+// fewer on generated tables of 1, 2, 7 and maxCutZIPs ZIPs; and, at every
+// cut[i] and the next float64 above it, the pick is the scan's ZIP and
+// cut[i] is the boundary (the scan picks at most i there, more just above).
+func TestZIPPickIsTheSubtractScan(t *testing.T) {
+	type table struct {
+		zips, draws int
+	}
+	var tables []table
+	for seed := 0; seed < 10; seed++ {
+		tables = append(tables, table{120, 1_000_000})
+	}
+	tables = append(tables, table{1, 1000}, table{2, 100_000}, table{7, 100_000}, table{maxCutZIPs, 20_000})
+	for k, tc := range tables {
+		state := []demo.State{demo.StateFL, demo.StateNC}[k%2]
+		cfg := DefaultGeneratorConfig(state, int64(71+k))
+		cfg.NumZIPs = tc.zips
+		g, err := NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &g.zipPick
+		if len(p.cut) != tc.zips {
+			t.Fatalf("table %d: %d cuts for %d ZIPs", k, len(p.cut), tc.zips)
+		}
+		rng := mathrand.New(int64(k))
+		for n := 0; n < tc.draws; n++ {
+			x := rng.Float64() * p.total
+			if got, want := p.pick(x), scanZIP(p.weights, x); got != want {
+				t.Fatalf("table %d draw %d: t=%v picks ZIP %d, the scan %d", k, n, x, got, want)
+			}
+		}
+		for i, c := range p.cut {
+			above := math.Nextafter(c, math.Inf(1))
+			for _, x := range []float64{c, above} {
+				if got, want := p.pick(x), scanZIP(p.weights, x); got != want {
+					t.Fatalf("table %d: t=%v (cut %d) picks ZIP %d, the scan %d", k, x, i, got, want)
+				}
+			}
+			if scanZIP(p.weights, c) > i || (i < len(p.cut)-1 && scanZIP(p.weights, above) <= i) {
+				t.Fatalf("table %d: cut[%d]=%v is not where the scan passes ZIP %d", k, i, c, i)
+			}
+		}
+	}
+}
+
+// TestLongZIPTableScans: above maxCutZIPs the picker keeps no cut table and
+// picks by the scan itself.
+func TestLongZIPTableScans(t *testing.T) {
+	cfg := DefaultGeneratorConfig(demo.StateFL, 5)
+	cfg.NumZIPs = maxCutZIPs + 1
+	g, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &g.zipPick
+	if p.cut != nil {
+		t.Fatalf("%d ZIPs built a cut table", cfg.NumZIPs)
+	}
+	rng := mathrand.New(5)
+	for n := 0; n < 10_000; n++ {
+		x := rng.Float64() * p.total
+		if got, want := p.pick(x), scanZIP(p.weights, x); got != want {
+			t.Fatalf("draw %d: t=%v picks ZIP %d, the scan %d", n, x, got, want)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 package voter
 
-import "math/rand"
+import "github.com/adaudit/impliedidentity/internal/mathrand"
 
 // Name pools for the synthetic registries. The specific names carry no
 // signal — Custom Audience matching hashes them — but distinct, plausible
@@ -47,17 +47,17 @@ var (
 	}
 )
 
-func randomFirstName(rng *rand.Rand, g rune) string {
+func randomFirstName(rng *mathrand.Rand, g rune) string {
 	if g == 'F' {
 		return firstNamesFemale[rng.Intn(len(firstNamesFemale))]
 	}
 	return firstNamesMale[rng.Intn(len(firstNamesMale))]
 }
 
-func randomLastName(rng *rand.Rand) string {
+func randomLastName(rng *mathrand.Rand) string {
 	return lastNames[rng.Intn(len(lastNames))]
 }
 
-func randomStreet(rng *rand.Rand) string {
+func randomStreet(rng *mathrand.Rand) string {
 	return streetNames[rng.Intn(len(streetNames))]
 }
