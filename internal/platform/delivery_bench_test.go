@@ -5,7 +5,8 @@ package platform
 // preparation, and one tick of the auction kernel. All run on the shared
 // fixture world with every user in one audience (~30k rows, 4 ads, so ~120k
 // slots), large enough that a tick is auctions rather than loop set-up; the
-// tick also runs on a sparse audience over a 1M-user world (sparseDay).
+// tick also runs on a sparse audience over a 1M-user world (sparseDay) and on
+// 24 ads over one audience (crowdedDay).
 // BenchmarkInsights reads back an ad the fixture delivered.
 //
 //	go test -run '^$' -bench 'ResolveAudience|BuildEligIndex|PrepareDay|DayTick' -benchtime 200x ./internal/platform
@@ -23,8 +24,8 @@ import (
 	"github.com/adaudit/impliedidentity/internal/voter"
 )
 
-// dayFixture is a platform with four active ads over one audience, built once
-// per process. The ads are never delivered through RunDay, so they stay
+// dayFixture is a platform with active ads over one audience, built once per
+// process. The ads are never delivered through RunDay, so they stay
 // active and every benchmark prepares the same day.
 type dayFixture struct {
 	once sync.Once
@@ -32,11 +33,11 @@ type dayFixture struct {
 	ids  []string
 }
 
-var benchDayFx, sparseDayFx, insightsFx dayFixture
+var benchDayFx, sparseDayFx, crowdedDayFx, insightsFx dayFixture
 
-// build trains a platform over the population and creates the four paired ads
-// on an audience of every stride-th user.
-func (fx *dayFixture) build(seed int64, pop *population.Population, behave *population.Behavior, stride int) {
+// build trains a platform over the population and creates `copies` of each of
+// the four paired ads on an audience of every stride-th user.
+func (fx *dayFixture) build(seed int64, pop *population.Population, behave *population.Behavior, stride, copies int) {
 	p, err := New(testConfig(seed), pop, behave)
 	if err != nil {
 		panic(err)
@@ -53,17 +54,19 @@ func (fx *dayFixture) build(seed int64, pop *population.Population, behave *popu
 	if err != nil {
 		panic(err)
 	}
-	for _, prof := range []demo.Profile{
-		{Gender: demo.GenderMale, Race: demo.RaceWhite, Age: demo.ImpliedAdult},
-		{Gender: demo.GenderMale, Race: demo.RaceBlack, Age: demo.ImpliedAdult},
-		{Gender: demo.GenderFemale, Race: demo.RaceWhite, Age: demo.ImpliedAdult},
-		{Gender: demo.GenderFemale, Race: demo.RaceBlack, Age: demo.ImpliedAdult},
-	} {
-		ad, err := p.CreateAd(cmp.ID, Creative{Image: image.FromProfile(prof), Headline: "h", LinkURL: "https://example.com"}, Targeting{CustomAudienceIDs: []string{ca.ID}}, 2_000_000)
-		if err != nil {
-			panic(err)
+	for range copies {
+		for _, prof := range []demo.Profile{
+			{Gender: demo.GenderMale, Race: demo.RaceWhite, Age: demo.ImpliedAdult},
+			{Gender: demo.GenderMale, Race: demo.RaceBlack, Age: demo.ImpliedAdult},
+			{Gender: demo.GenderFemale, Race: demo.RaceWhite, Age: demo.ImpliedAdult},
+			{Gender: demo.GenderFemale, Race: demo.RaceBlack, Age: demo.ImpliedAdult},
+		} {
+			ad, err := p.CreateAd(cmp.ID, Creative{Image: image.FromProfile(prof), Headline: "h", LinkURL: "https://example.com"}, Targeting{CustomAudienceIDs: []string{ca.ID}}, 2_000_000)
+			if err != nil {
+				panic(err)
+			}
+			fx.ids = append(fx.ids, ad.ID)
 		}
-		fx.ids = append(fx.ids, ad.ID)
 	}
 	fx.p = p
 }
@@ -73,7 +76,7 @@ func (fx *dayFixture) build(seed int64, pop *population.Population, behave *popu
 func benchDay(tb testing.TB) (*Platform, []string) {
 	tb.Helper()
 	f := sharedFixture(tb)
-	benchDayFx.once.Do(func() { benchDayFx.build(701, f.pop, f.behave, 1) })
+	benchDayFx.once.Do(func() { benchDayFx.build(701, f.pop, f.behave, 1, 1) })
 	return benchDayFx.p, benchDayFx.ids
 }
 
@@ -94,9 +97,20 @@ func sparseDay(tb testing.TB) (*Platform, []string) {
 		if err != nil {
 			panic(err)
 		}
-		sparseDayFx.build(702, pop, f.behave, 25)
+		sparseDayFx.build(702, pop, f.behave, 25, 1)
 	})
 	return sparseDayFx.p, sparseDayFx.ids
+}
+
+// crowdedDay is the shape of the audit's paired-campaign days: many ads (six
+// of each of the four paired creatives) competing for every user of one
+// audience, so an auction ranks 24 bids where the other days rank 4 — the
+// case in which most bids cannot place and skip their noise's Exp.
+func crowdedDay(tb testing.TB) (*Platform, []string) {
+	tb.Helper()
+	f := sharedFixture(tb)
+	crowdedDayFx.once.Do(func() { crowdedDayFx.build(704, f.pop, f.behave, 1, 6) })
+	return crowdedDayFx.p, crowdedDayFx.ids
 }
 
 // perUnit reports the benchmark's elapsed time per `units` as a custom
@@ -263,13 +277,14 @@ func (st *tickStepper) shard() *dayShard { return st.run.shards[0] }
 // day (cold memo tables, warm tables, users at their frequency cap) weighs in
 // as it does in a real day. Building each new day sits outside the timer, and
 // so does the sparse cases' world (a few seconds, once). sparse_shard_of_2 is
-// the frozen shard a backend of a 2-shard fleet ticks on that world.
+// the frozen shard a backend of a 2-shard fleet ticks on that world; crowded
+// is the audit's shape, 24 ads on one audience.
 func BenchmarkDayTick(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
 		shards int
 		day    func(testing.TB) (*Platform, []string)
-	}{{"sequential", 1, benchDay}, {"shard_of_2", 2, benchDay}, {"sparse", 1, sparseDay}, {"sparse_shard_of_2", 2, sparseDay}} {
+	}{{"sequential", 1, benchDay}, {"shard_of_2", 2, benchDay}, {"sparse", 1, sparseDay}, {"sparse_shard_of_2", 2, sparseDay}, {"crowded", 1, crowdedDay}} {
 		b.Run(bc.name, func(b *testing.B) {
 			p, ids := bc.day(b)
 			ticks := p.cfg.Ticks
@@ -304,7 +319,7 @@ func BenchmarkDayTick(b *testing.B) {
 func BenchmarkInsights(b *testing.B) {
 	f := sharedFixture(b)
 	insightsFx.once.Do(func() {
-		insightsFx.build(703, f.pop, f.behave, 10)
+		insightsFx.build(703, f.pop, f.behave, 10, 1)
 		if err := insightsFx.p.RunDayWorkers(insightsFx.ids, 7031, 1); err != nil {
 			panic(err)
 		}

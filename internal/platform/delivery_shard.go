@@ -310,16 +310,67 @@ func shuffleRows(rng *mathrand.Rand, visits []visit) {
 	}
 }
 
+// expBound[i] bounds math.Exp from above on the i-th bucket of
+// [-expBoundRange, expBoundRange), 1/expBoundSteps wide: it is the Exp of the
+// bucket's right edge raised by a relative margin of 1e-9. The edges are
+// exact in float64 and rounding is monotone, so expUpper never files an x
+// under a bucket whose right edge is below it. The margin, millions of ulps,
+// covers Exp's last-bit errors and the last-bit difference between amd64's
+// FMA and non-FMA Exp, so the bound holds on either path
+// (TestExpBoundCoversExp).
+var expBound = func() (t [expBoundBuckets]float64) {
+	for i := range t {
+		t[i] = math.Exp(float64(i+1)/expBoundSteps-expBoundRange) * (1 + 1e-9)
+	}
+	return t
+}()
+
+const (
+	expBoundRange   = 16 // the noise exponents expBound covers: |x| < 16
+	expBoundSteps   = 16 // buckets per unit of x
+	expBoundBuckets = 2 * expBoundRange * expBoundSteps
+)
+
+// expUpper returns expBound's bound on math.Exp(x): entry 0 below the
+// table's range, and false above it or for NaN, whose Exp must be taken.
+func expUpper(x float64) (float64, bool) {
+	b := (x + expBoundRange) * expBoundSteps
+	if !(b < expBoundBuckets) {
+		return 0, false
+	}
+	i := 0
+	if b > 0 {
+		i = int(b)
+	}
+	return expBound[i], true
+}
+
 // auction runs one ad slot of the user in `row`: the ads eligible for the
 // user (the row's slots lo..hi) compete with each other and with background
 // advertiser demand; the winner pays the second price.
+//
+// A bid whose value cannot be first or second skips its math.Exp, the
+// kernel's largest cost, but still draws its noise, so no draw moves. Both
+// steps are exact:
+//
+//   - second starts at bg. best starts at bg and only rises, and a winner
+//     is set only where value > best, which moves best into second; so a
+//     winner pays second ≥ bg, the larger of bg and the runner-up bid,
+//     whatever second started at. Starting it at bg lets a value ≤ bg skip
+//     its Exp even before any bid has beaten bg.
+//   - A value whose bound value·U cannot beat second is skipped. Rounding
+//     is monotone, so with 0 < value and fl(exp x) ≤ U, fl(value·fl(exp x))
+//     ≤ fl(value·U) ≤ second, and the loop would not have touched best,
+//     second or winner for it (value > second is strict, best ≥ second).
+//     An x above expBound's range or NaN takes the exact path; one below
+//     it is bounded by entry 0.
 func (p *Platform) auction(sh *dayShard, plan *dayPlan, row *planRow, tick int) {
 	rng := sh.rng
 	key := row.key()
 	// Background demand: the highest competing total value for the slot.
 	bg := plan.demand[key] * math.Exp(0.45*rng.NormFloat64()-0.10125)
 	winner := int32(-1)
-	best, second := bg, 0.0
+	best, second := bg, bg
 	// Random starting offset so exact-tie auctions don't systematically
 	// favor earlier-created ads.
 	lo, hi := row.lo, row.hi
@@ -335,6 +386,8 @@ func (p *Platform) auction(sh *dayShard, plan *dayPlan, row *planRow, tick int) 
 		}
 		run := plan.elig.ads[at]
 		bid := &plan.bids[run]
+		// Past this check pacing > 0, and terms are ≥ 0 (a rate, or a
+		// rate's power), so value ≥ adQuality > 0, as the skip needs.
 		if bid.pacing <= 0 || bid.spent >= bid.budget || sh.accs[run].tickSpent >= bid.cap {
 			continue
 		}
@@ -349,7 +402,11 @@ func (p *Platform) auction(sh *dayShard, plan *dayPlan, row *planRow, tick int) 
 		}
 		value := bid.pacing*term + adQuality
 		if plan.noise > 0 {
-			value *= math.Exp(plan.noise*rng.NormFloat64() - plan.noiseShift)
+			x := plan.noise*rng.NormFloat64() - plan.noiseShift
+			if u, ok := expUpper(x); ok && value*u <= second {
+				continue
+			}
+			value *= math.Exp(x)
 		}
 		if value > best {
 			second = best
@@ -363,7 +420,7 @@ func (p *Platform) auction(sh *dayShard, plan *dayPlan, row *planRow, tick int) 
 		return
 	}
 	run := plan.elig.ads[winner]
-	price := math.Max(second, bg)
+	price := second
 	if sh.live {
 		// Overspend clamp: never charge past the daily budget, making
 		// SpendCents ≤ DailyBudgetCents an engine invariant. The clamp cannot

@@ -305,6 +305,60 @@ func TestExpIsTheGoldensExp(t *testing.T) {
 	}
 }
 
+// TestExpBoundCoversExp: the auction skips a bid's math.Exp when expUpper's
+// bound on it cannot lift the bid past second place, which is exact only if
+// the bound really is one, and holds on whichever Exp the host takes (CI
+// runs it under GODEBUG=cpu.fma=off too). Every entry sits at least two ulps
+// above Exp at its bucket's right edge, since the two amd64 paths differ by
+// one; Exp just inside, at and just past every edge is under the entry
+// expUpper files it with, and so is Exp of a million kernel noise exponents
+// and a million uniform ones over the table's range.
+func TestExpBoundCoversExp(t *testing.T) {
+	covers := func(x float64) {
+		t.Helper()
+		u, ok := expUpper(x)
+		if !ok {
+			// x+16 may round up to the top edge, and the exact path is
+			// always safe; anywhere lower, a missing bound is a bug.
+			if x < math.Nextafter(expBoundRange, 0) {
+				t.Fatalf("expUpper(%v): in range, but no bound", x)
+			}
+			return
+		}
+		if e := math.Exp(x); e > u {
+			t.Fatalf("expUpper(%v) = %v, below math.Exp's %v", x, u, e)
+		}
+	}
+	inf := math.Inf(1)
+	for i, u := range expBound {
+		edge := float64(i+1)/expBoundSteps - expBoundRange
+		if floor := math.Nextafter(math.Nextafter(math.Exp(edge), inf), inf); u < floor {
+			t.Fatalf("expBound[%d] = %v, less than two ulps above Exp(%v) = %v", i, u, edge, math.Exp(edge))
+		}
+		for _, x := range []float64{math.Nextafter(edge, -inf), edge, math.Nextafter(edge, inf)} {
+			if x < expBoundRange {
+				covers(x)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(49))
+	const sigma = 0.7 // DefaultConfig's ValueNoise
+	for n := 0; n < 1_000_000; n++ {
+		covers(sigma*rng.NormFloat64() - sigma*sigma/2)
+		covers((2*rng.Float64() - 1) * expBoundRange)
+	}
+	for _, x := range []float64{-expBoundRange, math.Nextafter(-expBoundRange, -inf), -745, -inf} {
+		if u, ok := expUpper(x); !ok || u != expBound[0] {
+			t.Errorf("expUpper(%v) = %v, %v; below the range, want entry 0 (%v)", x, u, ok, expBound[0])
+		}
+	}
+	for _, x := range []float64{expBoundRange, math.Nextafter(expBoundRange, inf), 710, inf, math.NaN()} {
+		if u, ok := expUpper(x); ok {
+			t.Errorf("expUpper(%v) = %v; above the range or NaN, want the exact path", x, u)
+		}
+	}
+}
+
 func TestPoissonProperties(t *testing.T) {
 	rng := mathrand.New(42)
 	// Mean of Poisson(λ) draws should approximate λ.

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -23,7 +24,8 @@ type Config struct {
 	// bid×eAR term, modelling per-request context features and ranking
 	// exploration. Without it the deterministic eAR ordering sorts users
 	// across ads winner-take-all, wildly overstating delivery skews.
-	// Default 0.7.
+	// Default 0.7; 0 means no noise. A negative, NaN or infinite σ is
+	// refused.
 	ValueNoise float64
 	// ReviewRejectProb is the ad-review rejection probability. Near zero in
 	// normal operation; Appendix A's experiment raises it via
@@ -37,7 +39,7 @@ type Config struct {
 	// ads bid a fixed high amount until the budget is exhausted.
 	GreedyPacing bool
 	// FrequencyCap limits how many times one ad is shown to one user per
-	// day. Default 4; 0 disables the cap; at most 255.
+	// day. Default 4; 0 means no cap; at most 255, and never negative.
 	FrequencyCap int
 }
 
@@ -146,8 +148,11 @@ func (c Config) Validate() error {
 	if c.Ticks < 2 {
 		return fmt.Errorf("platform: need at least 2 pacing ticks, got %d", c.Ticks)
 	}
-	if c.FrequencyCap > maxFrequencyCap {
-		return fmt.Errorf("platform: frequency cap %d above the supported maximum %d", c.FrequencyCap, maxFrequencyCap)
+	if c.FrequencyCap < 0 || c.FrequencyCap > maxFrequencyCap {
+		return fmt.Errorf("platform: FrequencyCap %d outside [0, %d] (0: no cap)", c.FrequencyCap, maxFrequencyCap)
+	}
+	if !(c.ValueNoise >= 0) || math.IsInf(c.ValueNoise, 1) {
+		return fmt.Errorf("platform: ValueNoise %v is not a finite σ ≥ 0 (0: no noise)", c.ValueNoise)
 	}
 	if c.Training.LogRows != 0 { // 0: defaultLogRows
 		return checkLogRows(c.Training.LogRows)

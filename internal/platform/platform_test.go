@@ -2,7 +2,9 @@ package platform
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -171,6 +173,33 @@ func TestNewValidation(t *testing.T) {
 	// The configuration is checked before the world is looked at.
 	if _, err := New(cfg, nil, nil); !errors.Is(err, errLogRows) {
 		t.Errorf("tiny training log and no population: got %v, want errLogRows", err)
+	}
+}
+
+// TestConfigRefusesWhatItWouldReinterpret: a negative or NaN ValueNoise
+// would silently mean no noise (the kernel draws noise only for σ > 0), a
+// negative FrequencyCap silently no cap. Validate refuses both, naming the
+// field, and keeps the zeros that do mean "none".
+func TestConfigRefusesWhatItWouldReinterpret(t *testing.T) {
+	for _, c := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"ValueNoise", func(c *Config) { c.ValueNoise = -0.7 }},
+		{"ValueNoise", func(c *Config) { c.ValueNoise = math.NaN() }},
+		{"ValueNoise", func(c *Config) { c.ValueNoise = math.Inf(1) }},
+		{"FrequencyCap", func(c *Config) { c.FrequencyCap = -1 }},
+	} {
+		cfg := testConfig(1)
+		c.set(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("ValueNoise %v, FrequencyCap %d: got %v, want an error naming %s", cfg.ValueNoise, cfg.FrequencyCap, err, c.field)
+		}
+	}
+	cfg := testConfig(1)
+	cfg.ValueNoise, cfg.FrequencyCap = 0, 0
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("no noise and no cap: %v", err)
 	}
 }
 

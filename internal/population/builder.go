@@ -3,6 +3,7 @@ package population
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/mathrand"
@@ -31,6 +32,10 @@ type builder struct {
 	pending []candidate // matched, hashed, not yet probed; cap is the batch size
 	index   *piiIndex   // over cols.pii
 	zipIdx  map[string]uint16
+	// zipAt maps a generator ZIP position to its dictionary id, or -1 before
+	// the position's first kept row: each generator's table is a run of it,
+	// from the base zipTable returned (candidate.zipAt).
+	zipAt   []int32
 	scratch []byte // a voter's raw address, then its normalized PII message
 	touched int32  // what flush's touch pass read, kept so its loads are not dropped
 }
@@ -48,6 +53,7 @@ type candidate struct {
 	gender   demo.Gender
 	race     demo.Race
 	state    demo.State
+	zipAt    int32 // the ZIP's b.zipAt slot for a generator draw, -1 for a record
 	activity float64
 }
 
@@ -89,20 +95,21 @@ func (b *builder) consume(rec *voter.Record) error {
 		return nil
 	}
 	return b.park(rec.FirstName, rec.LastName, append(b.scratch[:0], rec.Address...), candidate{
-		rec: rec, zip: rec.ZIP, age: rec.Age(),
+		rec: rec, zip: rec.ZIP, zipAt: -1, age: rec.Age(),
 		gender: rec.Gender, race: rec.Race, state: rec.State, activity: activity,
 	})
 }
 
 // consumeDraw is consume for a generator draw, which is never formatted:
 // its address is appended to the builder's buffer and its ID is not made.
-func (b *builder) consumeDraw(d *voter.Draw) error {
+// zips is the base zipTable returned for the draw's generator.
+func (b *builder) consumeDraw(d *voter.Draw, zips int32) error {
 	activity, ok := b.account(d, d.State)
 	if !ok {
 		return nil
 	}
 	return b.park(d.FirstName, d.LastName, d.AppendAddress(b.scratch[:0]), candidate{
-		serial: d.Serial, zip: d.ZIP, age: d.Age(),
+		serial: d.Serial, zip: d.ZIP, zipAt: zips + int32(d.ZIPIndex()), age: d.Age(),
 		gender: d.Gender, race: d.Race, state: d.State, activity: activity,
 	})
 }
@@ -110,13 +117,13 @@ func (b *builder) consumeDraw(d *voter.Draw) error {
 // consumeHashed is consumeDraw for a draw whose PII digest the caller has
 // already computed (hashDraw): a matched voter takes key instead of being
 // hashed again.
-func (b *builder) consumeHashed(d *voter.Draw, key *[32]byte) error {
+func (b *builder) consumeHashed(d *voter.Draw, key *[32]byte, zips int32) error {
 	activity, ok := b.account(d, d.State)
 	if !ok {
 		return nil
 	}
 	return b.queue(candidate{
-		key: *key, serial: d.Serial, zip: d.ZIP, age: d.Age(),
+		key: *key, serial: d.Serial, zip: d.ZIP, zipAt: zips + int32(d.ZIPIndex()), age: d.Age(),
 		gender: d.Gender, race: d.Race, state: d.State, activity: activity,
 	})
 }
@@ -155,6 +162,35 @@ func (b *builder) queue(c candidate) error {
 		return b.flush()
 	}
 	return nil
+}
+
+// zipTable makes room in zipAt for a generator of n ZIPs and returns the base
+// of its positions.
+func (b *builder) zipTable(n int) int32 {
+	base := len(b.zipAt)
+	b.zipAt = slices.Grow(b.zipAt, n)
+	for range n {
+		b.zipAt = append(b.zipAt, -1)
+	}
+	return int32(base)
+}
+
+// candidateZIP is the dictionary id of c's ZIP. A generator draw's position
+// is interned once, by code on its first kept row; positions that share a
+// code share the id, so the dictionary's order is the one interning every
+// row by its code gives.
+func (b *builder) candidateZIP(c *candidate) (uint16, error) {
+	if c.zipAt < 0 {
+		return b.zipIndex(c.zip)
+	}
+	if id := b.zipAt[c.zipAt]; id >= 0 {
+		return uint16(id), nil
+	}
+	id, err := b.zipIndex(c.zip)
+	if err == nil {
+		b.zipAt[c.zipAt] = int32(id)
+	}
+	return id, err
 }
 
 // zipIndex interns a ZIP code into the dictionary.
@@ -203,7 +239,7 @@ func (b *builder) keep(c *candidate) error {
 	if c.age < 0 || c.age > math.MaxUint8 {
 		return fmt.Errorf("population: voter %s age %d outside column range", c.voterID(), c.age)
 	}
-	zi, err := b.zipIndex(c.zip)
+	zi, err := b.candidateZIP(c)
 	if err != nil {
 		return err
 	}
@@ -269,8 +305,9 @@ func Stream(cfg Config, chunkSize int, gens ...voter.GeneratorConfig) (*Populati
 		if err != nil {
 			return nil, err
 		}
+		zips := b.zipTable(gc.NumZIPs)
 		for g.Draw(&d) {
-			if err := b.consumeDraw(&d); err != nil {
+			if err := b.consumeDraw(&d, zips); err != nil {
 				return nil, err
 			}
 		}
@@ -301,10 +338,11 @@ func BuildIndexed(cfg Config, gens ...voter.GeneratorConfig) (*Population, []*vo
 			return nil, nil, fmt.Errorf("population: generating the %s voter registry: %w", gc.State, err)
 		}
 		ix := g.NewIndex()
+		zips := b.zipTable(gc.NumZIPs)
 		for g.Draw(&d) {
 			key, b.scratch = hashDraw(&d, b.scratch)
 			ix.Add(&d, &key)
-			if err := b.consumeHashed(&d, &key); err != nil {
+			if err := b.consumeHashed(&d, &key, zips); err != nil {
 				return nil, nil, err
 			}
 		}

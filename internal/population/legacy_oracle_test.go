@@ -2,6 +2,7 @@ package population
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
@@ -182,6 +183,49 @@ func TestBuildIndexedMatchesLegacyOracle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestZIPColumnsMatchBuild: Stream and BuildIndexed intern a draw's ZIP by
+// its position in the generator's table, Build interns a record's by its
+// code. Positions may share a code, so the generator builds must still
+// intern by code on a position's first kept row: their ZIP dictionaries and
+// columns are Build's byte for byte. The worlds here do repeat codes across
+// positions, or the check would mean nothing.
+func TestZIPColumnsMatchBuild(t *testing.T) {
+	shared := false
+	for _, tc := range diffSeeds {
+		regs := diffRegistries(t, tc.reg)
+		want, err := Build(tc.cfg, regs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := Stream(tc.cfg, 512, diffGenConfigs(tc.reg)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexed, indexes, err := BuildIndexed(tc.cfg, diffGenConfigs(tc.reg)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, pop := range map[string]*Population{"Stream": streamed, "BuildIndexed": indexed} {
+			if !slices.Equal(pop.cols.zipDict, want.cols.zipDict) || !slices.Equal(pop.cols.zip, want.cols.zip) {
+				t.Errorf("%s: %s's ZIP dictionary %q and column differ from Build's %q", tc.name, name, pop.cols.zipDict, want.cols.zipDict)
+			}
+		}
+		for k, reg := range regs {
+			position := map[string]uint16{}
+			for i := range reg.Records {
+				code, at := reg.Records[i].ZIP, indexes[k].Entries[i].ZIP
+				if first, ok := position[code]; ok && first != at {
+					shared = true
+				}
+				position[code] = at
+			}
+		}
+	}
+	if !shared {
+		t.Fatal("no ZIP code is shared by two generator positions in these worlds")
 	}
 }
 

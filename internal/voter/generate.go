@@ -92,6 +92,10 @@ func (d *Draw) AppendAddress(b []byte) []byte {
 	return append(b, d.Street...)
 }
 
+// ZIPIndex returns the position of the voter's ZIP in the generator's table
+// (an Entry's ZIP id). Positions may share a code.
+func (d *Draw) ZIPIndex() int { return int(d.zip) }
+
 // Age returns the voter's age in the study year.
 func (d *Draw) Age() int { return StudyYear - d.BirthYear }
 
