@@ -84,8 +84,9 @@ func parseFlags(args []string) (options, error) {
 	case o.shards < 1 || o.ticks < 1 || o.tickLen <= 0:
 		return o, fmt.Errorf("-shards %d, -ticks %d and -tick %s must all be positive", o.shards, o.ticks, o.tickLen)
 	}
-	o.world, o.schedule.Shards = worldOf(), o.shards
-	return o, nil
+	o.schedule.Shards = o.shards
+	o.world, err = worldOf()
+	return o, err
 }
 
 func run(args []string) error {

@@ -25,6 +25,8 @@ func TestFlagValidation(t *testing.T) {
 		"no ticks":            {[]string{"-shard-bin", "x", "-ticks", "0"}, "must all be positive"},
 		"no cadence":          {[]string{"-shard-bin", "x", "-tick", "0s"}, "must all be positive"},
 		"rate above one":      {[]string{"-shard-bin", "x", "-rate", "1.5"}, "outside [0,1]"},
+		"no log rows":         {[]string{"-shard-bin", "x", "-logrows", "0"}, "-logrows must be positive, got 0"},
+		"negative voters":     {[]string{"-shard-bin", "x", "-voters", "-1"}, "-voters must be positive, got -1"},
 		"a flag that is gone": {[]string{"-shard-bin", "x", "-out", "BENCH_chaos_v1.json"}, "flag provided but not defined"},
 	} {
 		start := time.Now()

@@ -20,6 +20,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -82,15 +83,15 @@ func run(args []string, stdout io.Writer) error {
 	// The counts are refused, under the flag the user typed, before a
 	// self-hosted world is built; loadgen.New would refuse the same values
 	// under its Config field names.
-	for _, f := range []struct {
-		flag string
-		v    int
-	}{{"concurrency", *concurrency}, {"scenarios", *scenarios}, {"ads", *ads}, {"audience", *audience}} {
-		if f.v <= 0 {
-			return fmt.Errorf("-%s must be positive, got %d", f.flag, f.v)
-		}
+	if err := errors.Join(node.Positive("concurrency", *concurrency), node.Positive("scenarios", *scenarios),
+		node.Positive("ads", *ads), node.Positive("audience", *audience), node.NonNegative("retries", *retries),
+		node.NonNegative("delivery-workers", *deliveryWorkers)); err != nil {
+		return err
 	}
-	worldCfg := worldOf()
+	worldCfg, err := worldOf()
+	if err != nil {
+		return err
+	}
 	loadCfg := loadgen.Config{
 		Seed:            worldCfg.Seed,
 		Workers:         *concurrency,

@@ -124,6 +124,11 @@ func TestBadFlagsFailFast(t *testing.T) {
 		{args: []string{"-fsync", "none"}, want: "cannot be combined with an empty -store-dir"},
 		{args: []string{"-fault-rate", "2"}, want: "rate 2 outside [0,1]"},
 		{args: []string{"-fsync", "sometimes", "-store-dir", "x"}, want: "fsync"},
+		{args: []string{"-logrows", "0"}, want: "-logrows must be positive, got 0"},
+		{args: []string{"-voters", "-1"}, want: "-voters must be positive, got -1"},
+		{args: []string{"-retries", "-1"}, want: "-retries must not be negative, got -1"},
+		{args: []string{"-delivery-workers", "-1"}, want: "-delivery-workers must not be negative, got -1"},
+		{args: []string{"-shed-cap", "-1"}, want: "-shed-cap must not be negative, got -1"},
 		{args: append(remote, "-voters", "4000"), want: "-voters applies to the self-hosted server and cannot be combined with -target"},
 		{args: append(remote, "-logrows", "1500"), want: "-logrows applies to the self-hosted server and cannot be combined with -target"},
 		{args: append(remote, "-store-dir", "x"), want: "-store-dir applies to the self-hosted server and cannot be combined with -target"},

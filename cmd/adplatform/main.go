@@ -52,10 +52,16 @@ func run(args []string) error {
 		return err
 	}
 	stackCfg.Store.SnapshotEvery = *snapshotEvery
-	if *reviewReject > 1 {
+	if !(*reviewReject <= 1) {
 		return fmt.Errorf("-review-reject %v out of range [0,1]", *reviewReject)
 	}
-	worldCfg := worldOf()
+	if err := node.NonNegative("snapshot-every", *snapshotEvery); err != nil {
+		return err
+	}
+	worldCfg, err := worldOf()
+	if err != nil {
+		return err
+	}
 	platCfg := worldCfg.PlatformConfig()
 	if *reviewReject >= 0 {
 		platCfg.ReviewRejectProb = *reviewReject

@@ -59,6 +59,10 @@ func TestRunFlagValidation(t *testing.T) {
 		{[]string{"-fsync", "interval"}, "-fsync applies to the durable store and cannot be combined with an empty -store-dir"},
 		{[]string{"-snapshot-every", "10"}, "-snapshot-every applies to the durable store and cannot be combined with an empty -store-dir"},
 		{[]string{"-review-reject", "2"}, "-review-reject 2 out of range"},
+		{[]string{"-review-reject", "NaN"}, "-review-reject NaN out of range"},
+		{[]string{"-logrows", "0"}, "-logrows must be positive, got 0"},
+		{[]string{"-voters", "-1"}, "-voters must be positive, got -1"},
+		{[]string{"-store-dir", t.TempDir(), "-snapshot-every", "-1"}, "-snapshot-every must not be negative"},
 		{[]string{"-fault-rate", "0.1"}, "flag provided but not defined: -fault-rate"},
 		{[]string{"-privacy-k", "-1"}, "privacy"},
 		// An unusable address fails once the (small) world is built.

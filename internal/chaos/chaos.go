@@ -17,6 +17,7 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -61,29 +62,20 @@ type Config struct {
 	Seed int64
 	// Shards is the fleet width disturbances are drawn over.
 	Shards int
-	// Rate is the disturbance probability per eligible tick, in [0,1].
+	// Rate is the disturbance probability per eligible tick, in [0,1]; 0
+	// disturbs nothing.
 	Rate float64
 	// Actions are the eligible disturbances; empty means all of them.
 	Actions []Action
 	// MinGap spaces eligible ticks: only every MinGap-th tick can disturb,
 	// so the fleet gets healing room between injuries and "every shard down
-	// at once" stays rare rather than routine. 0 defaults to 4.
+	// at once" stays rare rather than routine. 0 means 4; never negative.
 	MinGap int
 }
 
 // windowTicks is how long each windowed action lasts, in ticks; a kill has
 // no window.
 var windowTicks = map[Action]int{ActPause: 2, ActSlow: 3, ActPartition: 3}
-
-func (c Config) withDefaults() Config {
-	if len(c.Actions) == 0 {
-		c.Actions = AllActions()
-	}
-	if c.MinGap <= 0 {
-		c.MinGap = 4
-	}
-	return c
-}
 
 // Event is one scheduled disturbance.
 type Event struct {
@@ -108,7 +100,13 @@ func NewSchedule(cfg Config) (*Schedule, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("chaos: shards %d < 1", cfg.Shards)
 	}
-	cfg = cfg.withDefaults()
+	if cfg.MinGap < 0 {
+		return nil, fmt.Errorf("chaos: MinGap %d is negative (0: every 4th tick)", cfg.MinGap)
+	}
+	cfg.MinGap = cmp.Or(cfg.MinGap, 4)
+	if len(cfg.Actions) == 0 {
+		cfg.Actions = AllActions()
+	}
 	seeded := faults.Schedule{Seed: cfg.Seed, Rate: cfg.Rate, Gap: cfg.MinGap, Kinds: len(cfg.Actions), Salted: true}
 	if err := seeded.Validate(); err != nil {
 		return nil, err

@@ -12,6 +12,7 @@ package chaos
 // second here, and the same seed replays to the same bytes.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -67,24 +68,12 @@ type Control struct {
 // passes run probeInterval apart, and a shard down 2 s is relaunched, at most
 // once every 2 s.
 func NewControl(cfg coordinator.Config) (*Control, error) {
-	if cfg.DayAttempts == 0 {
-		cfg.DayAttempts = 8
-	}
-	if cfg.DayBackoff == 0 {
-		cfg.DayBackoff = 300 * time.Millisecond
-	}
-	if cfg.ProbeInterval == 0 {
-		cfg.ProbeInterval = probeInterval
-	}
-	if cfg.ProbeTimeout == 0 {
-		cfg.ProbeTimeout = probeTimeout
-	}
-	if cfg.RelaunchAfter == 0 {
-		cfg.RelaunchAfter = 2 * time.Second
-	}
-	if cfg.RelaunchBackoff == 0 {
-		cfg.RelaunchBackoff = 2 * time.Second
-	}
+	cfg.DayAttempts = cmp.Or(cfg.DayAttempts, 8)
+	cfg.DayBackoff = cmp.Or(cfg.DayBackoff, 300*time.Millisecond)
+	cfg.ProbeInterval = cmp.Or(cfg.ProbeInterval, probeInterval)
+	cfg.ProbeTimeout = cmp.Or(cfg.ProbeTimeout, probeTimeout)
+	cfg.RelaunchAfter = cmp.Or(cfg.RelaunchAfter, 2*time.Second)
+	cfg.RelaunchBackoff = cmp.Or(cfg.RelaunchBackoff, 2*time.Second)
 	reg := obs.NewRegistry()
 	coord, err := coordinator.New(cfg, reg)
 	if err != nil {

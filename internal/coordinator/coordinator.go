@@ -49,6 +49,7 @@
 package coordinator
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -90,6 +91,7 @@ type Config struct {
 	// MaxFanout bounds concurrent backend calls per scatter. 0 means
 	// "all shards at once"; 1 calls the shards one after another in shard
 	// order, which makes a scatter's effects on a shared clock reproducible.
+	// New refuses a negative count or duration in this Config.
 	MaxFanout int
 	// DayAttempts is how many times a delivery day is re-run from scratch
 	// after a shard failure before giving up. 0 defaults to 5.
@@ -189,23 +191,24 @@ func New(cfg Config, reg *obs.Registry) (*Coordinator, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("coordinator: no backends configured")
 	}
-	if cfg.DayAttempts <= 0 {
-		cfg.DayAttempts = 5
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{{"MaxFanout", int64(cfg.MaxFanout)}, {"DayAttempts", int64(cfg.DayAttempts)}, {"DayBackoff", int64(cfg.DayBackoff)},
+		{"ProbeInterval", int64(cfg.ProbeInterval)}, {"ProbeTimeout", int64(cfg.ProbeTimeout)},
+		{"RelaunchAfter", int64(cfg.RelaunchAfter)}, {"RelaunchBackoff", int64(cfg.RelaunchBackoff)}} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("coordinator: %s is negative (0 takes its default)", f.name)
+		}
 	}
-	if cfg.DayBackoff <= 0 {
-		cfg.DayBackoff = 2 * time.Second
-	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = 500 * time.Millisecond
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.RelaunchAfter <= 0 {
-		cfg.RelaunchAfter = 3 * time.Second
-	}
-	if cfg.RelaunchBackoff <= 0 {
-		cfg.RelaunchBackoff = 5 * time.Second
+	cfg.DayAttempts = cmp.Or(cfg.DayAttempts, 5)
+	cfg.DayBackoff = cmp.Or(cfg.DayBackoff, 2*time.Second)
+	cfg.ProbeInterval = cmp.Or(cfg.ProbeInterval, 500*time.Millisecond)
+	cfg.ProbeTimeout = cmp.Or(cfg.ProbeTimeout, 2*time.Second)
+	cfg.RelaunchAfter = cmp.Or(cfg.RelaunchAfter, 3*time.Second)
+	cfg.RelaunchBackoff = cmp.Or(cfg.RelaunchBackoff, 5*time.Second)
+	if err := cfg.Privacy.Validate(); err != nil {
+		return nil, fmt.Errorf("coordinator: %w", err)
 	}
 	if reg == nil {
 		reg = obs.NewRegistry()

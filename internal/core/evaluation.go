@@ -38,7 +38,9 @@ const (
 // result is a function of (Seed, Scale) and of nothing that ran earlier.
 // Not safe for concurrent use.
 type Evaluation struct {
-	Seed  int64
+	Seed int64
+	// Scale is one of the presets (its zero is ScaleTest); the first step
+	// refuses any other, as NewLab does.
 	Scale Scale
 	// Out receives the progress lines ("running Campaign 1 ..."), which are
 	// part of the transcript; Err receives the lab's URL, the one line that
@@ -147,7 +149,7 @@ func (e *Evaluation) Synthetic() (*SyntheticResult, error) {
 	return step(e, &e.synthetic, "running Campaign 3 (StyleGAN-style synthetic faces, 5 people × 20 variants)...",
 		func(l *Lab) (*SyntheticResult, error) {
 			return l.RunSyntheticExperiment(SyntheticExperimentOptions{
-				Seed: e.Seed + seedSynthetic, DiscoverySamples: e.Scale.preset().discoverySamples,
+				Seed: e.Seed + seedSynthetic, DiscoverySamples: scalePresets[e.Scale].discoverySamples,
 			})
 		})
 }

@@ -38,7 +38,7 @@ func TestScaleDown(t *testing.T) {
 	if ScaleTest.reduced() != ScaleTest || ScaleBench.reduced() != ScaleBench {
 		t.Error("test and bench should stay")
 	}
-	if ScaleFull.preset().discoverySamples != 50000 {
+	if scalePresets[ScaleFull].discoverySamples != 50000 {
 		t.Error("a full evaluation samples the paper's 50,000 faces")
 	}
 }

@@ -72,7 +72,7 @@ func TestIndexReadersEqualRegistryReaders(t *testing.T) {
 				}
 				regs := make([]*voter.Registry, len(gens))
 				for i := range gens {
-					gens[i].NumVoters = scale.preset().votersPerState
+					gens[i].NumVoters = scalePresets[scale].votersPerState
 					var err error
 					if regs[i], err = voter.Generate(gens[i]); err != nil {
 						t.Fatal(err)

@@ -53,7 +53,8 @@ func (s Scale) String() string {
 
 // LabConfig configures the simulated world and the audit's vantage point.
 type LabConfig struct {
-	Seed  int64
+	Seed int64
+	// Scale is one of the presets; its zero is ScaleTest.
 	Scale Scale
 	// Behavior overrides the ground-truth engagement model (ablation A2).
 	// Zero value means DefaultBehaviorConfig.
@@ -63,9 +64,11 @@ type LabConfig struct {
 	// GreedyPacing disables budget pacing (ablation A5).
 	GreedyPacing bool
 	// TravelProb overrides the out-of-region probability (ablation A3:
-	// state-level ≈ 0.004 vs DMA-level ≈ 0.12).
+	// state-level ≈ 0.004 vs DMA-level ≈ 0.12); zero keeps
+	// population.Config's.
 	TravelProb float64
-	// FLActivityBoost injects a location confounder (ablation A4).
+	// FLActivityBoost injects a location confounder (ablation A4); zero
+	// keeps population.Config's.
 	FLActivityBoost float64
 	// Privacy arms the marketing API's insights privatization (k-anonymity
 	// and seeded DP noise) from the first request. The zero value serves raw
@@ -87,17 +90,9 @@ var scalePresets = [...]scalePreset{
 	ScaleFull:  {120000, 60000, 1200, 50000},
 }
 
-// preset returns s's row; an unknown scale is sized like ScaleTest.
-func (s Scale) preset() scalePreset {
-	if s < 0 || int(s) >= len(scalePresets) {
-		s = ScaleTest
-	}
-	return scalePresets[s]
-}
-
 // PerCell returns the default stratified-sample cap per cell for audience
-// construction at this scale.
-func (s Scale) PerCell() int { return s.preset().perCell }
+// construction at this preset; a scale outside the presets panics.
+func (s Scale) PerCell() int { return scalePresets[s].perCell }
 
 // reduced is the preset side labs (ablations, the feedback loop) run at:
 // bench under a full evaluation, so it can afford a dozen of them.
@@ -132,10 +127,16 @@ type Lab struct {
 // drawn in one pass, the platform (training its vision and eAR models), and
 // an HTTP server bound to a loopback port with a client pointed at it.
 func NewLab(cfg LabConfig) (*Lab, error) {
+	if cfg.Scale < 0 || int(cfg.Scale) >= len(scalePresets) {
+		return nil, fmt.Errorf("core: unknown Scale %d (test %d, bench %d, full %d)", int(cfg.Scale), ScaleTest, ScaleBench, ScaleFull)
+	}
+	if err := cfg.Privacy.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	worldCfg := node.WorldConfig{
 		Seed:       cfg.Seed,
-		Voters:     cfg.Scale.preset().votersPerState,
-		LogRows:    cfg.Scale.preset().trainingRows,
+		Voters:     scalePresets[cfg.Scale].votersPerState,
+		LogRows:    scalePresets[cfg.Scale].trainingRows,
 		Population: population.Config{TravelProb: cfg.TravelProb, FLActivityBoost: cfg.FLActivityBoost},
 		Behavior:   cfg.Behavior,
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 
@@ -72,6 +73,21 @@ func TestScaleStrings(t *testing.T) {
 	}
 	if ScaleFull.PerCell() <= ScaleTest.PerCell() {
 		t.Error("full scale should use larger cells")
+	}
+}
+
+// TestNewLabRefusesUnknownScale: a scale outside the presets is refused, in
+// a lab and in an evaluation, not sized like ScaleTest.
+func TestNewLabRefusesUnknownScale(t *testing.T) {
+	for _, s := range []Scale{-1, ScaleFull + 1, 7} {
+		if lab, err := NewLab(LabConfig{Seed: 1, Scale: s}); err == nil || !strings.Contains(err.Error(), "unknown Scale") {
+			lab.Close()
+			t.Errorf("NewLab with %s: got %v, want an unknown-Scale error", s, err)
+		}
+		e := &Evaluation{Seed: 1, Scale: s}
+		if _, err := e.Table1(); err == nil || !strings.Contains(err.Error(), "unknown Scale") {
+			t.Errorf("Evaluation with %s: got %v, want an unknown-Scale error", s, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -35,11 +36,13 @@ type PowerOptions struct {
 	// Pairs is the number of image pairs in the campaign (the paper used
 	// 50 per race side).
 	Pairs int
-	// Alpha is the two-sided test level; default 0.05.
+	// Alpha is the two-sided test level, in (0,1); 0 means 0.05.
 	Alpha float64
 }
 
+// validate refuses a design outside the model and fills a zero Alpha.
 func (o *PowerOptions) validate() error {
+	o.Alpha = cmp.Or(o.Alpha, 0.05)
 	if o.Delta <= 0 || o.Delta >= 1 {
 		return fmt.Errorf("core: power delta %v outside (0,1)", o.Delta)
 	}
@@ -49,8 +52,8 @@ func (o *PowerOptions) validate() error {
 	if o.ImpressionsPerAd <= 0 || o.Pairs <= 0 {
 		return fmt.Errorf("core: impressions (%d) and pairs (%d) must be positive", o.ImpressionsPerAd, o.Pairs)
 	}
-	if o.Alpha < 0 || o.Alpha >= 1 {
-		return fmt.Errorf("core: alpha %v outside [0,1)", o.Alpha)
+	if !(o.Alpha > 0 && o.Alpha < 1) {
+		return fmt.Errorf("core: alpha %v outside (0,1)", o.Alpha)
 	}
 	return nil
 }
@@ -58,9 +61,6 @@ func (o *PowerOptions) validate() error {
 // AuditPower returns the probability that the audit detects the skew at the
 // given level.
 func AuditPower(o PowerOptions) (float64, error) {
-	if o.Alpha == 0 {
-		o.Alpha = 0.05
-	}
 	if err := o.validate(); err != nil {
 		return 0, err
 	}
@@ -91,12 +91,6 @@ const (
 	minCellShare float64 = 0.05
 )
 
-func (o *PrivacyPowerOptions) fillDefaults() {
-	if o.Alpha == 0 {
-		o.Alpha = 0.05
-	}
-}
-
 // PrivateAuditPower returns the detection probability of the audit when the
 // insights surface privatizes. Two mechanisms attenuate power:
 //
@@ -111,15 +105,11 @@ func (o *PrivacyPowerOptions) fillDefaults() {
 // The test is the same two-group mean comparison as AuditPower; with k
 // pairs the difference's SE² is 2·v/pairs for per-ad variance v.
 func PrivateAuditPower(o PrivacyPowerOptions) (float64, error) {
-	o.fillDefaults()
 	if err := o.validate(); err != nil {
 		return 0, err
 	}
-	if o.K < 0 {
-		return 0, fmt.Errorf("core: privacy k %d negative", o.K)
-	}
-	if o.Epsilon < 0 {
-		return 0, fmt.Errorf("core: privacy epsilon %v negative", o.Epsilon)
+	if err := (privacy.Config{K: o.K, Epsilon: o.Epsilon}).Validate(); err != nil {
+		return 0, fmt.Errorf("core: %w", err)
 	}
 	m := float64(o.ImpressionsPerAd)
 	if o.K > 0 && m*minCellShare < float64(o.K) {
@@ -145,7 +135,6 @@ func MinimumImpressionsForPower(o PrivacyPowerOptions, targetPower float64) (int
 	if targetPower <= 0 || targetPower >= 1 {
 		return 0, fmt.Errorf("core: target power %v outside (0,1)", targetPower)
 	}
-	o.fillDefaults()
 	const capM = 1 << 30
 	lo := 1
 	if o.K > 0 {
@@ -225,9 +214,6 @@ func MinimumPairs(o PowerOptions, targetPower float64) (int, error) {
 // it resamples binomial draws under the analytic model, serving as an
 // internal consistency check on AuditPower.
 func SimulatedPower(o PowerOptions, trials int, seed int64) (float64, error) {
-	if o.Alpha == 0 {
-		o.Alpha = 0.05
-	}
 	if err := o.validate(); err != nil {
 		return 0, err
 	}

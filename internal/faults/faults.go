@@ -116,14 +116,6 @@ const (
 // endpoints, so chaos does not blind the observer.
 var exemptPaths = []string{"/metrics", "/healthz"}
 
-// withDefaults fills zero fields.
-func (c Config) withDefaults() Config {
-	if len(c.Kinds) == 0 {
-		c.Kinds = AllKinds()
-	}
-	return c
-}
-
 // Metric names recorded by the injector.
 const (
 	// MetricInjected counts injected faults; per-kind counts append
@@ -161,7 +153,10 @@ func New(cfg Config, reg *obs.Registry) (*Injector, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &Injector{cfg: cfg.withDefaults(), reg: reg}, nil
+	if len(cfg.Kinds) == 0 {
+		cfg.Kinds = AllKinds()
+	}
+	return &Injector{cfg: cfg, reg: reg}, nil
 }
 
 // Metrics returns the registry the injector counts into.
@@ -211,9 +206,9 @@ type Schedule struct {
 	Salted bool
 }
 
-// Validate refuses a rate that is not a probability.
+// Validate refuses a rate that is not a probability, NaN included.
 func (s Schedule) Validate() error {
-	if s.Rate < 0 || s.Rate > 1 {
+	if !(s.Rate >= 0 && s.Rate <= 1) {
 		return fmt.Errorf("faults: rate %v outside [0,1]", s.Rate)
 	}
 	return nil

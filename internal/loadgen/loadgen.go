@@ -59,31 +59,26 @@ type Runner struct {
 	client *marketing.Client
 }
 
-// ValidateCounts refuses a worker, scenario, ad or audience count below
-// one, never replacing it with a default. It reads nothing else, so a caller
-// can check the counts before it builds the world Hashes come from.
-func (c Config) ValidateCounts() error {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{{"Workers", c.Workers}, {"Scenarios", c.Scenarios}, {"AdsPerCampaign", c.AdsPerCampaign}, {"AudienceSize", c.AudienceSize}} {
-		if f.v <= 0 {
-			return fmt.Errorf("loadgen: %s must be positive, got %d", f.name, f.v)
-		}
-	}
-	return nil
-}
-
-// New validates the configuration and builds a runner.
+// New validates the configuration and builds a runner. A worker, scenario,
+// ad or audience count below one is refused, never replaced by a default, and
+// so is a negative DeliveryWorkers.
 func New(cfg Config, client *marketing.Client) (*Runner, error) {
 	if client == nil {
 		return nil, fmt.Errorf("loadgen: nil client")
 	}
 	if len(cfg.Hashes) == 0 {
-		return nil, fmt.Errorf("loadgen: empty PII hash pool")
+		return nil, fmt.Errorf("loadgen: empty Hashes, the PII hash pool")
 	}
-	if err := cfg.ValidateCounts(); err != nil {
-		return nil, err
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"Workers", cfg.Workers}, {"Scenarios", cfg.Scenarios}, {"AdsPerCampaign", cfg.AdsPerCampaign}, {"AudienceSize", cfg.AudienceSize}} {
+		if f.v <= 0 {
+			return nil, fmt.Errorf("loadgen: %s must be positive, got %d", f.name, f.v)
+		}
+	}
+	if cfg.DeliveryWorkers < 0 {
+		return nil, fmt.Errorf("loadgen: DeliveryWorkers must not be negative, got %d", cfg.DeliveryWorkers)
 	}
 	return &Runner{cfg: cfg, client: client}, nil
 }

@@ -19,15 +19,34 @@ import (
 // no more than the parse.
 
 // WorldFlags declares -seed, -voters and -logrows, defaulting to def's values;
-// the other fields of def pass through.
-func WorldFlags(fs *flag.FlagSet, def WorldConfig) func() WorldConfig {
+// the other fields of def pass through. A -voters or -logrows below one is
+// refused (the platform refuses fewer than 1000 log rows when the world is
+// built).
+func WorldFlags(fs *flag.FlagSet, def WorldConfig) func() (WorldConfig, error) {
 	seed := fs.Int64("seed", def.Seed, "world seed: processes given the same -seed, -voters and -logrows build the same world (adload also seeds its workload from it)")
 	voters := fs.Int("voters", def.Voters, "voters per state in the generated registries")
 	logRows := fs.Int("logrows", def.LogRows, "engagement-log rows for eAR training")
-	return func() WorldConfig {
+	return func() (WorldConfig, error) {
 		def.Seed, def.Voters, def.LogRows = *seed, *voters, *logRows
-		return def
+		return def, errors.Join(Positive("voters", def.Voters), Positive("logrows", def.LogRows))
 	}
+}
+
+// Positive refuses a count below one, under its flag's name.
+func Positive(flag string, n int) error {
+	if n <= 0 {
+		return fmt.Errorf("-%s must be positive, got %d", flag, n)
+	}
+	return nil
+}
+
+// NonNegative refuses a negative count, under its flag's name: a flag whose
+// zero has a meaning of its own.
+func NonNegative(flag string, n int) error {
+	if n < 0 {
+		return fmt.Errorf("-%s must not be negative, got %d", flag, n)
+	}
+	return nil
 }
 
 // FaultFlags declares -fault-rate, -fault-seed and -fault-kinds: faults on the
@@ -61,12 +80,13 @@ func StackFlags(fs *flag.FlagSet, needStore ...string) func() (StackConfig, erro
 	shedCap := fs.Int("shed-cap", marketing.DefaultServerLimits().MaxInFlight, "max in-flight requests before shedding with 429 (0 disables)")
 	return func() (StackConfig, error) {
 		cfg := StackConfig{ShedCap: *shedCap, Store: store.Options{Dir: *dir}}
-		var errs [3]error
+		var errs [4]error
 		cfg.Privacy, errs[0] = privacyOf()
 		cfg.Store.Fsync, errs[1] = store.ParseFsyncMode(*fsync)
 		if *dir == "" {
 			errs[2] = RejectSet(fs, "the durable store", "an empty -store-dir", append(needStore, "fsync")...)
 		}
+		errs[3] = NonNegative("shed-cap", *shedCap)
 		return cfg, errors.Join(errs[:]...)
 	}
 }

@@ -79,6 +79,24 @@ func TestSharedFlagsIdentical(t *testing.T) {
 		}
 	}
 
+	// A world size below one is refused at parse, under its flag, by each
+	// binary that builds a world.
+	for _, b := range []string{"adplatform", "adload", "adchaos"} {
+		for _, bad := range [][]string{{"-logrows", "0"}, {"-voters", "-1"}} {
+			args := bad
+			if b == "adchaos" {
+				args = append([]string{"-shard-bin", "x"}, bad...)
+			}
+			cmd := exec.Command(filepath.Join(dir, b), args...)
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			if want := bad[0] + " must be positive, got " + bad[1]; err == nil || !strings.Contains(stderr.String(), want) {
+				t.Errorf("%s %v: exit %v, stderr %q; want a non-zero exit naming %q", b, args, err, stderr.String(), want)
+			}
+		}
+	}
+
 	world := []string{"adplatform", "adload", "adchaos"}
 	stack := []string{"adplatform", "adload"}
 	all := []string{"adplatform", "adrouter", "adload"}

@@ -19,8 +19,8 @@ import (
 // users held by another.
 type WorldConfig struct {
 	Seed    int64
-	Voters  int // per state
-	LogRows int // engagement-log rows the eAR model trains on
+	Voters  int // per state, at least 1
+	LogRows int // engagement-log rows the eAR model trains on, at least 1000
 	// FLOnly leaves the NC registry out (adload's self-hosted world).
 	FLOnly bool
 	// Population carries TravelProb and FLActivityBoost; its Seed is derived.

@@ -220,7 +220,7 @@ func (f *foldedEAR) rate(u population.UserView) float64 {
 
 // TrainingConfig controls engagement-log generation and eAR fitting.
 type TrainingConfig struct {
-	LogRows int   // engagement log size; default 60000
+	LogRows int   // engagement log size, at least 1000; Retrain takes 0 as the platform's
 	Seed    int64 // log sampling seed
 }
 

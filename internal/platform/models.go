@@ -19,25 +19,13 @@ import (
 // world with one (Seed, Training) shares one trained pair: the shards of a
 // fleet, every relaunch of one and every reference platform train once.
 
-// defaultLogRows is the engagement-log size of a zero TrainingConfig.LogRows.
-const defaultLogRows = 60000
-
 // modelKey is everything training reads. The world is held by weak pointers,
 // so the memo never keeps a world alive.
 type modelKey struct {
 	pop      weak.Pointer[population.Population]
 	behave   weak.Pointer[population.Behavior]
 	seed     int64
-	training TrainingConfig // LogRows defaulted
-}
-
-// newModelKey is the key of a platform configured with cfg over the world.
-func newModelKey(cfg Config, pop *population.Population, behave *population.Behavior) modelKey {
-	key := modelKey{pop: weak.Make(pop), behave: weak.Make(behave), seed: cfg.Seed, training: cfg.Training}
-	if key.training.LogRows == 0 {
-		key.training.LogRows = defaultLogRows
-	}
-	return key
+	training TrainingConfig
 }
 
 // models is one key's trained pair. The first caller trains under once; the
@@ -64,7 +52,7 @@ var errTrainingPanicked = errors.New("platform: model training panicked")
 // configured with cfg over the world, training them on the first call for
 // the key.
 func trainedModels(cfg Config, pop *population.Population, behave *population.Behavior) (visionModel, *earModel, error) {
-	key := newModelKey(cfg, pop, behave)
+	key := modelKey{pop: weak.Make(pop), behave: weak.Make(behave), seed: cfg.Seed, training: cfg.Training}
 	modelMemo.Lock()
 	e, ok := modelMemo.m[key]
 	if !ok {

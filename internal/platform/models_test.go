@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/image"
@@ -123,7 +124,7 @@ func TestNewSharesModelsPerWorld(t *testing.T) {
 		if r.vision == p.vision || r.ear == p.ear {
 			t.Error("a separately built world shares the models")
 		}
-		return newModelKey(cfg, pop2, behave2), earFitDigest(r.ear)
+		return modelKey{pop: weak.Make(pop2), behave: weak.Make(behave2), seed: cfg.Seed, training: cfg.Training}, earFitDigest(r.ear)
 	}()
 	if want := earFitDigest(p.ear); digest != want {
 		t.Errorf("identical worlds fit different eAR models: %s, %s", digest, want)

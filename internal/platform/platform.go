@@ -15,21 +15,23 @@ import (
 // Config configures the platform.
 type Config struct {
 	Seed int64
-	// Ticks divides the simulated 24-hour run into pacing intervals.
-	// Default 48 (30-minute ticks).
+	// Ticks divides the simulated 24-hour run into pacing intervals, at
+	// least 2. DefaultConfig: 48 (30-minute ticks).
 	Ticks int
-	// Training configures engagement-log generation and eAR fitting.
+	// Training configures engagement-log generation and eAR fitting; its
+	// LogRows is at least 1000.
 	Training TrainingConfig
 	// ValueNoise is the per-slot lognormal σ applied to each ad's
 	// bid×eAR term, modelling per-request context features and ranking
 	// exploration. Without it the deterministic eAR ordering sorts users
 	// across ads winner-take-all, wildly overstating delivery skews.
-	// Default 0.7; 0 means no noise. A negative, NaN or infinite σ is
-	// refused.
+	// DefaultConfig: 0.7; 0 means no noise. A negative, NaN or infinite σ
+	// is refused.
 	ValueNoise float64
-	// ReviewRejectProb is the ad-review rejection probability. Near zero in
-	// normal operation; Appendix A's experiment raises it via
-	// SetReviewRejectProb to reproduce the mass rejections the authors hit.
+	// ReviewRejectProb is the ad-review rejection probability, in [0, 1]; 0
+	// approves every ad. DefaultConfig: 0.01. Appendix A's experiment raises
+	// it via SetReviewRejectProb to reproduce the mass rejections the
+	// authors hit.
 	ReviewRejectProb float64
 	// UseEAR toggles the estimated-action-rate term in the auction. The A1
 	// ablation sets it false: with constant eAR the auction is blind to
@@ -39,7 +41,8 @@ type Config struct {
 	// ads bid a fixed high amount until the budget is exhausted.
 	GreedyPacing bool
 	// FrequencyCap limits how many times one ad is shown to one user per
-	// day. Default 4; 0 means no cap; at most 255, and never negative.
+	// day. DefaultConfig: 4; 0 means no cap; at most 255, and never
+	// negative.
 	FrequencyCap int
 }
 
@@ -70,7 +73,7 @@ func DefaultConfig(seed int64) Config {
 	return Config{
 		Seed:             seed,
 		Ticks:            48,
-		Training:         TrainingConfig{LogRows: defaultLogRows, Seed: seed + 1},
+		Training:         TrainingConfig{LogRows: 60000, Seed: seed + 1},
 		FrequencyCap:     4,
 		ValueNoise:       0.7,
 		ReviewRejectProb: 0.01,
@@ -132,19 +135,10 @@ type Platform struct {
 	clock  obs.Clock
 }
 
-// withDefaults fills in the settings whose zero value stands for a default.
-func (c Config) withDefaults() Config {
-	if c.Ticks == 0 {
-		c.Ticks = 48
-	}
-	return c
-}
-
 // Validate reports the first setting New would refuse. It reads nothing but
 // the configuration, so a caller about to build a world for the platform can
 // check the configuration before paying for the world.
 func (c Config) Validate() error {
-	c = c.withDefaults()
 	if c.Ticks < 2 {
 		return fmt.Errorf("platform: need at least 2 pacing ticks, got %d", c.Ticks)
 	}
@@ -154,8 +148,16 @@ func (c Config) Validate() error {
 	if !(c.ValueNoise >= 0) || math.IsInf(c.ValueNoise, 1) {
 		return fmt.Errorf("platform: ValueNoise %v is not a finite σ ≥ 0 (0: no noise)", c.ValueNoise)
 	}
-	if c.Training.LogRows != 0 { // 0: defaultLogRows
-		return checkLogRows(c.Training.LogRows)
+	if err := checkRejectProb(c.ReviewRejectProb); err != nil {
+		return err
+	}
+	return checkLogRows(c.Training.LogRows)
+}
+
+// checkRejectProb refuses a review rejection probability outside [0, 1].
+func checkRejectProb(prob float64) error {
+	if !(prob >= 0 && prob <= 1) {
+		return fmt.Errorf("platform: ReviewRejectProb %v outside [0,1]", prob)
 	}
 	return nil
 }
@@ -174,7 +176,6 @@ func New(cfg Config, pop *population.Population, behave *population.Behavior) (*
 	if behave == nil {
 		return nil, fmt.Errorf("platform: nil behaviour model")
 	}
-	cfg = cfg.withDefaults()
 	vision, ear, err := trainedModels(cfg, pop, behave)
 	if err != nil {
 		return nil, err
@@ -237,8 +238,8 @@ func (p *Platform) Inventory() Inventory {
 // SetReviewRejectProb changes review strictness (used by the Appendix A
 // experiment to reproduce the mass rejections).
 func (p *Platform) SetReviewRejectProb(prob float64) error {
-	if prob < 0 || prob > 1 {
-		return fmt.Errorf("platform: reject probability %v outside [0,1]", prob)
+	if err := checkRejectProb(prob); err != nil {
+		return err
 	}
 	p.mu.Lock()
 	p.cfg.ReviewRejectProb = prob

@@ -176,6 +176,26 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestRetrainWorksOnEveryAcceptedConfig: Retrain's zero LogRows means the
+// platform's, so every training log size Validate accepts must retrain.
+func TestRetrainWorksOnEveryAcceptedConfig(t *testing.T) {
+	f := sharedFixture(t)
+	for _, rows := range []int{DefaultConfig(1).Training.LogRows, 0, 1000, 12000} {
+		cfg := DefaultConfig(61)
+		cfg.Training.LogRows = rows
+		if cfg.Validate() != nil {
+			continue
+		}
+		p, err := New(cfg, f.pop, f.behave)
+		if err != nil {
+			t.Fatalf("LogRows %d: %v", rows, err)
+		}
+		if err := p.Retrain(TrainingConfig{Seed: 62}); err != nil {
+			t.Errorf("LogRows %d: Retrain with a zero LogRows: %v", rows, err)
+		}
+	}
+}
+
 // TestConfigRefusesWhatItWouldReinterpret: a negative or NaN ValueNoise
 // would silently mean no noise (the kernel draws noise only for σ > 0), a
 // negative FrequencyCap silently no cap. Validate refuses both, naming the

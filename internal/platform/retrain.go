@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -36,17 +37,16 @@ func (p *Platform) ServedLogSize() int {
 // the last (re)training. Served impressions are selection-biased — the
 // previous model chose who saw what — which is precisely the feedback-loop
 // mechanism experiment E16 measures. Ads created after Retrain use the new
-// model; completed ads keep their recorded delivery. It is refused while a
-// coordinated delivery session is open, whose rows are still to be logged.
+// model; completed ads keep their recorded delivery. A zero cfg.LogRows
+// means the platform's own. It is refused while a coordinated delivery
+// session is open, whose rows are still to be logged.
 func (p *Platform) Retrain(cfg TrainingConfig) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.session != nil {
 		return fmt.Errorf("%w: %q, cannot retrain", ErrSessionActive, p.session.name)
 	}
-	if cfg.LogRows == 0 {
-		cfg.LogRows = p.cfg.Training.LogRows
-	}
+	cfg.LogRows = cmp.Or(cfg.LogRows, p.cfg.Training.LogRows)
 	base, err := trainLogRows(cfg, p.pop, p.behave, p.vision)
 	if err != nil {
 		return err
@@ -74,7 +74,7 @@ func (p *Platform) Retrain(cfg TrainingConfig) error {
 }
 
 // errLogRows is an engagement log too short to fit the eAR model on.
-var errLogRows = errors.New("platform: too few log rows to train eAR, need 1000")
+var errLogRows = errors.New("platform: LogRows too few to train eAR, need 1000")
 
 func checkLogRows(rows int) error {
 	if rows < 1000 {

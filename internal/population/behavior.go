@@ -31,9 +31,12 @@ type Behavior struct {
 // BehaviorConfig sets the engagement-pattern strengths (log-odds units).
 // AffinityScale multiplies every demographic affinity at once and is the
 // knob the A2 ablation sweeps; 0 removes all content-demographic coupling.
+// The six pattern weights take any finite value, 0 removing that pattern.
+// The values after "default" are DefaultBehaviorConfig's; no zero field is
+// replaced by them.
 type BehaviorConfig struct {
-	BaseCTR              float64 // baseline click probability, default 0.02
-	AffinityScale        float64 // global multiplier, default 1
+	BaseCTR              float64 // baseline click probability in (0, 0.5), default 0.02
+	AffinityScale        float64 // global multiplier, finite and ≥ 0, default 1
 	RaceHomophily        float64 // default 0.9
 	GenderAffinity       float64 // default 0.02
 	AgeProximity         float64 // default 1.6 (penalty at max age distance)
@@ -58,11 +61,21 @@ func DefaultBehaviorConfig() BehaviorConfig {
 
 // NewBehavior validates the config and returns the model.
 func NewBehavior(cfg BehaviorConfig) (*Behavior, error) {
-	if cfg.BaseCTR <= 0 || cfg.BaseCTR >= 0.5 {
+	if !(cfg.BaseCTR > 0 && cfg.BaseCTR < 0.5) {
 		return nil, fmt.Errorf("population: BaseCTR %v outside (0, 0.5)", cfg.BaseCTR)
 	}
-	if cfg.AffinityScale < 0 {
-		return nil, fmt.Errorf("population: negative AffinityScale %v", cfg.AffinityScale)
+	if !(cfg.AffinityScale >= 0) {
+		return nil, fmt.Errorf("population: AffinityScale %v is not ≥ 0", cfg.AffinityScale)
+	}
+	for _, w := range []struct {
+		name string
+		v    float64
+	}{{"AffinityScale", cfg.AffinityScale}, {"RaceHomophily", cfg.RaceHomophily}, {"GenderAffinity", cfg.GenderAffinity},
+		{"AgeProximity", cfg.AgeProximity}, {"ChildToWomen", cfg.ChildToWomen},
+		{"YoungWomenToOlderMen", cfg.YoungWomenToOlderMen}, {"JobComposition", cfg.JobComposition}} {
+		if math.IsNaN(w.v) || math.IsInf(w.v, 0) {
+			return nil, fmt.Errorf("population: %s %v is not finite", w.name, w.v)
+		}
 	}
 	return &Behavior{cfg: cfg}, nil
 }

@@ -266,12 +266,11 @@ func (b *builder) finish() (*Population, error) {
 // streamBuilder checks the inputs of a build from generator configurations
 // and sizes its builder for their voters, batch candidates parked at a time.
 func streamBuilder(cfg Config, batch int, gens []voter.GeneratorConfig) (*builder, error) {
-	cfg.setDefaults()
+	if err := cfg.resolve(); err != nil {
+		return nil, err
+	}
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("population: no generator configs")
-	}
-	if cfg.BaseMatchRate <= 0 || cfg.BaseMatchRate > 1 {
-		return nil, fmt.Errorf("population: BaseMatchRate %v outside (0,1]", cfg.BaseMatchRate)
 	}
 	voters := 0
 	for _, gc := range gens {

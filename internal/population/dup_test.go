@@ -76,7 +76,9 @@ func TestGeneratedDuplicatesMatchLegacyOracle(t *testing.T) {
 // buildBatched drives the builder over records with a pending buffer of
 // batch candidates, as Build does with its fixed one.
 func buildBatched(cfg Config, batch int, records []voter.Record) (*Population, error) {
-	cfg.setDefaults()
+	if err := cfg.resolve(); err != nil {
+		return nil, err
+	}
 	b := newBuilder(cfg, len(records), batch)
 	for i := range records {
 		if err := b.consume(&records[i]); err != nil {

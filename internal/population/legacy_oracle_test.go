@@ -29,7 +29,9 @@ type legacyUser struct {
 }
 
 func legacyBuild(cfg Config, registries ...*voter.Registry) []legacyUser {
-	cfg.setDefaults()
+	if err := cfg.resolve(); err != nil {
+		panic(err)
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var users []legacyUser
 	byPII := map[string]int{}

@@ -22,6 +22,7 @@
 package population
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -147,32 +148,37 @@ func hashPIIAddress(first, last, zip string, buf []byte) ([32]byte, []byte) {
 type Config struct {
 	Seed int64
 	// BaseMatchRate is the probability a voter has a matchable account,
-	// before demographic adjustments. Default 0.65.
+	// before demographic adjustments, in (0,1]. 0 means 0.65.
 	BaseMatchRate float64
-	// TravelProb is the per-impression out-of-state probability.
-	// Default 0.004, consistent with the <1% out-of-state delivery §3.3
+	// TravelProb is the per-impression out-of-state probability, in [0,1].
+	// 0 means 0.004, consistent with the <1% out-of-state delivery §3.3
 	// reports for state-level splits.
 	TravelProb float64
-	// FLActivityBoost multiplies the activity of Florida users (default 1).
-	// Setting it away from 1 injects a location confounder; the A4 ablation
-	// uses it to show the reversed-copy aggregation cancels such
-	// confounders (§3.3).
+	// FLActivityBoost multiplies the activity of Florida users: finite and
+	// above 0, where 0 means 1. Setting it away from 1 injects a location
+	// confounder; the A4 ablation uses it to show the reversed-copy
+	// aggregation cancels such confounders (§3.3).
 	FLActivityBoost float64
 }
 
 // meanSessions is the mean sessions/day across the population.
 const meanSessions float64 = 6
 
-func (c *Config) setDefaults() {
-	if c.BaseMatchRate == 0 {
-		c.BaseMatchRate = 0.65
+// resolve gives each zero field its stated meaning and refuses a setting
+// outside the range its comment gives, naming the field.
+func (c *Config) resolve() error {
+	c.BaseMatchRate = cmp.Or(c.BaseMatchRate, 0.65)
+	c.TravelProb = cmp.Or(c.TravelProb, 0.004)
+	c.FLActivityBoost = cmp.Or(c.FLActivityBoost, 1)
+	switch {
+	case !(c.BaseMatchRate > 0 && c.BaseMatchRate <= 1):
+		return fmt.Errorf("population: BaseMatchRate %v outside (0,1]", c.BaseMatchRate)
+	case !(c.TravelProb >= 0 && c.TravelProb <= 1):
+		return fmt.Errorf("population: TravelProb %v outside [0,1]", c.TravelProb)
+	case !(c.FLActivityBoost > 0) || math.IsInf(c.FLActivityBoost, 1):
+		return fmt.Errorf("population: FLActivityBoost %v is not a finite factor above 0", c.FLActivityBoost)
 	}
-	if c.TravelProb == 0 {
-		c.TravelProb = 0.004
-	}
-	if c.FLActivityBoost == 0 {
-		c.FLActivityBoost = 1
-	}
+	return nil
 }
 
 // Population is the set of platform users in columnar form, indexed on
@@ -287,12 +293,11 @@ func (p *Population) MatchPII(keys []PIIKey) []int32 {
 // registry order; the legacy-oracle differential suite pins every produced
 // field to the struct-era builder's output.
 func Build(cfg Config, registries ...*voter.Registry) (*Population, error) {
-	cfg.setDefaults()
+	if err := cfg.resolve(); err != nil {
+		return nil, err
+	}
 	if len(registries) == 0 {
 		return nil, fmt.Errorf("population: no registries")
-	}
-	if cfg.BaseMatchRate <= 0 || cfg.BaseMatchRate > 1 {
-		return nil, fmt.Errorf("population: BaseMatchRate %v outside (0,1]", cfg.BaseMatchRate)
 	}
 	voters := 0
 	for _, reg := range registries {

@@ -3,6 +3,7 @@ package population
 import (
 	"encoding/hex"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -160,6 +161,44 @@ func TestBuildErrors(t *testing.T) {
 	fl := testRegistry(t, demo.StateFL, 100)
 	if _, err := Build(Config{Seed: 1, BaseMatchRate: 1.5}, fl); err == nil {
 		t.Error("bad match rate: want error")
+	}
+}
+
+// TestBuildRefusesOutOfRangeSettings: a setting outside the range its
+// comment gives is refused under the field's name, and a zero takes the
+// value its comment states.
+func TestBuildRefusesOutOfRangeSettings(t *testing.T) {
+	fl := testRegistry(t, demo.StateFL, 400)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		cfg   Config
+		field string
+	}{
+		{Config{TravelProb: -0.5}, "TravelProb"}, {Config{TravelProb: 7}, "TravelProb"}, {Config{TravelProb: nan}, "TravelProb"},
+		{Config{FLActivityBoost: -2}, "FLActivityBoost"}, {Config{FLActivityBoost: inf}, "FLActivityBoost"},
+		{Config{FLActivityBoost: nan}, "FLActivityBoost"},
+		{Config{BaseMatchRate: -0.1}, "BaseMatchRate"}, {Config{BaseMatchRate: 1.5}, "BaseMatchRate"},
+		{Config{BaseMatchRate: nan}, "BaseMatchRate"},
+	} {
+		if _, err := Build(c.cfg, fl); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: got %v, want an error naming %s", c.cfg, err, c.field)
+		}
+	}
+	zero, err := Build(Config{Seed: 3}, fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stated, err := Build(Config{Seed: 3, BaseMatchRate: 0.65, TravelProb: 0.004, FLActivityBoost: 1}, fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero.Len() != stated.Len() {
+		t.Fatalf("zero settings matched %d users, the stated defaults %d", zero.Len(), stated.Len())
+	}
+	for i := range zero.Len() {
+		if !sameUser(zero.View(i), stated.View(i)) {
+			t.Fatalf("user %d differs between the zero settings and the stated defaults", i)
+		}
 	}
 }
 

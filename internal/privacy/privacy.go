@@ -70,29 +70,24 @@ func (l Level) String() string {
 type Config struct {
 	Level Level
 	// K is the minimum released cell size and minimum audience (reach) for
-	// any breakdown to be released at all. Ignored at LevelOff; K <= 0
-	// makes suppression vacuous.
+	// any breakdown to be released at all. Ignored at LevelOff; 0 makes
+	// suppression vacuous; never negative.
 	K int
 	// Epsilon is the per-count differential-privacy parameter at
 	// LevelKAnonDP: each released count independently receives
 	// discrete-Laplace noise with P(X = x) ∝ exp(-Epsilon·|x|). Smaller
-	// epsilon means more noise. Composition across distinct queries is out
-	// of scope (as it is on real reporting surfaces).
+	// epsilon means more noise; 0 (no noise) only below LevelKAnonDP.
+	// Composition across distinct queries is out of scope (as it is on real
+	// reporting surfaces).
 	Epsilon float64
 	// Seed fixes the noise stream. Same (Seed, cell key) → same draw.
 	Seed int64
 }
 
-// FromFlags derives the policy a CLI requests: k <= 0 and epsilon <= 0 is
-// off; epsilon <= 0 is k-anonymity alone; otherwise k-anonymity plus DP
-// noise (k may be 0, making the suppression half vacuous).
+// FromFlags derives the policy a CLI requests: k = 0 and epsilon = 0 is off;
+// epsilon = 0 is k-anonymity alone; otherwise k-anonymity plus DP noise (k
+// may be 0, making the suppression half vacuous). Validate refuses the rest.
 func FromFlags(k int, epsilon float64, seed int64) (Config, error) {
-	if k < 0 {
-		return Config{}, fmt.Errorf("privacy: k must be non-negative, got %d", k)
-	}
-	if epsilon < 0 {
-		return Config{}, fmt.Errorf("privacy: epsilon must be non-negative, got %v", epsilon)
-	}
 	cfg := Config{K: k, Epsilon: epsilon, Seed: seed}
 	switch {
 	case k == 0 && epsilon == 0:
@@ -102,29 +97,26 @@ func FromFlags(k int, epsilon float64, seed int64) (Config, error) {
 	default:
 		cfg.Level = LevelKAnonDP
 	}
+	if err := cfg.Validate(); err != nil {
+		return Config{}, err
+	}
 	return cfg, nil
 }
 
-// Validate rejects configs whose fields contradict their level.
+// Validate refuses an unknown level, a negative K, an Epsilon that is
+// negative or not finite, and a zero Epsilon at LevelKAnonDP.
 func (c Config) Validate() error {
-	switch c.Level {
-	case LevelOff:
-		return nil
-	case LevelKAnon:
-		if c.K < 0 {
-			return fmt.Errorf("privacy: k must be non-negative, got %d", c.K)
-		}
-		return nil
-	case LevelKAnonDP:
-		if c.K < 0 {
-			return fmt.Errorf("privacy: k must be non-negative, got %d", c.K)
-		}
-		if c.Epsilon <= 0 || math.IsInf(c.Epsilon, 0) || math.IsNaN(c.Epsilon) {
-			return fmt.Errorf("privacy: k-anon+dp needs a positive finite epsilon, got %v", c.Epsilon)
-		}
-		return nil
+	switch {
+	case c.Level < LevelOff || c.Level > LevelKAnonDP:
+		return fmt.Errorf("privacy: unknown Level %d", int(c.Level))
+	case c.K < 0:
+		return fmt.Errorf("privacy: K must be non-negative, got %d", c.K)
+	case !(c.Epsilon >= 0) || math.IsInf(c.Epsilon, 1):
+		return fmt.Errorf("privacy: Epsilon must be finite and non-negative, got %v", c.Epsilon)
+	case c.Level == LevelKAnonDP && c.Epsilon == 0:
+		return fmt.Errorf("privacy: k-anon+dp needs a positive Epsilon")
 	}
-	return fmt.Errorf("privacy: unknown level %d", int(c.Level))
+	return nil
 }
 
 // Enabled reports whether Apply would change anything.

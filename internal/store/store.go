@@ -53,7 +53,7 @@ const (
 	FsyncNone FsyncMode = "none"
 )
 
-// ParseFsyncMode converts a flag value.
+// ParseFsyncMode converts a flag value; "" is FsyncAlways.
 func ParseFsyncMode(s string) (FsyncMode, error) {
 	switch FsyncMode(s) {
 	case FsyncAlways, FsyncInterval, FsyncNone:
@@ -96,25 +96,16 @@ var ErrKilled = errors.New("store: killed (simulated crash)")
 type Options struct {
 	// Dir is the store directory (created if missing).
 	Dir string
-	// Fsync is the sync discipline; default FsyncAlways.
+	// Fsync is the sync discipline, read by ParseFsyncMode: "" is
+	// FsyncAlways.
 	Fsync FsyncMode
 	// SnapshotEvery writes a snapshot (and compacts the WAL) after this many
 	// appended records. 0 disables automatic snapshots; Close still writes a
-	// final one.
+	// final one. Never negative.
 	SnapshotEvery int
-	// Metrics receives the store.* counters; nil uses a private registry.
+	// Metrics receives the store.* counters; nil gives the store a private
+	// registry of its own.
 	Metrics *obs.Registry
-}
-
-// withDefaults fills zero fields.
-func (o Options) withDefaults() Options {
-	if o.Fsync == "" {
-		o.Fsync = FsyncAlways
-	}
-	if o.Metrics == nil {
-		o.Metrics = obs.NewRegistry()
-	}
-	return o
 }
 
 // syncEvery is how long FsyncInterval leaves a committed tail unsynced.
@@ -167,19 +158,26 @@ type Store struct {
 // Open prepares a store over a directory. No file is touched beyond creating
 // the directory; call Recover to load state and begin accepting appends.
 func Open(opts Options) (*Store, error) {
-	opts = opts.withDefaults()
 	if opts.Dir == "" {
-		return nil, fmt.Errorf("store: empty directory")
+		return nil, fmt.Errorf("store: empty Dir")
 	}
-	if _, err := ParseFsyncMode(string(opts.Fsync)); err != nil {
+	if opts.SnapshotEvery < 0 {
+		return nil, fmt.Errorf("store: SnapshotEvery %d is negative (0: no automatic snapshots)", opts.SnapshotEvery)
+	}
+	var err error
+	if opts.Fsync, err = ParseFsyncMode(string(opts.Fsync)); err != nil {
 		return nil, err
+	}
+	reg := opts.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
 	return &Store{
 		opts:   opts,
-		reg:    opts.Metrics,
+		reg:    reg,
 		token:  make(chan struct{}, 1),
 		wake:   make(chan struct{}, 1),
 		stop:   make(chan struct{}),
