@@ -185,8 +185,9 @@ func NewLab(cfg LabConfig) (*Lab, error) {
 // policy. Privatization is response-time and stateless, so delivered
 // campaigns can be re-read under a new policy without re-running delivery —
 // the skew-detectability sweep delivers once and measures at every level.
-func (l *Lab) SetPrivacy(cfg privacy.Config) {
-	l.server.SetPrivacy(cfg)
+// An invalid policy is refused with its error and the one in force stays.
+func (l *Lab) SetPrivacy(cfg privacy.Config) error {
+	return l.server.SetPrivacy(cfg)
 }
 
 // Close shuts down the marketing API server; closing a nil or closed lab

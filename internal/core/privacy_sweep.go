@@ -110,7 +110,9 @@ type levelMeasurement struct {
 // breakdown (the minimum-audience gate, or every cell suppressed) count as
 // suppressed rather than failing the sweep.
 func measureUnderPrivacy(l *Lab, run *CampaignRun, cfg privacy.Config) (*levelMeasurement, error) {
-	l.SetPrivacy(cfg)
+	if err := l.SetPrivacy(cfg); err != nil {
+		return nil, fmt.Errorf("core: privacy sweep: %w", err)
+	}
 	ctx := context.Background()
 	m := &levelMeasurement{}
 	for i := range run.Ads {
@@ -182,7 +184,8 @@ func groupContrast(ds []Delivery, inA func(*Delivery) bool, metric func(*Deliver
 // and assembles the detectability record; seed fixes the noise streams. The
 // lab's privacy policy is restored to off before returning.
 func RunPrivacySweep(l *Lab, run *CampaignRun, seed int64) (*PrivacySweepResult, error) {
-	defer l.SetPrivacy(privacy.Config{})
+	// The zero policy (off) always validates, so restoring it cannot fail.
+	defer func() { _ = l.SetPrivacy(privacy.Config{}) }()
 
 	// Baseline: privacy off, the paper's own measurement.
 	base, err := measureUnderPrivacy(l, run, privacy.Config{})

@@ -238,3 +238,43 @@ func TestMeasureUnderPrivacyTotalSuppression(t *testing.T) {
 		t.Error("expected suppressed ads to be counted")
 	}
 }
+
+// TestLabSetPrivacyRefusesInvalidPolicy: the lab refuses a policy Validate
+// refuses — an unknown level, a negative K — and its live server keeps
+// answering under the policy already in force; the sweep's measurement
+// passes the refusal up instead of re-reading under it.
+func TestLabSetPrivacyRefusesInvalidPolicy(t *testing.T) {
+	l := sharedLab(t)
+	stock, err := l.RunStockExperiment(StockExperimentOptions{Seed: 4600, PerPerson: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := privacy.Config{Level: privacy.LevelKAnon, K: 20}
+	if err := l.SetPrivacy(kept); err != nil {
+		t.Fatalf("valid policy refused: %v", err)
+	}
+	t.Cleanup(func() {
+		if err := l.SetPrivacy(privacy.Config{}); err != nil {
+			t.Error(err)
+		}
+	})
+	ad := firstDeliveredAdID(t, stock.Run)
+	for _, bad := range []privacy.Config{
+		{Level: privacy.LevelKAnonDP + 1, K: 20},
+		{Level: privacy.LevelKAnon, K: -1},
+	} {
+		if err := l.SetPrivacy(bad); err == nil {
+			t.Errorf("SetPrivacy(%+v) accepted", bad)
+		}
+		if _, err := measureUnderPrivacy(l, stock.Run, bad); err == nil {
+			t.Errorf("measureUnderPrivacy(%+v) accepted", bad)
+		}
+		resp, err := l.Client.Insights(context.Background(), ad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p := resp.Privacy; p == nil || p.Level != "k-anon" || p.K != 20 {
+			t.Errorf("after refusing %+v the server answers under %+v, want the kept k-anon K=20", bad, p)
+		}
+	}
+}

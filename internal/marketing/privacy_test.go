@@ -90,3 +90,29 @@ func TestPrivatizeInsightsDPDeterministic(t *testing.T) {
 		t.Fatalf("SpendCents perturbed to %v", round.SpendCents)
 	}
 }
+
+// TestSetPrivacyRefusesInvalidPolicy: a policy Validate refuses — an unknown
+// level, a negative K — is refused with its error, and the policy already in
+// force keeps answering.
+func TestSetPrivacyRefusesInvalidPolicy(t *testing.T) {
+	kept := privacy.Config{Level: privacy.LevelKAnon, K: 20}
+	s := &Server{}
+	if err := s.SetPrivacy(kept); err != nil {
+		t.Fatalf("valid policy refused: %v", err)
+	}
+	for _, bad := range []privacy.Config{
+		{Level: privacy.LevelKAnonDP + 1, K: 20},
+		{Level: privacy.LevelKAnon, K: -1},
+	} {
+		if err := s.SetPrivacy(bad); err == nil {
+			t.Errorf("SetPrivacy(%+v) accepted", bad)
+		}
+		if got := s.privacyConfig(); got != kept {
+			t.Errorf("after refusing %+v the policy is %+v, want %+v", bad, got, kept)
+		}
+	}
+	got := PrivatizeInsights(s.privacyConfig(), sampleInsights())
+	if got.Privacy == nil || got.Privacy.Level != "k-anon" || got.Privacy.K != 20 {
+		t.Errorf("insights privatized under %+v, want the kept k-anon K=20", got.Privacy)
+	}
+}

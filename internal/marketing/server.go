@@ -131,9 +131,15 @@ func (s *Server) Metrics() *obs.Registry {
 // SetPrivacy replaces the insights privatization policy at runtime.
 // Privatization is response-time and stateless, so switching levels needs no
 // restart and touches no delivery state — the audit sweep leans on this to
-// re-read the same campaign's insights at several privacy levels.
-func (s *Server) SetPrivacy(cfg privacy.Config) {
+// re-read the same campaign's insights at several privacy levels. A policy
+// that fails privacy.Config.Validate is refused with its error, and the
+// policy in force stays.
+func (s *Server) SetPrivacy(cfg privacy.Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 	s.privacy.Store(&cfg)
+	return nil
 }
 
 // privacyConfig returns the active policy (zero Config when unset).

@@ -4,11 +4,17 @@
 // Each method makes exactly the draws the math/rand method of the same name
 // makes, so a stream seeded with New(seed) is the one
 // rand.New(rand.NewSource(seed)) yields, call for call (TestRandIsMathRand).
-// The delivery kernel, the voter generator and the population builder draw
-// from it; every golden in the tree was recorded with math/rand.
+// Below draws from a Bound, an Int31n argument prepared in advance, and makes
+// exactly Int31n's draws with a multiply where Int31n divides
+// (TestBelowIsInt31n). The delivery kernel, the voter generator and the
+// population builder draw from it; every golden in the tree was recorded
+// with math/rand.
 package mathrand
 
-import "math/rand"
+import (
+	"math/bits"
+	"math/rand"
+)
 
 // Rand is the additive lagged-Fibonacci generator rand.NewSource returns —
 // a 607-word register, the tap 273 words behind the feed, each output
@@ -114,6 +120,40 @@ func (r *Rand) Int31n(n int32) int32 {
 		v = r.Int31()
 	}
 	return v % n
+}
+
+// Bound is an Int31n argument with what Int31n computes from it on every
+// call done once: the rejection limit, and m = ⌊(2⁶⁴−1)/n⌋+1, with which the
+// remainder v mod n is hi64((m·v mod 2⁶⁴)·n), exact for every v, n < 2³²
+// (Lemire, Kaser and Kurz, "Faster remainder by direct computation", 2019).
+// A power of two needs no mask of its own: its limit rejects nothing and the
+// remainder is the mask.
+type Bound struct {
+	n, m  uint64
+	limit int32
+}
+
+// NewBound prepares n for Below; n must be positive.
+func NewBound(n int32) Bound {
+	if n <= 0 {
+		panic("mathrand: invalid argument to NewBound")
+	}
+	return Bound{
+		n:     uint64(n),
+		m:     ^uint64(0)/uint64(n) + 1, // wraps to 0 at n = 1, where every remainder is 0
+		limit: int32((1 << 31) - 1 - (1<<31)%uint32(n)),
+	}
+}
+
+// Below is Int31n(n) for the n b was made from: the same draws, the same
+// rejections, the same value.
+func (r *Rand) Below(b Bound) int32 {
+	v := r.Int31()
+	for v > b.limit {
+		v = r.Int31()
+	}
+	hi, _ := bits.Mul64(b.m*uint64(v), b.n)
+	return int32(hi)
 }
 
 // Int63n is rand.Rand.Int63n, Int31n's method on 63-bit draws.

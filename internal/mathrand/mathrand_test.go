@@ -59,6 +59,35 @@ func TestRandIsMathRand(t *testing.T) {
 	}
 }
 
+// TestBelowIsInt31n runs Below against Int31n on a twin generator: at powers
+// of two, at the voter generator's table sizes, at 2³⁰, at 2³⁰+1, where
+// about half the draws are rejected, and at 2³¹−1, 200 000 Below draws each
+// with Float64, Int31n and Uint64 draws between them, so a Below that drew
+// once too often or too seldom shifts every later value.
+func TestBelowIsInt31n(t *testing.T) {
+	for _, n := range []int32{1, 2, 3, 20, 32, 34, 47, 2000, 9999, 1 << 30, 1<<30 + 1, math.MaxInt32} {
+		b := NewBound(n)
+		got, want := New(int64(n)), New(int64(n))
+		for i := 0; i < 200_000; i++ {
+			if a, w := got.Below(b), want.Int31n(n); a != w {
+				t.Fatalf("n %d draw %d: Below %d, Int31n %d", n, i, a, w)
+			}
+			var a, w uint64
+			switch i % 3 {
+			case 0:
+				a, w = math.Float64bits(got.Float64()), math.Float64bits(want.Float64())
+			case 1:
+				a, w = uint64(got.Int31n(7)), uint64(want.Int31n(7))
+			case 2:
+				a, w = got.Uint64(), want.Uint64()
+			}
+			if a != w {
+				t.Fatalf("n %d after draw %d: twins diverged (%#x, %#x)", n, i, a, w)
+			}
+		}
+	}
+}
+
 // BenchmarkRand times one draw of each kind the delivery kernel and the
 // world build make, from Rand and from math/rand on the same seed.
 func BenchmarkRand(b *testing.B) {
@@ -94,6 +123,18 @@ func BenchmarkRand(b *testing.B) {
 		{"Int31n", func(r *Rand, n int) (s float64) {
 			for i := 0; i < n; i++ {
 				s += float64(r.Int31n(3))
+			}
+			return s
+		}, func(r *rand.Rand, n int) (s float64) {
+			for i := 0; i < n; i++ {
+				s += float64(r.Int31n(3))
+			}
+			return s
+		}},
+		{"Below", func(r *Rand, n int) (s float64) {
+			three := NewBound(3)
+			for i := 0; i < n; i++ {
+				s += float64(r.Below(three))
 			}
 			return s
 		}, func(r *rand.Rand, n int) (s float64) {

@@ -1,6 +1,7 @@
 package population
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"slices"
@@ -30,13 +31,13 @@ type builder struct {
 	rng     *mathrand.Rand // math/rand's stream for cfg.Seed, as a concrete type
 	cols    Columns
 	pending []candidate // matched, hashed, not yet probed; cap is the batch size
-	index   *piiIndex   // over cols.pii
+	index   *piiIndex   // over cols.pii; finish hands it to the population
 	zipIdx  map[string]uint16
 	// zipAt maps a generator ZIP position to its dictionary id, or -1 before
 	// the position's first kept row: each generator's table is a run of it,
 	// from the base zipTable returned (candidate.zipAt).
 	zipAt   []int32
-	scratch []byte // a voter's raw address, then its normalized PII message
+	scratch []byte // the PII message being hashed, reused voter to voter
 	touched int32  // what flush's touch pass read, kept so its loads are not dropped
 }
 
@@ -87,31 +88,32 @@ func newBuilder(cfg Config, expectedVoters, batch int) *builder {
 }
 
 // consume applies the match model to one registry record, flushing when
-// the pending buffer fills. Its address is copied into the builder's buffer
-// and hashed from there, as a generator draw's is (consumeDraw).
+// the pending buffer fills. A record can hold any text, so its PII is
+// normalised field by field (hashPIIRaw) in the builder's buffer.
 func (b *builder) consume(rec *voter.Record) error {
 	activity, ok := b.account(rec, rec.State)
 	if !ok {
 		return nil
 	}
-	return b.park(rec.FirstName, rec.LastName, append(b.scratch[:0], rec.Address...), candidate{
+	c := candidate{
 		rec: rec, zip: rec.ZIP, zipAt: -1, age: rec.Age(),
 		gender: rec.Gender, race: rec.Race, state: rec.State, activity: activity,
-	})
+	}
+	c.key, b.scratch = hashPIIRaw(rec.FirstName, rec.LastName, rec.Address, rec.ZIP, b.scratch)
+	return b.queue(c)
 }
 
 // consumeDraw is consume for a generator draw, which is never formatted:
-// its address is appended to the builder's buffer and its ID is not made.
-// zips is the base zipTable returned for the draw's generator.
+// its ID is not made, and its PII is hashed from the message the draw
+// writes already normalised (hashDraw).
 func (b *builder) consumeDraw(d *voter.Draw, zips int32) error {
 	activity, ok := b.account(d, d.State)
 	if !ok {
 		return nil
 	}
-	return b.park(d.FirstName, d.LastName, d.AppendAddress(b.scratch[:0]), candidate{
-		serial: d.Serial, zip: d.ZIP, zipAt: zips + int32(d.ZIPIndex()), age: d.Age(),
-		gender: d.Gender, race: d.Race, state: d.State, activity: activity,
-	})
+	var key [32]byte
+	key, b.scratch = hashDraw(d, b.scratch)
+	return b.queueDraw(d, &key, zips, activity)
 }
 
 // consumeHashed is consumeDraw for a draw whose PII digest the caller has
@@ -122,17 +124,24 @@ func (b *builder) consumeHashed(d *voter.Draw, key *[32]byte, zips int32) error 
 	if !ok {
 		return nil
 	}
+	return b.queueDraw(d, key, zips, activity)
+}
+
+// queueDraw parks a matched generator draw under its digest. zips is the
+// base zipTable returned for the draw's generator.
+func (b *builder) queueDraw(d *voter.Draw, key *[32]byte, zips int32, activity float64) error {
 	return b.queue(candidate{
 		key: *key, serial: d.Serial, zip: d.ZIP, zipAt: zips + int32(d.ZIPIndex()), age: d.Age(),
 		gender: d.Gender, race: d.Race, state: d.State, activity: activity,
 	})
 }
 
-// hashDraw computes a draw's PII digest as consumeDraw does: its street
-// address is appended to buf and hashed from there, and buf is returned for
-// reuse.
+// hashDraw computes a draw's PII digest over the message it writes into buf
+// (voter.Draw.AppendPIIMessage), which is the normalised message hashPIIRaw
+// would build from the voter's record, and returns buf for reuse.
 func hashDraw(d *voter.Draw, buf []byte) ([32]byte, []byte) {
-	return hashPIIAddress(d.FirstName, d.LastName, d.ZIP, d.AppendAddress(buf[:0]))
+	buf = d.AppendPIIMessage(buf[:0])
+	return sha256.Sum256(buf), buf
 }
 
 // account makes a voter's draws: whether it has an account and, if it has,
@@ -146,13 +155,6 @@ func (b *builder) account(v aged, st demo.State) (activity float64, ok bool) {
 		activity *= b.cfg.FLActivityBoost
 	}
 	return activity, true
-}
-
-// park hashes a matched voter's PII — address holds its raw street address,
-// in the builder's buffer — and queues the candidate.
-func (b *builder) park(first, last string, address []byte, c candidate) error {
-	c.key, b.scratch = hashPIIAddress(first, last, c.zip, address)
-	return b.queue(c)
 }
 
 // queue parks a hashed candidate, flushing when the pending buffer fills.
@@ -249,9 +251,9 @@ func (b *builder) keep(c *candidate) error {
 	return nil
 }
 
-// finish seals the columns. The dup-detection index is dropped here: it is
-// pure acceleration over the pii column, the first lookup rebuilds it,
-// and the steady-state population then pays only for its columns.
+// finish seals the columns and hands the dup-detection index to the
+// population as its PII index: it already maps every kept key to its row,
+// and compact keeps the rows in order, so its IDs stay valid.
 func (b *builder) finish() (*Population, error) {
 	if err := b.flush(); err != nil {
 		return nil, err
@@ -260,7 +262,7 @@ func (b *builder) finish() (*Population, error) {
 		return nil, fmt.Errorf("population: no users matched")
 	}
 	b.cols.compact()
-	return &Population{cols: b.cols}, nil
+	return &Population{cols: b.cols, index: b.index}, nil
 }
 
 // streamBuilder checks the inputs of a build from generator configurations

@@ -3,8 +3,12 @@ package population
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"strings"
 	"testing"
+
+	"github.com/adaudit/impliedidentity/internal/demo"
+	"github.com/adaudit/impliedidentity/internal/voter"
 )
 
 // naiveHashPII is the PII hash as the upload side computed it before it was
@@ -58,6 +62,47 @@ func FuzzHashPII(f *testing.F) {
 		}
 		if again, _ := hashPIIRaw(first, last, address, zip, scratch); again != raw {
 			t.Fatal("hashPIIRaw not deterministic under scratch reuse")
+		}
+	})
+}
+
+// FuzzDrawPII pins the message a generator draw writes already normalised
+// (voter.Draw.AppendPIIMessage, which Stream and BuildIndexed hash) to the
+// normaliser: for every voter of a generator over a fuzzed seed and state,
+// hashDraw's digest is hashPIIRaw's over the fields the voter's Record
+// carries. If they ever disagree, an upload of a generated registry's
+// records stops matching the accounts built from its draws.
+func FuzzDrawPII(f *testing.F) {
+	f.Add(int64(1), true)
+	f.Add(int64(2), false)
+	f.Add(int64(0), true)
+	f.Add(int64(-31), false)
+	f.Add(int64(math.MaxInt64), true)
+	f.Add(int64(math.MinInt64), false)
+	f.Fuzz(func(t *testing.T, seed int64, florida bool) {
+		state := demo.StateNC
+		if florida {
+			state = demo.StateFL
+		}
+		cfg := voter.DefaultGeneratorConfig(state, seed)
+		cfg.NumVoters = 500
+		g, err := voter.NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			d                     voter.Draw
+			msg, address, scratch []byte
+			got, want             [32]byte
+		)
+		for g.Draw(&d) {
+			got, msg = hashDraw(&d, msg)
+			address = d.AppendAddress(address[:0])
+			want, scratch = hashPIIRaw(d.FirstName, d.LastName, string(address), d.ZIP, scratch)
+			if got != want {
+				t.Fatalf("%v seed %d voter %d: message %q hashes to %x, the normalised record to %x (%q)",
+					state, seed, d.Serial, msg, got, want, scratch)
+			}
 		}
 	})
 }

@@ -27,7 +27,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"sync"
 	"unicode"
 	"unicode/utf8"
 
@@ -51,17 +50,17 @@ func HashPII(first, last, address, zip string) string {
 	return string(dst[:])
 }
 
-// appendNormalized appends lowercase(trimmed(s)) to buf without allocating,
-// for a field given as a string or as bytes. The field is copied in one move
-// and its ASCII bytes lower-cased in place; from the first byte that is not
-// ASCII, per-rune unicode.ToLower rewrites the rest. Both match strings.ToLower
-// over strings.TrimSpace byte for byte (ToLower has the same ASCII fast
-// path), including the U+FFFD replacement of invalid UTF-8.
-func appendNormalized[S string | []byte](buf []byte, s S) []byte {
+// appendNormalized appends lowercase(trimmed(s)) to buf without allocating.
+// The field is copied in one move and its ASCII bytes lower-cased in place;
+// from the first byte that is not ASCII, per-rune unicode.ToLower rewrites
+// the rest. Both match strings.ToLower over strings.TrimSpace byte for byte
+// (ToLower has the same ASCII fast path), including the U+FFFD replacement
+// of invalid UTF-8.
+func appendNormalized(buf []byte, s string) []byte {
 	for len(s) > 0 {
 		r, n := rune(s[0]), 1
 		if r >= utf8.RuneSelf {
-			r, n = decodeRune(s)
+			r, n = utf8.DecodeRuneInString(s)
 		}
 		if !isSpace(r) {
 			break
@@ -71,7 +70,7 @@ func appendNormalized[S string | []byte](buf []byte, s S) []byte {
 	for len(s) > 0 {
 		r, n := rune(s[len(s)-1]), 1
 		if r >= utf8.RuneSelf {
-			r, n = decodeLastRune(s)
+			r, n = utf8.DecodeLastRuneInString(s)
 		}
 		if !isSpace(r) {
 			break
@@ -84,10 +83,8 @@ func appendNormalized[S string | []byte](buf []byte, s S) []byte {
 	for i, c := range field {
 		if c >= utf8.RuneSelf {
 			buf = buf[:n+i]
-			for s = s[i:]; len(s) > 0; {
-				r, w := decodeRune(s)
+			for _, r := range s[i:] {
 				buf = utf8.AppendRune(buf, unicode.ToLower(r))
-				s = s[w:]
 			}
 			return buf
 		}
@@ -106,42 +103,19 @@ func isSpace(r rune) bool {
 	return unicode.IsSpace(r)
 }
 
-// decodeRune is utf8.DecodeRune for a string or bytes: a rune is at most
-// utf8.UTFMax bytes, so decoding a copy of them is decoding s.
-func decodeRune[S string | []byte](s S) (rune, int) {
-	var b [utf8.UTFMax]byte
-	return utf8.DecodeRune(b[:copy(b[:], s)])
-}
-
-// decodeLastRune is utf8.DecodeLastRune for a string or bytes.
-func decodeLastRune[S string | []byte](s S) (rune, int) {
-	var b [utf8.UTFMax]byte
-	return utf8.DecodeLastRune(b[:copy(b[:], s[max(0, len(s)-utf8.UTFMax):])])
-}
-
 // hashPIIRaw is the account-side PII hash: the same normalization contract
 // as HashPII, producing the raw 32-byte digest the pii column stores. The
-// address is copied into scratch and hashed from there, as the builder
-// hashes the address it writes into its own buffer; scratch is returned for
-// the next call.
+// normalized message is written into scratch, which is returned for the
+// next call.
 func hashPIIRaw(first, last, address, zip string, scratch []byte) ([32]byte, []byte) {
-	return hashPIIAddress(first, last, zip, append(scratch[:0], address...))
-}
-
-// hashPIIAddress hashes a voter's PII whose raw address is all of buf. The
-// normalized message is appended after the address, and buf, grown to hold
-// both, is returned for the next call.
-func hashPIIAddress(first, last, zip string, buf []byte) ([32]byte, []byte) {
-	address := buf
-	n := len(buf)
-	buf = appendNormalized(buf, first)
+	buf := appendNormalized(scratch[:0], first)
 	buf = append(buf, '|')
 	buf = appendNormalized(buf, last)
 	buf = append(buf, '|')
 	buf = appendNormalized(buf, address)
 	buf = append(buf, '|')
 	buf = appendNormalized(buf, zip)
-	return sha256.Sum256(buf[n:]), buf
+	return sha256.Sum256(buf), buf
 }
 
 // Config controls population construction.
@@ -181,17 +155,13 @@ func (c *Config) resolve() error {
 	return nil
 }
 
-// Population is the set of platform users in columnar form, indexed on
-// demand for Custom Audience matching.
+// Population is the set of platform users in columnar form, indexed by PII
+// digest for Custom Audience matching. It is immutable once built, so any
+// number of goroutines read it without a lock.
 type Population struct {
 	cols Columns
-
-	// mu guards index. The PII index is pure acceleration over the pii
-	// column: the builder drops its dup-detection table when construction
-	// finishes (steady state then pays only for the columns), and the first
-	// lookup — including the first after a platform Restore onto a freshly
-	// rebuilt world — rebuilds it (builtIndex).
-	mu    sync.Mutex
+	// index maps the pii column's digests to user IDs: the builder's
+	// dup-detection table, which holds every kept row (builder.finish).
 	index *piiIndex
 }
 
@@ -203,17 +173,9 @@ func (p *Population) Len() int { return p.cols.n }
 func (p *Population) View(i int) UserView { return UserView{c: &p.cols, i: int32(i)} }
 
 // MemoryBytes reports the retained storage of the columns plus the PII
-// index if it has been built — the quantity the bytes-per-user budget and
-// BENCH_population measure.
-func (p *Population) MemoryBytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	b := p.cols.bytes()
-	if p.index != nil {
-		b += p.index.bytes()
-	}
-	return b
-}
+// index — the quantity the bytes-per-user budget and BENCH_population
+// measure.
+func (p *Population) MemoryBytes() int64 { return p.cols.bytes() + p.index.bytes() }
 
 // PIIKey is a raw PII digest: what a 64-character hex hash on the wire
 // decodes to, and what the pii column stores.
@@ -249,31 +211,14 @@ func DecodePIIKey[S string | []byte](hash S) (key PIIKey, ok bool) {
 	return key, bad&0xf0 == 0
 }
 
-// builtIndex returns the PII index, (re)building it from the pii column on
-// first use. Once built it is never written again, so callers probe it
-// without holding mu.
-func (p *Population) builtIndex() *piiIndex {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.index == nil {
-		p.index = newPIIIndex(p.cols.n)
-		for i := 0; i < p.cols.n; i++ {
-			p.index.insert(int32(i), p.cols.pii)
-		}
-	}
-	return p.index
-}
-
 // MatchPII is the audience-upload match: the IDs of the users the keys
 // identify, in key order, each user once however often its key repeats;
-// keys that identify nobody are skipped. The whole batch is answered under
-// one acquisition of mu.
+// keys that identify nobody are skipped.
 func (p *Population) MatchPII(keys []PIIKey) []int32 {
-	ix := p.builtIndex()
 	seen := make([]uint64, (p.cols.n+63)/64)
 	members := make([]int32, 0, len(keys))
 	for i := range keys {
-		id := ix.lookup(&keys[i], p.cols.pii)
+		id := p.index.lookup(&keys[i], p.cols.pii)
 		if id < 0 || seen[id>>6]&(1<<(id&63)) != 0 {
 			continue
 		}

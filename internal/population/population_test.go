@@ -32,7 +32,7 @@ func (p *Population) LookupPII(hash string) (UserView, bool) {
 	if !ok {
 		return UserView{}, false
 	}
-	id := p.builtIndex().lookup(&key, p.cols.pii)
+	id := p.index.lookup(&key, p.cols.pii)
 	if id < 0 {
 		return UserView{}, false
 	}
@@ -246,9 +246,9 @@ func TestHashPIIProperty(t *testing.T) {
 	}
 }
 
-// TestLookupPIIConcurrentFirstUse: the builder drops the PII index when
-// construction finishes and LookupPII rebuilds it lazily on first use. The
-// rebuild must be safe and correct when the first uses arrive concurrently.
+// TestLookupPIIConcurrentFirstUse: the builder hands its PII index to the
+// population, which probes it without a lock. The first lookups of a fresh
+// population, arriving concurrently, must be safe and correct.
 func TestLookupPIIConcurrentFirstUse(t *testing.T) {
 	fl := testRegistry(t, demo.StateFL, 3000)
 	pop, err := Build(Config{Seed: 6}, fl)

@@ -70,7 +70,10 @@ func TestStreamErrors(t *testing.T) {
 // 1 race + 1 state + 2 zip index + 8 activity + 32 pii digest; the travel
 // probability is one value for every user), ×9/8 for the slack compact()
 // tolerates (51.75), plus a small allowance for the ZIP dictionary and slice
-// headers. The legacy struct layout retained ~190 bytes/user (80-byte
+// headers. The accounted bytes also hold the PII index the builder hands the
+// population (4-byte slots at ≤70 % load, its table sized for the voters
+// given): 55.0 B/user in this test's world, 48.2 of columns and 6.8 of
+// index. The legacy struct layout retained ~190 bytes/user (80-byte
 // struct, 64-byte heap hex key, ~50-byte map entry), so this asserts the
 // ≥3x reduction the columnar refactor exists for.
 const maxRetainedBytesPerUser = 56

@@ -80,6 +80,9 @@ type Draw struct {
 	Race      demo.Race
 	zip       uint16 // the ZIP's position in the generator's table (an Entry's ZIP id)
 	BirthYear int
+	// The name and street table entries, lowered (nameTable.lower), for
+	// AppendPIIMessage.
+	firstLower, lastLower, streetLower string
 }
 
 // ID formats the voter's state voter ID.
@@ -90,6 +93,24 @@ func (d *Draw) AppendAddress(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(d.StreetNum), 10)
 	b = append(b, ' ')
 	return append(b, d.Street...)
+}
+
+// AppendPIIMessage appends to b the message a voter's PII digest is taken
+// over, first|last|address|zip with every field normalised (lowered and
+// trimmed) as population.HashPII normalises a record's fields, written from
+// the generator's lowered tables: its street number and ZIP are digits, and
+// its table entries are lowered once, not per voter. The digest of this
+// message is the digest of the voter's Record (FuzzDrawPII).
+func (d *Draw) AppendPIIMessage(b []byte) []byte {
+	b = append(b, d.firstLower...)
+	b = append(b, '|')
+	b = append(b, d.lastLower...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(d.StreetNum), 10)
+	b = append(b, ' ')
+	b = append(b, d.streetLower...)
+	b = append(b, '|')
+	return append(b, d.ZIP...)
 }
 
 // ZIPIndex returns the position of the voter's ZIP in the generator's table
@@ -181,10 +202,10 @@ func (g *Generator) Draw(d *Draw) bool {
 	zi := g.zipPick.pick(rng.Float64() * g.zipPick.total)
 	z := &g.zips[zi]
 	gender := demo.GenderMale
-	gc := 'M'
+	firstNames := &maleFirstNames
 	if rng.Float64() < 0.5 {
 		gender = demo.GenderFemale
-		gc = 'F'
+		firstNames = &femaleFirstNames
 	}
 	race := demo.RaceWhite
 	if rng.Float64() < z.blackShare {
@@ -193,24 +214,27 @@ func (g *Generator) Draw(d *Draw) bool {
 	// The draws below happen in the struct-literal evaluation order of the
 	// original one-shot generator (first name, last name, street number,
 	// street, age) — reordering any of them would shift every later record.
-	firstName := randomFirstName(rng, gc)
-	lastName := randomLastName(rng)
-	streetNum := 1 + rng.Intn(9999)
-	street := randomStreet(rng)
+	firstName, firstLower := firstNames.pick(rng)
+	lastName, lastLower := lastNameTable.pick(rng)
+	streetNum := 1 + int(rng.Below(streetNumbers))
+	street, streetLower := streetTable.pick(rng)
 	age := sampleVoterAge(rng)
 	*d = Draw{
-		Serial:    g.i,
-		FirstName: firstName,
-		LastName:  lastName,
-		StreetNum: streetNum,
-		Street:    street,
-		City:      z.city,
-		State:     g.cfg.State,
-		ZIP:       z.code,
-		Gender:    gender,
-		Race:      race,
-		zip:       uint16(zi),
-		BirthYear: StudyYear - age,
+		Serial:      g.i,
+		FirstName:   firstName,
+		LastName:    lastName,
+		StreetNum:   streetNum,
+		Street:      street,
+		City:        z.city,
+		State:       g.cfg.State,
+		ZIP:         z.code,
+		Gender:      gender,
+		Race:        race,
+		zip:         uint16(zi),
+		BirthYear:   StudyYear - age,
+		firstLower:  firstLower,
+		lastLower:   lastLower,
+		streetLower: streetLower,
 	}
 	return true
 }
@@ -370,28 +394,41 @@ func (p *zipPicker) pick(t float64) int {
 	return i
 }
 
+// streetNumbers is the street-number draw's bound: numbers run 1..9999.
+var streetNumbers = mathrand.NewBound(9999)
+
 // sampleVoterAge draws an age from a distribution resembling registered-
 // voter files: adults only, skewing older. Bucket weights approximate the
 // relative registry sizes implied by Table 1 (older buckets are larger).
-var voterAgeBucketWeights = []struct {
-	bucket demo.AgeBucket
+var voterAgeBuckets = []voterAgeBucket{
+	newVoterAgeBucket(demo.Age18to24, 0.11),
+	newVoterAgeBucket(demo.Age25to34, 0.15),
+	newVoterAgeBucket(demo.Age35to44, 0.15),
+	newVoterAgeBucket(demo.Age45to54, 0.17),
+	newVoterAgeBucket(demo.Age55to64, 0.19),
+	newVoterAgeBucket(demo.Age65Plus, 0.23),
+}
+
+// voterAgeBucket is a bucket of sampleVoterAge: its weight, its youngest age
+// and its number of ages as a bounded draw.
+type voterAgeBucket struct {
 	weight float64
-}{
-	{demo.Age18to24, 0.11},
-	{demo.Age25to34, 0.15},
-	{demo.Age35to44, 0.15},
-	{demo.Age45to54, 0.17},
-	{demo.Age55to64, 0.19},
-	{demo.Age65Plus, 0.23},
+	lo     int
+	span   mathrand.Bound
+}
+
+func newVoterAgeBucket(b demo.AgeBucket, weight float64) voterAgeBucket {
+	lo, hi := b.Bounds()
+	return voterAgeBucket{weight: weight, lo: lo, span: mathrand.NewBound(int32(hi - lo + 1))}
 }
 
 func sampleVoterAge(rng *mathrand.Rand) int {
 	t := rng.Float64()
-	for _, w := range voterAgeBucketWeights {
-		t -= w.weight
+	for i := range voterAgeBuckets {
+		b := &voterAgeBuckets[i]
+		t -= b.weight
 		if t <= 0 {
-			lo, hi := w.bucket.Bounds()
-			return lo + rng.Intn(hi-lo+1)
+			return b.lo + int(rng.Below(b.span))
 		}
 	}
 	return 70

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
@@ -28,6 +29,27 @@ func TestFormattersMatchSprintf(t *testing.T) {
 			d := Draw{StreetNum: num, Street: street}
 			if got, want := string(d.AppendAddress(buf)), "kept "+fmt.Sprintf("%d %s", num, street); got != want {
 				t.Errorf("AppendAddress(%d, %q) = %q, want %q", num, street, got, want)
+			}
+		}
+	}
+}
+
+// TestLoweredTablesAreNormalized: every lowered table entry a draw's PII
+// message is written from is its raw entry as the PII normaliser leaves it,
+// strings.ToLower over strings.TrimSpace, and the tables pair up entry for
+// entry.
+func TestLoweredTablesAreNormalized(t *testing.T) {
+	for name, tab := range map[string]*nameTable{
+		"male first names": &maleFirstNames, "female first names": &femaleFirstNames,
+		"last names": &lastNameTable, "streets": &streetTable,
+	} {
+		if len(tab.lower) != len(tab.raw) {
+			t.Errorf("%s: %d lowered entries for %d raw", name, len(tab.lower), len(tab.raw))
+			continue
+		}
+		for i, raw := range tab.raw {
+			if want := strings.ToLower(strings.TrimSpace(raw)); tab.lower[i] != want {
+				t.Errorf("%s[%d]: lowered %q, want %q", name, i, tab.lower[i], want)
 			}
 		}
 	}

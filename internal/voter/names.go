@@ -1,6 +1,10 @@
 package voter
 
-import "github.com/adaudit/impliedidentity/internal/mathrand"
+import (
+	"strings"
+
+	"github.com/adaudit/impliedidentity/internal/mathrand"
+)
 
 // Name pools for the synthetic registries. The specific names carry no
 // signal — Custom Audience matching hashes them — but distinct, plausible
@@ -47,17 +51,35 @@ var (
 	}
 )
 
-func randomFirstName(rng *mathrand.Rand, g rune) string {
-	if g == 'F' {
-		return firstNamesFemale[rng.Intn(len(firstNamesFemale))]
+// nameTable is a pool the generator draws from, with what a draw of it needs
+// prepared once: the pool's size as a bounded draw, and every entry lowered
+// as the PII normaliser lowers it, so a draw's PII message is written from
+// the table (Draw.AppendPIIMessage) instead of normalised per voter. The
+// pools hold ASCII without surrounding spaces, where lowering is all the
+// normaliser does (TestLoweredTablesAreNormalized).
+type nameTable struct {
+	raw, lower []string
+	size       mathrand.Bound
+}
+
+func newNameTable(raw []string) nameTable {
+	t := nameTable{raw: raw, lower: make([]string, len(raw)), size: mathrand.NewBound(int32(len(raw)))}
+	for i, s := range raw {
+		t.lower[i] = strings.ToLower(s)
 	}
-	return firstNamesMale[rng.Intn(len(firstNamesMale))]
+	return t
 }
 
-func randomLastName(rng *mathrand.Rand) string {
-	return lastNames[rng.Intn(len(lastNames))]
+// pick draws an entry, rng.Intn(len(raw)) as the one-shot generator drew
+// it, and returns it raw and lowered.
+func (t *nameTable) pick(rng *mathrand.Rand) (raw, lower string) {
+	i := rng.Below(t.size)
+	return t.raw[i], t.lower[i]
 }
 
-func randomStreet(rng *mathrand.Rand) string {
-	return streetNames[rng.Intn(len(streetNames))]
-}
+var (
+	maleFirstNames   = newNameTable(firstNamesMale)
+	femaleFirstNames = newNameTable(firstNamesFemale)
+	lastNameTable    = newNameTable(lastNames)
+	streetTable      = newNameTable(streetNames)
+)
