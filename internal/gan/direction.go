@@ -154,15 +154,16 @@ type sgdGrad struct{ a, b, c, lr float64 }
 // preact is a sample's pre-activations under the three heads, and |x|².
 type preact struct{ a, b, c, xx float64 }
 
-// step applies sample x's weight update and, in the same pass over the
-// weights, accumulates the next sample's pre-activations onto z (which
-// arrives holding the biases): element j of every head is updated, then
-// multiplied into the next sample's sums, so those sums see the updated
+// stepGo is step in Go: it applies sample x's weight update and, in the same
+// pass over the weights, accumulates the next sample's pre-activations onto
+// z (which arrives holding the biases): element j of every head is updated,
+// then multiplied into the next sample's sums, so those sums see the updated
 // weights in ascending j exactly as a separate pass after the update would.
 // One loop instead of two halves the traffic over the weights and gives
 // the core the update's independent work to overlap with the four
-// latency-bound sums.
-func (s *sgdState) step(x, next []float64, g sgdGrad, z preact) preact {
+// latency-bound sums. It is step on every GOARCH without an assembly
+// kernel, and the amd64 kernel's path for an odd last element.
+func (s *sgdState) stepGo(x, next []float64, g sgdGrad, z preact) preact {
 	// Reslicing to len(x) lets the compiler drop the bounds checks below.
 	wa, wb, wc, va, vb := s.wa[:len(x)], s.wb[:len(x)], s.wc[:len(x)], s.va[:len(x)], s.vb[:len(x)]
 	next = next[:len(x)]

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/adaudit/impliedidentity/internal/face"
@@ -242,13 +243,48 @@ func TestFusedFitEqualsSingleFits(t *testing.T) {
 	}
 }
 
-// TestMatVecEqualsRowDots: the four-row blocked product equals one plain
-// dot per row, for row counts and widths around the block size, with and
-// without a bias.
+// rowDots is matVec's oracle: one plain dot per row, bias first, in
+// ascending j.
+func rowDots(out, bias, w, x []float64) {
+	for i := range out {
+		var s float64
+		if bias != nil {
+			s = bias[i]
+		}
+		for j, v := range x {
+			s += w[i*len(x)+j] * v
+		}
+		out[i] = s
+	}
+}
+
+// sameBits fails the test unless got and want hold the same float64 bit
+// patterns, the sign of zero included, where a NaN matches any NaN: when
+// both operands of an addition are NaNs, amd64 returns the destination's,
+// and which operand Go makes the destination is the compiler's choice (the
+// oracle compiled for fuzzing picks differently from the oracle compiled
+// for tests).
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i, v := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(v) && !(math.IsNaN(got[i]) && math.IsNaN(v)) {
+			t.Fatalf("%s[%d] = %v (%#016x), oracle %v (%#016x)", what, i, got[i], math.Float64bits(got[i]), v, math.Float64bits(v))
+		}
+	}
+}
+
+// TestMatVecEqualsRowDots: the blocked product (eight-row and four-row
+// blocks, sliding back over rows already done) equals one plain dot per row,
+// bit for bit, for row counts on and around every block edge and the
+// pipeline's widths, with and without a bias.
 func TestMatVecEqualsRowDots(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, rows := range []int{1, 3, 4, 5, 11, 24} {
-		for _, fanIn := range []int{1, 6, 64} {
+	rowCounts := []int{24, 64}
+	for r := 1; r <= 17; r++ {
+		rowCounts = append(rowCounts, r)
+	}
+	for _, rows := range rowCounts {
+		for _, fanIn := range []int{1, 2, 7, 64, 512, 1152} {
 			w := make([]float64, rows*fanIn)
 			for i := range w {
 				w[i] = rng.NormFloat64()
@@ -262,23 +298,192 @@ func TestMatVecEqualsRowDots(t *testing.T) {
 				bias[i] = rng.NormFloat64()
 			}
 			for _, b := range [][]float64{nil, bias} {
-				out := make([]float64, rows)
-				matVec(out, b, w, x)
-				for i := range out {
-					var s float64
-					if b != nil {
-						s = b[i]
-					}
-					for j, v := range x {
-						s += w[i*fanIn+j] * v
-					}
-					if out[i] != s {
-						t.Fatalf("rows %d fanIn %d bias %v: row %d = %v, plain dot %v", rows, fanIn, b != nil, i, out[i], s)
-					}
-				}
+				got, want := make([]float64, rows), make([]float64, rows)
+				matVec(got, b, w, x)
+				rowDots(want, b, w, x)
+				sameBits(t, fmt.Sprintf("rows %d fanIn %d bias %v: out", rows, fanIn, b != nil), got, want)
 			}
 		}
 	}
+}
+
+// oracleStep is sgdState.step as it stood before the amd64 kernel, moved
+// here verbatim (name aside) as the oracle the kernel is compared against.
+func (s *sgdState) oracleStep(x, next []float64, g sgdGrad, z preact) preact {
+	// Reslicing to len(x) lets the compiler drop the bounds checks below.
+	wa, wb, wc, va, vb := s.wa[:len(x)], s.wb[:len(x)], s.wc[:len(x)], s.va[:len(x)], s.vb[:len(x)]
+	next = next[:len(x)]
+	mom, l2, n := s.mom, s.l2, s.n
+	for j, v := range x {
+		grad := g.a*v + l2*wa[j]
+		va[j] = mom*va[j] - g.lr*grad
+		wa[j] += va[j]
+		grad = g.b*v + l2*wb[j]
+		vb[j] = mom*vb[j] - g.lr*grad
+		wb[j] += vb[j]
+		wc[j] -= lrLin * (g.c*v + l2*wc[j]/n)
+		u := next[j]
+		z.a += wa[j] * u
+		z.b += wb[j] * u
+		z.c += wc[j] * u
+		z.xx += u * u
+	}
+	return z
+}
+
+// stepCase is one step's operands: a state (weights, velocities and the
+// scalars), the sample and the next sample, the gradients and the sums.
+type stepCase struct {
+	s       sgdState
+	x, next []float64
+	g       sgdGrad
+	z       preact
+}
+
+// newStepCase draws a dim-element case, every value from draw.
+func newStepCase(dim int, draw func() float64) stepCase {
+	vec := func() []float64 {
+		v := make([]float64, dim)
+		for i := range v {
+			v[i] = draw()
+		}
+		return v
+	}
+	return stepCase{
+		s: sgdState{wa: vec(), wb: vec(), wc: vec(), va: vec(), vb: vec(),
+			mom: draw(), l2: draw(), n: draw()},
+		x: vec(), next: vec(),
+		g: sgdGrad{a: draw(), b: draw(), c: draw(), lr: draw()},
+		z: preact{a: draw(), b: draw(), c: draw(), xx: draw()},
+	}
+}
+
+// check runs step (the kernel) and oracleStep on two copies of the case
+// and compares every weight, every velocity and the four sums bit for bit.
+func (c stepCase) check(t *testing.T, what string) {
+	t.Helper()
+	copyState := func() sgdState {
+		s := c.s
+		s.wa, s.wb, s.wc = slices.Clone(s.wa), slices.Clone(s.wb), slices.Clone(s.wc)
+		s.va, s.vb = slices.Clone(s.va), slices.Clone(s.vb)
+		return s
+	}
+	kernel, oracle := copyState(), copyState()
+	got := kernel.step(c.x, c.next, c.g, c.z)
+	want := oracle.oracleStep(c.x, c.next, c.g, c.z)
+	for _, v := range []struct {
+		name      string
+		got, want []float64
+	}{
+		{"wa", kernel.wa, oracle.wa}, {"wb", kernel.wb, oracle.wb}, {"wc", kernel.wc, oracle.wc},
+		{"va", kernel.va, oracle.va}, {"vb", kernel.vb, oracle.vb},
+		{"sums (a, b, c, xx)", []float64{got.a, got.b, got.c, got.xx}, []float64{want.a, want.b, want.c, want.xx}},
+	} {
+		sameBits(t, what+": "+v.name, v.got, v.want)
+	}
+}
+
+// specialFloats are the IEEE values a kernel can get wrong where ordinary
+// ones agree: signed zeros, subnormals, values near overflow, infinities and
+// NaNs with different payloads (a signalling one among them).
+var specialFloats = []float64{
+	0, math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310, -3e-320, 0x1p-1022,
+	math.MaxFloat64, -math.MaxFloat64, 1e308, -1.7e308,
+	math.Inf(1), math.Inf(-1),
+	math.NaN(), math.Float64frombits(0xfff8000000000123), math.Float64frombits(0x7ff0000000000001),
+}
+
+// TestStepEqualsPlainLoop: the fused SGD step equals the loop it replaced,
+// bit for bit, at odd and even dimensions around the pipeline's 1152, on
+// ordinary values, on a realistic state, and with a share of special values.
+func TestStepEqualsPlainLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, dim := range []int{1, 2, 3, 1151, 1152, 1153} {
+		for _, share := range []float64{0, 0.02, 0.3} {
+			draw := func() float64 {
+				if rng.Float64() < share {
+					return specialFloats[rng.Intn(len(specialFloats))]
+				}
+				return rng.NormFloat64()
+			}
+			for trial := 0; trial < 4; trial++ {
+				c := newStepCase(dim, draw)
+				if trial == 0 {
+					// fitDirections' own scalars: default options, 2000 samples.
+					c.s.mom, c.s.l2, c.s.n, c.g.lr = 0.9, 1e-3, 2000, 0.5
+				}
+				c.check(t, fmt.Sprintf("dim %d share %v trial %d", dim, share, trial))
+			}
+		}
+	}
+}
+
+// fuzzFloats reads float64 bit patterns from data's 8-byte words (the last
+// one zero-padded), cycling from *at; with no data every value is zero.
+func fuzzFloats(data []byte, at *int, n int) []float64 {
+	out := make([]float64, n)
+	words := (len(data) + 7) / 8
+	for i := range out {
+		if words == 0 {
+			break
+		}
+		var w [8]byte
+		k := (*at % words) * 8
+		copy(w[:], data[k:])
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(w[:]))
+		*at++
+	}
+	return out
+}
+
+// fuzzSeeds adds seed inputs whose words are the special values, ordinary
+// values, and both mixed.
+func fuzzSeeds(add func(data []byte)) {
+	word := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	add(word(specialFloats...))
+	add(word(0.1, -1.7, 1.0/3, 0.9, 1e-3, 2000, -0.45, 7.3, 2.0/7, -2.2, 0.6, 1.9, -0.3))
+	add(word(append([]float64{1.5, -0.5, 2.5}, specialFloats[5:]...)...))
+}
+
+func FuzzMatVecKernel(f *testing.F) {
+	fuzzSeeds(func(data []byte) {
+		for _, shape := range [][2]uint8{{1, 1}, {4, 7}, {11, 64}, {13, 3}, {64, 0}} {
+			f.Add(shape[0], shape[1], true, data)
+		}
+	})
+	f.Fuzz(func(t *testing.T, rows, fanIn uint8, biased bool, data []byte) {
+		r, k := int(rows%64)+1, int(fanIn)
+		at := 0
+		w, x := fuzzFloats(data, &at, r*k), fuzzFloats(data, &at, k)
+		var bias []float64
+		if biased {
+			bias = fuzzFloats(data, &at, r)
+		}
+		got, want := make([]float64, r), make([]float64, r)
+		matVec(got, bias, w, x)
+		rowDots(want, bias, w, x)
+		sameBits(t, fmt.Sprintf("rows %d fanIn %d bias %v: out", r, k, biased), got, want)
+	})
+}
+
+func FuzzStepKernel(f *testing.F) {
+	fuzzSeeds(func(data []byte) {
+		for _, dim := range []uint16{1, 2, 3, 8, 41} {
+			f.Add(dim, data)
+		}
+	})
+	f.Fuzz(func(t *testing.T, dim uint16, data []byte) {
+		d := int(dim%1200) + 1
+		at := 0
+		newStepCase(d, func() float64 { return fuzzFloats(data, &at, 1)[0] }).check(t, fmt.Sprintf("dim %d", d))
+	})
 }
 
 // TestTuneAllocatesOnlyTheWinner: a tune call scans 86 candidates; it must

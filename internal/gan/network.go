@@ -102,12 +102,14 @@ func New(cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// matVec computes out[i] = bias[i] + Σ_j w[i*len(x)+j]·x[j] for a row-major
+// matVecGo computes out[i] = bias[i] + Σ_j w[i*len(x)+j]·x[j] for a row-major
 // matrix w; a nil bias starts every sum at zero. Four output rows share one
 // pass over x, so the loop carries four independent dependency chains and
 // reads x once per block instead of once per row; each sum still receives
-// its addends in ascending j (DESIGN.md, "Order-preserving kernels").
-func matVec(out, bias, w, x []float64) {
+// its addends in ascending j (DESIGN.md, "Order-preserving kernels"). It is
+// matVec on every GOARCH without an assembly kernel, and the amd64 kernel's
+// path for fewer than four rows.
+func matVecGo(out, bias, w, x []float64) {
 	rows, fanIn := len(out), len(x)
 	start := func(i int) float64 {
 		if bias == nil {
