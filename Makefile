@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-json fmt vet adlint loc bench-layers
+.PHONY: build test race lint fmt vet adlint loc bench-layers
 
 build:
 	$(GO) build ./...
@@ -23,12 +23,6 @@ vet:
 
 adlint:
 	$(GO) run ./cmd/adlint ./...
-
-# lint-json emits the adlint findings as a JSON array (file/line/column/
-# analyzer/message) — the same stream CI converts into GitHub problem
-# annotations. Exit status matches `make adlint`.
-lint-json:
-	$(GO) run ./cmd/adlint -json ./...
 
 # loc prints the per-package non-test .go line table (bench/ and testdata/
 # excluded) that subtraction PRs cite in CHANGES.md for parent and change.

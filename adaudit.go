@@ -159,35 +159,17 @@ func FormatFigure7(race []Fig7RacePoint, gender []Fig7GenderPoint) string {
 	return report.Figure7(race, gender)
 }
 
-// FormatValidation renders the Figure 2 methodology-validation summary.
-func FormatValidation(res *ValidationResult) string { return report.Figure2Validation(res) }
-
 // FormatPovertySummary renders the Appendix A context numbers.
 func FormatPovertySummary(res *PovertyResult) string { return report.PovertySummary(res) }
 
 // WriteDeliveriesCSV writes per-ad delivery measurements as CSV.
 func WriteDeliveriesCSV(w io.Writer, ds []Delivery) error { return report.DeliveriesCSV(w, ds) }
 
-// FormatObjectives renders the E13 objective comparison.
-func FormatObjectives(res *ObjectiveComparisonResult) string { return report.Objectives(res) }
-
-// FormatGroupPhotos renders the E14 group-photo result.
-func FormatGroupPhotos(res *GroupPhotoResult) string { return report.GroupPhotos(res) }
-
-// FormatLookalike renders the E15 lookalike result.
-func FormatLookalike(res *LookalikeResult) string { return report.Lookalike(res) }
-
-// FormatFeedbackLoop renders the E16 feedback-loop result.
-func FormatFeedbackLoop(res *FeedbackLoopResult) string { return report.FeedbackLoop(res) }
-
 // ShapeChecks evaluates the paper's headline findings programmatically
 // against the reproduction's results. Nil inputs skip their checks.
 func ShapeChecks(stock, capped *StockResult, syn *SyntheticResult, emp *EmploymentResult, pov *PovertyResult, val *ValidationResult) []Check {
 	return core.ShapeChecks(stock, capped, syn, emp, pov, val)
 }
-
-// AllPass reports whether every check passed.
-func AllPass(checks []Check) bool { return core.AllPass(checks) }
 
 // AuditPower returns the probability that an audit design detects a skew of
 // the given size (analytic two-proportion model).
@@ -198,6 +180,3 @@ func AuditPower(o PowerOptions) (float64, error) { return core.AuditPower(o) }
 func MinimumPairs(o PowerOptions, targetPower float64) (int, error) {
 	return core.MinimumPairs(o, targetPower)
 }
-
-// FormatChecklist renders shape-verification results.
-func FormatChecklist(checks []Check) string { return report.Checklist(checks) }

@@ -684,7 +684,7 @@ func BenchmarkExtensionLookalike(b *testing.B) {
 	b.ResetTimer()
 	var lift float64
 	for i := 0; i < b.N; i++ {
-		res, err := lab.RunLookalikeExperiment(1200, 1500, 18000+10*int64(i))
+		res, err := lab.RunLookalikeExperiment(18000 + 10*int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -694,7 +694,7 @@ func BenchmarkExtensionLookalike(b *testing.B) {
 }
 
 // BenchmarkExtensionFeedback regenerates the E16 feedback-loop experiment
-// (two rounds on a dedicated world — retraining mutates the platform).
+// (four rounds on a dedicated world — retraining mutates the platform).
 func BenchmarkExtensionFeedback(b *testing.B) {
 	b.ResetTimer()
 	var finalCoef float64
@@ -703,7 +703,7 @@ func BenchmarkExtensionFeedback(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := lab.RunFeedbackLoop(2, 19100+int64(i))
+		res, err := lab.RunFeedbackLoop(19100 + int64(i))
 		lab.Close()
 		if err != nil {
 			b.Fatal(err)

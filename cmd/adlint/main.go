@@ -3,21 +3,20 @@
 //
 // Usage:
 //
-//	go run ./cmd/adlint [-json] [packages]
+//	go run ./cmd/adlint [packages]
 //
 // With no package arguments it analyzes ./... from the current directory.
-// The process exits 1 when any diagnostic is reported and 2 on usage or
-// load errors, mirroring go vet. -json switches the output to a single JSON
-// array of findings on stdout for machine consumers (CI annotation,
-// editors); exit codes are unchanged. Every finding names its analyzer, so
-// one analyzer's findings are a filter on that column. Findings are
-// suppressed per line with //adlint:allow annotations; see the adlint
-// package documentation for the grammar and the invariant each analyzer
-// enforces.
+// Each finding is one line, file:line:col: analyzer: message, with the path
+// relative to the current directory; CI reads these lines through the
+// problem matcher in .github/adlint-matcher.json. The process exits 1 when
+// any diagnostic is reported and 2 on usage or load errors, mirroring go
+// vet. Every finding names its analyzer, so one analyzer's findings are a
+// filter on that column. Findings are suppressed per line with
+// //adlint:allow annotations; see the adlint package documentation for the
+// grammar and the invariant each analyzer enforces.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -26,17 +25,6 @@ import (
 
 	"github.com/adaudit/impliedidentity/internal/analysis/adlint"
 )
-
-// jsonFinding is the machine-readable shape of one diagnostic. Fields are
-// stable: CI's problem-matcher step and the Makefile lint-json target
-// consume them.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
 
 func main() {
 	dir, err := os.Getwd()
@@ -52,11 +40,7 @@ func main() {
 func run(dir string, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("adlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	asJSON := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: adlint [-json] [packages]\n")
-		fs.PrintDefaults()
-	}
+	fs.Usage = func() { fmt.Fprintf(stderr, "usage: adlint [packages]\n") }
 	if err := fs.Parse(args); err == flag.ErrHelp {
 		return 0
 	} else if err != nil {
@@ -74,26 +58,12 @@ func run(dir string, args []string, stdout, stderr io.Writer) int {
 	}
 
 	diags := adlint.Run(pkgs, adlint.All())
-	findings := make([]jsonFinding, len(diags))
-	for i, d := range diags {
+	for _, d := range diags {
 		file := d.Pos.Filename
 		if rel, err := filepath.Rel(dir, file); err == nil {
 			file = rel
 		}
-		findings[i] = jsonFinding{file, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message}
-	}
-
-	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(stderr, "adlint:", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", f.File, f.Line, f.Column, f.Analyzer, f.Message)
-		}
+		fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", file, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "adlint: %d finding(s) across %d package(s)\n", len(diags), len(pkgs))

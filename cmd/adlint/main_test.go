@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -13,17 +15,31 @@ import (
 )
 
 // TestRun holds the command to what CI's annotation step reads: the exit
-// status, vet-style lines with paths relative to the working directory, and
-// the five JSON fields of each finding.
+// status, and one line per finding that the problem matcher in
+// .github/adlint-matcher.json parses back into the finding's file (relative
+// to the working directory), line, column, analyzer and message.
 func TestRun(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyzers := map[string]bool{}
-	for _, a := range adlint.All() {
-		analyzers[a.Name] = true
+	raw, err := os.ReadFile(filepath.Join(root, ".github", "adlint-matcher.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
+	var matcher struct {
+		ProblemMatcher []struct {
+			Pattern []struct {
+				Regexp                            string
+				File, Line, Column, Code, Message int
+			}
+		}
+	}
+	if err := json.Unmarshal(raw, &matcher); err != nil || len(matcher.ProblemMatcher) != 1 || len(matcher.ProblemMatcher[0].Pattern) != 1 {
+		t.Fatalf("adlint-matcher.json: want one matcher with one pattern, got %s (%v)", raw, err)
+	}
+	pat := matcher.ProblemMatcher[0].Pattern[0]
+	re := regexp.MustCompile(pat.Regexp)
 	for _, tc := range []struct {
 		fixture  string
 		analyzer string // the analyzer the fixture violates; "" for a clean one
@@ -47,50 +63,38 @@ func TestRun(t *testing.T) {
 			if code := run(root, []string{"./" + dir}, &text, &stderr); code != want {
 				t.Fatalf("exit %d, want %d; stderr %q", code, want, stderr.String())
 			}
-			line := regexp.MustCompile(`^` + regexp.QuoteMeta(dir) + `/\w+\.go:\d+:\d+: (\w+): .+$`)
+			pkgs, err := adlint.Load(root, []string{"./" + dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			diags := adlint.Run(pkgs, adlint.All())
 			lines := strings.FieldsFunc(text.String(), func(r rune) bool { return r == '\n' })
+			if len(lines) != len(diags) {
+				t.Fatalf("%d lines for %d findings: %q", len(lines), len(diags), text.String())
+			}
 			seen := false
-			for _, l := range lines {
-				m := line.FindStringSubmatch(l)
-				if m == nil || !analyzers[m[1]] {
-					t.Fatalf("line %q is not file:line:col: analyzer: message under %s", l, dir)
+			for i, l := range lines {
+				m := re.FindStringSubmatch(l)
+				if m == nil {
+					t.Fatalf("the matcher does not parse %q", l)
 				}
-				seen = seen || m[1] == tc.analyzer
+				d := diags[i]
+				got := []string{m[pat.File], m[pat.Line], m[pat.Column], m[pat.Code], m[pat.Message]}
+				wantFields := []string{dir + "/" + filepath.Base(d.Pos.Filename), fmt.Sprint(d.Pos.Line), fmt.Sprint(d.Pos.Column), d.Analyzer, d.Message}
+				if !reflect.DeepEqual(got, wantFields) {
+					t.Errorf("the matcher reads %q as %q, want %q", l, got, wantFields)
+				}
+				seen = seen || d.Analyzer == tc.analyzer
 			}
 			if tc.analyzer != "" && !seen {
 				t.Errorf("no %s finding in %q", tc.analyzer, text.String())
-			}
-
-			var out bytes.Buffer
-			stderr.Reset()
-			if code := run(root, []string{"-json", "./" + dir}, &out, &stderr); code != want {
-				t.Fatalf("-json: exit %d, want %d; stderr %q", code, want, stderr.String())
-			}
-			if tc.analyzer == "" && strings.TrimSpace(out.String()) != "[]" {
-				t.Fatalf("-json on a clean package printed %q, want []", out.String())
-			}
-			var findings []map[string]any
-			if err := json.Unmarshal(out.Bytes(), &findings); err != nil {
-				t.Fatalf("-json output %q: %v", out.String(), err)
-			}
-			if len(findings) != len(lines) {
-				t.Fatalf("-json gave %d findings, the text %d", len(findings), len(lines))
-			}
-			for i, f := range findings {
-				if len(f) != 5 {
-					t.Fatalf("finding %v: want the fields file, line, column, analyzer, message", f)
-				}
-				got := fmt.Sprintf("%v:%v:%v: %v: %v", f["file"], f["line"], f["column"], f["analyzer"], f["message"])
-				if got != lines[i] {
-					t.Errorf("finding %d: JSON renders as %q, the text line is %q", i, got, lines[i])
-				}
 			}
 		})
 	}
 
 	t.Run("load error", func(t *testing.T) {
 		var out, stderr bytes.Buffer
-		if code := run(root, []string{"-json", "./internal/analysis/testdata/src/nosuch"}, &out, &stderr); code != 2 {
+		if code := run(root, []string{"./internal/analysis/testdata/src/nosuch"}, &out, &stderr); code != 2 {
 			t.Fatalf("exit %d, want 2; stderr %q", code, stderr.String())
 		}
 		if out.Len() != 0 || !strings.HasPrefix(stderr.String(), "adlint: ") {

@@ -20,27 +20,36 @@ type AdSpec struct {
 
 // CampaignConfig configures one controlled campaign.
 type CampaignConfig struct {
-	Name        string
-	Objective   string // marketing-API objective; default TRAFFIC
-	Special     string // special ad category; default NONE
-	BudgetCents int    // per-ad daily budget; the paper used $2.00-$3.50
-	AgeMax      int    // 0 = no age limit; Campaign 2/3 used 45/44
-	AccountAge  int    // ad-account creation year (Table 2 note)
+	Name        string // non-empty
+	Objective   string // marketing-API objective; "" means TRAFFIC
+	Special     string // special ad category; "" means NONE (the platform's reading)
+	BudgetCents int    // per-ad daily budget, positive; the paper used $2.00-$3.50
+	AgeMax      int    // 0 = no age limit, else at least 18; Campaign 2/3 used 45/44
+	AccountAge  int    // ad-account creation year (Table 2 note); 0 means 2019
 	Seed        int64  // delivery seed
-	Headline    string
-	Body        string
-	LinkURL     string
+	Headline    string // "" means the project-management career headline
+	LinkURL     string // "" means the career-guide URL
 }
 
-func (c *CampaignConfig) setDefaults() {
+// resolve refuses a value the campaign cannot run with, naming the field,
+// and writes the stated zeros out. It makes no request; an unknown Objective
+// or Special is the platform's to refuse, at the campaign's first request,
+// which creates nothing.
+func (c *CampaignConfig) resolve() error {
+	if c.Name == "" {
+		return fmt.Errorf("core: CampaignConfig.Name is empty")
+	}
 	if c.Objective == "" {
 		c.Objective = "TRAFFIC"
 	}
-	if c.Special == "" {
-		c.Special = "NONE"
+	if c.BudgetCents <= 0 {
+		return fmt.Errorf("core: campaign %q: BudgetCents %d is not positive", c.Name, c.BudgetCents)
 	}
-	if c.BudgetCents == 0 {
-		c.BudgetCents = 200
+	if c.AgeMax < 0 || c.AgeMax > 0 && c.AgeMax < 18 {
+		return fmt.Errorf("core: campaign %q: AgeMax %d is neither 0 nor an adult age", c.Name, c.AgeMax)
+	}
+	if c.AccountAge < 0 {
+		return fmt.Errorf("core: campaign %q: AccountAge %d is negative", c.Name, c.AccountAge)
 	}
 	if c.AccountAge == 0 {
 		c.AccountAge = 2019
@@ -51,6 +60,7 @@ func (c *CampaignConfig) setDefaults() {
 	if c.LinkURL == "" {
 		c.LinkURL = "https://example.edu/project-management-career-guide"
 	}
+	return nil
 }
 
 // AdRun is the outcome for one AdSpec: the two copies (primary and reversed
@@ -129,10 +139,12 @@ func (c *CampaignRun) AdCount() int { return 2 * len(c.Ads) }
 // the same budget, lets them deliver for one simulated day, and collects
 // insights. Rejected copies are carried through with nil insights.
 func (l *Lab) RunPairedCampaign(cfg CampaignConfig, specs []AdSpec, auds SplitAudiences) (*CampaignRun, error) {
+	if err := cfg.resolve(); err != nil {
+		return nil, err
+	}
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: campaign %q has no ads", cfg.Name)
 	}
-	cfg.setDefaults()
 	cmp, err := l.Client.CreateCampaign(context.Background(), marketing.CreateCampaignRequest{
 		Name:              cfg.Name,
 		Objective:         cfg.Objective,
@@ -160,7 +172,6 @@ func (l *Lab) RunPairedCampaign(cfg CampaignConfig, specs []AdSpec, auds SplitAu
 				Creative: marketing.WireCreative{
 					Image:    marketing.WireImageFrom(spec.Image),
 					Headline: cfg.Headline,
-					Body:     cfg.Body,
 					LinkURL:  cfg.LinkURL,
 				},
 				Targeting: marketing.WireTargeting{

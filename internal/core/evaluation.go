@@ -239,7 +239,7 @@ func (e *Evaluation) GroupPhotos() (*GroupPhotoResult, error) {
 func (e *Evaluation) Lookalike() (*LookalikeResult, error) {
 	return step(e, &e.lookalike, "running E15: lookalike expansion from a Black-voter seed...",
 		func(l *Lab) (*LookalikeResult, error) {
-			return l.RunLookalikeExperiment(1200, 1500, e.Seed+seedLookalike)
+			return l.RunLookalikeExperiment(e.Seed + seedLookalike)
 		})
 }
 
@@ -283,7 +283,7 @@ func (e *Evaluation) Ablate(group int, cfg LabConfig, read func(l *Lab, seed int
 func (e *Evaluation) Feedback() (*FeedbackLoopResult, error) {
 	e.logf("running E16: retraining the delivery model on its own served impressions...\n")
 	return sideLab(e, seedFeedback, LabConfig{}, func(l *Lab, seed int64) (*FeedbackLoopResult, error) {
-		return l.RunFeedbackLoop(4, seed)
+		return l.RunFeedbackLoop(seed)
 	})
 }
 

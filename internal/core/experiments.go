@@ -13,9 +13,9 @@ import (
 
 // StockExperimentOptions configures the §5.2/§5.3 stock-photo campaigns.
 type StockExperimentOptions struct {
-	PerPerson   int // photos per demographic combination (paper: 5)
-	BudgetCents int // per-ad daily budget (paper: 200 all-ages, 350 age-capped)
-	AgeMax      int // 0 = all ages (Campaign 1); 45 = Campaign 2
+	PerPerson   int // photos per demographic combination; 0 means the paper's 5
+	BudgetCents int // per-ad daily budget; 0 means 200 (paper: 200 all ages, 350 age-capped)
+	AgeMax      int // 0 = no age limit (Campaign 1); 45 = Campaign 2
 	Seed        int64
 }
 
@@ -38,20 +38,24 @@ func (l *Lab) RunStockExperiment(opt StockExperimentOptions) (*StockResult, erro
 	if opt.BudgetCents == 0 {
 		opt.BudgetCents = 200
 	}
-	specs, err := StockSpecs(opt.PerPerson, opt.Seed+10)
-	if err != nil {
-		return nil, err
-	}
 	name := "Campaign 1 (stock, all ages)"
 	if opt.AgeMax > 0 {
 		name = fmt.Sprintf("Campaign 2 (stock, age<=%d)", opt.AgeMax)
 	}
-	run, ds, err := l.runSplit(CampaignConfig{
+	cfg := CampaignConfig{
 		Name:        name,
 		BudgetCents: opt.BudgetCents,
 		AgeMax:      opt.AgeMax,
 		Seed:        opt.Seed + 12,
-	}, specs, fmt.Sprintf("stock-agemax%d", opt.AgeMax), opt.Seed+11)
+	}
+	if err := cfg.resolve(); err != nil {
+		return nil, err
+	}
+	specs, err := StockSpecs(opt.PerPerson, opt.Seed+10)
+	if err != nil {
+		return nil, err
+	}
+	run, ds, err := l.runSplit(cfg, specs, fmt.Sprintf("stock-agemax%d", opt.AgeMax), opt.Seed+11)
 	if err != nil {
 		return nil, err
 	}
@@ -66,12 +70,10 @@ func (l *Lab) RunStockExperiment(opt StockExperimentOptions) (*StockResult, erro
 	return &StockResult{Run: run, Deliveries: ds, Table3: Table3(ds), Table4: t4}, nil
 }
 
-// SyntheticExperimentOptions configures the §5.5 StyleGAN campaign.
+// SyntheticExperimentOptions configures the §5.5 StyleGAN campaign: 5
+// synthetic people × 20 variants at 200¢ an ad, audience aged ≤ 44.
 type SyntheticExperimentOptions struct {
-	Sources          int // distinct synthetic people (paper: 5)
-	DiscoverySamples int // faces sampled for direction fitting (paper: 50,000)
-	BudgetCents      int
-	AgeMax           int // paper: 44
+	DiscoverySamples int // faces sampled for direction fitting, at least 50 (paper: 50,000)
 	Seed             int64
 }
 
@@ -97,30 +99,18 @@ type SyntheticResult struct {
 // RunSyntheticExperiment builds the synthetic pipeline, generates the
 // variant grid, and runs Campaign 3.
 func (l *Lab) RunSyntheticExperiment(opt SyntheticExperimentOptions) (*SyntheticResult, error) {
-	if opt.Sources == 0 {
-		opt.Sources = 5
-	}
-	if opt.DiscoverySamples == 0 {
-		opt.DiscoverySamples = 20000
-	}
-	if opt.BudgetCents == 0 {
-		opt.BudgetCents = 200
-	}
-	if opt.AgeMax == 0 {
-		opt.AgeMax = 44
-	}
 	sp, err := NewSyntheticPipeline(opt.DiscoverySamples, opt.Seed+20)
 	if err != nil {
 		return nil, err
 	}
-	specs, err := sp.SyntheticSpecs(opt.Sources)
+	specs, err := sp.SyntheticSpecs(5)
 	if err != nil {
 		return nil, err
 	}
 	run, ds, err := l.runSplit(CampaignConfig{
 		Name:        "Campaign 3 (synthetic)",
-		BudgetCents: opt.BudgetCents,
-		AgeMax:      opt.AgeMax,
+		BudgetCents: 200,
+		AgeMax:      44,
 		Seed:        opt.Seed + 22,
 	}, specs, "synthetic", opt.Seed+21)
 	if err != nil {
@@ -147,10 +137,13 @@ func (l *Lab) RunSyntheticExperiment(opt SyntheticExperimentOptions) (*Synthetic
 	return &SyntheticResult{Pipeline: sp, Run: run, Deliveries: ds, Table4: t4, Sweep: sweep}, nil
 }
 
-// EmploymentExperimentOptions configures the §6 real-world campaign.
+// EmploymentExperimentOptions configures the §6 real-world campaign: 11
+// jobs × 4 implied identities at 246¢ an ad (the paper's $216.71 over 88
+// ads).
 type EmploymentExperimentOptions struct {
+	// DiscoverySamples is the faces sampled for direction fitting when
+	// Pipeline is nil, at least 50; it is not read when Pipeline is set.
 	DiscoverySamples int
-	BudgetCents      int // paper: ≈ 246¢/ad ($216.71 over 88 ads)
 	Seed             int64
 	// Pipeline reuses an existing synthetic pipeline (e.g. from the
 	// synthetic experiment) instead of training a fresh one.
@@ -187,12 +180,6 @@ type EmploymentResult struct {
 // identities, flagged as employment ads (special category), measured along
 // both race and gender.
 func (l *Lab) RunEmploymentExperiment(opt EmploymentExperimentOptions) (*EmploymentResult, error) {
-	if opt.DiscoverySamples == 0 {
-		opt.DiscoverySamples = 20000
-	}
-	if opt.BudgetCents == 0 {
-		opt.BudgetCents = 246
-	}
 	sp := opt.Pipeline
 	if sp == nil {
 		var err error
@@ -207,7 +194,7 @@ func (l *Lab) RunEmploymentExperiment(opt EmploymentExperimentOptions) (*Employm
 	run, ds, err := l.runSplit(CampaignConfig{
 		Name:        "Campaign 4 (real-world employment)",
 		Special:     "EMPLOYMENT",
-		BudgetCents: opt.BudgetCents,
+		BudgetCents: 246,
 		AccountAge:  2007,
 		Seed:        opt.Seed + 33,
 		Headline:    "Now hiring — apply today",
@@ -325,16 +312,16 @@ func (l *Lab) RunFigure1(pipeline *SyntheticPipeline, seed int64) (*Figure1Resul
 	return res, nil
 }
 
-// PovertyExperimentOptions configures the Appendix A replication.
+// PovertyExperimentOptions configures the Appendix A replication: the
+// stock catalog (5 photos per combination, 200¢ an ad) under hostile review.
 type PovertyExperimentOptions struct {
-	PerPerson   int
-	BudgetCents int
-	Seed        int64
-	// ReviewRejectProb is the elevated rejection rate that reproduces the
-	// mass rejections the authors hit (44 of 100 ads stayed rejected after
-	// appeal). Default 0.44.
-	ReviewRejectProb float64
+	Seed int64
 }
+
+// povertyReviewRejectProb is the elevated rejection rate that reproduces the
+// mass rejections the authors hit (44 of 100 ads stayed rejected after
+// appeal).
+const povertyReviewRejectProb = 0.44
 
 // PovertyResult is the Appendix A outcome.
 type PovertyResult struct {
@@ -355,15 +342,6 @@ type PovertyResult struct {
 // re-run the stock ads under a hostile review environment, drop rejected
 // ads, and fit the Table A1 regression on the survivors.
 func (l *Lab) RunPovertyExperiment(opt PovertyExperimentOptions) (*PovertyResult, error) {
-	if opt.PerPerson == 0 {
-		opt.PerPerson = 5
-	}
-	if opt.BudgetCents == 0 {
-		opt.BudgetCents = 200
-	}
-	if opt.ReviewRejectProb == 0 {
-		opt.ReviewRejectProb = 0.44
-	}
 	res := &PovertyResult{}
 
 	flSample, ncSample := l.BalancedSamples(l.Config.Scale.PerCell(), opt.Seed+50)
@@ -381,16 +359,16 @@ func (l *Lab) RunPovertyExperiment(opt PovertyExperimentOptions) (*PovertyResult
 	if err != nil {
 		return nil, err
 	}
-	specs, err := StockSpecs(opt.PerPerson, opt.Seed+52)
+	specs, err := StockSpecs(5, opt.Seed+52)
 	if err != nil {
 		return nil, err
 	}
 
-	// Hostile review environment. ReviewRejectProb is the target fraction
-	// of *specs* that stay rejected (a spec is dropped when either copy is
-	// rejected, as the paper dropped ads "rejected from either campaign"),
-	// so the per-copy probability is 1-√(1-p).
-	perCopy := 1 - math.Sqrt(1-opt.ReviewRejectProb)
+	// Hostile review environment. povertyReviewRejectProb is the target
+	// fraction of *specs* that stay rejected (a spec is dropped when either
+	// copy is rejected, as the paper dropped ads "rejected from either
+	// campaign"), so the per-copy probability is 1-√(1-p).
+	perCopy := 1 - math.Sqrt(1-povertyReviewRejectProb)
 	if err := l.Platform.SetReviewRejectProb(perCopy); err != nil {
 		return nil, err
 	}
@@ -400,7 +378,7 @@ func (l *Lab) RunPovertyExperiment(opt PovertyExperimentOptions) (*PovertyResult
 	}()
 	run, ds, err := l.runMeasured(CampaignConfig{
 		Name:        "Appendix A (poverty-controlled)",
-		BudgetCents: opt.BudgetCents,
+		BudgetCents: 200,
 		Seed:        opt.Seed + 53,
 	}, specs, auds)
 	if err != nil {

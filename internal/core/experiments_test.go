@@ -90,15 +90,14 @@ func TestSyntheticExperimentMatchesStockShape(t *testing.T) {
 	// composition.
 	l := sharedLab(t)
 	res, err := l.RunSyntheticExperiment(SyntheticExperimentOptions{
-		Sources:          3,
 		DiscoverySamples: testDiscoverySamples,
 		Seed:             600,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Deliveries) != 60 {
-		t.Errorf("deliveries %d, want 60", len(res.Deliveries))
+	if len(res.Deliveries) != 100 {
+		t.Errorf("deliveries %d, want 100 (5 sources × 20 variants)", len(res.Deliveries))
 	}
 	if c, _ := res.Table4.Black.Coefficient("Black"); c < 0.05 {
 		t.Errorf("synthetic Black coefficient %v, want clearly positive (paper: +0.23)", c)
@@ -186,7 +185,7 @@ func TestFigure1Contrast(t *testing.T) {
 
 func TestPovertyExperiment(t *testing.T) {
 	l := sharedLab(t)
-	res, err := l.RunPovertyExperiment(PovertyExperimentOptions{PerPerson: 5, Seed: 900})
+	res, err := l.RunPovertyExperiment(PovertyExperimentOptions{Seed: 900})
 	if err != nil {
 		t.Fatal(err)
 	}

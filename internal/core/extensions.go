@@ -146,11 +146,10 @@ type LookalikeResult struct {
 // makeup with a random audience of the same size. Residential segregation
 // makes ZIP a race proxy, so the "color-blind" expansion reproduces the
 // seed's makeup — composition is read through the simulator oracle, as the
-// reference work read it through voter-list ground truth.
-func (l *Lab) RunLookalikeExperiment(seedCount, expandCount int, seed int64) (*LookalikeResult, error) {
-	if seedCount <= 0 || expandCount <= 0 {
-		return nil, fmt.Errorf("core: seed and expansion sizes must be positive")
-	}
+// reference work read it through voter-list ground truth. The seed uploads
+// 1 200 voters and the expansion and the baseline hold 1 500 users each.
+func (l *Lab) RunLookalikeExperiment(seed int64) (*LookalikeResult, error) {
+	const seedCount, expandCount = 1200, 1500
 	rng := rand.New(rand.NewSource(seed))
 	seedResp, err := l.Client.CreateAudience(context.Background(), "lookalike-seed", l.lookalikeSeed(rng, seedCount))
 	if err != nil {
@@ -243,11 +242,10 @@ type FeedbackLoopResult struct {
 // the engagement feedback loop §2.2 and §8 discuss. Each round runs a small
 // balanced stock campaign, records the Table 4 race coefficient, then has
 // the platform retrain on a fresh background log plus the served buffer
-// (which the previous model's choices selection-biased).
-func (l *Lab) RunFeedbackLoop(rounds int, seed int64) (*FeedbackLoopResult, error) {
-	if rounds < 1 || rounds > 20 {
-		return nil, fmt.Errorf("core: feedback rounds %d outside [1, 20]", rounds)
-	}
+// (which the previous model's choices selection-biased). It runs four
+// rounds.
+func (l *Lab) RunFeedbackLoop(seed int64) (*FeedbackLoopResult, error) {
+	const rounds = 4
 	res := &FeedbackLoopResult{}
 	for r := 0; r < rounds; r++ {
 		stock, err := l.RunStockExperiment(StockExperimentOptions{

@@ -133,7 +133,7 @@ func TestRunPairedCampaignValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.RunPairedCampaign(CampaignConfig{Name: "empty"}, nil, auds); err == nil {
+	if _, err := l.RunPairedCampaign(CampaignConfig{Name: "empty", BudgetCents: 200}, nil, auds); err == nil {
 		t.Error("no specs: want error")
 	}
 }

@@ -347,13 +347,18 @@ func TestCongruentRaceShare(t *testing.T) {
 }
 
 func TestCampaignConfigDefaults(t *testing.T) {
-	cfg := CampaignConfig{Name: "x"}
-	cfg.setDefaults()
-	if cfg.Objective != "TRAFFIC" || cfg.Special != "NONE" || cfg.BudgetCents != 200 {
+	cfg := CampaignConfig{Name: "x", BudgetCents: 200}
+	if err := cfg.resolve(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Objective != "TRAFFIC" || cfg.Special != "" || cfg.AccountAge != 2019 {
 		t.Errorf("defaults: %+v", cfg)
 	}
 	if !strings.HasPrefix(cfg.LinkURL, "https://") {
 		t.Errorf("link URL: %q", cfg.LinkURL)
+	}
+	if err := (&CampaignConfig{Name: "x"}).resolve(); err == nil || !strings.Contains(err.Error(), "BudgetCents") {
+		t.Errorf("zero budget: %v, want a refusal naming BudgetCents", err)
 	}
 }
 

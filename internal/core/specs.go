@@ -38,8 +38,12 @@ type SyntheticPipeline struct {
 }
 
 // NewSyntheticPipeline trains the classifier, samples faces, and fits the
-// latent directions (the paper samples 50,000; tests use fewer).
+// latent directions (the paper samples 50,000; tests use fewer). It refuses
+// fewer than gan.MinDiscoverySamples before drawing anything.
 func NewSyntheticPipeline(samples int, seed int64) (*SyntheticPipeline, error) {
+	if samples < gan.MinDiscoverySamples {
+		return nil, fmt.Errorf("core: DiscoverySamples %d below the %d direction discovery needs", samples, gan.MinDiscoverySamples)
+	}
 	net, err := gan.New(gan.DefaultConfig(seed))
 	if err != nil {
 		return nil, err

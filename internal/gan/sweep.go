@@ -45,6 +45,9 @@ func (s Sources) Face(i int) (*Face, error) {
 	return s.net.faceOf(z)
 }
 
+// MinDiscoverySamples is the fewest samples DiscoverDirections fits on.
+const MinDiscoverySamples = 50
+
 // DiscoverDirections runs the §5.4 pipeline: sample nSamples random faces
 // from the latent stream of seed, label each with the classifier (the
 // Deepface stand-in), then fit one logistic regression per binary attribute
@@ -56,7 +59,7 @@ func (s Sources) Face(i int) (*Face, error) {
 // the call: each latent is drawn into one reused buffer and mapped straight
 // into its row, and its image is labelled and dropped.
 func DiscoverDirections(net *Network, clf *face.Classifier, nSamples int, seed int64, opt SGDOptions) (DirectionSet, Sources, error) {
-	if nSamples < 50 {
+	if nSamples < MinDiscoverySamples {
 		return DirectionSet{}, Sources{}, fmt.Errorf("gan: %d samples too few for direction discovery", nSamples)
 	}
 	dim := net.ActivationDim()

@@ -12,6 +12,7 @@ import (
 	"github.com/adaudit/impliedidentity/internal/core"
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/faults"
+	"github.com/adaudit/impliedidentity/internal/gan"
 	"github.com/adaudit/impliedidentity/internal/loadgen"
 	"github.com/adaudit/impliedidentity/internal/marketing"
 	"github.com/adaudit/impliedidentity/internal/node"
@@ -79,6 +80,20 @@ var exemptions = map[string]string{
 	"core.Evaluation.Seed=any":                          "a seed",
 	"core.Evaluation.Scale=0":                           "ScaleTest",
 	"node.WorldConfig.Seed=any":                         "a seed",
+	"core.StockExperimentOptions.PerPerson=0":           "5",
+	"core.StockExperimentOptions.BudgetCents=0":         "200",
+	"core.StockExperimentOptions.AgeMax=0":              "no age limit",
+	"core.StockExperimentOptions.Seed=any":              "a seed",
+	"core.SyntheticExperimentOptions.Seed=any":          "a seed",
+	"core.EmploymentExperimentOptions.Seed=any":         "a seed",
+	"core.PovertyExperimentOptions.Seed=any":            "a seed",
+	`core.CampaignConfig.Objective=""`:                  "TRAFFIC",
+	`core.CampaignConfig.Special=""`:                    "NONE (the platform's reading)",
+	"core.CampaignConfig.AgeMax=0":                      "no age limit",
+	"core.CampaignConfig.AccountAge=0":                  "2019",
+	"core.CampaignConfig.Seed=any":                      "a seed",
+	`core.CampaignConfig.Headline=""`:                   "the project-management career headline",
+	`core.CampaignConfig.LinkURL=""`:                    "the career-guide URL",
 }
 
 // subject is one walked configuration type: a value its check accepts, and
@@ -91,8 +106,32 @@ type subject struct {
 }
 
 // subjects are the configuration types the binaries' flags and
-// core.Evaluation reach.
+// core.Evaluation reach, and the paper's experiments, which run on one
+// shared lab at the smallest sizes they accept.
 func subjects(t *testing.T) []subject {
+	lab, err := core.NewLab(core.LabConfig{Seed: 1, Scale: core.ScaleTest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lab.Close() })
+	specs, err := core.StockSpecs(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	auds, err := lab.DefaultSplitAudiences("walk", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// onLab runs an experiment; a refusal must leave the lab's inventory as
+	// it was, having come before any request.
+	onLab := func(run func() error) error {
+		before := lab.Platform.Inventory()
+		err := run()
+		if err != nil && !reflect.DeepEqual(before, lab.Platform.Inventory()) {
+			t.Errorf("refused after a request: %v", err)
+		}
+		return err
+	}
 	gen := voter.DefaultGeneratorConfig(demo.StateFL, 1)
 	gen.NumVoters = 300
 	client, err := marketing.NewClient("http://127.0.0.1:1")
@@ -151,6 +190,22 @@ func subjects(t *testing.T) []subject {
 		{base: node.WorldConfig{Seed: 1, Voters: 10, LogRows: 1000}, check: func(v any) error {
 			_, err := node.WorldFlags(flag.NewFlagSet("world", flag.ContinueOnError), v.(node.WorldConfig))()
 			return err
+		}},
+		{base: core.StockExperimentOptions{PerPerson: 1, BudgetCents: 200, AgeMax: 45, Seed: 1}, check: func(v any) error {
+			return onLab(func() error { _, err := lab.RunStockExperiment(v.(core.StockExperimentOptions)); return err })
+		}},
+		{base: core.SyntheticExperimentOptions{DiscoverySamples: gan.MinDiscoverySamples, Seed: 1}, check: func(v any) error {
+			return onLab(func() error { _, err := lab.RunSyntheticExperiment(v.(core.SyntheticExperimentOptions)); return err })
+		}},
+		{base: core.EmploymentExperimentOptions{DiscoverySamples: gan.MinDiscoverySamples, Seed: 1}, check: func(v any) error {
+			return onLab(func() error { _, err := lab.RunEmploymentExperiment(v.(core.EmploymentExperimentOptions)); return err })
+		}},
+		{base: core.PovertyExperimentOptions{Seed: 1}, check: func(v any) error {
+			return onLab(func() error { _, err := lab.RunPovertyExperiment(v.(core.PovertyExperimentOptions)); return err })
+		}},
+		{base: core.CampaignConfig{Name: "walk", Objective: "TRAFFIC", Special: "NONE", BudgetCents: 200, AgeMax: 45,
+			AccountAge: 2019, Seed: 1, Headline: "h", LinkURL: "https://example.test"}, check: func(v any) error {
+			return onLab(func() error { _, err := lab.RunPairedCampaign(v.(core.CampaignConfig), specs[:1], auds); return err })
 		}},
 	}
 }

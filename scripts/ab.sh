@@ -10,7 +10,9 @@
 # end-to-end metric: each side's median [q1–q3], the ratio of the medians, and
 # the pairs the change won. Exits 1 if any run reports correct=false or a
 # failed operation. Nothing under bench/ is edited; each tree builds its own
-# bench binary into its own .bench_build/.
+# bench binary into its own .bench_build/. The parent checkout is removed on
+# exit; each run's result line stays in <dir>/<parent|change>.<workload>,
+# <dir> being printed first, so the pairs can be re-read or pooled later.
 set -euo pipefail
 usage() { echo "usage: scripts/ab.sh <parent-ref> [-pairs N] [-seed S] [-workload W]..." >&2; exit 2; }
 [ $# -ge 1 ] || usage
@@ -34,7 +36,8 @@ if [ ${#workloads[@]} -eq 0 ]; then
 for w in json.load(open("BENCHMARK.json"))["workloads"]: print(w["name"])')
 fi
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+trap 'rm -rf "$tmp/parent"' EXIT
+echo "ab: per-run result lines go to $tmp/{parent,change}.<workload>" >&2
 mkdir "$tmp/parent"
 git archive "$ref" | tar -x -C "$tmp/parent"
 
