@@ -116,9 +116,6 @@ func NewSyntheticPipeline(samples int, seed int64) (*SyntheticPipeline, error) {
 	return core.NewSyntheticPipeline(samples, seed)
 }
 
-// MeasureCampaign computes per-ad deliveries for a completed campaign.
-func MeasureCampaign(run *CampaignRun) ([]Delivery, error) { return core.MeasureCampaign(run) }
-
 // Figure4 computes the Figure 4 older-audience series from deliveries.
 func Figure4(ds []Delivery) []Fig4Point { return core.Figure4(ds) }
 

@@ -10,8 +10,19 @@ import (
 )
 
 func TestPublicAPIEndToEnd(t *testing.T) {
-	lab, pipe := benchWorld(t) // reuse the shared world fixture
-	res := benchStockResultT(t, lab)
+	lab, err := NewLab(LabConfig{Seed: 1000, Scale: ScaleTest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lab.Close()
+	pipe, err := NewSyntheticPipeline(2000, 1001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := lab.RunStockExperiment(StockExperimentOptions{Seed: 1002})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Formatting surfaces.
 	if out := FormatTable3(res.Table3); !strings.Contains(out, "race:black") {
@@ -46,19 +57,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if out := FormatFigure1(fig1); !strings.Contains(out, "white delivery") {
 		t.Errorf("FormatFigure1:\n%s", out)
 	}
-}
-
-// benchStockResultT adapts the benchmark fixture for tests.
-func benchStockResultT(t *testing.T, lab *Lab) *StockResult {
-	t.Helper()
-	benchStockOnce.Do(func() {
-		res, err := lab.RunStockExperiment(StockExperimentOptions{Seed: 1002})
-		if err != nil {
-			panic(err)
-		}
-		benchStock = res
-	})
-	return benchStock
 }
 
 func TestScaleConstantsDistinct(t *testing.T) {

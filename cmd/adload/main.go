@@ -1,21 +1,18 @@
-// Command adload drives seeded advertiser traffic against the marketing API.
-// It either targets a running adplatform server (or an adrouter) over TCP or
-// self-hosts an in-process one, runs virtual-advertiser scenarios (upload
-// audience → create campaign → create ads → deliver → poll insights) on a
-// closed worker pool, prints one account line and exits non-zero if any
-// scenario failed. It measures nothing: serving latency and throughput are
-// bench/'s serve and fleet_2shard workloads.
+// Command adload drives seeded advertiser traffic against a running
+// marketing API: an adplatform server or an adrouter in front of a fleet. It
+// runs virtual-advertiser scenarios (upload audience → create campaign →
+// create ads → deliver → poll insights) on a closed worker pool, prints one
+// account line and exits non-zero if any scenario failed. It measures
+// nothing: serving latency and throughput are bench/'s serve and
+// fleet_2shard workloads.
 //
-// Self-hosted smoke run (deterministic workload under a fixed seed):
-//
-//	adload -scenarios 6 -concurrency 3 -seed 1
-//
-// Against a running server (hashes come from the voter extract the server
-// wrote with -voterdir):
+// The audiences are hashed from the FL voter extract the server wrote with
+// -voterdir, as an auditor hashes public records; a fixed -seed sends the
+// same requests:
 //
 //	adplatform -addr 127.0.0.1:8399 -voterdir /tmp/voters &
 //	adload -target http://127.0.0.1:8399 -voterfile /tmp/voters/fl_voter_extract.txt \
-//	       -scenarios 50
+//	       -scenarios 50 -seed 1
 package main
 
 import (
@@ -24,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http/httptest"
 	"os"
 
 	"github.com/adaudit/impliedidentity/internal/faults"
@@ -44,104 +40,45 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("adload", flag.ContinueOnError)
-	target := fs.String("target", "", "base URL of a running adplatform server; empty self-hosts one in-process")
-	voterFile := fs.String("voterfile", "", "FL-layout voter extract to derive audience PII hashes from (required with -target)")
+	target := fs.String("target", "", "base URL of a running adplatform or adrouter (required)")
+	voterFile := fs.String("voterfile", "", "FL-layout voter extract to derive audience PII hashes from: the target's adplatform -voterdir wrote it (required)")
+	seed := fs.Int64("seed", 1, "workload seed: runs with the same -seed and counts send the same requests")
 	concurrency := fs.Int("concurrency", 4, "worker-pool size")
 	scenarios := fs.Int("scenarios", 8, "virtual advertisers to run")
 	ads := fs.Int("ads", 2, "ads per campaign")
 	audience := fs.Int("audience", 200, "PII hashes per audience upload")
 	retries := fs.Int("retries", 0, "client max attempts per API call (0 = library default)")
-	worldOf := node.WorldFlags(fs, node.WorldConfig{Seed: 1, Voters: 8000, LogRows: 3000, FLOnly: true})
-	stackOf := node.StackFlags(fs)
 	faultsOf := node.FaultFlags(fs)
 	deliveryWorkers := fs.Int("delivery-workers", 0, "delivery shard count sent with every deliver call (0 = one shard on a single adplatform, the fleet width behind adrouter; 1 = sequential oracle)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	// Each side's flags would silently do nothing on the other: the server
-	// flags configure the self-hosted world and server, and a self-hosted run
-	// takes its hashes from that world rather than from -voterfile.
-	var err error
-	if *target != "" {
-		err = node.RejectSet(fs, "the self-hosted server", "-target",
-			"voters", "logrows", "shed-cap", "store-dir", "fsync", "privacy-k", "privacy-epsilon", "privacy-seed")
-	} else {
-		err = node.RejectSet(fs, "-target", "a self-hosted run", "voterfile")
-	}
-	if err != nil {
-		return err
-	}
-	stackCfg, err := stackOf()
-	if err != nil {
+	// The counts are refused under the flag the user typed; loadgen.New
+	// would refuse the same values under its Config field names.
+	if err := errors.Join(node.Positive("concurrency", *concurrency), node.Positive("scenarios", *scenarios),
+		node.Positive("ads", *ads), node.Positive("audience", *audience), node.NonNegative("retries", *retries),
+		node.NonNegative("delivery-workers", *deliveryWorkers)); err != nil {
 		return err
 	}
 	faultCfg, err := faultsOf()
 	if err != nil {
 		return err
 	}
-	// The counts are refused, under the flag the user typed, before a
-	// self-hosted world is built; loadgen.New would refuse the same values
-	// under its Config field names.
-	if err := errors.Join(node.Positive("concurrency", *concurrency), node.Positive("scenarios", *scenarios),
-		node.Positive("ads", *ads), node.Positive("audience", *audience), node.NonNegative("retries", *retries),
-		node.NonNegative("delivery-workers", *deliveryWorkers)); err != nil {
-		return err
+	if *target == "" || *voterFile == "" {
+		return errors.New("-target and -voterfile are both required: adload drives a running server (start adplatform with -voterdir for the extract)")
 	}
-	worldCfg, err := worldOf()
+	hashes, err := hashesFromExtract(*voterFile)
 	if err != nil {
 		return err
 	}
-	loadCfg := loadgen.Config{
-		Seed:            worldCfg.Seed,
-		Workers:         *concurrency,
-		Scenarios:       *scenarios,
-		AdsPerCampaign:  *ads,
-		AudienceSize:    *audience,
-		DeliveryWorkers: *deliveryWorkers,
-	}
 
-	baseURL := *target
-	var hashes []string
-	if *target == "" {
-		fmt.Fprintf(stdout, "self-hosting a platform (%d voters, seed %d)...\n", worldCfg.Voters, worldCfg.Seed)
-		// No ad-review rejection (default 1%), so the request counts of a
-		// fixed-seed run are exactly reproducible. Review strictness has its
-		// own coverage in internal/platform.
-		platCfg := worldCfg.PlatformConfig()
-		platCfg.ReviewRejectProb = 0
-		world, err := worldCfg.Build(platCfg)
-		if err != nil {
-			return err
-		}
-		stack, err := node.NewStack(world.Platform, stackCfg, stdout)
-		if err != nil {
-			return err
-		}
-		ts := httptest.NewServer(stack.Handler)
-		defer func() {
-			ts.Close()
-			if err := stack.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "adload:", err)
-			}
-		}()
-		baseURL = ts.URL
-		hashes = node.PIIHashes(world.FL.Entries)
-	} else {
-		if *voterFile == "" {
-			return fmt.Errorf("targeting %s requires -voterfile to build audiences (run adplatform with -voterdir)", *target)
-		}
-		if hashes, err = hashesFromExtract(*voterFile); err != nil {
-			return err
-		}
-	}
-
-	client, err := marketing.NewClient(baseURL)
+	client, err := marketing.NewClient(*target)
 	if err != nil {
 		return err
 	}
 	// Faults hit the workload's requests on their way out, so the retry layer
-	// under test sees them whether the server is in-process or remote.
+	// under test sees them.
 	faultReg := obs.NewRegistry()
 	transport, err := node.FaultTransport(faultCfg, faultReg, stdout)
 	if err != nil {
@@ -153,13 +90,20 @@ func run(args []string, stdout io.Writer) error {
 		pol.MaxAttempts = *retries
 		client.SetRetryPolicy(pol)
 	}
-	loadCfg.Hashes = hashes
-	runner, err := loadgen.New(loadCfg, client)
+	runner, err := loadgen.New(loadgen.Config{
+		Seed:            *seed,
+		Workers:         *concurrency,
+		Scenarios:       *scenarios,
+		AdsPerCampaign:  *ads,
+		AudienceSize:    *audience,
+		DeliveryWorkers: *deliveryWorkers,
+		Hashes:          hashes,
+	}, client)
 	if err != nil {
 		return err
 	}
 
-	fmt.Fprintf(stdout, "running %d scenarios against %s...\n", *scenarios, baseURL)
+	fmt.Fprintf(stdout, "running %d scenarios against %s...\n", *scenarios, *target)
 	completed, failed, err := runner.Run(context.Background())
 	if err != nil {
 		return err

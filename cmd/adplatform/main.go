@@ -40,9 +40,8 @@ func run(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8399", "listen address")
 	worldOf := node.WorldFlags(fs, node.WorldConfig{Seed: 1, Voters: 40000, LogRows: 30000})
 	voterDir := fs.String("voterdir", "", "directory to write FL/NC voter extracts into (optional)")
-	stackOf := node.StackFlags(fs, "snapshot-every")
+	stackOf := node.StackFlags(fs)
 	reviewReject := fs.Float64("review-reject", -1, "override the ad-review rejection probability (0..1; negative keeps the default) — every shard in one fleet must agree")
-	snapshotEvery := fs.Int("snapshot-every", 5000, "write a snapshot and compact the WAL every N records (0 disables automatic snapshots; requires -store-dir)")
 	drainTimeout := node.DrainTimeoutFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -51,12 +50,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	stackCfg.Store.SnapshotEvery = *snapshotEvery
 	if !(*reviewReject <= 1) {
 		return fmt.Errorf("-review-reject %v out of range [0,1]", *reviewReject)
-	}
-	if err := node.NonNegative("snapshot-every", *snapshotEvery); err != nil {
-		return err
 	}
 	worldCfg, err := worldOf()
 	if err != nil {

@@ -26,7 +26,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"time"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/image"
@@ -102,7 +101,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	client.SetMinInterval(5 * time.Millisecond) // polite, single-vantage collection
 
 	rng := rand.New(rand.NewSource(15))
 	flSample := voter.StratifiedSample(flRecords, 200, rng)

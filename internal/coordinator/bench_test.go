@@ -22,7 +22,7 @@ import (
 )
 
 func BenchmarkReplicatedAudience(b *testing.B) {
-	cfg := node.WorldConfig{Seed: 710, Voters: 30000, LogRows: 2500, FLOnly: true}
+	cfg := node.WorldConfig{Seed: 710, Voters: 30000, LogRows: 2500}
 	w, err := cfg.Build(cfg.PlatformConfig())
 	if err != nil {
 		b.Fatal(err)

@@ -34,7 +34,7 @@ import (
 // population, like shard processes launched with the same -seed. Built once —
 // world generation dominates test time.
 var (
-	worldCfg = node.WorldConfig{Seed: 700, Voters: 6000, LogRows: 2500, FLOnly: true}
+	worldCfg = node.WorldConfig{Seed: 700, Voters: 6000, LogRows: 2500}
 	world    = sync.OnceValues(func() (*node.World, error) { return worldCfg.Build(worldCfg.PlatformConfig()) })
 )
 

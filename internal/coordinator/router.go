@@ -53,9 +53,6 @@ func NewRouter(c *Coordinator, reg *obs.Registry) (*Router, error) {
 	return &Router{c: c, reg: reg, limits: marketing.DefaultServerLimits(), chain: marketing.NewResilience(reg)}, nil
 }
 
-// Metrics returns the router's metrics registry.
-func (rt *Router) Metrics() *obs.Registry { return rt.reg }
-
 // Handler returns the routing table, every API route behind the resilience
 // chain and every POST behind its replay cache.
 func (rt *Router) Handler() http.Handler {

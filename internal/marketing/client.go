@@ -47,12 +47,11 @@ func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}
 }
 
-// Client is the advertiser-side API client the audit tooling uses. Requests
-// are optionally rate-limited, mirroring the paper's polite data-collection
-// posture (§4.1), and hardened against a flaky platform: every call takes a
-// context, retries retryable failures with jittered exponential backoff
-// (honoring Retry-After), and attaches idempotency keys to mutating requests
-// so a retried POST cannot double-create. It keeps no failure streak and
+// Client is the advertiser-side API client the audit tooling uses. It is
+// hardened against a flaky platform: every call takes a context, retries
+// retryable failures with jittered exponential backoff (honoring
+// Retry-After), and attaches idempotency keys to mutating requests so a
+// retried POST cannot double-create. It keeps no failure streak and
 // never refuses a call on its own: whether a service is in or out is the
 // server's to say (a fleet router answers 503 + Retry-After), and the
 // client's part is to back off as told.
@@ -60,12 +59,10 @@ type Client struct {
 	baseURL string
 	http    *http.Client
 
-	mu          sync.Mutex
-	clock       obs.Clock
-	minInterval time.Duration
-	lastRequest time.Time
-	retry       RetryPolicy
-	reg         *obs.Registry
+	mu    sync.Mutex
+	clock obs.Clock
+	retry RetryPolicy
+	reg   *obs.Registry
 
 	idemBase string
 	idemSeq  atomic.Uint64
@@ -139,16 +136,7 @@ func Retryable(err error) bool {
 	return true
 }
 
-// SetMinInterval enforces a minimum delay between consecutive API requests.
-// Zero disables throttling (the default; the in-process simulator needs no
-// politeness, but external deployments of the platform server do).
-func (c *Client) SetMinInterval(d time.Duration) {
-	c.mu.Lock()
-	c.minInterval = d
-	c.mu.Unlock()
-}
-
-// SetClock replaces the clock behind the throttle and backoff. A nil clock
+// SetClock replaces the clock behind the retry backoff. A nil clock
 // restores the system clock.
 func (c *Client) SetClock(clock obs.Clock) {
 	if clock == nil {
@@ -210,32 +198,6 @@ func (c *Client) Metrics() *obs.Registry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.reg
-}
-
-// throttle enforces the minimum interval between requests. It reserves the
-// next send slot under the lock but sleeps OUTSIDE it, so one caller
-// waiting out the interval does not serialize unrelated callers behind the
-// mutex: concurrent callers each reserve consecutive slots and wait them
-// out in parallel.
-func (c *Client) throttle() {
-	c.mu.Lock()
-	if c.minInterval <= 0 {
-		c.lastRequest = c.clock.Now()
-		c.mu.Unlock()
-		return
-	}
-	clock := c.clock
-	now := clock.Now()
-	slot := c.lastRequest.Add(c.minInterval)
-	if slot.Before(now) {
-		slot = now
-	}
-	c.lastRequest = slot
-	wait := slot.Sub(now)
-	c.mu.Unlock()
-	if wait > 0 {
-		clock.Sleep(wait)
-	}
 }
 
 // backoffDelay computes the jittered wait before retry number `retry`
@@ -322,8 +284,8 @@ func (c *Client) Get(ctx context.Context, path string, out any) error {
 	return c.send(ctx, http.MethodGet, path, nil, out)
 }
 
-// roundTrip runs one API call through the full resilience stack: throttle,
-// attempt, classify, back off, retry. Mutating methods carry an idempotency
+// roundTrip runs one API call through the full resilience stack: attempt,
+// classify, back off, retry. Mutating methods carry an idempotency
 // key that stays constant across retries, so the server can deduplicate a
 // retried create whose first response was lost. It returns the 2xx response
 // payload.
@@ -353,7 +315,6 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte
 		if attempt > 1 {
 			retries.Inc()
 		}
-		c.throttle()
 		payload, err := c.once(ctx, method, path, body, idemKey)
 		if err == nil {
 			return payload, nil

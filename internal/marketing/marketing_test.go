@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
 	"github.com/adaudit/impliedidentity/internal/image"
@@ -282,20 +281,6 @@ func TestMalformedJSONRejected(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != 400 {
 		t.Errorf("unknown field: status %d, want 400", resp2.StatusCode)
-	}
-}
-
-func TestClientRateLimit(t *testing.T) {
-	e := testEnv(t)
-	e.client.SetMinInterval(30 * time.Millisecond)
-	defer e.client.SetMinInterval(0)
-	start := time.Now()
-	for i := 0; i < 3; i++ {
-		// Errors are fine; only pacing matters here.
-		_, _ = e.client.GetAd(context.Background(), "ad-404")
-	}
-	if elapsed := time.Since(start); elapsed < 60*time.Millisecond {
-		t.Errorf("3 throttled requests took %v, want >= 60ms", elapsed)
 	}
 }
 

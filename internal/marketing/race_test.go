@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -193,33 +195,48 @@ func readSnapshot(t *testing.T, baseURL string) obs.Snapshot {
 	return snap
 }
 
-// TestClientInjectableClock runs a heavily throttled client against a fake
-// clock: the pacing math must hold with zero real waiting.
+// TestClientInjectableClock retries a flaky server on a manual clock: the
+// backoff schedule is slept on that clock, with no real waiting.
 func TestClientInjectableClock(t *testing.T) {
-	e := testEnv(t)
-	client, err := NewClient(e.srv.URL)
+	var failures atomic.Int64 // 503s left to answer
+	failures.Store(3)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if failures.Add(-1) >= 0 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprint(w, `{"id":"ad-1","status":"ACTIVE"}`)
+	}))
+	defer ts.Close()
+	client, err := NewClient(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fc := obs.NewManualClock()
 	client.SetClock(fc)
-	client.SetMinInterval(time.Hour)
+	client.SetRetryPolicy(RetryPolicy{MaxAttempts: 4, BaseDelay: time.Hour, MaxDelay: 8 * time.Hour})
 	start := time.Now()
-	for i := 0; i < 4; i++ {
-		_, _ = client.GetAd(context.Background(), "ad-404") // errors fine; pacing is what's tested
+	if _, err := client.GetAd(context.Background(), "ad-1"); err != nil {
+		t.Fatal(err)
 	}
 	if real := time.Since(start); real > 30*time.Second {
-		t.Fatalf("throttled requests consumed %v of wall clock", real)
+		t.Fatalf("retried requests consumed %v of wall clock", real)
 	}
-	// First request goes through unthrottled; the next three each wait out
-	// the remaining interval on the fake clock.
-	if got := slept(fc); got != 3*time.Hour {
-		t.Errorf("fake clock slept %v, want 3h", got)
+	// Three backoffs of 1h, 2h and 4h, each jittered into [d/2, d].
+	asleep := slept(fc)
+	if asleep < 3*time.Hour+30*time.Minute || asleep > 7*time.Hour {
+		t.Errorf("fake clock slept %v, want within [3h30m, 7h]", asleep)
 	}
-	// Restoring the nil clock falls back to the system clock.
+	// Restoring the nil clock falls back to the system clock: the next
+	// backoff is slept there and the fake clock stays put.
 	client.SetClock(nil)
-	client.SetMinInterval(0)
-	if _, err := client.GetAd(context.Background(), "ad-404"); err == nil {
-		t.Error("GetAd(ad-404) should fail")
+	client.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond})
+	failures.Store(1)
+	if _, err := client.GetAd(context.Background(), "ad-1"); err != nil {
+		t.Fatal(err)
+	}
+	if got := slept(fc); got != asleep {
+		t.Errorf("fake clock moved from %v to %v after SetClock(nil)", asleep, got)
 	}
 }

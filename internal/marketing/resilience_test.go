@@ -267,7 +267,7 @@ func TestRetriedCreateDoesNotDoubleCreate(t *testing.T) {
 	}
 }
 
-// blockingClock parks every Sleep until released, to prove sleeps happen
+// blockingClock parks every Sleep until released, to prove a backoff sleeps
 // outside the client mutex.
 type blockingClock struct {
 	now      time.Time
@@ -283,12 +283,15 @@ func (b *blockingClock) Sleep(d time.Duration) {
 	<-b.release
 }
 
-// TestThrottleSleepsOutsideLock is the regression test for the throttle
-// holding the client mutex for the whole pacing sleep: while one call is
-// parked in its throttle sleep, other client operations that need the mutex
-// must proceed.
-func TestThrottleSleepsOutsideLock(t *testing.T) {
+// TestRetryBackoffHoldsNoLock: while one call is parked in its retry
+// backoff, other client operations that need the mutex must proceed.
+func TestRetryBackoffHoldsNoLock(t *testing.T) {
+	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if calls.Add(1) == 1 {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprint(w, `{"id":"ad-1","status":"ACTIVE"}`)
 	}))
@@ -303,13 +306,8 @@ func TestThrottleSleepsOutsideLock(t *testing.T) {
 		release: make(chan struct{}),
 	}
 	client.SetClock(bc)
-	client.SetMinInterval(time.Hour)
 
-	// First call claims slot "now" without sleeping; the second must wait
-	// out the interval and parks in the blocking clock.
-	if _, err := client.GetAd(context.Background(), "ad-1"); err != nil {
-		t.Fatal(err)
-	}
+	// The first attempt draws a 503, so the call parks in its backoff sleep.
 	done := make(chan error, 1)
 	go func() {
 		_, err := client.GetAd(context.Background(), "ad-1")
@@ -318,19 +316,19 @@ func TestThrottleSleepsOutsideLock(t *testing.T) {
 	select {
 	case <-bc.entered:
 	case <-time.After(5 * time.Second):
-		t.Fatal("second call never reached its throttle sleep")
+		t.Fatal("the call never reached its backoff sleep")
 	}
 
 	// The sleeper holds no lock: mutating client configuration completes.
 	cfgDone := make(chan struct{})
 	go func() {
-		client.SetMinInterval(0)
+		client.SetRetryPolicy(DefaultRetryPolicy())
 		close(cfgDone)
 	}()
 	select {
 	case <-cfgDone:
 	case <-time.After(2 * time.Second):
-		t.Fatal("SetMinInterval blocked behind a sleeping throttle: mutex held across Sleep")
+		t.Fatal("SetRetryPolicy blocked behind a sleeping backoff: mutex held across Sleep")
 	}
 
 	close(bc.release)

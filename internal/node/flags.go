@@ -23,7 +23,7 @@ import (
 // refused (the platform refuses fewer than 1000 log rows when the world is
 // built).
 func WorldFlags(fs *flag.FlagSet, def WorldConfig) func() (WorldConfig, error) {
-	seed := fs.Int64("seed", def.Seed, "world seed: processes given the same -seed, -voters and -logrows build the same world (adload also seeds its workload from it)")
+	seed := fs.Int64("seed", def.Seed, "world seed: processes given the same -seed, -voters and -logrows build the same world")
 	voters := fs.Int("voters", def.Voters, "voters per state in the generated registries")
 	logRows := fs.Int("logrows", def.LogRows, "engagement-log rows for eAR training")
 	return func() (WorldConfig, error) {
@@ -70,23 +70,24 @@ func PrivacyFlags(fs *flag.FlagSet) func() (privacy.Config, error) {
 }
 
 // StackFlags declares the flags of a serving stack: the privacy block,
-// -store-dir, -fsync and -shed-cap. Without a directory there is no
-// store, so -fsync is rejected, and with it every flag the caller names in
-// needStore: flags of its own that only tune the store.
-func StackFlags(fs *flag.FlagSet, needStore ...string) func() (StackConfig, error) {
+// -store-dir, -fsync, -snapshot-every and -shed-cap. Without a directory
+// there is no store, so -fsync and -snapshot-every are rejected.
+func StackFlags(fs *flag.FlagSet) func() (StackConfig, error) {
 	privacyOf := PrivacyFlags(fs)
 	dir := fs.String("store-dir", "", "durable state directory: WAL + snapshots, recovered on boot (empty serves from memory only)")
 	fsync := fs.String("fsync", "always", "WAL fsync discipline: always, interval, or none (requires -store-dir)")
+	snapshotEvery := fs.Int("snapshot-every", 5000, "write a snapshot and compact the WAL every N records (0 disables automatic snapshots; requires -store-dir)")
 	shedCap := fs.Int("shed-cap", marketing.DefaultServerLimits().MaxInFlight, "max in-flight requests before shedding with 429 (0 disables)")
 	return func() (StackConfig, error) {
-		cfg := StackConfig{ShedCap: *shedCap, Store: store.Options{Dir: *dir}}
-		var errs [4]error
+		cfg := StackConfig{ShedCap: *shedCap, Store: store.Options{Dir: *dir, SnapshotEvery: *snapshotEvery}}
+		var errs [5]error
 		cfg.Privacy, errs[0] = privacyOf()
 		cfg.Store.Fsync, errs[1] = store.ParseFsyncMode(*fsync)
 		if *dir == "" {
-			errs[2] = RejectSet(fs, "the durable store", "an empty -store-dir", append(needStore, "fsync")...)
+			errs[2] = rejectSet(fs, "the durable store", "an empty -store-dir", "fsync", "snapshot-every")
 		}
 		errs[3] = NonNegative("shed-cap", *shedCap)
+		errs[4] = NonNegative("snapshot-every", *snapshotEvery)
 		return cfg, errors.Join(errs[:]...)
 	}
 }
@@ -96,9 +97,9 @@ func DrainTimeoutFlag(fs *flag.FlagSet) *time.Duration {
 	return fs.Duration("drain-timeout", 2*time.Minute, "graceful-shutdown budget for draining in-flight requests (must exceed the longest /v1/deliver day)")
 }
 
-// RejectSet returns an error if any of the named flags was set on the command
+// rejectSet returns an error if any of the named flags was set on the command
 // line: each applies only to scope and would be silently ignored next to with.
-func RejectSet(fs *flag.FlagSet, scope, with string, names ...string) error {
+func rejectSet(fs *flag.FlagSet, scope, with string, names ...string) error {
 	var err error
 	fs.Visit(func(f *flag.Flag) {
 		if err == nil && slices.Contains(names, f.Name) {

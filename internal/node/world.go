@@ -21,15 +21,13 @@ type WorldConfig struct {
 	Seed    int64
 	Voters  int // per state, at least 1
 	LogRows int // engagement-log rows the eAR model trains on, at least 1000
-	// FLOnly leaves the NC registry out (adload's self-hosted world).
-	FLOnly bool
 	// Population carries TravelProb and FLActivityBoost; its Seed is derived.
 	Population population.Config
 	// Behavior is the ground-truth engagement model; zero means the default.
 	Behavior population.BehaviorConfig
 }
 
-// World is a built world. NC is nil under FLOnly. Pop and Behavior are what
+// World is a built world. Pop and Behavior are what
 // platform.New needs to build another platform over the same world, as every
 // shard of a fleet and every relaunch of one does; with the same
 // platform.Config it shares the models World.Platform was trained with.
@@ -107,20 +105,13 @@ func (c WorldConfig) Build(platCfg platform.Config) (*World, error) {
 
 // populate draws the world's voters into its population and its indexes.
 func (c WorldConfig) populate(w *World) error {
-	gens := []voter.GeneratorConfig{c.generator(demo.StateFL)}
-	if !c.FLOnly {
-		gens = append(gens, c.generator(demo.StateNC))
-	}
 	popCfg := c.Population
 	popCfg.Seed = c.Seed + seedPopulation
-	pop, indexes, err := population.BuildIndexed(popCfg, gens...)
+	pop, indexes, err := population.BuildIndexed(popCfg, c.generator(demo.StateFL), c.generator(demo.StateNC))
 	if err != nil {
 		return fmt.Errorf("building population: %w", err)
 	}
-	w.Pop, w.FL = pop, indexes[0]
-	if !c.FLOnly {
-		w.NC = indexes[1]
-	}
+	w.Pop, w.FL, w.NC = pop, indexes[0], indexes[1]
 	return nil
 }
 

@@ -63,15 +63,6 @@ func TestWorldDerivationPinned(t *testing.T) {
 	if matched != w.Pop.Len() {
 		t.Errorf("registry hashes reach %d of %d users", matched, w.Pop.Len())
 	}
-
-	flOnly := cfg
-	flOnly.FLOnly = true
-	if w, err = flOnly.Build(flOnly.PlatformConfig()); err != nil {
-		t.Fatal(err)
-	}
-	if w.NC != nil || w.Pop.Len() == 0 || w.Pop.Len() >= wantUsers {
-		t.Errorf("FL-only world: NC %v, %d users", w.NC != nil, w.Pop.Len())
-	}
 }
 
 // TestBuildRefusesConfigBeforeGenerating: a platform or behaviour setting New

@@ -46,9 +46,6 @@ type Gauge struct {
 // Set replaces the level.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the level by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Inc adds one.
 func (g *Gauge) Inc() { g.v.Add(1) }
 

@@ -26,9 +26,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g.Set(7)
 	g.Inc()
 	g.Dec()
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Errorf("gauge = %d, want 4", got)
+	g.Dec()
+	if got := g.Value(); got != 6 {
+		t.Errorf("gauge = %d, want 6", got)
 	}
 }
 
@@ -91,7 +91,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
 				r.Counter("shared").Inc()
-				r.Gauge("g").Add(1)
+				r.Gauge("g").Inc()
 				r.Histogram("h").Observe(time.Duration(j) * time.Microsecond)
 				r.Counter(fmt.Sprintf("own-%d", i)).Inc()
 			}

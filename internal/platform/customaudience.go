@@ -95,14 +95,6 @@ func (p *Platform) registerAudienceLocked(name string, members []int32) *CustomA
 	return ca
 }
 
-// Audience returns a registered audience by ID. Audiences are immutable
-// after creation, so the shared pointer is safe to read without the lock.
-func (p *Platform) Audience(id string) (*CustomAudience, error) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.audienceLocked(id)
-}
-
 // audienceLocked looks up an audience; the caller holds p.mu.
 func (p *Platform) audienceLocked(id string) (*CustomAudience, error) {
 	ca, ok := p.audiences[id]

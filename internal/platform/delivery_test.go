@@ -230,11 +230,8 @@ func TestDeliverySkewsOlderThanAudience(t *testing.T) {
 	// audience being 45+. Mechanism here: stiffer competition for younger
 	// users. Check delivery over-represents 45+ relative to the audience.
 	p, f := newTestPlatform(t, 305)
-	caID := uploadBalancedAudience(t, p, f, 150, 8)
-	ca, err := p.Audience(caID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ca := balancedAudience(t, p, f, 150, 8)
+	caID := ca.ID
 	var audienceOld int
 	for _, idx := range ca.members {
 		if f.pop.View(int(idx)).Age() >= 45 {
@@ -391,11 +388,8 @@ func TestFrequencyCapBoundsPerUserImpressions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	caID := uploadBalancedAudience(t, p, f, 5, 31) // ~150 users
-	ca, err := p.Audience(caID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ca := balancedAudience(t, p, f, 5, 31) // ~150 users
+	caID := ca.ID
 	img := image.FromProfile(demo.Profile{Gender: demo.GenderFemale, Race: demo.RaceWhite, Age: demo.ImpliedAdult})
 	sa, _ := launchPair(t, p, caID, img, img, 5000)
 	if sa.Impressions > 2*ca.Size {

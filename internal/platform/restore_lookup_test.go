@@ -1,11 +1,10 @@
 package platform
 
 // Regression suite for the restore path of the columnar population: the
-// builder drops its PII index once construction finishes, and LookupPII
-// rebuilds it lazily on first use. Historically the equivalent byPII map
-// could be left stale after Platform.Restore; these tests pin that a
-// restored platform still PII-matches new audience uploads and delivers
-// byte-identically to the platform it was cloned from.
+// population keeps one PII index, the builder's, for its whole life.
+// Historically a byPII map could be left stale after Platform.Restore; these
+// tests pin that a restored platform still PII-matches new audience uploads
+// and delivers byte-identically to the platform it was cloned from.
 
 import (
 	"encoding/json"
@@ -41,17 +40,9 @@ func TestRestoreThenPIIMatchAndDelivery(t *testing.T) {
 	}
 
 	// A fresh PII upload on the restored platform must match the same users
-	// the origin platform matches — the lookup index is rebuilt, not stale.
-	ca2ID := uploadBalancedAudience(t, p2, f, 40, 62)
-	ca2OnP1 := uploadBalancedAudience(t, p1, f, 40, 62)
-	a1, err := p1.Audience(ca2OnP1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := p2.Audience(ca2ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// the origin platform matches — the lookup index is not stale.
+	a2 := balancedAudience(t, p2, f, 40, 62)
+	a1 := balancedAudience(t, p1, f, 40, 62)
 	if a1.Size == 0 || a1.Size != a2.Size {
 		t.Fatalf("post-restore audience size %d, origin %d", a2.Size, a1.Size)
 	}

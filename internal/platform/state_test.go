@@ -221,7 +221,7 @@ func TestApplyMutationRejectsForeignWorld(t *testing.T) {
 	if err := p.ApplyMutation(&m); err == nil {
 		t.Fatal("audience index outside population: want error")
 	}
-	if _, err := p.Audience("ca-1"); err == nil {
-		t.Fatal("failed mutation must not install the audience")
+	if n := len(p.State().Audiences); n != 0 {
+		t.Fatalf("failed mutation installed %d audiences, want none", n)
 	}
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -35,22 +34,6 @@ func Variance(xs []float64) float64 {
 
 // StdDev returns the unbiased sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// WeightedMean returns Σwᵢxᵢ / Σwᵢ; 0 when weights sum to zero.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic(fmt.Sprintf("stats: WeightedMean length mismatch %d != %d", len(xs), len(ws)))
-	}
-	var num, den float64
-	for i, x := range xs {
-		num += x * ws[i]
-		den += ws[i]
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics. xs is not modified.
@@ -102,24 +85,4 @@ func WelchTTest(a, b []float64) WelchT {
 	res.DF = se2 * se2 / ((va*va)/(na*na*(na-1)) + (vb*vb)/(nb*nb*(nb-1)))
 	res.P = TTestPValue(res.T, res.DF)
 	return res
-}
-
-// Pearson returns the Pearson correlation coefficient of two equal-length
-// samples; NaN when either is constant.
-func Pearson(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("stats: Pearson length mismatch %d != %d", len(a), len(b)))
-	}
-	ma, mb := Mean(a), Mean(b)
-	var cov, va, vb float64
-	for i := range a {
-		da, db := a[i]-ma, b[i]-mb
-		cov += da * db
-		va += da * da
-		vb += db * db
-	}
-	if va == 0 || vb == 0 {
-		return math.NaN()
-	}
-	return cov / math.Sqrt(va*vb)
 }

@@ -23,21 +23,6 @@ func TestMeanVariance(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	if got := WeightedMean([]float64{1, 10}, []float64{9, 1}); !almostEqual(got, 1.9, 1e-12) {
-		t.Errorf("WeightedMean = %v", got)
-	}
-	if got := WeightedMean([]float64{1, 2}, []float64{0, 0}); got != 0 {
-		t.Errorf("zero weights: %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch: want panic")
-		}
-	}()
-	WeightedMean([]float64{1}, []float64{1, 2})
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{3, 1, 2, 4, 5}
 	if got := Quantile(xs, 0.5); got != 3 {
@@ -107,21 +92,6 @@ func TestWelchTTest(t *testing.T) {
 	deg := WelchTTest([]float64{1}, []float64{2})
 	if !math.IsNaN(deg.P) {
 		t.Errorf("degenerate p = %v, want NaN", deg.P)
-	}
-}
-
-func TestPearson(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{2, 4, 6, 8}
-	if got := Pearson(a, b); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("perfect correlation = %v", got)
-	}
-	c := []float64{8, 6, 4, 2}
-	if got := Pearson(a, c); !almostEqual(got, -1, 1e-12) {
-		t.Errorf("perfect anticorrelation = %v", got)
-	}
-	if !math.IsNaN(Pearson(a, []float64{5, 5, 5, 5})) {
-		t.Error("constant series: want NaN")
 	}
 }
 

@@ -33,13 +33,6 @@ func (r *LogitResult) Predict(x []float64) float64 {
 	return Sigmoid(z)
 }
 
-// Direction returns the non-intercept coefficient vector. In the latent-
-// direction technique this is the vector along which activations are
-// perturbed to add or remove the modeled attribute.
-func (r *LogitResult) Direction() []float64 {
-	return append([]float64(nil), r.Coef[1:]...)
-}
-
 // Sigmoid is the standard logistic function, clamped to avoid overflow.
 func Sigmoid(z float64) float64 {
 	switch {

@@ -144,7 +144,7 @@ func TestLogitDirectionSignProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return Dot(res.Direction(), truth) > 0
+		return Dot(res.Coef[1:], truth) > 0
 	}
 	names := func(k int) []string {
 		out := make([]string, k)

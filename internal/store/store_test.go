@@ -245,8 +245,8 @@ func TestBarrieredWritesSurviveKill(t *testing.T) {
 	}
 
 	_, p2, _ := openRecover(t, testOptions(dir))
-	if _, err := p2.Audience("ca-1"); err != nil {
-		t.Fatalf("acked audience lost in crash: %v", err)
+	if auds := p2.State().Audiences; len(auds) != 1 || auds[0].ID != "ca-1" {
+		t.Fatalf("acked audience lost in crash: recovered %+v", auds)
 	}
 }
 

@@ -64,7 +64,8 @@ func WriteFL(w io.Writer, records []Record) error {
 }
 
 // ParseFL reads records in the Florida extract layout. Records with race
-// codes outside the study's White/Black axis are kept with RaceOther.
+// codes outside the study's White/Black axis are kept with RaceOther; a
+// record that fails Validate is refused.
 func ParseFL(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
@@ -103,7 +104,7 @@ func ParseFL(r io.Reader) ([]Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("voter: FL line %d: birth year %q: %v", line, birth, err)
 		}
-		out = append(out, Record{
+		rec := Record{
 			ID:        f[1],
 			LastName:  f[2],
 			FirstName: f[4],
@@ -114,7 +115,11 @@ func ParseFL(r io.Reader) ([]Record, error) {
 			Gender:    gender,
 			Race:      race,
 			BirthYear: year,
-		})
+		}
+		if err := rec.Validate(); err != nil {
+			return nil, fmt.Errorf("voter: FL line %d: %w", line, err)
+		}
+		out = append(out, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -159,7 +164,8 @@ func WriteNC(w io.Writer, records []Record) error {
 	return bw.Flush()
 }
 
-// ParseNC reads records in the North Carolina ncvoter layout.
+// ParseNC reads records in the North Carolina ncvoter layout; a record that
+// fails Validate is refused.
 func ParseNC(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1024*1024)
@@ -199,7 +205,7 @@ func ParseNC(r io.Reader) ([]Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("voter: NC line %d: birth year %q: %v", line, f[10], err)
 		}
-		out = append(out, Record{
+		rec := Record{
 			ID:        f[1],
 			LastName:  f[2],
 			FirstName: f[3],
@@ -210,7 +216,11 @@ func ParseNC(r io.Reader) ([]Record, error) {
 			Gender:    gender,
 			Race:      race,
 			BirthYear: year,
-		})
+		}
+		if err := rec.Validate(); err != nil {
+			return nil, fmt.Errorf("voter: NC line %d: %w", line, err)
+		}
+		out = append(out, rec)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package voter
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -104,6 +105,44 @@ func TestParseNCMalformed(t *testing.T) {
 	badYear := ncHeader + "\n92\tNC1\tSmith\tJohn\t1 Oak St\tRaleigh\tNC\t27000\tW\tM\tnope\n"
 	if _, err := ParseNC(strings.NewReader(badYear)); err == nil {
 		t.Error("bad year: want error")
+	}
+}
+
+// TestParseRefusesInvalidRecords: a line that parses but fails one of
+// Record.Validate's checks is refused, naming its line. The state check
+// cannot fail here: each parser sets the state of its own layout.
+func TestParseRefusesInvalidRecords(t *testing.T) {
+	fl := func(id, zip, year string) string {
+		return "DAD\tFL0\tSmith\t\tJohn\t\t1 Oak St\tMiami\tFL\t33101\tM\t5\t01/01/1980\n" +
+			"DAD\t" + id + "\tSmith\t\tJohn\t\t1 Oak St\tMiami\tFL\t" + zip + "\tM\t5\t01/01/" + year + "\n"
+	}
+	nc := func(id, zip, year string) string {
+		return ncHeader + "\n" +
+			"92\tNC0\tSmith\tJohn\t1 Oak St\tRaleigh\tNC\t27000\tW\tM\t1980\n" +
+			"92\t" + id + "\tSmith\tJohn\t1 Oak St\tRaleigh\tNC\t" + zip + "\tW\tM\t" + year + "\n"
+	}
+	for _, tc := range []struct {
+		check, id, zip, year, want string
+	}{
+		{"empty ID", "", "33101", "1980", "record missing ID"},
+		{"age 10", "V1", "33101", "2012", "implausible age 10"},
+		{"age 121", "V1", "33101", "1901", "implausible age 121"},
+		{"4-digit ZIP", "V1", "3310", "1980", `malformed ZIP "3310"`},
+	} {
+		for _, layout := range []struct {
+			name, text, line string // line: the bad record's line in the file
+			parse            func(io.Reader) ([]Record, error)
+		}{
+			{"FL", fl(tc.id, tc.zip, tc.year), "2", ParseFL},
+			{"NC", nc(tc.id, tc.zip, tc.year), "3", ParseNC},
+		} {
+			recs, err := layout.parse(strings.NewReader(layout.text))
+			want := "voter: " + layout.name + " line " + layout.line + ": "
+			if err == nil || !strings.HasPrefix(err.Error(), want) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s: got %d records, error %v; want an error starting %q and containing %q",
+					layout.name, tc.check, len(recs), err, want, tc.want)
+			}
+		}
 	}
 }
 
