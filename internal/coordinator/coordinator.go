@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -650,20 +649,7 @@ func mergeInsights(shards []*shardConn, parts []*marketing.InsightsResponse) (*m
 			}
 		}
 	}
-	for key, n := range cells {
-		key.Impressions = n
-		m.Breakdown = append(m.Breakdown, key)
-	}
-	sort.Slice(m.Breakdown, func(i, j int) bool {
-		a, b := m.Breakdown[i], m.Breakdown[j]
-		if a.Age != b.Age {
-			return a.Age < b.Age
-		}
-		if a.Gender != b.Gender {
-			return a.Gender < b.Gender
-		}
-		return a.Region < b.Region
-	})
+	m.Breakdown = marketing.BreakdownRows(cells)
 	return m, nil
 }
 

@@ -25,8 +25,8 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/adaudit/impliedidentity/internal/faults"
 	"github.com/adaudit/impliedidentity/internal/marketing"
+	"github.com/adaudit/impliedidentity/internal/mathrand"
 	"github.com/adaudit/impliedidentity/internal/platform"
 )
 
@@ -140,7 +140,7 @@ func (c *Coordinator) dayBackoff(daySeq uint64, attempt int) time.Duration {
 	}
 	// Jitter in [0, backoff/2): derived, not sampled, so a replayed test run
 	// waits exactly as long as the original.
-	jitter := time.Duration(faults.Mix64(int64(daySeq), uint64(attempt)) % uint64(backoff/2+1))
+	jitter := time.Duration(mathrand.Mix64(int64(daySeq), uint64(attempt)) % uint64(backoff/2+1))
 	return min(backoff+jitter, maxBackoff)
 }
 

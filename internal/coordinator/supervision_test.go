@@ -22,6 +22,7 @@ import (
 	"github.com/adaudit/impliedidentity/internal/coordinator"
 	"github.com/adaudit/impliedidentity/internal/faults"
 	"github.com/adaudit/impliedidentity/internal/marketing"
+	"github.com/adaudit/impliedidentity/internal/obs"
 )
 
 // durable gives every shard a WAL directory, so a killed one comes back
@@ -317,7 +318,8 @@ func TestAbandonedDayAttemptLeavesNoSession(t *testing.T) {
 // RPCs, CRUD converges through retries and the health model never leaves
 // healthy — an error answer is an answer.
 func TestNoFlapUnderInjected5xx(t *testing.T) {
-	inj, err := faults.New(faults.Config{Seed: 31, Rate: 0.33, Kinds: []faults.Kind{faults.KindReject5xx}}, nil)
+	injReg := obs.NewRegistry()
+	inj, err := faults.New(faults.Config{Seed: 31, Rate: 0.33, Kinds: []faults.Kind{faults.KindReject5xx}}, injReg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +348,7 @@ func TestNoFlapUnderInjected5xx(t *testing.T) {
 	if got := snap.Counters[coordinator.MetricTransitions+"|suspect"]; got != 0 {
 		t.Errorf("suspect transitions under injected 5xx = %d, want 0", got)
 	}
-	if got := inj.Metrics().Snapshot().Counters[faults.MetricInjected]; got == 0 {
+	if got := injReg.Counter(faults.MetricInjected).Value(); got == 0 {
 		t.Errorf("fault injection never fired — the test proves nothing")
 	}
 }

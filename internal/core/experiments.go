@@ -350,8 +350,8 @@ func (l *Lab) RunPovertyExperiment(opt PovertyExperimentOptions) (*PovertyResult
 	res.PreTest = povertyWelch(l, flSample, ncSample)
 
 	rng := rand.New(rand.NewSource(opt.Seed + 51))
-	flMatched := voter.MatchPoverty(flSample, l.FL.Poverty, 10, rng)
-	ncMatched := voter.MatchPoverty(ncSample, l.NC.Poverty, 10, rng)
+	flMatched := voter.MatchPoverty(flSample, l.FL.Poverty, rng)
+	ncMatched := voter.MatchPoverty(ncSample, l.NC.Poverty, rng)
 	res.AudienceAfter = len(flMatched) + len(ncMatched)
 	res.PostTest = povertyWelch(l, flMatched, ncMatched)
 

@@ -141,10 +141,10 @@ func TestIndexReadersEqualRegistryReaders(t *testing.T) {
 					t.Errorf("pre-matching Welch: %+v, registry sample %+v", got, want)
 				}
 				rng, recRng := rand.New(rand.NewSource(seed+51)), rand.New(rand.NewSource(seed+51))
-				flMatched := voter.MatchPoverty(fl, l.FL.Poverty, 10, rng)
-				ncMatched := voter.MatchPoverty(nc, l.NC.Poverty, 10, rng)
-				flMatchedRecs := voter.MatchPoverty(flRecs, flPoverty, 10, recRng)
-				ncMatchedRecs := voter.MatchPoverty(ncRecs, ncPoverty, 10, recRng)
+				flMatched := voter.MatchPoverty(fl, l.FL.Poverty, rng)
+				ncMatched := voter.MatchPoverty(nc, l.NC.Poverty, rng)
+				flMatchedRecs := voter.MatchPoverty(flRecs, flPoverty, recRng)
+				ncMatchedRecs := voter.MatchPoverty(ncRecs, ncPoverty, recRng)
 				for _, race := range []demo.Race{demo.RaceWhite, demo.RaceBlack} {
 					if !slices.Equal(appendRaceHashes(appendRaceHashes(nil, flMatched, race), ncMatched, race),
 						slices.Concat(recordHashes(flMatchedRecs, race), recordHashes(ncMatchedRecs, race))) {

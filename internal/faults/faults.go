@@ -9,11 +9,12 @@
 // wire, so the server under test runs exactly the code it serves with.
 //
 // Determinism is the point: every request consumes the next slot of a fault
-// schedule that is a pure function of (seed, slot index), so two chaos runs
-// with the same seed draw the identical schedule. Under concurrency the
-// mapping of requests to slots follows send order, but the schedule itself —
-// which slots fault, and how — is exactly reproducible, which is what makes
-// a chaos soak a regression test instead of a dice roll.
+// schedule that is a pure function of (seed, slot index), read through
+// mathrand.Mix64, so two chaos runs with the same seed draw the identical
+// schedule. Under concurrency the mapping of requests to slots follows send
+// order, but the schedule itself — which slots fault, and how — is exactly
+// reproducible, which is what makes a chaos soak a regression test instead
+// of a dice roll.
 //
 // Rejections are answered without sending the request: the server never
 // sees it. A drop sends the request and throws the answer away: the server's
@@ -30,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/adaudit/impliedidentity/internal/mathrand"
 	"github.com/adaudit/impliedidentity/internal/obs"
 )
 
@@ -145,7 +147,7 @@ type Injector struct {
 }
 
 // New builds an injector. Registry may be nil; counters then go to a private
-// registry (Metrics exposes whichever is in use).
+// registry.
 func New(cfg Config, reg *obs.Registry) (*Injector, error) {
 	if err := (Schedule{Rate: cfg.Rate}).Validate(); err != nil {
 		return nil, err
@@ -157,33 +159,6 @@ func New(cfg Config, reg *obs.Registry) (*Injector, error) {
 		cfg.Kinds = AllKinds()
 	}
 	return &Injector{cfg: cfg, reg: reg}, nil
-}
-
-// Metrics returns the registry the injector counts into.
-func (inj *Injector) Metrics() *obs.Registry { return inj.reg }
-
-// splitmix64 is the SplitMix64 finalizer: a statistically strong 64-bit
-// mixer, used here to turn (seed, slot) into schedule bits with no state.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// Mix64 maps (seed, slot) to schedule bits — the stateless seeded-schedule
-// idiom every deterministic disturbance in this repo shares (the fault
-// schedule here, the chaos action schedule in internal/chaos, the per-shard
-// RNG streams in the delivery engine).
-func Mix64(seed int64, slot uint64) uint64 {
-	return splitmix64(uint64(seed) ^ splitmix64(slot))
-}
-
-// Draw is slot `slot` of a seeded schedule: its bits, and the coin a schedule
-// compares with its rate — the top 53 bits as a uniform float in [0,1).
-func Draw(seed int64, slot uint64) (bits uint64, coin float64) {
-	bits = Mix64(seed, slot)
-	return bits, float64(bits>>11) / (1 << 53)
 }
 
 // Schedule is the seeded map from a slot to a disturbance — the one place in
@@ -221,14 +196,14 @@ func (s Schedule) At(slot uint64) (kind int, bits uint64, ok bool) {
 	if s.Gap > 1 && slot%uint64(s.Gap) != 0 {
 		return 0, 0, false
 	}
-	draw, coin := Draw(s.Seed, slot)
-	if coin >= s.Rate {
+	draw := mathrand.Mix64(s.Seed, slot)
+	if mathrand.Unit(draw) >= s.Rate {
 		return 0, 0, false
 	}
 	if s.Salted {
-		draw ^= splitmix64(slot + 1)
+		draw ^= mathrand.SplitMix64(slot + 1)
 	}
-	bits = splitmix64(draw)
+	bits = mathrand.SplitMix64(draw)
 	return int(bits % uint64(s.Kinds)), bits, true
 }
 

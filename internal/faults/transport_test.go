@@ -179,7 +179,8 @@ func TestTransportExemptPathsAndZeroRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := New(Config{Seed: 1, Rate: 0}, nil)
+	cleanReg := obs.NewRegistry()
+	clean, err := New(Config{Seed: 1, Rate: 0}, cleanReg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +201,7 @@ func TestTransportExemptPathsAndZeroRate(t *testing.T) {
 	if *hits != 3 {
 		t.Errorf("%d of 3 requests reached the backend", *hits)
 	}
-	if got := clean.Metrics().Counter(MetricInjected).Value(); got != 0 {
+	if got := cleanReg.Counter(MetricInjected).Value(); got != 0 {
 		t.Errorf("zero-rate injector counted %d faults", got)
 	}
 }
@@ -326,15 +327,5 @@ func TestTransportDropClosesBody(t *testing.T) {
 	}
 	if responses != 1 || closes != responses {
 		t.Fatalf("drop closed %d of %d response bodies, want 1 of 1", closes, responses)
-	}
-}
-
-// Mix64 is the shared seeded-schedule primitive: pure and seed-sensitive.
-func TestMix64(t *testing.T) {
-	if Mix64(1, 2) != Mix64(1, 2) {
-		t.Fatalf("Mix64 not pure")
-	}
-	if Mix64(1, 2) == Mix64(2, 2) || Mix64(1, 2) == Mix64(1, 3) {
-		t.Fatalf("Mix64 insensitive to seed or slot")
 	}
 }

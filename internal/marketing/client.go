@@ -16,6 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/adaudit/impliedidentity/internal/mathrand"
 	"github.com/adaudit/impliedidentity/internal/obs"
 )
 
@@ -209,9 +210,9 @@ func (c *Client) Metrics() *obs.Registry {
 func (c *Client) backoffDelay(retry int, retryAfter time.Duration) time.Duration {
 	c.mu.Lock()
 	p := c.retry
-	h := uint64(c.clock.Now().UnixNano()+int64(retry)) * 0x9e3779b97f4a7c15
+	h := uint64(c.clock.Now().UnixNano()+int64(retry)) * mathrand.Gamma
 	c.mu.Unlock()
-	jitter := float64(h>>11) / (1 << 53)
+	jitter := mathrand.Unit(h)
 	d := p.BaseDelay << uint(retry-1)
 	if d > p.MaxDelay || d <= 0 {
 		d = p.MaxDelay

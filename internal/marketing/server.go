@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -489,19 +488,6 @@ func (s *Server) handleInsights(w http.ResponseWriter, r *http.Request) {
 		}
 		agg[row] += n
 	}
-	for row, n := range agg {
-		row.Impressions = n
-		resp.Breakdown = append(resp.Breakdown, row)
-	}
-	sort.Slice(resp.Breakdown, func(i, j int) bool {
-		a, b := resp.Breakdown[i], resp.Breakdown[j]
-		if a.Age != b.Age {
-			return a.Age < b.Age
-		}
-		if a.Gender != b.Gender {
-			return a.Gender < b.Gender
-		}
-		return a.Region < b.Region
-	})
+	resp.Breakdown = BreakdownRows(agg)
 	WriteJSON(w, http.StatusOK, *PrivatizeInsights(s.privacyConfig(), &resp))
 }

@@ -9,8 +9,11 @@ package marketing
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"slices"
+	"strings"
 	"unicode/utf8"
 
 	"github.com/adaudit/impliedidentity/internal/demo"
@@ -284,6 +287,21 @@ type BreakdownRow struct {
 	Gender      string `json:"gender"`
 	Region      string `json:"region"`
 	Impressions int    `json:"impressions"`
+}
+
+// BreakdownRows turns per-cell impression totals, keyed by rows whose
+// Impressions is zero, into insights rows in the one order every insights
+// surface reports them: by age, then gender, then region. No cells yield nil.
+func BreakdownRows(cells map[BreakdownRow]int) []BreakdownRow {
+	var rows []BreakdownRow
+	for row, n := range cells {
+		row.Impressions = n
+		rows = append(rows, row)
+	}
+	slices.SortFunc(rows, func(a, b BreakdownRow) int {
+		return cmp.Or(strings.Compare(a.Age, b.Age), strings.Compare(a.Gender, b.Gender), strings.Compare(a.Region, b.Region))
+	})
+	return rows
 }
 
 // InsightsResponse is the delivery report for one ad.

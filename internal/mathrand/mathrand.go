@@ -8,7 +8,9 @@
 // exactly Int31n's draws with a multiply where Int31n divides
 // (TestBelowIsInt31n). The delivery kernel, the voter generator and the
 // population builder draw from it; every golden in the tree was recorded
-// with math/rand.
+// with math/rand. The package also holds the one stateless seeded draw,
+// SplitMix64 and the (seed, slot) mixer Mix64 on it, which every replayed
+// schedule reads.
 package mathrand
 
 import (

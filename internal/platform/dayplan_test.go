@@ -301,7 +301,7 @@ func TestDayPlanMatchesMapOracleOnRandomDays(t *testing.T) {
 			carried += len(sh.visits)
 			for _, v := range sh.visits {
 				uid := int(v.row.user)
-				row := sort.Search(plan.elig.rows(), func(r int) bool { return plan.elig.users[r] >= v.row.user })
+				row := sort.Search(len(plan.elig.users), func(r int) bool { return plan.elig.users[r] >= v.row.user })
 				if lo, hi := plan.elig.offsets[row], plan.elig.offsets[row+1]; v.row.lo != lo || v.row.hi != hi {
 					t.Fatalf("trial %d user %d: visit carries slots [%d, %d), the CSR row has [%d, %d)", trial, uid, v.row.lo, v.row.hi, lo, hi)
 				}
@@ -327,8 +327,8 @@ func TestDayPlanMatchesMapOracleOnRandomDays(t *testing.T) {
 				}
 			}
 		}
-		if carried != plan.elig.rows() {
-			t.Fatalf("trial %d: the shards carry %d rows, the index has %d", trial, carried, plan.elig.rows())
+		if carried != len(plan.elig.users) {
+			t.Fatalf("trial %d: the shards carry %d rows, the index has %d", trial, carried, len(plan.elig.users))
 		}
 		for name, table := range map[string][]atomic.Uint64{"term": plan.terms, "click": plan.clicks} {
 			filled := 0
@@ -497,7 +497,7 @@ func TestDemandTableIsCompetingDemand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	visits := make([]visit, plan.elig.rows())
+	visits := make([]visit, len(plan.elig.users))
 	p.gatherRows(plan, 0, 1, visits)
 	for pos := range plan.elig.users {
 		u := p.pop.View(int(plan.elig.users[pos]))

@@ -249,15 +249,13 @@ func (sh *dayShard) foldInto(stats map[string]*AdStats, active []*Ad) {
 	}
 }
 
-// shardSeed derives one shard's RNG seed from the day seed with a
-// splitmix64-style mixer, giving well-separated streams even for adjacent
-// (seed, shard) pairs. The mapping depends only on its inputs, so a fixed
-// (seed, workers) pair always reproduces the same streams.
+// shardSeed derives one shard's RNG seed from the day seed: output `shard`
+// of the SplitMix64 generator seeded with the day seed, giving
+// well-separated streams even for adjacent (seed, shard) pairs. The mapping
+// depends only on its inputs, so a fixed (seed, workers) pair always
+// reproduces the same streams.
 func shardSeed(seed int64, shard int) int64 {
-	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(shard+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
+	return int64(mathrand.SplitMix64(uint64(seed) + mathrand.Gamma*uint64(shard)))
 }
 
 // tickShard runs one shard's slice of a tick: visit its users in a fresh

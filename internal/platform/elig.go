@@ -94,9 +94,6 @@ func (a *dayArena) buildEligIndex(active []*Ad) *eligIndex {
 	return e
 }
 
-// rows returns the number of targeted users.
-func (e *eligIndex) rows() int { return len(e.users) }
-
 // shardLen is the number of rows shard `shard` of `shards` owns: positions
 // shard, shard+shards, … — in ascending order, the deterministic base order
 // the per-tick seeded shuffles start from (ascending population index,

@@ -50,8 +50,8 @@ func assertMatchesOracle(t *testing.T, a *dayArena, active []*Ad) {
 	t.Helper()
 	e := a.buildEligIndex(active)
 	adsByUser, users := mapOracle(active)
-	if e.rows() != len(users) {
-		t.Fatalf("rows %d, oracle %d", e.rows(), len(users))
+	if len(e.users) != len(users) {
+		t.Fatalf("rows %d, oracle %d", len(e.users), len(users))
 	}
 	for pos, idx := range users {
 		if int(e.users[pos]) != idx {
@@ -88,8 +88,8 @@ func TestEligIndexMatchesSortedMapOracle(t *testing.T) {
 
 func TestEligIndexEmptyAudiences(t *testing.T) {
 	e := new(dayArena).buildEligIndex(eligAds(nil, nil))
-	if e.rows() != 0 {
-		t.Fatalf("all-empty audiences: %d rows, want 0", e.rows())
+	if len(e.users) != 0 {
+		t.Fatalf("all-empty audiences: %d rows, want 0", len(e.users))
 	}
 	if len(e.offsets) != 1 || e.offsets[0] != 0 {
 		t.Fatalf("offsets %v, want [0]", e.offsets)
@@ -131,8 +131,8 @@ func TestEligIndexRowOrderIsIdentity(t *testing.T) {
 	}
 	e := plan.elig
 	visits := make([]visit, e.shardLen(0, 1))
-	if len(visits) != e.rows() {
-		t.Fatalf("shard 0 of 1 owns %d rows, the index has %d", len(visits), e.rows())
+	if len(visits) != len(e.users) {
+		t.Fatalf("shard 0 of 1 owns %d rows, the index has %d", len(visits), len(e.users))
 	}
 	p.gatherRows(plan, 0, 1, visits)
 	for pos, v := range visits {
@@ -148,12 +148,12 @@ func TestEligIndexRowOrderIsIdentity(t *testing.T) {
 // some shards empty.
 func TestEligIndexShardRowsPartition(t *testing.T) {
 	e := new(dayArena).buildEligIndex(eligAds([]int{1, 2, 3, 5, 8, 13, 21}))
-	for shards := 1; shards <= e.rows()+2; shards++ {
-		seen := make([]int, e.rows())
+	for shards := 1; shards <= len(e.users)+2; shards++ {
+		seen := make([]int, len(e.users))
 		for shard := 0; shard < shards; shard++ {
 			n := e.shardLen(shard, shards)
-			if last := shard + n*shards; last < e.rows() || (n > 0 && last-shards >= e.rows()) {
-				t.Fatalf("shard %d of %d owns %d of %d rows", shard, shards, n, e.rows())
+			if last := shard + n*shards; last < len(e.users) || (n > 0 && last-shards >= len(e.users)) {
+				t.Fatalf("shard %d of %d owns %d of %d rows", shard, shards, n, len(e.users))
 			}
 			for k := 0; k < n; k++ {
 				seen[shard+k*shards]++

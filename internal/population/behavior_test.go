@@ -18,9 +18,13 @@ func testBehavior(t *testing.T) *Behavior {
 
 func imgOf(p demo.Profile) image.Features { return image.FromProfile(p) }
 
-// mkUser builds a standalone columnar view for behaviour-model tests.
+// mkUser builds a standalone single-user view, backed by its own one-row
+// column set, for behaviour-model tests: a Miami user with activity 1 and
+// the zero PII digest.
 func mkUser(age int, g demo.Gender, r demo.Race) UserView {
-	return MakeView(demo.StateFL, "33101", age, g, r, 1)
+	c := &Columns{zipDict: []string{"33101"}}
+	c.appendRow(uint8(age), g, r, demo.StateFL, 0, 1, [32]byte{})
+	return UserView{c: c}
 }
 
 func TestNewBehaviorValidation(t *testing.T) {

@@ -27,7 +27,7 @@ type Columns struct {
 	zip      []uint16 // index into zipDict
 	zipDict  []string
 	activity []float64
-	travel   float64 // every user's: Config.TravelProb, 0 for MakeView
+	travel   float64 // every user's: Config.TravelProb
 	pii      [][32]byte
 }
 
@@ -81,21 +81,6 @@ func (c *Columns) bytes() int64 {
 		b += int64(len(z)) + 16 // string bytes + header
 	}
 	return b
-}
-
-// MakeView builds a standalone single-user view backed by its own one-row
-// column set — for tests and tools that evaluate per-user models (behaviour,
-// eAR) outside a built population. The view's ID is 0 and its PII key is the
-// zero digest.
-func MakeView(state demo.State, zip string, age int, g demo.Gender, r demo.Race, activity float64) UserView {
-	c := &Columns{zipDict: []string{zip}}
-	if age < 0 {
-		age = 0
-	} else if age > 255 {
-		age = 255
-	}
-	c.appendRow(uint8(age), g, r, state, 0, activity, [32]byte{})
-	return UserView{c: c, i: 0}
 }
 
 // UserView is a cheap value handle onto one user's row of the columns. It is

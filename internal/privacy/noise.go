@@ -1,7 +1,7 @@
 // Seeded discrete-Laplace noise: the differential-privacy half of the
 // privatization pipeline. Every draw is a pure function of (seed, cell key,
 // epsilon), built from the same SplitMix64 schedule primitive
-// (faults.Mix64) the fault injector and chaos orchestrator use, so the
+// (mathrand.Mix64) the fault injector and chaos orchestrator use, so the
 // noise stream is byte-stable across runs, processes, and map iteration
 // orders — a merged cross-shard report and a single-process report noise
 // identically because they name their cells identically.
@@ -10,7 +10,7 @@ package privacy
 import (
 	"math"
 
-	"github.com/adaudit/impliedidentity/internal/faults"
+	"github.com/adaudit/impliedidentity/internal/mathrand"
 )
 
 // maxNoiseBound caps the truncation half-width so a pathological epsilon
@@ -55,12 +55,6 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// unit converts 64 schedule bits to a uniform in [0,1) (top 53 bits, the
-// same construction the fault injector uses for its coin).
-func unit(bits uint64) float64 {
-	return float64(bits>>11) / (1 << 53)
-}
-
 // geometric inverts the Geometric(1-q) CDF at u: the count of failures
 // before the first success, floor(ln u / ln q). u = 0 maps to the cap (the
 // infinite tail), which the caller's bound clamps away.
@@ -86,11 +80,11 @@ func Draw(seed int64, key string, epsilon float64) int {
 		return 0
 	}
 	h := fnv64(key)
-	bits := faults.Mix64(seed, h)
-	sub := faults.Mix64(int64(bits), h+1)
+	bits := mathrand.Mix64(seed, h)
+	sub := mathrand.Mix64(int64(bits), h+1)
 	q := math.Exp(-epsilon)
 	b := NoiseBound(epsilon)
-	d := geometric(unit(bits), q, b) - geometric(unit(sub), q, b)
+	d := geometric(mathrand.Unit(bits), q, b) - geometric(mathrand.Unit(sub), q, b)
 	if d > b {
 		return b
 	}

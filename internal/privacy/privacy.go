@@ -13,7 +13,7 @@
 //     parameter epsilon.
 //
 // Determinism is a design requirement, not an afterthought. The noise
-// stream is a pure function (seed, cell key) → draw built on faults.Mix64,
+// stream is a pure function (seed, cell key) → draw built on mathrand.Mix64,
 // so privatizing the same report twice — or privatizing the merged
 // cross-shard report on a router versus the single-process report on one
 // platform — yields byte-identical output. That property is what lets the

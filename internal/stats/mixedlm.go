@@ -37,22 +37,12 @@ type MixedLMResult struct {
 
 // Coefficient returns the fixed-effect coefficient for the named variable.
 func (r *MixedLMResult) Coefficient(name string) (float64, bool) {
-	for i, n := range r.Names {
-		if n == name {
-			return r.Coef[i], true
-		}
-	}
-	return 0, false
+	return named(r.Names, r.Coef, name)
 }
 
 // PValueOf returns the p-value for the named fixed effect.
 func (r *MixedLMResult) PValueOf(name string) (float64, bool) {
-	for i, n := range r.Names {
-		if n == name {
-			return r.PValue[i], true
-		}
-	}
-	return 0, false
+	return named(r.Names, r.PValue, name)
 }
 
 // String renders the fit in the shape of one Table 5 column.
@@ -84,12 +74,7 @@ func MixedLM(names []string, x *Matrix, y []float64, groups []string) (*MixedLMR
 	}
 	// Build the intercept-augmented design and group index.
 	p := x.Cols + 1
-	design := NewMatrix(n, p)
-	for i := 0; i < n; i++ {
-		row := design.Row(i)
-		row[0] = 1
-		copy(row[1:], x.Row(i))
-	}
+	design := withIntercept(x)
 	if n <= p {
 		return nil, ErrTooFewObservations
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -27,20 +28,18 @@ type OLSResult struct {
 
 // Coefficient returns the coefficient for the named variable.
 func (r *OLSResult) Coefficient(name string) (float64, bool) {
-	for i, n := range r.Names {
-		if n == name {
-			return r.Coef[i], true
-		}
-	}
-	return 0, false
+	return named(r.Names, r.Coef, name)
 }
 
 // PValueOf returns the p-value for the named variable.
 func (r *OLSResult) PValueOf(name string) (float64, bool) {
-	for i, n := range r.Names {
-		if n == name {
-			return r.PValue[i], true
-		}
+	return named(r.Names, r.PValue, name)
+}
+
+// named returns the entry of vals at name's position in names.
+func named(names []string, vals []float64, name string) (float64, bool) {
+	if i := slices.Index(names, name); i >= 0 {
+		return vals[i], true
 	}
 	return 0, false
 }
@@ -85,14 +84,20 @@ func OLS(names []string, x *Matrix, y []float64) (*OLSResult, error) {
 	if len(names) != x.Cols {
 		return nil, fmt.Errorf("stats: %d names for %d columns", len(names), x.Cols)
 	}
+	allNames := append([]string{"Intercept"}, names...)
+	return olsDesign(allNames, withIntercept(x), y)
+}
+
+// withIntercept returns x with a column of ones prepended, the design of
+// every fit that reports an "Intercept".
+func withIntercept(x *Matrix) *Matrix {
 	design := NewMatrix(x.Rows, x.Cols+1)
 	for i := 0; i < x.Rows; i++ {
 		row := design.Row(i)
 		row[0] = 1
 		copy(row[1:], x.Row(i))
 	}
-	allNames := append([]string{"Intercept"}, names...)
-	return olsDesign(allNames, design, y)
+	return design
 }
 
 func olsDesign(names []string, x *Matrix, y []float64) (*OLSResult, error) {
@@ -190,12 +195,7 @@ func (r *OLSResult) RobustSE(x *Matrix) ([]float64, error) {
 	if n != r.N || p != len(r.Coef) {
 		return nil, fmt.Errorf("stats: design %dx%d does not match fitted model (n=%d, p=%d)", n, x.Cols, r.N, len(r.Coef))
 	}
-	design := NewMatrix(n, p)
-	for i := 0; i < n; i++ {
-		row := design.Row(i)
-		row[0] = 1
-		copy(row[1:], x.Row(i))
-	}
+	design := withIntercept(x)
 	xtxInv, err := design.XtX().SymInverse()
 	if err != nil {
 		return nil, err

@@ -279,10 +279,6 @@ func FormatID(st demo.State, serial int) string {
 	return string(b[:])
 }
 
-// ZIPPoverty returns the generated ZIP→poverty table (shared, do not
-// mutate).
-func (g *Generator) ZIPPoverty() map[string]float64 { return g.zipPoverty }
-
 // Generate builds a synthetic registry. Generation is deterministic in the
 // seed; it is the one-shot materialization of Generator's stream.
 func Generate(cfg GeneratorConfig) (*Registry, error) {

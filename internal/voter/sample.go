@@ -31,22 +31,32 @@ func StratifiedSample[T Voter, P voterRef[T]](voters []T, maxPerCell int, rng *r
 	}
 	var out []T
 	for _, bucket := range demo.AllAgeBuckets() {
-		cells := bucketCells(bucket)
-		k := math.MaxInt
-		for _, c := range cells {
-			k = min(k, len(byCell[c]))
-		}
-		if k == 0 {
-			continue
-		}
-		if maxPerCell > 0 && k > maxPerCell {
-			k = maxPerCell
-		}
-		for _, c := range cells {
-			idx := byCell[c]
-			for _, j := range rng.Perm(len(idx))[:k] {
-				out = append(out, voters[idx[j]])
-			}
+		out = balance(out, voters, bucket, byCell, maxPerCell, rng)
+	}
+	return out
+}
+
+// balance appends to out, from each of bucket's four gender×race cells, k of
+// the voters byCell lists for it, drawn uniformly without replacement: k is
+// the size of the rarest cell, capped by maxPerCell (0 = uncapped). Each cell
+// draws one rng.Perm, in bucketCells order; a bucket with an empty cell
+// draws nothing.
+func balance[T any](out, voters []T, bucket demo.AgeBucket, byCell map[Cell][]int, maxPerCell int, rng *rand.Rand) []T {
+	cells := bucketCells(bucket)
+	k := math.MaxInt
+	for _, c := range cells {
+		k = min(k, len(byCell[c]))
+	}
+	if k == 0 {
+		return out
+	}
+	if maxPerCell > 0 && k > maxPerCell {
+		k = maxPerCell
+	}
+	for _, c := range cells {
+		idx := byCell[c]
+		for _, j := range rng.Perm(len(idx))[:k] {
+			out = append(out, voters[idx[j]])
 		}
 	}
 	return out
@@ -127,18 +137,19 @@ func median(xs []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
+// povertyBins is how many quantile bins MatchPoverty matches poverty within.
+const povertyBins = 10
+
 // MatchPoverty subsamples a stratified sample so the ZIP-poverty
 // distribution is identical across every race×gender cell (Appendix A). It
-// bins poverty, as poverty reads it, into nBins quantile bins computed over
-// the whole sample, then keeps min-cell-count voters per (age bucket, bin)
-// from each race×gender cell. The result remains stratification-balanced.
-// An empty sample yields an empty result and consumes no draws.
-func MatchPoverty[T Voter, P voterRef[T]](sample []T, poverty func(P) float64, nBins int, rng *rand.Rand) []T {
+// bins poverty, as poverty reads it, into ten quantile bins (povertyBins)
+// computed over the whole sample, then keeps min-cell-count voters per (age
+// bucket, bin) from each race×gender cell. The result remains
+// stratification-balanced. An empty sample yields an empty result and
+// consumes no draws.
+func MatchPoverty[T Voter, P voterRef[T]](sample []T, poverty func(P) float64, rng *rand.Rand) []T {
 	if len(sample) == 0 {
 		return nil
-	}
-	if nBins < 2 {
-		nBins = 2
 	}
 	// Quantile bin edges over the pooled poverty values.
 	pooled := make([]float64, len(sample))
@@ -146,9 +157,9 @@ func MatchPoverty[T Voter, P voterRef[T]](sample []T, poverty func(P) float64, n
 		pooled[i] = poverty(&sample[i])
 	}
 	sort.Float64s(pooled)
-	edges := make([]float64, nBins-1)
-	for b := 1; b < nBins; b++ {
-		edges[b-1] = pooled[len(pooled)*b/nBins]
+	edges := make([]float64, povertyBins-1)
+	for b := 1; b < povertyBins; b++ {
+		edges[b-1] = pooled[len(pooled)*b/povertyBins]
 	}
 	binOf := func(p float64) int {
 		for b, e := range edges {
@@ -156,7 +167,7 @@ func MatchPoverty[T Voter, P voterRef[T]](sample []T, poverty func(P) float64, n
 				return b
 			}
 		}
-		return nBins - 1
+		return povertyBins - 1
 	}
 
 	type stratum struct {
@@ -177,25 +188,8 @@ func MatchPoverty[T Voter, P voterRef[T]](sample []T, poverty func(P) float64, n
 	var out []T
 	// Deterministic iteration order: age buckets then bins.
 	for _, bucket := range demo.AllAgeBuckets() {
-		for bin := 0; bin < nBins; bin++ {
-			byCell := byStratumCell[stratum{age: bucket, bin: bin}]
-			if byCell == nil {
-				continue
-			}
-			cells := bucketCells(bucket)
-			k := math.MaxInt
-			for _, c := range cells {
-				k = min(k, len(byCell[c]))
-			}
-			if k == 0 {
-				continue
-			}
-			for _, c := range cells {
-				idx := byCell[c]
-				for _, j := range rng.Perm(len(idx))[:k] {
-					out = append(out, sample[idx[j]])
-				}
-			}
+		for bin := 0; bin < povertyBins; bin++ {
+			out = balance(out, sample, bucket, byStratumCell[stratum{age: bucket, bin: bin}], 0, rng)
 		}
 	}
 	return out

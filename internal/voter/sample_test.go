@@ -65,7 +65,7 @@ func TestMatchPovertyEqualizesDistributions(t *testing.T) {
 	ix := testIndex(t, demo.StateFL, 40000)
 	rng := rand.New(rand.NewSource(11))
 	sample := StratifiedSample(ix.Entries, 0, rng)
-	matched := MatchPoverty(sample, ix.Poverty, 10, rng)
+	matched := MatchPoverty(sample, ix.Poverty, rng)
 	if len(matched) == 0 {
 		t.Fatal("empty matched sample")
 	}
@@ -112,23 +112,12 @@ func TestMatchPovertyEqualizesDistributions(t *testing.T) {
 	}
 }
 
-func TestMatchPovertyMinBins(t *testing.T) {
-	ix := testIndex(t, demo.StateNC, 10000)
-	rng := rand.New(rand.NewSource(12))
-	sample := StratifiedSample(ix.Entries, 100, rng)
-	// nBins below 2 is clamped, not an error.
-	matched := MatchPoverty(sample, ix.Poverty, 1, rng)
-	if err := VerifyBalance(matched); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestMatchPovertyEmptySample: an empty sample has no quantile edges to bin
 // by; it yields an empty result and leaves the RNG where it was.
 func TestMatchPovertyEmptySample(t *testing.T) {
 	ix := testIndex(t, demo.StateFL, 1000)
 	rng := rand.New(rand.NewSource(13))
-	if matched := MatchPoverty(nil, ix.Poverty, 10, rng); len(matched) != 0 {
+	if matched := MatchPoverty(nil, ix.Poverty, rng); len(matched) != 0 {
 		t.Errorf("empty sample matched %d records", len(matched))
 	}
 	if got, want := rng.Int63(), rand.New(rand.NewSource(13)).Int63(); got != want {

@@ -1,6 +1,7 @@
 package voter
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -56,6 +57,9 @@ func TestGenerateDeterministic(t *testing.T) {
 		if a.Records[i] != b.Records[i] {
 			t.Fatalf("record %d differs across same-seed runs", i)
 		}
+	}
+	if !maps.Equal(a.ZIPPoverty, b.ZIPPoverty) {
+		t.Fatal("ZIP poverty table differs across same-seed runs")
 	}
 }
 

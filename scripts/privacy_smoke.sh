@@ -104,31 +104,36 @@ echo "reading privatized insights from both surfaces..."
 digest 127.0.0.1:8410 "$WORK/insights-single.txt"
 digest 127.0.0.1:8420 "$WORK/insights-router.txt"
 
-python3 - "$WORK" "$((SCENARIOS * ADS))" <<'EOF'
-import hashlib, json, sys
+WANT_ADS=$((SCENARIOS * ADS))
+WANT_BODIES=$((2 * WANT_ADS))
+for name in single router; do
+  out="$WORK/insights-$name.txt"
+  n=$(cat "$out.count")
+  if [ "$n" -ne "$WANT_ADS" ]; then
+    echo "$name: found insights for $n ads, want $WANT_ADS"
+    exit 1
+  fi
+  # One JSON body per non-blank line; each must carry a non-empty privacy
+  # block.
+  bodies=$(grep -c '[^[:space:]]' "$out" || true)
+  if [ "$bodies" -ne "$WANT_BODIES" ]; then
+    echo "$name: read $bodies insights bodies, want $WANT_BODIES"
+    exit 1
+  fi
+  private=$(grep -c '"privacy":{"' "$out" || true)
+  if [ "$private" -ne "$bodies" ]; then
+    echo "$name: $((bodies - private)) of $bodies insights bodies carry no privacy block"
+    exit 1
+  fi
+done
 
-work, want_ads = sys.argv[1], int(sys.argv[2])
-def sha(path):
-    return hashlib.sha256(open(path, 'rb').read()).hexdigest()
-
-for name in ('single', 'router'):
-    n = int(open(f'{work}/insights-{name}.txt.count').read())
-    assert n == want_ads, f"{name}: found insights for {n} ads, want {want_ads}"
-
-single = sha(f'{work}/insights-single.txt')
-router = sha(f'{work}/insights-router.txt')
-assert single == router, (
-    "privatized insights diverged between topologies:\n"
-    f"  single: {single}\n"
-    f"  router: {router}\n"
-    "see insights-single.txt / insights-router.txt in the workdir")
-
-for name in ('single', 'router'):
-    bodies = [json.loads(line) for line in open(f'{work}/insights-{name}.txt') if line.strip()]
-    assert len(bodies) == 2 * want_ads, f"{name}: read {len(bodies)} insights bodies, want {2 * want_ads}"
-    bare = sum(1 for b in bodies if not b.get('privacy'))
-    assert bare == 0, f"{name}: {bare} of {len(bodies)} insights bodies carry no privacy block"
-
-print(f"privacy smoke OK: digest {single[:16]}… identical across topologies, "
-      f"all {2 * want_ads} insights bodies on each privatized")
-EOF
+single=$(sha256sum "$WORK/insights-single.txt" | cut -d' ' -f1)
+router=$(sha256sum "$WORK/insights-router.txt" | cut -d' ' -f1)
+if ! cmp -s "$WORK/insights-single.txt" "$WORK/insights-router.txt"; then
+  echo "privatized insights diverged between topologies:"
+  echo "  single: $single"
+  echo "  router: $router"
+  echo "see insights-single.txt / insights-router.txt in the workdir"
+  exit 1
+fi
+echo "privacy smoke OK: digest ${single:0:16}… identical across topologies, all $WANT_BODIES insights bodies on each privatized"
